@@ -16,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
+from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
-from .galg import GroupAlgebra
-from .idem import decompose_one
 from .ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
-                     dual_code, enumerate_ideals, ideal_intersect,
-                     is_principal, span)
+                     dual_code, is_principal, span)
 
 
 @dataclass(frozen=True)
@@ -114,12 +111,13 @@ class CheckableCensus:
     verdicts: list[tuple[CodeSet, CheckabilityVerdict]]
 
 
-def code_checkable_census(alg: GroupAlgebra,
-                          bound: int = DEFAULT_CENSUS_BOUND) -> CheckableCensus:
-    """Run the checkability verdict over the full right-ideal lattice."""
-    rows = [(c, is_checkable(c)) for c in enumerate_ideals(alg, bound=bound)]
+def code_checkable_census(census: list[CodeSet],
+                          bound: int) -> CheckableCensus:
+    """The checkability verdict of every ideal in a full right-ideal
+    census, each check-element scan gated by `bound`."""
+    rows = [(c, is_checkable(c, bound)) for c in census]
     return CheckableCensus(
-        algebra_label=alg.label,
+        algebra_label=census[0].alg.label,
         all_checkable=all(v.checkable for _, v in rows),
         verdicts=rows,
     )
@@ -136,11 +134,11 @@ class CentralIntersection:
     support: tuple[int, ...]
 
 
-def ann_intersection_check(c: CodeSet,
-                           parts: list[int] | None = None) -> CentralIntersection:
+def ann_intersection_check(c: CodeSet, parts: list[int]) -> CentralIntersection:
     """Express a right ideal through the central block decomposition.
 
-    When 1 splits into CENTRAL primitive orthogonal idempotents and C
+    When 1 splits into CENTRAL primitive orthogonal idempotents `parts`
+    (the canonical ones come from idem.decompose_one) and C
     is the span of a subset of them, C must equal both the
     intersection of the right annihilators of the complementary
     blocks and the right annihilator of the complementary blocks'
@@ -152,8 +150,6 @@ def ann_intersection_check(c: CodeSet,
     alg = c.alg
     if c.side != "right":
         raise ConstructionError("the intersection form needs a right ideal")
-    if parts is None:
-        parts = decompose_one(alg)
     if not all(alg.is_central(p) for p in parts):
         return CentralIntersection("non-central-parts", None, None, ())
 
@@ -180,24 +176,3 @@ def ann_intersection_check(c: CodeSet,
             f"{c.cardinality}")
     return CentralIntersection("ok", inter_ok, chain_ok, inside)
 
-
-# ---------------------------------------------------------------------------
-# cardinality shadow of the dual quotient
-
-@dataclass(frozen=True)
-class DualQuotientNote:
-    code_size: int
-    algebra_size: int
-    dual_size: int
-    quotient_matches: bool
-
-
-def dual_quotient_note(c: CodeSet) -> DualQuotientNote:
-    """Record |C| against |RG| / |dual(C)|."""
-    d = dual_code(c)
-    return DualQuotientNote(
-        code_size=c.cardinality,
-        algebra_size=c.alg.card,
-        dual_size=d.cardinality,
-        quotient_matches=c.cardinality * d.cardinality == c.alg.card,
-    )

@@ -16,16 +16,18 @@ import argparse
 import sys
 import time
 
-from .chk import code_checkable_census, is_checkable
+from .chk import is_checkable
 from .errors import (ConstructionError, FalsificationError, ParseError,
                      ScaleError)
-from .finring import frobenius, structure
-from .galg import residue_map
-from .idem import decompose_one, idempotent_census
-from .instance import BuiltInstance, build_instance, load_instance
+from .idem import idempotent_census
+from .instance import build_instance, load_instance
 from .lcp import (hat_equivalence, is_lcp, lcp_certificate,
-                  lcp_residue_correspondence, lcp_scan, refine_certificate)
-from .verify import FAIL, INFO, PASS, CheckLine, Report, verify_all
+                  lcp_residue_correspondence, refine_certificate)
+# bound here although the commands read the pairs from the workspace:
+# perfbench's tracer self-test checks that names imported this way are
+# rebound together
+from .lcp import lcp_scan  # noqa: F401
+from .verify import FAIL, INFO, PASS, CheckLine, Report, Workspace, verify_all
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +41,14 @@ def _verdict(check_id: str, law: str, ok: bool, witness: str) -> CheckLine:
     return CheckLine(check_id, law, PASS if ok else FAIL, witness)
 
 
-def cmd_ring_info(built: BuiltInstance) -> Report:
-    ring = built.algebra.ring
-    st = structure(ring)
-    fr = frobenius(ring)
+def _report(ws: Workspace, command: str, lines: list[CheckLine]) -> Report:
+    return Report(command, ws.built.digest, ws.alg.label, lines)
+
+
+def cmd_ring_info(ws: Workspace) -> Report:
+    ring = ws.alg.ring
+    st = ws.ring_structure
+    fr = ws.frobenius_verdict
     law = "ring-info"
     lines = [
         _info("ring.label", law, ring.label),
@@ -57,16 +63,16 @@ def cmd_ring_info(built: BuiltInstance) -> Report:
               "(" + ", ".join(str(k) for k in fr.character) + ")"
               if fr.character is not None else "-"),
     ]
-    return Report("ring-info", built.digest, built.algebra.label, lines)
+    return _report(ws, "ring-info", lines)
 
 
-def cmd_idempotents(built: BuiltInstance) -> Report:
-    alg = built.algebra
-    census = idempotent_census(alg)
+def cmd_idempotents(ws: Workspace) -> Report:
+    alg = ws.alg
+    census = idempotent_census(alg, ws.idempotents)
     law = "idempotent-census"
     central = [i.element for i in census if i.central]
     primitive = [i.element for i in census if i.primitive]
-    parts = decompose_one(alg)
+    parts = ws.parts_of_one
     total = 0
     for p in parts:
         total = alg.add(total, p)
@@ -81,12 +87,11 @@ def cmd_idempotents(built: BuiltInstance) -> Report:
                  if total == alg.one else
                  f"parts sum to {total}, not 1"),
     ]
-    return Report("idempotents", built.digest, alg.label, lines)
+    return _report(ws, "idempotents", lines)
 
 
-def cmd_lcp_scan(built: BuiltInstance) -> Report:
-    alg = built.algebra
-    pairs = lcp_scan(alg, "right", bound=built.census_bound)
+def cmd_lcp_scan(ws: Workspace) -> Report:
+    pairs = ws.pairs
     law = "lcp-split"
     lines = [CheckLine(f"lcp-scan.pair-{k:03d}", law, PASS,
                        f"certificate {p.certificate}; |C| = {p.c.cardinality}, "
@@ -94,21 +99,21 @@ def cmd_lcp_scan(built: BuiltInstance) -> Report:
              for k, p in enumerate(pairs)]
     lines.append(_verdict("lcp-scan.count", law, True,
                           f"{len(pairs)} complementary pairs"))
-    return Report("lcp scan", built.digest, alg.label, lines)
+    return _report(ws, "lcp scan", lines)
 
 
-def _named_ideal(built: BuiltInstance, name: str):
+def _named_ideal(ws: Workspace, name: str):
     try:
-        return built.ideals[name]
+        return ws.built.ideals[name]
     except KeyError:
-        known = ", ".join(sorted(built.ideals)) or "none defined"
+        known = ", ".join(sorted(ws.built.ideals)) or "none defined"
         raise ParseError(f"no ideal named {name!r} in the instance "
                          f"(known: {known})") from None
 
 
-def cmd_lcp_verify(built: BuiltInstance, pair: tuple[str, str]) -> Report:
-    alg = built.algebra
-    c, d = _named_ideal(built, pair[0]), _named_ideal(built, pair[1])
+def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
+    alg = ws.alg
+    c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
     law = "lcp-split"
     lines: list[CheckLine] = []
     complementary = is_lcp(c, d)
@@ -122,7 +127,7 @@ def cmd_lcp_verify(built: BuiltInstance, pair: tuple[str, str]) -> Report:
         e = lcp_certificate(c, d)
         lines.append(_info("lcp-verify.certificate", law,
                            f"e = {e} = {alg.text(e)}"))
-        pc, pd = refine_certificate(c, d)
+        pc, pd = refine_certificate(c, d, ws.idempotents)
         lines.append(_info("lcp-verify.refinement", law,
                            f"C parts {pc}; D parts {pd}"))
         he = hat_equivalence(c, d)
@@ -137,14 +142,13 @@ def cmd_lcp_verify(built: BuiltInstance, pair: tuple[str, str]) -> Report:
         else:
             lines.append(_info("lcp-verify.hat-image", "hat-transfer",
                                "certificate not central; no image claim"))
-    return Report("lcp verify", built.digest, alg.label, lines)
+    return _report(ws, "lcp verify", lines)
 
 
-def cmd_lcp_residue(built: BuiltInstance, pair: tuple[str, str]) -> Report:
-    alg = built.algebra
-    c, d = _named_ideal(built, pair[0]), _named_ideal(built, pair[1])
-    rm = residue_map(alg)
-    rt = lcp_residue_correspondence(c, d, rm)
+def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
+    alg = ws.alg
+    c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
+    rt = lcp_residue_correspondence(c, d, ws.residue)
     law = "residue-lcp"
     lines = [
         _info("lcp-residue.base", law, str(rt.lcp_base).lower()),
@@ -160,13 +164,13 @@ def cmd_lcp_residue(built: BuiltInstance, pair: tuple[str, str]) -> Report:
               f"{rt.lifted_certificate} = {alg.text(rt.lifted_certificate)}"
               if rt.lifted_certificate is not None else "-"),
     ]
-    return Report("lcp residue", built.digest, alg.label, lines)
+    return _report(ws, "lcp residue", lines)
 
 
-def cmd_checkable_ideal(built: BuiltInstance, name: str) -> Report:
-    alg = built.algebra
-    c = _named_ideal(built, name)
-    v = is_checkable(c, bound=built.bound)
+def cmd_checkable_ideal(ws: Workspace, name: str) -> Report:
+    alg = ws.alg
+    c = _named_ideal(ws, name)
+    v = is_checkable(c, bound=ws.built.bound)
     law = "checkable-routes"
     lines = [
         _info("checkable-ideal.checkable", law, str(v.checkable).lower()),
@@ -184,12 +188,11 @@ def cmd_checkable_ideal(built: BuiltInstance, name: str) -> Report:
                  "all three detection routes agree" if v.consistency else
                  "detection routes disagree"),
     ]
-    return Report("checkable ideal", built.digest, alg.label, lines)
+    return _report(ws, "checkable ideal", lines)
 
 
-def cmd_checkable_census(built: BuiltInstance) -> Report:
-    alg = built.algebra
-    cen = code_checkable_census(alg, bound=built.census_bound)
+def cmd_checkable_census(ws: Workspace) -> Report:
+    cen = ws.checkable_census
     law = "checkable-routes"
     lines = [_info(f"checkable-census.ideal-{i:03d}", law,
                    f"size {c.cardinality}; checkable "
@@ -205,7 +208,7 @@ def cmd_checkable_census(built: BuiltInstance) -> Report:
                           if consistent else
                           f"{bad}/{len(cen.verdicts)} ideals have "
                           f"disagreeing routes"))
-    return Report("checkable census", built.digest, alg.label, lines)
+    return _report(ws, "checkable census", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -278,27 +281,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> Report:
-    built = build_instance(load_instance(args.file),
-                           bound=args.bound, census_bound=args.census_bound)
+    ws = Workspace(build_instance(load_instance(args.file), bound=args.bound,
+                                  census_bound=args.census_bound))
     if args.command == "ring-info":
-        return cmd_ring_info(built)
+        return cmd_ring_info(ws)
     if args.command == "idempotents":
-        return cmd_idempotents(built)
+        return cmd_idempotents(ws)
     if args.command == "lcp":
         if args.mode == "scan":
-            return cmd_lcp_scan(built)
+            return cmd_lcp_scan(ws)
         if args.pair is None:
             raise ParseError(f"lcp {args.mode} needs --pair C D")
         if args.mode == "verify":
-            return cmd_lcp_verify(built, tuple(args.pair))
-        return cmd_lcp_residue(built, tuple(args.pair))
+            return cmd_lcp_verify(ws, tuple(args.pair))
+        return cmd_lcp_residue(ws, tuple(args.pair))
     if args.command == "checkable":
         if args.mode == "census":
-            return cmd_checkable_census(built)
+            return cmd_checkable_census(ws)
         if args.ideal is None:
             raise ParseError("checkable ideal needs --ideal C")
-        return cmd_checkable_ideal(built, args.ideal)
-    return verify_all(built, timing=args.timing)
+        return cmd_checkable_ideal(ws, args.ideal)
+    return verify_all(ws, timing=args.timing)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ConstructionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScaleError as exc:
-        print(f"scale error: {exc}", file=sys.stderr)
+    except (ScaleError, MemoryError) as exc:
+        print(f"scale error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)

@@ -531,20 +531,6 @@ def _additive_span(ring: Ring, seed) -> set[int]:
     return span
 
 
-def units(ring: Ring) -> np.ndarray:
-    return structure(ring).units
-
-
-def jacobson_radical(ring: Ring) -> tuple[np.ndarray, int]:
-    """Radical element indices and the nilpotency index f with J^f = 0."""
-    st = structure(ring)
-    return st.radical, st.nilpotency_index
-
-
-def is_local(ring: Ring) -> bool:
-    return structure(ring).is_local
-
-
 # ---------------------------------------------------------------------------
 # generating characters
 
@@ -612,12 +598,6 @@ def _numerator_tuples(moduli):
             out.append(rem % m)
             rem //= m
         yield tuple(out)
-
-
-def character_text(ring: Ring, numerators: tuple[int, ...]) -> str:
-    """Readable form of a character witness, one fraction per coordinate."""
-    parts = [f"{k}/{m}" for k, m in zip(numerators, ring.moduli)]
-    return "(" + ", ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------

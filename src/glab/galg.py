@@ -74,10 +74,6 @@ class GroupAlgebra:
         """The group element g with coefficient 1."""
         return self.ring.one * int(self._weights[g])
 
-    def monomial(self, r: int, g: int) -> int:
-        """r at position g, zero elsewhere."""
-        return int(r) * int(self._weights[g])
-
     def text(self, x: int) -> str:
         """Readable sum of coefficient*name terms."""
         parts = []
@@ -133,12 +129,6 @@ class GroupAlgebra:
             acc = self.ring.a(acc, self.ring.m(int(self.coeffs[x, g]),
                                                int(self.coeffs[y, g])))
         return acc
-
-    def translate_right(self, x: int, g: int) -> int:
-        """x * g for a group element g (coefficient permutation)."""
-        perm = self.group.mul[:, self.group.inv[g]]
-        c = self.coeffs[x][perm]
-        return int(c.astype(np.int64) @ self._weights)
 
     @property
     def elements(self) -> range:

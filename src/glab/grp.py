@@ -251,7 +251,7 @@ def _build_cayley(spec: CayleyGroup) -> Group:
 
 
 # ---------------------------------------------------------------------------
-# audit and structure helpers
+# audit
 
 def audit_group(group: Group) -> None:
     """Exhaustive associativity/identity/inverse audit with witnesses."""
@@ -274,86 +274,3 @@ def audit_group(group: Group) -> None:
                 f"({a}*{b})*{c} = {int(left[a, c])}, a*(b*c) = {int(right[a, c])}")
     if not (mul[ar, group.inv] == e).all() or not (mul[group.inv, ar] == e).all():
         raise ConstructionError(f"{group.label}: inversion permutation broken")
-
-
-def element_orders(group: Group) -> np.ndarray:
-    """Multiplicative order of every element."""
-    out = np.zeros(group.order, dtype=np.int64)
-    for x in group.elements:
-        k = 1
-        acc = x
-        while acc != group.identity:
-            acc = group.m(acc, x)
-            k += 1
-        out[x] = k
-    return out
-
-
-def _generating_set(group: Group) -> list[int]:
-    """Greedy small generating set."""
-    gens: list[int] = []
-    span = {group.identity}
-    for x in group.elements:
-        if x in span:
-            continue
-        gens.append(x)
-        work = [x]
-        while work:
-            y = work.pop()
-            for z in list(span):
-                for w in (group.m(y, z), group.m(z, y)):
-                    if w not in span:
-                        span.add(w)
-                        work.append(w)
-            if y not in span:
-                span.add(y)
-        if len(span) == group.order:
-            break
-    return gens
-
-
-def _extend_homomorphism(g: Group, h: Group, gens: list[int],
-                         images: tuple[int, ...]) -> np.ndarray | None:
-    """Grow gens -> images to a full map by word closure; None on conflict."""
-    mapping = np.full(g.order, -1, dtype=np.int64)
-    mapping[g.identity] = h.identity
-    for x, y in zip(gens, images):
-        if mapping[x] >= 0 and mapping[x] != y:
-            return None
-        mapping[x] = y
-    frontier = [g.identity] + list(gens)
-    while frontier:
-        a = frontier.pop()
-        for x, y in zip(gens, images):
-            b = g.m(a, x)
-            img = h.m(int(mapping[a]), y)
-            if mapping[b] < 0:
-                mapping[b] = img
-                frontier.append(b)
-            elif mapping[b] != img:
-                return None
-    if (mapping < 0).any():
-        return None
-    return mapping
-
-
-def are_isomorphic(g: Group, h: Group) -> bool:
-    """Exhaustive isomorphism test for desk-scale orders."""
-    if g.order != h.order:
-        return False
-    og = element_orders(g)
-    oh = element_orders(h)
-    if sorted(og.tolist()) != sorted(oh.tolist()):
-        return False
-    gens = _generating_set(g)
-    candidates = [np.flatnonzero(oh == og[x]).tolist() for x in gens]
-    ar = np.arange(g.order)
-    for images in itertools.product(*candidates):
-        mapping = _extend_homomorphism(g, h, gens, images)
-        if mapping is None:
-            continue
-        if not np.array_equal(np.sort(mapping), ar):
-            continue
-        if np.array_equal(mapping[g.mul], h.mul[np.ix_(mapping, mapping)]):
-            return True
-    return False

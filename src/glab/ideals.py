@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
+from .config import DEFAULT_CENSUS_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
 from .galg import GroupAlgebra
 

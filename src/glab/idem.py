@@ -1,6 +1,5 @@
 """Idempotents of a group algebra: census, primitivity, orthogonal
-decompositions of 1, complement duality, and lifting along the
-coefficient radical.
+decompositions of 1, and lifting along the coefficient radical.
 
 Everything here is exhaustive: idempotents come from a full scan of
 the squaring map, primitivity from a full scan against all other
@@ -17,7 +16,6 @@ import numpy as np
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
 from .galg import GroupAlgebra, ResidueMap
-from .ideals import CodeSet, dual_code, span
 
 
 def enumerate_idempotents(alg: GroupAlgebra,
@@ -56,14 +54,11 @@ def _sub_idempotent(alg: GroupAlgebra, e: int,
     return None
 
 
-def is_primitive(alg: GroupAlgebra, e: int,
-                 idems: list[int] | None = None) -> bool:
+def is_primitive(alg: GroupAlgebra, e: int, idems: list[int]) -> bool:
     """Whether a nonzero idempotent admits no orthogonal splitting."""
     _require_idempotent(alg, e)
     if e == 0:
         return False
-    if idems is None:
-        idems = enumerate_idempotents(alg)
     return _sub_idempotent(alg, e, idems) is None
 
 
@@ -74,23 +69,23 @@ class IdempotentInfo:
     primitive: bool
 
 
-def idempotent_census(alg: GroupAlgebra) -> list[IdempotentInfo]:
-    idems = enumerate_idempotents(alg)
-    return [IdempotentInfo(e, alg.is_central(e),
-                           is_primitive(alg, e, idems) if e else False)
+def idempotent_census(alg: GroupAlgebra,
+                      idems: list[int]) -> list[IdempotentInfo]:
+    """Central and primitive flags of every idempotent in the census."""
+    return [IdempotentInfo(e, alg.is_central(e), is_primitive(alg, e, idems))
             for e in idems]
 
 
-def decompose_idempotent(alg: GroupAlgebra, e: int) -> list[int]:
+def decompose_idempotent(alg: GroupAlgebra, e: int,
+                         idems: list[int]) -> list[int]:
     """Orthogonal primitive idempotents summing to e (empty for e = 0).
 
     Greedy refinement, deterministic: each non-primitive part is split
-    by the least idempotent below it. The result is re-verified: parts
-    are idempotent, pairwise orthogonal both ways, primitive, and sum
-    back to e.
+    by the least idempotent below it, taken from the census `idems`.
+    The result is re-verified: parts are idempotent, pairwise
+    orthogonal both ways, primitive, and sum back to e.
     """
     _require_idempotent(alg, e)
-    idems = enumerate_idempotents(alg)
     parts: list[int] = [] if e == 0 else [e]
     done: list[int] = []
     while parts:
@@ -120,29 +115,9 @@ def decompose_idempotent(alg: GroupAlgebra, e: int) -> list[int]:
     return done
 
 
-def decompose_one(alg: GroupAlgebra) -> list[int]:
+def decompose_one(alg: GroupAlgebra, idems: list[int]) -> list[int]:
     """Orthogonal primitive idempotents summing to 1."""
-    return decompose_idempotent(alg, alg.one)
-
-
-# ---------------------------------------------------------------------------
-# complement duality
-
-def dual_of_idempotent_ideal(alg: GroupAlgebra, e: int) -> CodeSet:
-    """The right ideal generated by 1 minus the involution of e,
-    asserted equal to the dual of the right ideal generated by e.
-
-    The equality holds over commutative base rings; a mismatch (which
-    genuinely occurs over matrix rings) raises FalsificationError.
-    """
-    _require_idempotent(alg, e)
-    claimed = span(alg, [alg.one_minus(alg.hat(e))], "right")
-    actual = dual_code(span(alg, [e], "right"))
-    if not np.array_equal(claimed.mask, actual.mask):
-        raise FalsificationError(
-            f"{alg.label}: dual of the ideal of {alg.text(e)} is not the "
-            f"ideal of one minus its involution")
-    return claimed
+    return decompose_idempotent(alg, alg.one, idems)
 
 
 # ---------------------------------------------------------------------------

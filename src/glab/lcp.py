@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CENSUS_BOUND
 from .errors import ConstructionError, FalsificationError
-from .galg import GroupAlgebra, ResidueMap, residue_map
+from .galg import GroupAlgebra, ResidueMap
 from .idem import decompose_idempotent, is_idempotent, lift_idempotent
-from .ideals import (CodeSet, dual_code, enumerate_ideals, span)
+from .ideals import CodeSet, dual_code, span
 
 
 def _require_pair(c: CodeSet, d: CodeSet) -> None:
@@ -93,23 +92,20 @@ class LcpPair:
     certificate: int
 
 
-def lcp_scan(alg: GroupAlgebra, side: str = "right",
-             bound: int = DEFAULT_CENSUS_BOUND) -> list[LcpPair]:
-    """All ordered complementary pairs, from the full ideal lattice.
+def lcp_scan(census: list[CodeSet], idems: list[int]) -> list[LcpPair]:
+    """All ordered complementary pairs of a full one-sided ideal census.
 
-    Cross-checked against the idempotent route: the pairs found by
-    lattice inspection must be exactly the splits of the idempotents,
-    one pair per idempotent.
+    Cross-checked against the idempotent census `idems`: the pairs
+    found by lattice inspection must be exactly the splits of the
+    idempotents, one pair per idempotent.
     """
-    census = enumerate_ideals(alg, side, bound=bound)
+    alg, side = census[0].alg, census[0].side
     pairs = []
     for c in census:
         for d in census:
             if is_lcp(c, d):
                 pairs.append(LcpPair(c, d, lcp_certificate(c, d)))
 
-    from .idem import enumerate_idempotents
-    idems = enumerate_idempotents(alg)
     via_idems = set()
     for e in idems:
         cc, dd = complement_pair(alg, e, side)
@@ -126,8 +122,10 @@ def lcp_scan(alg: GroupAlgebra, side: str = "right",
 # ---------------------------------------------------------------------------
 # primitive refinement
 
-def refine_certificate(c: CodeSet, d: CodeSet) -> tuple[list[int], list[int]]:
-    """Primitive orthogonal idempotents refining a pair's certificate.
+def refine_certificate(c: CodeSet, d: CodeSet,
+                       idems: list[int]) -> tuple[list[int], list[int]]:
+    """Primitive orthogonal idempotents refining a pair's certificate,
+    split by members of the idempotent census `idems`.
 
     Returns the parts of e and of 1-e. Verified: all parts from both
     lists are pairwise orthogonal, they sum to 1, the parts of each
@@ -136,8 +134,8 @@ def refine_certificate(c: CodeSet, d: CodeSet) -> tuple[list[int], list[int]]:
     """
     alg = c.alg
     e = lcp_certificate(c, d)
-    parts_c = decompose_idempotent(alg, e)
-    parts_d = decompose_idempotent(alg, alg.one_minus(e))
+    parts_c = decompose_idempotent(alg, e, idems)
+    parts_d = decompose_idempotent(alg, alg.one_minus(e), idems)
 
     for p in parts_c:
         for q in parts_d:
@@ -227,7 +225,7 @@ def project_code(rm: ResidueMap, code: CodeSet) -> CodeSet:
 
 
 def lcp_residue_correspondence(c: CodeSet, d: CodeSet,
-                               rm: ResidueMap | None = None) -> ResidueTransfer:
+                               rm: ResidueMap) -> ResidueTransfer:
     """How complementarity transfers across the residue projection.
 
     Over a local base ring the following hold and are asserted here:
@@ -242,8 +240,6 @@ def lcp_residue_correspondence(c: CodeSet, d: CodeSet,
     idempotents the biconditional is asserted.
     """
     alg = c.alg
-    if rm is None:
-        rm = residue_map(alg)
     cbar = project_code(rm, c)
     dbar = project_code(rm, d)
     base = is_lcp(c, d)

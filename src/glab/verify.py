@@ -17,23 +17,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, reduce
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .chk import ann_intersection_check, code_checkable_census
+from .chk import CheckableCensus, ann_intersection_check, code_checkable_census
 from .errors import ConstructionError, FalsificationError
-from .finring import frobenius, structure
-from .galg import GroupAlgebra, residue_map
+from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
+from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, _sumset, ann_left, ann_left_of_element,
                      ann_right, ann_right_of_element, dual_code,
                      enumerate_ideals, ideal_intersect, ideal_sum, span)
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
-from .lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
-                  lcp_scan, project_code, refine_certificate)
+from .lcp import (LcpPair, is_lcp, lcp_certificate,
+                  lcp_residue_correspondence, lcp_scan, refine_certificate)
 
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
@@ -63,15 +63,21 @@ class Report:
 # shared per-instance workspace
 
 class Workspace:
-    """Caches the censuses and scans that several laws share."""
+    """The objects that several commands or laws share, each computed
+    on first use and then held for the rest of the run."""
 
     def __init__(self, built: BuiltInstance):
         self.built = built
         self.alg: GroupAlgebra = built.algebra
+        self._duals: dict[tuple[str | None, bytes], CodeSet] = {}
 
     @cached_property
-    def frobenius_status(self) -> str:
-        return frobenius(self.alg.ring).status
+    def frobenius_verdict(self) -> FrobeniusVerdict:
+        return frobenius(self.alg.ring)
+
+    @cached_property
+    def ring_structure(self) -> RingStructure:
+        return structure(self.alg.ring)
 
     @cached_property
     def right_ideals(self) -> list[CodeSet]:
@@ -81,24 +87,46 @@ class Workspace:
     def left_ideals(self) -> list[CodeSet]:
         return enumerate_ideals(self.alg, "left", bound=self.built.census_bound)
 
+    def ideals(self, side: str) -> list[CodeSet]:
+        return self.right_ideals if side == "right" else self.left_ideals
+
     @cached_property
     def idempotents(self) -> list[int]:
         return enumerate_idempotents(self.alg, bound=self.built.bound)
 
     @cached_property
-    def pairs(self):
-        return lcp_scan(self.alg, "right", bound=self.built.census_bound)
+    def parts_of_one(self) -> list[int]:
+        """The canonical primitive orthogonal idempotents summing to 1."""
+        return decompose_one(self.alg, self.idempotents)
 
     @cached_property
-    def hat_all(self) -> np.ndarray:
-        return self.alg.hat_all()
+    def pairs(self) -> list[LcpPair]:
+        return lcp_scan(self.right_ideals, self.idempotents)
 
     @cached_property
-    def _duals(self) -> dict:
-        return {}
+    def refinements(self) -> list[tuple[list[int], list[int]]]:
+        """The primitive refinement of each pair, in the order of pairs."""
+        return [refine_certificate(p.c, p.d, self.idempotents)
+                for p in self.pairs]
+
+    @cached_property
+    def checkable_census(self) -> CheckableCensus:
+        return code_checkable_census(self.right_ideals, self.built.bound)
+
+    @cached_property
+    def residue(self) -> ResidueMap:
+        return residue_map(self.alg)
+
+    @cached_property
+    def residue_rows(self):
+        """(i, j, transfer) over all ordered right-ideal pairs."""
+        R = self.right_ideals
+        return [(i, j, lcp_residue_correspondence(a, b, self.residue))
+                for i, a in enumerate(R) for j, b in enumerate(R)]
 
     def dual(self, code: CodeSet) -> CodeSet:
-        key = code.key()
+        # the dual's orientation follows the side, so both are the key
+        key = (code.side, code.key())
         got = self._duals.get(key)
         if got is None:
             got = self._duals[key] = dual_code(code)
@@ -106,122 +134,101 @@ class Workspace:
 
     def hat_image(self, code: CodeSet) -> np.ndarray:
         mask = np.zeros(self.alg.card, dtype=bool)
-        mask[self.hat_all[code.elements()]] = True
+        mask[self.alg.hat_all()[code.elements()]] = True
         return mask
-
-    @cached_property
-    def ring_structure(self):
-        return structure(self.alg.ring)
-
-    @cached_property
-    def residue(self):
-        return residue_map(self.alg)
-
-    @cached_property
-    def residue_rows(self):
-        """(i, j, transfer) over all right-ideal pairs, or the error."""
-        try:
-            rm = self.residue
-            rows = []
-            for i, a in enumerate(self.right_ideals):
-                for j, b in enumerate(self.right_ideals):
-                    rows.append((i, j, lcp_residue_correspondence(a, b, rm)))
-            return ("ok", rows)
-        except FalsificationError as exc:
-            return ("err", exc)
 
 
 # ---------------------------------------------------------------------------
 # gating and tallying
 
-def _needs_frobenius(ws: Workspace) -> tuple[str, str] | None:
-    if ws.frobenius_status != "frobenius":
-        return (SKIP, f"needs a generating character; ring reports "
-                      f"{ws.frobenius_status!r}")
-    return None
+def _needs_frobenius(law):
+    """Skip the law unless the base ring has a generating character."""
+    def gated(ws: Workspace):
+        status = ws.frobenius_verdict.status
+        if status != "frobenius":
+            return (SKIP, f"needs a generating character; ring reports "
+                          f"{status!r}")
+        return law(ws)
+    return gated
 
 
-def _needs_local_radical(ws: Workspace) -> tuple[str, str] | None:
-    st = ws.ring_structure
-    if not st.is_local:
-        return (SKIP, "needs a local coefficient ring")
-    if len(st.radical) <= 1:
-        return (SKIP, "coefficient ring has a trivial radical")
-    return None
+def _needs_local_radical(law):
+    """Skip the law unless the base ring is local with a nonzero radical."""
+    def gated(ws: Workspace):
+        st = ws.ring_structure
+        if not st.is_local:
+            return (SKIP, "needs a local coefficient ring")
+        if len(st.radical) <= 1:
+            return (SKIP, "coefficient ring has a trivial radical")
+        return law(ws)
+    return gated
 
 
-def _tally(bad: int, total: int, unit: str, first: str | None) -> tuple[str, str]:
+def _tally(unit: str, checks: Iterable[tuple[str, bool]],
+           note: str = "") -> tuple[str, str]:
+    """Count (where, ok) checks: fail with the count of failures and the
+    first place one failed, or pass with the total (and the note)."""
+    total, bad, first = 0, 0, None
+    for where, ok in checks:
+        total += 1
+        if not ok:
+            bad += 1
+            first = first or where
     if bad:
         return (FAIL, f"{bad}/{total} {unit} fail; first at {first}")
-    return (PASS, f"checked {total} {unit}")
+    return (PASS, f"checked {total} {unit}{note}")
+
+
+def _ideals(rows: Iterable[tuple[CodeSet, bool]]):
+    """(where, ok) checks from (ideal, ok) rows in census order."""
+    return ((f"ideal {i} (size {c.cardinality})", ok)
+            for i, (c, ok) in enumerate(rows))
+
+
+def _each_ideal(side: str, unit: str, ok: Callable[[Workspace, CodeSet], bool]):
+    """The law that ok(ws, c) holds for every ideal c of one side."""
+    return lambda ws: _tally(unit, _ideals((c, ok(ws, c))
+                                           for c in ws.ideals(side)))
+
+
+def _each_pair(ok: Callable[[Workspace, CodeSet, CodeSet], bool]):
+    """The law that ok(ws, a, b) holds for all ordered right-ideal pairs."""
+    def law(ws: Workspace):
+        R = ws.right_ideals
+        return _tally("ideal pairs", (
+            (f"pair ({i}, {j})", ok(ws, a, b))
+            for i, a in enumerate(R) for j, b in enumerate(R)))
+    return law
 
 
 # ---------------------------------------------------------------------------
 # the laws
 
-def _dual_sum_meet(ws: Workspace):
-    R = ws.right_ideals
-    bad, first = 0, None
-    for i, a in enumerate(R):
-        da = ws.dual(a).mask
-        for j, b in enumerate(R):
-            lhs = ws.dual(ideal_sum(a, b)).mask
-            if not np.array_equal(lhs, da & ws.dual(b).mask):
-                bad += 1
-                first = first or f"pair ({i}, {j})"
-    return _tally(bad, len(R) ** 2, "ideal pairs", first)
+_dual_sum_meet = _each_pair(lambda ws, a, b: np.array_equal(
+    ws.dual(ideal_sum(a, b)).mask, ws.dual(a).mask & ws.dual(b).mask))
+
+_dual_meet_join = _needs_frobenius(_each_pair(lambda ws, a, b: np.array_equal(
+    _sumset(ws.alg, ws.dual(a).mask, ws.dual(b).mask),
+    ws.dual(ideal_intersect(a, b)).mask)))
+
+_dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (
+    c.cardinality * ws.dual(c).cardinality == ws.alg.card)))
 
 
-def _dual_meet_join(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    R = ws.right_ideals
-    bad, first = 0, None
-    for i, a in enumerate(R):
-        da = ws.dual(a)
-        for j, b in enumerate(R):
-            joined = _sumset(ws.alg, da.mask, ws.dual(b).mask)
-            rhs = ws.dual(ideal_intersect(a, b)).mask
-            if not np.array_equal(joined, rhs):
-                bad += 1
-                first = first or f"pair ({i}, {j})"
-    return _tally(bad, len(R) ** 2, "ideal pairs", first)
-
-
-def _dual_size_product(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    bad, first = 0, None
-    for i, c in enumerate(ws.right_ideals):
-        if c.cardinality * ws.dual(c).cardinality != ws.alg.card:
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(ws.right_ideals), "ideals", first)
-
-
-def _lcp_biconditional(ws: Workspace):
+def _certificate_agrees(ws: Workspace, a: CodeSet, b: CodeSet) -> bool:
+    """A certificate exists exactly for complementary pairs, and it is an
+    idempotent whose split regenerates both members."""
     alg = ws.alg
-    R = ws.right_ideals
-    bad, first = 0, None
-    for i, a in enumerate(R):
-        for j, b in enumerate(R):
-            flag = is_lcp(a, b)
-            try:
-                e = lcp_certificate(a, b)
-                got = True
-            except ConstructionError:
-                got = False
-            ok = flag == got
-            if got and ok:
-                ok = (is_idempotent(alg, e)
-                      and span(alg, [e], "right").same_set(a)
-                      and span(alg, [alg.one_minus(e)], "right").same_set(b))
-            if not ok:
-                bad += 1
-                first = first or f"pair ({i}, {j})"
-    return _tally(bad, len(R) ** 2, "ideal pairs", first)
+    try:
+        e = lcp_certificate(a, b)
+    except ConstructionError:
+        return not is_lcp(a, b)
+    return (is_lcp(a, b) and is_idempotent(alg, e)
+            and span(alg, [e], "right").same_set(a)
+            and span(alg, [alg.one_minus(e)], "right").same_set(b))
+
+
+_lcp_biconditional = _each_pair(_certificate_agrees)
 
 
 def _lcp_pair_count(ws: Workspace):
@@ -233,138 +240,64 @@ def _lcp_pair_count(ws: Workspace):
 
 def _refine_partition(ws: Workspace):
     alg = ws.alg
-    parts_total = 0
-    for pair in ws.pairs:
-        pc, pd = refine_certificate(pair.c, pair.d)
-        total = 0
-        for p in pc + pd:
-            total = alg.add(total, p)
-        if total != alg.one:
+    for pair, (pc, pd) in zip(ws.pairs, ws.refinements):
+        if reduce(alg.add, pc + pd, 0) != alg.one:
             return (FAIL, f"refined parts of certificate {pair.certificate} "
                           f"do not sum to 1")
-        parts_total += len(pc) + len(pd)
+    parts = sum(len(pc) + len(pd) for pc, pd in ws.refinements)
     return (PASS, f"refined {len(ws.pairs)} certificates into "
-                  f"{parts_total} primitive parts")
+                  f"{parts} primitive parts")
 
 
+@_needs_frobenius
 def _refine_dual_of_sum(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
     alg = ws.alg
-    bad, first = 0, None
-    for k, pair in enumerate(ws.pairs):
-        _, pd = refine_certificate(pair.c, pair.d)
-        rhs = np.zeros(alg.card, dtype=bool)
-        rhs[0] = True
-        for p in pd:
-            rhs = _sumset(alg, rhs, span(alg, [alg.hat(p)], "right").mask)
-        if not np.array_equal(ws.dual(pair.c).mask, rhs):
-            bad += 1
-            first = first or f"pair {k} (certificate {pair.certificate})"
-    return _tally(bad, len(ws.pairs), "complementary pairs", first)
+    return _tally("complementary pairs", (
+        (f"pair {k} (certificate {pair.certificate})",
+         np.array_equal(ws.dual(pair.c).mask,
+                        span(alg, [alg.hat(p) for p in pd], "right").mask))
+        for k, (pair, (_, pd)) in enumerate(zip(ws.pairs, ws.refinements))))
 
 
-def _idem_dual_formula(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    alg = ws.alg
-    bad, first = 0, None
-    for e in ws.idempotents:
-        actual = ws.dual(span(alg, [e], "right"))
-        claimed = span(alg, [alg.one_minus(alg.hat(e))], "right")
-        if not claimed.same_set(actual):
-            bad += 1
-            first = first or f"idempotent {e}"
-    return _tally(bad, len(ws.idempotents), "idempotents", first)
+_idem_dual_formula = _needs_frobenius(lambda ws: _tally("idempotents", (
+    (f"idempotent {e}", ws.dual(span(ws.alg, [e], "right")).same_set(
+        span(ws.alg, [ws.alg.one_minus(ws.alg.hat(e))], "right")))
+    for e in ws.idempotents)))
 
 
+@_needs_frobenius
 def _hat_central_image(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    alg = ws.alg
-    central = [p for p in ws.pairs if alg.is_central(p.certificate)]
-    bad, first = 0, None
-    for p in central:
-        if not np.array_equal(ws.hat_image(p.c), ws.dual(p.d).mask):
-            bad += 1
-            first = first or f"certificate {p.certificate}"
-    status, witness = _tally(bad, len(central), "central certificates", first)
-    if status == PASS:
-        witness += f" of {len(ws.pairs)} pairs"
-    return (status, witness)
+    central = [p for p in ws.pairs if ws.alg.is_central(p.certificate)]
+    return _tally("central certificates", (
+        (f"certificate {p.certificate}",
+         np.array_equal(ws.hat_image(p.c), ws.dual(p.d).mask))
+        for p in central), note=f" of {len(ws.pairs)} pairs")
 
 
-def _hat_size(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    bad, first = 0, None
-    for p in ws.pairs:
-        if p.c.cardinality != ws.dual(p.d).cardinality:
-            bad += 1
-            first = first or f"certificate {p.certificate}"
-    return _tally(bad, len(ws.pairs), "complementary pairs", first)
+_hat_size = _needs_frobenius(lambda ws: _tally("complementary pairs", (
+    (f"certificate {p.certificate}",
+     p.c.cardinality == ws.dual(p.d).cardinality) for p in ws.pairs)))
+
+_residue_forward = _needs_local_radical(lambda ws: _tally("ideal pairs", (
+    (f"pair ({i}, {j})", rt.lcp_residue or not rt.lcp_base)
+    for i, j, rt in ws.residue_rows)))
+
+_residue_biconditional = _needs_local_radical(lambda ws: _tally(
+    "ideal pairs", ((f"pair ({i}, {j})", rt.biconditional)
+                    for i, j, rt in ws.residue_rows)))
 
 
-def _residue_rows_or_raise(ws: Workspace):
-    status, payload = ws.residue_rows
-    if status == "err":
-        raise payload
-    return payload
-
-
-def _residue_forward(ws: Workspace):
-    gate = _needs_local_radical(ws)
-    if gate:
-        return gate
-    rows = _residue_rows_or_raise(ws)
-    bad, first = 0, None
-    for i, j, rt in rows:
-        if rt.lcp_base and not rt.lcp_residue:
-            bad += 1
-            first = first or f"pair ({i}, {j})"
-    return _tally(bad, len(rows), "ideal pairs", first)
-
-
-def _residue_biconditional(ws: Workspace):
-    gate = _needs_local_radical(ws)
-    if gate:
-        return gate
-    rows = _residue_rows_or_raise(ws)
-    bad, first = 0, None
-    for i, j, rt in rows:
-        if not rt.biconditional:
-            bad += 1
-            first = first or f"pair ({i}, {j})"
-    return _tally(bad, len(rows), "ideal pairs", first)
-
-
+@_needs_local_radical
 def _residue_restricted(ws: Workspace):
-    gate = _needs_local_radical(ws)
-    if gate:
-        return gate
-    rows = _residue_rows_or_raise(ws)
-    covered = 0
-    bad, first = 0, None
-    for i, j, rt in rows:
-        if rt.members_idempotent_generated:
-            covered += 1
-            if not rt.biconditional:
-                bad += 1
-                first = first or f"pair ({i}, {j})"
-    status, witness = _tally(bad, covered, "idempotent-generated pairs", first)
-    if status == PASS:
-        witness += f" of {len(rows)}"
-    return (status, witness)
+    rows = ws.residue_rows
+    return _tally("idempotent-generated pairs", (
+        (f"pair ({i}, {j})", rt.biconditional)
+        for i, j, rt in rows if rt.members_idempotent_generated),
+        note=f" of {len(rows)}")
 
 
+@_needs_local_radical
 def _radical_lift(ws: Workspace):
-    gate = _needs_local_radical(ws)
-    if gate:
-        return gate
     alg = ws.alg
     rm = ws.residue
     residue_idems = enumerate_idempotents(rm.residue, bound=ws.built.bound)
@@ -377,171 +310,101 @@ def _radical_lift(ws: Workspace):
                   f"<= {max(f - 1, 1)} iterations")
 
 
+@_needs_frobenius
 def _checkable_ann_principal(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    cen = code_checkable_census(ws.alg, bound=ws.built.census_bound)
-    bad, first = 0, None
-    for i, (c, v) in enumerate(cen.verdicts):
-        if (v.check_element is None) != (v.ann_generator is None):
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    status, witness = _tally(bad, len(cen.verdicts), "right ideals", first)
-    if status == PASS:
-        n = sum(v.checkable for _, v in cen.verdicts)
-        witness += f"; {n} checkable"
-    return (status, witness)
+    verdicts = ws.checkable_census.verdicts
+    checkable = sum(v.checkable for _, v in verdicts)
+    return _tally("right ideals", _ideals(
+        (c, (v.check_element is None) == (v.ann_generator is None))
+        for c, v in verdicts), note=f"; {checkable} checkable")
 
 
-def _checkable_dual_principal(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    cen = code_checkable_census(ws.alg, bound=ws.built.census_bound)
-    bad, first = 0, None
-    for i, (c, v) in enumerate(cen.verdicts):
-        if not v.dual_principal_matches:
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(cen.verdicts), "right ideals", first)
+_checkable_dual_principal = _needs_frobenius(lambda ws: _tally(
+    "right ideals", _ideals((c, v.dual_principal_matches)
+                            for c, v in ws.checkable_census.verdicts)))
 
-
-def _dual_hat_ann(ws: Workspace):
-    bad, first = 0, None
-    for i, c in enumerate(ws.right_ideals):
-        if not np.array_equal(ws.dual(c).mask, ws.hat_image(ann_left(c))):
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(ws.right_ideals), "right ideals", first)
+_dual_hat_ann = _each_ideal("right", "right ideals", lambda ws, c: (
+    np.array_equal(ws.dual(c).mask, ws.hat_image(ann_left(c)))))
 
 
 def _block_intersection(ws: Workspace):
-    alg = ws.alg
-    parts = decompose_one(alg)
-    if not all(alg.is_central(p) for p in parts):
+    parts = ws.parts_of_one
+    if not all(ws.alg.is_central(p) for p in parts):
         return (SKIP, "the canonical refinement of 1 is not central")
-    blocks = 0
-    for c in ws.right_ideals:
-        r = ann_intersection_check(c, parts=parts)
-        if r.status == "ok":
-            blocks += 1
+    blocks = sum(ann_intersection_check(c, parts).status == "ok"
+                 for c in ws.right_ideals)
     return (PASS, f"{blocks} block sums of {len(ws.right_ideals)} "
                   f"right ideals verified")
 
 
-def _ann_right_of_element(ws: Workspace):
-    alg = ws.alg
-    bad, first = 0, None
-    for u in alg.elements:
-        if not ann_right_of_element(alg, u).same_set(
-                ann_right(span(alg, [u], "left"))):
-            bad += 1
-            first = first or f"element {u}"
-    return _tally(bad, alg.card, "elements", first)
+# The annihilator identities come in left/right mirror pairs; each
+# function below builds the law for one side.
+_OTHER = {"right": "left", "left": "right"}
+_ANN = {"right": ann_right, "left": ann_left}
+_ANN_OF_ELEMENT = {"right": ann_right_of_element, "left": ann_left_of_element}
 
 
-def _ann_left_of_element(ws: Workspace):
-    alg = ws.alg
-    bad, first = 0, None
-    for u in alg.elements:
-        if not ann_left_of_element(alg, u).same_set(
-                ann_left(span(alg, [u], "right"))):
-            bad += 1
-            first = first or f"element {u}"
-    return _tally(bad, alg.card, "elements", first)
+def _ann_of_element(side: str):
+    """Ann_side(u) is the side annihilator of the other-sided span of u."""
+    def law(ws: Workspace):
+        alg = ws.alg
+        return _tally("elements", (
+            (f"element {u}", _ANN_OF_ELEMENT[side](alg, u).same_set(
+                _ANN[side](span(alg, [u], _OTHER[side]))))
+            for u in alg.elements))
+    return law
 
 
-def _ann_double_left(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    bad, first = 0, None
-    for i, c in enumerate(ws.left_ideals):
-        if not ann_left(ann_right(c)).same_set(c):
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(ws.left_ideals), "left ideals", first)
+def _ann_double(side: str):
+    """Each side ideal is the side annihilator of its other annihilator."""
+    return _needs_frobenius(_each_ideal(side, f"{side} ideals", lambda ws, c: (
+        _ANN[side](_ANN[_OTHER[side]](c)).same_set(c))))
 
 
-def _ann_double_right(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    bad, first = 0, None
-    for i, c in enumerate(ws.right_ideals):
-        if not ann_right(ann_left(c)).same_set(c):
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(ws.right_ideals), "right ideals", first)
+def _ann_size(side: str):
+    """A side ideal and its other annihilator have sizes multiplying to |RG|."""
+    return _needs_frobenius(_each_ideal(side, f"{side} ideals", lambda ws, c: (
+        c.cardinality * _ANN[_OTHER[side]](c).cardinality == ws.alg.card)))
 
 
-def _ann_size_left(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    bad, first = 0, None
-    for i, c in enumerate(ws.left_ideals):
-        if c.cardinality * ann_right(c).cardinality != ws.alg.card:
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(ws.left_ideals), "left ideals", first)
-
-
-def _ann_size_right(ws: Workspace):
-    gate = _needs_frobenius(ws)
-    if gate:
-        return gate
-    bad, first = 0, None
-    for i, c in enumerate(ws.right_ideals):
-        if c.cardinality * ann_left(c).cardinality != ws.alg.card:
-            bad += 1
-            first = first or f"ideal {i} (size {c.cardinality})"
-    return _tally(bad, len(ws.right_ideals), "right ideals", first)
-
-
-# check_id, law, function — order is the report order
+# check_id and function of every law, in report order; the law is the
+# check id's first part
 LAW_TABLE: list[tuple[str, str, Callable]] = [
-    ("dual-lattice.sum-meet", "dual-lattice", _dual_sum_meet),
-    ("dual-lattice.meet-join", "dual-lattice", _dual_meet_join),
-    ("dual-lattice.size-product", "dual-lattice", _dual_size_product),
-    ("lcp-split.biconditional", "lcp-split", _lcp_biconditional),
-    ("lcp-split.pair-idempotent-count", "lcp-split", _lcp_pair_count),
-    ("split-refine.partition", "split-refine", _refine_partition),
-    ("split-refine.dual-of-sum", "split-refine", _refine_dual_of_sum),
-    ("idem-dual.formula", "idem-dual", _idem_dual_formula),
-    ("hat-transfer.central-image", "hat-transfer", _hat_central_image),
-    ("hat-transfer.size", "hat-transfer", _hat_size),
-    ("residue-lcp.forward", "residue-lcp", _residue_forward),
-    ("residue-lcp.biconditional", "residue-lcp", _residue_biconditional),
-    ("residue-lcp.idempotent-restricted", "residue-lcp", _residue_restricted),
-    ("radical-lift.iteration", "radical-lift", _radical_lift),
-    ("checkable-routes.ann-principal", "checkable-routes",
-     _checkable_ann_principal),
-    ("checkable-routes.dual-principal", "checkable-routes",
-     _checkable_dual_principal),
-    ("checkable-routes.dual-hat-ann", "checkable-routes", _dual_hat_ann),
-    ("checkable-routes.block-intersection", "checkable-routes",
-     _block_intersection),
-    ("ann-identities.right-of-element", "ann-identities",
-     _ann_right_of_element),
-    ("ann-identities.left-of-element", "ann-identities",
-     _ann_left_of_element),
-    ("ann-identities.double-left", "ann-identities", _ann_double_left),
-    ("ann-identities.double-right", "ann-identities", _ann_double_right),
-    ("ann-identities.size-left", "ann-identities", _ann_size_left),
-    ("ann-identities.size-right", "ann-identities", _ann_size_right),
-]
+    (check_id, check_id.split(".")[0], fn) for check_id, fn in [
+        ("dual-lattice.sum-meet", _dual_sum_meet),
+        ("dual-lattice.meet-join", _dual_meet_join),
+        ("dual-lattice.size-product", _dual_size_product),
+        ("lcp-split.biconditional", _lcp_biconditional),
+        ("lcp-split.pair-idempotent-count", _lcp_pair_count),
+        ("split-refine.partition", _refine_partition),
+        ("split-refine.dual-of-sum", _refine_dual_of_sum),
+        ("idem-dual.formula", _idem_dual_formula),
+        ("hat-transfer.central-image", _hat_central_image),
+        ("hat-transfer.size", _hat_size),
+        ("residue-lcp.forward", _residue_forward),
+        ("residue-lcp.biconditional", _residue_biconditional),
+        ("residue-lcp.idempotent-restricted", _residue_restricted),
+        ("radical-lift.iteration", _radical_lift),
+        ("checkable-routes.ann-principal", _checkable_ann_principal),
+        ("checkable-routes.dual-principal", _checkable_dual_principal),
+        ("checkable-routes.dual-hat-ann", _dual_hat_ann),
+        ("checkable-routes.block-intersection", _block_intersection),
+        ("ann-identities.right-of-element", _ann_of_element("right")),
+        ("ann-identities.left-of-element", _ann_of_element("left")),
+        ("ann-identities.double-left", _ann_double("left")),
+        ("ann-identities.double-right", _ann_double("right")),
+        ("ann-identities.size-left", _ann_size("left")),
+        ("ann-identities.size-right", _ann_size("right")),
+    ]]
 
 
-def verify_all(built: BuiltInstance, timing: bool = False) -> Report:
-    """Run the whole law matrix over one instance.
+def verify_all(ws: Workspace, timing: bool = False) -> Report:
+    """Run the whole law matrix over one instance's workspace.
 
     FalsificationError and ConstructionError inside a law become fail
     lines carrying the message; ScaleError propagates (the caller
     chose bounds that the instance exceeds).
     """
-    ws = Workspace(built)
     lines: list[CheckLine] = []
     for check_id, law, fn in LAW_TABLE:
         started = time.perf_counter_ns()
@@ -551,5 +414,5 @@ def verify_all(built: BuiltInstance, timing: bool = False) -> Report:
             status, witness = FAIL, str(exc)
         micros = (time.perf_counter_ns() - started) // 1000 if timing else None
         lines.append(CheckLine(check_id, law, status, witness, micros))
-    return Report(command="verify-all", digest=built.digest,
-                  algebra_label=built.algebra.label, lines=lines)
+    return Report(command="verify-all", digest=ws.built.digest,
+                  algebra_label=ws.alg.label, lines=lines)

@@ -19,8 +19,8 @@ from glab.errors import ConstructionError
 from glab.fixtures import desk_algebra, upper_triangular
 from glab.finring import frobenius
 from glab.grp import CayleyGroup, build_group
-from glab.idem import is_idempotent
-from glab.ideals import dual_code, span
+from glab.idem import enumerate_idempotents, is_idempotent
+from glab.ideals import dual_code, enumerate_ideals, span
 from glab.instance import build_instance, load_instance
 from glab.lcp import is_lcp, lcp_certificate, lcp_scan
 from glab.verify import FAIL, PASS, Workspace, verify_all
@@ -36,8 +36,7 @@ _workspaces: dict = {}
 def report(name: str):
     """Law-matrix lines for one instance file, keyed by check id."""
     if name not in _reports:
-        built = build_instance(load_instance(str(FIXDIR / f"{name}.glab")))
-        rep = verify_all(built)
+        rep = verify_all(workspace(name))
         _reports[name] = {l.check_id: l for l in rep.lines}
     return _reports[name]
 
@@ -279,7 +278,8 @@ def test_10_negative_controls():
         assert verdict.status == "not-frobenius" and verdict.character is None
 
         alg = desk_algebra("f2c2")
-        pairs = lcp_scan(alg, "right")
+        pairs = lcp_scan(enumerate_ideals(alg, "right"),
+                         enumerate_idempotents(alg))
         assert len(pairs) == 2
         sizes = sorted((p.c.cardinality, p.d.cardinality) for p in pairs)
         assert sizes == [(1, 4), (4, 1)]

@@ -3,11 +3,20 @@
 import pytest
 
 from glab.chk import (ann_intersection_check, code_checkable_census,
-                      dual_quotient_note, is_checkable)
+                      is_checkable)
+from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.fixtures import DESK_NAMES, desk_algebra
-from glab.idem import decompose_one
-from glab.ideals import enumerate_ideals, span
+from glab.idem import decompose_one, enumerate_idempotents
+from glab.ideals import dual_code, enumerate_ideals, span
+
+
+def _census(alg):
+    return code_checkable_census(enumerate_ideals(alg), DEFAULT_OP_BOUND)
+
+
+def _parts_of_one(alg):
+    return decompose_one(alg, enumerate_idempotents(alg))
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +107,14 @@ def test_checkability_scale_gate(f2c2):
     ("f2c2", 3), ("f3c2", 4), ("f2c3", 4), ("f2s3", 15),
 ])
 def test_census_fully_checkable(name, total):
-    cen = code_checkable_census(desk_algebra(name))
+    cen = _census(desk_algebra(name))
     assert len(cen.verdicts) == total
     assert cen.all_checkable
     assert all(v.consistency for _, v in cen.verdicts)
 
 
 def test_census_z4c2(z4c2):
-    cen = code_checkable_census(z4c2)
+    cen = _census(z4c2)
     assert len(cen.verdicts) == 7
     assert not cen.all_checkable
     assert sum(v.checkable for _, v in cen.verdicts) == 6
@@ -120,7 +129,7 @@ def test_census_matrix_ring(m2c2):
     # every right ideal is checkable, but for 12 of the 15 the dual
     # is not even a right ideal, so the dual-principality route
     # cannot see it: consistency holds only on the two-sided trio
-    cen = code_checkable_census(m2c2)
+    cen = _census(m2c2)
     assert len(cen.verdicts) == 15
     assert cen.all_checkable
     consistent = [c for c, v in cen.verdicts if v.consistency]
@@ -132,7 +141,7 @@ def test_census_matrix_ring(m2c2):
 
 def test_checkable_and_ann_routes_agree_everywhere():
     for name in ("f2c2", "f3c2", "f2c3", "z4c2", "f2s3", "m2f2c2"):
-        for _, v in code_checkable_census(desk_algebra(name)).verdicts:
+        for _, v in _census(desk_algebra(name)).verdicts:
             assert (v.check_element is None) == (v.ann_generator is None)
 
 
@@ -140,7 +149,8 @@ def test_checkable_and_ann_routes_agree_everywhere():
 # central block decomposition as intersections of annihilators
 
 def test_intersection_form_f3c2(f3c2):
-    rows = [ann_intersection_check(c) for c in enumerate_ideals(f3c2)]
+    parts = _parts_of_one(f3c2)
+    rows = [ann_intersection_check(c, parts) for c in enumerate_ideals(f3c2)]
     assert [r.status for r in rows] == ["ok"] * 4
     assert [r.support for r in rows] == [(), (8,), (5,), (5, 8)]
     assert all(r.intersection_matches and r.chain_matches for r in rows)
@@ -153,36 +163,38 @@ def test_intersection_form_explicit_parts(f3c2):
 
 def test_intersection_form_noncentral_parts(f2s3, m2c2):
     for alg in (f2s3, m2c2):
-        r = ann_intersection_check(span(alg, [alg.one], "right"))
+        r = ann_intersection_check(span(alg, [alg.one], "right"),
+                                   _parts_of_one(alg))
         assert r.status == "non-central-parts"
         assert r.intersection_matches is None and r.support == ()
 
 
 def test_intersection_form_z4c2(z4c2):
-    statuses = [ann_intersection_check(c).status
+    parts = _parts_of_one(z4c2)
+    statuses = [ann_intersection_check(c, parts).status
                 for c in enumerate_ideals(z4c2)]
     assert statuses == ["ok"] + ["not-a-block-sum"] * 5 + ["ok"]
 
 
 def test_intersection_form_needs_right_ideal(f3c2):
     with pytest.raises(ConstructionError, match="right ideal"):
-        ann_intersection_check(span(f3c2, [8], "left"))
+        ann_intersection_check(span(f3c2, [8], "left"), [5, 8])
 
 
 def test_primitive_parts_default_is_decompose_one(f3c2):
-    # the default decomposition is the canonical refinement of 1
-    assert decompose_one(f3c2) == [5, 8]
+    # the parts the block-intersection law passes: the canonical
+    # refinement of 1
+    assert _parts_of_one(f3c2) == [5, 8]
 
 
 # ---------------------------------------------------------------------------
-# dual quotient cardinality note
+# dual quotient cardinality: |C| = |RG| / |dual(C)|
 
 def test_dual_quotient_note(f2c2):
-    n = dual_quotient_note(span(f2c2, [3], "right"))
-    assert (n.code_size, n.algebra_size, n.dual_size) == (2, 4, 2)
-    assert n.quotient_matches
+    c = span(f2c2, [3], "right")
+    assert (c.cardinality, f2c2.card, dual_code(c).cardinality) == (2, 4, 2)
 
 
 def test_dual_quotient_note_across_census(z4c2):
     for c in enumerate_ideals(z4c2):
-        assert dual_quotient_note(c).quotient_matches
+        assert c.cardinality * dual_code(c).cardinality == z4c2.card

@@ -169,6 +169,37 @@ def test_census_bound_flag_tightens():
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("command, options, code", [
+    (("idempotents",), (), 3),
+    (("lcp", "scan"), (), 3),
+    (("lcp", "verify"), ("--pair", "C", "D"), 3),
+    (("checkable", "census"), (), 3),
+    (("checkable", "ideal"), ("--ideal", "C"), 3),
+    (("verify-all",), (), 3),
+    (("ring-info",), (), 0),
+    (("lcp", "residue"), ("--pair", "C", "D"), 0),
+])
+def test_bound_flag_reaches_every_scan(command, options, code):
+    # f3c2 has 9 elements: every command that scans RG exceeds bound 2
+    r = glab(*command, "fixtures/f3c2.glab", *options, "--bound", "2")
+    assert r.returncode == code, r.stderr
+    if code == 3:
+        assert "exceeds the bound 2" in r.stderr
+
+
+def test_memory_error_exits_three(monkeypatch, capsys):
+    import glab.cli
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(glab.cli, "_run", exhausted)
+    assert glab.cli.main(["ring-info", "fixtures/f2c2.glab"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "scale error: out of memory\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args, fragment", [
     (("verify-all", "nosuch.glab"), "No such file"),
     (("verify-all", "fixtures/corrupt_cayley.glab"),

@@ -19,14 +19,10 @@ from glab.finring import (
     Zmod,
     audit_ring,
     build_ring,
-    character_text,
     frobenius,
-    is_local,
-    jacobson_radical,
     radical_quotient,
     spec_label,
     structure,
-    units,
 )
 from glab.fixtures import chain_square_zero, upper_triangular
 
@@ -97,7 +93,7 @@ def test_gf4_multiplication(f4):
 def test_gf9_is_a_field():
     f9 = build_ring(PolyQuot(3, (1, 0, 1)))
     assert f9.card == 9
-    assert len(units(f9)) == 8
+    assert len(structure(f9).units) == 8
     audit_ring(f9)
 
 
@@ -238,12 +234,6 @@ def test_upper_triangular_structure():
     assert not st.is_local
 
 
-def test_radical_wrapper(z4):
-    rad, f = jacobson_radical(z4)
-    assert list(rad) == [0, 2] and f == 2
-    assert is_local(z4)
-
-
 # ---------------------------------------------------------------------------
 # generating characters
 
@@ -251,7 +241,6 @@ def test_z4_character(z4):
     v = frobenius(z4)
     assert v.status == "frobenius"
     assert v.character == (1,)
-    assert character_text(z4, v.character) == "(1/4)"
 
 
 def test_field_and_matrix_characters(f4, m2f2):
@@ -325,7 +314,7 @@ def test_random_products_audit():
         # units of a product are the componentwise unit pairs
         n_units = 1
         for k in pair:
-            n_units *= len(units(build_ring(pool[k])))
+            n_units *= len(structure(build_ring(pool[k])).units)
         assert len(st.units) == n_units
 
 

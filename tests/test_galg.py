@@ -155,11 +155,14 @@ def test_square_all(f3c2):
 
 
 def test_translate_right(f2s3):
+    # x * g moves the coefficient at h to position h*g
     rng = np.random.default_rng(45)
     for _ in range(25):
         x = int(rng.integers(f2s3.card))
         g = int(rng.integers(f2s3.group.order))
-        assert f2s3.translate_right(x, g) == f2s3.mul(x, f2s3.basis_elem(g))
+        perm = f2s3.group.mul[:, f2s3.group.inv[g]]
+        moved = f2s3.encode(f2s3.coeffs[x][perm])
+        assert f2s3.mul(x, f2s3.basis_elem(g)) == moved
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +226,9 @@ def test_form_g_invariant(f2s3, m2c2):
         for _ in range(20):
             a, b = (int(v) for v in rng.integers(0, alg.card, 2))
             for g in range(alg.group.order):
-                assert alg.form(alg.translate_right(a, g),
-                                alg.translate_right(b, g)) == alg.form(a, b)
+                g_elem = alg.basis_elem(g)
+                assert alg.form(alg.mul(a, g_elem),
+                                alg.mul(b, g_elem)) == alg.form(a, b)
 
 
 def test_form_nondegenerate(f3c2, f2s3):
@@ -257,7 +261,7 @@ def test_hat_row_identity_any_ring(m2c2, f2s3):
             a, c = (int(v) for v in rng.integers(0, alg.card, 2))
             prod = alg.mul(alg.hat(a), c)
             for g in range(alg.group.order):
-                cg = alg.translate_right(c, alg.group.i(g))
+                cg = alg.mul(c, alg.basis_elem(alg.group.i(g)))
                 assert alg.decode(prod)[g] == alg.form(a, cg)
 
 

@@ -1,4 +1,4 @@
-"""Group construction, audits, and the exhaustive isomorphism test."""
+"""Group construction and audits."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,21 @@ from glab.grp import (
     DihedralGroup,
     ProductGroup,
     SymmetricGroup,
-    are_isomorphic,
     audit_group,
     build_group,
-    element_orders,
     group_label,
 )
+
+
+def _orders(group):
+    """Multiplicative order of every element, by repeated products."""
+    out = []
+    for x in group.elements:
+        k, acc = 1, x
+        while acc != group.identity:
+            acc, k = group.m(acc, x), k + 1
+        out.append(k)
+    return sorted(out)
 
 
 def test_cyclic_basics():
@@ -54,7 +63,7 @@ def test_symmetric_composition():
     rot = s3.names.index("(1 2 3)")
     assert s3.names[s3.m(swap12, rot)] == "(2 3)"
     assert s3.names[s3.m(rot, swap12)] == "(1 3)"
-    assert sorted(element_orders(s3).tolist()) == [1, 2, 2, 2, 3, 3]
+    assert _orders(s3) == [1, 2, 2, 2, 3, 3]
 
 
 def test_symmetric_degree_gate():
@@ -70,7 +79,7 @@ def test_product_group():
     audit_group(g)
     assert g.order == 6
     assert g.is_abelian()
-    assert sorted(element_orders(g).tolist()) == [1, 2, 3, 3, 6, 6]
+    assert _orders(g) == [1, 2, 3, 3, 6, 6]
 
 
 def test_cayley_roundtrip_and_audit():
@@ -78,7 +87,7 @@ def test_cayley_roundtrip_and_audit():
     table = tuple(tuple(int(v) for v in row) for row in s3.mul)
     g = build_group(CayleyGroup(table, label="tbl"))
     assert g.identity == 0
-    assert are_isomorphic(g, s3)
+    assert np.array_equal(g.mul, s3.mul)
 
 
 def test_cayley_rejects_broken_tables():
@@ -110,25 +119,6 @@ def test_labels():
     assert group_label(DihedralGroup(4)) == "D4"
     assert group_label(SymmetricGroup(3)) == "S3"
     assert group_label(ProductGroup((CyclicGroup(2), CyclicGroup(2)))) == "C2xC2"
-
-
-def test_isomorphism_positive():
-    assert are_isomorphic(build_group(DihedralGroup(3)),
-                          build_group(SymmetricGroup(3)))
-    assert are_isomorphic(build_group(DihedralGroup(2)),
-                          build_group(ProductGroup((CyclicGroup(2), CyclicGroup(2)))))
-    assert are_isomorphic(build_group(CyclicGroup(6)),
-                          build_group(ProductGroup((CyclicGroup(2), CyclicGroup(3)))))
-
-
-def test_isomorphism_negative():
-    assert not are_isomorphic(build_group(CyclicGroup(4)),
-                              build_group(ProductGroup((CyclicGroup(2),
-                                                        CyclicGroup(2)))))
-    assert not are_isomorphic(build_group(DihedralGroup(3)),
-                              build_group(CyclicGroup(6)))
-    assert not are_isomorphic(build_group(CyclicGroup(3)),
-                              build_group(CyclicGroup(4)))
 
 
 def test_inversion_table():

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from glab.errors import ConstructionError, FalsificationError, ScaleError
+from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import (decompose_idempotent, decompose_one,
-                       dual_of_idempotent_ideal, enumerate_idempotents,
-                       idempotent_census, is_idempotent, is_primitive,
-                       lift_idempotent)
+                       enumerate_idempotents, idempotent_census,
+                       is_idempotent, is_primitive, lift_idempotent)
 from glab.ideals import dual_code, ideal_intersect, ideal_sum, span
 
 
@@ -61,7 +60,7 @@ def test_idempotent_counts_frozen(f2s3, m2c2):
 
 
 def test_census_flags_frozen(f2s3):
-    census = idempotent_census(f2s3)
+    census = idempotent_census(f2s3, enumerate_idempotents(f2s3))
     assert [c.element for c in census if c.central] == [0, 1, 24, 25]
     prims = [c.element for c in census if c.primitive]
     assert prims == [15, 23, 25, 43, 45, 51, 53]
@@ -69,7 +68,7 @@ def test_census_flags_frozen(f2s3):
 
 
 def test_census_flags_matrix_base(m2c2):
-    census = idempotent_census(m2c2)
+    census = idempotent_census(m2c2, enumerate_idempotents(m2c2))
     # only 0 and 1 are central; every other idempotent is primitive
     assert [c.element for c in census if c.central] == [0, m2c2.one]
     assert sum(c.primitive for c in census) == 24
@@ -90,44 +89,48 @@ def test_scan_scale_gate(f3c2):
 # primitivity and decomposition
 
 def test_primitivity_frozen(f3c2):
-    assert not is_primitive(f3c2, 0)
-    assert not is_primitive(f3c2, 1)
-    assert is_primitive(f3c2, 5)
-    assert is_primitive(f3c2, 8)
+    idems = enumerate_idempotents(f3c2)
+    assert not is_primitive(f3c2, 0, idems)
+    assert not is_primitive(f3c2, 1, idems)
+    assert is_primitive(f3c2, 5, idems)
+    assert is_primitive(f3c2, 8, idems)
 
 
 def test_primitivity_rejects_non_idempotent(f3c2):
     with pytest.raises(ConstructionError):
-        is_primitive(f3c2, 2)
+        is_primitive(f3c2, 2, enumerate_idempotents(f3c2))
 
 
 def test_decompose_one_frozen(f3c2, f2c3):
-    assert decompose_one(f3c2) == [5, 8]
-    assert decompose_one(f2c3) == [6, 7]
+    assert decompose_one(f3c2, enumerate_idempotents(f3c2)) == [5, 8]
+    assert decompose_one(f2c3, enumerate_idempotents(f2c3)) == [6, 7]
 
 
 def test_decompose_one_invariants(f2s3, m2c2):
     for alg in (f2s3, m2c2):
-        parts = decompose_one(alg)
+        idems = enumerate_idempotents(alg)
+        parts = decompose_one(alg, idems)
         total = 0
         for p in parts:
-            assert is_idempotent(alg, p) and is_primitive(alg, p)
+            assert is_idempotent(alg, p) and is_primitive(alg, p, idems)
             total = alg.add(total, p)
         assert total == alg.one
         for i, p in enumerate(parts):
             for q in parts[i + 1:]:
                 assert alg.mul(p, q) == 0 and alg.mul(q, p) == 0
-    assert decompose_one(m2c2) == [1, 8]  # E11 and E22 at the identity
+    # E11 and E22 at the identity
+    assert decompose_one(m2c2, enumerate_idempotents(m2c2)) == [1, 8]
 
 
 def test_decompose_primitive_is_itself(f3c2):
-    assert decompose_idempotent(f3c2, 5) == [5]
-    assert decompose_idempotent(f3c2, 0) == []
+    idems = enumerate_idempotents(f3c2)
+    assert decompose_idempotent(f3c2, 5, idems) == [5]
+    assert decompose_idempotent(f3c2, 0, idems) == []
 
 
 def test_decompose_rejects_non_idempotent(f2c3):
     with pytest.raises(ConstructionError):
-        decompose_idempotent(f2c3, 2)
+        decompose_idempotent(f2c3, 2, enumerate_idempotents(f2c3))
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +155,31 @@ def test_involution_preserves_ideal_size(f3c2, f2s3, m2c2):
                     == span(alg, [e], "right").cardinality)
 
 
+def _complement_of_hat(alg, e):
+    """The right ideal of 1 - hat(e), claimed equal to dual(e*RG)."""
+    return span(alg, [alg.one_minus(alg.hat(e))], "right")
+
+
 def test_dual_of_idempotent_ideal_frozen(f3c2):
-    d = dual_of_idempotent_ideal(f3c2, 8)
+    d = _complement_of_hat(f3c2, 8)
     assert list(d.elements()) == [0, 5, 7]
     assert d.generators == (5,)  # 1 - hat(2+2g) = 2+g
+    assert d.same_set(dual_code(span(f3c2, [8], "right")))
 
 
 def test_dual_of_idempotent_ideal_commutative(f3c2, f2c3, f2s3):
     for alg in (f3c2, f2c3, f2s3):
         for e in enumerate_idempotents(alg):
-            d = dual_of_idempotent_ideal(alg, e)
+            d = _complement_of_hat(alg, e)
             assert d.same_set(dual_code(span(alg, [e], "right")))
 
 
 def test_dual_of_idempotent_ideal_fails_over_matrix_base(m2c2):
     # E11 at the identity: the dual of its right ideal is a left ideal
     # that no single right generator reproduces.
-    with pytest.raises(FalsificationError):
-        dual_of_idempotent_ideal(m2c2, 1)
-
-
-def test_dual_of_idempotent_ideal_rejects_non_idempotent(f3c2):
-    with pytest.raises(ConstructionError):
-        dual_of_idempotent_ideal(f3c2, 2)
+    dual = dual_code(span(m2c2, [1], "right"))
+    assert dual.side is None  # not closed under right multiplication
+    assert not _complement_of_hat(m2c2, 1).same_set(dual)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ def _alg(ring_spec, group_spec):
     return GroupAlgebra(build_ring(ring_spec), build_group(group_spec))
 
 
+def _scan(alg, side="right"):
+    return lcp_scan(enumerate_ideals(alg, side), enumerate_idempotents(alg))
+
+
+def _refine(c, d):
+    return refine_certificate(c, d, enumerate_idempotents(c.alg))
+
+
 @pytest.fixture(scope="module")
 def f3c2():
     return _alg(Zmod(3), CyclicGroup(2))
@@ -102,30 +110,30 @@ def test_noncommutative_pair(m2c2):
 # scans
 
 def test_scan_counts_frozen(f3c2, f2c3, f2s3, m2c2):
-    assert len(lcp_scan(_alg(Zmod(2), CyclicGroup(2)))) == 2
-    assert len(lcp_scan(_alg(Zmod(4), CyclicGroup(2)))) == 2
-    assert len(lcp_scan(f3c2)) == 4
-    assert len(lcp_scan(f2c3)) == 4
-    assert len(lcp_scan(f2s3)) == 16
-    assert len(lcp_scan(m2c2)) == 26
+    assert len(_scan(_alg(Zmod(2), CyclicGroup(2)))) == 2
+    assert len(_scan(_alg(Zmod(4), CyclicGroup(2)))) == 2
+    assert len(_scan(f3c2)) == 4
+    assert len(_scan(f2c3)) == 4
+    assert len(_scan(f2s3)) == 16
+    assert len(_scan(m2c2)) == 26
 
 
 def test_scan_certificates_frozen_f2c3(f2c3):
-    assert sorted(p.certificate for p in lcp_scan(f2c3)) == [0, 1, 6, 7]
+    assert sorted(p.certificate for p in _scan(f2c3)) == [0, 1, 6, 7]
 
 
 def test_scan_matches_idempotent_count(f3c2, f2s3):
     for alg in (f3c2, f2s3):
-        assert len(lcp_scan(alg)) == len(enumerate_idempotents(alg))
+        assert len(_scan(alg)) == len(enumerate_idempotents(alg))
 
 
 def test_scan_left_side(f3c2, m2c2):
-    assert len(lcp_scan(f3c2, side="left")) == 4
-    assert len(lcp_scan(m2c2, side="left")) == 26
+    assert len(_scan(f3c2, side="left")) == 4
+    assert len(_scan(m2c2, side="left")) == 26
 
 
 def test_scan_pairs_come_with_swaps(f2c3):
-    pairs = {(p.c.key(), p.d.key()) for p in lcp_scan(f2c3)}
+    pairs = {(p.c.key(), p.d.key()) for p in _scan(f2c3)}
     for ck, dk in pairs:
         assert (dk, ck) in pairs
 
@@ -136,14 +144,14 @@ def test_scan_pairs_come_with_swaps(f2c3):
 def test_refine_frozen_f2s3(f2s3):
     c = span(f2s3, [25], "right")
     d = span(f2s3, [f2s3.one_minus(25)], "right")
-    pc, pd = refine_certificate(c, d)
+    pc, pd = _refine(c, d)
     assert pc == [25] and pd == [15, 23]
 
 
 def test_refine_all_pairs(f3c2, f2c3, m2c2):
     for alg in (f3c2, f2c3, m2c2):
-        for p in lcp_scan(alg):
-            pc, pd = refine_certificate(p.c, p.d)
+        for p in _scan(alg):
+            pc, pd = _refine(p.c, p.d)
             total = 0
             for part in pc + pd:
                 total = alg.add(total, part)
@@ -151,8 +159,7 @@ def test_refine_all_pairs(f3c2, f2c3, m2c2):
 
 
 def test_refine_matrix_pair(m2c2):
-    pc, pd = refine_certificate(span(m2c2, [1], "right"),
-                                span(m2c2, [8], "right"))
+    pc, pd = _refine(span(m2c2, [1], "right"), span(m2c2, [8], "right"))
     assert pc == [1] and pd == [8]
 
 
@@ -167,7 +174,7 @@ def test_hat_equivalence_frozen_f3c2(f3c2):
 
 def test_hat_equivalence_dichotomy_f2s3(f2s3):
     central_ok, noncentral_miss = 0, 0
-    for p in lcp_scan(f2s3):
+    for p in _scan(f2s3):
         he = hat_equivalence(p.c, p.d)
         assert he.sizes_match
         if he.central:
@@ -180,7 +187,7 @@ def test_hat_equivalence_dichotomy_f2s3(f2s3):
 
 
 def test_hat_equivalence_sizes_always(m2c2):
-    for p in lcp_scan(m2c2):
+    for p in _scan(m2c2):
         assert hat_equivalence(p.c, p.d).sizes_match
 
 
@@ -190,7 +197,7 @@ def test_hat_equivalence_sizes_always(m2c2):
 def test_residue_transfer_frozen_z4c3(z4c3):
     c = span(z4c3, [22], "right")
     d = span(z4c3, [63], "right")
-    t = lcp_residue_correspondence(c, d)
+    t = lcp_residue_correspondence(c, d, residue_map(z4c3))
     assert t.lcp_base and t.lcp_residue and t.biconditional
     assert t.certificate == 22 and t.residue_certificate == 6
     assert t.lifted_certificate == 22
@@ -199,7 +206,7 @@ def test_residue_transfer_frozen_z4c3(z4c3):
 
 def test_residue_transfer_negative_pair(z4c3):
     c = span(z4c3, [22], "right")
-    t = lcp_residue_correspondence(c, c)
+    t = lcp_residue_correspondence(c, c, residue_map(z4c3))
     assert not t.lcp_base and not t.lcp_residue
     assert t.biconditional and t.certificate is None
 

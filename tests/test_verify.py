@@ -1,19 +1,28 @@
 """The law matrix: statuses, witnesses, gating, determinism."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
+import glab.chk
+import glab.ideals
+import glab.idem
+import glab.lcp
 from glab.errors import ScaleError
+from glab.ideals import dual_code
 from glab.instance import build_instance, load_instance
-from glab.verify import LAW_TABLE, verify_all
+from glab.verify import FAIL, LAW_TABLE, PASS, Workspace, _tally, verify_all
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _workspace(name):
+    return Workspace(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))))
+
+
 def _report(name, **kw):
-    return verify_all(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))),
-                      **kw)
+    return verify_all(_workspace(name), **kw)
 
 
 def _by_id(report):
@@ -130,3 +139,61 @@ def test_reports_deterministic():
 def test_scale_error_propagates():
     with pytest.raises(ScaleError, match="census"):
         _report("m2f2c3")
+
+
+# ---------------------------------------------------------------------------
+# the shared workspace
+
+def _count_calls(monkeypatch, fn):
+    """Record every call of fn, through whichever glab module binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("glab") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_shared_work_runs_once(monkeypatch):
+    # z4c3 is local and Frobenius, so every law runs and none skips
+    census = _count_calls(monkeypatch, glab.ideals.enumerate_ideals)
+    checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
+    idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
+    refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
+    ws = _workspace("z4c3")
+    rep = verify_all(ws)
+    assert not any(l.status == "skip" for l in rep.lines)
+    assert [args[1] for args in census] == ["right", "left"]
+    assert len(checkable) == 1
+    # the algebra and its residue algebra
+    assert [args[0] for args in idems] == [ws.alg, ws.residue.residue]
+    assert len(ws.pairs) == 4 and len(refine) == 4
+
+
+def test_tally_counts_failures_and_first_witness():
+    checks = [(f"element {u}", u not in (3, 7)) for u in range(9)]
+    assert _tally("elements", checks) == (
+        FAIL, "2/9 elements fail; first at element 3")
+    assert _tally("elements", [("element 0", True)], note="; 1 seen") == (
+        PASS, "checked 1 elements; 1 seen")
+
+
+@pytest.mark.parametrize("name", ["f3c2", "m2f2c2", "f2s3"])
+def test_dual_cache_keys_on_side(name):
+    # a two-sided ideal is in both censuses with one mask; its dual as a
+    # right ideal and as a left ideal differ in side, so the cache must
+    # tell them apart (the zero ideal comes first)
+    ws = _workspace(name)
+    rights = {c.key(): c for c in ws.right_ideals}
+    two_sided = [(rights[c.key()], c) for c in ws.left_ideals
+                 if c.key() in rights]
+    assert len(two_sided) >= 3 and two_sided[0][0].is_zero()
+    for as_right, as_left in two_sided:
+        for code in (as_right, as_left):
+            got, want = ws.dual(code), dual_code(code)
+            assert got.side == want.side == code.side
+            assert got.same_set(want)
