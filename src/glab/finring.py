@@ -273,13 +273,13 @@ def _build_polyquot(spec: PolyQuot) -> Ring:
     if mod[-1] != 1:
         raise ConstructionError(f"polyquot modulus must be monic: {_poly_text(mod)}")
     deg = len(mod) - 1
+    card = p ** deg
+    _check_card(spec_label(spec), card)
     factor = _find_poly_factor(mod, p)
     if factor is not None:
         raise ConstructionError(
             f"polyquot modulus {_poly_text(mod)} over Z/{p} is reducible: "
             f"divisible by {_poly_text(factor)}")
-    card = p ** deg
-    _check_card(spec_label(spec), card)
 
     idx = np.arange(card, dtype=np.int64)
     pw = p ** np.arange(deg, dtype=np.int64)

@@ -9,7 +9,10 @@ Alongside O(|G|^2) scalar operations the algebra exposes vectorized
 row operations (one result per element of RG) that every exhaustive
 scan in the package is built on: left/right multiplication rows,
 squaring, the coefficient-inversion involution, and bilinear form
-columns. The form is <a, b> = sum over g of a_g * b_g with the left
+columns. Each left or right multiplication map is computed at most
+once per algebra and kept, read-only, while the stored maps fit in
+MAP_MEMO_BYTES; past that budget a map is recomputed on each call.
+The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_OP_BOUND, max_elements
+from .config import DEFAULT_OP_BOUND, MAP_MEMO_BYTES, max_elements
 from .errors import ConstructionError, ScaleError
 from .finring import Ring, radical_quotient
 from .grp import Group
@@ -37,7 +40,7 @@ class GroupAlgebra:
         cap = max_elements()
         if card > cap:
             raise ScaleError(
-                f"{self.label}: {ring.card}^{group.order} = {card} elements "
+                f"{self.label}: {ring.card}^{group.order} elements "
                 f"exceeds the cap {cap}")
         self.card = card
         self._weights = (ring.card ** np.arange(group.order)).astype(np.int64)
@@ -47,6 +50,9 @@ class GroupAlgebra:
         self.zero = 0
         self.one = ring.one * int(self._weights[group.identity])
         self._hat_all: np.ndarray | None = None
+        self._rows: dict[int, np.ndarray] = {}
+        self._cols: dict[int, np.ndarray] = {}
+        self._memo_bytes = 0
 
     # -- codec ---------------------------------------------------------------
     def decode(self, x: int) -> tuple[int, ...]:
@@ -144,7 +150,26 @@ class GroupAlgebra:
         return out.astype(np.int64) @ self._weights
 
     def mul_row(self, a: int) -> np.ndarray:
-        """Indices of a * x for every x."""
+        """Indices of a * x for every x (read-only, memoized)."""
+        return self._memo(self._rows, self._mul_row, int(a))
+
+    def mul_col(self, b: int) -> np.ndarray:
+        """Indices of x * b for every x (read-only, memoized)."""
+        return self._memo(self._cols, self._mul_col, int(b))
+
+    def _memo(self, store: dict[int, np.ndarray], compute, a: int) -> np.ndarray:
+        out = store.get(a)
+        if out is not None:
+            return out
+        # the smallest unsigned type that holds every index, whatever the cap
+        out = compute(a).astype(np.min_scalar_type(self.card - 1))
+        out.setflags(write=False)
+        if self._memo_bytes + out.nbytes <= MAP_MEMO_BYTES:
+            store[a] = out
+            self._memo_bytes += out.nbytes
+        return out
+
+    def _mul_row(self, a: int) -> np.ndarray:
         n = self.group.order
         ca = self.coeffs[a]
         out = np.zeros((self.card, n), dtype=np.int32)
@@ -155,8 +180,7 @@ class GroupAlgebra:
             out = self.ring.add[out, self.ring.mul[ca[h], src]]
         return out.astype(np.int64) @ self._weights
 
-    def mul_col(self, b: int) -> np.ndarray:
-        """Indices of x * b for every x."""
+    def _mul_col(self, b: int) -> np.ndarray:
         n = self.group.order
         cb = self.coeffs[b]
         out = np.zeros((self.card, n), dtype=np.int32)

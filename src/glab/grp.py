@@ -127,10 +127,18 @@ def build_group(spec: GroupSpec) -> Group:
     raise TypeError(f"not a group spec: {spec!r}")
 
 
+def _check_order(kind: str, order: int) -> None:
+    """Reject a group larger than the audit limit before any table exists."""
+    if order > GROUP_AUDIT_LIMIT:
+        raise ScaleError(
+            f"{kind} of order {order} exceeds the limit {GROUP_AUDIT_LIMIT}")
+
+
 def _build_cyclic(spec: CyclicGroup) -> Group:
     n = spec.n
     if n < 1:
         raise ConstructionError(f"cyclic order must be positive, got {n}")
+    _check_order("cyclic group", n)
     idx = np.arange(n, dtype=np.int64)
     mul = ((idx[:, None] + idx[None, :]) % n).astype(np.int32)
     names = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
@@ -142,6 +150,7 @@ def _build_dihedral(spec: DihedralGroup) -> Group:
     if n < 1:
         raise ConstructionError(f"dihedral parameter must be positive, got {n}")
     order = 2 * n
+    _check_order("dihedral group", order)
     # index j*n + i encodes r^i s^j; s r = r^(-1) s
     mul = np.zeros((order, order), dtype=np.int32)
     for j1 in range(2):
@@ -203,9 +212,7 @@ def _build_product(spec: ProductGroup) -> Group:
         raise ConstructionError("product group needs at least one factor")
     groups = [build_group(f) for f in spec.factors]
     order = math.prod(g.order for g in groups)
-    if order > GROUP_AUDIT_LIMIT:
-        raise ScaleError(
-            f"product group of order {order} exceeds the limit {GROUP_AUDIT_LIMIT}")
+    _check_order("product group", order)
     idx = np.arange(order, dtype=np.int64)
     mul = np.zeros((order, order), dtype=np.int64)
     w = 1
@@ -233,9 +240,7 @@ def _build_cayley(spec: CayleyGroup) -> Group:
     order = mul.shape[0]
     if order < 1:
         raise ConstructionError("cayley table must be nonempty")
-    if order > GROUP_AUDIT_LIMIT:
-        raise ScaleError(
-            f"cayley table of order {order} exceeds the limit {GROUP_AUDIT_LIMIT}")
+    _check_order("cayley table", order)
     if mul.min() < 0 or mul.max() >= order:
         raise ConstructionError("cayley table entries out of range")
     ar = np.arange(order, dtype=np.int32)

@@ -26,9 +26,10 @@ import numpy as np
 
 from .config import DEFAULT_CENSUS_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
+from .finring import structure
 from .galg import GroupAlgebra
 
-_SUMSET_CHUNK = 256
+_SUMSET_PAIRS = 1 << 18     # sums formed per chunk of _sumset
 
 
 class CodeSet:
@@ -91,8 +92,9 @@ def _sumset(alg: GroupAlgebra, amask: np.ndarray, bmask: np.ndarray) -> np.ndarr
         raise ConstructionError("sumset of an empty set")
     out = np.zeros(alg.card, dtype=bool)
     cb = alg.coeffs[ib]
-    for start in range(0, len(ia), _SUMSET_CHUNK):
-        ca = alg.coeffs[ia[start:start + _SUMSET_CHUNK]]
+    step = max(1, _SUMSET_PAIRS // len(ib))
+    for start in range(0, len(ia), step):
+        ca = alg.coeffs[ia[start:start + step]]
         summed = alg.ring.add[ca[:, None, :], cb[None, :, :]]
         idx = summed.astype(np.int64) @ alg._weights
         out[idx.ravel()] = True
@@ -179,9 +181,14 @@ def audit_ideal(code: CodeSet) -> None:
 # ---------------------------------------------------------------------------
 # spans and lattice operations
 
+def _side_map(alg: GroupAlgebra, u: int, side: str) -> np.ndarray:
+    """x -> u*x for a right ideal, x -> x*u for a left one."""
+    return alg.mul_row(u) if side == "right" else alg.mul_col(u)
+
+
 def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
     """The one-sided principal ideal generated by u."""
-    row = alg.mul_row(u) if side == "right" else alg.mul_col(u)
+    row = _side_map(alg, u, side)
     mask = np.zeros(alg.card, dtype=bool)
     mask[row] = True
     return CodeSet(alg, mask, side=side, generators=(u,))
@@ -323,15 +330,26 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     Every ideal is a finite sum of principal ideals, so the principal
     ones closed under pairwise sum to a fixpoint give the full
     lattice. Deterministic order: by cardinality, then by mask bytes.
+
+    For a unit v, uvRG = uRG (and RGvu = RGu), so once u is scanned its
+    products with the trivial units v = r*g (r a unit of R, g in G) are
+    skipped. A skipped element generates the same ideal as one scanned
+    before it, so each principal ideal keeps its least generator.
     """
     if alg.card > bound:
         raise ScaleError(
             f"{alg.label}: ideal census over {alg.card} elements exceeds the "
             f"bound {bound}")
+    trivial_units = (structure(alg.ring).units[:, None]
+                     * alg._weights[None, :]).ravel()
+    seen = np.zeros(alg.card, dtype=bool)
     found: dict[bytes, CodeSet] = {}
     for u in alg.elements:
-        c = principal(alg, int(u), side)
+        if seen[u]:
+            continue
+        c = principal(alg, u, side)
         found.setdefault(c.key(), c)
+        seen[_side_map(alg, u, side)[trivial_units]] = True
     while True:
         items = sorted(found.values(), key=lambda c: (c.cardinality, c.key()))
         grew = False

@@ -46,10 +46,11 @@ def _sub_idempotent(alg: GroupAlgebra, e: int,
     Such an f splits e as f + (e - f), an orthogonal idempotent pair;
     its absence makes e primitive.
     """
+    row, col = alg.mul_row(e), alg.mul_col(e)
     for f in idems:
         if f == 0 or f == e:
             continue
-        if alg.mul(e, f) == f and alg.mul(f, e) == f:
+        if row[f] == f and col[f] == f:
             return f
     return None
 

@@ -6,13 +6,21 @@ commutative-only identities are asserted only on commutative base
 rings.
 """
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import glab.galg
 from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
+from glab.instance import build_instance, load_instance
+from glab.verify import Workspace, verify_all
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def make(ring_spec, group_spec):
@@ -146,6 +154,71 @@ def test_rows_match_scalar_ops(z4c3, f2s3):
                 assert mr[x] == alg.mul(a, x)
                 assert mc[x] == alg.mul(x, a)
                 assert ar[x] == alg.add(a, x)
+
+
+def test_rows_are_the_transposed_columns(f2s3, m2c2):
+    rng = np.random.default_rng(46)
+    for alg in (f2s3, m2c2):
+        rows = np.stack([alg.mul_row(a) for a in alg.elements])
+        cols = np.stack([alg.mul_col(b) for b in alg.elements])
+        assert np.array_equal(rows, cols.T)
+        for a, x in rng.integers(0, alg.card, (40, 2)):
+            assert rows[a, x] == cols[x, a] == alg.mul(int(a), int(x))
+
+
+def test_maps_are_stored_read_only(z4c3):
+    for get in (z4c3.mul_row, z4c3.mul_col):
+        m = get(17)
+        assert get(17) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0] = 1
+
+
+def _verify_all_on(name):
+    ws = Workspace(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))))
+    return [(l.check_id, l.status, l.witness) for l in verify_all(ws).lines]
+
+
+def test_each_map_is_computed_once_per_run(monkeypatch):
+    misses = Counter()
+    for name in ("_mul_row", "_mul_col"):
+        def counting(self, a, _compute=getattr(GroupAlgebra, name), _side=name):
+            misses[(self.label, _side, a)] += 1
+            return _compute(self, a)
+        monkeypatch.setattr(GroupAlgebra, name, counting)
+    _verify_all_on("z4c3")
+    # both sides of the algebra are reached, and rows of its residue algebra
+    assert {(label, side) for label, side, _ in misses} == {
+        ("Z4C3", "_mul_row"), ("Z4C3", "_mul_col"), ("Z4/radC3", "_mul_row")}
+    assert set(misses.values()) == {1}
+
+
+def test_zero_budget_stores_nothing(monkeypatch):
+    expected = _verify_all_on("m2f2c2")
+    kept = make(MatrixRing(2, Zmod(2)), CyclicGroup(2))
+    monkeypatch.setattr(glab.galg, "MAP_MEMO_BYTES", 0)
+    assert _verify_all_on("m2f2c2") == expected
+    alg = make(MatrixRing(2, Zmod(2)), CyclicGroup(2))
+    for a in alg.elements:
+        assert np.array_equal(alg.mul_row(a), kept.mul_row(a))
+        assert np.array_equal(alg.mul_col(a), kept.mul_col(a))
+    assert alg.mul_row(5) is not alg.mul_row(5)
+    assert not alg.mul_row(5).flags.writeable
+    assert alg._rows == {} and alg._cols == {} and alg._memo_bytes == 0
+
+
+def test_maps_hold_indices_past_uint16(monkeypatch):
+    monkeypatch.setenv("GLAB_MAX_ELEMS", "131072")
+    alg = make(Zmod(2), CyclicGroup(17))
+    top = alg.card - 1
+    assert alg.mul_row(top)[1] == alg.mul(top, 1) == 131071
+    g = alg.basis_elem(1)
+    row, col = alg.mul_row(g), alg.mul_col(g)
+    # translation by a group element permutes all 2^17 indices
+    assert np.array_equal(np.sort(row), np.arange(alg.card))
+    for x in (65536, 65537, 99999, 131070):
+        assert row[x] == alg.mul(g, x) and col[x] == alg.mul(x, g)
 
 
 def test_square_all(f3c2):

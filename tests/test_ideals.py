@@ -1,8 +1,12 @@
 """Ideal lattice: spans, duals, annihilators, principality, census."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import glab.ideals
+from glab.config import DEFAULT_CENSUS_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
@@ -12,6 +16,9 @@ from glab.ideals import (CodeSet, additive_basis, ann_left,
                          ann_right_of_element, audit_ideal, dual_code,
                          enumerate_ideals, ideal_intersect, ideal_sum,
                          is_principal, principal, side_closed, span)
+from glab.instance import build_instance, load_instance
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _alg(ring_spec, group_spec):
@@ -344,3 +351,65 @@ def test_census_is_deterministic_and_audited(f2s3):
 def test_census_scale_gate(f3c2):
     with pytest.raises(ScaleError):
         enumerate_ideals(f3c2, bound=2)
+
+
+def _brute_census(alg, side):
+    """Every ideal's mask bytes, and the least generator of each principal
+    one: the principal ideal of every element, closed under sums by a
+    worklist over the full addition table."""
+    add = np.stack([alg.add_row(a) for a in alg.elements])
+    least = {}
+    for u in alg.elements:
+        m = np.zeros(alg.card, dtype=bool)
+        m[alg.mul_row(u) if side == "right" else alg.mul_col(u)] = True
+        least.setdefault(m.tobytes(), u)
+    found = set(least)
+    frontier = set(found)
+    while frontier:
+        new = set()
+        for a in frontier:
+            ia = np.flatnonzero(np.frombuffer(a, dtype=bool))
+            for b in found:
+                ib = np.flatnonzero(np.frombuffer(b, dtype=bool))
+                m = np.zeros(alg.card, dtype=bool)
+                m[add[np.ix_(ia, ib)]] = True
+                if m.tobytes() not in found:
+                    new.add(m.tobytes())
+        found |= new
+        frontier = new
+    return found, least
+
+
+_CENSUS_FIXTURES = [
+    p.stem for p in sorted(FIXTURES.glob("*.glab"))
+    if "corrupt" not in p.name and p.stem != "m2f2c3"]
+
+
+@pytest.mark.parametrize("name", _CENSUS_FIXTURES)
+def test_census_matches_brute_force(name):
+    alg = build_instance(load_instance(str(FIXTURES / f"{name}.glab"))).algebra
+    assert alg.card <= DEFAULT_CENSUS_BOUND
+    for side in ("right", "left"):
+        found, least = _brute_census(alg, side)
+        census = enumerate_ideals(alg, side)
+        assert {c.mask.tobytes() for c in census} == found
+        assert len(census) == len(found)
+        for c in census:
+            audit_ideal(c)
+            assert c.side == side
+            if c.mask.tobytes() in least:
+                assert c.generators == (least[c.mask.tobytes()],)
+
+
+def test_sumset_over_several_chunks(monkeypatch, m2c2):
+    monkeypatch.setattr(glab.ideals, "_SUMSET_PAIRS", 100)
+    rng = np.random.default_rng(47)
+    for na, nb in ((40, 30), (7, 150), (150, 7)):
+        ia = rng.choice(m2c2.card, na, replace=False)
+        ib = rng.choice(m2c2.card, nb, replace=False)
+        amask = np.zeros(m2c2.card, dtype=bool)
+        bmask = np.zeros(m2c2.card, dtype=bool)
+        amask[ia] = bmask[ib] = True
+        naive = np.zeros(m2c2.card, dtype=bool)
+        naive[[m2c2.add(int(a), int(b)) for a in ia for b in ib]] = True
+        assert np.array_equal(glab.ideals._sumset(m2c2, amask, bmask), naive)

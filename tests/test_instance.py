@@ -1,10 +1,11 @@
 """Instance file parsing, canonical serialization, digests, building."""
 
+import time
 from pathlib import Path
 
 import pytest
 
-from glab.errors import ConstructionError, ParseError
+from glab.errors import ConstructionError, ParseError, ScaleError
 from glab.finring import MatrixRing, TableRing, Zmod
 from glab.grp import CayleyGroup, CyclicGroup, SymmetricGroup
 from glab.instance import (ElemDef, IdealDef, InstanceDescription,
@@ -157,3 +158,18 @@ def test_fixture_files_name_expected_objects():
     assert b.ideals["C"].cardinality == 16 and b.ideals["D"].cardinality == 4
     ut = build_instance(load_instance(str(FIXTURES / "ut2c1.glab")))
     assert ut.algebra.ring.label == "UT2(Z2)" and ut.algebra.group.order == 1
+
+
+@pytest.mark.parametrize("ring, group", [
+    ("zmod(2)", "cyclic(1000000)"),     # a 10^12-entry Cayley table
+    ("zmod(2)", "dihedral(3000)"),      # an O(n^2) Python loop
+    # 101^8 elements; x^8 + 3 is irreducible over Z/101, so a factor
+    # search run first would try all 10^8 monic quartics
+    ("polyquot(101, [3, 0, 0, 0, 0, 0, 0, 0, 1])", "cyclic(1)"),
+])
+def test_oversized_specs_rejected_before_allocation(ring, group):
+    d = parse_instance(f"ring = {ring}\ngroup = {group}\n")
+    start = time.perf_counter()
+    with pytest.raises(ScaleError, match="exceeds the"):
+        build_instance(d)
+    assert time.perf_counter() - start < 1.0
