@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
+from .finring import frobenius
 from .ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
                      dual_code, is_principal, span)
 
@@ -80,7 +81,6 @@ def is_checkable(c: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CheckabilityVerdi
     dual_right = d.side == "right"
     w = is_principal(d) if dual_right else None
 
-    from .finring import frobenius
     if frobenius(alg.ring).status == "frobenius":
         if (u is None) != (v is None):
             raise FalsificationError(

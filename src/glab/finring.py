@@ -19,6 +19,7 @@ and cached on the Ring instance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -244,17 +245,44 @@ def build_ring(spec: RingSpec) -> Ring:
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
-def _check_card(label: str, card: int) -> None:
-    if card > TABLE_LIMIT:
-        raise ScaleError(
-            f"{label}: {card} elements exceeds the dense-table limit {TABLE_LIMIT}")
+def _size(spec: RingSpec) -> Counter | None:
+    """|R| as {b: e}, the product of the powers b^e, from the spec alone;
+    None when a radical quotient's size needs its base ring's tables."""
+    if isinstance(spec, Zmod):
+        return Counter({spec.m: 1})
+    if isinstance(spec, PolyQuot):
+        return Counter({spec.p: len(spec.modulus) - 1})
+    if isinstance(spec, TableRing):
+        return Counter(spec.moduli)
+    if isinstance(spec, MatrixRing):
+        base = _size(spec.base)
+        return None if base is None else Counter(
+            {b: e * spec.n ** 2 for b, e in base.items()})
+    if isinstance(spec, ProductRing):
+        sizes = [_size(f) for f in spec.factors]
+        return None if None in sizes else sum(sizes, Counter())
+    return None
+
+
+def _check_card(label: str, size: Counter | None) -> None:
+    """Reject a ring past TABLE_LIMIT without expanding its size, which
+    is printed as powers b^e."""
+    card = 1
+    for b, e in (size or {}).items():
+        for _ in range(e if b >= 2 else 0):   # card at least doubles
+            card *= b
+            if card > TABLE_LIMIT:
+                text = " * ".join(f"{b}^{e}" if e > 1 else str(b)
+                                  for b, e in size.items() if e)
+                raise ScaleError(f"{label}: {text} elements exceeds the "
+                                 f"dense-table limit {TABLE_LIMIT}")
 
 
 def _build_zmod(spec: Zmod) -> Ring:
     m = spec.m
     if m < 2:
         raise ConstructionError(f"zmod modulus must be at least 2, got {m}")
-    _check_card(f"Z{m}", m)
+    _check_card(f"Z{m}", _size(spec))
     idx = np.arange(m, dtype=np.int64)
     add = ((idx[:, None] + idx[None, :]) % m).astype(np.int32)
     mul = ((idx[:, None] * idx[None, :]) % m).astype(np.int32)
@@ -273,8 +301,8 @@ def _build_polyquot(spec: PolyQuot) -> Ring:
     if mod[-1] != 1:
         raise ConstructionError(f"polyquot modulus must be monic: {_poly_text(mod)}")
     deg = len(mod) - 1
+    _check_card(spec_label(spec), _size(spec))
     card = p ** deg
-    _check_card(spec_label(spec), card)
     factor = _find_poly_factor(mod, p)
     if factor is not None:
         raise ConstructionError(
@@ -328,11 +356,13 @@ def _find_poly_factor(mod: list[int], p: int) -> list[int] | None:
 def _build_matrix(spec: MatrixRing) -> Ring:
     if spec.n < 1:
         raise ConstructionError(f"matrix size must be at least 1, got {spec.n}")
-    base = build_ring(spec.base)
     n = spec.n
-    card = base.card ** (n * n)
     label = spec_label(spec)
-    _check_card(label, card)
+    _check_card(label, _size(spec))
+    base = build_ring(spec.base)
+    # exact also when _size gave None for a radical quotient
+    _check_card(label, Counter({base.card: n * n}))
+    card = base.card ** (n * n)
 
     idx = np.arange(card, dtype=np.int64)
     bw = base.card ** np.arange(n * n, dtype=np.int64)
@@ -358,10 +388,12 @@ def _build_matrix(spec: MatrixRing) -> Ring:
 def _build_product(spec: ProductRing) -> Ring:
     if not spec.factors:
         raise ConstructionError("product ring needs at least one factor")
-    rings = [build_ring(f) for f in spec.factors]
-    card = math.prod(r.card for r in rings)
     label = spec_label(spec)
-    _check_card(label, card)
+    _check_card(label, _size(spec))
+    rings = [build_ring(f) for f in spec.factors]
+    # exact also when _size gave None for a radical quotient
+    _check_card(label, Counter(r.card for r in rings))
+    card = math.prod(r.card for r in rings)
 
     idx = np.arange(card, dtype=np.int64)
     add = np.zeros((card, card), dtype=np.int64)

@@ -5,13 +5,14 @@ the group's canonical element order, encoded as a single integer in
 mixed radix base |R| (group position 0 least significant). Index 0 is
 zero; scalars r live at the group identity position.
 
-Alongside O(|G|^2) scalar operations the algebra exposes vectorized
-row operations (one result per element of RG) that every exhaustive
-scan in the package is built on: left/right multiplication rows,
-squaring, the coefficient-inversion involution, and bilinear form
-columns. Each left or right multiplication map is computed at most
-once per algebra and kept, read-only, while the stored maps fit in
-MAP_MEMO_BYTES; past that budget a map is recomputed on each call.
+The encoding stays in this module. Every product, sum and form comes
+from one of three kernels on coefficient arrays that broadcast over
+leading axes, so a single element, a whole row (one result per
+element of RG) and a batch of pairs share the same arithmetic; other
+modules work on element indices only. Each left or right
+multiplication map is computed at most once per algebra and kept,
+read-only, while the stored maps fit in MAP_MEMO_BYTES; past that
+budget a map is recomputed on each call.
 The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
@@ -48,7 +49,14 @@ class GroupAlgebra:
         self.coeffs = ((idx[:, None] // self._weights[None, :])
                        % ring.card).astype(np.int32)
         self.zero = 0
+        # flat ring tables, read by take(): a pair (s, t) sits at s*|R| + t,
+        # which stays in int32 below TABLE_LIMIT**2
+        self._radd, self._rmul = ring.add.ravel(), ring.mul.ravel()
         self.one = ring.one * int(self._weights[group.identity])
+        # the group elements and the nonzero scalars generate RG as a ring
+        self.generators = list(dict.fromkeys(
+            [self.basis_elem(g) for g in range(group.order)]
+            + [self.scalar_elem(r) for r in range(1, ring.card)]))
         self._hat_all: np.ndarray | None = None
         self._rows: dict[int, np.ndarray] = {}
         self._cols: dict[int, np.ndarray] = {}
@@ -99,25 +107,61 @@ class GroupAlgebra:
                 parts.append(f"{cs}{name}" if cs else name)
         return " + ".join(parts) if parts else "0"
 
-    # -- scalar arithmetic -----------------------------------------------------
-    def add(self, x: int, y: int) -> int:
-        c = self.ring.add[self.coeffs[x], self.coeffs[y]]
-        return int(c.astype(np.int64) @ self._weights)
+    # -- kernels on coefficient arrays, broadcast over leading axes ---------------
+    def _product(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """Coefficients of x*y.
+
+        The loop runs over the group positions of a single-element
+        operand, skipping its zero coefficients: x*y = sum_h x_h (h*y)
+        when x is one element (or neither is), sum_k (x*k) y_k when
+        only y is.
+        """
+        gmul, inv, r = self.group.mul, self.group.inv, self.ring.card
+        left = cx.ndim == 1 or cy.ndim > 1
+        single = cx if left else cy
+        out = np.zeros(np.broadcast_shapes(cx.shape, cy.shape), dtype=np.int32)
+        for p in range(self.group.order):
+            if single.ndim == 1 and single[p] == 0:
+                continue
+            # multiply first, then move the positions: the products stay
+            # C-ordered, which take() reads several times faster
+            if left:    # term_g = x_p * y_(p^-1 g)
+                prod = self._rmul.take(cx[..., p, None] * r + cy)
+                prod = prod[..., gmul[inv[p], :]]
+            else:       # term_g = x_(g p^-1) * y_p
+                prod = self._rmul.take(cx * r + cy[..., p, None])
+                prod = prod[..., gmul[:, inv[p]]]
+            out = self._radd.take(out * r + prod)
+        return out
+
+    def _sum(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """Coefficients of x + y."""
+        return self._radd.take(cx * self.ring.card + cy)
+
+    def _form(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """Ring indices of <x, y> = sum over g of x_g * y_g."""
+        r = self.ring.card
+        acc = np.zeros(np.broadcast_shapes(cx.shape, cy.shape)[:-1], dtype=np.int32)
+        for g in range(self.group.order):
+            prod = self._rmul.take(cx[..., g] * r + cy[..., g])
+            acc = self._radd.take(acc * r + prod)
+        return acc
+
+    def _index(self, c: np.ndarray):
+        """Element indices of coefficient arrays; an int for one element."""
+        out = c.astype(np.int64) @ self._weights
+        return int(out) if out.ndim == 0 else out
+
+    # -- arithmetic on element indices ---------------------------------------------
+    def add(self, x, y):
+        """x + y; index arrays broadcast, as in a sumset."""
+        return self._index(self._sum(self.coeffs[x], self.coeffs[y]))
 
     def sub(self, x: int, y: int) -> int:
-        c = self.ring.add[self.coeffs[x], self.ring.neg[self.coeffs[y]]]
-        return int(c.astype(np.int64) @ self._weights)
+        return self._index(self._sum(self.coeffs[x], self.ring.neg[self.coeffs[y]]))
 
     def mul(self, x: int, y: int) -> int:
-        n = self.group.order
-        cx, cy = self.coeffs[x], self.coeffs[y]
-        out = np.zeros(n, dtype=np.int32)
-        for h in range(n):
-            if cx[h] == 0:
-                continue
-            tgt = self.group.mul[h, :]
-            out[tgt] = self.ring.add[out[tgt], self.ring.mul[cx[h], cy]]
-        return int(out.astype(np.int64) @ self._weights)
+        return self._index(self._product(self.coeffs[x], self.coeffs[y]))
 
     def one_minus(self, x: int) -> int:
         return self.sub(self.one, x)
@@ -125,16 +169,11 @@ class GroupAlgebra:
     def hat(self, x: int) -> int:
         """Coefficient-inversion involution: position g takes the
         coefficient from g^-1."""
-        c = self.coeffs[x][self.group.inv]
-        return int(c.astype(np.int64) @ self._weights)
+        return int(self.hat_all()[x])
 
     def form(self, x: int, y: int) -> int:
         """<x, y> = sum over g of x_g * y_g, an element of R."""
-        acc = 0
-        for g in range(self.group.order):
-            acc = self.ring.a(acc, self.ring.m(int(self.coeffs[x, g]),
-                                               int(self.coeffs[y, g])))
-        return acc
+        return int(self._form(self.coeffs[x], self.coeffs[y]))
 
     @property
     def elements(self) -> range:
@@ -144,111 +183,57 @@ class GroupAlgebra:
         return f"GroupAlgebra({self.label}, card={self.card})"
 
     # -- vectorized rows (one entry per element of RG) -------------------------
-    def add_row(self, a: int) -> np.ndarray:
-        """Indices of a + x for every x."""
-        out = self.ring.add[self.coeffs[a][None, :], self.coeffs]
-        return out.astype(np.int64) @ self._weights
-
     def mul_row(self, a: int) -> np.ndarray:
         """Indices of a * x for every x (read-only, memoized)."""
-        return self._memo(self._rows, self._mul_row, int(a))
+        return self._memo(self._rows, int(a), self.coeffs[a], self.coeffs)
 
     def mul_col(self, b: int) -> np.ndarray:
         """Indices of x * b for every x (read-only, memoized)."""
-        return self._memo(self._cols, self._mul_col, int(b))
+        return self._memo(self._cols, int(b), self.coeffs, self.coeffs[b])
 
-    def _memo(self, store: dict[int, np.ndarray], compute, a: int) -> np.ndarray:
+    def _memo(self, store: dict[int, np.ndarray], a: int,
+              cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         out = store.get(a)
         if out is not None:
             return out
         # the smallest unsigned type that holds every index, whatever the cap
-        out = compute(a).astype(np.min_scalar_type(self.card - 1))
+        out = self._index(self._product(cx, cy))
+        out = out.astype(np.min_scalar_type(self.card - 1))
         out.setflags(write=False)
         if self._memo_bytes + out.nbytes <= MAP_MEMO_BYTES:
             store[a] = out
             self._memo_bytes += out.nbytes
         return out
 
-    def _mul_row(self, a: int) -> np.ndarray:
-        n = self.group.order
-        ca = self.coeffs[a]
-        out = np.zeros((self.card, n), dtype=np.int32)
-        for h in range(n):
-            if ca[h] == 0:
-                continue
-            src = self.coeffs[:, self.group.mul[self.group.inv[h], :]]
-            out = self.ring.add[out, self.ring.mul[ca[h], src]]
-        return out.astype(np.int64) @ self._weights
-
-    def _mul_col(self, b: int) -> np.ndarray:
-        n = self.group.order
-        cb = self.coeffs[b]
-        out = np.zeros((self.card, n), dtype=np.int32)
-        for k in range(n):
-            if cb[k] == 0:
-                continue
-            tgt = self.group.mul[:, k]
-            for h in range(n):
-                g = int(tgt[h])
-                out[:, g] = self.ring.add[out[:, g],
-                                          self.ring.mul[self.coeffs[:, h], cb[k]]]
-        return out.astype(np.int64) @ self._weights
-
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""
-        n = self.group.order
-        out = np.zeros((self.card, n), dtype=np.int32)
-        for h in range(n):
-            for k in range(n):
-                g = int(self.group.mul[h, k])
-                prod = self.ring.mul[self.coeffs[:, h], self.coeffs[:, k]]
-                out[:, g] = self.ring.add[out[:, g], prod]
-        return out.astype(np.int64) @ self._weights
+        return self._index(self._product(self.coeffs, self.coeffs))
 
     def hat_all(self) -> np.ndarray:
         """The involution as a permutation of the whole index space."""
         if self._hat_all is None:
-            c = self.coeffs[:, self.group.inv]
-            self._hat_all = c.astype(np.int64) @ self._weights
+            self._hat_all = self._index(self.coeffs[:, self.group.inv])
         return self._hat_all
 
     def form_row(self, a: int) -> np.ndarray:
         """Ring indices of <a, x> for every x."""
-        ca = self.coeffs[a]
-        acc = np.zeros(self.card, dtype=np.int32)
-        for g in range(self.group.order):
-            if ca[g] == 0:
-                continue
-            acc = self.ring.add[acc, self.ring.mul[ca[g], self.coeffs[:, g]]]
-        return acc
+        return self._form(self.coeffs[a], self.coeffs)
 
     def form_col(self, b: int) -> np.ndarray:
         """Ring indices of <x, b> for every x."""
-        cb = self.coeffs[b]
-        acc = np.zeros(self.card, dtype=np.int32)
-        for g in range(self.group.order):
-            if cb[g] == 0:
-                continue
-            acc = self.ring.add[acc, self.ring.mul[self.coeffs[:, g], cb[g]]]
-        return acc
+        return self._form(self.coeffs, self.coeffs[b])
 
     # -- centrality -------------------------------------------------------------
     def is_central(self, a: int) -> bool:
         """Whether a commutes with all of RG.
 
-        Decided against the generating set (all scalars, all group
-        elements); the centralizer is a subring, so commuting with
-        generators is commuting with everything. Backed by a full
-        row comparison when the algebra is small enough.
+        Decided against `generators`; the centralizer is a subring, so
+        commuting with generators is commuting with everything. Backed
+        by a full row comparison when the algebra is small enough.
         """
-        for r in self.ring.elements:
-            s = self.scalar_elem(r)
-            if self.mul(a, s) != self.mul(s, a):
-                return False
-        for g in range(self.group.order):
-            b = self.basis_elem(g)
-            if self.mul(a, b) != self.mul(b, a):
-                return False
+        ca, cg = self.coeffs[a], self.coeffs[self.generators]
+        if not np.array_equal(self._product(ca, cg), self._product(cg, ca)):
+            return False
         if self.card <= DEFAULT_OP_BOUND:
             if not np.array_equal(self.mul_row(a), self.mul_col(a)):
                 raise ConstructionError(

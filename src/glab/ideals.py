@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_CENSUS_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
-from .finring import structure
+from .finring import frobenius, structure
 from .galg import GroupAlgebra
 
 _SUMSET_PAIRS = 1 << 18     # sums formed per chunk of _sumset
@@ -91,13 +91,9 @@ def _sumset(alg: GroupAlgebra, amask: np.ndarray, bmask: np.ndarray) -> np.ndarr
     if len(ia) == 0 or len(ib) == 0:
         raise ConstructionError("sumset of an empty set")
     out = np.zeros(alg.card, dtype=bool)
-    cb = alg.coeffs[ib]
     step = max(1, _SUMSET_PAIRS // len(ib))
     for start in range(0, len(ia), step):
-        ca = alg.coeffs[ia[start:start + step]]
-        summed = alg.ring.add[ca[:, None, :], cb[None, :, :]]
-        idx = summed.astype(np.int64) @ alg._weights
-        out[idx.ravel()] = True
+        out[alg.add(ia[start:start + step, None], ib[None, :]).ravel()] = True
     return out
 
 
@@ -127,43 +123,18 @@ def additive_basis(alg: GroupAlgebra, mask: np.ndarray) -> list[int]:
     return basis
 
 
-def _translation_perms(alg: GroupAlgebra, side: str) -> list[np.ndarray]:
-    """Index permutations x -> x*g (right) or x -> g*x (left), one per g."""
-    perms = []
-    for g in range(alg.group.order):
-        if side == "right":
-            cols = alg.group.mul[:, alg.group.inv[g]]
-        else:
-            cols = alg.group.mul[alg.group.inv[g], :]
-        c = alg.coeffs[:, cols]
-        perms.append(c.astype(np.int64) @ alg._weights)
-    return perms
-
-
-def _scalar_rows(alg: GroupAlgebra, side: str) -> Iterable[np.ndarray]:
-    """Index maps x -> x*r (right) or x -> r*x (left), one per scalar r."""
-    for r in alg.ring.elements:
-        if r == 0:
-            continue
-        s = alg.scalar_elem(r)
-        yield alg.mul_col(s) if side == "right" else alg.mul_row(s)
-
-
 def side_closed(code: CodeSet, side: str) -> bool:
     """Whether the set is closed under all one-sided multiplications.
 
-    Scalar multiplications, group translations, and addition generate
-    every one-sided multiplication, so checking those suffices once
-    additive closure is known.
+    The algebra's generators (group elements and scalars) and addition
+    generate every one-sided multiplication, so checking those
+    suffices once additive closure is known.
     """
     alg = code.alg
-    mask = code.mask
     elems = code.elements()
-    for perm in _translation_perms(alg, side):
-        if not mask[perm[elems]].all():
-            return False
-    for row in _scalar_rows(alg, side):
-        if not mask[row[elems]].all():
+    for g in alg.generators:
+        row = alg.mul_col(g) if side == "right" else alg.mul_row(g)
+        if not code.mask[row[elems]].all():
             return False
     return True
 
@@ -267,7 +238,6 @@ def dual_code(code: CodeSet, check_wood: bool = True) -> CodeSet:
                 f"{'left' if code.side == 'right' else 'right'} annihilator")
 
     if check_wood and code.side is not None:
-        from .finring import frobenius
         if frobenius(alg.ring).status == "frobenius":
             if code.cardinality * int(mask.sum()) != alg.card:
                 raise FalsificationError(
@@ -340,8 +310,9 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
         raise ScaleError(
             f"{alg.label}: ideal census over {alg.card} elements exceeds the "
             f"bound {bound}")
-    trivial_units = (structure(alg.ring).units[:, None]
-                     * alg._weights[None, :]).ravel()
+    trivial_units = [alg.mul(alg.scalar_elem(r), alg.basis_elem(g))
+                     for r in structure(alg.ring).units
+                     for g in range(alg.group.order)]
     seen = np.zeros(alg.card, dtype=bool)
     found: dict[bytes, CodeSet] = {}
     for u in alg.elements:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, FalsificationError, ScaleError
+from .finring import structure
 from .galg import GroupAlgebra, ResidueMap
 
 
@@ -144,7 +145,6 @@ def lift_idempotent(alg: GroupAlgebra, rm: ResidueMap, ebar: int) -> int:
     if res.mul(ebar, ebar) != ebar:
         raise ConstructionError(
             f"{res.label}: residue element {res.text(ebar)} is not idempotent")
-    from .finring import structure
     h = rm.raise_least(ebar)
     f = structure(alg.ring).nilpotency_index
     for _ in range(max(f - 1, 1)):

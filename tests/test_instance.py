@@ -1,5 +1,6 @@
 """Instance file parsing, canonical serialization, digests, building."""
 
+import re
 import time
 from pathlib import Path
 
@@ -166,6 +167,9 @@ def test_fixture_files_name_expected_objects():
     # 101^8 elements; x^8 + 3 is irreducible over Z/101, so a factor
     # search run first would try all 10^8 monic quartics
     ("polyquot(101, [3, 0, 0, 0, 0, 0, 0, 0, 1])", "cyclic(1)"),
+    # three 4096^2 factor tables before the product's size was known
+    ("product(zmod(4096), zmod(4096), zmod(4096))", "cyclic(1)"),
+    ("matrix(12, zmod(2))", "cyclic(1)"),     # a 44-digit size
 ])
 def test_oversized_specs_rejected_before_allocation(ring, group):
     d = parse_instance(f"ring = {ring}\ngroup = {group}\n")
@@ -173,3 +177,16 @@ def test_oversized_specs_rejected_before_allocation(ring, group):
     with pytest.raises(ScaleError, match="exceeds the"):
         build_instance(d)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("ring, size", [
+    ("product(zmod(4096), zmod(4096), zmod(4096))", "4096^3"),
+    ("matrix(12, zmod(2))", "2^144"),
+    ("product(zmod(3), matrix(12, zmod(2)), zmod(2))", "3 * 2^145"),
+    ("polyquot(101, [3, 0, 0, 0, 0, 0, 0, 0, 1])", "101^8"),
+    ("zmod(5000)", "5000"),
+])
+def test_ring_size_errors_print_powers(ring, size):
+    d = parse_instance(f"ring = {ring}\ngroup = cyclic(1)\n")
+    with pytest.raises(ScaleError, match=re.escape(f": {size} elements exceeds")):
+        build_instance(d)
