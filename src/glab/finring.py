@@ -137,7 +137,12 @@ def spec_label(spec: RingSpec) -> str:
     if isinstance(spec, Zmod):
         return f"Z{spec.m}"
     if isinstance(spec, PolyQuot):
-        return f"GF({spec.p ** (len(spec.modulus) - 1)})"
+        deg = len(spec.modulus) - 1
+        # a field past the table limit is never built, and p^deg may run
+        # to thousands of digits: it prints as a power
+        if _past_limit(Counter({spec.p: deg})):
+            return f"GF({spec.p}^{deg})"
+        return f"GF({spec.p ** deg})"
     if isinstance(spec, MatrixRing):
         return f"M{spec.n}({spec_label(spec.base)})"
     if isinstance(spec, ProductRing):
@@ -245,44 +250,54 @@ def build_ring(spec: RingSpec) -> Ring:
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
-def _size(spec: RingSpec) -> Counter | None:
-    """|R| as {b: e}, the product of the powers b^e, from the spec alone;
-    None when a radical quotient's size needs its base ring's tables."""
+def _size(spec: RingSpec) -> tuple[Counter, bool]:
+    """|R| as {b: e}, the product of the powers b^e, from the spec alone,
+    and whether that is exact. A radical quotient, whose size needs its
+    base ring's tables, counts as 2, the fewest a nonzero ring has."""
     if isinstance(spec, Zmod):
-        return Counter({spec.m: 1})
+        return Counter({spec.m: 1}), True
     if isinstance(spec, PolyQuot):
-        return Counter({spec.p: len(spec.modulus) - 1})
+        return Counter({spec.p: len(spec.modulus) - 1}), True
     if isinstance(spec, TableRing):
-        return Counter(spec.moduli)
+        return Counter(spec.moduli), True
     if isinstance(spec, MatrixRing):
-        base = _size(spec.base)
-        return None if base is None else Counter(
-            {b: e * spec.n ** 2 for b, e in base.items()})
+        base, exact = _size(spec.base)
+        return Counter({b: e * spec.n ** 2 for b, e in base.items()}), exact
     if isinstance(spec, ProductRing):
         sizes = [_size(f) for f in spec.factors]
-        return None if None in sizes else sum(sizes, Counter())
-    return None
+        return sum((s for s, _ in sizes), Counter()), all(e for _, e in sizes)
+    if isinstance(spec, RadicalQuotient):
+        return Counter({2: 1}), False
+    raise TypeError(f"not a ring spec: {spec!r}")
 
 
-def _check_card(label: str, size: Counter | None) -> None:
-    """Reject a ring past TABLE_LIMIT without expanding its size, which
-    is printed as powers b^e."""
+def _past_limit(size: Counter) -> bool:
+    """Whether the product of the powers b^e exceeds TABLE_LIMIT, decided
+    without expanding it."""
     card = 1
-    for b, e in (size or {}).items():
+    for b, e in size.items():
         for _ in range(e if b >= 2 else 0):   # card at least doubles
             card *= b
             if card > TABLE_LIMIT:
-                text = " * ".join(f"{b}^{e}" if e > 1 else str(b)
-                                  for b, e in size.items() if e)
-                raise ScaleError(f"{label}: {text} elements exceeds the "
-                                 f"dense-table limit {TABLE_LIMIT}")
+                return True
+    return False
+
+
+def _check_card(label: str, size: Counter, exact: bool = True) -> None:
+    """Reject a ring past TABLE_LIMIT without expanding its size, which
+    is printed as powers b^e; a lower bound prints as "at least"."""
+    if _past_limit(size):
+        text = " * ".join(f"{b}^{e}" if e > 1 else str(b)
+                          for b, e in size.items() if e)
+        raise ScaleError(f"{label}: {'' if exact else 'at least '}{text} "
+                         f"elements exceeds the dense-table limit {TABLE_LIMIT}")
 
 
 def _build_zmod(spec: Zmod) -> Ring:
     m = spec.m
     if m < 2:
         raise ConstructionError(f"zmod modulus must be at least 2, got {m}")
-    _check_card(f"Z{m}", _size(spec))
+    _check_card(f"Z{m}", *_size(spec))
     idx = np.arange(m, dtype=np.int64)
     add = ((idx[:, None] + idx[None, :]) % m).astype(np.int32)
     mul = ((idx[:, None] * idx[None, :]) % m).astype(np.int32)
@@ -292,16 +307,18 @@ def _build_zmod(spec: Zmod) -> Ring:
 def _build_polyquot(spec: PolyQuot) -> Ring:
     p = spec.p
     mod = list(spec.modulus)
-    if not _is_prime(p):
-        raise ConstructionError(f"polyquot base {p} is not prime")
     if len(mod) < 2:
         raise ConstructionError("polyquot modulus must have degree at least 1")
+    # before the primality test, which grows with p, and the factor
+    # search, which grows with p^deg
+    _check_card(spec_label(spec), *_size(spec))
+    if not _is_prime(p):
+        raise ConstructionError(f"polyquot base {p} is not prime")
     if any(not 0 <= c < p for c in mod):
         raise ConstructionError(f"polyquot modulus coefficients must lie in [0, {p})")
     if mod[-1] != 1:
         raise ConstructionError(f"polyquot modulus must be monic: {_poly_text(mod)}")
     deg = len(mod) - 1
-    _check_card(spec_label(spec), _size(spec))
     card = p ** deg
     factor = _find_poly_factor(mod, p)
     if factor is not None:
@@ -358,9 +375,9 @@ def _build_matrix(spec: MatrixRing) -> Ring:
         raise ConstructionError(f"matrix size must be at least 1, got {spec.n}")
     n = spec.n
     label = spec_label(spec)
-    _check_card(label, _size(spec))
+    _check_card(label, *_size(spec))
     base = build_ring(spec.base)
-    # exact also when _size gave None for a radical quotient
+    # exact also when _size gave a lower bound for a radical quotient
     _check_card(label, Counter({base.card: n * n}))
     card = base.card ** (n * n)
 
@@ -389,9 +406,9 @@ def _build_product(spec: ProductRing) -> Ring:
     if not spec.factors:
         raise ConstructionError("product ring needs at least one factor")
     label = spec_label(spec)
-    _check_card(label, _size(spec))
+    _check_card(label, *_size(spec))
     rings = [build_ring(f) for f in spec.factors]
-    # exact also when _size gave None for a radical quotient
+    # exact also when _size gave a lower bound for a radical quotient
     _check_card(label, Counter(r.card for r in rings))
     card = math.prod(r.card for r in rings)
 

@@ -29,13 +29,11 @@ from .errors import ConstructionError, FalsificationError, ScaleError
 from .finring import frobenius, structure
 from .galg import GroupAlgebra
 
-_SUMSET_PAIRS = 1 << 18     # sums formed per chunk of _sumset
-
 
 class CodeSet:
     """An additive subgroup of RG as a frozen boolean mask."""
 
-    __slots__ = ("alg", "mask", "side", "generators", "_card")
+    __slots__ = ("alg", "mask", "side", "generators", "_card", "_basis")
 
     def __init__(self, alg: GroupAlgebra, mask: np.ndarray,
                  side: Optional[str] = None, generators: tuple[int, ...] = ()):
@@ -53,10 +51,19 @@ class CodeSet:
         self.side = side
         self.generators = tuple(int(g) for g in generators)
         self._card = int(mask.sum())
+        self._basis: Optional[tuple[int, ...]] = None
 
     @property
     def cardinality(self) -> int:
         return self._card
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """Greedy additive basis, found on first use; raises if the set
+        is not additively closed."""
+        if self._basis is None:
+            self._basis = tuple(additive_basis(self.alg, self.mask))
+        return self._basis
 
     def elements(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
@@ -82,45 +89,55 @@ class CodeSet:
 
 
 # ---------------------------------------------------------------------------
-# mask plumbing
+# subgroup arithmetic by translate-closure
 
-def _sumset(alg: GroupAlgebra, amask: np.ndarray, bmask: np.ndarray) -> np.ndarray:
-    """Mask of {a + b} over the two masks, chunked to bound memory."""
-    ia = np.flatnonzero(amask)
-    ib = np.flatnonzero(bmask)
-    if len(ia) == 0 or len(ib) == 0:
-        raise ConstructionError("sumset of an empty set")
-    out = np.zeros(alg.card, dtype=bool)
-    step = max(1, _SUMSET_PAIRS // len(ib))
-    for start in range(0, len(ia), step):
-        out[alg.add(ia[start:start + step, None], ib[None, :]).ravel()] = True
-    return out
+def _grow(alg: GroupAlgebra, mask: np.ndarray, elems: np.ndarray, x: int,
+          within: Optional[np.ndarray] = None) -> np.ndarray:
+    """Close the subgroup S (mask and element list, 0 first) under x.
 
-
-def _cyclic_mask(alg: GroupAlgebra, x: int) -> np.ndarray:
-    """Mask of the additive cyclic group generated by x."""
-    out = np.zeros(alg.card, dtype=bool)
-    t = 0
-    while True:
-        out[t] = True
-        t = alg.add(t, x)
-        if t == 0:
-            return out
+    Adds the cosets S + x, S + 2x, ... to the mask in place, up to the
+    first k with k*x back in S, and returns the elements of S + <x>:
+    O(|S + <x>|) sums, one call per coset. Raises if the new cosets
+    leave `within`.
+    """
+    if mask[x]:
+        return elems
+    cosets = []
+    cur, kx = elems, x
+    while not mask[kx]:     # cosets of S are disjoint or equal
+        # S + k*x, with (k+1)*x from the same call
+        out = alg.add(np.append(cur, kx), x)
+        cur, kx = out[:-1], int(out[-1])
+        cosets.append(cur)
+    new = np.concatenate(cosets)
+    if within is not None and not within[new].all():
+        raise ConstructionError(f"{alg.label}: set is not additively closed")
+    mask[new] = True
+    return np.concatenate([elems, new])
 
 
 def additive_basis(alg: GroupAlgebra, mask: np.ndarray) -> list[int]:
-    """Greedy small generating set of an additive subgroup mask."""
-    span = np.zeros(alg.card, dtype=bool)
-    span[0] = True
-    basis: list[int] = []
-    for x in np.flatnonzero(mask):
-        if span[x]:
-            continue
-        basis.append(int(x))
-        span = _sumset(alg, span, _cyclic_mask(alg, int(x)))
-    if not np.array_equal(span & mask, span):
-        raise ConstructionError(f"{alg.label}: set is not additively closed")
+    """Greedy small generating set of an additive subgroup mask: each
+    element is the least one not yet spanned."""
+    span = np.arange(alg.card) == 0
+    elems, basis = np.zeros(1, dtype=np.int64), []
+    while (rest := mask & ~span).any():
+        basis.append(int(rest.argmax()))
+        elems = _grow(alg, span, elems, basis[-1], within=mask)
     return basis
+
+
+def _sumset(a: CodeSet, b: CodeSet) -> np.ndarray:
+    """Mask of A + B for additive subgroups A and B: A closed under the
+    elements of B's basis that it does not already hold."""
+    for code in (a, b):
+        code.basis          # an unclosed operand raises here
+    alg = a.alg
+    mask = a.mask.copy()
+    elems = a.elements()
+    for x in b.basis:
+        elems = _grow(alg, mask, elems, x)
+    return mask
 
 
 def side_closed(code: CodeSet, side: str) -> bool:
@@ -142,8 +159,7 @@ def side_closed(code: CodeSet, side: str) -> bool:
 def audit_ideal(code: CodeSet) -> None:
     """Full closure audit: additive subgroup plus the declared side."""
     alg = code.alg
-    if not np.array_equal(_sumset(alg, code.mask, code.mask), code.mask):
-        raise ConstructionError(f"{alg.label}: set not closed under addition")
+    code.basis      # raises unless additively closed
     if code.side is not None and not side_closed(code, code.side):
         raise ConstructionError(
             f"{alg.label}: set not closed under {code.side} multiplication")
@@ -175,11 +191,13 @@ def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
     if side not in ("right", "left"):
         raise ConstructionError(f"unknown ideal side {side!r}")
     gens = tuple(int(u) for u in generators)
-    mask = np.zeros(alg.card, dtype=bool)
-    mask[0] = True
-    for u in gens:
-        mask = _sumset(alg, mask, principal(alg, u, side).mask)
-    return CodeSet(alg, mask, side=side, generators=gens)
+    if not gens:
+        return CodeSet(alg, np.arange(alg.card) == 0, side=side)
+    out = principal(alg, gens[0], side)
+    for u in gens[1:]:
+        out = CodeSet(alg, _sumset(out, principal(alg, u, side)), side=side,
+                      generators=out.generators + (u,))
+    return out
 
 
 def _require_same(a: CodeSet, b: CodeSet) -> None:
@@ -191,7 +209,7 @@ def _require_same(a: CodeSet, b: CodeSet) -> None:
 
 def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
     _require_same(a, b)
-    return CodeSet(a.alg, _sumset(a.alg, a.mask, b.mask), side=a.side,
+    return CodeSet(a.alg, _sumset(a, b), side=a.side,
                    generators=a.generators + b.generators)
 
 
@@ -215,9 +233,8 @@ def dual_code(code: CodeSet, check_wood: bool = True) -> CodeSet:
     character.
     """
     alg = code.alg
-    basis = additive_basis(alg, code.mask)
     mask = np.ones(alg.card, dtype=bool)
-    for b in basis:
+    for b in code.basis:
         row = alg.form_row(b) if code.side == "left" else alg.form_col(b)
         mask &= row == 0
     hat = alg.hat_all()
@@ -254,7 +271,7 @@ def ann_left(code: CodeSet) -> CodeSet:
     """All a with a*c = 0 for every c in the set; always a left ideal."""
     alg = code.alg
     mask = np.ones(alg.card, dtype=bool)
-    for b in additive_basis(alg, code.mask):
+    for b in code.basis:
         mask &= alg.mul_col(b) == 0
     return CodeSet(alg, mask, side="left")
 
@@ -263,7 +280,7 @@ def ann_right(code: CodeSet) -> CodeSet:
     """All a with c*a = 0 for every c in the set; always a right ideal."""
     alg = code.alg
     mask = np.ones(alg.card, dtype=bool)
-    for b in additive_basis(alg, code.mask):
+    for b in code.basis:
         mask &= alg.mul_row(b) == 0
     return CodeSet(alg, mask, side="right")
 
@@ -297,14 +314,18 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
                      bound: int = DEFAULT_CENSUS_BOUND) -> list[CodeSet]:
     """The complete lattice of one-sided ideals.
 
-    Every ideal is a finite sum of principal ideals, so the principal
-    ones closed under pairwise sum to a fixpoint give the full
-    lattice. Deterministic order: by cardinality, then by mask bytes.
+    Every ideal is a finite sum of principal ideals, so adding each
+    principal ideal to each member found, from a worklist, gives the
+    full lattice. Sorted by cardinality, then by mask bytes.
 
     For a unit v, uvRG = uRG (and RGvu = RGu), so once u is scanned its
     products with the trivial units v = r*g (r a unit of R, g in G) are
     skipped. A skipped element generates the same ideal as one scanned
     before it, so each principal ideal keeps its least generator.
+
+    A member I and a principal P = uRG are summed only when the sum is
+    new: I + P = I when u is in I, and otherwise a member K of size
+    |I||P|/|I & P| holding I and P is I + P, as K contains I + P.
     """
     if alg.card > bound:
         raise ScaleError(
@@ -321,16 +342,22 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
         c = principal(alg, u, side)
         found.setdefault(c.key(), c)
         seen[_side_map(alg, u, side)[trivial_units]] = True
-    while True:
-        items = sorted(found.values(), key=lambda c: (c.cardinality, c.key()))
-        grew = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                s = ideal_sum(items[i], items[j])
-                k = s.key()
-                if k not in found:
-                    found[k] = s
-                    grew = True
-        if not grew:
-            break
+    principals = list(found.values())
+    by_card: dict[int, list[CodeSet]] = {}
+    for c in principals:
+        by_card.setdefault(c.cardinality, []).append(c)
+    work = list(principals)
+    while work:
+        c = work.pop()
+        for p in principals:
+            if c.mask[p.generators[0]]:
+                continue
+            card = c.cardinality * p.cardinality // int((c.mask & p.mask).sum())
+            union = c.mask | p.mask
+            if any(not (union & ~k.mask).any() for k in by_card.get(card, ())):
+                continue
+            s = ideal_sum(c, p)
+            found[s.key()] = s
+            by_card.setdefault(card, []).append(s)
+            work.append(s)
     return sorted(found.values(), key=lambda c: (c.cardinality, c.key()))

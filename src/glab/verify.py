@@ -208,7 +208,7 @@ _dual_sum_meet = _each_pair(lambda ws, a, b: np.array_equal(
     ws.dual(ideal_sum(a, b)).mask, ws.dual(a).mask & ws.dual(b).mask))
 
 _dual_meet_join = _needs_frobenius(_each_pair(lambda ws, a, b: np.array_equal(
-    _sumset(ws.alg, ws.dual(a).mask, ws.dual(b).mask),
+    _sumset(ws.dual(a), ws.dual(b)),
     ws.dual(ideal_intersect(a, b)).mask)))
 
 _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (

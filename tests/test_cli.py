@@ -164,6 +164,16 @@ def test_env_cap_exits_three():
     assert "exceeds the cap 2" in r.stderr
 
 
+def test_huge_field_exits_three(tmp_path):
+    # 2^15000 has more digits than Python prints as an integer
+    spec = tmp_path / "gf.glab"
+    spec.write_text(f"ring = polyquot(2, [{', '.join(['1'] * 15001)}])\n"
+                    "group = cyclic(1)\n")
+    r = glab("ring-info", str(spec))
+    assert r.returncode == 3, r.stderr
+    assert "GF(2^15000): 2^15000 elements exceeds" in r.stderr
+
+
 def test_census_bound_flag_tightens():
     r = glab("verify-all", "fixtures/f3c2.glab", "--census-bound", "2")
     assert r.returncode == 3

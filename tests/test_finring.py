@@ -5,6 +5,8 @@ character witnesses, specific products) were derived by hand from the
 definitions and are frozen as oracles.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,10 @@ def test_encode_validates(z4):
 def test_labels():
     assert spec_label(Zmod(4)) == "Z4"
     assert spec_label(PolyQuot(2, (1, 1, 1))) == "GF(4)"
+    # past the table limit a field prints as a power
+    assert spec_label(PolyQuot(2, (1,) * 13)) == "GF(4096)"
+    assert spec_label(PolyQuot(2, (1,) * 14)) == "GF(2^13)"
+    assert spec_label(PolyQuot(2, (1,) * 15001)) == "GF(2^15000)"
     assert spec_label(MatrixRing(2, Zmod(2))) == "M2(Z2)"
     assert spec_label(ProductRing((Zmod(2), Zmod(3)))) == "Z2xZ3"
     assert spec_label(RadicalQuotient(Zmod(4))) == "Z4/rad"
@@ -105,6 +111,14 @@ def test_polyquot_rejects_reducible():
 def test_polyquot_rejects_composite_base():
     with pytest.raises(ConstructionError, match="not prime"):
         build_ring(PolyQuot(4, (1, 1, 1)))
+
+
+def test_polyquot_rejects_constant_modulus_before_primality():
+    # trial division would run to 10^15
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError, match="degree at least 1"):
+        build_ring(PolyQuot(10 ** 30 + 57, (1,)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_polyquot_rejects_non_monic():

@@ -402,17 +402,61 @@ def test_census_matches_brute_force(name):
                 assert c.generators == (least[c.mask.tobytes()],)
 
 
-def test_sumset_over_several_chunks(monkeypatch, m2c2):
-    monkeypatch.setattr(glab.ideals, "_SUMSET_PAIRS", 100)
+def test_census_of_m2f2c3_forms_no_sum(monkeypatch):
+    # every sum of a member and a principal ideal is a member already
+    # known by its size, or the generator lies in the member
+    alg = build_instance(load_instance(str(FIXTURES / "m2f2c3.glab"))).algebra
+    sums = []
+    monkeypatch.setattr(glab.ideals, "ideal_sum",
+                        lambda a, b: sums.append((a, b)) or ideal_sum(a, b))
+    assert len(enumerate_ideals(alg, "right", bound=alg.card)) == 35
+    assert sums == []
+
+
+def _naive_add(alg, x, y):
+    return alg.encode(map(alg.ring.a, alg.decode(x), alg.decode(y)))
+
+
+def _naive_subgroup(alg, gens):
+    """Mask of the additive closure of gens by coefficientwise sums."""
+    found = frontier = {0}
+    while frontier:
+        frontier = {_naive_add(alg, s, g) for s in frontier for g in gens} - found
+        found = found | frontier
+    mask = np.zeros(alg.card, dtype=bool)
+    mask[list(found)] = True
+    return mask
+
+
+@pytest.fixture(scope="module")
+def z4c3():
+    return _alg(Zmod(4), CyclicGroup(3))
+
+
+@pytest.mark.parametrize("name", ["m2c2", "z4c3"])
+def test_sumset_of_random_subgroups(request, name):
+    alg = request.getfixturevalue(name)
     rng = np.random.default_rng(47)
-    for na, nb in ((40, 30), (7, 150), (150, 7)):
-        ia = rng.choice(m2c2.card, na, replace=False)
-        ib = rng.choice(m2c2.card, nb, replace=False)
-        amask = np.zeros(m2c2.card, dtype=bool)
-        bmask = np.zeros(m2c2.card, dtype=bool)
-        amask[ia] = bmask[ib] = True
-        naive = np.zeros(m2c2.card, dtype=bool)
-        # coefficientwise sums from the ring's own addition
-        naive[[m2c2.encode(map(m2c2.ring.a, m2c2.decode(a), m2c2.decode(b)))
-               for a in ia for b in ib]] = True
-        assert np.array_equal(glab.ideals._sumset(m2c2, amask, bmask), naive)
+    deep = 0
+    for _ in range(8):
+        amask, bmask = (_naive_subgroup(alg, rng.choice(alg.card, k).tolist())
+                        for k in rng.integers(1, 3, 2))
+        naive = np.zeros(alg.card, dtype=bool)
+        naive[[_naive_add(alg, a, b) for a in np.flatnonzero(amask)
+               for b in np.flatnonzero(bmask)]] = True
+        got = glab.ideals._sumset(CodeSet(alg, amask), CodeSet(alg, bmask))
+        assert np.array_equal(got, naive)
+        # some b of order 4 modulo A: A + b and A + 2b are both new cosets
+        deep += any(not amask[b] and not amask[_naive_add(alg, b, b)]
+                    for b in np.flatnonzero(bmask))
+    assert deep > 0 if name == "z4c3" else deep == 0
+
+
+def test_sumset_rejects_an_unclosed_operand(z4c3):
+    x = z4c3.encode([1, 0, 0])      # order 4: {0, x} misses 2x
+    bad = np.zeros(z4c3.card, dtype=bool)
+    bad[[0, x]] = True
+    good = span(z4c3, [x], "right")
+    for a, b in ((bad, good.mask), (good.mask, bad)):
+        with pytest.raises(ConstructionError):
+            glab.ideals._sumset(CodeSet(z4c3, a), CodeSet(z4c3, b))

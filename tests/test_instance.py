@@ -161,6 +161,9 @@ def test_fixture_files_name_expected_objects():
     assert ut.algebra.ring.label == "UT2(Z2)" and ut.algebra.group.order == 1
 
 
+_HUGE_FIELD = f"polyquot(2, [{', '.join(['1'] * 15001)}])"
+
+
 @pytest.mark.parametrize("ring, group", [
     ("zmod(2)", "cyclic(1000000)"),     # a 10^12-entry Cayley table
     ("zmod(2)", "dihedral(3000)"),      # an O(n^2) Python loop
@@ -170,6 +173,11 @@ def test_fixture_files_name_expected_objects():
     # three 4096^2 factor tables before the product's size was known
     ("product(zmod(4096), zmod(4096), zmod(4096))", "cyclic(1)"),
     ("matrix(12, zmod(2))", "cyclic(1)"),     # a 44-digit size
+    # 2^15000 has more digits than Python prints
+    pytest.param(_HUGE_FIELD, "cyclic(1)", id="polyquot-degree-15000"),
+    # a radical quotient counts as at least 2 before its base is built
+    ("product(radical_quotient(zmod(4096)), zmod(4096), zmod(4))", "cyclic(1)"),
+    ("matrix(4, radical_quotient(zmod(4096)))", "cyclic(1)"),
 ])
 def test_oversized_specs_rejected_before_allocation(ring, group):
     d = parse_instance(f"ring = {ring}\ngroup = {group}\n")
@@ -185,6 +193,9 @@ def test_oversized_specs_rejected_before_allocation(ring, group):
     ("product(zmod(3), matrix(12, zmod(2)), zmod(2))", "3 * 2^145"),
     ("polyquot(101, [3, 0, 0, 0, 0, 0, 0, 0, 1])", "101^8"),
     ("zmod(5000)", "5000"),
+    pytest.param(_HUGE_FIELD, "2^15000", id="polyquot-degree-15000"),
+    ("product(radical_quotient(zmod(4096)), zmod(4096), zmod(4))",
+     "at least 2 * 4096 * 4"),
 ])
 def test_ring_size_errors_print_powers(ring, size):
     d = parse_instance(f"ring = {ring}\ngroup = cyclic(1)\n")

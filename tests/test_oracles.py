@@ -3,9 +3,11 @@
 The product and the form are recomputed here from their definitions,
 out_g = sum over hk = g of x_h * y_k and <x, y> = sum over g of
 x_g * y_g, with the ring's scalar operations on decoded coefficients.
-Every map the algebra exposes is compared against them. Ideal and
-idempotent counts of semisimple and Galois-ring group algebras are
-compared against closed forms from cyclic-code theory.
+Every map the algebra exposes is compared against them. Every sum of
+two members of the ideal census, formed with the ring's addition, must
+be a member again. Ideal and idempotent counts of semisimple and
+Galois-ring group algebras are compared against closed forms from
+cyclic-code theory.
 """
 
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from glab.config import DEFAULT_CENSUS_BOUND
 from glab.finring import Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import CyclicGroup, build_group
@@ -90,6 +93,35 @@ def test_strided_maps_of_m2f2c3_match_the_definition():
         assert np.array_equal(alg.form_col(a), [orc.form(x, a) for x in every])
         assert alg.is_central(a) == (row == col)
         assert square[a] == row[a] == alg.mul(a, a)
+
+
+# ---------------------------------------------------------------------------
+# the ideal census is a lattice under sums
+
+def _naive_addition(alg):
+    """The full addition table of RG, coefficientwise with the ring's own
+    addition on decoded coefficients."""
+    coeffs = [alg.decode(x) for x in alg.elements]
+    return np.array([[alg.encode(map(alg.ring.a, cx, cy)) for cy in coeffs]
+                     for cx in coeffs])
+
+
+@pytest.mark.parametrize("name", _DESK)
+def test_census_is_closed_under_naive_sums(name):
+    alg = _algebra(name)
+    assert alg.card <= DEFAULT_CENSUS_BOUND
+    add = _naive_addition(alg)
+    for side in ("right", "left"):
+        census = enumerate_ideals(alg, side)
+        keys = {c.mask.tobytes() for c in census}
+        for a in census:
+            for b in census:
+                total = np.zeros(alg.card, dtype=bool)
+                total[add[np.ix_(a.elements(), b.elements())]] = True
+                assert total.tobytes() in keys
+                # |A + B| |A & B| = |A| |B| for additive subgroups
+                assert (int(total.sum()) * int((a.mask & b.mask).sum())
+                        == a.cardinality * b.cardinality)
 
 
 # ---------------------------------------------------------------------------
