@@ -5,9 +5,9 @@ checkable {ideal|census}, verify-all. Reports render as TSV (columns
 check_id, law, status, witness, micros) or aligned text, and are
 byte-identical across runs unless --timing adds measured times.
 
-Exit codes: 0 all checks pass, 1 a check failed or an identity was
-falsified, 2 usage or instance-file errors, 3 an operation exceeded
-its scale bound.
+Exit codes: 0 all checks pass, 1 a check failed or a ring failed a
+construction audit, 2 usage or instance-file errors, 3 an operation
+exceeded its scale bound.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from .errors import (ConstructionError, FalsificationError, ParseError,
                      ScaleError)
 from .idem import idempotent_census
 from .instance import build_instance, load_instance
-from .lcp import (hat_equivalence, is_lcp, lcp_certificate,
-                  lcp_residue_correspondence, refine_certificate)
+from .lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
+                  refine_certificate)
 # bound here although the commands read the pairs from the workspace:
 # perfbench's tracer self-test checks that names imported this way are
 # rebound together
 from .lcp import lcp_scan  # noqa: F401
-from .verify import FAIL, INFO, PASS, CheckLine, Report, Workspace, verify_all
+from .verify import (FAIL, INFO, PASS, CheckLine, Report, Workspace,
+                     certificate_splits, hat_transfer, is_partition_of_one,
+                     pairs_match_idempotents, verify_all)
 
 
 # ---------------------------------------------------------------------------
@@ -73,32 +75,32 @@ def cmd_idempotents(ws: Workspace) -> Report:
     central = [i.element for i in census if i.central]
     primitive = [i.element for i in census if i.primitive]
     parts = ws.parts_of_one
-    total = 0
-    for p in parts:
-        total = alg.add(total, p)
+    partition = is_partition_of_one(alg, parts)
     named = "; ".join(f"{p} = {alg.text(p)}" for p in parts) or "-"
     lines = [
         _info("idempotents.count", law, len(census)),
         _info("idempotents.central", law, central),
         _info("idempotents.primitive", law, primitive),
         _info("idempotents.decompose-one", law, named),
-        _verdict("idempotents.partition-of-one", law, total == alg.one,
-                 f"{len(parts)} primitive parts sum to 1"
-                 if total == alg.one else
-                 f"parts sum to {total}, not 1"),
+        _verdict("idempotents.partition-of-one", law, partition,
+                 f"{len(parts)} primitive parts sum to 1" if partition else
+                 "parts are not orthogonal idempotents summing to 1"),
     ]
     return _report(ws, "idempotents", lines)
 
 
 def cmd_lcp_scan(ws: Workspace) -> Report:
-    pairs = ws.pairs
+    alg, pairs = ws.alg, ws.pairs
     law = "lcp-split"
-    lines = [CheckLine(f"lcp-scan.pair-{k:03d}", law, PASS,
-                       f"certificate {p.certificate}; |C| = {p.c.cardinality}, "
-                       f"|D| = {p.d.cardinality}")
+    lines = [_verdict(f"lcp-scan.pair-{k:03d}", law,
+                      certificate_splits(alg, p.c, p.d, p.certificate),
+                      f"certificate {p.certificate}; |C| = {p.c.cardinality}, "
+                      f"|D| = {p.d.cardinality}")
              for k, p in enumerate(pairs)]
-    lines.append(_verdict("lcp-scan.count", law, True,
-                          f"{len(pairs)} complementary pairs"))
+    status, witness = pairs_match_idempotents(ws)
+    lines.append(_verdict("lcp-scan.count", law, status == PASS,
+                          f"{len(pairs)} complementary pairs"
+                          if status == PASS else witness))
     return _report(ws, "lcp scan", lines)
 
 
@@ -130,15 +132,14 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
         pc, pd = refine_certificate(c, d, ws.idempotents)
         lines.append(_info("lcp-verify.refinement", law,
                            f"C parts {pc}; D parts {pd}"))
-        he = hat_equivalence(c, d)
-        lines.append(_verdict("lcp-verify.hat-sizes", "hat-transfer",
-                              he.sizes_match,
+        sizes, image = hat_transfer(ws, c, d)
+        lines.append(_verdict("lcp-verify.hat-sizes", "hat-transfer", sizes,
                               f"|C| = {c.cardinality} vs |dual(D)|"))
-        if he.central:
-            lines.append(_verdict("lcp-verify.hat-image", "hat-transfer",
-                                  bool(he.hat_image_matches),
-                                  "central certificate; inversion image "
-                                  "of C equals dual(D)"))
+        if alg.is_central(e):
+            lines.append(_verdict("lcp-verify.hat-image", "hat-transfer", image,
+                                  "central certificate; inversion image of "
+                                  f"C {'equals' if image else 'differs from'} "
+                                  "dual(D)"))
         else:
             lines.append(_info("lcp-verify.hat-image", "hat-transfer",
                                "certificate not central; no image claim"))
@@ -156,6 +157,8 @@ def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
         _verdict("lcp-residue.biconditional", law, rt.biconditional,
                  "base and residue complementarity agree"
                  if rt.biconditional else
+                 "base pair complementary but residue pair is not"
+                 if rt.lcp_base else
                  "residue pair complementary but base pair is not"),
         _info("lcp-residue.residue-certificate", law,
               rt.residue_certificate if rt.residue_certificate is not None

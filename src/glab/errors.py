@@ -18,9 +18,9 @@ class ParseError(GlabError):
 
 
 class FalsificationError(GlabError):
-    """An identity that must hold on every instance failed.
+    """A ring failed a construction audit of an identity that must hold.
 
-    This is the loudest error in the package: it means either an
-    implementation bug or a counterexample to a law the whole design
-    rests on. The message carries the witness.
+    Raised only while a ring's structure is built (radical, residue
+    quotient); the laws of the algebra are counted by the law matrix
+    instead. The message carries the witness.
     """

@@ -271,26 +271,31 @@ def _size(spec: RingSpec) -> tuple[Counter, bool]:
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
-def _past_limit(size: Counter) -> bool:
-    """Whether the product of the powers b^e exceeds TABLE_LIMIT, decided
+def _past_limit(size: Counter, limit: int = TABLE_LIMIT) -> bool:
+    """Whether the product of the powers b^e exceeds the limit, decided
     without expanding it."""
     card = 1
     for b, e in size.items():
         for _ in range(e if b >= 2 else 0):   # card at least doubles
             card *= b
-            if card > TABLE_LIMIT:
+            if card > limit:
                 return True
     return False
+
+
+def _powers(size: Counter) -> str:
+    """The product of the powers b^e as text, never expanded."""
+    return " * ".join(f"{b}^{e}" if e > 1 else str(b)
+                      for b, e in size.items() if e)
 
 
 def _check_card(label: str, size: Counter, exact: bool = True) -> None:
     """Reject a ring past TABLE_LIMIT without expanding its size, which
     is printed as powers b^e; a lower bound prints as "at least"."""
     if _past_limit(size):
-        text = " * ".join(f"{b}^{e}" if e > 1 else str(b)
-                          for b, e in size.items() if e)
-        raise ScaleError(f"{label}: {'' if exact else 'at least '}{text} "
-                         f"elements exceeds the dense-table limit {TABLE_LIMIT}")
+        raise ScaleError(f"{label}: {'' if exact else 'at least '}"
+                         f"{_powers(size)} elements exceeds the dense-table "
+                         f"limit {TABLE_LIMIT}")
 
 
 def _build_zmod(spec: Zmod) -> Ring:

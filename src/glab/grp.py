@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .config import GROUP_AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
+from .finring import _past_limit, _powers
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +105,6 @@ class Group:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def __repr__(self) -> str:
         return f"Group({self.label}, order={self.order})"
 
@@ -127,18 +126,36 @@ def build_group(spec: GroupSpec) -> Group:
     raise TypeError(f"not a group spec: {spec!r}")
 
 
-def _check_order(kind: str, order: int) -> None:
-    """Reject a group larger than the audit limit before any table exists."""
-    if order > GROUP_AUDIT_LIMIT:
-        raise ScaleError(
-            f"{kind} of order {order} exceeds the limit {GROUP_AUDIT_LIMIT}")
+def _order(spec: GroupSpec) -> Counter:
+    """|G| as {b: e}, the product of the powers b^e, from the spec alone.
+    A symmetric degree out of range counts as 1; building it fails."""
+    if isinstance(spec, CyclicGroup):
+        return Counter({spec.n: 1})
+    if isinstance(spec, DihedralGroup):
+        return Counter({2 * spec.n: 1})
+    if isinstance(spec, SymmetricGroup):
+        return Counter({math.factorial(spec.n): 1} if 1 <= spec.n <= 4 else {})
+    if isinstance(spec, ProductGroup):
+        return sum((_order(f) for f in spec.factors), Counter())
+    if isinstance(spec, CayleyGroup):
+        return Counter({len(spec.table): 1})
+    raise TypeError(f"not a group spec: {spec!r}")
+
+
+def _check_order(kind: str, spec: GroupSpec) -> None:
+    """Reject a group larger than the audit limit before any table
+    exists; its order is printed as powers b^e, never expanded."""
+    order = _order(spec)
+    if _past_limit(order, GROUP_AUDIT_LIMIT):
+        raise ScaleError(f"{kind} of order {_powers(order)} exceeds the "
+                         f"limit {GROUP_AUDIT_LIMIT}")
 
 
 def _build_cyclic(spec: CyclicGroup) -> Group:
     n = spec.n
     if n < 1:
         raise ConstructionError(f"cyclic order must be positive, got {n}")
-    _check_order("cyclic group", n)
+    _check_order("cyclic group", spec)
     idx = np.arange(n, dtype=np.int64)
     mul = ((idx[:, None] + idx[None, :]) % n).astype(np.int32)
     names = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
@@ -150,7 +167,7 @@ def _build_dihedral(spec: DihedralGroup) -> Group:
     if n < 1:
         raise ConstructionError(f"dihedral parameter must be positive, got {n}")
     order = 2 * n
-    _check_order("dihedral group", order)
+    _check_order("dihedral group", spec)
     # index j*n + i encodes r^i s^j; s r = r^(-1) s
     mul = np.zeros((order, order), dtype=np.int32)
     for j1 in range(2):
@@ -210,9 +227,9 @@ def _build_symmetric(spec: SymmetricGroup) -> Group:
 def _build_product(spec: ProductGroup) -> Group:
     if not spec.factors:
         raise ConstructionError("product group needs at least one factor")
+    _check_order("product group", spec)
     groups = [build_group(f) for f in spec.factors]
     order = math.prod(g.order for g in groups)
-    _check_order("product group", order)
     idx = np.arange(order, dtype=np.int64)
     mul = np.zeros((order, order), dtype=np.int64)
     w = 1
@@ -240,7 +257,7 @@ def _build_cayley(spec: CayleyGroup) -> Group:
     order = mul.shape[0]
     if order < 1:
         raise ConstructionError("cayley table must be nonempty")
-    _check_order("cayley table", order)
+    _check_order("cayley table", spec)
     if mul.min() < 0 or mul.max() >= order:
         raise ConstructionError("cayley table entries out of range")
     ar = np.arange(order, dtype=np.int32)

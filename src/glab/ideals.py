@@ -11,11 +11,10 @@ put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
 all c in C}, which for right ideals equals the involution image of
 the left annihilator. Left ideals put their elements in the first
 slot: dual(C) = {a : <c, a> = 0}, the involution image of the right
-annihilator. Both identities hold with no commutativity assumption
-and are used as cross-audits; the mirrored orientation is what makes
-the size product law hold on both sides. Over a noncommutative base
-ring the dual of a one-sided ideal need not be one-sided; the result
-then carries no side claim.
+annihilator. Both identities hold with no commutativity assumption;
+the mirrored orientation is what makes the size product law hold on
+both sides. Over a noncommutative base ring the dual of a one-sided
+ideal need not be one-sided; the result then carries no side claim.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .config import DEFAULT_CENSUS_BOUND
-from .errors import ConstructionError, FalsificationError, ScaleError
-from .finring import frobenius, structure
+from .errors import ConstructionError, ScaleError
+from .finring import structure
 from .galg import GroupAlgebra
 
 
@@ -73,12 +72,6 @@ class CodeSet:
 
     def same_set(self, other: "CodeSet") -> bool:
         return self.alg is other.alg and np.array_equal(self.mask, other.mask)
-
-    def is_zero(self) -> bool:
-        return self._card == 1
-
-    def is_full(self) -> bool:
-        return self._card == self.alg.card
 
     def key(self) -> bytes:
         return np.packbits(self.mask, bitorder="little").tobytes()
@@ -221,46 +214,19 @@ def ideal_intersect(a: CodeSet, b: CodeSet) -> CodeSet:
 # ---------------------------------------------------------------------------
 # duals and annihilators
 
-def dual_code(code: CodeSet, check_wood: bool = True) -> CodeSet:
+def dual_code(code: CodeSet) -> CodeSet:
     """The orthogonal set of the code under the coefficientwise form.
 
     Right ideals and bare sets sit in the second slot ({a : <a,c> = 0});
     left ideals sit in the first ({a : <c,a> = 0}). Biadditivity
-    reduces the filter to an additive basis of the set. The result is
-    cross-audited against the annihilator identity for its side, and
-    the size product against the whole algebra is asserted for sided
-    inputs whenever the base ring is known to admit a generating
-    character.
+    reduces the filter to an additive basis of the set. The result
+    keeps the input's side when it is closed under that side.
     """
     alg = code.alg
     mask = np.ones(alg.card, dtype=bool)
     for b in code.basis:
         row = alg.form_row(b) if code.side == "left" else alg.form_col(b)
         mask &= row == 0
-    hat = alg.hat_all()
-
-    if code.side == "right":
-        ann = ann_left(code)
-    elif code.side == "left":
-        ann = ann_right(code)
-    else:
-        ann = None
-    if ann is not None:
-        hat_image = np.zeros(alg.card, dtype=bool)
-        hat_image[hat[ann.elements()]] = True
-        if not np.array_equal(mask, hat_image):
-            raise FalsificationError(
-                f"{alg.label}: dual of a {code.side} ideal differs from the "
-                f"involution image of its "
-                f"{'left' if code.side == 'right' else 'right'} annihilator")
-
-    if check_wood and code.side is not None:
-        if frobenius(alg.ring).status == "frobenius":
-            if code.cardinality * int(mask.sum()) != alg.card:
-                raise FalsificationError(
-                    f"{alg.label}: size product |C| * |dual| = "
-                    f"{code.cardinality} * {int(mask.sum())} != {alg.card}")
-
     out = CodeSet(alg, mask)
     if code.side is not None and side_closed(out, code.side):
         out = CodeSet(alg, mask, side=code.side)

@@ -3,8 +3,8 @@ decompositions of 1, and lifting along the coefficient radical.
 
 Everything here is exhaustive: idempotents come from a full scan of
 the squaring map, primitivity from a full scan against all other
-idempotents, and every lift or decomposition is re-verified after the
-fact, raising FalsificationError if a claimed law fails.
+idempotents. Lifts and decompositions are returned as computed; the
+law matrix in glab.verify re-checks them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_OP_BOUND
-from .errors import ConstructionError, FalsificationError, ScaleError
+from .errors import ConstructionError, ScaleError
 from .finring import structure
 from .galg import GroupAlgebra, ResidueMap
 
@@ -84,8 +84,7 @@ def decompose_idempotent(alg: GroupAlgebra, e: int,
 
     Greedy refinement, deterministic: each non-primitive part is split
     by the least idempotent below it, taken from the census `idems`.
-    The result is re-verified: parts are idempotent, pairwise
-    orthogonal both ways, primitive, and sum back to e.
+    split-refine.partition checks the parts of every certificate.
     """
     _require_idempotent(alg, e)
     parts: list[int] = [] if e == 0 else [e]
@@ -98,23 +97,7 @@ def decompose_idempotent(alg: GroupAlgebra, e: int,
         else:
             parts.append(f)
             parts.append(alg.sub(cur, f))
-    done.sort()
-
-    total = 0
-    for p in done:
-        total = alg.add(total, p)
-        if not is_idempotent(alg, p) or not is_primitive(alg, p, idems):
-            raise FalsificationError(
-                f"{alg.label}: refinement produced a non-primitive part")
-    if total != e:
-        raise FalsificationError(
-            f"{alg.label}: refinement parts do not sum back to the input")
-    for i, p in enumerate(done):
-        for q in done[i + 1:]:
-            if alg.mul(p, q) != 0 or alg.mul(q, p) != 0:
-                raise FalsificationError(
-                    f"{alg.label}: refinement parts are not orthogonal")
-    return done
+    return sorted(done)
 
 
 def decompose_one(alg: GroupAlgebra, idems: list[int]) -> list[int]:
@@ -138,8 +121,8 @@ def lift_idempotent(alg: GroupAlgebra, rm: ResidueMap, ebar: int) -> int:
 
     Starts from the coordinatewise least preimage and applies the
     cubic correction h -> 3h^2 - 2h^3, which at least squares the
-    nilpotency degree of the error each step. The result is re-checked
-    exactly: it must be idempotent and reduce to the input.
+    nilpotency degree of the error each step. radical-lift.iteration
+    checks that the result is idempotent and reduces to the input.
     """
     res = rm.residue
     if res.mul(ebar, ebar) != ebar:
@@ -154,11 +137,4 @@ def lift_idempotent(alg: GroupAlgebra, rm: ResidueMap, ebar: int) -> int:
         if nxt == h:
             break
         h = nxt
-    if not is_idempotent(alg, h):
-        raise FalsificationError(
-            f"{alg.label}: cubic iteration failed to reach an idempotent "
-            f"above {res.text(ebar)}")
-    if rm.reduce(h) != ebar:
-        raise FalsificationError(
-            f"{alg.label}: lifted idempotent does not reduce to its source")
     return h

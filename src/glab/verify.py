@@ -15,9 +15,11 @@ true.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -32,7 +34,7 @@ from .ideals import (CodeSet, _sumset, ann_left, ann_left_of_element,
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
-from .lcp import (LcpPair, is_lcp, lcp_certificate,
+from .lcp import (LcpPair, ResidueTransfer, is_lcp, lcp_certificate,
                   lcp_residue_correspondence, lcp_scan, refine_certificate)
 
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
@@ -101,7 +103,7 @@ class Workspace:
 
     @cached_property
     def pairs(self) -> list[LcpPair]:
-        return lcp_scan(self.right_ideals, self.idempotents)
+        return lcp_scan(self.right_ideals)
 
     @cached_property
     def refinements(self) -> list[tuple[list[int], list[int]]]:
@@ -165,9 +167,10 @@ def _needs_local_radical(law):
 
 
 def _tally(unit: str, checks: Iterable[tuple[str, bool]],
-           note: str = "") -> tuple[str, str]:
+           note: str = "", passed: str | None = None) -> tuple[str, str]:
     """Count (where, ok) checks: fail with the count of failures and the
-    first place one failed, or pass with the total (and the note)."""
+    first place one failed, or pass with the total (and the note), or
+    with `passed` when given."""
     total, bad, first = 0, 0, None
     for where, ok in checks:
         total += 1
@@ -176,7 +179,8 @@ def _tally(unit: str, checks: Iterable[tuple[str, bool]],
             first = first or where
     if bad:
         return (FAIL, f"{bad}/{total} {unit} fail; first at {first}")
-    return (PASS, f"checked {total} {unit}{note}")
+    return (PASS, passed if passed is not None else
+            f"checked {total} {unit}{note}")
 
 
 def _ideals(rows: Iterable[tuple[CodeSet, bool]]):
@@ -215,38 +219,62 @@ _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, 
     c.cardinality * ws.dual(c).cardinality == ws.alg.card)))
 
 
-def _certificate_agrees(ws: Workspace, a: CodeSet, b: CodeSet) -> bool:
-    """A certificate exists exactly for complementary pairs, and it is an
-    idempotent whose split regenerates both members."""
+def certificate_splits(alg: GroupAlgebra, c: CodeSet, d: CodeSet,
+                       e: int | None) -> bool:
+    """Whether e is an idempotent whose split (eRG, (1 - e)RG) is (C, D)."""
+    return (e is not None and is_idempotent(alg, e)
+            and span(alg, [e], c.side).same_set(c)
+            and span(alg, [alg.one_minus(e)], d.side).same_set(d))
+
+
+_lcp_biconditional = _each_pair(lambda ws, a, b: not is_lcp(a, b) or (
+    certificate_splits(ws.alg, a, b, lcp_certificate(a, b))))
+
+
+def pairs_match_idempotents(ws: Workspace):
+    """e -> (eRG, (1 - e)RG) maps the idempotents one to one onto the
+    complementary pairs: the split of each idempotent is the pair it
+    certifies, and each pair is the split of an idempotent."""
     alg = ws.alg
-    try:
-        e = lcp_certificate(a, b)
-    except ConstructionError:
-        return not is_lcp(a, b)
-    return (is_lcp(a, b) and is_idempotent(alg, e)
-            and span(alg, [e], "right").same_set(a)
-            and span(alg, [alg.one_minus(e)], "right").same_set(b))
+    certified = {(p.c.key(), p.d.key()): p.certificate for p in ws.pairs}
+    splits = {e: (span(alg, [e], "right").key(),
+                  span(alg, [alg.one_minus(e)], "right").key())
+              for e in ws.idempotents}
+    split_set = set(splits.values())
+    return _tally("idempotents and pairs", chain(
+        ((f"idempotent {e}", certified.get(key) == e)
+         for e, key in splits.items()),
+        ((f"pair {k}", (p.c.key(), p.d.key()) in split_set)
+         for k, p in enumerate(ws.pairs))),
+        passed=f"{len(ws.pairs)} complementary pairs = "
+               f"{len(ws.idempotents)} idempotents")
 
 
-_lcp_biconditional = _each_pair(_certificate_agrees)
+def is_partition_of_one(alg: GroupAlgebra, parts: list[int]) -> bool:
+    """Idempotents, pairwise orthogonal both ways, summing to 1."""
+    return (reduce(alg.add, parts, 0) == alg.one
+            and all(is_idempotent(alg, p) for p in parts)
+            and all(alg.mul(p, q) == 0 for i, p in enumerate(parts)
+                    for j, q in enumerate(parts) if i != j))
 
 
-def _lcp_pair_count(ws: Workspace):
-    pairs, idems = len(ws.pairs), len(ws.idempotents)
-    if pairs != idems:
-        return (FAIL, f"{pairs} complementary pairs != {idems} idempotents")
-    return (PASS, f"{pairs} complementary pairs = {idems} idempotents")
+def _direct_sum(alg: GroupAlgebra, code: CodeSet, parts: list[int]) -> bool:
+    """The parts regenerate the member, as the direct sum of their spans."""
+    return (span(alg, parts, code.side).same_set(code)
+            and math.prod(span(alg, [p], code.side).cardinality
+                          for p in parts) == code.cardinality)
 
 
 def _refine_partition(ws: Workspace):
     alg = ws.alg
-    for pair, (pc, pd) in zip(ws.pairs, ws.refinements):
-        if reduce(alg.add, pc + pd, 0) != alg.one:
-            return (FAIL, f"refined parts of certificate {pair.certificate} "
-                          f"do not sum to 1")
     parts = sum(len(pc) + len(pd) for pc, pd in ws.refinements)
-    return (PASS, f"refined {len(ws.pairs)} certificates into "
-                  f"{parts} primitive parts")
+    return _tally("complementary pairs", (
+        (f"pair {k} (certificate {pair.certificate})",
+         is_partition_of_one(alg, pc + pd) and _direct_sum(alg, pair.c, pc)
+         and _direct_sum(alg, pair.d, pd))
+        for k, (pair, (pc, pd)) in enumerate(zip(ws.pairs, ws.refinements))),
+        passed=f"refined {len(ws.pairs)} certificates into {parts} "
+               f"primitive parts")
 
 
 @_needs_frobenius
@@ -265,21 +293,38 @@ _idem_dual_formula = _needs_frobenius(lambda ws: _tally("idempotents", (
     for e in ws.idempotents)))
 
 
+def hat_transfer(ws: Workspace, c: CodeSet, d: CodeSet) -> tuple[bool, bool]:
+    """Whether |C| = |dual(D)|, and whether the inversion image of C is
+    dual(D): sizes always match, images when the certificate is central."""
+    dual = ws.dual(d)
+    return (c.cardinality == dual.cardinality,
+            bool(np.array_equal(ws.hat_image(c), dual.mask)))
+
+
 @_needs_frobenius
 def _hat_central_image(ws: Workspace):
     central = [p for p in ws.pairs if ws.alg.is_central(p.certificate)]
     return _tally("central certificates", (
-        (f"certificate {p.certificate}",
-         np.array_equal(ws.hat_image(p.c), ws.dual(p.d).mask))
+        (f"certificate {p.certificate}", hat_transfer(ws, p.c, p.d)[1])
         for p in central), note=f" of {len(ws.pairs)} pairs")
 
 
 _hat_size = _needs_frobenius(lambda ws: _tally("complementary pairs", (
-    (f"certificate {p.certificate}",
-     p.c.cardinality == ws.dual(p.d).cardinality) for p in ws.pairs)))
+    (f"certificate {p.certificate}", hat_transfer(ws, p.c, p.d)[0])
+    for p in ws.pairs)))
+
+
+def _forward(rm: ResidueMap, rt: ResidueTransfer) -> bool:
+    """A complementary base pair projects to a complementary pair split
+    by the reduced certificate, and is the split of the lifted one."""
+    return not rt.lcp_base or bool(
+        rt.lcp_residue and rt.members_idempotent_generated
+        and rt.certificate is not None
+        and rm.reduce(rt.certificate) == rt.residue_certificate)
+
 
 _residue_forward = _needs_local_radical(lambda ws: _tally("ideal pairs", (
-    (f"pair ({i}, {j})", rt.lcp_residue or not rt.lcp_base)
+    (f"pair ({i}, {j})", _forward(ws.residue, rt))
     for i, j, rt in ws.residue_rows)))
 
 _residue_biconditional = _needs_local_radical(lambda ws: _tally(
@@ -298,16 +343,22 @@ def _residue_restricted(ws: Workspace):
 
 @_needs_local_radical
 def _radical_lift(ws: Workspace):
+    """Each residue idempotent lifts to an idempotent reducing to it, and
+    the lifted certificate of each complementary residue pair splits RG
+    into a complementary pair projecting onto it."""
     alg = ws.alg
     rm = ws.residue
     residue_idems = enumerate_idempotents(rm.residue, bound=ws.built.bound)
-    for ebar in residue_idems:
-        lifted = lift_idempotent(alg, rm, ebar)
-        if not is_idempotent(alg, lifted) or rm.reduce(lifted) != ebar:
-            return (FAIL, f"residue idempotent {ebar} lifted badly")
+    lifts = [lift_idempotent(alg, rm, ebar) for ebar in residue_idems]
     f = ws.ring_structure.nilpotency_index
-    return (PASS, f"lifted {len(residue_idems)} residue idempotents in "
-                  f"<= {max(f - 1, 1)} iterations")
+    return _tally("lifts", chain(
+        ((f"residue idempotent {ebar}",
+          is_idempotent(alg, h) and rm.reduce(h) == ebar)
+         for ebar, h in zip(residue_idems, lifts)),
+        ((f"pair ({i}, {j})", rt.lift_splits is not False)
+         for i, j, rt in ws.residue_rows)),
+        passed=f"lifted {len(residue_idems)} residue idempotents in "
+               f"<= {max(f - 1, 1)} iterations")
 
 
 @_needs_frobenius
@@ -315,8 +366,8 @@ def _checkable_ann_principal(ws: Workspace):
     verdicts = ws.checkable_census.verdicts
     checkable = sum(v.checkable for _, v in verdicts)
     return _tally("right ideals", _ideals(
-        (c, (v.check_element is None) == (v.ann_generator is None))
-        for c, v in verdicts), note=f"; {checkable} checkable")
+        (c, v.ann_route_agrees) for c, v in verdicts),
+        note=f"; {checkable} checkable")
 
 
 _checkable_dual_principal = _needs_frobenius(lambda ws: _tally(
@@ -331,10 +382,12 @@ def _block_intersection(ws: Workspace):
     parts = ws.parts_of_one
     if not all(ws.alg.is_central(p) for p in parts):
         return (SKIP, "the canonical refinement of 1 is not central")
-    blocks = sum(ann_intersection_check(c, parts).status == "ok"
-                 for c in ws.right_ideals)
-    return (PASS, f"{blocks} block sums of {len(ws.right_ideals)} "
-                  f"right ideals verified")
+    rows = [(c, ann_intersection_check(c, parts).status)
+            for c in ws.right_ideals]
+    blocks = sum(status == "ok" for _, status in rows)
+    return _tally("right ideals", _ideals(
+        (c, status != "form-fails") for c, status in rows),
+        passed=f"{blocks} block sums of {len(rows)} right ideals verified")
 
 
 # The annihilator identities come in left/right mirror pairs; each
@@ -375,7 +428,7 @@ LAW_TABLE: list[tuple[str, str, Callable]] = [
         ("dual-lattice.meet-join", _dual_meet_join),
         ("dual-lattice.size-product", _dual_size_product),
         ("lcp-split.biconditional", _lcp_biconditional),
-        ("lcp-split.pair-idempotent-count", _lcp_pair_count),
+        ("lcp-split.pair-idempotent-count", pairs_match_idempotents),
         ("split-refine.partition", _refine_partition),
         ("split-refine.dual-of-sum", _refine_dual_of_sum),
         ("idem-dual.formula", _idem_dual_formula),

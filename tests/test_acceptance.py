@@ -19,7 +19,7 @@ from glab.errors import ConstructionError
 from glab.fixtures import desk_algebra, upper_triangular
 from glab.finring import frobenius
 from glab.grp import CayleyGroup, build_group
-from glab.idem import enumerate_idempotents, is_idempotent
+from glab.idem import is_idempotent
 from glab.ideals import dual_code, enumerate_ideals, span
 from glab.instance import build_instance, load_instance
 from glab.lcp import is_lcp, lcp_certificate, lcp_scan
@@ -278,8 +278,7 @@ def test_10_negative_controls():
         assert verdict.status == "not-frobenius" and verdict.character is None
 
         alg = desk_algebra("f2c2")
-        pairs = lcp_scan(enumerate_ideals(alg, "right"),
-                         enumerate_idempotents(alg))
+        pairs = lcp_scan(enumerate_ideals(alg, "right"))
         assert len(pairs) == 2
         sizes = sorted((p.c.cardinality, p.d.cardinality) for p in pairs)
         assert sizes == [(1, 4), (4, 1)]

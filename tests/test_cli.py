@@ -174,6 +174,16 @@ def test_huge_field_exits_three(tmp_path):
     assert "GF(2^15000): 2^15000 elements exceeds" in r.stderr
 
 
+def test_huge_product_group_exits_three(tmp_path):
+    # 2^15000 again, as the order of a product of 15,000 groups of order 2
+    spec = tmp_path / "prod.glab"
+    spec.write_text("ring = zmod(2)\ngroup = product("
+                    + ", ".join(["cyclic(2)"] * 15000) + ")\n")
+    r = glab("ring-info", str(spec))
+    assert r.returncode == 3, r.stderr
+    assert "product group of order 2^15000 exceeds the limit 256" in r.stderr
+
+
 def test_census_bound_flag_tightens():
     r = glab("verify-all", "fixtures/f3c2.glab", "--census-bound", "2")
     assert r.returncode == 3

@@ -162,6 +162,8 @@ def test_fixture_files_name_expected_objects():
 
 
 _HUGE_FIELD = f"polyquot(2, [{', '.join(['1'] * 15001)}])"
+# order 2^15000, more digits than Python prints
+_HUGE_PRODUCT = f"product({', '.join(['cyclic(2)'] * 15000)})"
 
 
 @pytest.mark.parametrize("ring, group", [
@@ -178,6 +180,8 @@ _HUGE_FIELD = f"polyquot(2, [{', '.join(['1'] * 15001)}])"
     # a radical quotient counts as at least 2 before its base is built
     ("product(radical_quotient(zmod(4096)), zmod(4096), zmod(4))", "cyclic(1)"),
     ("matrix(4, radical_quotient(zmod(4096)))", "cyclic(1)"),
+    # every factor was built before the product's order was known
+    pytest.param("zmod(2)", _HUGE_PRODUCT, id="product-of-15000-factors"),
 ])
 def test_oversized_specs_rejected_before_allocation(ring, group):
     d = parse_instance(f"ring = {ring}\ngroup = {group}\n")

@@ -1,17 +1,22 @@
 """Complementary pairs: detection, certificates, refinement, transfer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from glab.errors import ConstructionError, FalsificationError
+from glab.errors import ConstructionError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import enumerate_idempotents
-from glab.ideals import CodeSet, dual_code, enumerate_ideals, span
-from glab.lcp import (complement_pair, hat_equivalence, is_lcp,
-                      lcp_certificate, lcp_residue_correspondence, lcp_scan,
-                      project_code, refine_certificate)
+from glab.ideals import CodeSet, enumerate_ideals, span
+from glab.instance import build_instance, load_instance
+from glab.lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
+                      lcp_scan, project_code, refine_certificate)
+from glab.verify import Workspace, certificate_splits, hat_transfer
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _alg(ring_spec, group_spec):
@@ -19,7 +24,11 @@ def _alg(ring_spec, group_spec):
 
 
 def _scan(alg, side="right"):
-    return lcp_scan(enumerate_ideals(alg, side), enumerate_idempotents(alg))
+    return lcp_scan(enumerate_ideals(alg, side))
+
+
+def _workspace(name):
+    return Workspace(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))))
 
 
 def _refine(c, d):
@@ -89,13 +98,18 @@ def test_pair_needs_matching_sides(f3c2):
 def test_complement_pair_roundtrip(f3c2, m2c2):
     for alg in (f3c2, m2c2):
         for e in enumerate_idempotents(alg):
-            c, d = complement_pair(alg, e)
-            assert lcp_certificate(c, d) == e
+            c = span(alg, [e], "right")
+            d = span(alg, [alg.one_minus(e)], "right")
+            assert is_lcp(c, d) and lcp_certificate(c, d) == e
+            assert certificate_splits(alg, c, d, e)
 
 
 def test_complement_pair_rejects_non_idempotent(f3c2):
-    with pytest.raises(ConstructionError):
-        complement_pair(f3c2, 2)
+    c, d = span(f3c2, [8], "right"), span(f3c2, [5], "right")
+    assert certificate_splits(f3c2, c, d, 8)
+    assert not certificate_splits(f3c2, c, d, None)
+    assert not certificate_splits(f3c2, d, c, 8)
+    assert not certificate_splits(f3c2, c, d, 2)    # not idempotent
 
 
 def test_noncommutative_pair(m2c2):
@@ -166,29 +180,33 @@ def test_refine_matrix_pair(m2c2):
 # ---------------------------------------------------------------------------
 # involution equivalence
 
-def test_hat_equivalence_frozen_f3c2(f3c2):
-    he = hat_equivalence(span(f3c2, [8], "right"), span(f3c2, [5], "right"))
-    assert he.certificate == 8
-    assert he.central and he.sizes_match and he.hat_image_matches
+def test_hat_equivalence_frozen_f3c2():
+    ws = _workspace("f3c2")
+    c, d = span(ws.alg, [8], "right"), span(ws.alg, [5], "right")
+    assert lcp_certificate(c, d) == 8 and ws.alg.is_central(8)
+    assert hat_transfer(ws, c, d) == (True, True)
 
 
-def test_hat_equivalence_dichotomy_f2s3(f2s3):
+def test_hat_equivalence_dichotomy_f2s3():
+    ws = _workspace("f2s3")
     central_ok, noncentral_miss = 0, 0
-    for p in _scan(f2s3):
-        he = hat_equivalence(p.c, p.d)
-        assert he.sizes_match
-        if he.central:
-            assert he.hat_image_matches
+    for p in ws.pairs:
+        sizes, image = hat_transfer(ws, p.c, p.d)
+        assert sizes
+        if ws.alg.is_central(p.certificate):
+            assert image
             central_ok += 1
-        elif not he.hat_image_matches:
+        elif not image:
             noncentral_miss += 1
     assert central_ok == 4
     assert noncentral_miss == 12  # every noncentral certificate misses
 
 
-def test_hat_equivalence_sizes_always(m2c2):
-    for p in _scan(m2c2):
-        assert hat_equivalence(p.c, p.d).sizes_match
+def test_hat_equivalence_sizes_always():
+    ws = _workspace("m2f2c2")
+    assert len(ws.pairs) == 26
+    for p in ws.pairs:
+        assert hat_transfer(ws, p.c, p.d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +244,9 @@ def test_residue_biconditional_genuinely_fails_raw():
 
 
 def test_residue_transfer_all_pairs_local(z4c3):
-    # The asserted laws hold over every ideal pair; the raw
-    # biconditional fails exactly on the frozen number of pairs, all
-    # flagged as not idempotent-generated.
+    # The lifted split of every complementary residue pair is
+    # complementary over it; the raw biconditional fails exactly on the
+    # frozen number of pairs, all flagged as not idempotent-generated.
     from glab.fixtures import chain_square_zero
     expected = {
         "Z4C2": 4,
@@ -244,6 +262,7 @@ def test_residue_transfer_all_pairs_local(z4c3):
         for c in census:
             for d in census:
                 t = lcp_residue_correspondence(c, d, rm)
+                assert t.lift_splits is not False
                 if not t.biconditional:
                     violations += 1
                     assert t.lcp_residue and not t.lcp_base

@@ -7,21 +7,25 @@ Every map the algebra exposes is compared against them. Every sum of
 two members of the ideal census, formed with the ring's addition, must
 be a member again. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
-cyclic-code theory.
+cyclic-code theory. The law matrix must report the same statuses and
+counts on an algebra whose group and ring elements are relabelled.
 """
 
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glab.config import DEFAULT_CENSUS_BOUND
-from glab.finring import Zmod, build_ring
+from glab.finring import TableRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
-from glab.grp import CyclicGroup, build_group
+from glab.grp import CayleyGroup, CyclicGroup, build_group
 from glab.ideals import enumerate_ideals
 from glab.idem import enumerate_idempotents
-from glab.instance import build_instance, load_instance
+from glab.instance import InstanceDescription, build_instance, load_instance
+from glab.verify import Workspace, verify_all
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -164,3 +168,57 @@ def test_z4_cyclic_counts(n, ideals, idempotents):
     alg = _cyclic_algebra(4, n)
     assert len(enumerate_ideals(alg, "right", bound=alg.card)) == ideals
     assert len(enumerate_idempotents(alg)) == idempotents
+
+
+# ---------------------------------------------------------------------------
+# relabelling invariance
+
+def _relabelled_group(spec, perm):
+    """The group as a Cayley table whose element a is renamed perm[a]."""
+    g = build_group(spec)
+    table = np.empty_like(g.mul)
+    table[np.ix_(perm, perm)] = perm[g.mul]
+    return CayleyGroup(tuple(map(tuple, table.tolist())), label=g.label)
+
+
+def _relabelled_ring(spec, matrix):
+    """The table ring with its elements moved by the additive automorphism
+    c -> matrix @ c of their coordinate vectors (one modulus throughout)."""
+    moduli, card = spec.moduli, len(spec.mul)
+    m = moduli[0]
+    weights = np.cumprod((1,) + moduli[:-1])
+    coords = (np.arange(card)[:, None] // weights) % m
+    phi = ((coords @ np.array(matrix).T) % m) @ weights
+    assert sorted(phi) == list(range(card))
+    mul = np.empty((card, card), dtype=np.int64)
+    mul[np.ix_(phi, phi)] = phi[np.array(spec.mul)]
+    return TableRing(moduli, tuple(map(tuple, mul.tolist())), spec.label)
+
+
+def _statuses_and_counts(desc):
+    """Each verify-all line with the place of its first failure dropped:
+    indices of elements and ideals move under relabelling, counts do not."""
+    report = verify_all(Workspace(build_instance(desc)))
+    return [(l.check_id, l.status, re.sub(r"; first at .*", "", l.witness))
+            for l in report.lines]
+
+
+_AUTOMORPHISMS = {
+    "f2x2c2": [[0, 1], [1, 1]],
+    "ut2c1": [[0, 1, 1], [1, 0, 0], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", ["f2s3", "m2f2c2", "z4c3", "f2x2c2", "ut2c1"])
+def test_verify_all_is_invariant_under_relabelling(name):
+    desc = load_instance(str(FIXTURES / f"{name}.glab"))
+    desc = InstanceDescription(ring=desc.ring, group=desc.group)
+    perm = np.arange(build_group(desc.group).order)[::-1]
+    moved = replace(desc, group=_relabelled_group(desc.group, perm))
+    if name in _AUTOMORPHISMS:
+        moved = replace(moved, ring=_relabelled_ring(desc.ring,
+                                                     _AUTOMORPHISMS[name]))
+    # the identity moves, so every element index changes meaning
+    alg, other = (build_instance(d).algebra for d in (desc, moved))
+    assert alg.one != other.one
+    assert _statuses_and_counts(moved) == _statuses_and_counts(desc)

@@ -1,15 +1,19 @@
 """The law matrix: statuses, witnesses, gating, determinism."""
 
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import glab
 import glab.chk
 import glab.ideals
 import glab.idem
 import glab.lcp
+import glab.verify
 from glab.errors import ScaleError
+from glab.galg import GroupAlgebra
 from glab.ideals import dual_code
 from glab.instance import build_instance, load_instance
 from glab.verify import FAIL, LAW_TABLE, PASS, Workspace, _tally, verify_all
@@ -174,6 +178,15 @@ def test_shared_work_runs_once(monkeypatch):
     assert len(ws.pairs) == 4 and len(refine) == 4
 
 
+def test_pair_commands_build_no_census(monkeypatch):
+    # lcp verify judges one named pair: no census, no pair scan
+    from glab.cli import cmd_lcp_verify
+    census = _count_calls(monkeypatch, glab.ideals.enumerate_ideals)
+    scans = _count_calls(monkeypatch, glab.lcp.lcp_scan)
+    rep = cmd_lcp_verify(_workspace("m2f2c2"), ("C", "D"))
+    assert not rep.failed and census == [] and scans == []
+
+
 def test_tally_counts_failures_and_first_witness():
     checks = [(f"element {u}", u not in (3, 7)) for u in range(9)]
     assert _tally("elements", checks) == (
@@ -191,9 +204,66 @@ def test_dual_cache_keys_on_side(name):
     rights = {c.key(): c for c in ws.right_ideals}
     two_sided = [(rights[c.key()], c) for c in ws.left_ideals
                  if c.key() in rights]
-    assert len(two_sided) >= 3 and two_sided[0][0].is_zero()
+    assert len(two_sided) >= 3 and two_sided[0][0].cardinality == 1
     for as_right, as_left in two_sided:
         for code in (as_right, as_left):
             got, want = ws.dual(code), dual_code(code)
             assert got.side == want.side == code.side
             assert got.same_set(want)
+
+
+# ---------------------------------------------------------------------------
+# mutations: a broken computation fails the law that owns it, with a count
+
+_COUNTED = re.compile(r"^\d+/\d+ .+ fail; first at ")
+
+
+def _fails(report):
+    """The fail lines by check id; no line may carry a raw exception
+    message, which would start with the algebra's label."""
+    raw = [l.check_id for l in report.lines
+           if l.witness.startswith(f"{report.algebra_label}:")]
+    assert raw == []
+    return {l.check_id: l.witness for l in report.lines if l.status == FAIL}
+
+
+def test_dropped_pair_fails_the_pair_count(monkeypatch):
+    scan = glab.lcp.lcp_scan
+    monkeypatch.setattr(glab.verify, "lcp_scan", lambda *args: scan(*args)[:-1])
+    fails = _fails(_report("f3c2"))
+    assert list(fails) == ["lcp-split.pair-idempotent-count"]
+    assert fails["lcp-split.pair-idempotent-count"] == (
+        "1/7 idempotents and pairs fail; first at idempotent 1")
+
+
+def test_dropped_refinement_part_fails_the_partition(monkeypatch):
+    refine = glab.lcp.refine_certificate
+
+    def broken(c, d, idems):
+        pc, pd = refine(c, d, idems)
+        return pc, pd[:-1]
+    monkeypatch.setattr(glab.verify, "refine_certificate", broken)
+    fails = _fails(_report("f2s3"))
+    # the dual-of-sum law reads the same parts of 1 - e
+    assert sorted(fails) == ["split-refine.dual-of-sum",
+                             "split-refine.partition"]
+    assert _COUNTED.match(fails["split-refine.partition"])
+    assert fails["split-refine.partition"].startswith("15/16 complementary pairs")
+
+
+def test_wrong_slot_dual_fails_the_dual_audit(monkeypatch):
+    # over a noncommutative base <x, b> and <b, x> differ, so a dual that
+    # filters on the first slot is not the involution image of Ann_l
+    monkeypatch.setattr(GroupAlgebra, "form_col", GroupAlgebra.form_row)
+    fails = _fails(_report("m2f2c2"))
+    assert _COUNTED.match(fails["checkable-routes.dual-hat-ann"])
+
+
+def test_only_construction_audits_raise_falsification():
+    # library functions compute and return; the law matrix counts
+    src = Path(glab.__file__).parent
+    raising = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+               if path.name != "finring.py"
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if "raise FalsificationError" in line]
+    assert raising == []
