@@ -13,13 +13,14 @@ says whether the routes agree; the checkable-routes laws count it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, ScaleError
 from .ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
-                     dual_code, is_principal, span)
+                     is_principal, span)
 
 
 @dataclass(frozen=True)
@@ -49,23 +50,30 @@ class CheckabilityVerdict:
 
 
 def _check_element(c: CodeSet) -> int | None:
-    """Least u with Ann_r(u) = C, by exhaustive scan."""
+    """Least u with Ann_r(u) = C, by exhaustive scan.
+
+    Ann_r(v*u) = Ann_r(u) for a unit v, so once u is scanned its
+    products v*u with the trivial units are skipped: each skipped
+    element has the annihilator of one scanned before it.
+    """
     alg = c.alg
     want = c.cardinality
+    seen = np.zeros(alg.card, dtype=bool)
     for u in alg.elements:
-        row = alg.mul_row(u)
-        zero = row == 0
-        if int(zero.sum()) != want:
+        if seen[u]:
             continue
-        if np.array_equal(zero, c.mask):
+        zero = alg.mul_row(u) == 0
+        if int(zero.sum()) == want and np.array_equal(zero, c.mask):
             return int(u)
+        seen[alg.mul_col(u)[alg.trivial_units]] = True
     return None
 
 
-def is_checkable(c: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CheckabilityVerdict:
+def is_checkable(c: CodeSet, dual: CodeSet,
+                 bound: int = DEFAULT_OP_BOUND) -> CheckabilityVerdict:
     """Decide checkability three ways: (i) exhaustive search for a
-    check element; (ii) principality of the dual as a right ideal;
-    (iii) principality of the left annihilator."""
+    check element; (ii) principality of `dual`, the dual of C, as a
+    right ideal; (iii) principality of the left annihilator."""
     alg = c.alg
     if c.side != "right":
         raise ConstructionError("checkability is defined for right ideals")
@@ -73,13 +81,12 @@ def is_checkable(c: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CheckabilityVerdi
         raise ScaleError(
             f"{alg.label}: check-element scan over {alg.card} elements "
             f"exceeds the bound {bound}")
-    d = dual_code(c)
-    dual_right = d.side == "right"
+    dual_right = dual.side == "right"
     return CheckabilityVerdict(
         check_element=_check_element(c),
         ann_generator=is_principal(ann_left(c)),
         dual_is_right_ideal=dual_right,
-        dual_generator=is_principal(d) if dual_right else None,
+        dual_generator=is_principal(dual) if dual_right else None,
     )
 
 
@@ -91,10 +98,12 @@ class CheckableCensus:
 
 
 def code_checkable_census(census: list[CodeSet],
+                          dual: Callable[[CodeSet], CodeSet],
                           bound: int) -> CheckableCensus:
     """The checkability verdict of every ideal in a full right-ideal
-    census, each check-element scan gated by `bound`."""
-    rows = [(c, is_checkable(c, bound)) for c in census]
+    census, with each ideal's dual from `dual` and each check-element
+    scan gated by `bound`."""
+    rows = [(c, is_checkable(c, dual(c), bound)) for c in census]
     return CheckableCensus(
         algebra_label=census[0].alg.label,
         all_checkable=all(v.checkable for _, v in rows),

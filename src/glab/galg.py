@@ -9,10 +9,18 @@ The encoding stays in this module. Every product, sum and form comes
 from one of three kernels on coefficient arrays that broadcast over
 leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
-modules work on element indices only. Each left or right
-multiplication map is computed at most once per algebra and kept,
-read-only, while the stored maps fit in MAP_MEMO_BYTES; past that
-budget a map is recomputed on each call.
+modules work on element indices only.
+
+Left and right multiplication maps come from the product kernel only
+for the trivial units T = {r*g : r a unit of R, g in G} and for one
+representative u of each two-sided orbit T*u*T. Storing u's map
+records, for every a = v*u*t of its orbit, the first (v, u, t) that
+reaches it, and the map of a is then gathered from the stored maps of
+v, u and t: a*x = v*(u*(t*x)) and x*a = ((x*v)*u)*t, by associativity.
+Product maps are kept, read-only, while they fit in MAP_MEMO_BYTES;
+gathered maps are not kept. Past the budget, orbits are no longer
+recorded, and a map that is neither stored nor in a recorded orbit is
+a product on each call; with a budget of 0 every map is.
 The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
@@ -21,12 +29,13 @@ simultaneous right translation, and nondegenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_OP_BOUND, MAP_MEMO_BYTES, max_elements
 from .errors import ConstructionError, ScaleError
-from .finring import Ring, radical_quotient
+from .finring import Ring, radical_quotient, structure
 from .grp import Group
 
 
@@ -61,6 +70,11 @@ class GroupAlgebra:
         self._rows: dict[int, np.ndarray] = {}
         self._cols: dict[int, np.ndarray] = {}
         self._memo_bytes = 0
+        # (v, u, t) with a = v*u*t per element a, u its orbit's
+        # representative; -1 until the orbit is recorded
+        self._via: np.ndarray | None = None
+        # the sides (left: rows) whose unit maps are all stored
+        self._units_done: set[bool] = set()
 
     # -- codec ---------------------------------------------------------------
     def decode(self, x: int) -> tuple[int, ...]:
@@ -157,10 +171,12 @@ class GroupAlgebra:
         """x + y; index arrays broadcast, as in a sumset."""
         return self._index(self._sum(self.coeffs[x], self.coeffs[y]))
 
-    def sub(self, x: int, y: int) -> int:
+    def sub(self, x, y):
+        """x - y; index arrays broadcast, as in add."""
         return self._index(self._sum(self.coeffs[x], self.ring.neg[self.coeffs[y]]))
 
-    def mul(self, x: int, y: int) -> int:
+    def mul(self, x, y):
+        """x * y; index arrays broadcast, as in add."""
         return self._index(self._product(self.coeffs[x], self.coeffs[y]))
 
     def one_minus(self, x: int) -> int:
@@ -183,19 +199,34 @@ class GroupAlgebra:
         return f"GroupAlgebra({self.label}, card={self.card})"
 
     # -- vectorized rows (one entry per element of RG) -------------------------
+    @cached_property
+    def trivial_units(self) -> list[int]:
+        """The units r*g, r a unit of R and g in G, r-major."""
+        return [int(r) * int(w) for r in structure(self.ring).units
+                for w in self._weights]
+
     def mul_row(self, a: int) -> np.ndarray:
-        """Indices of a * x for every x (read-only, memoized)."""
-        return self._memo(self._rows, int(a), self.coeffs[a], self.coeffs)
+        """Indices of a * x for every x (read-only)."""
+        return self._memo(self._rows, int(a), True)
 
     def mul_col(self, b: int) -> np.ndarray:
-        """Indices of x * b for every x (read-only, memoized)."""
-        return self._memo(self._cols, int(b), self.coeffs, self.coeffs[b])
+        """Indices of x * b for every x (read-only)."""
+        return self._memo(self._cols, int(b), False)
 
     def _memo(self, store: dict[int, np.ndarray], a: int,
-              cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+              left: bool) -> np.ndarray:
         out = store.get(a)
         if out is not None:
             return out
+        via = [-1, -1, -1] if self._via is None else self._via[a].tolist()
+        if via[1] not in (-1, a) and self._units_stored(store, left):
+            # a row applies t, then u, then v; a column v, then u, then t
+            v, u, t = via if left else via[::-1]
+            out = store[v].take(self._memo(store, u, left).take(store[t]))
+            out.setflags(write=False)
+            return out
+        cx, cy = (self.coeffs[a], self.coeffs) if left else (
+            self.coeffs, self.coeffs[a])
         # the smallest unsigned type that holds every index, whatever the cap
         out = self._index(self._product(cx, cy))
         out = out.astype(np.min_scalar_type(self.card - 1))
@@ -203,7 +234,46 @@ class GroupAlgebra:
         if self._memo_bytes + out.nbytes <= MAP_MEMO_BYTES:
             store[a] = out
             self._memo_bytes += out.nbytes
+            self._record_orbit(store, a, left)
         return out
+
+    def _units_stored(self, store: dict[int, np.ndarray], left: bool) -> bool:
+        """Store one side's unit maps, as products, if they all fit;
+        whether they are stored."""
+        if left in self._units_done:
+            return True
+        missing = [t for t in self.trivial_units if t not in store]
+        itemsize = np.min_scalar_type(self.card - 1).itemsize
+        size = len(missing) * self.card * itemsize
+        if self._memo_bytes + size > MAP_MEMO_BYTES:
+            return False
+        for t in missing:
+            self._memo(store, t, left)
+        self._units_done.add(left)
+        return True
+
+    def _record_orbit(self, store: dict[int, np.ndarray], u: int,
+                      left: bool) -> None:
+        """Make u the representative of its orbit T*u*T, unless the orbit
+        is recorded already or u is a unit (units are products)."""
+        if self._via is None:
+            self._via = np.full((self.card, 3), -1, dtype=np.int64)
+            self._via[self.trivial_units, 1] = self.trivial_units
+        if self._via[u, 1] >= 0 or not self._units_stored(store, left):
+            return
+        units = np.array(self.trivial_units, dtype=np.int64)
+        # inner is u*t over t for rows, v*u over v for columns; the map
+        # of a unit w on top of it is one line of the |T| x |T| table of
+        # v*u*t, with w as v for rows and as t for columns
+        inner = store[u][units]
+        outer, across = (0, 2) if left else (2, 0)
+        for w in units.tolist():
+            got, first = np.unique(store[w][inner], return_index=True)
+            new = self._via[got, 1] < 0
+            got = got[new]
+            self._via[got, outer] = w
+            self._via[got, 1] = u
+            self._via[got, across] = units[first[new]]
 
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""

@@ -25,7 +25,6 @@ import numpy as np
 
 from .config import DEFAULT_CENSUS_BOUND
 from .errors import ConstructionError, ScaleError
-from .finring import structure
 from .galg import GroupAlgebra
 
 
@@ -297,9 +296,6 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
         raise ScaleError(
             f"{alg.label}: ideal census over {alg.card} elements exceeds the "
             f"bound {bound}")
-    trivial_units = [alg.mul(alg.scalar_elem(r), alg.basis_elem(g))
-                     for r in structure(alg.ring).units
-                     for g in range(alg.group.order)]
     seen = np.zeros(alg.card, dtype=bool)
     found: dict[bytes, CodeSet] = {}
     for u in alg.elements:
@@ -307,7 +303,7 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
             continue
         c = principal(alg, u, side)
         found.setdefault(c.key(), c)
-        seen[_side_map(alg, u, side)[trivial_units]] = True
+        seen[_side_map(alg, u, side)[alg.trivial_units]] = True
     principals = list(found.values())
     by_card: dict[int, list[CodeSet]] = {}
     for c in principals:

@@ -47,13 +47,10 @@ def _sub_idempotent(alg: GroupAlgebra, e: int,
     Such an f splits e as f + (e - f), an orthogonal idempotent pair;
     its absence makes e primitive.
     """
-    row, col = alg.mul_row(e), alg.mul_col(e)
-    for f in idems:
-        if f == 0 or f == e:
-            continue
-        if row[f] == f and col[f] == f:
-            return f
-    return None
+    fs = np.array(idems, dtype=np.int64)
+    below = ((alg.mul(e, fs) == fs) & (alg.mul(fs, e) == fs)
+             & (fs != 0) & (fs != e))
+    return int(fs[below.argmax()]) if below.any() else None
 
 
 def is_primitive(alg: GroupAlgebra, e: int, idems: list[int]) -> bool:

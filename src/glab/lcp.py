@@ -51,8 +51,9 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
             f"{c.alg.label}: ideals of sizes {c.cardinality} and "
             f"{d.cardinality} are not a complementary pair")
     alg = c.alg
-    hits = [int(x) for x in c.elements() if d.contains(alg.one_minus(int(x)))]
-    return hits[0] if len(hits) == 1 else None
+    members = c.elements()
+    hits = members[d.mask[alg.sub(alg.one, members)]]
+    return int(hits[0]) if len(hits) == 1 else None
 
 
 @dataclass(frozen=True)

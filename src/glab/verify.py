@@ -113,7 +113,8 @@ class Workspace:
 
     @cached_property
     def checkable_census(self) -> CheckableCensus:
-        return code_checkable_census(self.right_ideals, self.built.bound)
+        return code_checkable_census(self.right_ideals, self.dual,
+                                     self.built.bound)
 
     @cached_property
     def residue(self) -> ResidueMap:
@@ -401,9 +402,17 @@ def _ann_of_element(side: str):
     """Ann_side(u) is the side annihilator of the other-sided span of u."""
     def law(ws: Workspace):
         alg = ws.alg
+        anns: dict[bytes, CodeSet] = {}   # annihilator by span, within the law
+
+        def ann_of_span(u: int) -> CodeSet:
+            s = span(alg, [u], _OTHER[side])
+            key = s.key()
+            if key not in anns:
+                anns[key] = _ANN[side](s)
+            return anns[key]
         return _tally("elements", (
-            (f"element {u}", _ANN_OF_ELEMENT[side](alg, u).same_set(
-                _ANN[side](span(alg, [u], _OTHER[side]))))
+            (f"element {u}",
+             _ANN_OF_ELEMENT[side](alg, u).same_set(ann_of_span(u)))
             for u in alg.elements))
     return law
 

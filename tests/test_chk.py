@@ -12,7 +12,8 @@ from glab.ideals import dual_code, enumerate_ideals, span
 
 
 def _census(alg):
-    return code_checkable_census(enumerate_ideals(alg), DEFAULT_OP_BOUND)
+    return code_checkable_census(enumerate_ideals(alg), dual_code,
+                                 DEFAULT_OP_BOUND)
 
 
 def _parts_of_one(alg):
@@ -59,8 +60,12 @@ def test_desk_registry_labels():
 # ---------------------------------------------------------------------------
 # single verdicts
 
+def _verdict(c, **kw):
+    return is_checkable(c, dual_code(c), **kw)
+
+
 def test_verdict_frozen_f2c2(f2c2):
-    v = is_checkable(span(f2c2, [3], "right"))
+    v = _verdict(span(f2c2, [3], "right"))
     assert v.checkable and v.consistency
     assert v.check_element == 3
     assert v.ann_generator == 3
@@ -69,12 +74,12 @@ def test_verdict_frozen_f2c2(f2c2):
 
 
 def test_zero_ideal_checked_by_identity(f2c2):
-    v = is_checkable(span(f2c2, [], "right"))
+    v = _verdict(span(f2c2, [], "right"))
     assert v.checkable and v.check_element == 1
 
 
 def test_full_ideal_checked_by_zero(f2c2):
-    v = is_checkable(span(f2c2, [1], "right"))
+    v = _verdict(span(f2c2, [1], "right"))
     assert v.checkable and v.check_element == 0
 
 
@@ -83,7 +88,7 @@ def test_non_checkable_ideal_exists_z4c2(z4c2):
     # check element; all three routes still agree that it has none
     c = span(z4c2, [10], "right")
     assert list(c.elements()) == [0, 10]
-    v = is_checkable(c)
+    v = _verdict(c)
     assert not v.checkable
     assert v.check_element is None and v.ann_generator is None
     assert v.dual_is_right_ideal and v.dual_generator is None
@@ -92,12 +97,12 @@ def test_non_checkable_ideal_exists_z4c2(z4c2):
 
 def test_checkability_needs_right_ideal(f2c2):
     with pytest.raises(ConstructionError, match="right ideals"):
-        is_checkable(span(f2c2, [3], "left"))
+        _verdict(span(f2c2, [3], "left"))
 
 
 def test_checkability_scale_gate(f2c2):
     with pytest.raises(ScaleError, match="exceeds the bound"):
-        is_checkable(span(f2c2, [3], "right"), bound=2)
+        _verdict(span(f2c2, [3], "right"), bound=2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 import glab.galg
 from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
+from glab.cli import main
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.instance import build_instance, load_instance
@@ -213,6 +214,27 @@ def test_zero_budget_stores_nothing(monkeypatch):
     assert alg.mul_row(5) is not alg.mul_row(5)
     assert not alg.mul_row(5).flags.writeable
     assert alg._rows == {} and alg._cols == {} and alg._memo_bytes == 0
+
+
+def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
+    # M2(Z2)C3 has 18 trivial units and 54 orbits T*u*T, one of them the
+    # units; without gathered maps the command computed 1,789 maps
+    products = Counter()
+    product = GroupAlgebra._product
+
+    def counting(self, cx, cy):
+        if cx.ndim == 1 and cy is self.coeffs:
+            products["row", self.encode(cx)] += 1
+        elif cy.ndim == 1 and cx is self.coeffs:
+            products["col", self.encode(cy)] += 1
+        return product(self, cx, cy)
+    monkeypatch.setattr(GroupAlgebra, "_product", counting)
+    assert main(["checkable", "census", str(FIXTURES / "m2f2c3.glab"),
+                 "--census-bound", "5000"]) == 1
+    assert "checkable-census.code-checkable  true" in capsys.readouterr().out
+    rows = sum(side == "row" for side, _ in products)
+    assert (rows, len(products) - rows) == (18 + 53, 67)
+    assert set(products.values()) == {1}
 
 
 def test_maps_hold_indices_past_uint16(monkeypatch):

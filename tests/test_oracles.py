@@ -3,7 +3,11 @@
 The product and the form are recomputed here from their definitions,
 out_g = sum over hk = g of x_h * y_k and <x, y> = sum over g of
 x_g * y_g, with the ring's scalar operations on decoded coefficients.
-Every map the algebra exposes is compared against them. Every sum of
+Every map the algebra exposes is compared against them, also when the
+maps are requested so that all but one per orbit of the trivial units
+are gathered, and with no map budget. The check-element, split-of-1
+and sub-idempotent scans are compared against brute force over the
+product table. Every sum of
 two members of the ideal census, formed with the ring's addition, must
 be a member again. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
@@ -11,20 +15,25 @@ cyclic-code theory. The law matrix must report the same statuses and
 counts on an algebra whose group and ring elements are relabelled.
 """
 
+import functools
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glab.galg
+from glab.chk import _check_element
 from glab.config import DEFAULT_CENSUS_BOUND
 from glab.finring import TableRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import CayleyGroup, CyclicGroup, build_group
 from glab.ideals import enumerate_ideals
-from glab.idem import enumerate_idempotents
+from glab.idem import _sub_idempotent, enumerate_idempotents
 from glab.instance import InstanceDescription, build_instance, load_instance
+from glab.lcp import lcp_certificate
 from glab.verify import Workspace, verify_all
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -62,14 +71,22 @@ _DESK = [p.stem for p in sorted(FIXTURES.glob("*.glab"))
          if "corrupt" not in p.name and p.stem != "m2f2c3"]
 
 
-@pytest.mark.parametrize("name", _DESK)
-def test_every_map_matches_the_definition(name):
+@functools.cache
+def _tables(name):
+    """The product and form tables of a desk algebra, from the definitions."""
     alg = _algebra(name)
     assert alg.card <= 256
     orc = Oracle(alg)
     every = list(alg.elements)
-    table = np.array([[orc.product(x, y) for y in every] for x in every])
-    forms = np.array([[orc.form(x, y) for y in every] for x in every])
+    return (np.array([[orc.product(x, y) for y in every] for x in every]),
+            np.array([[orc.form(x, y) for y in every] for x in every]))
+
+
+@pytest.mark.parametrize("name", _DESK)
+def test_every_map_matches_the_definition(name):
+    alg = _algebra(name)
+    every = list(alg.elements)
+    table, forms = _tables(name)
     assert np.array_equal(alg.square_all(), np.diagonal(table))
     rng = np.random.default_rng(61)
     for x in every:
@@ -97,6 +114,130 @@ def test_strided_maps_of_m2f2c3_match_the_definition():
         assert np.array_equal(alg.form_col(a), [orc.form(x, a) for x in every])
         assert alg.is_central(a) == (row == col)
         assert square[a] == row[a] == alg.mul(a, a)
+
+
+# ---------------------------------------------------------------------------
+# gathered maps: one product per two-sided orbit of the trivial units
+
+def _units(alg):
+    """r*g for r a unit of R and g in G, from the ring's scalar table."""
+    ring, n = alg.ring, alg.group.order
+    units = [r for r in ring.elements
+             if any(ring.m(r, s) == ring.one == ring.m(s, r)
+                    for s in ring.elements)]
+    return [alg.encode([r if h == g else 0 for h in range(n)])
+            for r in units for g in range(n)]
+
+
+def _orbit_reps(alg, product):
+    """The least element of the orbit T*a*T of each a, by brute force."""
+    units = _units(alg)
+    assert sorted(units) == sorted(alg.trivial_units)
+    reps = {}
+    for a in alg.elements:
+        if a not in reps:
+            for b in {product(product(v, a), t) for v in units for t in units}:
+                reps.setdefault(b, a)
+    return reps
+
+
+def _count_products(monkeypatch):
+    """Elements whose row or column is computed by the product kernel."""
+    products = Counter()
+    kernel = GroupAlgebra._product
+
+    def counting(self, cx, cy):
+        if cx.ndim == 1 and cy is self.coeffs:
+            products["row", self.encode(cx)] += 1
+        elif cy.ndim == 1 and cx is self.coeffs:
+            products["col", self.encode(cy)] += 1
+        return kernel(self, cx, cy)
+    monkeypatch.setattr(GroupAlgebra, "_product", counting)
+    return products
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@pytest.mark.parametrize("name", _DESK)
+def test_gathered_maps_match_the_definition(name, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(glab.galg, "MAP_MEMO_BYTES", budget)
+    built = _algebra(name)
+    # a fresh algebra: building the instance may already store maps
+    alg = GroupAlgebra(built.ring, built.group)
+    table, _ = _tables(name)
+    reps = _orbit_reps(alg, lambda x, y: int(table[x, y]))
+    products = _count_products(monkeypatch)
+    # each orbit's representative first, so every other map is gathered
+    order = sorted(set(reps.values())) + [a for a in alg.elements
+                                         if reps[a] != a]
+    for a in order:
+        row, col = alg.mul_row(a), alg.mul_col(a)
+        assert np.array_equal(row, table[a])
+        assert np.array_equal(col, table[:, a])
+        assert not row.flags.writeable and not col.flags.writeable
+    if budget == 0:
+        assert sum(products.values()) == 2 * alg.card
+    else:
+        made = {a for _, a in products}
+        assert made == set(reps.values()) | set(alg.trivial_units)
+        assert set(products.values()) == {1}
+
+
+def test_gathered_maps_of_m2f2c3_match_the_definition(monkeypatch):
+    built = _algebra("m2f2c3")
+    alg = GroupAlgebra(built.ring, built.group)
+    orc = Oracle(alg)
+    every = list(alg.elements)
+    units = _units(alg)
+    products = _count_products(monkeypatch)
+    strided, reps = range(5, alg.card, 409), set()
+    for a in strided:
+        rep = min({orc.product(orc.product(v, a), t)
+                   for v in units for t in units})
+        reps.add(rep)
+        alg.mul_row(rep), alg.mul_col(rep)
+        assert np.array_equal(alg.mul_row(a),
+                              [orc.product(a, y) for y in every])
+        assert np.array_equal(alg.mul_col(a),
+                              [orc.product(x, a) for x in every])
+    # every strided element that is not its orbit's least has its maps
+    # gathered
+    assert len(set(strided) - reps) >= 8
+    assert {a for _, a in products} == reps | set(units)
+    assert set(products.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# scans against their definitions
+
+@pytest.mark.parametrize("name", _DESK)
+def test_scans_match_brute_force(name):
+    alg = _algebra(name)
+    table, _ = _tables(name)
+    ring, one = alg.ring, alg.decode(alg.one)
+    census = enumerate_ideals(alg, "right")
+    # the least u over all of RG with Ann_r(u) = C
+    annihilators = table == 0
+    for c in census:
+        hits = np.flatnonzero((annihilators == c.mask).all(axis=1))
+        assert _check_element(c) == (int(hits[0]) if len(hits) else None)
+    # the split of 1: the e in C with 1 - e in D, when exactly one exists
+    for c in census:
+        for d in census:
+            if int((c.mask & d.mask).sum()) != 1 or (
+                    c.cardinality * d.cardinality != alg.card):
+                continue
+            hits = [int(x) for x in c.elements() if d.contains(alg.encode(
+                map(ring.s, one, alg.decode(int(x)))))]
+            assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
+                                             else None)
+    # the first other nonzero idempotent f with ef = fe = f
+    idems = enumerate_idempotents(alg)
+    assert idems == [e for e in alg.elements if table[e, e] == e]
+    for e in idems:
+        below = [f for f in idems if f not in (0, e)
+                 and table[e, f] == f and table[f, e] == f]
+        assert _sub_idempotent(alg, e, idems) == (below[0] if below else None)
 
 
 # ---------------------------------------------------------------------------
