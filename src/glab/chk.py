@@ -1,10 +1,11 @@
 """Checkable codes: right ideals cut out by a single check element.
 
 A right ideal C is checkable when C = Ann_r(u) for some u; the engine
-decides this by exhaustive search and records two more routes beside
-it: the principality of the left annihilator (equivalent over a base
-ring with a generating character, via double annihilators) and the
-principality of the dual as a right ideal (equivalent over
+decides this by one exhaustive pass over RG, which records the least
+u for every right annihilator Ann_r(u), and records two more routes
+beside it: the principality of the left annihilator (equivalent over
+a base ring with a generating character, via double annihilators)
+and the principality of the dual as a right ideal (equivalent over
 commutative base rings; over matrix base rings the dual of a
 checkable ideal can fail to be a right ideal at all). The verdict
 says whether the routes agree; the checkable-routes laws count it.
@@ -17,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, ScaleError
+from .galg import GroupAlgebra
 from .ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
                      is_principal, span)
 
@@ -49,41 +50,42 @@ class CheckabilityVerdict:
         return self.ann_route_agrees and self.dual_principal_matches
 
 
-def _check_element(c: CodeSet) -> int | None:
-    """Least u with Ann_r(u) = C, by exhaustive scan.
+def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
+    """The least u with Ann_r(u) = C for every right annihilator C of an
+    element, keyed by C's mask key: one ordered pass over RG, gated by
+    `bound` before it starts.
 
     Ann_r(v*u) = Ann_r(u) for a unit v, so once u is scanned its
-    products v*u with the trivial units are skipped: each skipped
-    element has the annihilator of one scanned before it.
+    products v*u with the trivial units, read from the units' row
+    maps, are skipped: each skipped element has the annihilator of one
+    scanned before it, so each key keeps its least element.
     """
-    alg = c.alg
-    want = c.cardinality
-    seen = np.zeros(alg.card, dtype=bool)
-    for u in alg.elements:
-        if seen[u]:
-            continue
-        zero = alg.mul_row(u) == 0
-        if int(zero.sum()) == want and np.array_equal(zero, c.mask):
-            return int(u)
-        seen[alg.mul_col(u)[alg.trivial_units]] = True
-    return None
-
-
-def is_checkable(c: CodeSet, dual: CodeSet,
-                 bound: int = DEFAULT_OP_BOUND) -> CheckabilityVerdict:
-    """Decide checkability three ways: (i) exhaustive search for a
-    check element; (ii) principality of `dual`, the dual of C, as a
-    right ideal; (iii) principality of the left annihilator."""
-    alg = c.alg
-    if c.side != "right":
-        raise ConstructionError("checkability is defined for right ideals")
     if alg.card > bound:
         raise ScaleError(
             f"{alg.label}: check-element scan over {alg.card} elements "
             f"exceeds the bound {bound}")
+    units = np.array([alg.mul_row(v) for v in alg.trivial_units])
+    seen = np.zeros(alg.card, dtype=bool)
+    least: dict[bytes, int] = {}
+    for u in alg.elements:
+        if not seen[u]:
+            zero = alg.mul_row(u) == 0
+            least.setdefault(np.packbits(zero, bitorder="little").tobytes(), u)
+            seen[units[:, u]] = True
+    return least
+
+
+def is_checkable(c: CodeSet, dual: CodeSet,
+                 checks: dict[bytes, int]) -> CheckabilityVerdict:
+    """Decide checkability three ways: (i) the least check element, from
+    the table `checks` of `check_elements`; (ii) principality of `dual`,
+    the dual of C, as a right ideal; (iii) principality of the left
+    annihilator."""
+    if c.side != "right":
+        raise ConstructionError("checkability is defined for right ideals")
     dual_right = dual.side == "right"
     return CheckabilityVerdict(
-        check_element=_check_element(c),
+        check_element=checks.get(c.key()),
         ann_generator=is_principal(ann_left(c)),
         dual_is_right_ideal=dual_right,
         dual_generator=is_principal(dual) if dual_right else None,
@@ -99,11 +101,11 @@ class CheckableCensus:
 
 def code_checkable_census(census: list[CodeSet],
                           dual: Callable[[CodeSet], CodeSet],
-                          bound: int) -> CheckableCensus:
+                          checks: dict[bytes, int]) -> CheckableCensus:
     """The checkability verdict of every ideal in a full right-ideal
-    census, with each ideal's dual from `dual` and each check-element
-    scan gated by `bound`."""
-    rows = [(c, is_checkable(c, dual(c), bound)) for c in census]
+    census, with each ideal's dual from `dual` and its check element
+    from the table `checks` of `check_elements`."""
+    rows = [(c, is_checkable(c, dual(c), checks)) for c in census]
     return CheckableCensus(
         algebra_label=census[0].alg.label,
         all_checkable=all(v.checkable for _, v in rows),

@@ -149,7 +149,7 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
 def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
     alg = ws.alg
     c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
-    rt = lcp_residue_correspondence(c, d, ws.residue)
+    rt = lcp_residue_correspondence(c, d, ws.residue, ws.projection)
     law = "residue-lcp"
     lines = [
         _info("lcp-residue.base", law, str(rt.lcp_base).lower()),
@@ -173,7 +173,7 @@ def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
 def cmd_checkable_ideal(ws: Workspace, name: str) -> Report:
     alg = ws.alg
     c = _named_ideal(ws, name)
-    v = is_checkable(c, ws.dual(c), bound=ws.built.bound)
+    v = is_checkable(c, ws.dual(c), ws.check_elements)
     law = "checkable-routes"
     lines = [
         _info("checkable-ideal.checkable", law, str(v.checkable).lower()),

@@ -20,7 +20,10 @@ v, u and t: a*x = v*(u*(t*x)) and x*a = ((x*v)*u)*t, by associativity.
 Product maps are kept, read-only, while they fit in MAP_MEMO_BYTES;
 gathered maps are not kept. Past the budget, orbits are no longer
 recorded, and a map that is neither stored nor in a recorded orbit is
-a product on each call; with a budget of 0 every map is.
+a product on each call; with a budget of 0 every map is. The
+translation maps x -> x - b, through which glab.ideals closes stacks
+of subgroup masks, come from the sum kernel and are kept under the
+same budget.
 The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
@@ -69,6 +72,7 @@ class GroupAlgebra:
         self._hat_all: np.ndarray | None = None
         self._rows: dict[int, np.ndarray] = {}
         self._cols: dict[int, np.ndarray] = {}
+        self._subs: dict[int, np.ndarray] = {}
         self._memo_bytes = 0
         # (v, u, t) with a = v*u*t per element a, u its orbit's
         # representative; -1 until the orbit is recorded
@@ -227,14 +231,20 @@ class GroupAlgebra:
             return out
         cx, cy = (self.coeffs[a], self.coeffs) if left else (
             self.coeffs, self.coeffs[a])
-        # the smallest unsigned type that holds every index, whatever the cap
-        out = self._index(self._product(cx, cy))
+        out = self._keep(store, a, self._index(self._product(cx, cy)))
+        if a in store:
+            self._record_orbit(store, a, left)
+        return out
+
+    def _keep(self, store: dict[int, np.ndarray], a: int,
+              out: np.ndarray) -> np.ndarray:
+        """A map made read-only, in the smallest unsigned type that holds
+        every index whatever the cap, and stored under a while it fits."""
         out = out.astype(np.min_scalar_type(self.card - 1))
         out.setflags(write=False)
         if self._memo_bytes + out.nbytes <= MAP_MEMO_BYTES:
             store[a] = out
             self._memo_bytes += out.nbytes
-            self._record_orbit(store, a, left)
         return out
 
     def _units_stored(self, store: dict[int, np.ndarray], left: bool) -> bool:
@@ -274,6 +284,14 @@ class GroupAlgebra:
             self._via[got, outer] = w
             self._via[got, 1] = u
             self._via[got, across] = units[first[new]]
+
+    def sub_col(self, b: int) -> np.ndarray:
+        """Indices of x - b for every x (read-only)."""
+        out = self._subs.get(int(b))
+        if out is None:
+            out = self._keep(self._subs, int(b), self._index(
+                self._sum(self.coeffs, self.ring.neg[self.coeffs[b]])))
+        return out
 
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""

@@ -6,6 +6,12 @@ the element index space, optionally carrying a one-sided ideal claim
 principality tests, and the full right-ideal census all operate on
 masks; every operation is exhaustive and exact.
 
+Sums come from one kernel over a stack of masks: A_1 + B, ..., A_k + B
+for one B are the (k, |RG|) stack of the A_i closed under each element
+x of B's additive basis, with one map z -> z - x per x gathering the
+columns of every row that still misses x. A single sum (a span, an
+ideal_sum, a census step) is a stack of one row.
+
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
 all c in C}, which for right ideals equals the involution image of
@@ -31,7 +37,8 @@ from .galg import GroupAlgebra
 class CodeSet:
     """An additive subgroup of RG as a frozen boolean mask."""
 
-    __slots__ = ("alg", "mask", "side", "generators", "_card", "_basis")
+    __slots__ = ("alg", "mask", "side", "generators", "_card", "_basis",
+                 "_key")
 
     def __init__(self, alg: GroupAlgebra, mask: np.ndarray,
                  side: Optional[str] = None, generators: tuple[int, ...] = ()):
@@ -50,6 +57,7 @@ class CodeSet:
         self.generators = tuple(int(g) for g in generators)
         self._card = int(mask.sum())
         self._basis: Optional[tuple[int, ...]] = None
+        self._key: Optional[bytes] = None
 
     @property
     def cardinality(self) -> int:
@@ -73,7 +81,9 @@ class CodeSet:
         return self.alg is other.alg and np.array_equal(self.mask, other.mask)
 
     def key(self) -> bytes:
-        return np.packbits(self.mask, bitorder="little").tobytes()
+        if self._key is None:
+            self._key = np.packbits(self.mask, bitorder="little").tobytes()
+        return self._key
 
     def __repr__(self) -> str:
         side = self.side or "set"
@@ -81,55 +91,50 @@ class CodeSet:
 
 
 # ---------------------------------------------------------------------------
-# subgroup arithmetic by translate-closure
+# subgroup arithmetic on stacks of masks
 
-def _grow(alg: GroupAlgebra, mask: np.ndarray, elems: np.ndarray, x: int,
-          within: Optional[np.ndarray] = None) -> np.ndarray:
-    """Close the subgroup S (mask and element list, 0 first) under x.
-
-    Adds the cosets S + x, S + 2x, ... to the mask in place, up to the
-    first k with k*x back in S, and returns the elements of S + <x>:
-    O(|S + <x>|) sums, one call per coset. Raises if the new cosets
-    leave `within`.
-    """
-    if mask[x]:
-        return elems
-    cosets = []
-    cur, kx = elems, x
-    while not mask[kx]:     # cosets of S are disjoint or equal
-        # S + k*x, with (k+1)*x from the same call
-        out = alg.add(np.append(cur, kx), x)
-        cur, kx = out[:-1], int(out[-1])
-        cosets.append(cur)
-    new = np.concatenate(cosets)
-    if within is not None and not within[new].all():
-        raise ConstructionError(f"{alg.label}: set is not additively closed")
-    mask[new] = True
-    return np.concatenate([elems, new])
+def _close(masks: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Close each row S of a stack of subgroup masks under x, where
+    `back` is the map z -> z - x on the stack's columns: gathering
+    columns through it adds S + x, S + 2x, ... until no row changes
+    (cosets of S are disjoint or equal)."""
+    while not np.array_equal(grown := masks | masks[:, back], masks):
+        masks = grown
+    return masks
 
 
 def additive_basis(alg: GroupAlgebra, mask: np.ndarray) -> list[int]:
     """Greedy small generating set of an additive subgroup mask: each
-    element is the least one not yet spanned."""
-    span = np.arange(alg.card) == 0
-    elems, basis = np.zeros(1, dtype=np.int64), []
-    while (rest := mask & ~span).any():
-        basis.append(int(rest.argmax()))
-        elems = _grow(alg, span, elems, basis[-1], within=mask)
+    element is the least one not yet spanned. The span is closed in the
+    mask's own columns, through z -> z - x restricted to the mask;
+    raises if that leaves the mask, which happens for some basis
+    element exactly when the mask is not additively closed."""
+    elems = np.flatnonzero(mask)
+    col = np.cumsum(mask) - 1       # each element's column in the mask
+    span = (elems == 0)[None]       # a stack of one row
+    basis: list[int] = []
+    while not span.all():
+        x = int(elems[span[0].argmin()])
+        back = alg.sub(elems, x)
+        if not mask[back].all():
+            raise ConstructionError(f"{alg.label}: set is not additively closed")
+        basis.append(x)
+        span = _close(span, col[back])
     return basis
 
 
-def _sumset(a: CodeSet, b: CodeSet) -> np.ndarray:
-    """Mask of A + B for additive subgroups A and B: A closed under the
-    elements of B's basis that it does not already hold."""
-    for code in (a, b):
+def _sumset(ops: list[CodeSet], b: CodeSet) -> np.ndarray:
+    """Masks of A + B for additive subgroups A in `ops` and B, one row
+    per A: the whole stack closed under each element x of B's basis,
+    with one z -> z - x map for all the rows missing x."""
+    for code in (*ops, b):
         code.basis          # an unclosed operand raises here
-    alg = a.alg
-    mask = a.mask.copy()
-    elems = a.elements()
+    masks = np.array([a.mask for a in ops])
     for x in b.basis:
-        elems = _grow(alg, mask, elems, x)
-    return mask
+        rows = np.flatnonzero(~masks[:, x])
+        if len(rows):
+            masks[rows] = _close(masks[rows], b.alg.sub_col(x))
+    return masks
 
 
 def side_closed(code: CodeSet, side: str) -> bool:
@@ -187,8 +192,8 @@ def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
         return CodeSet(alg, np.arange(alg.card) == 0, side=side)
     out = principal(alg, gens[0], side)
     for u in gens[1:]:
-        out = CodeSet(alg, _sumset(out, principal(alg, u, side)), side=side,
-                      generators=out.generators + (u,))
+        out = CodeSet(alg, _sumset([out], principal(alg, u, side))[0],
+                      side=side, generators=out.generators + (u,))
     return out
 
 
@@ -201,7 +206,7 @@ def _require_same(a: CodeSet, b: CodeSet) -> None:
 
 def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
     _require_same(a, b)
-    return CodeSet(a.alg, _sumset(a, b), side=a.side,
+    return CodeSet(a.alg, _sumset([a], b)[0], side=a.side,
                    generators=a.generators + b.generators)
 
 

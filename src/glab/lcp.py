@@ -13,6 +13,7 @@ glab.verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -105,8 +106,9 @@ def project_code(rm: ResidueMap, code: CodeSet) -> CodeSet:
     return CodeSet(rm.residue, mask, side=code.side)
 
 
-def lcp_residue_correspondence(c: CodeSet, d: CodeSet,
-                               rm: ResidueMap) -> ResidueTransfer:
+def lcp_residue_correspondence(c: CodeSet, d: CodeSet, rm: ResidueMap,
+                               project: Callable[[CodeSet], CodeSet]
+                               ) -> ResidueTransfer:
     """How complementarity transfers across the residue projection.
 
     Records whether the base pair and its residue image are
@@ -118,11 +120,12 @@ def lcp_residue_correspondence(c: CodeSet, d: CodeSet,
     complementary exactly when its image is; the raw biconditional
     fails when a member is not generated by an idempotent (e.g. the
     whole algebra against a radical multiple projects onto the trivial
-    complementary pair). The residue laws count each of these.
+    complementary pair). The residue laws count each of these. Each
+    member's image comes from `project`, the residue projection of rm.
     """
     alg = c.alg
-    cbar = project_code(rm, c)
-    dbar = project_code(rm, d)
+    cbar = project(c)
+    dbar = project(d)
     base = is_lcp(c, d)
     res = is_lcp(cbar, dbar)
     e = lcp_certificate(c, d) if base else None
@@ -143,6 +146,6 @@ def lcp_residue_correspondence(c: CodeSet, d: CodeSet,
         members_idempotent_generated=(lifted_c.same_set(c)
                                       and lifted_d.same_set(d)),
         lift_splits=(is_lcp(lifted_c, lifted_d)
-                     and project_code(rm, lifted_c).same_set(cbar)
-                     and project_code(rm, lifted_d).same_set(dbar)),
+                     and project(lifted_c).same_set(cbar)
+                     and project(lifted_d).same_set(dbar)),
         certificate=e, residue_certificate=ebar, lifted_certificate=lifted)

@@ -18,24 +18,26 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .chk import CheckableCensus, ann_intersection_check, code_checkable_census
+from .chk import (CheckableCensus, ann_intersection_check, check_elements,
+                  code_checkable_census)
 from .errors import ConstructionError, FalsificationError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, _sumset, ann_left, ann_left_of_element,
                      ann_right, ann_right_of_element, dual_code,
-                     enumerate_ideals, ideal_intersect, ideal_sum, span)
+                     enumerate_ideals, ideal_sum, span)
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, is_lcp, lcp_certificate,
-                  lcp_residue_correspondence, lcp_scan, refine_certificate)
+                  lcp_residue_correspondence, lcp_scan, project_code,
+                  refine_certificate)
 
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
@@ -71,7 +73,10 @@ class Workspace:
     def __init__(self, built: BuiltInstance):
         self.built = built
         self.alg: GroupAlgebra = built.algebra
+        # by (side, mask key): the dual's orientation and the
+        # projection's side claim follow the side
         self._duals: dict[tuple[str | None, bytes], CodeSet] = {}
+        self._projections: dict[tuple[str | None, bytes], CodeSet] = {}
 
     @cached_property
     def frobenius_verdict(self) -> FrobeniusVerdict:
@@ -93,6 +98,11 @@ class Workspace:
         return self.right_ideals if side == "right" else self.left_ideals
 
     @cached_property
+    def right_masks(self) -> np.ndarray:
+        """The right-ideal census as a (k, |RG|) stack of masks."""
+        return np.array([c.mask for c in self.right_ideals])
+
+    @cached_property
     def idempotents(self) -> list[int]:
         return enumerate_idempotents(self.alg, bound=self.built.bound)
 
@@ -112,9 +122,14 @@ class Workspace:
                 for p in self.pairs]
 
     @cached_property
+    def check_elements(self) -> dict[bytes, int]:
+        """The least check element of each right annihilator, by key."""
+        return check_elements(self.alg, self.built.bound)
+
+    @cached_property
     def checkable_census(self) -> CheckableCensus:
         return code_checkable_census(self.right_ideals, self.dual,
-                                     self.built.bound)
+                                     self.check_elements)
 
     @cached_property
     def residue(self) -> ResidueMap:
@@ -124,15 +139,35 @@ class Workspace:
     def residue_rows(self):
         """(i, j, transfer) over all ordered right-ideal pairs."""
         R = self.right_ideals
-        return [(i, j, lcp_residue_correspondence(a, b, self.residue))
+        return [(i, j, lcp_residue_correspondence(a, b, self.residue,
+                                                  self.projection))
                 for i, a in enumerate(R) for j, b in enumerate(R)]
 
     def dual(self, code: CodeSet) -> CodeSet:
-        # the dual's orientation follows the side, so both are the key
         key = (code.side, code.key())
         got = self._duals.get(key)
         if got is None:
             got = self._duals[key] = dual_code(code)
+        return got
+
+    def dual_rows(self, masks: np.ndarray, side: str | None) -> np.ndarray:
+        """The dual of each row of a (k, |RG|) stack of one side's masks,
+        looked up by the row's packed key (one packbits call for the
+        stack) and computed through `dual` on a miss."""
+        out = np.empty_like(masks)
+        for i, key in enumerate(np.packbits(masks, axis=1, bitorder="little")):
+            got = self._duals.get((side, key.tobytes()))
+            if got is None:
+                got = self.dual(CodeSet(self.alg, masks[i], side=side))
+            out[i] = got.mask
+        return out
+
+    def projection(self, code: CodeSet) -> CodeSet:
+        """The code's image in the residue algebra."""
+        key = (code.side, code.key())
+        got = self._projections.get(key)
+        if got is None:
+            got = self._projections[key] = project_code(self.residue, code)
         return got
 
     def hat_image(self, code: CodeSet) -> np.ndarray:
@@ -196,25 +231,36 @@ def _each_ideal(side: str, unit: str, ok: Callable[[Workspace, CodeSet], bool]):
                                            for c in ws.ideals(side)))
 
 
-def _each_pair(ok: Callable[[Workspace, CodeSet, CodeSet], bool]):
-    """The law that ok(ws, a, b) holds for all ordered right-ideal pairs."""
-    def law(ws: Workspace):
-        R = ws.right_ideals
-        return _tally("ideal pairs", (
-            (f"pair ({i}, {j})", ok(ws, a, b))
-            for i, a in enumerate(R) for j, b in enumerate(R)))
-    return law
+def _pair_columns(columns: Iterable[Iterable[bool]]):
+    """Tally a law over all ordered right-ideal pairs (i, j) from its
+    columns: column j holds the results of the pairs (i, j) for every i.
+    Pairs are tallied row-major."""
+    ok = np.column_stack(list(columns))
+    return _tally("ideal pairs", ((f"pair ({i}, {j})", bool(v))
+                                  for (i, j), v in np.ndenumerate(ok)))
 
 
 # ---------------------------------------------------------------------------
 # the laws
 
-_dual_sum_meet = _each_pair(lambda ws, a, b: np.array_equal(
-    ws.dual(ideal_sum(a, b)).mask, ws.dual(a).mask & ws.dual(b).mask))
+def _dual_sum_meet(ws: Workspace):
+    """dual(A + B) = dual(A) & dual(B); each column's sums A + b come
+    from one kernel call."""
+    R = ws.right_ideals
+    duals = ws.dual_rows(ws.right_masks, "right")
+    return _pair_columns((ws.dual_rows(_sumset(R, b), "right")
+                          == duals & ws.dual(b).mask).all(axis=1) for b in R)
 
-_dual_meet_join = _needs_frobenius(_each_pair(lambda ws, a, b: np.array_equal(
-    _sumset(ws.dual(a), ws.dual(b)),
-    ws.dual(ideal_intersect(a, b)).mask)))
+
+@_needs_frobenius
+def _dual_meet_join(ws: Workspace):
+    """dual(A & B) = dual(A) + dual(B); each column's meets A & b are
+    one `&` and its sums of duals one kernel call."""
+    R = ws.right_ideals
+    duals = [ws.dual(a) for a in R]
+    return _pair_columns((_sumset(duals, ws.dual(b)) == ws.dual_rows(
+        ws.right_masks & b.mask, "right")).all(axis=1) for b in R)
+
 
 _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (
     c.cardinality * ws.dual(c).cardinality == ws.alg.card)))
@@ -228,8 +274,11 @@ def certificate_splits(alg: GroupAlgebra, c: CodeSet, d: CodeSet,
             and span(alg, [alg.one_minus(e)], d.side).same_set(d))
 
 
-_lcp_biconditional = _each_pair(lambda ws, a, b: not is_lcp(a, b) or (
-    certificate_splits(ws.alg, a, b, lcp_certificate(a, b))))
+def _lcp_biconditional(ws: Workspace):
+    """Each complementary pair is the split of its certificate."""
+    R = ws.right_ideals
+    return _pair_columns([not is_lcp(a, b) or certificate_splits(
+        ws.alg, a, b, lcp_certificate(a, b)) for a in R] for b in R)
 
 
 def pairs_match_idempotents(ws: Workspace):
@@ -252,27 +301,31 @@ def pairs_match_idempotents(ws: Workspace):
 
 
 def is_partition_of_one(alg: GroupAlgebra, parts: list[int]) -> bool:
-    """Idempotents, pairwise orthogonal both ways, summing to 1."""
+    """Idempotents, pairwise orthogonal both ways, summing to 1: the
+    products of all ordered pairs of parts, from one broadcast product,
+    are the parts on the diagonal and 0 off it."""
+    p = np.array(parts, dtype=np.int64)
     return (reduce(alg.add, parts, 0) == alg.one
-            and all(is_idempotent(alg, p) for p in parts)
-            and all(alg.mul(p, q) == 0 for i, p in enumerate(parts)
-                    for j, q in enumerate(parts) if i != j))
+            and bool((alg.mul(p[:, None], p[None, :]) == np.diag(p)).all()))
 
 
-def _direct_sum(alg: GroupAlgebra, code: CodeSet, parts: list[int]) -> bool:
-    """The parts regenerate the member, as the direct sum of their spans."""
-    return (span(alg, parts, code.side).same_set(code)
-            and math.prod(span(alg, [p], code.side).cardinality
-                          for p in parts) == code.cardinality)
+def _direct_sum(code: CodeSet, pieces: list[CodeSet]) -> bool:
+    """The spans of the parts regenerate the member, as a direct sum."""
+    if not pieces:
+        return code.cardinality == 1
+    return (reduce(ideal_sum, pieces).same_set(code)
+            and math.prod(p.cardinality for p in pieces) == code.cardinality)
 
 
 def _refine_partition(ws: Workspace):
     alg = ws.alg
     parts = sum(len(pc) + len(pd) for pc, pd in ws.refinements)
+    piece = cache(lambda side, p: span(alg, [p], side))  # once per part
     return _tally("complementary pairs", (
         (f"pair {k} (certificate {pair.certificate})",
-         is_partition_of_one(alg, pc + pd) and _direct_sum(alg, pair.c, pc)
-         and _direct_sum(alg, pair.d, pd))
+         is_partition_of_one(alg, pc + pd)
+         and _direct_sum(pair.c, [piece(pair.c.side, p) for p in pc])
+         and _direct_sum(pair.d, [piece(pair.d.side, p) for p in pd]))
         for k, (pair, (pc, pd)) in enumerate(zip(ws.pairs, ws.refinements))),
         passed=f"refined {len(ws.pairs)} certificates into {parts} "
                f"primitive parts")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from glab.chk import (ann_intersection_check, code_checkable_census,
-                      is_checkable)
+from glab.chk import (ann_intersection_check, check_elements,
+                      code_checkable_census, is_checkable)
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.fixtures import DESK_NAMES, desk_algebra
@@ -13,7 +13,7 @@ from glab.ideals import dual_code, enumerate_ideals, span
 
 def _census(alg):
     return code_checkable_census(enumerate_ideals(alg), dual_code,
-                                 DEFAULT_OP_BOUND)
+                                 check_elements(alg, DEFAULT_OP_BOUND))
 
 
 def _parts_of_one(alg):
@@ -60,8 +60,8 @@ def test_desk_registry_labels():
 # ---------------------------------------------------------------------------
 # single verdicts
 
-def _verdict(c, **kw):
-    return is_checkable(c, dual_code(c), **kw)
+def _verdict(c):
+    return is_checkable(c, dual_code(c), check_elements(c.alg, DEFAULT_OP_BOUND))
 
 
 def test_verdict_frozen_f2c2(f2c2):
@@ -102,7 +102,7 @@ def test_checkability_needs_right_ideal(f2c2):
 
 def test_checkability_scale_gate(f2c2):
     with pytest.raises(ScaleError, match="exceeds the bound"):
-        _verdict(span(f2c2, [3], "right"), bound=2)
+        check_elements(f2c2, 2)
 
 
 # ---------------------------------------------------------------------------

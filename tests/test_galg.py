@@ -150,12 +150,13 @@ def test_rows_match_scalar_ops(z4c3, f2s3):
         for a in rng.integers(0, alg.card, 4):
             a = int(a)
             mr, mc = alg.mul_row(a), alg.mul_col(a)
-            ar = alg.add(a, np.arange(alg.card))
+            ar, sc = alg.add(a, np.arange(alg.card)), alg.sub_col(a)
             for x in rng.integers(0, alg.card, 25):
                 x = int(x)
                 assert mr[x] == alg.mul(a, x)
                 assert mc[x] == alg.mul(x, a)
                 assert ar[x] == alg.add(a, x)
+                assert sc[x] == alg.sub(x, a)
 
 
 def test_rows_are_the_transposed_columns(f2s3, m2c2):
@@ -169,7 +170,7 @@ def test_rows_are_the_transposed_columns(f2s3, m2c2):
 
 
 def test_maps_are_stored_read_only(z4c3):
-    for get in (z4c3.mul_row, z4c3.mul_col):
+    for get in (z4c3.mul_row, z4c3.mul_col, z4c3.sub_col):
         m = get(17)
         assert get(17) is m
         assert not m.flags.writeable
@@ -213,12 +214,16 @@ def test_zero_budget_stores_nothing(monkeypatch):
         assert np.array_equal(alg.mul_col(a), kept.mul_col(a))
     assert alg.mul_row(5) is not alg.mul_row(5)
     assert not alg.mul_row(5).flags.writeable
-    assert alg._rows == {} and alg._cols == {} and alg._memo_bytes == 0
+    assert alg.sub_col(5) is not alg.sub_col(5)
+    assert alg._rows == alg._cols == alg._subs == {}
+    assert alg._memo_bytes == 0
 
 
 def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
     # M2(Z2)C3 has 18 trivial units and 54 orbits T*u*T, one of them the
-    # units; without gathered maps the command computed 1,789 maps
+    # units; without gathered maps the command computed 1,789 maps. The
+    # check-element pass skips v*u through the units' row maps, so the
+    # columns are those of the left annihilators and their principality
     products = Counter()
     product = GroupAlgebra._product
 
@@ -233,7 +238,7 @@ def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
                  "--census-bound", "5000"]) == 1
     assert "checkable-census.code-checkable  true" in capsys.readouterr().out
     rows = sum(side == "row" for side, _ in products)
-    assert (rows, len(products) - rows) == (18 + 53, 67)
+    assert (rows, len(products) - rows) == (18 + 53, 33)
     assert set(products.values()) == {1}
 
 

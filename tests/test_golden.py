@@ -1,9 +1,11 @@
-"""Golden replay: every desk invocation's exit code and stdout, in process.
+"""Golden replay: every benchmark invocation's exit code and stdout, in process.
 
-The reference reports in perfbench/reference/desk.json (every command on
-every fixture) are the oracle: each one is replayed through
-glab.cli.main from the repository root and must match byte for byte.
-The file is only read here; perfbench/record.py rewrites it.
+The reference reports in perfbench/reference/ are the oracle: desk.json
+(every command on every fixture), lattice.json (verify-all on three
+256-element local algebras with 47 right ideals each) and
+calibration.json (the M2(Z2)C3 commands). Each invocation is replayed
+through glab.cli.main from the repository root and must match byte for
+byte. The files are only read here; perfbench/record.py rewrites them.
 """
 
 import json
@@ -14,14 +16,31 @@ import pytest
 import glab.cli
 
 ROOT = Path(__file__).resolve().parent.parent
-DESK = json.loads((ROOT / "perfbench" / "reference" / "desk.json").read_text())
+REFERENCE = {
+    workload: json.loads(
+        (ROOT / "perfbench" / "reference" / f"{workload}.json").read_text())
+    for workload in ("desk", "lattice", "calibration")}
 
 
-@pytest.mark.parametrize("invocation", sorted(DESK))
-def test_desk_report_replays(invocation, monkeypatch, capsys):
+def _replay(want, invocation, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("GLAB_MAX_ELEMS", raising=False)
-    want = DESK[invocation]
     code = glab.cli.main(invocation.split(" "))
     out = capsys.readouterr().out
     assert (code, out.encode()) == (want["exit"], want["stdout"].encode())
+
+
+@pytest.mark.parametrize("invocation", sorted(REFERENCE["desk"]))
+def test_desk_report_replays(invocation, monkeypatch, capsys):
+    _replay(REFERENCE["desk"][invocation], invocation, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("invocation", sorted(REFERENCE["lattice"]))
+def test_lattice_report_replays(invocation, monkeypatch, capsys):
+    _replay(REFERENCE["lattice"][invocation], invocation, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("invocation", sorted(REFERENCE["calibration"]))
+def test_calibration_report_replays(invocation, monkeypatch, capsys):
+    _replay(REFERENCE["calibration"][invocation], invocation, monkeypatch,
+            capsys)

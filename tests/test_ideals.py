@@ -1,14 +1,17 @@
 """Ideal lattice: spans, duals, annihilators, principality, census."""
 
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glab.ideals
 from glab.config import DEFAULT_CENSUS_BOUND
 from glab.errors import ConstructionError, ScaleError
-from glab.finring import MatrixRing, Zmod, build_ring
+from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import (CyclicGroup, ProductGroup, SymmetricGroup, build_group)
 from glab.ideals import (CodeSet, additive_basis, ann_left,
@@ -451,7 +454,7 @@ def test_sumset_of_random_subgroups(request, name):
         naive = np.zeros(alg.card, dtype=bool)
         naive[[_naive_add(alg, a, b) for a in np.flatnonzero(amask)
                for b in np.flatnonzero(bmask)]] = True
-        got = glab.ideals._sumset(CodeSet(alg, amask), CodeSet(alg, bmask))
+        got = glab.ideals._sumset([CodeSet(alg, amask)], CodeSet(alg, bmask))[0]
         assert np.array_equal(got, naive)
         # some b of order 4 modulo A: A + b and A + 2b are both new cosets
         deep += any(not amask[b] and not amask[_naive_add(alg, b, b)]
@@ -466,4 +469,41 @@ def test_sumset_rejects_an_unclosed_operand(z4c3):
     good = span(z4c3, [x], "right")
     for a, b in ((bad, good.mask), (good.mask, bad)):
         with pytest.raises(ConstructionError):
-            glab.ideals._sumset(CodeSet(z4c3, a), CodeSet(z4c3, b))
+            glab.ideals._sumset([CodeSet(z4c3, a)], CodeSet(z4c3, b))
+
+
+# small group algebras over Zmod and PolyQuot rings; Z8 has elements of
+# additive order 8, so a coset chain S + x, S + 2x, ... runs long
+_SMALL = {
+    "Z2C3": (Zmod(2), CyclicGroup(3)),
+    "Z3C3": (Zmod(3), CyclicGroup(3)),
+    "Z4C2": (Zmod(4), CyclicGroup(2)),
+    "Z8C2": (Zmod(8), CyclicGroup(2)),
+    "Z2C2xC2": (Zmod(2), ProductGroup((CyclicGroup(2), CyclicGroup(2)))),
+    "GF(4)C2": (PolyQuot(2, (1, 1, 1)), CyclicGroup(2)),
+}
+
+
+@functools.cache
+def _small(name):
+    """The algebra and its addition table from decoded coefficients."""
+    alg = _alg(*_SMALL[name])
+    add = np.array([[_naive_add(alg, x, y) for y in alg.elements]
+                    for x in alg.elements])
+    return alg, add
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_stacked_sumset_of_random_subgroups(data):
+    alg, add = _small(data.draw(st.sampled_from(sorted(_SMALL))))
+    gens = st.lists(st.integers(0, alg.card - 1), max_size=3)
+    ops = [CodeSet(alg, _naive_subgroup(alg, g))
+           for g in data.draw(st.lists(gens, min_size=1, max_size=4))]
+    b = CodeSet(alg, _naive_subgroup(alg, data.draw(gens)))
+    got = glab.ideals._sumset(ops, b)
+    assert got.shape == (len(ops), alg.card)
+    for row, a in zip(got, ops):
+        naive = np.zeros(alg.card, dtype=bool)
+        naive[add[np.ix_(a.elements(), b.elements())]] = True
+        assert np.array_equal(row, naive)

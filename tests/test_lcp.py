@@ -212,10 +212,15 @@ def test_hat_equivalence_sizes_always():
 # ---------------------------------------------------------------------------
 # residue transfer
 
+def _transfer(c, d, rm):
+    return lcp_residue_correspondence(c, d, rm,
+                                      lambda code: project_code(rm, code))
+
+
 def test_residue_transfer_frozen_z4c3(z4c3):
     c = span(z4c3, [22], "right")
     d = span(z4c3, [63], "right")
-    t = lcp_residue_correspondence(c, d, residue_map(z4c3))
+    t = _transfer(c, d, residue_map(z4c3))
     assert t.lcp_base and t.lcp_residue and t.biconditional
     assert t.certificate == 22 and t.residue_certificate == 6
     assert t.lifted_certificate == 22
@@ -224,7 +229,7 @@ def test_residue_transfer_frozen_z4c3(z4c3):
 
 def test_residue_transfer_negative_pair(z4c3):
     c = span(z4c3, [22], "right")
-    t = lcp_residue_correspondence(c, c, residue_map(z4c3))
+    t = _transfer(c, c, residue_map(z4c3))
     assert not t.lcp_base and not t.lcp_residue
     assert t.biconditional and t.certificate is None
 
@@ -237,7 +242,7 @@ def test_residue_biconditional_genuinely_fails_raw():
     whole = span(z4c2, [1], "right")
     rad = span(z4c2, [2], "right")
     assert list(rad.elements()) == [0, 2, 8, 10]
-    t = lcp_residue_correspondence(whole, rad, rm)
+    t = _transfer(whole, rad, rm)
     assert not t.lcp_base and t.lcp_residue
     assert not t.biconditional
     assert t.members_idempotent_generated is False
@@ -261,7 +266,7 @@ def test_residue_transfer_all_pairs_local(z4c3):
         violations = 0
         for c in census:
             for d in census:
-                t = lcp_residue_correspondence(c, d, rm)
+                t = _transfer(c, d, rm)
                 assert t.lift_splits is not False
                 if not t.biconditional:
                     violations += 1

@@ -9,7 +9,8 @@ are gathered, and with no map budget. The check-element, split-of-1
 and sub-idempotent scans are compared against brute force over the
 product table. Every sum of
 two members of the ideal census, formed with the ring's addition, must
-be a member again. Ideal and idempotent counts of semisimple and
+be a member again, and the stacked sum kernel must give those sums for
+the census and for its duals. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
 cyclic-code theory. The law matrix must report the same statuses and
 counts on an algebra whose group and ring elements are relabelled.
@@ -25,12 +26,12 @@ import numpy as np
 import pytest
 
 import glab.galg
-from glab.chk import _check_element
-from glab.config import DEFAULT_CENSUS_BOUND
+from glab.chk import check_elements
+from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from glab.finring import TableRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import CayleyGroup, CyclicGroup, build_group
-from glab.ideals import enumerate_ideals
+from glab.ideals import CodeSet, _sumset, dual_code, enumerate_ideals
 from glab.idem import _sub_idempotent, enumerate_idempotents
 from glab.instance import InstanceDescription, build_instance, load_instance
 from glab.lcp import lcp_certificate
@@ -218,9 +219,13 @@ def test_scans_match_brute_force(name):
     census = enumerate_ideals(alg, "right")
     # the least u over all of RG with Ann_r(u) = C
     annihilators = table == 0
+    checks = check_elements(alg, DEFAULT_OP_BOUND)
     for c in census:
         hits = np.flatnonzero((annihilators == c.mask).all(axis=1))
-        assert _check_element(c) == (int(hits[0]) if len(hits) else None)
+        assert checks.get(c.key()) == (int(hits[0]) if len(hits) else None)
+    # and the pass finds an annihilator key for every element
+    assert set(checks) == {np.packbits(row, bitorder="little").tobytes()
+                           for row in annihilators}
     # the split of 1: the e in C with 1 - e in D, when exactly one exists
     for c in census:
         for d in census:
@@ -243,30 +248,52 @@ def test_scans_match_brute_force(name):
 # ---------------------------------------------------------------------------
 # the ideal census is a lattice under sums
 
-def _naive_addition(alg):
-    """The full addition table of RG, coefficientwise with the ring's own
-    addition on decoded coefficients."""
+@functools.cache
+def _naive_addition(name):
+    """The full addition table of a desk algebra, coefficientwise with the
+    ring's own addition on decoded coefficients."""
+    alg = _algebra(name)
     coeffs = [alg.decode(x) for x in alg.elements]
     return np.array([[alg.encode(map(alg.ring.a, cx, cy)) for cy in coeffs]
                      for cx in coeffs])
+
+
+def _naive_sumset(add, a, b):
+    total = np.zeros(len(add), dtype=bool)
+    total[add[np.ix_(a.elements(), b.elements())]] = True
+    return total
 
 
 @pytest.mark.parametrize("name", _DESK)
 def test_census_is_closed_under_naive_sums(name):
     alg = _algebra(name)
     assert alg.card <= DEFAULT_CENSUS_BOUND
-    add = _naive_addition(alg)
+    add = _naive_addition(name)
     for side in ("right", "left"):
         census = enumerate_ideals(alg, side)
         keys = {c.mask.tobytes() for c in census}
         for a in census:
             for b in census:
-                total = np.zeros(alg.card, dtype=bool)
-                total[add[np.ix_(a.elements(), b.elements())]] = True
+                total = _naive_sumset(add, a, b)
                 assert total.tobytes() in keys
                 # |A + B| |A & B| = |A| |B| for additive subgroups
                 assert (int(total.sum()) * int((a.mask & b.mask).sum())
                         == a.cardinality * b.cardinality)
+
+
+@pytest.mark.parametrize("name", _DESK)
+def test_stacked_sumset_matches_naive_sums(name):
+    # every ordered pair of right-ideal census members, and of their
+    # duals as bare sets (over M2(Z2) a dual need not be an ideal); each
+    # column b is one kernel call over the whole stack
+    alg = _algebra(name)
+    add = _naive_addition(name)
+    census = enumerate_ideals(alg, "right")
+    duals = [CodeSet(alg, dual_code(c).mask) for c in census]
+    for stack in (census, duals):
+        for b in stack:
+            assert np.array_equal(_sumset(stack, b), [
+                _naive_sumset(add, a, b) for a in stack])
 
 
 # ---------------------------------------------------------------------------

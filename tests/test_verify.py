@@ -3,6 +3,7 @@
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,8 @@ from glab.ideals import dual_code
 from glab.instance import build_instance, load_instance
 from glab.verify import FAIL, LAW_TABLE, PASS, Workspace, _tally, verify_all
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def _workspace(name):
@@ -178,6 +180,29 @@ def test_shared_work_runs_once(monkeypatch):
     assert len(ws.pairs) == 4 and len(refine) == 4
 
 
+def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
+    # 2,209 ordered pairs of 47 right ideals: each (side, mask) has its
+    # dual computed once and its residue image projected at most once,
+    # and one check-element pass serves the whole checkable census
+    duals = _count_calls(monkeypatch, glab.ideals.dual_code)
+    projections = _count_calls(monkeypatch, glab.lcp.project_code)
+    passes = _count_calls(monkeypatch, glab.chk.check_elements)
+    ws = Workspace(build_instance(load_instance(
+        str(ROOT / "perfbench" / "instances" / "z4c2c2.glab"))))
+    rep = verify_all(ws)
+    assert len(ws.right_ideals) == 47
+    assert _by_id(rep)["residue-lcp.forward"].witness == (
+        "checked 2209 ideal pairs")
+    # every sum and meet of two right ideals is a census member; a
+    # projection per pair member would make more than 4,418
+    census = {("right", c.key()) for c in ws.right_ideals}
+    keys = [(code.side, code.key()) for code, in duals]
+    assert len(keys) == len(set(keys)) and set(keys) == census
+    keys = [(code.side, code.key()) for _, code in projections]
+    assert len(keys) == len(set(keys)) and set(keys) <= census
+    assert len(passes) == 1
+
+
 def test_pair_commands_build_no_census(monkeypatch):
     # lcp verify judges one named pair: no census, no pair scan
     from glab.cli import cmd_lcp_verify
@@ -257,6 +282,19 @@ def test_wrong_slot_dual_fails_the_dual_audit(monkeypatch):
     monkeypatch.setattr(GroupAlgebra, "form_col", GroupAlgebra.form_row)
     fails = _fails(_report("m2f2c2"))
     assert _COUNTED.match(fails["checkable-routes.dual-hat-ann"])
+
+
+def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
+    # a kernel that skips B's last basis element leaves some A + B short;
+    # over F3 the dual of a short sum is larger than dual(A) & dual(B)
+    sumset = glab.ideals._sumset
+    monkeypatch.setattr(glab.verify, "_sumset", lambda ops, b: sumset(
+        ops, SimpleNamespace(alg=b.alg, basis=b.basis[:-1])))
+    fails = _fails(_report("f3c2"))
+    assert fails == {
+        "dual-lattice.sum-meet": "5/16 ideal pairs fail; first at pair (0, 1)",
+        "dual-lattice.meet-join": "5/16 ideal pairs fail; first at pair (1, 2)",
+    }
 
 
 def test_only_construction_audits_raise_falsification():
