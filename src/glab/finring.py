@@ -6,10 +6,14 @@ products, explicit validated multiplication tables, radical quotients)
 and built into Ring objects holding dense numpy operation tables.
 
 Additively every ring here is a product of cyclic groups
-Z/m_1 x ... x Z/m_k, called the coordinate shape. An element is the
-integer index of its coordinate tuple in mixed radix (coordinate 0
-least significant), so index 0 is the additive zero, element equality
-is integer equality, and subsets of a ring pack into bitmasks.
+Z/m_1 x ... x Z/m_k, called the coordinate shape, and the shape alone
+fixes addition: it is coordinatewise modulo the m_i, so a builder
+supplies only the moduli, the multiplication table and the identity.
+An element is the integer index of its coordinate tuple in mixed radix
+(coordinate 0 least significant), so index 0 is the additive zero,
+element equality is integer equality, and subsets of a ring pack into
+bitmasks. `_mixed_radix` is the one decoder of such indices; group
+algebras and product groups use it too.
 
 Structural queries (unit group, Jacobson radical, locality, existence
 of a generating character) are computed exhaustively from the tables
@@ -133,6 +137,33 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     return num
 
 
+def _mixed_radix(radices) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the mixed-radix index over `radices` (digit 0 least
+    significant) and the digits of every index, one row per index."""
+    weights = np.cumprod((1,) + tuple(radices)[:-1], dtype=np.int64)
+    idx = np.arange(math.prod(radices), dtype=np.int64)
+    digits = (idx[:, None] // weights) % np.array(radices, dtype=np.int64)
+    return weights, digits.astype(np.int32)
+
+
+def _componentwise(tables) -> np.ndarray:
+    """The direct product of operation tables: indices are mixed radix
+    over the factor sizes, and each digit combines in its own table."""
+    weights, digits = _mixed_radix([len(t) for t in tables])
+    out = np.zeros((len(digits),) * 2, dtype=np.int32)
+    for k, t in enumerate(tables):
+        d = digits[:, k]
+        out += t[d[:, None], d[None, :]] * int(weights[k])
+    return out
+
+
+def _identities(mul: np.ndarray) -> list[int]:
+    """Every two-sided identity of an operation table, ascending."""
+    ar = np.arange(len(mul), dtype=mul.dtype)
+    return [e for e in range(len(mul))
+            if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)]
+
+
 def spec_label(spec: RingSpec) -> str:
     if isinstance(spec, Zmod):
         return f"Z{spec.m}"
@@ -163,31 +194,27 @@ class Ring:
     Elements are integers in [0, card). Index 0 is the additive zero.
     `add` and `mul` are (card, card) int32 tables, `neg` is the
     additive inverse permutation, `coords` decodes indices to
-    coordinate tuples in the declared shape.
+    coordinate tuples in the declared shape. `add` and `neg` are
+    built here, coordinatewise modulo the moduli.
     """
 
     def __init__(self, spec: RingSpec, label: str, moduli: tuple[int, ...],
-                 add: np.ndarray, mul: np.ndarray, one: int):
+                 mul: np.ndarray, one: int):
         self.spec = spec
         self.label = label
         self.moduli = tuple(int(m) for m in moduli)
         self.card = math.prod(self.moduli)
-        self.add = add
         self.mul = mul
         self.one = int(one)
         self.zero = 0
-        self.neg = np.argmax(add == 0, axis=1).astype(np.int32)
-        if not np.all(add[np.arange(self.card), self.neg] == 0):
-            raise ConstructionError(f"{label}: addition table has no inverses")
-        weights = []
-        w = 1
-        for m in self.moduli:
-            weights.append(w)
-            w *= m
-        self._weights = np.array(weights, dtype=np.int64)
-        idx = np.arange(self.card, dtype=np.int64)
-        self.coords = ((idx[:, None] // self._weights[None, :])
-                       % np.array(self.moduli, dtype=np.int64)).astype(np.int32)
+        self._weights, self.coords = _mixed_radix(self.moduli)
+        # one coordinate at a time, so no temporary outgrows (card, card)
+        self.add = np.zeros((self.card, self.card), dtype=np.int32)
+        for k, m in enumerate(self.moduli):
+            c = self.coords[:, k]
+            self.add += (c[:, None] + c[None, :]) % m * int(self._weights[k])
+        self.neg = ((-self.coords % np.array(self.moduli, dtype=np.int32))
+                    @ self._weights).astype(np.int32)
         self._structure: RingStructure | None = None
         self._frobenius: dict[int, FrobeniusVerdict] = {}
         self._quotient: QuotientData | None = None
@@ -213,9 +240,6 @@ class Ring:
 
     def m(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
-
-    def s(self, x: int, y: int) -> int:
-        return int(self.add[x, self.neg[y]])
 
     @property
     def elements(self) -> range:
@@ -304,9 +328,8 @@ def _build_zmod(spec: Zmod) -> Ring:
         raise ConstructionError(f"zmod modulus must be at least 2, got {m}")
     _check_card(f"Z{m}", *_size(spec))
     idx = np.arange(m, dtype=np.int64)
-    add = ((idx[:, None] + idx[None, :]) % m).astype(np.int32)
     mul = ((idx[:, None] * idx[None, :]) % m).astype(np.int32)
-    return Ring(spec, spec_label(spec), (m,), add, mul, 1)
+    return Ring(spec, spec_label(spec), (m,), mul, 1)
 
 
 def _build_polyquot(spec: PolyQuot) -> Ring:
@@ -331,10 +354,7 @@ def _build_polyquot(spec: PolyQuot) -> Ring:
             f"polyquot modulus {_poly_text(mod)} over Z/{p} is reducible: "
             f"divisible by {_poly_text(factor)}")
 
-    idx = np.arange(card, dtype=np.int64)
-    pw = p ** np.arange(deg, dtype=np.int64)
-    cf = ((idx[:, None] // pw[None, :]) % p).astype(np.int64)
-    add = (((cf[:, None, :] + cf[None, :, :]) % p) @ pw).astype(np.int32)
+    pw, cf = _mixed_radix((p,) * deg)
 
     # x^(deg+k) expressed in the standard basis, k = 0..deg-2
     reps: list[list[int]] = []
@@ -356,20 +376,15 @@ def _build_polyquot(spec: PolyQuot) -> Ring:
         for k in range(deg - 1):
             res = (res + raw[:, deg + k:deg + k + 1] * rep_arr[k][None, :]) % p
         mul[a_i] = (res @ pw).astype(np.int32)
-    return Ring(spec, spec_label(spec), (p,) * deg, add, mul, 1)
+    return Ring(spec, spec_label(spec), (p,) * deg, mul, 1)
 
 
 def _find_poly_factor(mod: list[int], p: int) -> list[int] | None:
     """Search for a monic divisor of degree 1..deg/2; None if irreducible."""
     deg = len(mod) - 1
     for fdeg in range(1, deg // 2 + 1):
-        for tail in range(p ** fdeg):
-            cand = []
-            t = tail
-            for _ in range(fdeg):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)
+        for tail in _mixed_radix((p,) * fdeg)[1].tolist():
+            cand = tail + [1]
             if all(c == 0 for c in _poly_mod(list(mod), cand, p)):
                 return cand
     return None
@@ -386,13 +401,7 @@ def _build_matrix(spec: MatrixRing) -> Ring:
     _check_card(label, Counter({base.card: n * n}))
     card = base.card ** (n * n)
 
-    idx = np.arange(card, dtype=np.int64)
-    bw = base.card ** np.arange(n * n, dtype=np.int64)
-    ent = ((idx[:, None] // bw[None, :]) % base.card).astype(np.int32)
-
-    add = np.zeros((card, card), dtype=np.int64)
-    for k in range(n * n):
-        add += base.add[ent[:, None, k], ent[None, :, k]].astype(np.int64) * int(bw[k])
+    bw, ent = _mixed_radix((base.card,) * (n * n))
     mul = np.zeros((card, card), dtype=np.int64)
     for i in range(n):
         for j in range(n):
@@ -404,7 +413,7 @@ def _build_matrix(spec: MatrixRing) -> Ring:
     one_entries = [base.one if i == j else 0 for i in range(n) for j in range(n)]
     one = int(np.dot(one_entries, bw))
     moduli = tuple(base.moduli) * (n * n)
-    return Ring(spec, label, moduli, add.astype(np.int32), mul.astype(np.int32), one)
+    return Ring(spec, label, moduli, mul.astype(np.int32), one)
 
 
 def _build_product(spec: ProductRing) -> Ring:
@@ -415,22 +424,10 @@ def _build_product(spec: ProductRing) -> Ring:
     rings = [build_ring(f) for f in spec.factors]
     # exact also when _size gave a lower bound for a radical quotient
     _check_card(label, Counter(r.card for r in rings))
-    card = math.prod(r.card for r in rings)
-
-    idx = np.arange(card, dtype=np.int64)
-    add = np.zeros((card, card), dtype=np.int64)
-    mul = np.zeros((card, card), dtype=np.int64)
-    w = 1
-    one = 0
-    moduli: tuple[int, ...] = ()
-    for r in rings:
-        comp = ((idx // w) % r.card).astype(np.int32)
-        add += r.add[comp[:, None], comp[None, :]].astype(np.int64) * w
-        mul += r.mul[comp[:, None], comp[None, :]].astype(np.int64) * w
-        one += r.one * w
-        moduli = moduli + r.moduli
-        w *= r.card
-    return Ring(spec, label, moduli, add.astype(np.int32), mul.astype(np.int32), one)
+    weights, _ = _mixed_radix([r.card for r in rings])
+    one = int(weights @ [r.one for r in rings])
+    moduli = sum((r.moduli for r in rings), ())
+    return Ring(spec, label, moduli, _componentwise([r.mul for r in rings]), one)
 
 
 def _build_table(spec: TableRing) -> Ring:
@@ -449,21 +446,10 @@ def _build_table(spec: TableRing) -> Ring:
     if mul.min() < 0 or mul.max() >= card:
         raise ConstructionError("table ring multiplication entries out of range")
 
-    idx = np.arange(card, dtype=np.int64)
-    w = 1
-    add = np.zeros((card, card), dtype=np.int64)
-    for m in moduli:
-        comp = (idx // w) % m
-        add += ((comp[:, None] + comp[None, :]) % m) * w
-        w *= m
-    add = add.astype(np.int32)
-
-    ar = np.arange(card, dtype=np.int32)
-    ones = [e for e in range(card)
-            if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)]
+    ones = _identities(mul)
     if not ones:
         raise ConstructionError(f"table ring {spec.label!r} has no identity element")
-    ring = Ring(spec, spec.label, moduli, add, mul, ones[0])
+    ring = Ring(spec, spec.label, moduli, mul, ones[0])
     audit_ring(ring)
     return ring
 
@@ -601,10 +587,6 @@ class FrobeniusVerdict:
     status: str
     character: tuple[int, ...] | None
 
-    @property
-    def decided(self) -> bool:
-        return self.status != "undecided"
-
 
 def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerdict:
     """Search for an additive character whose kernel contains no nonzero
@@ -628,7 +610,7 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
     mul = ring.mul
 
     verdict = FrobeniusVerdict("not-frobenius", None)
-    for knum in _numerator_tuples(moduli):
+    for knum in ring.coords.tolist():
         vals = (coords @ (np.array(knum, dtype=np.int64) * steps)) % lcm
         nz = vals != 0
         hit = nz[mul]
@@ -639,19 +621,6 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
             break
     ring._frobenius[bound] = verdict
     return verdict
-
-
-def _numerator_tuples(moduli):
-    """All numerator tuples, first coordinate fastest (deterministic order)."""
-    k = len(moduli)
-    total = math.prod(moduli)
-    for t in range(total):
-        out = []
-        rem = t
-        for m in moduli:
-            out.append(rem % m)
-            rem //= m
-        yield tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -728,12 +697,9 @@ def radical_quotient(ring: Ring) -> QuotientData:
 
     # coordinates: quotient index of sum(c_i * basis_i), c in mixed radix base p
     new_index: dict[int, int] = {}
-    for t in range(qcard):
-        rem = t
+    for t, digits in enumerate(_mixed_radix((p,) * k)[1].tolist()):
         elem = 0
-        for b in basis:
-            c = rem % p
-            rem //= p
+        for b, c in zip(basis, digits):
             for _ in range(c):
                 elem = int(rep_of[ring.add[elem, b]])
         if elem in new_index:
@@ -744,22 +710,19 @@ def radical_quotient(ring: Ring) -> QuotientData:
     for rep, t in new_index.items():
         rep_to_new[rep] = t
 
-    qadd = np.zeros((qcard, qcard), dtype=np.int32)
-    qmul = np.zeros((qcard, qcard), dtype=np.int32)
     order = sorted(new_index, key=new_index.get)
     order_arr = np.array(order, dtype=np.int64)
-    qadd[:, :] = rep_to_new[rep_of[ring.add[np.ix_(order_arr, order_arr)]]]
-    qmul[:, :] = rep_to_new[rep_of[ring.mul[np.ix_(order_arr, order_arr)]]]
+    qmul = rep_to_new[rep_of[ring.mul[np.ix_(order_arr, order_arr)]]].astype(np.int32)
 
     qspec = RadicalQuotient(ring.spec)
     qone = int(rep_to_new[one_rep])
-    qring = Ring(qspec, spec_label(qspec), (p,) * k, qadd, qmul, qone)
+    qring = Ring(qspec, spec_label(qspec), (p,) * k, qmul, qone)
 
     proj = rep_to_new[rep_of].astype(np.int64)
     lift = order_arr.copy()  # reps are the least elements of their cosets
 
     # audit: proj must be a surjective ring map and the quotient a field
-    if not np.array_equal(proj[ring.add], qadd[np.ix_(proj, proj)]):
+    if not np.array_equal(proj[ring.add], qring.add[np.ix_(proj, proj)]):
         raise FalsificationError(f"{ring.label}: residue projection not additive")
     if not np.array_equal(proj[ring.mul], qmul[np.ix_(proj, proj)]):
         raise FalsificationError(f"{ring.label}: residue projection not multiplicative")

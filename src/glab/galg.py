@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_OP_BOUND, MAP_MEMO_BYTES, max_elements
 from .errors import ConstructionError, ScaleError
-from .finring import Ring, radical_quotient, structure
+from .finring import Ring, _mixed_radix, radical_quotient, structure
 from .grp import Group
 
 
@@ -56,10 +56,7 @@ class GroupAlgebra:
                 f"{self.label}: {ring.card}^{group.order} elements "
                 f"exceeds the cap {cap}")
         self.card = card
-        self._weights = (ring.card ** np.arange(group.order)).astype(np.int64)
-        idx = np.arange(card, dtype=np.int64)
-        self.coeffs = ((idx[:, None] // self._weights[None, :])
-                       % ring.card).astype(np.int32)
+        self._weights, self.coeffs = _mixed_radix((ring.card,) * group.order)
         self.zero = 0
         # flat ring tables, read by take(): a pair (s, t) sits at s*|R| + t,
         # which stays in int32 below TABLE_LIMIT**2

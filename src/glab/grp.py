@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import GROUP_AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
-from .finring import _past_limit, _powers
+from .finring import (_componentwise, _identities, _mixed_radix, _past_limit,
+                      _powers)
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +230,12 @@ def _build_product(spec: ProductGroup) -> Group:
         raise ConstructionError("product group needs at least one factor")
     _check_order("product group", spec)
     groups = [build_group(f) for f in spec.factors]
-    order = math.prod(g.order for g in groups)
-    idx = np.arange(order, dtype=np.int64)
-    mul = np.zeros((order, order), dtype=np.int64)
-    w = 1
-    identity = 0
-    for g in groups:
-        comp = ((idx // w) % g.order).astype(np.int32)
-        mul += g.mul[comp[:, None], comp[None, :]].astype(np.int64) * w
-        identity += g.identity * w
-        w *= g.order
-    names = []
-    for x in range(order):
-        parts = []
-        rem = x
-        for g in groups:
-            parts.append(g.names[rem % g.order])
-            rem //= g.order
-        names.append("(" + ", ".join(parts) + ")")
-    return Group(spec, group_label(spec), mul.astype(np.int32), identity, names)
+    weights, digits = _mixed_radix([g.order for g in groups])
+    identity = int(weights @ [g.identity for g in groups])
+    names = ["(" + ", ".join(g.names[d] for g, d in zip(groups, row)) + ")"
+             for row in digits.tolist()]
+    return Group(spec, group_label(spec), _componentwise([g.mul for g in groups]),
+                 identity, names)
 
 
 def _build_cayley(spec: CayleyGroup) -> Group:
@@ -260,9 +248,7 @@ def _build_cayley(spec: CayleyGroup) -> Group:
     _check_order("cayley table", spec)
     if mul.min() < 0 or mul.max() >= order:
         raise ConstructionError("cayley table entries out of range")
-    ar = np.arange(order, dtype=np.int32)
-    ids = [e for e in range(order)
-           if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)]
+    ids = _identities(mul)
     if not ids:
         raise ConstructionError(f"cayley table {spec.label!r} has no identity element")
     names = [f"x{k}" for k in range(order)]

@@ -210,11 +210,6 @@ def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
                    generators=a.generators + b.generators)
 
 
-def ideal_intersect(a: CodeSet, b: CodeSet) -> CodeSet:
-    _require_same(a, b)
-    return CodeSet(a.alg, a.mask & b.mask, side=a.side)
-
-
 # ---------------------------------------------------------------------------
 # duals and annihilators
 

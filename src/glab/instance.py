@@ -121,44 +121,22 @@ class _Tokens:
             raise ParseError(f"{self.where}: expected a quoted string, got {text!r}")
         return text[1:-1]
 
-    def read_int_list(self) -> tuple[int, ...]:
-        self.next("[")
-        out: list[int] = []
-        if self.peek() == ("punct", "]"):
+    def read_seq(self, item, close: str = "]", empty: bool = True) -> tuple:
+        """Comma-separated item() reads between brackets, "[...]" or
+        "(...)"; `empty` allows the bare pair."""
+        self.next("[" if close == "]" else "(")
+        if empty and self.peek() == ("punct", close):
             self.next()
             return ()
+        out = []
         while True:
-            out.append(self.read_int())
-            kind, text = self.next()
-            if text == "]":
+            out.append(item())
+            _, text = self.next()
+            if text == close:
                 return tuple(out)
             if text != ",":
-                raise ParseError(f"{self.where}: expected ',' or ']', got {text!r}")
-
-    def read_int_tuple(self) -> tuple[int, ...]:
-        self.next("(")
-        out: list[int] = []
-        while True:
-            out.append(self.read_int())
-            kind, text = self.next()
-            if text == ")":
-                return tuple(out)
-            if text != ",":
-                raise ParseError(f"{self.where}: expected ',' or ')', got {text!r}")
-
-    def read_list_of_int_lists(self) -> tuple[tuple[int, ...], ...]:
-        self.next("[")
-        rows: list[tuple[int, ...]] = []
-        if self.peek() == ("punct", "]"):
-            self.next()
-            return ()
-        while True:
-            rows.append(self.read_int_list())
-            kind, text = self.next()
-            if text == "]":
-                return tuple(rows)
-            if text != ",":
-                raise ParseError(f"{self.where}: expected ',' or ']', got {text!r}")
+                raise ParseError(
+                    f"{self.where}: expected ',' or {close!r}, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +152,7 @@ def _ring_expr(tok: _Tokens) -> RingSpec:
     if head == "polyquot":
         p = tok.read_int()
         tok.next(",")
-        modulus = tok.read_int_list()
+        modulus = tok.read_seq(tok.read_int)
         tok.next(")")
         return PolyQuot(p, modulus)
     if head == "matrix":
@@ -195,9 +173,9 @@ def _ring_expr(tok: _Tokens) -> RingSpec:
         tok.next(")")
         return RadicalQuotient(base)
     if head == "table":
-        moduli = tok.read_int_list()
+        moduli = tok.read_seq(tok.read_int)
         tok.next(",")
-        mul = tok.read_list_of_int_lists()
+        mul = tok.read_seq(lambda: tok.read_seq(tok.read_int))
         label = "table"
         if tok.peek() == ("punct", ","):
             tok.next()
@@ -230,7 +208,7 @@ def _group_expr(tok: _Tokens) -> GroupSpec:
         tok.next(")")
         return ProductGroup(tuple(factors))
     if head == "cayley":
-        table = tok.read_list_of_int_lists()
+        table = tok.read_seq(lambda: tok.read_seq(tok.read_int))
         label = "cayley"
         if tok.peek() == ("punct", ","):
             tok.next()
@@ -240,23 +218,11 @@ def _group_expr(tok: _Tokens) -> GroupSpec:
     raise ParseError(f"{tok.where}: unknown group kind {head!r}")
 
 
-def _coeff_list(tok: _Tokens) -> tuple:
-    tok.next("[")
-    out: list = []
-    if tok.peek() == ("punct", "]"):
-        tok.next()
-        return ()
-    while True:
-        nxt = tok.peek()
-        if nxt == ("punct", "("):
-            out.append(tok.read_int_tuple())
-        else:
-            out.append(tok.read_int())
-        kind, text = tok.next()
-        if text == "]":
-            return tuple(out)
-        if text != ",":
-            raise ParseError(f"{tok.where}: expected ',' or ']', got {text!r}")
+def _coeff(tok: _Tokens):
+    """A bare integer or a coordinate tuple like (1, 0)."""
+    if tok.peek() == ("punct", "("):
+        return tok.read_seq(tok.read_int, ")", empty=False)
+    return tok.read_int()
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +287,7 @@ def parse_instance(text: str) -> InstanceDescription:
             seen.add(name)
             tok = _Tokens(value, where)
             if kind == "elem":
-                coeffs = _coeff_list(tok)
+                coeffs = tok.read_seq(lambda: _coeff(tok))
                 tok.done()
                 elems.append(ElemDef(name, coeffs))
             else:
@@ -329,19 +295,7 @@ def parse_instance(text: str) -> InstanceDescription:
                 if span_kind not in ("span_right", "span_left"):
                     raise ParseError(
                         f"{where}: ideals are span_right(...) or span_left(...)")
-                tok.next("(")
-                gens: list[str] = []
-                if tok.peek() == ("punct", ")"):
-                    tok.next()
-                else:
-                    while True:
-                        gens.append(tok.read_name())
-                        _, text2 = tok.next()
-                        if text2 == ")":
-                            break
-                        if text2 != ",":
-                            raise ParseError(
-                                f"{where}: expected ',' or ')', got {text2!r}")
+                gens = tok.read_seq(tok.read_name, ")")
                 tok.done()
                 defined = {e.name for e in elems}
                 for g in gens:
@@ -349,7 +303,7 @@ def parse_instance(text: str) -> InstanceDescription:
                         raise ParseError(
                             f"{where}: ideal {name!r} uses undefined element {g!r}")
                 side = "right" if span_kind == "span_right" else "left"
-                ideals.append(IdealDef(name, side, tuple(gens)))
+                ideals.append(IdealDef(name, side, gens))
         else:
             raise ParseError(f"{where}: unknown key {head.strip()!r}")
 

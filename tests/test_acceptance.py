@@ -10,27 +10,25 @@ a future change that makes it true turns the suite red instead), and
 once as a green test freezing the exact counterexample pattern.
 """
 
+import functools
 import time
-from pathlib import Path
 
 import pytest
 
 from glab.errors import ConstructionError
-from glab.fixtures import desk_algebra, upper_triangular
 from glab.finring import frobenius
 from glab.grp import CayleyGroup, build_group
 from glab.idem import is_idempotent
 from glab.ideals import dual_code, enumerate_ideals, span
-from glab.instance import build_instance, load_instance
 from glab.lcp import is_lcp, lcp_certificate, lcp_scan
-from glab.verify import FAIL, PASS, Workspace, verify_all
+from glab.verify import FAIL, PASS, verify_all
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+from desk import fixture_algebra, fixture_workspace
+
 MAIN = ("f2c2", "f3c2", "f2c3", "f2s3", "z4c2")
 LOCAL = ("z4c2", "z4c3", "f2x2c2")
 
 _reports: dict[str, dict] = {}
-_workspaces: dict = {}
 
 
 def report(name: str):
@@ -41,11 +39,8 @@ def report(name: str):
     return _reports[name]
 
 
-def workspace(name: str) -> Workspace:
-    if name not in _workspaces:
-        built = build_instance(load_instance(str(FIXDIR / f"{name}.glab")))
-        _workspaces[name] = Workspace(built)
-    return _workspaces[name]
+# one workspace per instance file, shared by the tests of this gate
+workspace = functools.cache(fixture_workspace)
 
 
 class budget:
@@ -273,11 +268,11 @@ def test_09_matrix_ring_dual_principality_frozen_violations():
 def test_10_negative_controls():
     with budget(5, "negative controls: non-Frobenius ring detected, "
                 "trivial-only pair scan, corrupted Cayley table rejected"):
-        ut = upper_triangular()
+        ut = fixture_algebra("ut2c1").ring
         verdict = frobenius(ut)
         assert verdict.status == "not-frobenius" and verdict.character is None
 
-        alg = desk_algebra("f2c2")
+        alg = fixture_algebra("f2c2")
         pairs = lcp_scan(enumerate_ideals(alg, "right"))
         assert len(pairs) == 2
         sizes = sorted((p.c.cardinality, p.d.cardinality) for p in pairs)

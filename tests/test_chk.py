@@ -6,9 +6,10 @@ from glab.chk import (ann_intersection_check, check_elements,
                       code_checkable_census, is_checkable)
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
-from glab.fixtures import DESK_NAMES, desk_algebra
 from glab.idem import decompose_one, enumerate_idempotents
 from glab.ideals import dual_code, enumerate_ideals, span
+
+from desk import fixture_algebra
 
 
 def _census(alg):
@@ -22,39 +23,32 @@ def _parts_of_one(alg):
 
 @pytest.fixture(scope="module")
 def f2c2():
-    return desk_algebra("f2c2")
+    return fixture_algebra("f2c2")
 
 
 @pytest.fixture(scope="module")
 def f3c2():
-    return desk_algebra("f3c2")
+    return fixture_algebra("f3c2")
 
 
 @pytest.fixture(scope="module")
 def z4c2():
-    return desk_algebra("z4c2")
+    return fixture_algebra("z4c2")
 
 
 @pytest.fixture(scope="module")
 def f2s3():
-    return desk_algebra("f2s3")
+    return fixture_algebra("f2s3")
 
 
 @pytest.fixture(scope="module")
 def m2c2():
-    return desk_algebra("m2f2c2")
-
-
-def test_desk_registry_names():
-    assert DESK_NAMES == ("f2c2", "f3c2", "f2c3", "f2s3", "z4c2",
-                          "z4c3", "f2x2c2", "m2f2c2", "m2f2c3")
-    with pytest.raises(KeyError, match="unknown desk instance"):
-        desk_algebra("f5c5")
+    return fixture_algebra("m2f2c2")
 
 
 def test_desk_registry_labels():
-    assert desk_algebra("f2x2c2").label == "Z2[t]/(t^2)C2"
-    assert desk_algebra("m2f2c3").label == "M2(Z2)C3"
+    assert fixture_algebra("f2x2c2").label == "Z2[t]/(t^2)C2"
+    assert fixture_algebra("m2f2c3").label == "M2(Z2)C3"
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +106,7 @@ def test_checkability_scale_gate(f2c2):
     ("f2c2", 3), ("f3c2", 4), ("f2c3", 4), ("f2s3", 15),
 ])
 def test_census_fully_checkable(name, total):
-    cen = _census(desk_algebra(name))
+    cen = _census(fixture_algebra(name))
     assert len(cen.verdicts) == total
     assert cen.all_checkable
     assert all(v.consistency for _, v in cen.verdicts)
@@ -146,7 +140,7 @@ def test_census_matrix_ring(m2c2):
 
 def test_checkable_and_ann_routes_agree_everywhere():
     for name in ("f2c2", "f3c2", "f2c3", "z4c2", "f2s3", "m2f2c2"):
-        for _, v in _census(desk_algebra(name)).verdicts:
+        for _, v in _census(fixture_algebra(name)).verdicts:
             assert (v.check_element is None) == (v.ann_generator is None)
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from glab.errors import ConstructionError, ScaleError
 from glab.finring import (
-    FrobeniusVerdict,
     MatrixRing,
     PolyQuot,
     ProductRing,
@@ -26,7 +25,8 @@ from glab.finring import (
     spec_label,
     structure,
 )
-from glab.fixtures import chain_square_zero, upper_triangular
+
+from desk import fixture_algebra
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_zmod_arithmetic(z4):
     assert z4.one == 1
     assert z4.a(3, 2) == 1
     assert z4.m(3, 3) == 1
-    assert z4.s(1, 3) == 2
+    assert z4.add[1, z4.neg[3]] == 2
     assert list(z4.neg) == [0, 3, 2, 1]
 
 
@@ -150,7 +150,7 @@ def test_product_ring_componentwise():
 # explicit tables and the axiom audit
 
 def test_table_ring_chain():
-    ch = chain_square_zero()
+    ch = fixture_algebra("f2x2c2").ring
     assert ch.one == 1
     assert ch.m(2, 2) == 0
     st = structure(ch)
@@ -240,7 +240,7 @@ def test_matrix_ring_structure(m2f2):
 
 
 def test_upper_triangular_structure():
-    ut = upper_triangular()
+    ut = fixture_algebra("ut2c1").ring
     st = structure(ut)
     assert ut.one == 5
     assert list(st.units) == [5, 7]
@@ -264,16 +264,15 @@ def test_field_and_matrix_characters(f4, m2f2):
 
 
 def test_upper_triangular_has_no_generating_character():
-    v = frobenius(upper_triangular())
+    v = frobenius(fixture_algebra("ut2c1").ring)
     assert v.status == "not-frobenius"
     assert v.character is None
-    assert v.decided
+    assert v.status != "undecided"
 
 
 def test_frobenius_bound_gives_undecided(m2f2):
     v = frobenius(m2f2, bound=8)
     assert v.status == "undecided"
-    assert not v.decided
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +287,7 @@ def test_z4_residue_field(z4):
 
 
 def test_chain_residue_field():
-    q = radical_quotient(chain_square_zero())
+    q = radical_quotient(fixture_algebra("f2x2c2").ring)
     assert q.ring.card == 2
     assert list(q.proj) == [0, 1, 0, 1]
 
@@ -333,7 +332,7 @@ def test_random_products_audit():
 
 
 def test_unit_product_closed(z4, m2f2):
-    for ring in (z4, m2f2, upper_triangular()):
+    for ring in (z4, m2f2, fixture_algebra("ut2c1").ring):
         st = structure(ring)
         um = st.unit_mask
         prods = ring.mul[np.ix_(st.units, st.units)]

@@ -7,7 +7,6 @@ rings.
 """
 
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +17,9 @@ from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
 from glab.cli import main
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
-from glab.instance import build_instance, load_instance
-from glab.verify import Workspace, verify_all
+from glab.verify import verify_all
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from desk import fixture_path, fixture_workspace
 
 
 def make(ring_spec, group_spec):
@@ -179,7 +177,7 @@ def test_maps_are_stored_read_only(z4c3):
 
 
 def _verify_all_on(name):
-    ws = Workspace(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))))
+    ws = fixture_workspace(name)
     return [(l.check_id, l.status, l.witness) for l in verify_all(ws).lines]
 
 
@@ -234,7 +232,7 @@ def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
             products["col", self.encode(cy)] += 1
         return product(self, cx, cy)
     monkeypatch.setattr(GroupAlgebra, "_product", counting)
-    assert main(["checkable", "census", str(FIXTURES / "m2f2c3.glab"),
+    assert main(["checkable", "census", fixture_path("m2f2c3"),
                  "--census-bound", "5000"]) == 1
     assert "checkable-census.code-checkable  true" in capsys.readouterr().out
     rows = sum(side == "row" for side, _ in products)

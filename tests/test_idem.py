@@ -1,6 +1,5 @@
 """Idempotent census, primitivity, decompositions, lifting."""
 
-import numpy as np
 import pytest
 
 from glab.errors import ConstructionError, ScaleError
@@ -10,7 +9,9 @@ from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import (decompose_idempotent, decompose_one,
                        enumerate_idempotents, idempotent_census,
                        is_idempotent, is_primitive, lift_idempotent)
-from glab.ideals import dual_code, ideal_intersect, ideal_sum, span
+from glab.ideals import dual_code, ideal_sum, span
+
+from desk import fixture_algebra
 
 
 def _alg(ring_spec, group_spec):
@@ -142,7 +143,7 @@ def test_complement_split_sizes(f3c2, f2c3, f2s3, m2c2):
             c = span(alg, [e], "right")
             d = span(alg, [alg.one_minus(e)], "right")
             assert c.cardinality * d.cardinality == alg.card
-            assert ideal_intersect(c, d).cardinality == 1
+            assert (c.mask & d.mask).sum() == 1
             assert ideal_sum(c, d).cardinality == alg.card
 
 
@@ -202,8 +203,7 @@ def test_lift_covers_all_residue_idempotents(z4c3):
 
 
 def test_lift_over_chain_ring_base():
-    from glab.fixtures import chain_square_zero
-    alg = GroupAlgebra(chain_square_zero(), build_group(CyclicGroup(2)))
+    alg = fixture_algebra("f2x2c2")
     rm = residue_map(alg)
     for eb in enumerate_idempotents(rm.residue):
         e = lift_idempotent(alg, rm, eb)

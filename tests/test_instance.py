@@ -2,18 +2,17 @@
 
 import re
 import time
-from pathlib import Path
 
 import pytest
 
 from glab.errors import ConstructionError, ParseError, ScaleError
 from glab.finring import MatrixRing, TableRing, Zmod
-from glab.grp import CayleyGroup, CyclicGroup, SymmetricGroup
+from glab.grp import CayleyGroup, CyclicGroup
 from glab.instance import (ElemDef, IdealDef, InstanceDescription,
                            build_instance, format_instance, instance_digest,
                            load_instance, parse_instance)
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from desk import FIXTURE_NAMES, fixture_instance, fixture_path
 
 BASIC = """
 # a comment
@@ -127,10 +126,10 @@ def test_build_errors(text, message):
 
 
 def test_digest_frozen_and_canonical():
-    d = load_instance(str(FIXTURES / "f2c2.glab"))
+    d = load_instance(fixture_path("f2c2"))
     assert instance_digest(d) == (
         "d56a5777c7bbf9b20593223f8cf8fba5ed0dcfab9700c7b49cfaa8032578037d")
-    assert instance_digest(load_instance(str(FIXTURES / "m2f2c2.glab"))) == (
+    assert instance_digest(load_instance(fixture_path("m2f2c2"))) == (
         "ea7a3b9f4590ce998a9ea058217ed01a9db7d8cb9c596d70de17908db3943551")
     # comments and spacing do not change the digest; content does
     stripped = parse_instance(format_instance(d))
@@ -140,12 +139,11 @@ def test_digest_frozen_and_canonical():
 
 
 def test_every_fixture_file_round_trips():
-    paths = sorted(FIXTURES.glob("*.glab"))
-    assert len(paths) == 11
-    for path in paths:
-        d = load_instance(str(path))
+    assert len(FIXTURE_NAMES) == 11
+    for name in FIXTURE_NAMES:
+        d = load_instance(fixture_path(name))
         assert parse_instance(format_instance(d)) == d
-        if "corrupt" in path.name:
+        if "corrupt" in name:
             with pytest.raises(ConstructionError, match="not associative"):
                 build_instance(d)
         else:
@@ -153,11 +151,11 @@ def test_every_fixture_file_round_trips():
 
 
 def test_fixture_files_name_expected_objects():
-    b = build_instance(load_instance(str(FIXTURES / "z4c3.glab")))
+    b = fixture_instance("z4c3")
     assert b.algebra.label == "Z4C3"
     assert b.elems == {"c": 22, "d": 63}
     assert b.ideals["C"].cardinality == 16 and b.ideals["D"].cardinality == 4
-    ut = build_instance(load_instance(str(FIXTURES / "ut2c1.glab")))
+    ut = fixture_instance("ut2c1")
     assert ut.algebra.ring.label == "UT2(Z2)" and ut.algebra.group.order == 1
 
 

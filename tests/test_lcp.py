@@ -1,7 +1,5 @@
 """Complementary pairs: detection, certificates, refinement, transfer."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,11 @@ from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import enumerate_idempotents
 from glab.ideals import CodeSet, enumerate_ideals, span
-from glab.instance import build_instance, load_instance
 from glab.lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
                       lcp_scan, project_code, refine_certificate)
-from glab.verify import Workspace, certificate_splits, hat_transfer
+from glab.verify import certificate_splits, hat_transfer
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from desk import fixture_algebra, fixture_workspace
 
 
 def _alg(ring_spec, group_spec):
@@ -25,10 +22,6 @@ def _alg(ring_spec, group_spec):
 
 def _scan(alg, side="right"):
     return lcp_scan(enumerate_ideals(alg, side))
-
-
-def _workspace(name):
-    return Workspace(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))))
 
 
 def _refine(c, d):
@@ -181,14 +174,14 @@ def test_refine_matrix_pair(m2c2):
 # involution equivalence
 
 def test_hat_equivalence_frozen_f3c2():
-    ws = _workspace("f3c2")
+    ws = fixture_workspace("f3c2")
     c, d = span(ws.alg, [8], "right"), span(ws.alg, [5], "right")
     assert lcp_certificate(c, d) == 8 and ws.alg.is_central(8)
     assert hat_transfer(ws, c, d) == (True, True)
 
 
 def test_hat_equivalence_dichotomy_f2s3():
-    ws = _workspace("f2s3")
+    ws = fixture_workspace("f2s3")
     central_ok, noncentral_miss = 0, 0
     for p in ws.pairs:
         sizes, image = hat_transfer(ws, p.c, p.d)
@@ -203,7 +196,7 @@ def test_hat_equivalence_dichotomy_f2s3():
 
 
 def test_hat_equivalence_sizes_always():
-    ws = _workspace("m2f2c2")
+    ws = fixture_workspace("m2f2c2")
     assert len(ws.pairs) == 26
     for p in ws.pairs:
         assert hat_transfer(ws, p.c, p.d)[0]
@@ -252,14 +245,13 @@ def test_residue_transfer_all_pairs_local(z4c3):
     # The lifted split of every complementary residue pair is
     # complementary over it; the raw biconditional fails exactly on the
     # frozen number of pairs, all flagged as not idempotent-generated.
-    from glab.fixtures import chain_square_zero
     expected = {
         "Z4C2": 4,
         "Z2[t]/(t^2)C2": 4,
         "Z4C3": 12,
     }
     for alg in (_alg(Zmod(4), CyclicGroup(2)),
-                GroupAlgebra(chain_square_zero(), build_group(CyclicGroup(2))),
+                fixture_algebra("f2x2c2"),
                 z4c3):
         rm = residue_map(alg)
         census = enumerate_ideals(alg)

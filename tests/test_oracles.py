@@ -20,7 +20,6 @@ import functools
 import re
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +36,7 @@ from glab.instance import InstanceDescription, build_instance, load_instance
 from glab.lcp import lcp_certificate
 from glab.verify import Workspace, verify_all
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def _algebra(name):
-    return build_instance(load_instance(str(FIXTURES / f"{name}.glab"))).algebra
+from desk import FIXTURE_NAMES, fixture_algebra, fixture_path
 
 
 class Oracle:
@@ -68,14 +63,14 @@ class Oracle:
         return acc
 
 
-_DESK = [p.stem for p in sorted(FIXTURES.glob("*.glab"))
-         if "corrupt" not in p.name and p.stem != "m2f2c3"]
+_DESK = [name for name in FIXTURE_NAMES
+         if "corrupt" not in name and name != "m2f2c3"]
 
 
 @functools.cache
 def _tables(name):
     """The product and form tables of a desk algebra, from the definitions."""
-    alg = _algebra(name)
+    alg = fixture_algebra(name)
     assert alg.card <= 256
     orc = Oracle(alg)
     every = list(alg.elements)
@@ -85,7 +80,7 @@ def _tables(name):
 
 @pytest.mark.parametrize("name", _DESK)
 def test_every_map_matches_the_definition(name):
-    alg = _algebra(name)
+    alg = fixture_algebra(name)
     every = list(alg.elements)
     table, forms = _tables(name)
     assert np.array_equal(alg.square_all(), np.diagonal(table))
@@ -102,7 +97,7 @@ def test_every_map_matches_the_definition(name):
 
 
 def test_strided_maps_of_m2f2c3_match_the_definition():
-    alg = _algebra("m2f2c3")
+    alg = fixture_algebra("m2f2c3")
     orc = Oracle(alg)
     every = list(alg.elements)
     square = alg.square_all()
@@ -162,7 +157,7 @@ def _count_products(monkeypatch):
 def test_gathered_maps_match_the_definition(name, budget, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(glab.galg, "MAP_MEMO_BYTES", budget)
-    built = _algebra(name)
+    built = fixture_algebra(name)
     # a fresh algebra: building the instance may already store maps
     alg = GroupAlgebra(built.ring, built.group)
     table, _ = _tables(name)
@@ -185,7 +180,7 @@ def test_gathered_maps_match_the_definition(name, budget, monkeypatch):
 
 
 def test_gathered_maps_of_m2f2c3_match_the_definition(monkeypatch):
-    built = _algebra("m2f2c3")
+    built = fixture_algebra("m2f2c3")
     alg = GroupAlgebra(built.ring, built.group)
     orc = Oracle(alg)
     every = list(alg.elements)
@@ -213,7 +208,7 @@ def test_gathered_maps_of_m2f2c3_match_the_definition(monkeypatch):
 
 @pytest.mark.parametrize("name", _DESK)
 def test_scans_match_brute_force(name):
-    alg = _algebra(name)
+    alg = fixture_algebra(name)
     table, _ = _tables(name)
     ring, one = alg.ring, alg.decode(alg.one)
     census = enumerate_ideals(alg, "right")
@@ -233,7 +228,7 @@ def test_scans_match_brute_force(name):
                     c.cardinality * d.cardinality != alg.card):
                 continue
             hits = [int(x) for x in c.elements() if d.contains(alg.encode(
-                map(ring.s, one, alg.decode(int(x)))))]
+                ring.add[list(one), ring.neg[list(alg.decode(int(x)))]]))]
             assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
                                              else None)
     # the first other nonzero idempotent f with ef = fe = f
@@ -252,7 +247,7 @@ def test_scans_match_brute_force(name):
 def _naive_addition(name):
     """The full addition table of a desk algebra, coefficientwise with the
     ring's own addition on decoded coefficients."""
-    alg = _algebra(name)
+    alg = fixture_algebra(name)
     coeffs = [alg.decode(x) for x in alg.elements]
     return np.array([[alg.encode(map(alg.ring.a, cx, cy)) for cy in coeffs]
                      for cx in coeffs])
@@ -266,7 +261,7 @@ def _naive_sumset(add, a, b):
 
 @pytest.mark.parametrize("name", _DESK)
 def test_census_is_closed_under_naive_sums(name):
-    alg = _algebra(name)
+    alg = fixture_algebra(name)
     assert alg.card <= DEFAULT_CENSUS_BOUND
     add = _naive_addition(name)
     for side in ("right", "left"):
@@ -286,7 +281,7 @@ def test_stacked_sumset_matches_naive_sums(name):
     # every ordered pair of right-ideal census members, and of their
     # duals as bare sets (over M2(Z2) a dual need not be an ideal); each
     # column b is one kernel call over the whole stack
-    alg = _algebra(name)
+    alg = fixture_algebra(name)
     add = _naive_addition(name)
     census = enumerate_ideals(alg, "right")
     duals = [CodeSet(alg, dual_code(c).mask) for c in census]
@@ -312,7 +307,7 @@ def _cyclotomic_cosets(q, n):
     return count
 
 
-def _cyclic_algebra(m, n):
+def _cyclicfixture_algebra(m, n):
     return GroupAlgebra(build_ring(Zmod(m)), build_group(CyclicGroup(n)))
 
 
@@ -321,7 +316,7 @@ def test_semisimple_cyclic_counts(q, n):
     # gcd(n, q) = 1: F_q C_n is a product of s fields, one per
     # q-cyclotomic coset mod n, so it has 2^s ideals and 2^s idempotents
     s = _cyclotomic_cosets(q, n)
-    alg = _cyclic_algebra(q, n)
+    alg = _cyclicfixture_algebra(q, n)
     assert len(enumerate_ideals(alg, "right")) == 2 ** s
     assert len(enumerate_ideals(alg, "left")) == 2 ** s
     assert len(enumerate_idempotents(alg)) == 2 ** s
@@ -333,7 +328,7 @@ def test_z4_cyclic_counts(n, ideals, idempotents):
     # ideals 0, 2R, R, so 3^s ideals; idempotents lift from F2 C_n
     s = _cyclotomic_cosets(2, n)
     assert (3 ** s, 2 ** s) == (ideals, idempotents)
-    alg = _cyclic_algebra(4, n)
+    alg = _cyclicfixture_algebra(4, n)
     assert len(enumerate_ideals(alg, "right", bound=alg.card)) == ideals
     assert len(enumerate_idempotents(alg)) == idempotents
 
@@ -379,7 +374,7 @@ _AUTOMORPHISMS = {
 
 @pytest.mark.parametrize("name", ["f2s3", "m2f2c2", "z4c3", "f2x2c2", "ut2c1"])
 def test_verify_all_is_invariant_under_relabelling(name):
-    desc = load_instance(str(FIXTURES / f"{name}.glab"))
+    desc = load_instance(fixture_path(name))
     desc = InstanceDescription(ring=desc.ring, group=desc.group)
     perm = np.arange(build_group(desc.group).order)[::-1]
     moved = replace(desc, group=_relabelled_group(desc.group, perm))

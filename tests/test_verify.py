@@ -19,16 +19,13 @@ from glab.ideals import dual_code
 from glab.instance import build_instance, load_instance
 from glab.verify import FAIL, LAW_TABLE, PASS, Workspace, _tally, verify_all
 
+from desk import fixture_workspace
+
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
-
-
-def _workspace(name):
-    return Workspace(build_instance(load_instance(str(FIXTURES / f"{name}.glab"))))
 
 
 def _report(name, **kw):
-    return verify_all(_workspace(name), **kw)
+    return verify_all(fixture_workspace(name), **kw)
 
 
 def _by_id(report):
@@ -170,7 +167,7 @@ def test_shared_work_runs_once(monkeypatch):
     checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
     refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
-    ws = _workspace("z4c3")
+    ws = fixture_workspace("z4c3")
     rep = verify_all(ws)
     assert not any(l.status == "skip" for l in rep.lines)
     assert [args[1] for args in census] == ["right", "left"]
@@ -208,7 +205,7 @@ def test_pair_commands_build_no_census(monkeypatch):
     from glab.cli import cmd_lcp_verify
     census = _count_calls(monkeypatch, glab.ideals.enumerate_ideals)
     scans = _count_calls(monkeypatch, glab.lcp.lcp_scan)
-    rep = cmd_lcp_verify(_workspace("m2f2c2"), ("C", "D"))
+    rep = cmd_lcp_verify(fixture_workspace("m2f2c2"), ("C", "D"))
     assert not rep.failed and census == [] and scans == []
 
 
@@ -225,7 +222,7 @@ def test_dual_cache_keys_on_side(name):
     # a two-sided ideal is in both censuses with one mask; its dual as a
     # right ideal and as a left ideal differ in side, so the cache must
     # tell them apart (the zero ideal comes first)
-    ws = _workspace(name)
+    ws = fixture_workspace(name)
     rights = {c.key(): c for c in ws.right_ideals}
     two_sided = [(rights[c.key()], c) for c in ws.left_ideals
                  if c.key() in rights]
