@@ -7,8 +7,10 @@ beside it: the principality of the left annihilator (equivalent over
 a base ring with a generating character, via double annihilators)
 and the principality of the dual as a right ideal (equivalent over
 commutative base rings; over matrix base rings the dual of a
-checkable ideal can fail to be a right ideal at all). The verdict
-says whether the routes agree; the checkable-routes laws count it.
+checkable ideal can fail to be a right ideal at all). Principality is
+read from the tables of `ideals.principal_ideals`, one ordered pass
+over RG per side. The verdict says whether the routes agree; the
+checkable-routes laws count it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, ScaleError
+from .errors import ConstructionError
 from .galg import GroupAlgebra
 from .ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
-                     is_principal, span)
+                     check_scale, packed, span)
 
 
 @dataclass(frozen=True)
@@ -60,35 +62,42 @@ def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     maps, are skipped: each skipped element has the annihilator of one
     scanned before it, so each key keeps its least element.
     """
-    if alg.card > bound:
-        raise ScaleError(
-            f"{alg.label}: check-element scan over {alg.card} elements "
-            f"exceeds the bound {bound}")
+    check_scale(alg, bound, "check-element scan")
     units = np.array([alg.mul_row(v) for v in alg.trivial_units])
     seen = np.zeros(alg.card, dtype=bool)
     least: dict[bytes, int] = {}
     for u in alg.elements:
         if not seen[u]:
             zero = alg.mul_row(u) == 0
-            least.setdefault(np.packbits(zero, bitorder="little").tobytes(), u)
+            least.setdefault(packed(zero).tobytes(), u)
             seen[units[:, u]] = True
     return least
 
 
-def is_checkable(c: CodeSet, dual: CodeSet,
-                 checks: dict[bytes, int]) -> CheckabilityVerdict:
+Principals = dict[str, dict[bytes, CodeSet]]
+
+
+def _least_generator(principals: Principals, code: CodeSet) -> int | None:
+    got = principals[code.side].get(code.key())
+    return got.generators[0] if got is not None else None
+
+
+def is_checkable(c: CodeSet, dual: CodeSet, checks: dict[bytes, int],
+                 principals: Principals) -> CheckabilityVerdict:
     """Decide checkability three ways: (i) the least check element, from
     the table `checks` of `check_elements`; (ii) principality of `dual`,
     the dual of C, as a right ideal; (iii) principality of the left
-    annihilator."""
+    annihilator. Principality is the least generator in `principals`,
+    the table of `principal_ideals` of each side."""
     if c.side != "right":
         raise ConstructionError("checkability is defined for right ideals")
     dual_right = dual.side == "right"
     return CheckabilityVerdict(
         check_element=checks.get(c.key()),
-        ann_generator=is_principal(ann_left(c)),
+        ann_generator=_least_generator(principals, ann_left(c)),
         dual_is_right_ideal=dual_right,
-        dual_generator=is_principal(dual) if dual_right else None,
+        dual_generator=(_least_generator(principals, dual)
+                        if dual_right else None),
     )
 
 
@@ -101,11 +110,14 @@ class CheckableCensus:
 
 def code_checkable_census(census: list[CodeSet],
                           dual: Callable[[CodeSet], CodeSet],
-                          checks: dict[bytes, int]) -> CheckableCensus:
+                          checks: dict[bytes, int],
+                          principals: Principals) -> CheckableCensus:
     """The checkability verdict of every ideal in a full right-ideal
-    census, with each ideal's dual from `dual` and its check element
-    from the table `checks` of `check_elements`."""
-    rows = [(c, is_checkable(c, dual(c), checks)) for c in census]
+    census, with each ideal's dual from `dual`, its check element from
+    the table `checks` of `check_elements` and principality from the
+    tables `principals`."""
+    rows = [(c, is_checkable(c, dual(c), checks, principals))
+            for c in census]
     return CheckableCensus(
         algebra_label=census[0].alg.label,
         all_checkable=all(v.checkable for _, v in rows),
@@ -144,8 +156,8 @@ def ann_intersection_check(c: CodeSet, parts: list[int]) -> CentralIntersection:
     if not all(alg.is_central(p) for p in parts):
         return CentralIntersection("non-central-parts", None, None, ())
 
-    inside = tuple(p for p in parts
-                   if bool(c.mask[span(alg, [p], "right").elements()].all()))
+    # a right ideal holds pRG exactly when it holds p
+    inside = tuple(p for p in parts if c.mask[p])
     if not span(alg, list(inside), "right").same_set(c):
         return CentralIntersection("not-a-block-sum", None, None, ())
 

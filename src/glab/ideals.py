@@ -9,8 +9,13 @@ masks; every operation is exhaustive and exact.
 Sums come from one kernel over a stack of masks: A_1 + B, ..., A_k + B
 for one B are the (k, |RG|) stack of the A_i closed under each element
 x of B's additive basis, with one map z -> z - x per x gathering the
-columns of every row that still misses x. A single sum (a span, an
-ideal_sum, a census step) is a stack of one row.
+columns of every row that still misses x. A single sum (a span or an
+ideal_sum) is a stack of one row. Each row's basis grows with the x it
+was closed under, so a sum carries its basis out of the kernel.
+
+The principal ideals of one side come from one ordered pass over RG,
+which keeps the least generator of each; the census builds on that
+table, and the checkable routes read principality from it.
 
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
@@ -41,7 +46,8 @@ class CodeSet:
                  "_key")
 
     def __init__(self, alg: GroupAlgebra, mask: np.ndarray,
-                 side: Optional[str] = None, generators: tuple[int, ...] = ()):
+                 side: Optional[str] = None, generators: tuple[int, ...] = (),
+                 basis: Optional[tuple[int, ...]] = None):
         if side not in (None, "right", "left"):
             raise ConstructionError(f"unknown ideal side {side!r}")
         self.alg = alg
@@ -56,7 +62,7 @@ class CodeSet:
         self.side = side
         self.generators = tuple(int(g) for g in generators)
         self._card = int(mask.sum())
-        self._basis: Optional[tuple[int, ...]] = None
+        self._basis = basis
         self._key: Optional[bytes] = None
 
     @property
@@ -65,8 +71,10 @@ class CodeSet:
 
     @property
     def basis(self) -> tuple[int, ...]:
-        """Greedy additive basis, found on first use; raises if the set
-        is not additively closed."""
+        """An additive generating set in which no element lies in the
+        span of those before it: the one a sum grew in the kernel, or
+        else the greedy basis, found on first use (which raises if the
+        set is not additively closed)."""
         if self._basis is None:
             self._basis = tuple(additive_basis(self.alg, self.mask))
         return self._basis
@@ -82,7 +90,7 @@ class CodeSet:
 
     def key(self) -> bytes:
         if self._key is None:
-            self._key = np.packbits(self.mask, bitorder="little").tobytes()
+            self._key = packed(self.mask).tobytes()
         return self._key
 
     def __repr__(self) -> str:
@@ -93,13 +101,33 @@ class CodeSet:
 # ---------------------------------------------------------------------------
 # subgroup arithmetic on stacks of masks
 
+def packed(masks: np.ndarray) -> np.ndarray:
+    """Each row of a stack of masks packed eight columns to a byte, in
+    the bit order of `CodeSet.key`."""
+    return np.packbits(masks, axis=-1, bitorder="little")
+
+
+def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether rows a_i and b_j of two packed stacks share a set bit,
+    for every (i, j): one stacked `&`, in chunks of rows of a that keep
+    the (rows, len(b), bytes) intermediate near 256 KiB."""
+    out = np.empty((len(a), len(b)), dtype=bool)
+    step = max(1, (1 << 18) // max(1, b.size))
+    for i in range(0, len(a), step):
+        out[i:i + step] = (a[i:i + step, None] & b[None]).any(axis=-1)
+    return out
+
+
 def _close(masks: np.ndarray, back: np.ndarray) -> np.ndarray:
     """Close each row S of a stack of subgroup masks under x, where
-    `back` is the map z -> z - x on the stack's columns: gathering
-    columns through it adds S + x, S + 2x, ... until no row changes
-    (cosets of S are disjoint or equal)."""
-    while not np.array_equal(grown := masks | masks[:, back], masks):
-        masks = grown
+    `back` is the map z -> z - x on the stack's columns (column 0 holds
+    0): S + <x> is S, S + x, ..., S + (n - 1)x for the additive order n
+    of x, the length of the cycle of 0 under the map, and gathering
+    columns through the map adds one more multiple of x."""
+    z = int(back[0])
+    while z:
+        masks = masks | masks[:, back]
+        z = int(back[z])
     return masks
 
 
@@ -123,18 +151,27 @@ def additive_basis(alg: GroupAlgebra, mask: np.ndarray) -> list[int]:
     return basis
 
 
-def _sumset(ops: list[CodeSet], b: CodeSet) -> np.ndarray:
+def _sumset(ops: list[CodeSet], b: CodeSet) -> tuple[np.ndarray, np.ndarray]:
     """Masks of A + B for additive subgroups A in `ops` and B, one row
     per A: the whole stack closed under each element x of B's basis,
-    with one z -> z - x map for all the rows missing x."""
+    with one z -> z - x map for all the rows missing x. Also which x
+    each row was closed under, a (len(ops), len(B.basis)) matrix: A's
+    basis and those x are a basis of A + B (see `_grown_basis`)."""
     for code in (*ops, b):
         code.basis          # an unclosed operand raises here
     masks = np.array([a.mask for a in ops])
-    for x in b.basis:
+    grew = np.zeros((len(ops), len(b.basis)), dtype=bool)
+    for k, x in enumerate(b.basis):
         rows = np.flatnonzero(~masks[:, x])
         if len(rows):
             masks[rows] = _close(masks[rows], b.alg.sub_col(x))
-    return masks
+            grew[rows, k] = True
+    return masks, grew
+
+
+def _grown_basis(a: CodeSet, b: CodeSet, grew: np.ndarray) -> tuple[int, ...]:
+    """The basis of A + B from A's and the row `grew` of `_sumset`."""
+    return a.basis + tuple(x for x, took in zip(b.basis, grew) if took)
 
 
 def side_closed(code: CodeSet, side: str) -> bool:
@@ -192,8 +229,7 @@ def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
         return CodeSet(alg, np.arange(alg.card) == 0, side=side)
     out = principal(alg, gens[0], side)
     for u in gens[1:]:
-        out = CodeSet(alg, _sumset([out], principal(alg, u, side))[0],
-                      side=side, generators=out.generators + (u,))
+        out = ideal_sum(out, principal(alg, u, side))
     return out
 
 
@@ -206,8 +242,10 @@ def _require_same(a: CodeSet, b: CodeSet) -> None:
 
 def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
     _require_same(a, b)
-    return CodeSet(a.alg, _sumset([a], b)[0], side=a.side,
-                   generators=a.generators + b.generators)
+    (mask,), (grew,) = _sumset([a], b)
+    return CodeSet(a.alg, mask, side=a.side,
+                   generators=a.generators + b.generators,
+                   basis=_grown_basis(a, b, grew))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +288,6 @@ def ann_right(code: CodeSet) -> CodeSet:
     return CodeSet(alg, mask, side="right")
 
 
-def ann_left_of_element(alg: GroupAlgebra, u: int) -> CodeSet:
-    """All a with a*u = 0."""
-    return CodeSet(alg, alg.mul_col(u) == 0, side="left")
-
-
 def ann_right_of_element(alg: GroupAlgebra, u: int) -> CodeSet:
     """All a with u*a = 0."""
     return CodeSet(alg, alg.mul_row(u) == 0, side="right")
@@ -263,63 +296,88 @@ def ann_right_of_element(alg: GroupAlgebra, u: int) -> CodeSet:
 # ---------------------------------------------------------------------------
 # principality and the census
 
-def is_principal(code: CodeSet) -> Optional[int]:
-    """First element (in canonical order) generating the set as a
-    one-sided ideal, or None if no single element does."""
-    if code.side is None:
-        raise ConstructionError("principality needs a declared side")
-    for u in code.elements():
-        u = int(u)
-        if principal(code.alg, u, code.side).same_set(code):
-            return u
-    return None
+def check_scale(alg: GroupAlgebra, bound: int, what: str) -> None:
+    """Refuse a pass over all of RG, before any table is built, when
+    the algebra has more than `bound` elements."""
+    if alg.card > bound:
+        raise ScaleError(
+            f"{alg.label}: {what} over {alg.card} elements exceeds the "
+            f"bound {bound}")
 
 
-def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
-                     bound: int = DEFAULT_CENSUS_BOUND) -> list[CodeSet]:
-    """The complete lattice of one-sided ideals.
-
-    Every ideal is a finite sum of principal ideals, so adding each
-    principal ideal to each member found, from a worklist, gives the
-    full lattice. Sorted by cardinality, then by mask bytes.
+def principal_ideals(alg: GroupAlgebra, side: str,
+                     bound: int = DEFAULT_CENSUS_BOUND) -> dict[bytes, CodeSet]:
+    """Every principal ideal of one side by mask key, each generated by
+    its least generator: one ordered pass over RG, gated by `bound`.
 
     For a unit v, uvRG = uRG (and RGvu = RGu), so once u is scanned its
     products with the trivial units v = r*g (r a unit of R, g in G) are
     skipped. A skipped element generates the same ideal as one scanned
     before it, so each principal ideal keeps its least generator.
-
-    A member I and a principal P = uRG are summed only when the sum is
-    new: I + P = I when u is in I, and otherwise a member K of size
-    |I||P|/|I & P| holding I and P is I + P, as K contains I + P.
     """
-    if alg.card > bound:
-        raise ScaleError(
-            f"{alg.label}: ideal census over {alg.card} elements exceeds the "
-            f"bound {bound}")
+    if side not in ("right", "left"):
+        raise ConstructionError(f"unknown ideal side {side!r}")
+    check_scale(alg, bound, "principal-ideal census")
     seen = np.zeros(alg.card, dtype=bool)
     found: dict[bytes, CodeSet] = {}
     for u in alg.elements:
-        if seen[u]:
-            continue
-        c = principal(alg, u, side)
-        found.setdefault(c.key(), c)
-        seen[_side_map(alg, u, side)[alg.trivial_units]] = True
-    principals = list(found.values())
-    by_card: dict[int, list[CodeSet]] = {}
-    for c in principals:
-        by_card.setdefault(c.cardinality, []).append(c)
-    work = list(principals)
+        if not seen[u]:
+            c = principal(alg, u, side)
+            found.setdefault(c.key(), c)
+            seen[_side_map(alg, u, side)[alg.trivial_units]] = True
+    return found
+
+
+def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
+                     bound: int = DEFAULT_CENSUS_BOUND,
+                     principals: Optional[dict[bytes, CodeSet]] = None
+                     ) -> list[CodeSet]:
+    """The complete lattice of one-sided ideals, built on the table of
+    principal ideals (`principal_ideals` of the side, unless given).
+
+    Every ideal is a finite sum of principal ideals, so adding each
+    principal ideal to each member found, from a worklist, gives the
+    full lattice. Sorted by cardinality, then by mask bytes.
+
+    A member I and a principal P = uRG are summed only when the sum is
+    new: I + P = I when u is in I, and otherwise a member K of size
+    |I||P|/|I & P| holding I and P is I + P, as K contains I + P. The
+    meets and unions of I with every principal come from one stacked
+    operation, and containment in the members from one `overlaps` of
+    the packed masks. The new sums of I come from one kernel call,
+    added in principal order.
+    """
+    check_scale(alg, bound, "ideal census")
+    if principals is None:
+        principals = principal_ideals(alg, side, bound)
+    found = dict(principals)
+    ps = list(principals.values())
+    stack = np.array([p.mask for p in ps])
+    gens = np.array([p.generators[0] for p in ps])
+    sizes = np.array([p.cardinality for p in ps])
+    outside = ~packed(stack)            # one row per member found
+    member_sizes = sizes
+    work = list(ps)
     while work:
         c = work.pop()
-        for p in principals:
-            if c.mask[p.generators[0]]:
-                continue
-            card = c.cardinality * p.cardinality // int((c.mask & p.mask).sum())
-            union = c.mask | p.mask
-            if any(not (union & ~k.mask).any() for k in by_card.get(card, ())):
-                continue
-            s = ideal_sum(c, p)
-            found[s.key()] = s
-            by_card.setdefault(card, []).append(s)
-            work.append(s)
+        todo = np.flatnonzero(~c.mask[gens])
+        if not len(todo):
+            continue
+        card = c.cardinality * sizes[todo] // np.count_nonzero(
+            stack[todo] & c.mask, axis=1)
+        inside = ~overlaps(packed(stack[todo] | c.mask), outside)
+        todo = todo[~(inside & (member_sizes == card[:, None])).any(axis=1)]
+        if not len(todo):
+            continue
+        masks, grew = _sumset([ps[k] for k in todo], c)
+        for k, mask, took in zip(todo.tolist(), masks, grew):
+            row = packed(mask)
+            if row.tobytes() not in found:
+                s = found[row.tobytes()] = CodeSet(
+                    alg, mask, side=side,
+                    basis=_grown_basis(ps[k], c, took),
+                    generators=c.generators + ps[k].generators)
+                outside = np.vstack([outside, ~row])
+                member_sizes = np.append(member_sizes, s.cardinality)
+                work.append(s)
     return sorted(found.values(), key=lambda c: (c.cardinality, c.key()))

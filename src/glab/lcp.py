@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConstructionError
 from .galg import ResidueMap
 from .idem import decompose_idempotent, lift_idempotent
-from .ideals import CodeSet, span
+from .ideals import CodeSet, overlaps, packed, span
 
 
 def _require_pair(c: CodeSet, d: CodeSet) -> None:
@@ -31,12 +31,23 @@ def _require_pair(c: CodeSet, d: CodeSet) -> None:
             f"pair members need one matching side, got {c.side} and {d.side}")
 
 
+def lcp_matrix(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Whether (C_i, D_j) is complementary, for every row C_i of the
+    (k, |RG|) mask stack `cs` and D_j of `ds`: trivial intersection,
+    C_i & D_j = {0}, for all pairs from one `overlaps` of the packed
+    masks with 0 dropped from the C_i, and full joint span,
+    |C_i||D_j| = |RG|."""
+    pc = packed(cs)
+    pc[:, 0] &= 0xFE                    # element 0 is bit 0 of byte 0
+    sizes = np.outer(np.count_nonzero(cs, axis=1),
+                     np.count_nonzero(ds, axis=1))
+    return ~overlaps(pc, packed(ds)) & (sizes == cs.shape[1])
+
+
 def is_lcp(c: CodeSet, d: CodeSet) -> bool:
-    """Trivial intersection and full joint span, by exhaustive masks."""
+    """One pair's entry of `lcp_matrix`."""
     _require_pair(c, d)
-    if int((c.mask & d.mask).sum()) != 1:
-        return False
-    return c.cardinality * d.cardinality == c.alg.card
+    return bool(lcp_matrix(c.mask[None], d.mask[None])[0, 0])
 
 
 def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
@@ -64,10 +75,16 @@ class LcpPair:
     certificate: int | None
 
 
-def lcp_scan(census: list[CodeSet]) -> list[LcpPair]:
-    """All ordered complementary pairs of a full one-sided ideal census."""
-    return [LcpPair(c, d, lcp_certificate(c, d))
-            for c in census for d in census if is_lcp(c, d)]
+def lcp_scan(census: list[CodeSet],
+             complementary: np.ndarray | None = None) -> list[LcpPair]:
+    """All ordered complementary pairs of a full one-sided ideal census,
+    read row-major from its `lcp_matrix` (computed unless given)."""
+    if complementary is None:
+        masks = np.array([c.mask for c in census])
+        complementary = lcp_matrix(masks, masks)
+    return [LcpPair(census[i], census[j],
+                    lcp_certificate(census[i], census[j]))
+            for i, j in np.argwhere(complementary).tolist()]
 
 
 def refine_certificate(c: CodeSet, d: CodeSet,

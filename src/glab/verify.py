@@ -24,20 +24,20 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .chk import (CheckableCensus, ann_intersection_check, check_elements,
-                  code_checkable_census)
+from .chk import (CheckableCensus, Principals, ann_intersection_check,
+                  check_elements, code_checkable_census)
 from .errors import ConstructionError, FalsificationError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
-from .ideals import (CodeSet, _sumset, ann_left, ann_left_of_element,
-                     ann_right, ann_right_of_element, dual_code,
-                     enumerate_ideals, ideal_sum, span)
+from .ideals import (CodeSet, _sumset, ann_left, ann_right, check_scale,
+                     dual_code, enumerate_ideals, ideal_sum, packed,
+                     principal_ideals, span)
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
-from .lcp import (LcpPair, ResidueTransfer, is_lcp, lcp_certificate,
-                  lcp_residue_correspondence, lcp_scan, project_code,
-                  refine_certificate)
+from .lcp import (LcpPair, ResidueTransfer, lcp_certificate,
+                  lcp_matrix, lcp_residue_correspondence, lcp_scan,
+                  project_code, refine_certificate)
 
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
@@ -68,15 +68,23 @@ class Report:
 
 class Workspace:
     """The objects that several commands or laws share, each computed
-    on first use and then held for the rest of the run."""
+    on first use and then held for the rest of the run.
+
+    Duals and annihilators that are members of a census computed so far
+    resolve to the member, so each member's basis is found once."""
 
     def __init__(self, built: BuiltInstance):
         self.built = built
         self.alg: GroupAlgebra = built.algebra
+        self._principals: Principals = {}
+        # each side's census members by mask key
+        self._members: dict[str, dict[bytes, CodeSet]] = {}
         # by (side, mask key): the dual's orientation and the
         # projection's side claim follow the side
         self._duals: dict[tuple[str | None, bytes], CodeSet] = {}
         self._projections: dict[tuple[str | None, bytes], CodeSet] = {}
+        # by (side of the annihilator, mask key of the set)
+        self._anns: dict[tuple[str, bytes], CodeSet] = {}
 
     @cached_property
     def frobenius_verdict(self) -> FrobeniusVerdict:
@@ -86,21 +94,47 @@ class Workspace:
     def ring_structure(self) -> RingStructure:
         return structure(self.alg.ring)
 
+    def principals(self, side: str, bound: int) -> dict[bytes, CodeSet]:
+        """The principal ideals of one side by key, each with its least
+        generator: one ordered pass per side, shared by the census and
+        the checkable routes. Each caller gates it by its own bound."""
+        check_scale(self.alg, bound, "principal-ideal census")
+        if side not in self._principals:
+            self._principals[side] = principal_ideals(self.alg, side, bound)
+        return self._principals[side]
+
+    def _census(self, side: str) -> list[CodeSet]:
+        bound = self.built.census_bound
+        census = enumerate_ideals(self.alg, side, bound,
+                                  self.principals(side, bound))
+        self._members[side] = {c.key(): c for c in census}
+        return census
+
     @cached_property
     def right_ideals(self) -> list[CodeSet]:
-        return enumerate_ideals(self.alg, "right", bound=self.built.census_bound)
+        return self._census("right")
 
     @cached_property
     def left_ideals(self) -> list[CodeSet]:
-        return enumerate_ideals(self.alg, "left", bound=self.built.census_bound)
+        return self._census("left")
 
     def ideals(self, side: str) -> list[CodeSet]:
         return self.right_ideals if side == "right" else self.left_ideals
+
+    def _member(self, code: CodeSet) -> CodeSet:
+        """The census member with the code's side and mask, if that
+        side's census is computed; else the code."""
+        return self._members.get(code.side, {}).get(code.key(), code)
 
     @cached_property
     def right_masks(self) -> np.ndarray:
         """The right-ideal census as a (k, |RG|) stack of masks."""
         return np.array([c.mask for c in self.right_ideals])
+
+    @cached_property
+    def complementary(self) -> np.ndarray:
+        """`lcp_matrix` of the right-ideal census against itself."""
+        return lcp_matrix(self.right_masks, self.right_masks)
 
     @cached_property
     def idempotents(self) -> list[int]:
@@ -113,7 +147,7 @@ class Workspace:
 
     @cached_property
     def pairs(self) -> list[LcpPair]:
-        return lcp_scan(self.right_ideals)
+        return lcp_scan(self.right_ideals, self.complementary)
 
     @cached_property
     def refinements(self) -> list[tuple[list[int], list[int]]]:
@@ -126,28 +160,53 @@ class Workspace:
         """The least check element of each right annihilator, by key."""
         return check_elements(self.alg, self.built.bound)
 
+    def checkable_tables(self) -> tuple[dict[bytes, int], Principals]:
+        """What the checkable routes read: the check elements and the
+        principal ideals of both sides, all gated by the scan bound."""
+        bound = self.built.bound
+        return self.check_elements, {side: self.principals(side, bound)
+                                     for side in ("left", "right")}
+
     @cached_property
     def checkable_census(self) -> CheckableCensus:
         return code_checkable_census(self.right_ideals, self.dual,
-                                     self.check_elements)
+                                     *self.checkable_tables())
 
     @cached_property
     def residue(self) -> ResidueMap:
         return residue_map(self.alg)
 
     @cached_property
-    def residue_rows(self):
-        """(i, j, transfer) over all ordered right-ideal pairs."""
+    def residue_complementary(self) -> np.ndarray:
+        """`lcp_matrix` of the residue images of the right-ideal census."""
+        masks = np.array([self.projection(c).mask for c in self.right_ideals])
+        return lcp_matrix(masks, masks)
+
+    @cached_property
+    def residue_rows(self) -> dict[tuple[int, int], ResidueTransfer]:
+        """The transfer of each ordered right-ideal pair (i, j) that is
+        complementary over RG or over the residue algebra, row-major.
+        Every other pair is complementary on neither side, which each
+        residue law counts as holding."""
         R = self.right_ideals
-        return [(i, j, lcp_residue_correspondence(a, b, self.residue,
-                                                  self.projection))
-                for i, a in enumerate(R) for j, b in enumerate(R)]
+        either = self.complementary | self.residue_complementary
+        return {(i, j): lcp_residue_correspondence(R[i], R[j], self.residue,
+                                                   self.projection)
+                for i, j in np.argwhere(either).tolist()}
 
     def dual(self, code: CodeSet) -> CodeSet:
         key = (code.side, code.key())
         got = self._duals.get(key)
         if got is None:
-            got = self._duals[key] = dual_code(code)
+            got = self._duals[key] = self._member(dual_code(code))
+        return got
+
+    def ann(self, side: str, code: CodeSet) -> CodeSet:
+        """The side annihilator of the code, once per mask."""
+        key = (side, code.key())
+        got = self._anns.get(key)
+        if got is None:
+            got = self._anns[key] = self._member(_ANN[side](code))
         return got
 
     def dual_rows(self, masks: np.ndarray, side: str | None) -> np.ndarray:
@@ -155,10 +214,11 @@ class Workspace:
         looked up by the row's packed key (one packbits call for the
         stack) and computed through `dual` on a miss."""
         out = np.empty_like(masks)
-        for i, key in enumerate(np.packbits(masks, axis=1, bitorder="little")):
+        for i, key in enumerate(packed(masks)):
             got = self._duals.get((side, key.tobytes()))
             if got is None:
-                got = self.dual(CodeSet(self.alg, masks[i], side=side))
+                got = self.dual(self._member(CodeSet(self.alg, masks[i],
+                                                     side=side)))
             out[i] = got.mask
         return out
 
@@ -203,16 +263,26 @@ def _needs_local_radical(law):
 
 
 def _tally(unit: str, checks: Iterable[tuple[str, bool]],
-           note: str = "", passed: str | None = None) -> tuple[str, str]:
-    """Count (where, ok) checks: fail with the count of failures and the
-    first place one failed, or pass with the total (and the note), or
-    with `passed` when given."""
+           note: str = "", passed: str | None = None,
+           results: np.ndarray | None = None,
+           where: str = "pair ({}, {})") -> tuple[str, str]:
+    """Count (where, ok) checks, then the entries of the boolean array
+    `results` in index order, the first failing index named by filling
+    `where` (by default, a matrix over the ordered ideal pairs (i, j)):
+    fail with the count of failures and the first place one failed, or
+    pass with the total (and the note), or with `passed` when given."""
     total, bad, first = 0, 0, None
-    for where, ok in checks:
+    for place, ok in checks:
         total += 1
         if not ok:
             bad += 1
-            first = first or where
+            first = first or place
+    if results is not None:
+        fails = np.argwhere(~results)
+        total += results.size
+        bad += len(fails)
+        if first is None and len(fails):
+            first = where.format(*fails[0].tolist())
     if bad:
         return (FAIL, f"{bad}/{total} {unit} fail; first at {first}")
     return (PASS, passed if passed is not None else
@@ -235,9 +305,18 @@ def _pair_columns(columns: Iterable[Iterable[bool]]):
     """Tally a law over all ordered right-ideal pairs (i, j) from its
     columns: column j holds the results of the pairs (i, j) for every i.
     Pairs are tallied row-major."""
-    ok = np.column_stack(list(columns))
-    return _tally("ideal pairs", ((f"pair ({i}, {j})", bool(v))
-                                  for (i, j), v in np.ndenumerate(ok)))
+    return _tally("ideal pairs", (), results=np.column_stack(list(columns)))
+
+
+def _pair_matrix(ws: Workspace,
+                 checks: Iterable[tuple[tuple[int, int], bool]]) -> np.ndarray:
+    """The results of a law over the ordered right-ideal pairs as a
+    matrix: each checked pair (i, j) holds its result, and every other
+    pair holds trivially."""
+    out = np.ones_like(ws.complementary)
+    for (i, j), ok in checks:
+        out[i, j] = ok
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +327,7 @@ def _dual_sum_meet(ws: Workspace):
     from one kernel call."""
     R = ws.right_ideals
     duals = ws.dual_rows(ws.right_masks, "right")
-    return _pair_columns((ws.dual_rows(_sumset(R, b), "right")
+    return _pair_columns((ws.dual_rows(_sumset(R, b)[0], "right")
                           == duals & ws.dual(b).mask).all(axis=1) for b in R)
 
 
@@ -258,7 +337,7 @@ def _dual_meet_join(ws: Workspace):
     one `&` and its sums of duals one kernel call."""
     R = ws.right_ideals
     duals = [ws.dual(a) for a in R]
-    return _pair_columns((_sumset(duals, ws.dual(b)) == ws.dual_rows(
+    return _pair_columns((_sumset(duals, ws.dual(b))[0] == ws.dual_rows(
         ws.right_masks & b.mask, "right")).all(axis=1) for b in R)
 
 
@@ -277,8 +356,10 @@ def certificate_splits(alg: GroupAlgebra, c: CodeSet, d: CodeSet,
 def _lcp_biconditional(ws: Workspace):
     """Each complementary pair is the split of its certificate."""
     R = ws.right_ideals
-    return _pair_columns([not is_lcp(a, b) or certificate_splits(
-        ws.alg, a, b, lcp_certificate(a, b)) for a in R] for b in R)
+    return _tally("ideal pairs", (), results=_pair_matrix(ws, (
+        ((i, j), certificate_splits(ws.alg, R[i], R[j],
+                                    lcp_certificate(R[i], R[j])))
+        for i, j in np.argwhere(ws.complementary).tolist())))
 
 
 def pairs_match_idempotents(ws: Workspace):
@@ -377,22 +458,31 @@ def _forward(rm: ResidueMap, rt: ResidueTransfer) -> bool:
         and rm.reduce(rt.certificate) == rt.residue_certificate)
 
 
-_residue_forward = _needs_local_radical(lambda ws: _tally("ideal pairs", (
-    (f"pair ({i}, {j})", _forward(ws.residue, rt))
-    for i, j, rt in ws.residue_rows)))
+def _residue_pairs(ws: Workspace,
+                   ok: Callable[[ResidueTransfer], bool]) -> np.ndarray:
+    """ok of each pair's transfer as a pair matrix; the pairs with no
+    transfer row, complementary on neither side, hold trivially."""
+    return _pair_matrix(ws, ((ij, ok(rt))
+                             for ij, rt in ws.residue_rows.items()))
 
+
+_residue_forward = _needs_local_radical(lambda ws: _tally(
+    "ideal pairs", (), results=_residue_pairs(
+        ws, lambda rt: _forward(ws.residue, rt))))
+
+# complementarity over RG and over the residue algebra agree
 _residue_biconditional = _needs_local_radical(lambda ws: _tally(
-    "ideal pairs", ((f"pair ({i}, {j})", rt.biconditional)
-                    for i, j, rt in ws.residue_rows)))
+    "ideal pairs", (),
+    results=ws.complementary == ws.residue_complementary))
 
 
 @_needs_local_radical
 def _residue_restricted(ws: Workspace):
-    rows = ws.residue_rows
     return _tally("idempotent-generated pairs", (
         (f"pair ({i}, {j})", rt.biconditional)
-        for i, j, rt in rows if rt.members_idempotent_generated),
-        note=f" of {len(rows)}")
+        for (i, j), rt in ws.residue_rows.items()
+        if rt.members_idempotent_generated),
+        note=f" of {ws.complementary.size}")
 
 
 @_needs_local_radical
@@ -405,12 +495,11 @@ def _radical_lift(ws: Workspace):
     residue_idems = enumerate_idempotents(rm.residue, bound=ws.built.bound)
     lifts = [lift_idempotent(alg, rm, ebar) for ebar in residue_idems]
     f = ws.ring_structure.nilpotency_index
-    return _tally("lifts", chain(
-        ((f"residue idempotent {ebar}",
-          is_idempotent(alg, h) and rm.reduce(h) == ebar)
-         for ebar, h in zip(residue_idems, lifts)),
-        ((f"pair ({i}, {j})", rt.lift_splits is not False)
-         for i, j, rt in ws.residue_rows)),
+    return _tally("lifts", (
+        (f"residue idempotent {ebar}",
+         is_idempotent(alg, h) and rm.reduce(h) == ebar)
+        for ebar, h in zip(residue_idems, lifts)),
+        results=_residue_pairs(ws, lambda rt: rt.lift_splits is not False),
         passed=f"lifted {len(residue_idems)} residue idempotents in "
                f"<= {max(f - 1, 1)} iterations")
 
@@ -429,7 +518,7 @@ _checkable_dual_principal = _needs_frobenius(lambda ws: _tally(
                             for c, v in ws.checkable_census.verdicts)))
 
 _dual_hat_ann = _each_ideal("right", "right ideals", lambda ws, c: (
-    np.array_equal(ws.dual(c).mask, ws.hat_image(ann_left(c)))))
+    np.array_equal(ws.dual(c).mask, ws.hat_image(ws.ann("left", c)))))
 
 
 def _block_intersection(ws: Workspace):
@@ -448,38 +537,52 @@ def _block_intersection(ws: Workspace):
 # function below builds the law for one side.
 _OTHER = {"right": "left", "left": "right"}
 _ANN = {"right": ann_right, "left": ann_left}
-_ANN_OF_ELEMENT = {"right": ann_right_of_element, "left": ann_left_of_element}
+
+# rows of the element stacks per chunk: about 256 KiB of booleans
+ELEMENT_CHUNK_BYTES = 1 << 18
 
 
 def _ann_of_element(side: str):
-    """Ann_side(u) is the side annihilator of the other-sided span of u."""
+    """Ann_side(u) is the side annihilator of the other-sided span of u.
+
+    The elements go in chunks of rows: for each, the zeros of u's map,
+    {a : u*a = 0} (right) or {a : a*u = 0} (left), and the mask of its
+    span, all keyed in one packbits call. A span resolves to the
+    principal ideal of the other side's table, and the annihilator of
+    each distinct span is found once."""
+    other = _OTHER[side]
+    maps = ("mul_row", "mul_col") if side == "right" else ("mul_col", "mul_row")
+
     def law(ws: Workspace):
         alg = ws.alg
-        anns: dict[bytes, CodeSet] = {}   # annihilator by span, within the law
-
-        def ann_of_span(u: int) -> CodeSet:
-            s = span(alg, [u], _OTHER[side])
-            key = s.key()
-            if key not in anns:
-                anns[key] = _ANN[side](s)
-            return anns[key]
-        return _tally("elements", (
-            (f"element {u}",
-             _ANN_OF_ELEMENT[side](alg, u).same_set(ann_of_span(u)))
-            for u in alg.elements))
+        zeros_of, span_of = (getattr(alg, name) for name in maps)
+        table = ws.principals(other, ws.built.bound)
+        step = max(1, ELEMENT_CHUNK_BYTES // alg.card)
+        ok = np.empty(alg.card, dtype=bool)
+        for start in range(0, alg.card, step):
+            us = range(start, min(start + step, alg.card))
+            spans = np.zeros((len(us), alg.card), dtype=bool)
+            for row, u in enumerate(us):
+                spans[row, span_of(u)] = True
+            zeros = np.array([zeros_of(u) == 0 for u in us])
+            for row, key in enumerate(map(bytes, packed(spans))):
+                code = table.get(key) or CodeSet(alg, spans[row], side=other)
+                spans[row] = ws.ann(side, code).mask
+            ok[start:start + len(us)] = (zeros == spans).all(axis=1)
+        return _tally("elements", (), results=ok, where="element {}")
     return law
 
 
 def _ann_double(side: str):
     """Each side ideal is the side annihilator of its other annihilator."""
     return _needs_frobenius(_each_ideal(side, f"{side} ideals", lambda ws, c: (
-        _ANN[side](_ANN[_OTHER[side]](c)).same_set(c))))
+        ws.ann(side, ws.ann(_OTHER[side], c)).same_set(c))))
 
 
 def _ann_size(side: str):
     """A side ideal and its other annihilator have sizes multiplying to |RG|."""
     return _needs_frobenius(_each_ideal(side, f"{side} ideals", lambda ws, c: (
-        c.cardinality * _ANN[_OTHER[side]](c).cardinality == ws.alg.card)))
+        c.cardinality * ws.ann(_OTHER[side], c).cardinality == ws.alg.card)))
 
 
 # check_id and function of every law, in report order; the law is the

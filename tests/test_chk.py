@@ -7,14 +7,20 @@ from glab.chk import (ann_intersection_check, check_elements,
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.idem import decompose_one, enumerate_idempotents
-from glab.ideals import dual_code, enumerate_ideals, span
+from glab.ideals import dual_code, enumerate_ideals, principal_ideals, span
 
 from desk import fixture_algebra
 
 
+def _principals(alg):
+    return {side: principal_ideals(alg, side, DEFAULT_OP_BOUND)
+            for side in ("left", "right")}
+
+
 def _census(alg):
     return code_checkable_census(enumerate_ideals(alg), dual_code,
-                                 check_elements(alg, DEFAULT_OP_BOUND))
+                                 check_elements(alg, DEFAULT_OP_BOUND),
+                                 _principals(alg))
 
 
 def _parts_of_one(alg):
@@ -55,7 +61,8 @@ def test_desk_registry_labels():
 # single verdicts
 
 def _verdict(c):
-    return is_checkable(c, dual_code(c), check_elements(c.alg, DEFAULT_OP_BOUND))
+    return is_checkable(c, dual_code(c), check_elements(c.alg, DEFAULT_OP_BOUND),
+                        _principals(c.alg))
 
 
 def test_verdict_frozen_f2c2(f2c2):

@@ -220,8 +220,9 @@ def test_zero_budget_stores_nothing(monkeypatch):
 def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
     # M2(Z2)C3 has 18 trivial units and 54 orbits T*u*T, one of them the
     # units; without gathered maps the command computed 1,789 maps. The
-    # check-element pass skips v*u through the units' row maps, so the
-    # columns are those of the left annihilators and their principality
+    # right and left principal passes (the census and the checkable
+    # routes) compute one map per orbit and side: the units' maps, and
+    # the rest gathered from the orbit representatives'
     products = Counter()
     product = GroupAlgebra._product
 
@@ -236,7 +237,7 @@ def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
                  "--census-bound", "5000"]) == 1
     assert "checkable-census.code-checkable  true" in capsys.readouterr().out
     rows = sum(side == "row" for side, _ in products)
-    assert (rows, len(products) - rows) == (18 + 53, 33)
+    assert (rows, len(products) - rows) == (18 + 53, 18 + 53)
     assert set(products.values()) == {1}
 
 

@@ -10,7 +10,10 @@ and sub-idempotent scans are compared against brute force over the
 product table. Every sum of
 two members of the ideal census, formed with the ring's addition, must
 be a member again, and the stacked sum kernel must give those sums for
-the census and for its duals. Ideal and idempotent counts of semisimple and
+the census and for its duals. The principal-ideal tables are compared
+with a brute-force principality test, the complementarity matrix with
+the definition on element sets, and the stacked element-annihilator
+law with a per-element count. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
 cyclic-code theory. The law matrix must report the same statuses and
 counts on an algebra whose group and ring elements are relabelled.
@@ -25,18 +28,21 @@ import numpy as np
 import pytest
 
 import glab.galg
+import glab.verify
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from glab.finring import TableRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import CayleyGroup, CyclicGroup, build_group
-from glab.ideals import CodeSet, _sumset, dual_code, enumerate_ideals
+from glab.ideals import (CodeSet, _grown_basis, _sumset, dual_code,
+                         enumerate_ideals)
 from glab.idem import _sub_idempotent, enumerate_idempotents
 from glab.instance import InstanceDescription, build_instance, load_instance
-from glab.lcp import lcp_certificate
-from glab.verify import Workspace, verify_all
+from glab.lcp import is_lcp, lcp_certificate, lcp_matrix
+from glab.verify import LAW_TABLE, PASS, Workspace, verify_all
 
-from desk import FIXTURE_NAMES, fixture_algebra, fixture_path
+from desk import (FIXTURE_NAMES, fixture_algebra, fixture_path,
+                  fixture_workspace)
 
 
 class Oracle:
@@ -241,6 +247,120 @@ def test_scans_match_brute_force(name):
 
 
 # ---------------------------------------------------------------------------
+# principality, complementarity and element annihilators, per element
+
+def is_principal(code, table):
+    """The least u whose principal ideal, read off the product table
+    (the row of u for a right ideal, its column for a left one), is the
+    set; None if no element generates it."""
+    images = table if code.side == "right" else table.T
+    for u in code.elements():
+        if np.array_equal(np.unique(images[u]), code.elements()):
+            return int(u)
+    return None
+
+
+def _local(ws):
+    st = ws.ring_structure
+    return st.is_local and len(st.radical) > 1
+
+
+@pytest.mark.parametrize("name", _DESK)
+def test_principal_tables_match_brute_force(name):
+    # every census member of each side, every annihilator of the other
+    # side's members (a side ideal), and every dual that keeps its side
+    ws = fixture_workspace(name)
+    table, _ = _tables(name)
+    other = {"right": "left", "left": "right"}
+    for side in ("right", "left"):
+        principals = ws.principals(side, DEFAULT_OP_BOUND)
+        codes = (ws.ideals(side)
+                 + [ws.ann(side, c) for c in ws.ideals(other[side])]
+                 + [d for d in map(ws.dual, ws.ideals(side)) if d.side == side])
+        assert {c.side for c in codes} == {side}
+        for code in codes:
+            got = principals.get(code.key())
+            assert (got.generators[0] if got is not None else None) == (
+                is_principal(code, table))
+        # and the table holds nothing else
+        assert all(is_principal(p, table) == p.generators[0]
+                   for p in principals.values())
+
+
+def _complementary(card, codes):
+    sets = [set(c.elements().tolist()) for c in codes]
+    return [[len(a & b) == 1 and len(a) * len(b) == card for b in sets]
+            for a in sets]
+
+
+@pytest.mark.parametrize("name", _DESK)
+def test_complementarity_matrix_matches_the_definition(name):
+    ws = fixture_workspace(name)
+    for side in ("right", "left"):
+        census = ws.ideals(side)
+        masks = np.array([c.mask for c in census])
+        got = lcp_matrix(masks, masks).tolist()
+        assert got == _complementary(ws.alg.card, census)
+        assert got == [[is_lcp(c, d) for d in census] for c in census]
+    assert np.array_equal(ws.complementary, lcp_matrix(ws.right_masks,
+                                                       ws.right_masks))
+    if _local(ws):
+        images = [ws.projection(c) for c in ws.right_ideals]
+        got = ws.residue_complementary.tolist()
+        assert got == _complementary(ws.residue.residue.card, images)
+        assert got == [[is_lcp(c, d) for d in images] for c in images]
+
+
+def test_local_desk_fixtures_have_residue_matrices():
+    assert sum(_local(fixture_workspace(name)) for name in _DESK) >= 3
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stacked_element_annihilators_match_the_definition(side,
+                                                           monkeypatch):
+    # chunks of 5 rows, which do not divide the 64 elements of F2S3
+    name = "f2s3"
+    table, _ = _tables(name)
+    card = len(table)
+    monkeypatch.setattr(glab.verify, "ELEMENT_CHUNK_BYTES", 5 * card)
+    law = dict((cid, fn) for cid, _, fn in LAW_TABLE)[
+        f"ann-identities.{side}-of-element"]
+    assert law(fixture_workspace(name)) == (PASS, f"checked {card} elements")
+
+    # per element, from the product table: the annihilator of u, and the
+    # other-sided span of u, whose annihilator it is
+    zeros = (table == 0) if side == "right" else (table == 0).T
+    spans = [np.unique(table[:, u] if side == "right" else table[u])
+             for u in range(card)]
+    for u in range(card):
+        assert np.array_equal(zeros[u], np.logical_and.reduce(
+            zeros[spans[u]], axis=0))
+
+    # a wrong annihilator for one span fails exactly the elements with
+    # that span; take the largest class of elements sharing a nonzero
+    # span, which reaches over several chunks
+    classes = {}
+    for u in range(card):
+        key = np.packbits(np.isin(np.arange(card), spans[u]),
+                          bitorder="little").tobytes()
+        classes.setdefault(key, []).append(u)
+    key, victims = max(((k, v) for k, v in classes.items() if v[0] > 0),
+                       key=lambda kv: len(kv[1]))
+    assert victims[-1] // 5 > victims[0] // 5
+    ann = Workspace.ann
+
+    def broken(self, s, code):
+        got = ann(self, s, code)
+        if s == side and code.key() == key:
+            return CodeSet(self.alg, np.ones(card, dtype=bool))
+        return got
+    monkeypatch.setattr(Workspace, "ann", broken)
+    assert law(fixture_workspace(name)) == (
+        "fail", f"{len(victims)}/{card} elements fail; first at element "
+                f"{victims[0]}")
+
+
+# ---------------------------------------------------------------------------
 # the ideal census is a lattice under sums
 
 @functools.cache
@@ -276,19 +396,36 @@ def test_census_is_closed_under_naive_sums(name):
                         == a.cardinality * b.cardinality)
 
 
+def _naive_span(add, basis):
+    """The additive span of a basis, each element outside the span of
+    those before it."""
+    span = {0}
+    for x in basis:
+        assert x not in span
+        frontier = span
+        while frontier := {int(add[z, x]) for z in frontier} - span:
+            span = span | frontier
+    return span
+
+
 @pytest.mark.parametrize("name", _DESK)
 def test_stacked_sumset_matches_naive_sums(name):
     # every ordered pair of right-ideal census members, and of their
     # duals as bare sets (over M2(Z2) a dual need not be an ideal); each
-    # column b is one kernel call over the whole stack
+    # column b is one kernel call over the whole stack, and the basis it
+    # grows for each row spans the row
     alg = fixture_algebra(name)
     add = _naive_addition(name)
     census = enumerate_ideals(alg, "right")
     duals = [CodeSet(alg, dual_code(c).mask) for c in census]
     for stack in (census, duals):
         for b in stack:
-            assert np.array_equal(_sumset(stack, b), [
+            masks, grew = _sumset(stack, b)
+            assert np.array_equal(masks, [
                 _naive_sumset(add, a, b) for a in stack])
+            for a, mask, took in zip(stack, masks, grew):
+                assert _naive_span(add, _grown_basis(a, b, took)) == set(
+                    np.flatnonzero(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import glab
@@ -164,6 +165,8 @@ def _count_calls(monkeypatch, fn):
 def test_shared_work_runs_once(monkeypatch):
     # z4c3 is local and Frobenius, so every law runs and none skips
     census = _count_calls(monkeypatch, glab.ideals.enumerate_ideals)
+    principals = _count_calls(monkeypatch, glab.ideals.principal_ideals)
+    matrices = _count_calls(monkeypatch, glab.lcp.lcp_matrix)
     checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
     refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
@@ -171,6 +174,12 @@ def test_shared_work_runs_once(monkeypatch):
     rep = verify_all(ws)
     assert not any(l.status == "skip" for l in rep.lines)
     assert [args[1] for args in census] == ["right", "left"]
+    # one principal pass per side, serving its census and the checkable
+    # routes; one complementarity matrix per stack of masks, the census
+    # and its residue images (a single pair's is_lcp is a 1 x 1 matrix)
+    assert [args[1] for args in principals] == ["right", "left"]
+    stacks = [args[0].shape for args in matrices if len(args[0]) > 1]
+    assert stacks == [(9, ws.alg.card), (9, ws.residue.residue.card)]
     assert len(checkable) == 1
     # the algebra and its residue algebra
     assert [args[0] for args in idems] == [ws.alg, ws.residue.residue]
@@ -252,6 +261,46 @@ def _fails(report):
 def test_dropped_pair_fails_the_pair_count(monkeypatch):
     scan = glab.lcp.lcp_scan
     monkeypatch.setattr(glab.verify, "lcp_scan", lambda *args: scan(*args)[:-1])
+    fails = _fails(_report("f3c2"))
+    assert list(fails) == ["lcp-split.pair-idempotent-count"]
+    assert fails["lcp-split.pair-idempotent-count"] == (
+        "1/7 idempotents and pairs fail; first at idempotent 1")
+
+
+@pytest.mark.parametrize("side,check_id,witness", [
+    ("left", "checkable-routes.ann-principal",
+     "1/15 right ideals fail; first at ideal 4 (size 16)"),
+    ("right", "checkable-routes.dual-principal",
+     "13/15 right ideals fail; first at ideal 1 (size 4)"),
+])
+def test_short_principal_table_fails_its_route(side, check_id, witness,
+                                                monkeypatch):
+    # the last principal ideal of M2(Z2)C2 is a sum of the others, so the
+    # census comes out whole; only the route reading the table moves
+    table = glab.ideals.principal_ideals
+
+    def short(alg, s, bound):
+        got = table(alg, s, bound)
+        return dict(list(got.items())[:-1]) if s == side else got
+    before = _report("m2f2c2").lines
+    monkeypatch.setattr(glab.verify, "principal_ideals", short)
+    after = _report("m2f2c2").lines
+    moved = [(b.check_id, a.status, a.witness) for b, a in zip(before, after)
+             if (b.status, b.witness) != (a.status, a.witness)]
+    assert moved == [(check_id, FAIL, witness)]
+
+
+def test_dropped_complementary_pair_fails_the_lcp_split(monkeypatch):
+    # the matrix loses its last complementary pair: the pair scan reads
+    # the same matrix, so the pairs no longer match the idempotents
+    matrix = glab.lcp.lcp_matrix
+
+    def flipped(cs, ds):
+        got = matrix(cs, ds)
+        if len(cs) > 1:
+            got[tuple(np.argwhere(got)[-1])] = False
+        return got
+    monkeypatch.setattr(glab.verify, "lcp_matrix", flipped)
     fails = _fails(_report("f3c2"))
     assert list(fails) == ["lcp-split.pair-idempotent-count"]
     assert fails["lcp-split.pair-idempotent-count"] == (
