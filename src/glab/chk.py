@@ -1,33 +1,32 @@
 """Checkable codes: right ideals cut out by a single check element.
 
 A right ideal C is checkable when C = Ann_r(u) for some u; the engine
-decides this by one exhaustive pass over RG, which records the least
-u for every right annihilator Ann_r(u), and records two more routes
-beside it: the principality of the left annihilator (equivalent over
-a base ring with a generating character, via double annihilators)
-and the principality of the dual as a right ideal (equivalent over
-commutative base rings; over matrix base rings the dual of a
-checkable ideal can fail to be a right ideal at all). Principality is
-read from the tables of `ideals.principal_ideals`, one ordered pass
-over RG per side. The verdict says whether the routes agree; the
-checkable-routes laws count it.
+decides this from the least u of every right annihilator Ann_r(u),
+found for all of RG by the canonical forms of the kernels of the maps
+x -> u*x (one batched Howell reduction, see glab.galg), and records
+two more routes beside it: the principality of the left annihilator
+(equivalent over a base ring with a generating character, via double
+annihilators) and the principality of the dual as a right ideal
+(equivalent over commutative base rings; over matrix base rings the
+dual of a checkable ideal can fail to be a right ideal at all).
+Principality is read from the tables of `ideals.principal_ideals`,
+which the check elements do not use. The verdict says whether the
+routes agree; the checkable-routes laws count it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConstructionError
 from .galg import GroupAlgebra
-from .ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
-                     check_scale, packed, span)
+from .ideals import (CodeSet, ann_left, ann_right_of_element, check_scale,
+                     packed, span)
 
 
-@dataclass(frozen=True)
-class CheckabilityVerdict:
+class CheckabilityVerdict(NamedTuple):
     check_element: int | None
     ann_generator: int | None
     dual_is_right_ideal: bool
@@ -54,24 +53,18 @@ class CheckabilityVerdict:
 
 def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     """The least u with Ann_r(u) = C for every right annihilator C of an
-    element, keyed by C's mask key: one ordered pass over RG, gated by
-    `bound` before it starts.
+    element, keyed by C's mask key, in the order of those u; the whole
+    of RG is classified first, gated by `bound`.
 
-    Ann_r(v*u) = Ann_r(u) for a unit v, so once u is scanned its
-    products v*u with the trivial units, read from the units' row
-    maps, are skipped: each skipped element has the annihilator of one
-    scanned before it, so each key keeps its least element.
+    The classes and masks are `GroupAlgebra.classes` of the kernels of
+    x -> u*x, found with no principal-ideal table: the least element of
+    each orbit T*u of the trivial units (Ann_r(v*u) = Ann_r(u) for a
+    unit v) is reduced to a canonical form of its annihilator, and each
+    class's mask is enumerated from its form, so no map is computed.
     """
     check_scale(alg, bound, "check-element scan")
-    units = np.array([alg.mul_row(v) for v in alg.trivial_units])
-    seen = np.zeros(alg.card, dtype=bool)
-    least: dict[bytes, int] = {}
-    for u in alg.elements:
-        if not seen[u]:
-            zero = alg.mul_row(u) == 0
-            least.setdefault(packed(zero).tobytes(), u)
-            seen[units[:, u]] = True
-    return least
+    least, masks = alg.classes("right", kernel=True)
+    return {key.tobytes(): u for u, key in zip(least.tolist(), packed(masks))}
 
 
 Principals = dict[str, dict[bytes, CodeSet]]
@@ -101,8 +94,7 @@ def is_checkable(c: CodeSet, dual: CodeSet, checks: dict[bytes, int],
     )
 
 
-@dataclass(frozen=True)
-class CheckableCensus:
+class CheckableCensus(NamedTuple):
     algebra_label: str
     all_checkable: bool
     verdicts: list[tuple[CodeSet, CheckabilityVerdict]]
@@ -128,8 +120,7 @@ def code_checkable_census(census: list[CodeSet],
 # ---------------------------------------------------------------------------
 # the central-decomposition intersection form
 
-@dataclass(frozen=True)
-class CentralIntersection:
+class CentralIntersection(NamedTuple):
     # "ok" | "non-central-parts" | "not-a-block-sum" | "form-fails"
     status: str
     intersection_matches: bool | None
@@ -137,15 +128,18 @@ class CentralIntersection:
     support: tuple[int, ...]
 
 
-def ann_intersection_check(c: CodeSet, parts: list[int]) -> CentralIntersection:
+def ann_intersection_check(c: CodeSet, parts: list[int],
+                           ann: Callable[[CodeSet], CodeSet]) -> CentralIntersection:
     """Express a right ideal through the central block decomposition.
 
     When 1 splits into CENTRAL primitive orthogonal idempotents `parts`
     (the canonical ones come from idem.decompose_one) and C
     is the span of a subset of them, C must equal both the
     intersection of the right annihilators of the complementary
-    blocks and the right annihilator of the complementary blocks'
-    sum. Both equalities are computed exhaustively; "form-fails"
+    blocks, each taken from `ann` (the run's shared annihilators, so
+    a block's is found once for all ideals), and the right annihilator
+    of the complementary blocks' sum. Both equalities are computed
+    exhaustively; "form-fails"
     reports a block sum where either does not hold. A non-central
     decomposition reports "non-central-parts"; a C that is not a
     block sum reports "not-a-block-sum".
@@ -164,7 +158,7 @@ def ann_intersection_check(c: CodeSet, parts: list[int]) -> CentralIntersection:
     complement = [p for p in parts if p not in inside]
     inter_mask = np.ones(alg.card, dtype=bool)
     for p in complement:
-        inter_mask &= ann_right(span(alg, [p], "left")).mask
+        inter_mask &= ann(span(alg, [p], "left")).mask
     inter_ok = bool(np.array_equal(inter_mask, c.mask))
 
     total = 0

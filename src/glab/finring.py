@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -36,16 +35,16 @@ AUDIT_LIMIT = 256  # full ring-axiom audit is cubic in |R|
 
 
 # ---------------------------------------------------------------------------
-# specs
+# specs: NamedTuples, immutable and hashable; as tuples, specs of two
+# kinds with equal fields compare equal, so the kind is told by
+# isinstance, never by ==
 
-@dataclass(frozen=True)
-class Zmod:
+class Zmod(NamedTuple):
     """Integers modulo m, m >= 2."""
     m: int
 
 
-@dataclass(frozen=True)
-class PolyQuot:
+class PolyQuot(NamedTuple):
     """Z/p extended by a monic irreducible polynomial.
 
     `modulus` lists coefficients constant term first; the leading
@@ -56,21 +55,18 @@ class PolyQuot:
     modulus: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MatrixRing:
+class MatrixRing(NamedTuple):
     """n x n matrices over a base ring."""
     n: int
     base: "RingSpec"
 
 
-@dataclass(frozen=True)
-class ProductRing:
+class ProductRing(NamedTuple):
     """Direct product of rings with componentwise operations."""
     factors: tuple["RingSpec", ...]
 
 
-@dataclass(frozen=True)
-class TableRing:
+class TableRing(NamedTuple):
     """Ring given by an explicit multiplication table.
 
     Addition is coordinatewise in the declared moduli; the
@@ -82,8 +78,7 @@ class TableRing:
     label: str = "table"
 
 
-@dataclass(frozen=True)
-class RadicalQuotient:
+class RadicalQuotient(NamedTuple):
     """Quotient of a local base ring by its Jacobson radical."""
     base: "RingSpec"
 
@@ -503,8 +498,7 @@ def audit_ring(ring: Ring) -> None:
 # ---------------------------------------------------------------------------
 # structure: units, radical, locality
 
-@dataclass(frozen=True)
-class RingStructure:
+class RingStructure(NamedTuple):
     """Unit group and Jacobson radical of a ring, fully materialized."""
     units: np.ndarray
     unit_mask: np.ndarray
@@ -574,8 +568,7 @@ def _additive_span(ring: Ring, seed) -> set[int]:
 # ---------------------------------------------------------------------------
 # generating characters
 
-@dataclass(frozen=True)
-class FrobeniusVerdict:
+class FrobeniusVerdict(NamedTuple):
     """Outcome of the generating-character search.
 
     status is one of "frobenius", "not-frobenius", "undecided".
@@ -626,8 +619,7 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
 # ---------------------------------------------------------------------------
 # radical quotient of a local ring
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     """A local ring's residue field together with the projection maps.
 
     proj maps base indices onto quotient indices (a surjective ring

@@ -27,12 +27,25 @@ same budget.
 The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
+
+Principal ideals and annihilators of elements come from canonical
+forms, not from maps. As an additive group RG is a product of cyclic
+groups, one per coordinate (group position, ring coordinate), and the
+map x -> u*x (or x -> x*u) is the integer matrix whose rows are the
+coordinates of u*b_j (b_j*u) for the coordinate basis elements b_j.
+Its image uRG (RGu) and its kernel Ann_r(u) (Ann_l(u)) are keyed by
+Howell forms, one prime at a time: the reduced row echelon form over
+F_p, and over Z/p^a the echelon form that also keeps (p^a / pivot)
+times each pivot row, which makes it unique. One batched reduction
+per side keys the least element of every orbit of the trivial units,
+the masks are enumerated from the forms, and each class keeps its
+least element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +89,11 @@ class GroupAlgebra:
         self._via: np.ndarray | None = None
         # the sides (left: rows) whose unit maps are all stored
         self._units_done: set[bool] = set()
+        # `least_generators` and the classes' keys by (side, kernel)
+        self._least: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
+        # each side's principal ideals by least generator, once
+        # glab.ideals.principal_ideals has built the side's table
+        self.principal_sets: dict[str, dict] = {}
 
     # -- codec ---------------------------------------------------------------
     def decode(self, x: int) -> tuple[int, ...]:
@@ -309,29 +327,284 @@ class GroupAlgebra:
         return self._form(self.coeffs, self.coeffs[b])
 
     # -- centrality -------------------------------------------------------------
-    def is_central(self, a: int) -> bool:
-        """Whether a commutes with all of RG.
+    def central(self, elems) -> np.ndarray:
+        """Whether each element commutes with all of RG.
 
-        Decided against `generators`; the centralizer is a subring, so
-        commuting with generators is commuting with everything. Backed
+        Decided against `generators`, by one product each way; the
+        centralizer is a subring, so commuting with generators is
+        commuting with everything. Each element that passes is backed
         by a full row comparison when the algebra is small enough.
         """
-        ca, cg = self.coeffs[a], self.coeffs[self.generators]
-        if not np.array_equal(self._product(ca, cg), self._product(cg, ca)):
-            return False
+        elems = np.asarray(elems, dtype=np.int64)
+        ce, cg = self.coeffs[elems][:, None], self.coeffs[self.generators]
+        ok = (self._product(ce, cg) == self._product(cg, ce)).all(axis=(1, 2))
         if self.card <= DEFAULT_OP_BOUND:
-            if not np.array_equal(self.mul_row(a), self.mul_col(a)):
-                raise ConstructionError(
-                    f"{self.label}: generating-set centrality disagrees with "
-                    f"the full scan at element {a} ({self.text(a)})")
-        return True
+            for a in elems[ok].tolist():
+                if not np.array_equal(self.mul_row(a), self.mul_col(a)):
+                    raise ConstructionError(
+                        f"{self.label}: generating-set centrality disagrees "
+                        f"with the full scan at element {a} ({self.text(a)})")
+        return ok
+
+    def is_central(self, a: int) -> bool:
+        return bool(self.central([a])[0])
+
+    # -- images and kernels of multiplication maps, by canonical forms ----------
+    @cached_property
+    def _coordinate_basis(self) -> list[int]:
+        """The elements b_j of RG with coordinate j equal to 1 and every
+        other 0, where coordinate j is coordinate j % k of the ring
+        element at group position j // k (k ring coordinates)."""
+        k = len(self.ring.moduli)
+        ring_units = [self.ring.encode([int(i == j) for i in range(k)])
+                      for j in range(k)]
+        return [e * int(w) for w in self._weights for e in ring_units]
+
+    def _basis_images(self, us: np.ndarray, side: str) -> np.ndarray:
+        """The coordinates of u*b_j (side "right") or b_j*u ("left") for
+        each u and each coordinate basis element b_j, one row per j:
+        the map x -> u*x (x -> x*u) as an integer matrix."""
+        cu = self.coeffs[us]
+        rows = []
+        for b in self._coordinate_basis:
+            cb = self.coeffs[b]
+            prod = self._product(cu, cb) if side == "right" else self._product(cb, cu)
+            rows.append(self.ring.coords[prod].reshape(len(us), -1))
+        return np.stack(rows, axis=1)
+
+    def canonical_keys(self, us, side: str, kernel: bool = False) -> np.ndarray:
+        """One key row per element u of `us`, canonical for the image of
+        x -> u*x (side "right", the ideal uRG) or x -> x*u ("left", RGu),
+        or with `kernel` for its kernel (Ann_r(u), Ann_l(u)): two
+        elements share a key exactly when the two subgroups are equal.
+        Batched over `us` in chunks; see `_subgroup_keys`."""
+        us = np.asarray(us, dtype=np.int64)
+        moduli = self.ring.moduli * self.group.order
+        width = len(moduli) * (2 if kernel else 1)
+        step = max(1, KEY_CHUNK_ENTRIES // (3 * len(moduli) * width))
+        return np.concatenate([
+            _subgroup_keys(self._basis_images(us[i:i + step], side), moduli,
+                           kernel) for i in range(0, len(us), step)])
+
+    def least_generators(self, side: str, kernel: bool = False) -> np.ndarray:
+        """For every element x, the least u whose map x -> u*x (side
+        "right") or x -> x*u ("left") has the image of x's, or with
+        `kernel` its kernel: the least generator of xRG or RGx, or the
+        least u with Ann_r(u) = Ann_r(x) or Ann_l(u) = Ann_l(x); so the
+        classes' least elements are the x it maps to x. Computed once
+        per (side, kernel), read-only.
+
+        A trivial unit t changes neither the image of u*t (right) and
+        t*u (left) nor the kernel of t*u (right) and u*t (left), so only
+        the least element of each such orbit, found from the units'
+        maps, gets a key from `canonical_keys`; each class of equal keys
+        keeps its least element, which is the least of its orbit.
+        """
+        return self._classes(side, kernel)[0]
+
+    def classes(self, side: str, kernel: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The least element of each class of `least_generators`,
+        ascending, and the image (or kernel) the class shares as a mask,
+        one row each: enumerated from the class's canonical form, so no
+        member's map is computed."""
+        moduli = self.ring.moduli * self.group.order
+        weights = np.array(self._coordinate_basis, dtype=np.int64)
+        least, keys = self._classes(side, kernel)
+        masks = np.zeros((len(keys), self.card), dtype=bool)
+        for mask, key in zip(masks, keys):
+            mask[_subgroup_elements(key, moduli) @ weights] = True
+        return np.flatnonzero(least == np.arange(self.card)), masks
+
+    def _classes(self, side: str, kernel: bool) -> tuple[np.ndarray, np.ndarray]:
+        """`least_generators`, and the key of each class in the order of
+        the least elements."""
+        got = self._least.get((side, kernel))
+        if got is None:
+            maps = self.mul_row if (side == "right") == kernel else self.mul_col
+            least = np.arange(self.card)
+            for t in self.trivial_units:
+                np.minimum(least, maps(t), out=least)
+            reps = np.flatnonzero(least == np.arange(self.card))
+            keys = self.canonical_keys(reps, side, kernel)
+            # each key's first row, the least of its class
+            first: dict[bytes, int] = {}
+            by_rep = np.empty(self.card, dtype=np.int64)
+            by_rep[reps] = reps[[first.setdefault(key.tobytes(), i)
+                                 for i, key in enumerate(keys)]]
+            got = self._least[side, kernel] = (
+                by_rep[least], keys[list(first.values())])
+            got[0].setflags(write=False)
+        return got
+
+
+# ---------------------------------------------------------------------------
+# canonical forms of subgroups of Z/m_1 x ... x Z/m_c
+
+# entries of the working matrices per chunk of `canonical_keys`
+KEY_CHUNK_ENTRIES = 1 << 18
+
+
+@cache
+def _prime_parts(moduli: tuple[int, ...]) -> list[tuple[int, int, np.ndarray,
+                                                       np.ndarray]]:
+    """For each prime p dividing a modulus: p; the largest a with p^a
+    dividing a modulus; per coordinate of modulus m, with p^b exactly
+    dividing m, the scale p^(a - b) that embeds Z/p^b in Z/p^a (0 when
+    b = 0); and the idempotent of Z/m that is 1 mod p^b and 0 mod
+    m / p^b, which lifts the p-part back to Z/m."""
+    exps: dict[int, list[int]] = {}
+    for j, m in enumerate(moduli):
+        p = 2
+        while m > 1:
+            while m % p == 0:
+                exps.setdefault(p, [0] * len(moduli))[j] += 1
+                m //= p
+            p += 1
+    out = []
+    for p, bs in sorted(exps.items()):
+        a = max(bs)
+        scale = np.array([p ** (a - b) if b else 0 for b in bs], dtype=np.int32)
+        lift = np.array([m // p ** b * pow(m // p ** b, -1, p ** b) % m
+                         if b else 0 for m, b in zip(moduli, bs)], dtype=np.int32)
+        out.append((p, a, scale, lift))
+    return out
+
+
+@cache
+def _local_tables(p: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p-adic valuation of every x in Z/p^a (a for 0), and the
+    inverse of every unit (0 for the nonunits)."""
+    q = p ** a
+    x = np.arange(q)
+    val = sum((x % p ** k == 0).astype(np.int32) for k in range(1, a + 1))
+    inv = np.array([pow(y, -1, q) if y % p else 0 for y in range(q)],
+                   dtype=np.int32)
+    return val, inv
+
+
+def _killed_multiple(rows: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
+    """(q / pivot) times each pivot row over Z/q: the multiple that is
+    zero in the pivot's column, which the rows below the pivot must
+    still span for the echelon form to have Howell's property."""
+    return (q // pivots)[:, None] * rows % q
+
+
+def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
+    """The Howell form over Z/p^a of each matrix of a stack (N, r, c),
+    zero rows last, cut to its first c rows (no more are nonzero). That
+    is an echelon form whose pivots are powers of p, with the entries
+    above each pivot reduced below it, in which the rows with their
+    pivot in column k or later span every vector of the row space that
+    is zero before column k. It is unique for the row space (Howell 1986;
+    Storjohann & Mulders 1998); over a field (a = 1) it is the reduced
+    row echelon form.
+
+    Column by column, the pivot is the entry of least valuation among
+    the rows not yet used (the pool); every other row is reduced by it,
+    and `_killed_multiple` of the pivot row joins the pool.
+    """
+    q = p ** a
+    val, inv = _local_tables(p, a)
+    n, r, c = w.shape
+    # entries and products below q^2 fit the type
+    dtype = np.int16 if q * q < 1 << 15 else np.int32
+    # each pivot other than a unit adds one row to the pool
+    w = np.concatenate([w.astype(dtype),
+                        np.zeros((n, c if a > 1 else 0, c), dtype)], axis=1)
+    at, rows = np.arange(n), np.arange(w.shape[1])
+    done = np.zeros(n, dtype=np.intp)       # the pool is rows done..end - 1
+    end = np.full(n, r, dtype=np.intp)
+    for j in range(c):
+        pool = (rows >= done[:, None]) & (rows < end[:, None])
+        v = np.where(pool, val[w[:, :, j]], a)
+        piv = v.argmin(axis=1)
+        vp = v[at, piv]
+        has = vp < a
+        if not has.any():
+            continue
+        # a matrix with no pivot here swaps a row with itself, and its
+        # entries divided by q are 0: nothing changes
+        d = np.where(has, done, piv)
+        top = w[at, piv]
+        w[at, piv] = w[at, d]
+        pw = (p ** vp).astype(dtype)
+        unit = inv[top[:, j] // pw].astype(dtype)
+        top = np.where(has[:, None], top * unit[:, None] % q, top)
+        f = w[:, :, j] // pw[:, None]
+        f[at, d] = 0
+        block = w[:, :, j:]
+        block -= f[:, :, None] * top[:, None, j:]
+        if p == 2:     # the remainder by a power of 2, and faster
+            block &= q - 1
+        else:
+            block %= q
+        w[at, d] = top
+        grow = has & (vp > 0)
+        w[at[grow], end[grow]] = _killed_multiple(top[grow], pw[grow], q)
+        end += grow
+        done += has
+    return w[:, :c]
+
+
+def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """The coordinates of every element of the subgroup with this key
+    from `_subgroup_keys`, one row each. By Howell's property each
+    element of a p-part is the sum of c_i times row i of its form, with
+    0 <= c_i < q / pivot_i, in exactly one way. The p-parts go back to
+    Z/m through their lifts (see `_prime_parts`) and add up."""
+    c = len(moduli)
+    out = np.zeros((1, c), dtype=np.int32)
+    for form, (p, a, scale, lift) in zip(key.reshape(-1, c, c).astype(np.int32),
+                                         _prime_parts(moduli)):
+        q = p ** a
+        part = np.zeros((1, c), dtype=np.int32)
+        for row in form[form.any(axis=1)]:
+            steps = np.arange(q // int(row[row != 0][0]), dtype=np.int32)
+            part = (part[None] + steps[:, None, None] * row).reshape(-1, c)
+            part %= q
+        part //= np.maximum(scale, 1)
+        part *= lift
+        out = (out[:, None] + part).reshape(-1, c)
+        out %= np.array(moduli, dtype=np.int32)
+    return out
+
+
+def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],
+                   kernel: bool) -> np.ndarray:
+    """Keys of the subgroups spanned by the rows of each (N, c, c)
+    matrix of coordinates, coordinate j taken modulo moduli[j]; or, with
+    `kernel`, of the kernel of the map sending the j-th coordinate unit
+    vector to row j.
+
+    A subgroup is the direct sum of its p-parts. A coordinate x of
+    modulus m, with p^b exactly dividing m, enters the p-part as
+    x * p^(a - b) mod p^a, a the largest such b, so each p-part is a
+    Z/p^a-module in (Z/p^a)^c, keyed by its Howell form. The kernel's p-part is read off
+    the Howell form of the graph, the rows [image | domain]: its rows
+    with a zero image part.
+    """
+    n, c, _ = images.shape
+    keys = []
+    for p, a, scale, _ in _prime_parts(moduli):
+        w = images * scale % p ** a
+        if kernel:
+            domain = np.broadcast_to(np.diag(scale), w.shape)
+            w = np.concatenate([w, domain], axis=2)
+        h = _howell(w, p, a)
+        if kernel:
+            image = h[:, :, :c].any(axis=2)
+            h = h[:, :, c:] * ~image[:, :, None]
+            h = np.take_along_axis(
+                h, np.argsort(image, axis=1, kind="stable")[:, :c, None], axis=1)
+        keys.append(h.reshape(n, -1))
+    return np.concatenate(keys, axis=1).astype(np.uint16)
 
 
 # ---------------------------------------------------------------------------
 # coefficientwise reduction onto the residue field
 
-@dataclass(frozen=True)
-class ResidueMap:
+class ResidueMap(NamedTuple):
     """Coefficientwise projection RG -> (R/J)G over a local base ring.
 
     proj maps every base index to its residue index (a surjective ring

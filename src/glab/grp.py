@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -23,32 +22,29 @@ from .finring import (_componentwise, _identities, _mixed_radix, _past_limit,
 
 
 # ---------------------------------------------------------------------------
-# specs
+# specs: NamedTuples, immutable and hashable; as tuples, specs of two
+# kinds with equal fields compare equal, so the kind is told by
+# isinstance, never by ==
 
-@dataclass(frozen=True)
-class CyclicGroup:
+class CyclicGroup(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class DihedralGroup:
+class DihedralGroup(NamedTuple):
     """Symmetries of a regular n-gon; order 2n."""
     n: int
 
 
-@dataclass(frozen=True)
-class SymmetricGroup:
+class SymmetricGroup(NamedTuple):
     """All permutations of n points, n at most 4 (order at most 24)."""
     n: int
 
 
-@dataclass(frozen=True)
-class ProductGroup:
+class ProductGroup(NamedTuple):
     factors: tuple["GroupSpec", ...]
 
 
-@dataclass(frozen=True)
-class CayleyGroup:
+class CayleyGroup(NamedTuple):
     """Explicit multiplication table, audited at build time."""
     table: tuple[tuple[int, ...], ...]
     label: str = "cayley"

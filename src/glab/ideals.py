@@ -13,9 +13,13 @@ columns of every row that still misses x. A single sum (a span or an
 ideal_sum) is a stack of one row. Each row's basis grows with the x it
 was closed under, so a sum carries its basis out of the kernel.
 
-The principal ideals of one side come from one ordered pass over RG,
-which keeps the least generator of each; the census builds on that
-table, and the checkable routes read principality from it.
+The principal ideals of one side come from the canonical forms of
+glab.galg: the least element of each orbit of the trivial units is
+reduced to the Howell form of its ideal in one batched pass, each
+class of equal forms keeps its least element as generator, and its
+mask is enumerated from the form. The census builds on that table,
+the checkable routes read principality from it, and a principal ideal
+of a side whose table exists is read from it.
 
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
@@ -208,11 +212,18 @@ def _side_map(alg: GroupAlgebra, u: int, side: str) -> np.ndarray:
 
 
 def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
-    """The one-sided principal ideal generated by u."""
-    row = _side_map(alg, u, side)
-    mask = np.zeros(alg.card, dtype=bool)
-    mask[row] = True
-    return CodeSet(alg, mask, side=side, generators=(u,))
+    """The one-sided principal ideal generated by u: read from the
+    side's table once `principal_ideals` has built it, else the image
+    of u's map."""
+    u = int(u)
+    table = alg.principal_sets.get(side)
+    if table is None:
+        mask = np.zeros(alg.card, dtype=bool)
+        mask[_side_map(alg, u, side)] = True
+        return CodeSet(alg, mask, side=side, generators=(u,))
+    got = table[int(alg.least_generators(side)[u])]
+    return got if got.generators == (u,) else CodeSet(
+        alg, got.mask, side=side, generators=(u,), basis=got._basis)
 
 
 def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
@@ -307,25 +318,26 @@ def check_scale(alg: GroupAlgebra, bound: int, what: str) -> None:
 
 def principal_ideals(alg: GroupAlgebra, side: str,
                      bound: int = DEFAULT_CENSUS_BOUND) -> dict[bytes, CodeSet]:
-    """Every principal ideal of one side by mask key, each generated by
-    its least generator: one ordered pass over RG, gated by `bound`.
+    """Every principal ideal of one side by mask key, in the order of
+    their least generators, each generated by its least generator; the
+    whole of RG is classified first, gated by `bound`.
 
-    For a unit v, uvRG = uRG (and RGvu = RGu), so once u is scanned its
-    products with the trivial units v = r*g (r a unit of R, g in G) are
-    skipped. A skipped element generates the same ideal as one scanned
-    before it, so each principal ideal keeps its least generator.
+    The classes and masks are `GroupAlgebra.classes`: the least element
+    of each orbit of the trivial units is reduced to a canonical form of
+    its ideal, in one batched pass, and each class's mask is enumerated
+    from its form, so no map is computed. The table is built once per
+    algebra and side; `principal` reads it.
     """
     if side not in ("right", "left"):
         raise ConstructionError(f"unknown ideal side {side!r}")
     check_scale(alg, bound, "principal-ideal census")
-    seen = np.zeros(alg.card, dtype=bool)
-    found: dict[bytes, CodeSet] = {}
-    for u in alg.elements:
-        if not seen[u]:
-            c = principal(alg, u, side)
-            found.setdefault(c.key(), c)
-            seen[_side_map(alg, u, side)[alg.trivial_units]] = True
-    return found
+    table = alg.principal_sets.get(side)
+    if table is None:
+        gens, masks = alg.classes(side)
+        table = {u: CodeSet(alg, mask, side=side, generators=(u,))
+                 for u, mask in zip(gens.tolist(), masks)}
+        alg.principal_sets[side] = table
+    return {c.key(): c for c in table.values()}
 
 
 def enumerate_ideals(alg: GroupAlgebra, side: str = "right",

@@ -9,7 +9,7 @@ law matrix in glab.verify re-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,26 +53,36 @@ def _sub_idempotent(alg: GroupAlgebra, e: int,
     return int(fs[below.argmax()]) if below.any() else None
 
 
-def is_primitive(alg: GroupAlgebra, e: int, idems: list[int]) -> bool:
-    """Whether a nonzero idempotent admits no orthogonal splitting."""
-    _require_idempotent(alg, e)
-    if e == 0:
-        return False
-    return _sub_idempotent(alg, e, idems) is None
-
-
-@dataclass(frozen=True)
-class IdempotentInfo:
+class IdempotentInfo(NamedTuple):
     element: int
     central: bool
     primitive: bool
 
 
+# rows of the |E| x |E| product table of the idempotents per product call
+CENSUS_CHUNK_ROWS = 32
+
+
 def idempotent_census(alg: GroupAlgebra,
                       idems: list[int]) -> list[IdempotentInfo]:
-    """Central and primitive flags of every idempotent in the census."""
-    return [IdempotentInfo(e, alg.is_central(e), is_primitive(alg, e, idems))
-            for e in idems]
+    """Central and primitive flags of every idempotent in the census.
+
+    The products e*f of all pairs come from one product per chunk of
+    rows of the table: the diagonal re-checks idempotence, and a
+    nonzero e is primitive (admits no orthogonal splitting) when no f
+    outside {0, e} has ef = fe = f (see `_sub_idempotent`). Centrality
+    is `central` on the whole list at once."""
+    es = np.array(idems, dtype=np.int64)
+    table = np.concatenate([alg.mul(es[i:i + CENSUS_CHUNK_ROWS, None], es)
+                            for i in range(0, len(es), CENSUS_CHUNK_ROWS)])
+    wrong = es[np.diagonal(table) != es]
+    if len(wrong):
+        _require_idempotent(alg, int(wrong[0]))     # raises
+    below = ((table == es) & (table.T == es) & (es != 0)
+             & (es[:, None] != es))
+    primitive = (es != 0) & ~below.any(axis=1)
+    return [IdempotentInfo(e, central, prim) for e, central, prim in zip(
+        idems, alg.central(es).tolist(), primitive.tolist())]
 
 
 def decompose_idempotent(alg: GroupAlgebra, e: int,

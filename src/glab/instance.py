@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from .errors import ParseError
@@ -33,21 +33,18 @@ from .grp import (CayleyGroup, CyclicGroup, DihedralGroup, GroupSpec,
 from .ideals import CodeSet, span
 
 
-@dataclass(frozen=True)
-class ElemDef:
+class ElemDef(NamedTuple):
     name: str
     coeffs: tuple
 
 
-@dataclass(frozen=True)
-class IdealDef:
+class IdealDef(NamedTuple):
     name: str
     side: str
     generators: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class InstanceDescription:
+class InstanceDescription(NamedTuple):
     ring: RingSpec
     group: GroupSpec
     elems: tuple[ElemDef, ...] = ()
@@ -391,13 +388,12 @@ def instance_digest(desc: InstanceDescription) -> str:
 # ---------------------------------------------------------------------------
 # building
 
-@dataclass
-class BuiltInstance:
+class BuiltInstance(NamedTuple):
     description: InstanceDescription
     digest: str
     algebra: GroupAlgebra
-    elems: dict[str, int] = field(default_factory=dict)
-    ideals: dict[str, CodeSet] = field(default_factory=dict)
+    elems: dict[str, int]
+    ideals: dict[str, CodeSet]
     bound: int = DEFAULT_OP_BOUND
     census_bound: int = DEFAULT_CENSUS_BOUND
 
@@ -416,6 +412,8 @@ def build_instance(desc: InstanceDescription,
         description=desc,
         digest=instance_digest(desc),
         algebra=alg,
+        elems={},
+        ideals={},
         bound=bound if bound is not None else (
             desc.bound if desc.bound is not None else DEFAULT_OP_BOUND),
         census_bound=census_bound if census_bound is not None else (

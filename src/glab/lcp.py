@@ -12,8 +12,7 @@ glab.verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
     return int(hits[0]) if len(hits) == 1 else None
 
 
-@dataclass(frozen=True)
-class LcpPair:
+class LcpPair(NamedTuple):
     c: CodeSet
     d: CodeSet
     certificate: int | None
@@ -101,8 +99,7 @@ def refine_certificate(c: CodeSet, d: CodeSet,
 # ---------------------------------------------------------------------------
 # residue transfer
 
-@dataclass(frozen=True)
-class ResidueTransfer:
+class ResidueTransfer(NamedTuple):
     lcp_base: bool
     lcp_residue: bool
     biconditional: bool

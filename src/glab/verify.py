@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, _sumset, ann_left, ann_right, check_scale,
                      dual_code, enumerate_ideals, ideal_sum, packed,
-                     principal_ideals, span)
+                     principal, principal_ideals, span)
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
@@ -42,8 +41,7 @@ from .lcp import (LcpPair, ResidueTransfer, lcp_certificate,
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     check_id: str
     law: str
     status: str
@@ -51,8 +49,7 @@ class CheckLine:
     micros: int | None = None
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     digest: str
     algebra_label: str
@@ -96,8 +93,9 @@ class Workspace:
 
     def principals(self, side: str, bound: int) -> dict[bytes, CodeSet]:
         """The principal ideals of one side by key, each with its least
-        generator: one ordered pass per side, shared by the census and
-        the checkable routes. Each caller gates it by its own bound."""
+        generator: one table per side, shared by the census, the
+        checkable routes and the element annihilators. Each caller gates
+        it by its own bound."""
         check_scale(self.alg, bound, "principal-ideal census")
         if side not in self._principals:
             self._principals[side] = principal_ideals(self.alg, side, bound)
@@ -525,7 +523,8 @@ def _block_intersection(ws: Workspace):
     parts = ws.parts_of_one
     if not all(ws.alg.is_central(p) for p in parts):
         return (SKIP, "the canonical refinement of 1 is not central")
-    rows = [(c, ann_intersection_check(c, parts).status)
+    rows = [(c, ann_intersection_check(
+        c, parts, lambda block: ws.ann("right", block)).status)
             for c in ws.right_ideals]
     blocks = sum(status == "ok" for _, status in rows)
     return _tally("right ideals", _ideals(
@@ -545,30 +544,26 @@ ELEMENT_CHUNK_BYTES = 1 << 18
 def _ann_of_element(side: str):
     """Ann_side(u) is the side annihilator of the other-sided span of u.
 
-    The elements go in chunks of rows: for each, the zeros of u's map,
-    {a : u*a = 0} (right) or {a : a*u = 0} (left), and the mask of its
-    span, all keyed in one packbits call. A span resolves to the
-    principal ideal of the other side's table, and the annihilator of
-    each distinct span is found once."""
+    Each element's zeros, {a : u*a = 0} (right) or {a : a*u = 0}
+    (left), come from its own map, in chunks of rows. Its span is read
+    from the other side's principal table: the principal ideal of its
+    least generator, whose annihilator is found once per ideal."""
     other = _OTHER[side]
-    maps = ("mul_row", "mul_col") if side == "right" else ("mul_col", "mul_row")
 
     def law(ws: Workspace):
         alg = ws.alg
-        zeros_of, span_of = (getattr(alg, name) for name in maps)
-        table = ws.principals(other, ws.built.bound)
+        zeros_of = alg.mul_row if side == "right" else alg.mul_col
+        ws.principals(other, ws.built.bound)    # the table, gated
+        least = alg.least_generators(other).tolist()
+        anns = {g: ws.ann(side, principal(alg, g, other)).mask
+                for g in dict.fromkeys(least)}
         step = max(1, ELEMENT_CHUNK_BYTES // alg.card)
         ok = np.empty(alg.card, dtype=bool)
         for start in range(0, alg.card, step):
-            us = range(start, min(start + step, alg.card))
-            spans = np.zeros((len(us), alg.card), dtype=bool)
-            for row, u in enumerate(us):
-                spans[row, span_of(u)] = True
-            zeros = np.array([zeros_of(u) == 0 for u in us])
-            for row, key in enumerate(map(bytes, packed(spans))):
-                code = table.get(key) or CodeSet(alg, spans[row], side=other)
-                spans[row] = ws.ann(side, code).mask
-            ok[start:start + len(us)] = (zeros == spans).all(axis=1)
+            stop = min(start + step, alg.card)
+            zeros = np.array([zeros_of(u) == 0 for u in range(start, stop)])
+            spans = np.array([anns[g] for g in least[start:stop]])
+            ok[start:stop] = (zeros == spans).all(axis=1)
         return _tally("elements", (), results=ok, where="element {}")
     return law
 

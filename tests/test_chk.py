@@ -7,7 +7,8 @@ from glab.chk import (ann_intersection_check, check_elements,
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.idem import decompose_one, enumerate_idempotents
-from glab.ideals import dual_code, enumerate_ideals, principal_ideals, span
+from glab.ideals import (ann_right, dual_code, enumerate_ideals,
+                         principal_ideals, span)
 
 from desk import fixture_algebra
 
@@ -156,35 +157,36 @@ def test_checkable_and_ann_routes_agree_everywhere():
 
 def test_intersection_form_f3c2(f3c2):
     parts = _parts_of_one(f3c2)
-    rows = [ann_intersection_check(c, parts) for c in enumerate_ideals(f3c2)]
+    rows = [ann_intersection_check(c, parts, ann_right)
+            for c in enumerate_ideals(f3c2)]
     assert [r.status for r in rows] == ["ok"] * 4
     assert [r.support for r in rows] == [(), (8,), (5,), (5, 8)]
     assert all(r.intersection_matches and r.chain_matches for r in rows)
 
 
 def test_intersection_form_explicit_parts(f3c2):
-    r = ann_intersection_check(span(f3c2, [8], "right"), parts=[5, 8])
+    r = ann_intersection_check(span(f3c2, [8], "right"), [5, 8], ann_right)
     assert r.status == "ok" and r.support == (8,)
 
 
 def test_intersection_form_noncentral_parts(f2s3, m2c2):
     for alg in (f2s3, m2c2):
         r = ann_intersection_check(span(alg, [alg.one], "right"),
-                                   _parts_of_one(alg))
+                                   _parts_of_one(alg), ann_right)
         assert r.status == "non-central-parts"
         assert r.intersection_matches is None and r.support == ()
 
 
 def test_intersection_form_z4c2(z4c2):
     parts = _parts_of_one(z4c2)
-    statuses = [ann_intersection_check(c, parts).status
+    statuses = [ann_intersection_check(c, parts, ann_right).status
                 for c in enumerate_ideals(z4c2)]
     assert statuses == ["ok"] + ["not-a-block-sum"] * 5 + ["ok"]
 
 
 def test_intersection_form_needs_right_ideal(f3c2):
     with pytest.raises(ConstructionError, match="right ideal"):
-        ann_intersection_check(span(f3c2, [8], "left"), [5, 8])
+        ann_intersection_check(span(f3c2, [8], "left"), [5, 8], ann_right)
 
 
 def test_primitive_parts_default_is_decompose_one(f3c2):

@@ -243,3 +243,16 @@ def test_console_script_entry():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "summary: 20 pass, 4 skip" in r.stdout
+
+
+def test_commands_leave_dataclasses_and_numpy_ma_unloaded():
+    # the record types are NamedTuples, so no process pays for the
+    # methods that dataclasses generate at import; and no command calls
+    # np.unique without an index output, which imports numpy.ma (numpy
+    # loads neither module itself)
+    code = ("import sys, glab.cli; glab.cli.main(['checkable', 'census', "
+            f"{str(FIX / 'm2f2c2.glab')!r}]); print(sorted("
+            "{'dataclasses', 'numpy.ma'} & set(sys.modules)), file=sys.stderr)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=ROOT)
+    assert r.stderr == "[]\n"

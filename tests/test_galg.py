@@ -219,10 +219,14 @@ def test_zero_budget_stores_nothing(monkeypatch):
 
 def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
     # M2(Z2)C3 has 18 trivial units and 54 orbits T*u*T, one of them the
-    # units; without gathered maps the command computed 1,789 maps. The
-    # right and left principal passes (the census and the checkable
-    # routes) compute one map per orbit and side: the units' maps, and
-    # the rest gathered from the orbit representatives'
+    # units; without gathered maps the command computed 1,789 maps, and
+    # with one ordered principal pass per side 18 + 53 per side. The
+    # principal ideals and check elements are now classified and
+    # enumerated from canonical forms, with no map of their own: what
+    # is left is the units' maps on each side (they find the orbits'
+    # least elements), and the column maps of the 6 orbits that the
+    # census's basis elements reach for the left annihilators, once
+    # each; every other map is gathered
     products = Counter()
     product = GroupAlgebra._product
 
@@ -237,7 +241,7 @@ def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
                  "--census-bound", "5000"]) == 1
     assert "checkable-census.code-checkable  true" in capsys.readouterr().out
     rows = sum(side == "row" for side, _ in products)
-    assert (rows, len(products) - rows) == (18 + 53, 18 + 53)
+    assert (rows, len(products) - rows) == (18, 18 + 6)
     assert set(products.values()) == {1}
 
 

@@ -327,6 +327,23 @@ def test_radical_of_klein_group_algebra_not_principal():
     assert _least_generator(span(alg, [s], "right")) is not None
 
 
+def test_principal_reads_the_side_table_once_built(m2c2, monkeypatch):
+    # before the table, the image of u's map; after it, the table's ideal
+    # of u's least generator, named by u, with no map computed
+    before = {side: [principal(m2c2, u, side) for u in m2c2.elements]
+              for side in ("right", "left")}
+    for side in ("right", "left"):
+        table = principal_ideals(m2c2, side)
+        least = m2c2.least_generators(side)
+        monkeypatch.setattr(GroupAlgebra, "_product", None)
+        for u, code in zip(m2c2.elements, before[side]):
+            got = principal(m2c2, u, side)
+            assert got.same_set(code)
+            assert (got.side, got.generators) == (side, (u,))
+            assert table[got.key()].generators == (least[u],)
+        monkeypatch.undo()
+
+
 def test_is_principal_needs_side(f2c2):
     # the principal table is one side's; a bare set has none
     with pytest.raises(ConstructionError):

@@ -8,7 +8,7 @@ from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import (decompose_idempotent, decompose_one,
                        enumerate_idempotents, idempotent_census,
-                       is_idempotent, is_primitive, lift_idempotent)
+                       is_idempotent, lift_idempotent)
 from glab.ideals import dual_code, ideal_sum, span
 
 from desk import fixture_algebra
@@ -89,17 +89,18 @@ def test_scan_scale_gate(f3c2):
 # ---------------------------------------------------------------------------
 # primitivity and decomposition
 
+def _primitive(alg, idems):
+    return {i.element: i.primitive for i in idempotent_census(alg, idems)}
+
+
 def test_primitivity_frozen(f3c2):
-    idems = enumerate_idempotents(f3c2)
-    assert not is_primitive(f3c2, 0, idems)
-    assert not is_primitive(f3c2, 1, idems)
-    assert is_primitive(f3c2, 5, idems)
-    assert is_primitive(f3c2, 8, idems)
+    assert _primitive(f3c2, enumerate_idempotents(f3c2)) == {
+        0: False, 1: False, 5: True, 8: True}
 
 
 def test_primitivity_rejects_non_idempotent(f3c2):
     with pytest.raises(ConstructionError):
-        is_primitive(f3c2, 2, enumerate_idempotents(f3c2))
+        idempotent_census(f3c2, enumerate_idempotents(f3c2) + [2])
 
 
 def test_decompose_one_frozen(f3c2, f2c3):
@@ -111,9 +112,10 @@ def test_decompose_one_invariants(f2s3, m2c2):
     for alg in (f2s3, m2c2):
         idems = enumerate_idempotents(alg)
         parts = decompose_one(alg, idems)
+        primitive = _primitive(alg, idems)
         total = 0
         for p in parts:
-            assert is_idempotent(alg, p) and is_primitive(alg, p, idems)
+            assert is_idempotent(alg, p) and primitive[p]
             total = alg.add(total, p)
         assert total == alg.one
         for i, p in enumerate(parts):

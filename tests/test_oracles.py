@@ -6,8 +6,12 @@ x_g * y_g, with the ring's scalar operations on decoded coefficients.
 Every map the algebra exposes is compared against them, also when the
 maps are requested so that all but one per orbit of the trivial units
 are gathered, and with no map budget. The check-element, split-of-1
-and sub-idempotent scans are compared against brute force over the
-product table. Every sum of
+and sub-idempotent scans and the idempotent census are compared
+against brute force over the product table. The canonical keys of
+images and kernels of multiplication maps must split RG exactly as
+the subgroups do, on the desk and lattice instances and on drawn
+algebras, and the principal-ideal and check-element tables must equal
+the ordered per-element passes over the product table. Every sum of
 two members of the ideal census, formed with the ring's addition, must
 be a member again, and the stacked sum kernel must give those sums for
 the census and for its duals. The principal-ideal tables are compared
@@ -22,27 +26,33 @@ counts on an algebra whose group and ring elements are relabelled.
 import functools
 import re
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glab.galg
 import glab.verify
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
-from glab.finring import TableRing, Zmod, build_ring
+from glab.finring import MatrixRing, ProductRing, TableRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
-from glab.grp import CayleyGroup, CyclicGroup, build_group
+from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
+                      build_group)
 from glab.ideals import (CodeSet, _grown_basis, _sumset, dual_code,
-                         enumerate_ideals)
-from glab.idem import _sub_idempotent, enumerate_idempotents
+                         enumerate_ideals, principal_ideals)
+from glab.idem import (_sub_idempotent, enumerate_idempotents,
+                       idempotent_census)
 from glab.instance import InstanceDescription, build_instance, load_instance
 from glab.lcp import is_lcp, lcp_certificate, lcp_matrix
 from glab.verify import LAW_TABLE, PASS, Workspace, verify_all
 
-from desk import (FIXTURE_NAMES, fixture_algebra, fixture_path,
+from desk import (FIXTURE_NAMES, FIXTURES, fixture_algebra, fixture_path,
                   fixture_workspace)
+from test_families import rings
+
+ROOT = FIXTURES.parent
 
 
 class Oracle:
@@ -237,13 +247,19 @@ def test_scans_match_brute_force(name):
                 ring.add[list(one), ring.neg[list(alg.decode(int(x)))]]))]
             assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
                                              else None)
-    # the first other nonzero idempotent f with ef = fe = f
+    # the first other nonzero idempotent f with ef = fe = f; e is
+    # primitive when it is nonzero and there is none, central when its
+    # row of the table is its column
     idems = enumerate_idempotents(alg)
     assert idems == [e for e in alg.elements if table[e, e] == e]
+    flags = []
     for e in idems:
         below = [f for f in idems if f not in (0, e)
                  and table[e, f] == f and table[f, e] == f]
         assert _sub_idempotent(alg, e, idems) == (below[0] if below else None)
+        flags.append((e, bool((table[e] == table[:, e]).all()),
+                      e != 0 and not below))
+    assert [tuple(i) for i in idempotent_census(alg, idems)] == flags
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +274,150 @@ def is_principal(code, table):
         if np.array_equal(np.unique(images[u]), code.elements()):
             return int(u)
     return None
+
+
+def ordered_principal_pass(table, side):
+    """Every principal ideal of one side by mask key, with its least
+    generator: one ordered pass over the product table (rows for right
+    ideals, columns for left ones), in the order of generators."""
+    images = table if side == "right" else table.T
+    found = {}
+    for u, image in enumerate(images):
+        mask = np.zeros(len(table), dtype=bool)
+        mask[image] = True
+        found.setdefault(np.packbits(mask, bitorder="little").tobytes(), u)
+    return found
+
+
+def ordered_check_pass(table):
+    """The least u with Ann_r(u) = C for every right annihilator C of an
+    element, by mask key: one ordered pass over the rows of the table."""
+    found = {}
+    for u, row in enumerate(table):
+        found.setdefault(np.packbits(row == 0, bitorder="little").tobytes(), u)
+    return found
+
+
+def product_table(alg):
+    """x*y for every pair, from the ring's and the group's tables: the
+    coefficient at g sums x_h * y_k over hk = g, for all pairs at once."""
+    ring, group = alg.ring, alg.group
+    coeffs = np.array([alg.decode(x) for x in alg.elements])
+    acc = np.zeros((alg.card, alg.card, group.order), dtype=np.int64)
+    for h in range(group.order):
+        for k in range(group.order):
+            g = group.mul[h, k]
+            term = ring.mul[coeffs[:, h, None], coeffs[None, :, k]]
+            acc[:, :, g] = ring.add[acc[:, :, g], term]
+    weights = np.array([alg.encode([int(i == g) for i in range(group.order)])
+                        for g in range(group.order)])
+    return acc @ weights
+
+
+def _partition(keys):
+    """Each row's first row with the same key, as a list."""
+    first = {}
+    return [first.setdefault(bytes(key), i) for i, key in enumerate(keys)]
+
+
+def _subgroups(table, side, kernel):
+    """The image (or kernel) of every element's map, as mask rows: x ->
+    u*x for side "right" (table rows), x -> x*u for "left" (columns)."""
+    images = table if side == "right" else table.T
+    if kernel:
+        return images == 0
+    masks = np.zeros(table.shape, dtype=bool)
+    np.put_along_axis(masks, images, True, axis=1)
+    return masks
+
+
+def assert_keys_partition_like_masks(alg, table):
+    """On both sides, for images and kernels: two elements share a key
+    exactly when their subgroups are equal, each element's least
+    generator is the least element with its subgroup, and the class
+    masks are those subgroups."""
+    every = np.arange(alg.card)
+    for side in ("right", "left"):
+        for kernel in (False, True):
+            masks = _subgroups(table, side, kernel)
+            classes = _partition(np.packbits(masks, axis=1))
+            assert _partition(alg.canonical_keys(every, side, kernel)) == classes
+            assert alg.least_generators(side, kernel).tolist() == classes
+            leasts, got = alg.classes(side, kernel)
+            assert leasts.tolist() == sorted(set(classes))
+            assert np.array_equal(got, masks[leasts])
+
+
+_LATTICE = ["f2c2c2c2", "z4c2c2", "f2x2c2c2"]
+
+
+@pytest.mark.parametrize("name", _DESK + _LATTICE)
+def test_canonical_keys_partition_like_masks(name):
+    if name in _LATTICE:
+        alg = build_instance(load_instance(
+            str(ROOT / "perfbench" / "instances" / f"{name}.glab"))).algebra
+        table = product_table(alg)
+    else:
+        alg = fixture_algebra(name)
+        table, _ = _tables(name)
+        assert np.array_equal(product_table(alg), table)
+    assert_keys_partition_like_masks(alg, table)
+
+
+_KEY_RINGS = [Zmod(4), Zmod(8), Zmod(9), Zmod(6), Zmod(12),
+              ProductRing((Zmod(2), Zmod(4))), MatrixRing(2, Zmod(4))]
+_KEY_GROUPS = [CyclicGroup(1), CyclicGroup(2), CyclicGroup(3), CyclicGroup(4),
+               DihedralGroup(2), SymmetricGroup(3)]
+
+
+@st.composite
+def _key_algebras(draw):
+    """A small group algebra over a drawn ring: the prime-power and
+    composite moduli above, or any ring family of tests/test_families."""
+    ring = build_ring(draw(st.one_of(st.sampled_from(_KEY_RINGS), rings)))
+    groups = [g for g in map(build_group, _KEY_GROUPS)
+              if ring.card ** g.order <= 256]
+    return GroupAlgebra(ring, draw(st.sampled_from(groups)))
+
+
+@pytest.mark.parametrize("spec", _KEY_RINGS, ids=repr)
+def test_canonical_keys_over_prime_power_and_composite_moduli(spec):
+    ring = build_ring(spec)
+    group = max((g for g in map(build_group, _KEY_GROUPS)
+                 if ring.card ** g.order <= 256), key=lambda g: g.order)
+    alg = GroupAlgebra(ring, group)
+    assert_keys_partition_like_masks(alg, product_table(alg))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(alg=_key_algebras())
+def test_canonical_keys_of_drawn_algebras(alg):
+    assert_keys_partition_like_masks(alg, product_table(alg))
+
+
+def test_dropping_the_killed_multiple_breaks_the_keys(monkeypatch):
+    # without (q / pivot) times each pivot row in the pool, the echelon
+    # form is no longer Howell's, and equal subgroups get different keys
+    monkeypatch.setattr(glab.galg, "_killed_multiple",
+                        lambda rows, pivots, q: np.zeros_like(rows))
+    for ring in (Zmod(4), Zmod(8)):
+        alg = GroupAlgebra(build_ring(ring), build_group(CyclicGroup(2)))
+        with pytest.raises(AssertionError):
+            assert_keys_partition_like_masks(alg, product_table(alg))
+
+
+@pytest.mark.parametrize("name", _DESK)
+def test_principal_and_check_tables_match_the_ordered_passes(name):
+    # the tables, in order, against the ordered per-element passes over
+    # the product table that built them before canonical forms
+    alg = fixture_algebra(name)
+    table, _ = _tables(name)
+    for side in ("right", "left"):
+        got = principal_ideals(alg, side, DEFAULT_OP_BOUND)
+        assert [(key, c.generators[0]) for key, c in got.items()] == list(
+            ordered_principal_pass(table, side).items())
+    assert list(check_elements(alg, DEFAULT_OP_BOUND).items()) == list(
+        ordered_check_pass(table).items())
 
 
 def _local(ws):
@@ -514,10 +674,10 @@ def test_verify_all_is_invariant_under_relabelling(name):
     desc = load_instance(fixture_path(name))
     desc = InstanceDescription(ring=desc.ring, group=desc.group)
     perm = np.arange(build_group(desc.group).order)[::-1]
-    moved = replace(desc, group=_relabelled_group(desc.group, perm))
+    moved = desc._replace(group=_relabelled_group(desc.group, perm))
     if name in _AUTOMORPHISMS:
-        moved = replace(moved, ring=_relabelled_ring(desc.ring,
-                                                     _AUTOMORPHISMS[name]))
+        moved = moved._replace(
+            ring=_relabelled_ring(desc.ring, _AUTOMORPHISMS[name]))
     # the identity moves, so every element index changes meaning
     alg, other = (build_instance(d).algebra for d in (desc, moved))
     assert alg.one != other.one
