@@ -24,8 +24,10 @@ from .errors import ConstructionError
 from .galg import GroupAlgebra
 from .ideals import (CodeSet, ann_left, ann_right_of_element, check_scale,
                      packed, span)
+from .records import record
 
 
+@record
 class CheckabilityVerdict(NamedTuple):
     check_element: int | None
     ann_generator: int | None
@@ -94,6 +96,7 @@ def is_checkable(c: CodeSet, dual: CodeSet, checks: dict[bytes, int],
     )
 
 
+@record
 class CheckableCensus(NamedTuple):
     algebra_label: str
     all_checkable: bool
@@ -120,6 +123,7 @@ def code_checkable_census(census: list[CodeSet],
 # ---------------------------------------------------------------------------
 # the central-decomposition intersection form
 
+@record
 class CentralIntersection(NamedTuple):
     # "ok" | "non-central-parts" | "not-a-block-sum" | "form-fails"
     status: str

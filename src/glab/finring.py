@@ -30,20 +30,21 @@ import numpy as np
 
 from .config import DEFAULT_FROBENIUS_BOUND, TABLE_LIMIT
 from .errors import ConstructionError, FalsificationError, ScaleError
+from .records import record
 
 AUDIT_LIMIT = 256  # full ring-axiom audit is cubic in |R|
 
 
 # ---------------------------------------------------------------------------
-# specs: NamedTuples, immutable and hashable; as tuples, specs of two
-# kinds with equal fields compare equal, so the kind is told by
-# isinstance, never by ==
+# specs
 
+@record
 class Zmod(NamedTuple):
     """Integers modulo m, m >= 2."""
     m: int
 
 
+@record
 class PolyQuot(NamedTuple):
     """Z/p extended by a monic irreducible polynomial.
 
@@ -55,17 +56,20 @@ class PolyQuot(NamedTuple):
     modulus: tuple[int, ...]
 
 
+@record
 class MatrixRing(NamedTuple):
     """n x n matrices over a base ring."""
     n: int
     base: "RingSpec"
 
 
+@record
 class ProductRing(NamedTuple):
     """Direct product of rings with componentwise operations."""
     factors: tuple["RingSpec", ...]
 
 
+@record
 class TableRing(NamedTuple):
     """Ring given by an explicit multiplication table.
 
@@ -78,6 +82,7 @@ class TableRing(NamedTuple):
     label: str = "table"
 
 
+@record
 class RadicalQuotient(NamedTuple):
     """Quotient of a local base ring by its Jacobson radical."""
     base: "RingSpec"
@@ -498,6 +503,7 @@ def audit_ring(ring: Ring) -> None:
 # ---------------------------------------------------------------------------
 # structure: units, radical, locality
 
+@record
 class RingStructure(NamedTuple):
     """Unit group and Jacobson radical of a ring, fully materialized."""
     units: np.ndarray
@@ -568,6 +574,7 @@ def _additive_span(ring: Ring, seed) -> set[int]:
 # ---------------------------------------------------------------------------
 # generating characters
 
+@record
 class FrobeniusVerdict(NamedTuple):
     """Outcome of the generating-character search.
 
@@ -619,6 +626,7 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
 # ---------------------------------------------------------------------------
 # radical quotient of a local ring
 
+@record
 class QuotientData(NamedTuple):
     """A local ring's residue field together with the projection maps.
 

@@ -53,6 +53,7 @@ from .config import DEFAULT_OP_BOUND, MAP_MEMO_BYTES, max_elements
 from .errors import ConstructionError, ScaleError
 from .finring import Ring, _mixed_radix, radical_quotient, structure
 from .grp import Group
+from .records import record
 
 
 class GroupAlgebra:
@@ -89,10 +90,10 @@ class GroupAlgebra:
         self._via: np.ndarray | None = None
         # the sides (left: rows) whose unit maps are all stored
         self._units_done: set[bool] = set()
-        # `least_generators` and the classes' keys by (side, kernel)
+        # `canonical_classes` by (side, kernel)
         self._least: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # each side's principal ideals by least generator, once
-        # glab.ideals.principal_ideals has built the side's table
+        # each side's principal ideals by least generator, kept by
+        # glab.ideals.principal_ideals
         self.principal_sets: dict[str, dict] = {}
 
     # -- codec ---------------------------------------------------------------
@@ -386,13 +387,33 @@ class GroupAlgebra:
             _subgroup_keys(self._basis_images(us[i:i + step], side), moduli,
                            kernel) for i in range(0, len(us), step)])
 
-    def least_generators(self, side: str, kernel: bool = False) -> np.ndarray:
+    def classes(self, side: str, kernel: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The least element of each class of `canonical_classes`,
+        ascending, and the image (or kernel) the class shares as a mask,
+        one row each: enumerated from the class's canonical form, so no
+        member's map is computed."""
+        moduli = self.ring.moduli * self.group.order
+        least, keys = self.canonical_classes(side, kernel)
+        masks = np.zeros((len(keys), self.card), dtype=bool)
+        for mask, key in zip(masks, keys):
+            coords = _subgroup_elements(key, moduli)
+            # the indices one coordinate at a time: no (n, c) int64 copy
+            at = np.zeros(len(coords), dtype=np.intp)
+            for column, weight in zip(coords.T, self._coordinate_basis):
+                at += column.astype(np.intp) * weight
+            mask[at] = True
+        return np.flatnonzero(least == np.arange(self.card)), masks
+
+    def canonical_classes(self, side: str, kernel: bool = False
+                          ) -> tuple[np.ndarray, np.ndarray]:
         """For every element x, the least u whose map x -> u*x (side
         "right") or x -> x*u ("left") has the image of x's, or with
         `kernel` its kernel: the least generator of xRG or RGx, or the
         least u with Ann_r(u) = Ann_r(x) or Ann_l(u) = Ann_l(x); so the
-        classes' least elements are the x it maps to x. Computed once
-        per (side, kernel), read-only.
+        classes' least elements are the x it maps to x. Also the key of
+        each class, in the order of the least elements. Computed once per
+        (side, kernel), read-only.
 
         A trivial unit t changes neither the image of u*t (right) and
         t*u (left) nor the kernel of t*u (right) and u*t (left), so only
@@ -400,25 +421,6 @@ class GroupAlgebra:
         maps, gets a key from `canonical_keys`; each class of equal keys
         keeps its least element, which is the least of its orbit.
         """
-        return self._classes(side, kernel)[0]
-
-    def classes(self, side: str, kernel: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """The least element of each class of `least_generators`,
-        ascending, and the image (or kernel) the class shares as a mask,
-        one row each: enumerated from the class's canonical form, so no
-        member's map is computed."""
-        moduli = self.ring.moduli * self.group.order
-        weights = np.array(self._coordinate_basis, dtype=np.int64)
-        least, keys = self._classes(side, kernel)
-        masks = np.zeros((len(keys), self.card), dtype=bool)
-        for mask, key in zip(masks, keys):
-            mask[_subgroup_elements(key, moduli) @ weights] = True
-        return np.flatnonzero(least == np.arange(self.card)), masks
-
-    def _classes(self, side: str, kernel: bool) -> tuple[np.ndarray, np.ndarray]:
-        """`least_generators`, and the key of each class in the order of
-        the least elements."""
         got = self._least.get((side, kernel))
         if got is None:
             maps = self.mul_row if (side == "right") == kernel else self.mul_col
@@ -554,19 +556,21 @@ def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     0 <= c_i < q / pivot_i, in exactly one way. The p-parts go back to
     Z/m through their lifts (see `_prime_parts`) and add up."""
     c = len(moduli)
-    out = np.zeros((1, c), dtype=np.int32)
-    for form, (p, a, scale, lift) in zip(key.reshape(-1, c, c).astype(np.int32),
+    # entries and products stay below max(moduli)^2
+    dtype = np.int16 if max(moduli) ** 2 < 1 << 15 else np.int32
+    out = np.zeros((1, c), dtype=dtype)
+    for form, (p, a, scale, lift) in zip(key.reshape(-1, c, c).astype(dtype),
                                          _prime_parts(moduli)):
         q = p ** a
-        part = np.zeros((1, c), dtype=np.int32)
+        part = np.zeros((1, c), dtype=dtype)
         for row in form[form.any(axis=1)]:
-            steps = np.arange(q // int(row[row != 0][0]), dtype=np.int32)
+            steps = np.arange(q // int(row[row != 0][0]), dtype=dtype)
             part = (part[None] + steps[:, None, None] * row).reshape(-1, c)
             part %= q
-        part //= np.maximum(scale, 1)
-        part *= lift
+        part //= np.maximum(scale, 1).astype(dtype)
+        part *= lift.astype(dtype)
         out = (out[:, None] + part).reshape(-1, c)
-        out %= np.array(moduli, dtype=np.int32)
+        out %= np.array(moduli, dtype=dtype)
     return out
 
 
@@ -604,6 +608,7 @@ def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # coefficientwise reduction onto the residue field
 
+@record
 class ResidueMap(NamedTuple):
     """Coefficientwise projection RG -> (R/J)G over a local base ring.
 

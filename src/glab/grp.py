@@ -19,31 +19,35 @@ from .config import GROUP_AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
 from .finring import (_componentwise, _identities, _mixed_radix, _past_limit,
                       _powers)
+from .records import record
 
 
 # ---------------------------------------------------------------------------
-# specs: NamedTuples, immutable and hashable; as tuples, specs of two
-# kinds with equal fields compare equal, so the kind is told by
-# isinstance, never by ==
+# specs
 
+@record
 class CyclicGroup(NamedTuple):
     n: int
 
 
+@record
 class DihedralGroup(NamedTuple):
     """Symmetries of a regular n-gon; order 2n."""
     n: int
 
 
+@record
 class SymmetricGroup(NamedTuple):
     """All permutations of n points, n at most 4 (order at most 24)."""
     n: int
 
 
+@record
 class ProductGroup(NamedTuple):
     factors: tuple["GroupSpec", ...]
 
 
+@record
 class CayleyGroup(NamedTuple):
     """Explicit multiplication table, audited at build time."""
     table: tuple[tuple[int, ...], ...]

@@ -214,14 +214,15 @@ def _side_map(alg: GroupAlgebra, u: int, side: str) -> np.ndarray:
 def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
     """The one-sided principal ideal generated by u: read from the
     side's table once `principal_ideals` has built it, else the image
-    of u's map."""
+    of u's map. The set is the same either way; only whether a map is
+    computed depends on the table."""
     u = int(u)
     table = alg.principal_sets.get(side)
     if table is None:
         mask = np.zeros(alg.card, dtype=bool)
         mask[_side_map(alg, u, side)] = True
         return CodeSet(alg, mask, side=side, generators=(u,))
-    got = table[int(alg.least_generators(side)[u])]
+    got = table[int(alg.canonical_classes(side)[0][u])]
     return got if got.generators == (u,) else CodeSet(
         alg, got.mask, side=side, generators=(u,), basis=got._basis)
 

@@ -17,6 +17,7 @@ from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, ScaleError
 from .finring import structure
 from .galg import GroupAlgebra, ResidueMap
+from .records import record
 
 
 def enumerate_idempotents(alg: GroupAlgebra,
@@ -53,6 +54,7 @@ def _sub_idempotent(alg: GroupAlgebra, e: int,
     return int(fs[below.argmax()]) if below.any() else None
 
 
+@record
 class IdempotentInfo(NamedTuple):
     element: int
     central: bool

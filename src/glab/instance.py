@@ -31,19 +31,23 @@ from .galg import GroupAlgebra
 from .grp import (CayleyGroup, CyclicGroup, DihedralGroup, GroupSpec,
                   ProductGroup, SymmetricGroup, build_group)
 from .ideals import CodeSet, span
+from .records import record
 
 
+@record
 class ElemDef(NamedTuple):
     name: str
     coeffs: tuple
 
 
+@record
 class IdealDef(NamedTuple):
     name: str
     side: str
     generators: tuple[str, ...]
 
 
+@record
 class InstanceDescription(NamedTuple):
     ring: RingSpec
     group: GroupSpec
@@ -388,6 +392,7 @@ def instance_digest(desc: InstanceDescription) -> str:
 # ---------------------------------------------------------------------------
 # building
 
+@record
 class BuiltInstance(NamedTuple):
     description: InstanceDescription
     digest: str

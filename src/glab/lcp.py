@@ -20,6 +20,7 @@ from .errors import ConstructionError
 from .galg import ResidueMap
 from .idem import decompose_idempotent, lift_idempotent
 from .ideals import CodeSet, overlaps, packed, span
+from .records import record
 
 
 def _require_pair(c: CodeSet, d: CodeSet) -> None:
@@ -67,6 +68,7 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
     return int(hits[0]) if len(hits) == 1 else None
 
 
+@record
 class LcpPair(NamedTuple):
     c: CodeSet
     d: CodeSet
@@ -99,6 +101,7 @@ def refine_certificate(c: CodeSet, d: CodeSet,
 # ---------------------------------------------------------------------------
 # residue transfer
 
+@record
 class ResidueTransfer(NamedTuple):
     lcp_base: bool
     lcp_residue: bool

@@ -28,19 +28,21 @@ from .chk import (CheckableCensus, Principals, ann_intersection_check,
 from .errors import ConstructionError, FalsificationError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
-from .ideals import (CodeSet, _sumset, ann_left, ann_right, check_scale,
-                     dual_code, enumerate_ideals, ideal_sum, packed,
-                     principal, principal_ideals, span)
+from .ideals import (CodeSet, _sumset, ann_left, ann_right, dual_code,
+                     enumerate_ideals, ideal_sum, packed, principal,
+                     principal_ideals, span)
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, lcp_certificate,
                   lcp_matrix, lcp_residue_correspondence, lcp_scan,
                   project_code, refine_certificate)
+from .records import record
 
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
 
+@record
 class CheckLine(NamedTuple):
     check_id: str
     law: str
@@ -49,6 +51,7 @@ class CheckLine(NamedTuple):
     micros: int | None = None
 
 
+@record
 class Report(NamedTuple):
     command: str
     digest: str
@@ -73,7 +76,6 @@ class Workspace:
     def __init__(self, built: BuiltInstance):
         self.built = built
         self.alg: GroupAlgebra = built.algebra
-        self._principals: Principals = {}
         # each side's census members by mask key
         self._members: dict[str, dict[bytes, CodeSet]] = {}
         # by (side, mask key): the dual's orientation and the
@@ -91,20 +93,10 @@ class Workspace:
     def ring_structure(self) -> RingStructure:
         return structure(self.alg.ring)
 
-    def principals(self, side: str, bound: int) -> dict[bytes, CodeSet]:
-        """The principal ideals of one side by key, each with its least
-        generator: one table per side, shared by the census, the
-        checkable routes and the element annihilators. Each caller gates
-        it by its own bound."""
-        check_scale(self.alg, bound, "principal-ideal census")
-        if side not in self._principals:
-            self._principals[side] = principal_ideals(self.alg, side, bound)
-        return self._principals[side]
-
     def _census(self, side: str) -> list[CodeSet]:
         bound = self.built.census_bound
         census = enumerate_ideals(self.alg, side, bound,
-                                  self.principals(side, bound))
+                                  principal_ideals(self.alg, side, bound))
         self._members[side] = {c.key(): c for c in census}
         return census
 
@@ -162,8 +154,9 @@ class Workspace:
         """What the checkable routes read: the check elements and the
         principal ideals of both sides, all gated by the scan bound."""
         bound = self.built.bound
-        return self.check_elements, {side: self.principals(side, bound)
-                                     for side in ("left", "right")}
+        return self.check_elements, {
+            side: principal_ideals(self.alg, side, bound)
+            for side in ("left", "right")}
 
     @cached_property
     def checkable_census(self) -> CheckableCensus:
@@ -553,8 +546,8 @@ def _ann_of_element(side: str):
     def law(ws: Workspace):
         alg = ws.alg
         zeros_of = alg.mul_row if side == "right" else alg.mul_col
-        ws.principals(other, ws.built.bound)    # the table, gated
-        least = alg.least_generators(other).tolist()
+        principal_ideals(alg, other, ws.built.bound)    # the table, gated
+        least = alg.canonical_classes(other)[0].tolist()
         anns = {g: ws.ann(side, principal(alg, g, other)).mask
                 for g in dict.fromkeys(least)}
         step = max(1, ELEMENT_CHUNK_BYTES // alg.card)

@@ -327,17 +327,20 @@ def test_radical_of_klein_group_algebra_not_principal():
     assert _least_generator(span(alg, [s], "right")) is not None
 
 
-def test_principal_reads_the_side_table_once_built(m2c2, monkeypatch):
+def test_principal_reads_the_side_table_once_built(monkeypatch):
     # before the table, the image of u's map; after it, the table's ideal
-    # of u's least generator, named by u, with no map computed
-    before = {side: [principal(m2c2, u, side) for u in m2c2.elements]
+    # of u's least generator, named by u, with no map computed. A fresh
+    # algebra, so no other test has built its tables
+    alg = _alg(MatrixRing(2, Zmod(2)), CyclicGroup(2))
+    before = {side: [principal(alg, u, side) for u in alg.elements]
               for side in ("right", "left")}
     for side in ("right", "left"):
-        table = principal_ideals(m2c2, side)
-        least = m2c2.least_generators(side)
+        assert side not in alg.principal_sets
+        table = principal_ideals(alg, side)
+        least = alg.canonical_classes(side)[0]
         monkeypatch.setattr(GroupAlgebra, "_product", None)
-        for u, code in zip(m2c2.elements, before[side]):
-            got = principal(m2c2, u, side)
+        for u, code in zip(alg.elements, before[side]):
+            got = principal(alg, u, side)
             assert got.same_set(code)
             assert (got.side, got.generators) == (side, (u,))
             assert table[got.key()].generators == (least[u],)

@@ -6,8 +6,9 @@ import time
 import pytest
 
 from glab.errors import ConstructionError, ParseError, ScaleError
-from glab.finring import MatrixRing, TableRing, Zmod
-from glab.grp import CayleyGroup, CyclicGroup
+from glab.finring import MatrixRing, RadicalQuotient, TableRing, Zmod
+from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup,
+                      SymmetricGroup)
 from glab.instance import (ElemDef, IdealDef, InstanceDescription,
                            build_instance, format_instance, instance_digest,
                            load_instance, parse_instance)
@@ -80,6 +81,29 @@ def test_nested_specs_round_trip():
             "group = product(cyclic(2), symmetric(3))\n")
     d = parse_instance(text)
     assert parse_instance(format_instance(d)) == d
+
+
+def test_specs_of_different_kinds_are_unequal():
+    assert Zmod(4) != CyclicGroup(4) and not Zmod(4) == CyclicGroup(4)
+    assert DihedralGroup(3) != CyclicGroup(3) != SymmetricGroup(3)
+    assert Zmod(4) != (4,) and (4,) != Zmod(4)
+    assert Zmod(4) == Zmod(4) and hash(Zmod(4)) == hash(Zmod(4))
+    assert len({Zmod(4), CyclicGroup(4), (4,)}) == 3
+    d = parse_instance(BASIC)
+    assert d != d._replace(ring=CyclicGroup(4))
+
+
+def test_round_trip_keeps_each_spec_kind():
+    text = ("ring = product(zmod(2), matrix(2, zmod(3)), "
+            "radical_quotient(zmod(4)))\n"
+            "group = product(cyclic(2), dihedral(3), symmetric(3))\n")
+    d = parse_instance(text)
+    back = parse_instance(format_instance(d))
+    assert back == d
+    assert [type(f) for f in back.ring.factors] == [
+        Zmod, MatrixRing, RadicalQuotient]
+    assert [type(f) for f in back.group.factors] == [
+        CyclicGroup, DihedralGroup, SymmetricGroup]
 
 
 def test_radical_quotient_spec():

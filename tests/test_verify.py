@@ -165,7 +165,13 @@ def _count_calls(monkeypatch, fn):
 def test_shared_work_runs_once(monkeypatch):
     # z4c3 is local and Frobenius, so every law runs and none skips
     census = _count_calls(monkeypatch, glab.ideals.enumerate_ideals)
-    principals = _count_calls(monkeypatch, glab.ideals.principal_ideals)
+    passes = []
+    classes = GroupAlgebra.classes
+
+    def counted(alg, side, kernel=False):
+        passes.append((alg.label, side, kernel))
+        return classes(alg, side, kernel)
+    monkeypatch.setattr(GroupAlgebra, "classes", counted)
     matrices = _count_calls(monkeypatch, glab.lcp.lcp_matrix)
     checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
@@ -174,10 +180,12 @@ def test_shared_work_runs_once(monkeypatch):
     rep = verify_all(ws)
     assert not any(l.status == "skip" for l in rep.lines)
     assert [args[1] for args in census] == ["right", "left"]
-    # one principal pass per side, serving its census and the checkable
-    # routes; one complementarity matrix per stack of masks, the census
-    # and its residue images (a single pair's is_lcp is a 1 x 1 matrix)
-    assert [args[1] for args in principals] == ["right", "left"]
+    # one principal pass per side, serving its census, the checkable
+    # routes and the element annihilators, and one check-element pass;
+    # one complementarity matrix per stack of masks, the census and its
+    # residue images (a single pair's is_lcp is a 1 x 1 matrix)
+    assert passes == [("Z4C3", "right", False), ("Z4C3", "right", True),
+                      ("Z4C3", "left", False)]
     stacks = [args[0].shape for args in matrices if len(args[0]) > 1]
     assert stacks == [(9, ws.alg.card), (9, ws.residue.residue.card)]
     assert len(checkable) == 1
