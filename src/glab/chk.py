@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError
 from .galg import GroupAlgebra
-from .ideals import (CodeSet, ann_left, ann_right_of_element, check_scale,
-                     packed, span)
+from .ideals import (CodeSet, annihilator_classes, ann_right_of_element,
+                     check_scale, packed, span)
 from .records import record
 
 
@@ -58,14 +59,14 @@ def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     element, keyed by C's mask key, in the order of those u; the whole
     of RG is classified first, gated by `bound`.
 
-    The classes and masks are `GroupAlgebra.classes` of the kernels of
-    x -> u*x, found with no principal-ideal table: the least element of
-    each orbit T*u of the trivial units (Ann_r(v*u) = Ann_r(u) for a
-    unit v) is reduced to a canonical form of its annihilator, and each
-    class's mask is enumerated from its form, so no map is computed.
+    The classes and masks are `ideals.annihilator_classes`, found with
+    no principal-ideal table: the least element of each orbit T*u of the
+    trivial units (Ann_r(v*u) = Ann_r(u) for a unit v) is reduced to a
+    canonical form of its annihilator, and each class's mask is
+    enumerated from its form, so no map is computed.
     """
     check_scale(alg, bound, "check-element scan")
-    least, masks = alg.classes("right", kernel=True)
+    least, masks, _ = annihilator_classes(alg, "right", bound)
     return {key.tobytes(): u for u, key in zip(least.tolist(), packed(masks))}
 
 
@@ -77,19 +78,20 @@ def _least_generator(principals: Principals, code: CodeSet) -> int | None:
     return got.generators[0] if got is not None else None
 
 
-def is_checkable(c: CodeSet, dual: CodeSet, checks: dict[bytes, int],
+def is_checkable(c: CodeSet, dual: CodeSet, ann: CodeSet,
+                 checks: dict[bytes, int],
                  principals: Principals) -> CheckabilityVerdict:
     """Decide checkability three ways: (i) the least check element, from
     the table `checks` of `check_elements`; (ii) principality of `dual`,
-    the dual of C, as a right ideal; (iii) principality of the left
-    annihilator. Principality is the least generator in `principals`,
-    the table of `principal_ideals` of each side."""
+    the dual of C, as a right ideal; (iii) principality of `ann`, the
+    left annihilator of C. Principality is the least generator in
+    `principals`, the table of `principal_ideals` of each side."""
     if c.side != "right":
         raise ConstructionError("checkability is defined for right ideals")
     dual_right = dual.side == "right"
     return CheckabilityVerdict(
         check_element=checks.get(c.key()),
-        ann_generator=_least_generator(principals, ann_left(c)),
+        ann_generator=_least_generator(principals, ann),
         dual_is_right_ideal=dual_right,
         dual_generator=(_least_generator(principals, dual)
                         if dual_right else None),
@@ -105,13 +107,14 @@ class CheckableCensus(NamedTuple):
 
 def code_checkable_census(census: list[CodeSet],
                           dual: Callable[[CodeSet], CodeSet],
+                          ann: Callable[[CodeSet], CodeSet],
                           checks: dict[bytes, int],
                           principals: Principals) -> CheckableCensus:
     """The checkability verdict of every ideal in a full right-ideal
-    census, with each ideal's dual from `dual`, its check element from
-    the table `checks` of `check_elements` and principality from the
-    tables `principals`."""
-    rows = [(c, is_checkable(c, dual(c), checks, principals))
+    census, with each ideal's dual from `dual`, its left annihilator
+    from `ann`, its check element from the table `checks` of
+    `check_elements` and principality from the tables `principals`."""
+    rows = [(c, is_checkable(c, dual(c), ann(c), checks, principals))
             for c in census]
     return CheckableCensus(
         algebra_label=census[0].alg.label,
@@ -133,7 +136,8 @@ class CentralIntersection(NamedTuple):
 
 
 def ann_intersection_check(c: CodeSet, parts: list[int],
-                           ann: Callable[[CodeSet], CodeSet]) -> CentralIntersection:
+                           ann: Callable[[CodeSet], CodeSet],
+                           bound: int = DEFAULT_OP_BOUND) -> CentralIntersection:
     """Express a right ideal through the central block decomposition.
 
     When 1 splits into CENTRAL primitive orthogonal idempotents `parts`
@@ -142,8 +146,8 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
     intersection of the right annihilators of the complementary
     blocks, each taken from `ann` (the run's shared annihilators, so
     a block's is found once for all ideals), and the right annihilator
-    of the complementary blocks' sum. Both equalities are computed
-    exhaustively; "form-fails"
+    of the complementary blocks' sum, gated by `bound`. Both equalities
+    are computed exhaustively; "form-fails"
     reports a block sum where either does not hold. A non-central
     decomposition reports "non-central-parts"; a C that is not a
     block sum reports "not-a-block-sum".
@@ -168,6 +172,6 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
     total = 0
     for p in complement:
         total = alg.add(total, p)
-    chain_ok = ann_right_of_element(alg, total).same_set(c)
+    chain_ok = ann_right_of_element(alg, total, bound).same_set(c)
     status = "ok" if inter_ok and chain_ok else "form-fails"
     return CentralIntersection(status, inter_ok, chain_ok, inside)

@@ -173,7 +173,7 @@ def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
 def cmd_checkable_ideal(ws: Workspace, name: str) -> Report:
     alg = ws.alg
     c = _named_ideal(ws, name)
-    v = is_checkable(c, ws.dual(c), *ws.checkable_tables())
+    v = is_checkable(c, ws.dual(c), ws.ann("left", c), *ws.checkable_tables())
     law = "checkable-routes"
     lines = [
         _info("checkable-ideal.checkable", law, str(v.checkable).lower()),

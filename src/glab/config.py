@@ -17,7 +17,6 @@ DEFAULT_FROBENIUS_BOUND = 1024  # generating-character search, O(|R|^3)
 DEFAULT_MAX_ELEMS = 65536       # hard cap on group-algebra construction
 TABLE_LIMIT = 4096              # largest ring materialized as dense tables
 GROUP_AUDIT_LIMIT = 256         # full associativity audit up to this order
-MAP_MEMO_BYTES = 64 << 20       # stored multiplication maps per algebra, fixed
 
 ENV_MAX_ELEMS = "GLAB_MAX_ELEMS"
 

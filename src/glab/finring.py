@@ -355,27 +355,19 @@ def _build_polyquot(spec: PolyQuot) -> Ring:
             f"divisible by {_poly_text(factor)}")
 
     pw, cf = _mixed_radix((p,) * deg)
-
-    # x^(deg+k) expressed in the standard basis, k = 0..deg-2
-    reps: list[list[int]] = []
-    cur = [(-c) % p for c in mod[:deg]]
-    reps.append(list(cur))
-    for _ in range(deg - 2):
-        cur = _poly_mod([0] + cur, mod, p)
-        reps.append(list(cur))
-    rep_arr = np.array(reps, dtype=np.int64) if reps else np.zeros((0, deg), np.int64)
-
+    # x^k mod f for k < 2 deg - 1: coordinate l of x*y is X C_l Y^T, with
+    # C_l[i, j] coordinate l of x^(i + j), one matrix product per l
+    power = np.array([_poly_mod([0] * k + [1], mod, p)
+                      for k in range(2 * deg - 1)], dtype=np.int32)
+    i = np.arange(deg)
     mul = np.zeros((card, card), dtype=np.int32)
-    for a_i in range(card):
-        raw = np.zeros((card, 2 * deg - 1), dtype=np.int64)
-        ac = cf[a_i]
-        for i in range(deg):
-            if ac[i]:
-                raw[:, i:i + deg] += ac[i] * cf
-        res = raw[:, :deg] % p
-        for k in range(deg - 1):
-            res = (res + raw[:, deg + k:deg + k + 1] * rep_arr[k][None, :]) % p
-        mul[a_i] = (res @ pw).astype(np.int32)
+    for l in range(deg):
+        # below deg * p^2 before the remainder: int32, as p^deg <= TABLE_LIMIT
+        part = (cf @ power[i[:, None] + i, l] % p) @ cf.T
+        part %= p
+        part *= int(pw[l])
+        mul += part
+    del part    # a (card, card) array, not to be held while Ring adds its own
     return Ring(spec, spec_label(spec), (p,) * deg, mul, 1)
 
 

@@ -11,19 +11,12 @@ leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
 modules work on element indices only.
 
-Left and right multiplication maps come from the product kernel only
-for the trivial units T = {r*g : r a unit of R, g in G} and for one
-representative u of each two-sided orbit T*u*T. Storing u's map
-records, for every a = v*u*t of its orbit, the first (v, u, t) that
-reaches it, and the map of a is then gathered from the stored maps of
-v, u and t: a*x = v*(u*(t*x)) and x*a = ((x*v)*u)*t, by associativity.
-Product maps are kept, read-only, while they fit in MAP_MEMO_BYTES;
-gathered maps are not kept. Past the budget, orbits are no longer
-recorded, and a map that is neither stored nor in a recorded orbit is
-a product on each call; with a budget of 0 every map is. The
-translation maps x -> x - b, through which glab.ideals closes stacks
-of subgroup masks, come from the sum kernel and are kept under the
-same budget.
+A multiplication map (a*x, or x*a, for every x) and a translation
+map (x - b for every x) are one kernel call each time they are asked
+for. Only the maps of the trivial units T = {r*g : r a unit of R, g in
+G} and of the generators are kept, once per side, because the orbits
+of `canonical_classes` and the closure checks of glab.ideals read them
+again and again.
 The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
@@ -49,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_OP_BOUND, MAP_MEMO_BYTES, max_elements
+from .config import DEFAULT_OP_BOUND, max_elements
 from .errors import ConstructionError, ScaleError
 from .finring import Ring, _mixed_radix, radical_quotient, structure
 from .grp import Group
@@ -81,20 +74,15 @@ class GroupAlgebra:
             [self.basis_elem(g) for g in range(group.order)]
             + [self.scalar_elem(r) for r in range(1, ring.card)]))
         self._hat_all: np.ndarray | None = None
-        self._rows: dict[int, np.ndarray] = {}
-        self._cols: dict[int, np.ndarray] = {}
-        self._subs: dict[int, np.ndarray] = {}
-        self._memo_bytes = 0
-        # (v, u, t) with a = v*u*t per element a, u its orbit's
-        # representative; -1 until the orbit is recorded
-        self._via: np.ndarray | None = None
-        # the sides (left: rows) whose unit maps are all stored
-        self._units_done: set[bool] = set()
+        # `fixed_map` by (left, element)
+        self._fixed: dict[tuple[bool, int], np.ndarray] = {}
         # `canonical_classes` by (side, kernel)
         self._least: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # each side's principal ideals by least generator, kept by
-        # glab.ideals.principal_ideals
+        # each side's principal ideals by least generator, and its
+        # kernel classes (`classes` with `kernel`), kept by
+        # glab.ideals.principal_ideals and glab.ideals.annihilator_classes
         self.principal_sets: dict[str, dict] = {}
+        self.annihilator_sets: dict[str, tuple[np.ndarray, ...]] = {}
 
     # -- codec ---------------------------------------------------------------
     def decode(self, x: int) -> tuple[int, ...]:
@@ -226,88 +214,28 @@ class GroupAlgebra:
                 for w in self._weights]
 
     def mul_row(self, a: int) -> np.ndarray:
-        """Indices of a * x for every x (read-only)."""
-        return self._memo(self._rows, int(a), True)
+        """Indices of a * x for every x."""
+        return self._index(self._product(self.coeffs[a], self.coeffs))
 
     def mul_col(self, b: int) -> np.ndarray:
-        """Indices of x * b for every x (read-only)."""
-        return self._memo(self._cols, int(b), False)
+        """Indices of x * b for every x."""
+        return self._index(self._product(self.coeffs, self.coeffs[b]))
 
-    def _memo(self, store: dict[int, np.ndarray], a: int,
-              left: bool) -> np.ndarray:
-        out = store.get(a)
-        if out is not None:
-            return out
-        via = [-1, -1, -1] if self._via is None else self._via[a].tolist()
-        if via[1] not in (-1, a) and self._units_stored(store, left):
-            # a row applies t, then u, then v; a column v, then u, then t
-            v, u, t = via if left else via[::-1]
-            out = store[v].take(self._memo(store, u, left).take(store[t]))
-            out.setflags(write=False)
-            return out
-        cx, cy = (self.coeffs[a], self.coeffs) if left else (
-            self.coeffs, self.coeffs[a])
-        out = self._keep(store, a, self._index(self._product(cx, cy)))
-        if a in store:
-            self._record_orbit(store, a, left)
-        return out
-
-    def _keep(self, store: dict[int, np.ndarray], a: int,
-              out: np.ndarray) -> np.ndarray:
-        """A map made read-only, in the smallest unsigned type that holds
-        every index whatever the cap, and stored under a while it fits."""
-        out = out.astype(np.min_scalar_type(self.card - 1))
-        out.setflags(write=False)
-        if self._memo_bytes + out.nbytes <= MAP_MEMO_BYTES:
-            store[a] = out
-            self._memo_bytes += out.nbytes
-        return out
-
-    def _units_stored(self, store: dict[int, np.ndarray], left: bool) -> bool:
-        """Store one side's unit maps, as products, if they all fit;
-        whether they are stored."""
-        if left in self._units_done:
-            return True
-        missing = [t for t in self.trivial_units if t not in store]
-        itemsize = np.min_scalar_type(self.card - 1).itemsize
-        size = len(missing) * self.card * itemsize
-        if self._memo_bytes + size > MAP_MEMO_BYTES:
-            return False
-        for t in missing:
-            self._memo(store, t, left)
-        self._units_done.add(left)
-        return True
-
-    def _record_orbit(self, store: dict[int, np.ndarray], u: int,
-                      left: bool) -> None:
-        """Make u the representative of its orbit T*u*T, unless the orbit
-        is recorded already or u is a unit (units are products)."""
-        if self._via is None:
-            self._via = np.full((self.card, 3), -1, dtype=np.int64)
-            self._via[self.trivial_units, 1] = self.trivial_units
-        if self._via[u, 1] >= 0 or not self._units_stored(store, left):
-            return
-        units = np.array(self.trivial_units, dtype=np.int64)
-        # inner is u*t over t for rows, v*u over v for columns; the map
-        # of a unit w on top of it is one line of the |T| x |T| table of
-        # v*u*t, with w as v for rows and as t for columns
-        inner = store[u][units]
-        outer, across = (0, 2) if left else (2, 0)
-        for w in units.tolist():
-            got, first = np.unique(store[w][inner], return_index=True)
-            new = self._via[got, 1] < 0
-            got = got[new]
-            self._via[got, outer] = w
-            self._via[got, 1] = u
-            self._via[got, across] = units[first[new]]
+    def fixed_map(self, a: int, left: bool) -> np.ndarray:
+        """`mul_row(a)` (left) or `mul_col(a)` of a trivial unit or a
+        generator, computed once per side and kept read-only, in the
+        smallest unsigned type that holds every index."""
+        got = self._fixed.get((left, a))
+        if got is None:
+            got = (self.mul_row if left else self.mul_col)(a)
+            got = self._fixed[left, a] = got.astype(
+                np.min_scalar_type(self.card - 1))
+            got.setflags(write=False)
+        return got
 
     def sub_col(self, b: int) -> np.ndarray:
-        """Indices of x - b for every x (read-only)."""
-        out = self._subs.get(int(b))
-        if out is None:
-            out = self._keep(self._subs, int(b), self._index(
-                self._sum(self.coeffs, self.ring.neg[self.coeffs[b]])))
-        return out
+        """Indices of x - b for every x."""
+        return self._index(self._sum(self.coeffs, self.ring.neg[self.coeffs[b]]))
 
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""
@@ -423,10 +351,10 @@ class GroupAlgebra:
         """
         got = self._least.get((side, kernel))
         if got is None:
-            maps = self.mul_row if (side == "right") == kernel else self.mul_col
+            left = (side == "right") == kernel
             least = np.arange(self.card)
             for t in self.trivial_units:
-                np.minimum(least, maps(t), out=least)
+                np.minimum(least, self.fixed_map(t, left), out=least)
             reps = np.flatnonzero(least == np.arange(self.card))
             keys = self.canonical_keys(reps, side, kernel)
             # each key's first row, the least of its class

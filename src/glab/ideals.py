@@ -21,6 +21,12 @@ mask is enumerated from the form. The census builds on that table,
 the checkable routes read principality from it, and a principal ideal
 of a side whose table exists is read from it.
 
+Annihilators come from the kernel classes the same way: one batched
+pass per side keys Ann_r(u) (Ann_l(u)) of every u, and each class's
+mask is enumerated once. Ann_r(C) is the meet of Ann_r(b) over an
+additive basis of C, as c*a = 0 for every c in C exactly when b*a = 0
+for every basis element b.
+
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
 all c in C}, which for right ideals equals the involution image of
@@ -38,7 +44,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CENSUS_BOUND
+from .config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from .errors import ConstructionError, ScaleError
 from .galg import GroupAlgebra
 
@@ -188,8 +194,7 @@ def side_closed(code: CodeSet, side: str) -> bool:
     alg = code.alg
     elems = code.elements()
     for g in alg.generators:
-        row = alg.mul_col(g) if side == "right" else alg.mul_row(g)
-        if not code.mask[row[elems]].all():
+        if not code.mask[alg.fixed_map(g, side == "left")[elems]].all():
             return False
     return True
 
@@ -282,27 +287,48 @@ def dual_code(code: CodeSet) -> CodeSet:
     return out
 
 
-def ann_left(code: CodeSet) -> CodeSet:
-    """All a with a*c = 0 for every c in the set; always a left ideal."""
-    alg = code.alg
-    mask = np.ones(alg.card, dtype=bool)
-    for b in code.basis:
-        mask &= alg.mul_col(b) == 0
-    return CodeSet(alg, mask, side="left")
+def annihilator_classes(alg: GroupAlgebra, side: str,
+                        bound: int = DEFAULT_OP_BOUND
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of equal Ann_r(u) (side "right") or Ann_l(u) ("left")
+    over all u: the least element of each, ascending, the annihilator it
+    shares as a mask, one row each, and the row of every element. From
+    `GroupAlgebra.classes` of the kernels, gated by `bound` and built
+    once per algebra and side."""
+    check_scale(alg, bound, "annihilator table")
+    got = alg.annihilator_sets.get(side)
+    if got is None:
+        least, masks = alg.classes(side, kernel=True)
+        rows = np.searchsorted(least, alg.canonical_classes(side, kernel=True)[0])
+        got = alg.annihilator_sets[side] = (least, masks, rows)
+    return got
 
 
-def ann_right(code: CodeSet) -> CodeSet:
-    """All a with c*a = 0 for every c in the set; always a right ideal."""
-    alg = code.alg
-    mask = np.ones(alg.card, dtype=bool)
-    for b in code.basis:
-        mask &= alg.mul_row(b) == 0
-    return CodeSet(alg, mask, side="right")
+def _annihilator(alg: GroupAlgebra, elems, side: str, bound: int) -> np.ndarray:
+    """The mask of the side annihilator of the elements: the meet of
+    their classes' masks in `annihilator_classes`."""
+    _, masks, rows = annihilator_classes(alg, side, bound)
+    return np.logical_and.reduce(masks[rows[list(elems)]], axis=0)
 
 
-def ann_right_of_element(alg: GroupAlgebra, u: int) -> CodeSet:
+def ann_left(code: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CodeSet:
+    """All a with a*c = 0 for every c in the set; always a left ideal.
+    By biadditivity, the meet of Ann_l(b) over the set's basis."""
+    return CodeSet(code.alg, _annihilator(code.alg, code.basis, "left", bound),
+                   side="left")
+
+
+def ann_right(code: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CodeSet:
+    """All a with c*a = 0 for every c in the set; always a right ideal.
+    By biadditivity, the meet of Ann_r(b) over the set's basis."""
+    return CodeSet(code.alg, _annihilator(code.alg, code.basis, "right", bound),
+                   side="right")
+
+
+def ann_right_of_element(alg: GroupAlgebra, u: int,
+                         bound: int = DEFAULT_OP_BOUND) -> CodeSet:
     """All a with u*a = 0."""
-    return CodeSet(alg, alg.mul_row(u) == 0, side="right")
+    return CodeSet(alg, _annihilator(alg, [u], "right", bound), side="right")
 
 
 # ---------------------------------------------------------------------------

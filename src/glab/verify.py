@@ -28,9 +28,9 @@ from .chk import (CheckableCensus, Principals, ann_intersection_check,
 from .errors import ConstructionError, FalsificationError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
-from .ideals import (CodeSet, _sumset, ann_left, ann_right, dual_code,
-                     enumerate_ideals, ideal_sum, packed, principal,
-                     principal_ideals, span)
+from .ideals import (CodeSet, _sumset, ann_left, ann_right,
+                     annihilator_classes, dual_code, enumerate_ideals,
+                     ideal_sum, packed, principal, principal_ideals, span)
 from .idem import (decompose_one, enumerate_idempotents, is_idempotent,
                    lift_idempotent)
 from .instance import BuiltInstance
@@ -160,8 +160,9 @@ class Workspace:
 
     @cached_property
     def checkable_census(self) -> CheckableCensus:
-        return code_checkable_census(self.right_ideals, self.dual,
-                                     *self.checkable_tables())
+        return code_checkable_census(
+            self.right_ideals, self.dual, lambda c: self.ann("left", c),
+            *self.checkable_tables())
 
     @cached_property
     def residue(self) -> ResidueMap:
@@ -193,11 +194,13 @@ class Workspace:
         return got
 
     def ann(self, side: str, code: CodeSet) -> CodeSet:
-        """The side annihilator of the code, once per mask."""
+        """The side annihilator of the code, once per mask, gated by the
+        scan bound."""
         key = (side, code.key())
         got = self._anns.get(key)
         if got is None:
-            got = self._anns[key] = self._member(_ANN[side](code))
+            got = self._anns[key] = self._member(
+                _ANN[side](code, self.built.bound))
         return got
 
     def dual_rows(self, masks: np.ndarray, side: str | None) -> np.ndarray:
@@ -517,7 +520,7 @@ def _block_intersection(ws: Workspace):
     if not all(ws.alg.is_central(p) for p in parts):
         return (SKIP, "the canonical refinement of 1 is not central")
     rows = [(c, ann_intersection_check(
-        c, parts, lambda block: ws.ann("right", block)).status)
+        c, parts, lambda block: ws.ann("right", block), ws.built.bound).status)
             for c in ws.right_ideals]
     blocks = sum(status == "ok" for _, status in rows)
     return _tally("right ideals", _ideals(
@@ -530,34 +533,32 @@ def _block_intersection(ws: Workspace):
 _OTHER = {"right": "left", "left": "right"}
 _ANN = {"right": ann_right, "left": ann_left}
 
-# rows of the element stacks per chunk: about 256 KiB of booleans
-ELEMENT_CHUNK_BYTES = 1 << 18
-
 
 def _ann_of_element(side: str):
     """Ann_side(u) is the side annihilator of the other-sided span of u.
 
-    Each element's zeros, {a : u*a = 0} (right) or {a : a*u = 0}
-    (left), come from its own map, in chunks of rows. Its span is read
-    from the other side's principal table: the principal ideal of its
-    least generator, whose annihilator is found once per ideal."""
+    Each element's Ann_side(u) is its class's mask in the side's table of
+    `annihilator_classes`. Its span is read from the other side's
+    principal table: the principal ideal of its least generator, whose
+    annihilator is found once per ideal. Each (annihilator class,
+    principal class) pair that some element has is compared once, and
+    every element is tallied by its pair."""
     other = _OTHER[side]
 
     def law(ws: Workspace):
-        alg = ws.alg
-        zeros_of = alg.mul_row if side == "right" else alg.mul_col
-        principal_ideals(alg, other, ws.built.bound)    # the table, gated
-        least = alg.canonical_classes(other)[0].tolist()
-        anns = {g: ws.ann(side, principal(alg, g, other)).mask
-                for g in dict.fromkeys(least)}
-        step = max(1, ELEMENT_CHUNK_BYTES // alg.card)
-        ok = np.empty(alg.card, dtype=bool)
-        for start in range(0, alg.card, step):
-            stop = min(start + step, alg.card)
-            zeros = np.array([zeros_of(u) == 0 for u in range(start, stop)])
-            spans = np.array([anns[g] for g in least[start:stop]])
-            ok[start:stop] = (zeros == spans).all(axis=1)
-        return _tally("elements", (), results=ok, where="element {}")
+        alg, bound = ws.alg, ws.built.bound
+        principal_ideals(alg, other, bound)     # the table, gated
+        least, masks, kernel = annihilator_classes(alg, side, bound)
+        gens = alg.canonical_classes(other)[0]
+        reps = np.flatnonzero(gens == np.arange(alg.card))
+        spans = np.searchsorted(reps, gens)
+        equal = np.zeros((len(least), len(reps)), dtype=bool)
+        equal[kernel, spans] = True
+        for k, p in np.argwhere(equal).tolist():
+            equal[k, p] = np.array_equal(masks[k], ws.ann(
+                side, principal(alg, int(reps[p]), other)).mask)
+        return _tally("elements", (), results=equal[kernel, spans],
+                      where="element {}")
     return law
 
 

@@ -7,7 +7,7 @@ from glab.chk import (ann_intersection_check, check_elements,
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.idem import decompose_one, enumerate_idempotents
-from glab.ideals import (ann_right, dual_code, enumerate_ideals,
+from glab.ideals import (ann_left, ann_right, dual_code, enumerate_ideals,
                          principal_ideals, span)
 
 from desk import fixture_algebra
@@ -19,7 +19,7 @@ def _principals(alg):
 
 
 def _census(alg):
-    return code_checkable_census(enumerate_ideals(alg), dual_code,
+    return code_checkable_census(enumerate_ideals(alg), dual_code, ann_left,
                                  check_elements(alg, DEFAULT_OP_BOUND),
                                  _principals(alg))
 
@@ -62,7 +62,8 @@ def test_desk_registry_labels():
 # single verdicts
 
 def _verdict(c):
-    return is_checkable(c, dual_code(c), check_elements(c.alg, DEFAULT_OP_BOUND),
+    return is_checkable(c, dual_code(c), ann_left(c),
+                        check_elements(c.alg, DEFAULT_OP_BOUND),
                         _principals(c.alg))
 
 

@@ -248,11 +248,20 @@ def test_console_script_entry():
 def test_commands_leave_dataclasses_and_numpy_ma_unloaded():
     # the record types are NamedTuples, so no process pays for the
     # methods that dataclasses generate at import; and no command calls
-    # np.unique without an index output, which imports numpy.ma (numpy
-    # loads neither module itself)
-    code = ("import sys, glab.cli; glab.cli.main(['checkable', 'census', "
-            f"{str(FIX / 'm2f2c2.glab')!r}]); print(sorted("
-            "{'dataclasses', 'numpy.ma'} & set(sys.modules)), file=sys.stderr)")
+    # np.unique, which imports numpy.ma (numpy loads neither module
+    # itself). The commands run in one process, each on its own instance
+    z4c3, lattice = str(FIX / "z4c3.glab"), str(
+        ROOT / "perfbench" / "instances" / "z4c2c2.glab")
+    commands = [["checkable", "census", str(FIX / "m2f2c2.glab")],
+                ["verify-all", z4c3], ["verify-all", lattice],
+                ["lcp", "scan", z4c3], ["idempotents", z4c3],
+                ["lcp", "residue", z4c3, "--pair", "C", "D"]]
+    code = ("import sys, glab.cli\n"
+            f"for args in {commands!r}:\n"
+            "    glab.cli.main(args)\n"
+            "print(sorted({'dataclasses', 'numpy.ma'} & set(sys.modules)), "
+            "file=sys.stderr)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, cwd=ROOT)
     assert r.stderr == "[]\n"
+    assert r.stdout.count("command ") == len(commands)

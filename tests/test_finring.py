@@ -103,6 +103,36 @@ def test_gf9_is_a_field():
     audit_ring(f9)
 
 
+def _poly_times(a, b, mod, p):
+    """a*b mod the monic modulus over Z/p, coefficients constant term
+    first: schoolbook product, then x^k replaced by x^k - x^(k-deg)*mod
+    from the top degree down."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    deg = len(mod) - 1
+    for k in range(len(prod) - 1, deg - 1, -1):
+        for i, m in enumerate(mod):
+            prod[k - deg + i] = (prod[k - deg + i] - prod[k] * m) % p
+    return tuple(prod[:deg])
+
+
+@pytest.mark.parametrize("p, mod, stride", [
+    (2, (1, 1, 1), 1), (2, (1, 1, 0, 1), 1), (3, (1, 0, 1), 1),
+    (5, (3, 0, 1), 1), (3, (1, 2, 0, 1), 1), (7, (1, 0, 1), 1),
+    (13, (0, 1), 1), (2, (1, 1, 0, 1, 1, 0, 0, 0, 1), 7),
+], ids=lambda v: repr(v) if isinstance(v, tuple) else str(v))
+def test_polyquot_table_matches_polynomial_multiplication(p, mod, stride):
+    # every row of GF(p^deg) up to GF(49), every 7th of GF(256)
+    ring = build_ring(PolyQuot(p, mod))
+    assert ring.card == p ** (len(mod) - 1)
+    for x in range(0, ring.card, stride):
+        row = [ring.decode(int(z)) for z in ring.mul[x]]
+        assert row == [_poly_times(ring.decode(x), ring.decode(y), mod, p)
+                       for y in ring.elements]
+
+
 def test_polyquot_rejects_reducible():
     with pytest.raises(ConstructionError, match="reducible.*x \\+ 1"):
         build_ring(PolyQuot(2, (1, 0, 1)))  # x^2 + 1 = (x + 1)^2 over Z/2

@@ -11,7 +11,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import glab.galg
 from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
 from glab.cli import main
@@ -167,81 +166,64 @@ def test_rows_are_the_transposed_columns(f2s3, m2c2):
             assert rows[a, x] == cols[x, a] == alg.mul(int(a), int(x))
 
 
-def test_maps_are_stored_read_only(z4c3):
-    for get in (z4c3.mul_row, z4c3.mul_col, z4c3.sub_col):
-        m = get(17)
-        assert get(17) is m
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0] = 1
-
-
-def _verify_all_on(name):
-    ws = fixture_workspace(name)
-    return [(l.check_id, l.status, l.witness) for l in verify_all(ws).lines]
-
-
-def test_each_map_is_computed_once_per_run(monkeypatch):
-    misses = Counter()
+def _count_products(monkeypatch):
+    """The rows (a*x for every x) and columns (x*a) the product kernel
+    computes, by (algebra, "row" or "col", a)."""
+    products = Counter()
     product = GroupAlgebra._product
 
     def counting(self, cx, cy):
         # a map is the product of one element with the whole index space
         if cx.ndim == 1 and cy is self.coeffs:
-            misses[(self.label, "row", self.encode(cx))] += 1
+            products[(self.label, "row", self.encode(cx))] += 1
         elif cy.ndim == 1 and cx is self.coeffs:
-            misses[(self.label, "col", self.encode(cy))] += 1
+            products[(self.label, "col", self.encode(cy))] += 1
         return product(self, cx, cy)
     monkeypatch.setattr(GroupAlgebra, "_product", counting)
-    _verify_all_on("z4c3")
+    return products
+
+
+def test_each_map_is_computed_once_per_run(monkeypatch):
+    # the units' and the generators' maps are kept, so each is one
+    # product per side and run; every other map is one product per
+    # call. On Z4C3 the others are the full-map audits of `central`:
+    # 0 and 1 once, and the two central parts of 1, 22 and 63, at each
+    # centrality check of the blocks and certificates
+    misses = _count_products(monkeypatch)
+    ws = fixture_workspace("z4c3")
+    verify_all(ws)
+    alg = ws.alg
     # both sides of the algebra are reached; no law spans an ideal of the
     # residue algebra, so none of its maps is computed
     assert {(label, side) for label, side, _ in misses} == {
         ("Z4C3", "row"), ("Z4C3", "col")}
-    assert set(misses.values()) == {1}
-
-
-def test_zero_budget_stores_nothing(monkeypatch):
-    expected = _verify_all_on("m2f2c2")
-    kept = make(MatrixRing(2, Zmod(2)), CyclicGroup(2))
-    monkeypatch.setattr(glab.galg, "MAP_MEMO_BYTES", 0)
-    assert _verify_all_on("m2f2c2") == expected
-    alg = make(MatrixRing(2, Zmod(2)), CyclicGroup(2))
-    for a in alg.elements:
-        assert np.array_equal(alg.mul_row(a), kept.mul_row(a))
-        assert np.array_equal(alg.mul_col(a), kept.mul_col(a))
-    assert alg.mul_row(5) is not alg.mul_row(5)
-    assert not alg.mul_row(5).flags.writeable
-    assert alg.sub_col(5) is not alg.sub_col(5)
-    assert alg._rows == alg._cols == alg._subs == {}
-    assert alg._memo_bytes == 0
+    fixed = set(alg.trivial_units) | set(alg.generators)
+    assert sorted((side, a, n) for (_, side, a), n in misses.items()
+                  if a not in fixed or n > 1) == [
+        ("col", 0, 1), ("col", 1, 2), ("col", 22, 11), ("col", 63, 11),
+        ("row", 0, 1), ("row", 1, 2), ("row", 22, 12), ("row", 63, 12)]
+    # one product of 1 is its kept map; every kept map is computed but
+    # the row of the scalar 2, the one generator that is no unit, which
+    # no left closure check reads on Z4C3
+    assert {(side, a) for (_, side, a) in misses if a in fixed} == {
+        (side, a) for side in ("row", "col") for a in fixed} - {("row", 2)}
 
 
 def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
     # M2(Z2)C3 has 18 trivial units and 54 orbits T*u*T, one of them the
     # units; without gathered maps the command computed 1,789 maps, and
     # with one ordered principal pass per side 18 + 53 per side. The
-    # principal ideals and check elements are now classified and
-    # enumerated from canonical forms, with no map of their own: what
-    # is left is the units' maps on each side (they find the orbits'
-    # least elements), and the column maps of the 6 orbits that the
-    # census's basis elements reach for the left annihilators, once
-    # each; every other map is gathered
-    products = Counter()
-    product = GroupAlgebra._product
-
-    def counting(self, cx, cy):
-        if cx.ndim == 1 and cy is self.coeffs:
-            products["row", self.encode(cx)] += 1
-        elif cy.ndim == 1 and cx is self.coeffs:
-            products["col", self.encode(cy)] += 1
-        return product(self, cx, cy)
-    monkeypatch.setattr(GroupAlgebra, "_product", counting)
+    # principal ideals, the check elements and the annihilators now come
+    # from canonical forms, with no map of their own: what is left are
+    # the kept maps, once each. The units' rows and columns find the
+    # orbits' least elements; the generators' columns (17, 8 of them
+    # units) check that the duals are right ideals
+    products = _count_products(monkeypatch)
     assert main(["checkable", "census", fixture_path("m2f2c3"),
                  "--census-bound", "5000"]) == 1
     assert "checkable-census.code-checkable  true" in capsys.readouterr().out
-    rows = sum(side == "row" for side, _ in products)
-    assert (rows, len(products) - rows) == (18, 18 + 6)
+    rows = sum(side == "row" for _, side, _ in products)
+    assert (rows, len(products) - rows) == (18, 18 + 17 - 8)
     assert set(products.values()) == {1}
 
 

@@ -304,6 +304,22 @@ def test_annihilators_are_proper_sided_ideals(m2c2):
     audit_ideal(ar)
 
 
+def test_annihilator_tables_are_gated_before_they_are_built(f3c2):
+    # F3C2 has 9 elements: past a bound of 2, ann_left, ann_right and
+    # ann_right_of_element refuse before any kernel class is keyed
+    alg = GroupAlgebra(f3c2.ring, f3c2.group)
+    c = CodeSet(alg, np.arange(alg.card) == 0)
+    for ann in (ann_left, ann_right):
+        with pytest.raises(ScaleError, match="annihilator table over 9 "
+                                             "elements exceeds the bound 2"):
+            ann(c, bound=2)
+    with pytest.raises(ScaleError, match="exceeds the bound 2"):
+        ann_right_of_element(alg, 1, bound=2)
+    assert alg.annihilator_sets == {} and alg._least == {}
+    assert ann_left(c, bound=9).cardinality == 9
+    assert list(alg.annihilator_sets) == ["left"]
+
+
 # ---------------------------------------------------------------------------
 # principality
 

@@ -3,21 +3,23 @@
 The product and the form are recomputed here from their definitions,
 out_g = sum over hk = g of x_h * y_k and <x, y> = sum over g of
 x_g * y_g, with the ring's scalar operations on decoded coefficients.
-Every map the algebra exposes is compared against them, also when the
-maps are requested so that all but one per orbit of the trivial units
-are gathered, and with no map budget. The check-element, split-of-1
-and sub-idempotent scans and the idempotent census are compared
-against brute force over the product table. The canonical keys of
-images and kernels of multiplication maps must split RG exactly as
-the subgroups do, on the desk and lattice instances and on drawn
-algebras, and the principal-ideal and check-element tables must equal
-the ordered per-element passes over the product table. Every sum of
-two members of the ideal census, formed with the ring's addition, must
-be a member again, and the stacked sum kernel must give those sums for
-the census and for its duals. The principal-ideal tables are compared
-with a brute-force principality test, the complementarity matrix with
-the definition on element sets, and the stacked element-annihilator
-law with a per-element count. Ideal and idempotent counts of semisimple and
+Every map the algebra exposes is compared against them, and so are the
+maps it keeps, those of the trivial units and of the generators. The
+check-element, split-of-1 and sub-idempotent scans and the idempotent
+census are compared against brute force over the product table. The
+canonical keys of images and kernels of multiplication maps must split
+RG exactly as the subgroups do, on the desk and lattice instances and
+on drawn algebras, and the principal-ideal and check-element tables
+must equal the ordered per-element passes over the product table. The
+annihilators of elements and of sets are compared with the zeros of
+the product table on the same instances, and dropping one class from
+their meet must fail the annihilator laws. Every sum of two members of
+the ideal census, formed with the ring's addition, must be a member
+again, and the stacked sum kernel must give those sums for the census
+and for its duals. The principal-ideal tables are compared with a
+brute-force principality test, the complementarity matrix with the
+definition on element sets, and the element-annihilator law with a
+per-element count. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
 cyclic-code theory. The law matrix must report the same statuses and
 counts on an algebra whose group and ring elements are relabelled.
@@ -33,15 +35,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glab.galg
-import glab.verify
+import glab.ideals
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from glab.finring import MatrixRing, ProductRing, TableRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
-from glab.ideals import (CodeSet, _grown_basis, _sumset, dual_code,
-                         enumerate_ideals, principal_ideals)
+from glab.ideals import (CodeSet, _grown_basis, _sumset, ann_left, ann_right,
+                         ann_right_of_element, dual_code, enumerate_ideals,
+                         principal_ideals)
 from glab.idem import (_sub_idempotent, enumerate_idempotents,
                        idempotent_census)
 from glab.instance import InstanceDescription, build_instance, load_instance
@@ -129,7 +132,7 @@ def test_strided_maps_of_m2f2c3_match_the_definition():
 
 
 # ---------------------------------------------------------------------------
-# gathered maps: one product per two-sided orbit of the trivial units
+# kept maps: the trivial units' and the generators', once per side
 
 def _units(alg):
     """r*g for r a unit of R and g in G, from the ring's scalar table."""
@@ -141,82 +144,42 @@ def _units(alg):
             for r in units for g in range(n)]
 
 
-def _orbit_reps(alg, product):
-    """The least element of the orbit T*a*T of each a, by brute force."""
-    units = _units(alg)
-    assert sorted(units) == sorted(alg.trivial_units)
-    reps = {}
-    for a in alg.elements:
-        if a not in reps:
-            for b in {product(product(v, a), t) for v in units for t in units}:
-                reps.setdefault(b, a)
-    return reps
+def _generators(alg):
+    """The group elements and the nonzero scalars."""
+    n = alg.group.order
+    e = alg.group.identity
+    return ({alg.encode([alg.ring.one * (h == g) for h in range(n)])
+             for g in range(n)}
+            | {alg.encode([r * (h == e) for h in range(n)])
+               for r in range(1, alg.ring.card)})
 
 
-def _count_products(monkeypatch):
-    """Elements whose row or column is computed by the product kernel."""
+@pytest.mark.parametrize("name", _DESK)
+def test_fixed_maps_match_the_definition(name, monkeypatch):
+    built = fixture_algebra(name)
+    # a fresh algebra: building the instance may already keep maps
+    alg = GroupAlgebra(built.ring, built.group)
+    table, _ = _tables(name)
+    assert sorted(_units(alg)) == sorted(alg.trivial_units)
+    assert set(alg.generators) == _generators(alg)
+    fixed = set(alg.trivial_units) | set(alg.generators)
     products = Counter()
     kernel = GroupAlgebra._product
 
     def counting(self, cx, cy):
-        if cx.ndim == 1 and cy is self.coeffs:
-            products["row", self.encode(cx)] += 1
-        elif cy.ndim == 1 and cx is self.coeffs:
-            products["col", self.encode(cy)] += 1
+        side = "row" if cy is self.coeffs else "col"
+        products[side, self.encode(cx if side == "row" else cy)] += 1
         return kernel(self, cx, cy)
     monkeypatch.setattr(GroupAlgebra, "_product", counting)
-    return products
-
-
-@pytest.mark.parametrize("budget", [None, 0])
-@pytest.mark.parametrize("name", _DESK)
-def test_gathered_maps_match_the_definition(name, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(glab.galg, "MAP_MEMO_BYTES", budget)
-    built = fixture_algebra(name)
-    # a fresh algebra: building the instance may already store maps
-    alg = GroupAlgebra(built.ring, built.group)
-    table, _ = _tables(name)
-    reps = _orbit_reps(alg, lambda x, y: int(table[x, y]))
-    products = _count_products(monkeypatch)
-    # each orbit's representative first, so every other map is gathered
-    order = sorted(set(reps.values())) + [a for a in alg.elements
-                                         if reps[a] != a]
-    for a in order:
-        row, col = alg.mul_row(a), alg.mul_col(a)
-        assert np.array_equal(row, table[a])
-        assert np.array_equal(col, table[:, a])
-        assert not row.flags.writeable and not col.flags.writeable
-    if budget == 0:
-        assert sum(products.values()) == 2 * alg.card
-    else:
-        made = {a for _, a in products}
-        assert made == set(reps.values()) | set(alg.trivial_units)
-        assert set(products.values()) == {1}
-
-
-def test_gathered_maps_of_m2f2c3_match_the_definition(monkeypatch):
-    built = fixture_algebra("m2f2c3")
-    alg = GroupAlgebra(built.ring, built.group)
-    orc = Oracle(alg)
-    every = list(alg.elements)
-    units = _units(alg)
-    products = _count_products(monkeypatch)
-    strided, reps = range(5, alg.card, 409), set()
-    for a in strided:
-        rep = min({orc.product(orc.product(v, a), t)
-                   for v in units for t in units})
-        reps.add(rep)
-        alg.mul_row(rep), alg.mul_col(rep)
-        assert np.array_equal(alg.mul_row(a),
-                              [orc.product(a, y) for y in every])
-        assert np.array_equal(alg.mul_col(a),
-                              [orc.product(x, a) for x in every])
-    # every strided element that is not its orbit's least has its maps
-    # gathered
-    assert len(set(strided) - reps) >= 8
-    assert {a for _, a in products} == reps | set(units)
-    assert set(products.values()) == {1}
+    for _ in range(2):
+        for a in fixed:
+            row, col = alg.fixed_map(a, True), alg.fixed_map(a, False)
+            assert np.array_equal(row, table[a])
+            assert np.array_equal(col, table[:, a])
+            assert not row.flags.writeable and not col.flags.writeable
+    # each kept map is one product, on the first call
+    assert products == Counter({(side, a): 1 for side in ("row", "col")
+                                for a in fixed})
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +314,15 @@ def assert_keys_partition_like_masks(alg, table):
 _LATTICE = ["f2c2c2c2", "z4c2c2", "f2x2c2c2"]
 
 
+def _lattice_workspace(name):
+    return Workspace(build_instance(load_instance(
+        str(ROOT / "perfbench" / "instances" / f"{name}.glab"))))
+
+
 @pytest.mark.parametrize("name", _DESK + _LATTICE)
 def test_canonical_keys_partition_like_masks(name):
     if name in _LATTICE:
-        alg = build_instance(load_instance(
-            str(ROOT / "perfbench" / "instances" / f"{name}.glab"))).algebra
+        alg = _lattice_workspace(name).alg
         table = product_table(alg)
     else:
         alg = fixture_algebra(name)
@@ -478,11 +445,9 @@ def test_local_desk_fixtures_have_residue_matrices():
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_stacked_element_annihilators_match_the_definition(side,
                                                            monkeypatch):
-    # chunks of 5 rows, which do not divide the 64 elements of F2S3
     name = "f2s3"
     table, _ = _tables(name)
     card = len(table)
-    monkeypatch.setattr(glab.verify, "ELEMENT_CHUNK_BYTES", 5 * card)
     law = dict((cid, fn) for cid, _, fn in LAW_TABLE)[
         f"ann-identities.{side}-of-element"]
     assert law(fixture_workspace(name)) == (PASS, f"checked {card} elements")
@@ -497,8 +462,8 @@ def test_stacked_element_annihilators_match_the_definition(side,
             zeros[spans[u]], axis=0))
 
     # a wrong annihilator for one span fails exactly the elements with
-    # that span; take the largest class of elements sharing a nonzero
-    # span, which reaches over several chunks
+    # that span, though the law compares each span once; take the
+    # largest class of elements sharing a nonzero span
     classes = {}
     for u in range(card):
         key = np.packbits(np.isin(np.arange(card), spans[u]),
@@ -506,7 +471,7 @@ def test_stacked_element_annihilators_match_the_definition(side,
         classes.setdefault(key, []).append(u)
     key, victims = max(((k, v) for k, v in classes.items() if v[0] > 0),
                        key=lambda kv: len(kv[1]))
-    assert victims[-1] // 5 > victims[0] // 5
+    assert len(victims) > 1
     ann = Workspace.ann
 
     def broken(self, s, code):
@@ -518,6 +483,89 @@ def test_stacked_element_annihilators_match_the_definition(side,
     assert law(fixture_workspace(name)) == (
         "fail", f"{len(victims)}/{card} elements fail; first at element "
                 f"{victims[0]}")
+
+
+# ---------------------------------------------------------------------------
+# annihilators against the zeros of the product table
+
+def assert_annihilators_match_the_definition(alg, table, codes):
+    """Ann_r(u) of every element u, and Ann_l(C) and Ann_r(C) of every
+    code C, against the zeros of the product table."""
+    zero = table == 0
+    for u in alg.elements:
+        got = ann_right_of_element(alg, u)
+        assert got.side == "right" and np.array_equal(got.mask, zero[u])
+    for c in codes:
+        left, right = ann_left(c), ann_right(c)
+        assert (left.side, right.side) == ("left", "right")
+        assert np.array_equal(left.mask, zero[:, c.mask].all(axis=1))
+        assert np.array_equal(right.mask, zero[c.mask].all(axis=0))
+
+
+@pytest.mark.parametrize("name", _DESK + _LATTICE)
+def test_annihilators_match_the_definition(name):
+    # every ideal of both censuses, every dual (some are no ideal) and
+    # the zero set; the lattice instances' products come from
+    # `product_table`, checked against Oracle.product on strided rows
+    if name in _LATTICE:
+        ws = _lattice_workspace(name)
+        table = product_table(ws.alg)
+        orc = Oracle(ws.alg)
+        for x in range(3, ws.alg.card, 37):
+            assert table[x].tolist() == [orc.product(x, y)
+                                         for y in ws.alg.elements]
+    else:
+        ws = fixture_workspace(name)
+        table, _ = _tables(name)
+    codes = ws.right_ideals + ws.left_ideals
+    codes += [dual_code(c) for c in codes]
+    codes.append(CodeSet(ws.alg, np.arange(ws.alg.card) == 0))
+    assert_annihilators_match_the_definition(ws.alg, table, codes)
+
+
+def _principal_codes(alg):
+    return [c for side in ("right", "left")
+            for c in principal_ideals(alg, side).values()]
+
+
+@pytest.mark.parametrize("spec", _KEY_RINGS, ids=repr)
+def test_annihilators_over_prime_power_and_composite_moduli(spec):
+    ring = build_ring(spec)
+    group = max((g for g in map(build_group, _KEY_GROUPS)
+                 if ring.card ** g.order <= 256), key=lambda g: g.order)
+    alg = GroupAlgebra(ring, group)
+    assert_annihilators_match_the_definition(alg, product_table(alg),
+                                             _principal_codes(alg))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(alg=_key_algebras())
+def test_annihilators_of_drawn_algebras(alg):
+    assert_annihilators_match_the_definition(alg, product_table(alg),
+                                             _principal_codes(alg))
+
+
+def test_dropping_a_class_from_the_meet_fails_the_annihilator_laws(
+        monkeypatch):
+    # Z4C3 is local and Frobenius, so every law runs; unbroken, only the
+    # residue biconditional, false as stated, fails. With the last basis
+    # element's class left out of every meet of two or more, each law
+    # that reads an annihilator of an ideal fails
+    def failing():
+        return {l.check_id for l in verify_all(fixture_workspace("z4c3")).lines
+                if l.status == "fail"}
+    assert failing() == {"residue-lcp.biconditional"}
+    meet = glab.ideals._annihilator
+
+    def dropped(alg, elems, side, bound):
+        elems = list(elems)
+        return meet(alg, elems[:-1] if len(elems) > 1 else elems, side, bound)
+    monkeypatch.setattr(glab.ideals, "_annihilator", dropped)
+    assert failing() == {
+        "residue-lcp.biconditional", "checkable-routes.dual-hat-ann",
+        "ann-identities.right-of-element", "ann-identities.left-of-element",
+        "ann-identities.double-left", "ann-identities.double-right",
+        "ann-identities.size-left", "ann-identities.size-right"}
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,12 @@ def test_shared_work_runs_once(monkeypatch):
     assert not any(l.status == "skip" for l in rep.lines)
     assert [args[1] for args in census] == ["right", "left"]
     # one principal pass per side, serving its census, the checkable
-    # routes and the element annihilators, and one check-element pass;
-    # one complementarity matrix per stack of masks, the census and its
+    # routes and the element annihilators, and one annihilator pass per
+    # side, serving the check elements and every annihilator; one
+    # complementarity matrix per stack of masks, the census and its
     # residue images (a single pair's is_lcp is a 1 x 1 matrix)
     assert passes == [("Z4C3", "right", False), ("Z4C3", "right", True),
-                      ("Z4C3", "left", False)]
+                      ("Z4C3", "left", False), ("Z4C3", "left", True)]
     stacks = [args[0].shape for args in matrices if len(args[0]) > 1]
     assert stacks == [(9, ws.alg.card), (9, ws.residue.residue.card)]
     assert len(checkable) == 1
