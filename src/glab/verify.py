@@ -199,8 +199,8 @@ class Workspace:
         key = (side, code.key())
         got = self._anns.get(key)
         if got is None:
-            got = self._anns[key] = self._member(
-                _ANN[side](code, self.built.bound))
+            ann = ann_right if side == "right" else ann_left
+            got = self._anns[key] = self._member(ann(code, self.built.bound))
         return got
 
     def dual_rows(self, masks: np.ndarray, side: str | None) -> np.ndarray:
@@ -531,7 +531,6 @@ def _block_intersection(ws: Workspace):
 # The annihilator identities come in left/right mirror pairs; each
 # function below builds the law for one side.
 _OTHER = {"right": "left", "left": "right"}
-_ANN = {"right": ann_right, "left": ann_left}
 
 
 def _ann_of_element(side: str):
