@@ -4,7 +4,9 @@ The product and the form are recomputed here from their definitions,
 out_g = sum over hk = g of x_h * y_k and <x, y> = sum over g of
 x_g * y_g, with the ring's scalar operations on decoded coefficients.
 Every map the algebra exposes is compared against them, and so are the
-maps it keeps, those of the trivial units and of the generators. The
+maps it keeps, those of the trivial units and of the generators; a
+map asked for again is computed again, with or without the kept maps
+in place, and does not disturb them. The
 check-element, split-of-1 and sub-idempotent scans and the idempotent
 census are compared against brute force over the product table. The
 canonical keys of images and kernels of multiplication maps must split
@@ -154,6 +156,19 @@ def _generators(alg):
                for r in range(1, alg.ring.card)})
 
 
+def _count_products(monkeypatch):
+    """Elements whose row or column is computed by the product kernel."""
+    products = Counter()
+    kernel = GroupAlgebra._product
+
+    def counting(self, cx, cy):
+        side = "row" if cy is self.coeffs else "col"
+        products[side, self.encode(cx if side == "row" else cy)] += 1
+        return kernel(self, cx, cy)
+    monkeypatch.setattr(GroupAlgebra, "_product", counting)
+    return products
+
+
 @pytest.mark.parametrize("name", _DESK)
 def test_fixed_maps_match_the_definition(name, monkeypatch):
     built = fixture_algebra(name)
@@ -163,14 +178,7 @@ def test_fixed_maps_match_the_definition(name, monkeypatch):
     assert sorted(_units(alg)) == sorted(alg.trivial_units)
     assert set(alg.generators) == _generators(alg)
     fixed = set(alg.trivial_units) | set(alg.generators)
-    products = Counter()
-    kernel = GroupAlgebra._product
-
-    def counting(self, cx, cy):
-        side = "row" if cy is self.coeffs else "col"
-        products[side, self.encode(cx if side == "row" else cy)] += 1
-        return kernel(self, cx, cy)
-    monkeypatch.setattr(GroupAlgebra, "_product", counting)
+    products = _count_products(monkeypatch)
     for _ in range(2):
         for a in fixed:
             row, col = alg.fixed_map(a, True), alg.fixed_map(a, False)
@@ -180,6 +188,34 @@ def test_fixed_maps_match_the_definition(name, monkeypatch):
     # each kept map is one product, on the first call
     assert products == Counter({(side, a): 1 for side in ("row", "col")
                                 for a in fixed})
+
+
+@pytest.mark.parametrize("kept", [None, 0])
+@pytest.mark.parametrize("name", _DESK)
+def test_gathered_maps_match_the_definition(name, kept, monkeypatch):
+    """Every row and column is gathered from the coefficients, one product
+    per call, whether all kept maps (kept=None) or none (kept=0) were
+    computed first; the arrays are the caller's, and writing into them
+    leaves the kept maps as they were."""
+    built = fixture_algebra(name)
+    alg = GroupAlgebra(built.ring, built.group)
+    table, _ = _tables(name)
+    first = sorted(set(alg.trivial_units) | set(alg.generators))[:kept]
+    for a in first:
+        alg.fixed_map(a, True), alg.fixed_map(a, False)
+    products = _count_products(monkeypatch)
+    for _ in range(2):
+        for a in alg.elements:
+            row, col = alg.mul_row(a), alg.mul_col(a)
+            assert np.array_equal(row, table[a])
+            assert np.array_equal(col, table[:, a])
+            row[:] = col[:] = 0
+    assert products == Counter({(side, a): 2 for side in ("row", "col")
+                                for a in alg.elements})
+    for a in first:
+        assert np.array_equal(alg.fixed_map(a, True), table[a])
+        assert np.array_equal(alg.fixed_map(a, False), table[:, a])
+    assert sum(products.values()) == 4 * alg.card
 
 
 # ---------------------------------------------------------------------------
