@@ -128,7 +128,7 @@ def code_checkable_census(census: list[CodeSet],
 
 @record
 class CentralIntersection(NamedTuple):
-    # "ok" | "non-central-parts" | "not-a-block-sum" | "form-fails"
+    # "ok" | "not-a-block-sum" | "form-fails"
     status: str
     intersection_matches: bool | None
     chain_matches: bool | None
@@ -140,23 +140,20 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
                            bound: int = DEFAULT_OP_BOUND) -> CentralIntersection:
     """Express a right ideal through the central block decomposition.
 
-    When 1 splits into CENTRAL primitive orthogonal idempotents `parts`
-    (the canonical ones come from idem.decompose_one) and C
-    is the span of a subset of them, C must equal both the
-    intersection of the right annihilators of the complementary
-    blocks, each taken from `ann` (the run's shared annihilators, so
-    a block's is found once for all ideals), and the right annihilator
-    of the complementary blocks' sum, gated by `bound`. Both equalities
-    are computed exhaustively; "form-fails"
-    reports a block sum where either does not hold. A non-central
-    decomposition reports "non-central-parts"; a C that is not a
-    block sum reports "not-a-block-sum".
+    `parts` must be CENTRAL primitive orthogonal idempotents summing to
+    1 (the canonical ones come from idem.decompose_one); the caller
+    decides centrality once, not per ideal. When C is the span of a
+    subset of them, C must equal both the intersection of the right
+    annihilators of the complementary blocks, each taken from `ann`
+    (the run's shared annihilators, so a block's is found once for all
+    ideals), and the right annihilator of the complementary blocks'
+    sum, gated by `bound`. Both equalities are computed exhaustively;
+    "form-fails" reports a block sum where either does not hold. A C
+    that is not a block sum reports "not-a-block-sum".
     """
     alg = c.alg
     if c.side != "right":
         raise ConstructionError("the intersection form needs a right ideal")
-    if not all(alg.is_central(p) for p in parts):
-        return CentralIntersection("non-central-parts", None, None, ())
 
     # a right ideal holds pRG exactly when it holds p
     inside = tuple(p for p in parts if c.mask[p])

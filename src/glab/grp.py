@@ -17,8 +17,7 @@ import numpy as np
 
 from .config import GROUP_AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
-from .finring import (_componentwise, _identities, _mixed_radix, _past_limit,
-                      _powers)
+from .finring import _identities, _mixed_radix, _past_limit, _powers
 from .records import record
 
 
@@ -234,8 +233,11 @@ def _build_product(spec: ProductGroup) -> Group:
     identity = int(weights @ [g.identity for g in groups])
     names = ["(" + ", ".join(g.names[d] for g, d in zip(groups, row)) + ")"
              for row in digits.tolist()]
-    return Group(spec, group_label(spec), _componentwise([g.mul for g in groups]),
-                 identity, names)
+    # componentwise: each digit combines in its own factor's table
+    mul = np.zeros((len(digits),) * 2, dtype=np.int32)
+    for g, d, w in zip(groups, digits.T, weights.tolist()):
+        mul += g.mul[d[:, None], d[None, :]] * w
+    return Group(spec, group_label(spec), mul, identity, names)
 
 
 def _build_cayley(spec: CayleyGroup) -> Group:

@@ -368,11 +368,9 @@ def principal_ideals(alg: GroupAlgebra, side: str,
 
 
 def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
-                     bound: int = DEFAULT_CENSUS_BOUND,
-                     principals: Optional[dict[bytes, CodeSet]] = None
-                     ) -> list[CodeSet]:
+                     bound: int = DEFAULT_CENSUS_BOUND) -> list[CodeSet]:
     """The complete lattice of one-sided ideals, built on the table of
-    principal ideals (`principal_ideals` of the side, unless given).
+    principal ideals, `principal_ideals` of the side.
 
     Every ideal is a finite sum of principal ideals, so adding each
     principal ideal to each member found, from a worklist, gives the
@@ -386,9 +384,7 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     the packed masks. The new sums of I come from one kernel call,
     added in principal order.
     """
-    check_scale(alg, bound, "ideal census")
-    if principals is None:
-        principals = principal_ideals(alg, side, bound)
+    principals = principal_ideals(alg, side, bound)    # gated by `bound`
     found = dict(principals)
     ps = list(principals.values())
     stack = np.array([p.mask for p in ps])

@@ -95,8 +95,7 @@ class Workspace:
 
     def _census(self, side: str) -> list[CodeSet]:
         bound = self.built.census_bound
-        census = enumerate_ideals(self.alg, side, bound,
-                                  principal_ideals(self.alg, side, bound))
+        census = enumerate_ideals(self.alg, side, bound)
         self._members[side] = {c.key(): c for c in census}
         return census
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import glab.verify
 from glab.chk import (ann_intersection_check, check_elements,
                       code_checkable_census, is_checkable)
 from glab.config import DEFAULT_OP_BOUND
@@ -10,7 +11,7 @@ from glab.idem import decompose_one, enumerate_idempotents
 from glab.ideals import (ann_left, ann_right, dual_code, enumerate_ideals,
                          principal_ideals, span)
 
-from desk import fixture_algebra
+from desk import fixture_algebra, fixture_workspace
 
 
 def _principals(alg):
@@ -41,11 +42,6 @@ def f3c2():
 @pytest.fixture(scope="module")
 def z4c2():
     return fixture_algebra("z4c2")
-
-
-@pytest.fixture(scope="module")
-def f2s3():
-    return fixture_algebra("f2s3")
 
 
 @pytest.fixture(scope="module")
@@ -170,12 +166,18 @@ def test_intersection_form_explicit_parts(f3c2):
     assert r.status == "ok" and r.support == (8,)
 
 
-def test_intersection_form_noncentral_parts(f2s3, m2c2):
-    for alg in (f2s3, m2c2):
-        r = ann_intersection_check(span(alg, [alg.one], "right"),
-                                   _parts_of_one(alg), ann_right)
-        assert r.status == "non-central-parts"
-        assert r.intersection_matches is None and r.support == ()
+@pytest.mark.parametrize("name", ["f2s3", "m2f2c2", "ut2c1"])
+def test_block_intersection_skips_noncentral_parts(name, monkeypatch):
+    # centrality of the parts is the form's precondition, decided once by
+    # the law: over a non-central refinement of 1 it skips, and the form
+    # is never called
+    def called(*args):
+        raise AssertionError("the form ran on non-central parts")
+    monkeypatch.setattr(glab.verify, "ann_intersection_check", called)
+    ws = fixture_workspace(name)
+    assert not all(ws.alg.is_central(p) for p in ws.parts_of_one)
+    assert glab.verify._block_intersection(ws) == (
+        glab.verify.SKIP, "the canonical refinement of 1 is not central")
 
 
 def test_intersection_form_z4c2(z4c2):

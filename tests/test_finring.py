@@ -18,6 +18,7 @@ from glab.finring import (
     RadicalQuotient,
     TableRing,
     Zmod,
+    _table,
     audit_ring,
     build_ring,
     frobenius,
@@ -165,6 +166,73 @@ def test_matrix_ring_product(m2f2):
     assert m2f2.m(11, 6) == 7
     assert m2f2.m(6, 11) == 14  # and the product is order dependent
     audit_ring(m2f2)
+
+
+def _schoolbook_matrix(base, n):
+    """The table of M_n(base) entry by entry: (xy)_il is the sum over j
+    of x_ij * y_jl in the base ring's own tables. The entries of an
+    index are its base-card digits, row-major, entry (0, 0) least
+    significant."""
+    card = base.card ** (n * n)
+    idx = np.arange(card)
+    ent = np.stack([idx // base.card ** e % base.card for e in range(n * n)],
+                   axis=1)
+    mul = np.zeros((card, card), dtype=np.int64)
+    for i in range(n):
+        for l in range(n):
+            acc = np.zeros((card, card), dtype=np.int64)
+            for j in range(n):
+                acc = base.add[acc, base.mul[ent[:, None, i * n + j],
+                                             ent[None, :, j * n + l]]]
+            mul += acc * base.card ** (i * n + l)
+    return mul
+
+
+def _spec(name):
+    if name == "f2x2c2":     # the chain ring Z2[t]/(t^2), a table ring
+        return fixture_algebra(name).ring.spec
+    return {"Z2": Zmod(2), "Z3": Zmod(3), "Z4": Zmod(4),
+            "GF4": PolyQuot(2, (1, 1, 1)), "Z4/rad": RadicalQuotient(Zmod(4)),
+            "Z9/rad": RadicalQuotient(Zmod(9)), "M2(Z2)": MatrixRing(2, Zmod(2)),
+            "ut2c1": fixture_algebra("ut2c1").ring.spec}[name]
+
+
+@pytest.mark.parametrize("n, base", [
+    (2, "Z4"), (3, "Z2"), (2, "GF4"), (2, "f2x2c2"), (2, "Z4/rad"), (1, "Z3"),
+])
+def test_matrix_table_matches_the_schoolbook_product(n, base):
+    ring = build_ring(MatrixRing(n, _spec(base)))
+    assert np.array_equal(ring.mul, _schoolbook_matrix(build_ring(_spec(base)), n))
+
+
+@pytest.mark.parametrize("factors", [
+    ("Z2", "Z3"), ("Z4", "GF4"), ("M2(Z2)", "Z3"), ("f2x2c2", "Z3", "Z2"),
+    ("Z9/rad", "Z4"), ("ut2c1", "Z4/rad"), ("M2(Z2)", "f2x2c2"),
+])
+def test_product_table_multiplies_factor_by_factor(factors):
+    ring = build_ring(ProductRing(tuple(map(_spec, factors))))
+    idx = np.arange(ring.card)
+    place = 1
+    for part in (build_ring(_spec(f)) for f in factors):
+        digit = idx // place % part.card
+        assert np.array_equal(ring.mul // place % part.card,
+                              part.mul[digit[:, None], digit[None, :]])
+        place *= part.card
+    assert place == ring.card
+
+
+@pytest.mark.parametrize("m", [2, 6, 12, 97, 1000])
+def test_zmod_table_is_integer_multiplication(m):
+    idx = np.arange(m)
+    assert np.array_equal(build_ring(Zmod(m)).mul, np.outer(idx, idx) % m)
+
+
+@pytest.mark.parametrize("name", ["f2x2c2", "ut2c1", "Z4/rad", "Z9/rad"])
+def test_given_tables_are_their_constants(name):
+    # table rings and radical quotients keep their tables; the constants
+    # read off them rebuild the same table
+    ring = build_ring(_spec(name))
+    assert np.array_equal(_table(ring.moduli, ring.constants), ring.mul)
 
 
 def test_product_ring_componentwise():

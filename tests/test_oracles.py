@@ -25,9 +25,15 @@ per-element count. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
 cyclic-code theory. The law matrix must report the same statuses and
 counts on an algebra whose group and ring elements are relabelled.
+Every built ring's table must be rebuilt by its own structure
+constants, and the unit, radical, residue-field and generating-character
+queries of the coefficient rings must equal element-set references:
+nilpotency and the residue field built one element at a time, and a
+character search that tries every element as a multiplier.
 """
 
 import functools
+import math
 import re
 from collections import Counter
 
@@ -40,7 +46,8 @@ import glab.galg
 import glab.ideals
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
-from glab.finring import MatrixRing, ProductRing, TableRing, Zmod, build_ring
+from glab.finring import (MatrixRing, ProductRing, TableRing, Zmod, _table,
+                          build_ring, frobenius, radical_quotient, structure)
 from glab.galg import GroupAlgebra
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
@@ -766,3 +773,116 @@ def test_verify_all_is_invariant_under_relabelling(name):
     alg, other = (build_instance(d).algebra for d in (desc, moved))
     assert alg.one != other.one
     assert _statuses_and_counts(moved) == _statuses_and_counts(desc)
+
+
+# ---------------------------------------------------------------------------
+# coefficient rings: constants and element-set references
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(spec=rings)
+def test_constants_rebuild_every_drawn_table(spec):
+    ring = build_ring(spec)
+    assert np.array_equal(_table(ring.moduli, ring.constants), ring.mul)
+
+
+def _reference_nilpotency(ring, radical):
+    """The least f with J^f = 0, each J^f a Python set: the products
+    J^(f-1) * J closed under addition one element at a time."""
+    f, power = 1, set(radical)
+    while power != {0}:
+        span, work = {0}, [ring.m(x, y) for x in power for y in radical]
+        while work:
+            x = work.pop()
+            if x not in span:
+                work.extend([ring.a(x, s) for s in span])
+                span.add(x)
+        power = span
+        f += 1
+        assert f <= ring.card
+    return f
+
+
+def _reference_quotient(ring, radical):
+    """The residue field of a local ring one element at a time: cosets
+    by an ascending scan, a greedy additive basis of Python sets, and
+    each coordinate tuple summed out by repeated addition. Returns the
+    moduli, table, identity, projection and lift."""
+    rep_of = [-1] * ring.card
+    reps = []
+    for x in ring.elements:
+        if rep_of[x] < 0:
+            for j in radical:
+                rep_of[ring.a(x, j)] = x
+            reps.append(x)
+    p, acc = 1, rep_of[ring.one]
+    while acc != 0:
+        acc = rep_of[ring.a(acc, ring.one)]
+        p += 1
+    k = round(math.log(len(reps), p))
+    assert p ** k == len(reps)
+    basis, span = [], {0}
+    for r in reps:
+        if r not in span:
+            basis.append(r)
+            multiples, t = [], r
+            while t != 0:
+                multiples.append(t)
+                t = rep_of[ring.a(t, r)]
+            span |= {rep_of[ring.a(s, m)] for s in span for m in multiples}
+    assert len(basis) == k
+    index = {}
+    for t in range(p ** k):
+        elem, digits = 0, t
+        for b in basis:
+            for _ in range(digits % p):
+                elem = rep_of[ring.a(elem, b)]
+            digits //= p
+        assert elem not in index
+        index[elem] = t
+    lift = sorted(index, key=index.get)
+    table = [[index[rep_of[ring.m(x, y)]] for y in lift] for x in lift]
+    return ((p,) * k, table, index[rep_of[ring.one]],
+            [index[rep_of[x]] for x in ring.elements], lift)
+
+
+def _reference_frobenius(ring):
+    """The first character in index order whose kernel holds no nonzero
+    one-sided ideal, every element of R tried as a multiplier."""
+    lcm = math.lcm(*ring.moduli)
+    coords = np.array([ring.decode(x) for x in ring.elements], dtype=np.int64)
+    steps = np.array([lcm // m for m in ring.moduli])
+    for knum in map(ring.decode, ring.elements):
+        hit = ((coords @ (np.array(knum) * steps)) % lcm != 0)[ring.mul]
+        if hit.any(axis=0)[1:].all() and hit.any(axis=1)[1:].all():
+            return "frobenius", knum
+    return "not-frobenius", None
+
+
+def assert_structure_matches_the_references(ring):
+    st = structure(ring)
+    radical = st.radical.tolist()
+    assert st.nilpotency_index == _reference_nilpotency(ring, radical)
+    assert tuple(frobenius(ring)) == _reference_frobenius(ring)
+    if st.is_local:
+        q = radical_quotient(ring)
+        assert (q.ring.moduli, q.ring.mul.tolist(), q.ring.one,
+                q.proj.tolist(), q.lift.tolist()) == _reference_quotient(
+                    ring, radical)
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if "corrupt" not in n])
+def test_structure_of_desk_rings_matches_the_references(name):
+    assert_structure_matches_the_references(fixture_algebra(name).ring)
+
+
+def test_structure_of_ut2_times_z32_matches_the_references():
+    ut2 = fixture_algebra("ut2c1").ring.spec
+    ring = build_ring(ProductRing((ut2, Zmod(32))))
+    assert ring.card == 256 and frobenius(ring).status == "not-frobenius"
+    assert_structure_matches_the_references(ring)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(spec=rings)
+def test_structure_of_drawn_rings_matches_the_references(spec):
+    assert_structure_matches_the_references(build_ring(spec))

@@ -284,8 +284,8 @@ def test_dropped_pair_fails_the_pair_count(monkeypatch):
 ])
 def test_short_principal_table_fails_its_route(side, check_id, witness,
                                                 monkeypatch):
-    # the last principal ideal of M2(Z2)C2 is a sum of the others, so the
-    # census comes out whole; only the route reading the table moves
+    # the census reads its principal table from `ideals` itself, so it
+    # comes out whole; only the route reading the table moves
     table = glab.ideals.principal_ideals
 
     def short(alg, s, bound):
