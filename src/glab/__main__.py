@@ -1,5 +1,5 @@
 """Module entry point so `python -m glab` mirrors the console script."""
 
-from .cli import main
+from .cli import entry
 
-raise SystemExit(main())
+raise SystemExit(entry())

@@ -13,10 +13,10 @@ exceeded its scale bound.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
-from .chk import is_checkable
 from .errors import (ConstructionError, FalsificationError, ParseError,
                      ScaleError)
 from .idem import idempotent_census
@@ -27,9 +27,11 @@ from .lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
 # perfbench's tracer self-test checks that names imported this way are
 # rebound together
 from .lcp import lcp_scan  # noqa: F401
-from .verify import (FAIL, INFO, PASS, CheckLine, Report, Workspace,
-                     certificate_splits, hat_transfer, is_partition_of_one,
-                     pairs_match_idempotents, verify_all)
+# the law matrix (glab.verify) and the checkable engine (glab.chk) are
+# imported where they run, so that no other command compiles them
+from .workspace import (FAIL, INFO, PASS, CheckLine, Report, Workspace,
+                        certificate_splits, hat_transfer, is_partition_of_one,
+                        pairs_match_idempotents)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,7 @@ def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
 
 
 def cmd_checkable_ideal(ws: Workspace, name: str) -> Report:
+    from .chk import is_checkable
     alg = ws.alg
     c = _named_ideal(ws, name)
     v = is_checkable(c, ws.dual(c), ws.ann("left", c), *ws.checkable_tables())
@@ -304,6 +307,7 @@ def _run(args) -> Report:
         if args.ideal is None:
             raise ParseError("checkable ideal needs --ideal C")
         return cmd_checkable_ideal(ws, args.ideal)
+    from .verify import verify_all
     return verify_all(ws, timing=args.timing)
 
 
@@ -329,3 +333,14 @@ def main(argv: list[str] | None = None) -> int:
     text = render_tsv(report) if args.format == "tsv" else render_text(report)
     sys.stdout.write(text)
     return 1 if report.failed else 0
+
+
+def entry() -> int:
+    """The process entry point of `python -m glab` and the `glab` script:
+    run `main`, then freeze every object still alive, so that the
+    interpreter's collection at exit does not walk them. `main` itself
+    never freezes: tests and library callers run it many times in one
+    process."""
+    code = main()
+    gc.freeze()
+    return code

@@ -630,7 +630,8 @@ class QuotientData(NamedTuple):
 
 
 def radical_quotient(ring: Ring) -> QuotientData:
-    """Residue field of a local ring, built as a coordinate table ring."""
+    """Residue field of a local ring, built as a coordinate table ring;
+    a field is its own residue field."""
     if ring._quotient is not None:
         return ring._quotient
     st = structure(ring)
@@ -639,6 +640,13 @@ def radical_quotient(ring: Ring) -> QuotientData:
             f"{ring.label}: residue construction requires a local ring")
     card = ring.card
     rad = st.radical
+    if len(rad) == 1:
+        # R/{0} is R: no copy to build, only the field audit to keep
+        if len(st.units) != card - 1:
+            raise FalsificationError(f"{ring.label}: residue ring is not a field")
+        same = np.arange(card, dtype=np.int64)
+        ring._quotient = QuotientData(ring=ring, proj=same, lift=same)
+        return ring._quotient
     qcard = card // len(rad)
 
     # the least element of each coset x + J

@@ -199,15 +199,6 @@ def side_closed(code: CodeSet, side: str) -> bool:
     return True
 
 
-def audit_ideal(code: CodeSet) -> None:
-    """Full closure audit: additive subgroup plus the declared side."""
-    alg = code.alg
-    code.basis      # raises unless additively closed
-    if code.side is not None and not side_closed(code, code.side):
-        raise ConstructionError(
-            f"{alg.label}: set not closed under {code.side} multiplication")
-
-
 # ---------------------------------------------------------------------------
 # spans and lattice operations
 

@@ -1,0 +1,297 @@
+"""What every command reads: report records, the shared per-instance
+workspace, the tally, and the checks that the commands share with the
+law matrix of `glab.verify`.
+
+The law matrix and the checkable engine are loaded only where they
+run, so a command that reads neither does not compile them.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, reduce
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+import numpy as np
+
+from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
+from .galg import GroupAlgebra, ResidueMap, residue_map
+from .ideals import (CodeSet, ann_left, ann_right, dual_code,
+                     enumerate_ideals, packed, principal_ideals, span)
+from .idem import decompose_one, enumerate_idempotents, is_idempotent
+from .instance import BuiltInstance
+from .lcp import (LcpPair, ResidueTransfer, lcp_matrix,
+                  lcp_residue_correspondence, lcp_scan, project_code,
+                  refine_certificate)
+from .records import record
+
+if TYPE_CHECKING:
+    from .chk import CheckableCensus, Principals
+
+PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
+
+
+@record
+class CheckLine(NamedTuple):
+    check_id: str
+    law: str
+    status: str
+    witness: str = "-"
+    micros: int | None = None
+
+
+@record
+class Report(NamedTuple):
+    command: str
+    digest: str
+    algebra_label: str
+    lines: list[CheckLine]
+
+    @property
+    def failed(self) -> bool:
+        return any(line.status == FAIL for line in self.lines)
+
+
+# ---------------------------------------------------------------------------
+# shared per-instance workspace
+
+class Workspace:
+    """The objects that several commands or laws share, each computed
+    on first use and then held for the rest of the run.
+
+    Duals and annihilators that are members of a census computed so far
+    resolve to the member, so each member's basis is found once."""
+
+    def __init__(self, built: BuiltInstance):
+        self.built = built
+        self.alg: GroupAlgebra = built.algebra
+        # each side's census members by mask key
+        self._members: dict[str, dict[bytes, CodeSet]] = {}
+        # by (side, mask key): the dual's orientation and the
+        # projection's side claim follow the side
+        self._duals: dict[tuple[str | None, bytes], CodeSet] = {}
+        self._projections: dict[tuple[str | None, bytes], CodeSet] = {}
+        # by (side of the annihilator, mask key of the set)
+        self._anns: dict[tuple[str, bytes], CodeSet] = {}
+
+    @cached_property
+    def frobenius_verdict(self) -> FrobeniusVerdict:
+        return frobenius(self.alg.ring)
+
+    @cached_property
+    def ring_structure(self) -> RingStructure:
+        return structure(self.alg.ring)
+
+    def _census(self, side: str) -> list[CodeSet]:
+        bound = self.built.census_bound
+        census = enumerate_ideals(self.alg, side, bound)
+        self._members[side] = {c.key(): c for c in census}
+        return census
+
+    @cached_property
+    def right_ideals(self) -> list[CodeSet]:
+        return self._census("right")
+
+    @cached_property
+    def left_ideals(self) -> list[CodeSet]:
+        return self._census("left")
+
+    def ideals(self, side: str) -> list[CodeSet]:
+        return self.right_ideals if side == "right" else self.left_ideals
+
+    def _member(self, code: CodeSet) -> CodeSet:
+        """The census member with the code's side and mask, if that
+        side's census is computed; else the code."""
+        return self._members.get(code.side, {}).get(code.key(), code)
+
+    @cached_property
+    def right_masks(self) -> np.ndarray:
+        """The right-ideal census as a (k, |RG|) stack of masks."""
+        return np.array([c.mask for c in self.right_ideals])
+
+    @cached_property
+    def complementary(self) -> np.ndarray:
+        """`lcp_matrix` of the right-ideal census against itself."""
+        return lcp_matrix(self.right_masks, self.right_masks)
+
+    @cached_property
+    def idempotents(self) -> list[int]:
+        return enumerate_idempotents(self.alg, bound=self.built.bound)
+
+    @cached_property
+    def parts_of_one(self) -> list[int]:
+        """The canonical primitive orthogonal idempotents summing to 1."""
+        return decompose_one(self.alg, self.idempotents)
+
+    @cached_property
+    def pairs(self) -> list[LcpPair]:
+        return lcp_scan(self.right_ideals, self.complementary)
+
+    @cached_property
+    def refinements(self) -> list[tuple[list[int], list[int]]]:
+        """The primitive refinement of each pair, in the order of pairs."""
+        return [refine_certificate(p.c, p.d, self.idempotents)
+                for p in self.pairs]
+
+    @cached_property
+    def check_elements(self) -> dict[bytes, int]:
+        """The least check element of each right annihilator, by key."""
+        from .chk import check_elements
+        return check_elements(self.alg, self.built.bound)
+
+    def checkable_tables(self) -> tuple[dict[bytes, int], Principals]:
+        """What the checkable routes read: the check elements and the
+        principal ideals of both sides, all gated by the scan bound."""
+        bound = self.built.bound
+        return self.check_elements, {
+            side: principal_ideals(self.alg, side, bound)
+            for side in ("left", "right")}
+
+    @cached_property
+    def checkable_census(self) -> CheckableCensus:
+        from .chk import code_checkable_census
+        return code_checkable_census(
+            self.right_ideals, self.dual, lambda c: self.ann("left", c),
+            *self.checkable_tables())
+
+    @cached_property
+    def residue(self) -> ResidueMap:
+        return residue_map(self.alg)
+
+    @cached_property
+    def residue_complementary(self) -> np.ndarray:
+        """`lcp_matrix` of the residue images of the right-ideal census."""
+        masks = np.array([self.projection(c).mask for c in self.right_ideals])
+        return lcp_matrix(masks, masks)
+
+    @cached_property
+    def residue_rows(self) -> dict[tuple[int, int], ResidueTransfer]:
+        """The transfer of each ordered right-ideal pair (i, j) that is
+        complementary over RG or over the residue algebra, row-major.
+        Every other pair is complementary on neither side, which each
+        residue law counts as holding."""
+        R = self.right_ideals
+        either = self.complementary | self.residue_complementary
+        return {(i, j): lcp_residue_correspondence(R[i], R[j], self.residue,
+                                                   self.projection)
+                for i, j in np.argwhere(either).tolist()}
+
+    def dual(self, code: CodeSet) -> CodeSet:
+        key = (code.side, code.key())
+        got = self._duals.get(key)
+        if got is None:
+            got = self._duals[key] = self._member(dual_code(code))
+        return got
+
+    def ann(self, side: str, code: CodeSet) -> CodeSet:
+        """The side annihilator of the code, once per mask, gated by the
+        scan bound."""
+        key = (side, code.key())
+        got = self._anns.get(key)
+        if got is None:
+            ann = ann_right if side == "right" else ann_left
+            got = self._anns[key] = self._member(ann(code, self.built.bound))
+        return got
+
+    def dual_rows(self, masks: np.ndarray, side: str | None) -> np.ndarray:
+        """The dual of each row of a (k, |RG|) stack of one side's masks,
+        looked up by the row's packed key (one packbits call for the
+        stack) and computed through `dual` on a miss."""
+        out = np.empty_like(masks)
+        for i, key in enumerate(packed(masks)):
+            got = self._duals.get((side, key.tobytes()))
+            if got is None:
+                got = self.dual(self._member(CodeSet(self.alg, masks[i],
+                                                     side=side)))
+            out[i] = got.mask
+        return out
+
+    def projection(self, code: CodeSet) -> CodeSet:
+        """The code's image in the residue algebra."""
+        key = (code.side, code.key())
+        got = self._projections.get(key)
+        if got is None:
+            got = self._projections[key] = project_code(self.residue, code)
+        return got
+
+    def hat_image(self, code: CodeSet) -> np.ndarray:
+        mask = np.zeros(self.alg.card, dtype=bool)
+        mask[self.alg.hat_all()[code.elements()]] = True
+        return mask
+
+
+# ---------------------------------------------------------------------------
+# tallying
+
+def _tally(unit: str, checks: Iterable[tuple[str, bool]],
+           note: str = "", passed: str | None = None,
+           results: np.ndarray | None = None,
+           where: str = "pair ({}, {})") -> tuple[str, str]:
+    """Count (where, ok) checks, then the entries of the boolean array
+    `results` in index order, the first failing index named by filling
+    `where` (by default, a matrix over the ordered ideal pairs (i, j)):
+    fail with the count of failures and the first place one failed, or
+    pass with the total (and the note), or with `passed` when given."""
+    total, bad, first = 0, 0, None
+    for place, ok in checks:
+        total += 1
+        if not ok:
+            bad += 1
+            first = first or place
+    if results is not None:
+        fails = np.argwhere(~results)
+        total += results.size
+        bad += len(fails)
+        if first is None and len(fails):
+            first = where.format(*fails[0].tolist())
+    if bad:
+        return (FAIL, f"{bad}/{total} {unit} fail; first at {first}")
+    return (PASS, passed if passed is not None else
+            f"checked {total} {unit}{note}")
+
+
+# ---------------------------------------------------------------------------
+# checks that the commands share with the law matrix
+
+def certificate_splits(alg: GroupAlgebra, c: CodeSet, d: CodeSet,
+                       e: int | None) -> bool:
+    """Whether e is an idempotent whose split (eRG, (1 - e)RG) is (C, D)."""
+    return (e is not None and is_idempotent(alg, e)
+            and span(alg, [e], c.side).same_set(c)
+            and span(alg, [alg.one_minus(e)], d.side).same_set(d))
+
+
+def pairs_match_idempotents(ws: Workspace):
+    """e -> (eRG, (1 - e)RG) maps the idempotents one to one onto the
+    complementary pairs: the split of each idempotent is the pair it
+    certifies, and each pair is the split of an idempotent."""
+    alg = ws.alg
+    certified = {(p.c.key(), p.d.key()): p.certificate for p in ws.pairs}
+    splits = {e: (span(alg, [e], "right").key(),
+                  span(alg, [alg.one_minus(e)], "right").key())
+              for e in ws.idempotents}
+    split_set = set(splits.values())
+    return _tally("idempotents and pairs", chain(
+        ((f"idempotent {e}", certified.get(key) == e)
+         for e, key in splits.items()),
+        ((f"pair {k}", (p.c.key(), p.d.key()) in split_set)
+         for k, p in enumerate(ws.pairs))),
+        passed=f"{len(ws.pairs)} complementary pairs = "
+               f"{len(ws.idempotents)} idempotents")
+
+
+def is_partition_of_one(alg: GroupAlgebra, parts: list[int]) -> bool:
+    """Idempotents, pairwise orthogonal both ways, summing to 1: the
+    products of all ordered pairs of parts, from one broadcast product,
+    are the parts on the diagonal and 0 off it."""
+    p = np.array(parts, dtype=np.int64)
+    return (reduce(alg.add, parts, 0) == alg.one
+            and bool((alg.mul(p[:, None], p[None, :]) == np.diag(p)).all()))
+
+
+def hat_transfer(ws: Workspace, c: CodeSet, d: CodeSet) -> tuple[bool, bool]:
+    """Whether |C| = |dual(D)|, and whether the inversion image of C is
+    dual(D): sizes always match, images when the certificate is central."""
+    dual = ws.dual(d)
+    return (c.cardinality == dual.cardinality,
+            bool(np.array_equal(ws.hat_image(c), dual.mask)))

@@ -8,7 +8,7 @@ test that counts products or patches a module sees its own objects.
 from pathlib import Path
 
 from glab.instance import build_instance, load_instance
-from glab.verify import Workspace
+from glab.workspace import Workspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -21,7 +21,8 @@ from glab.grp import CayleyGroup, build_group
 from glab.idem import is_idempotent
 from glab.ideals import dual_code, enumerate_ideals, span
 from glab.lcp import is_lcp, lcp_certificate, lcp_scan
-from glab.verify import FAIL, PASS, verify_all
+from glab.verify import verify_all
+from glab.workspace import FAIL, PASS
 
 from desk import fixture_algebra, fixture_workspace
 

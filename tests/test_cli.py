@@ -1,9 +1,11 @@
 """End-to-end command-line tests driven through subprocess."""
 
+import gc
 import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -243,6 +245,64 @@ def test_console_script_entry():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "summary: 20 pass, 4 skip" in r.stdout
+
+
+def test_console_script_and_module_share_the_entry():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"glab": "glab.cli:entry"}
+    main_py = (ROOT / "src" / "glab" / "__main__.py").read_text()
+    assert "raise SystemExit(entry())" in main_py
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (("ring-info",), []),
+    (("idempotents",), []),
+    (("lcp", "scan"), []),
+    (("lcp", "verify", "--pair", "C", "D"), []),
+    (("lcp", "residue", "--pair", "C", "D"), []),
+    (("checkable", "census"), ["glab.chk"]),
+    (("checkable", "ideal", "--ideal", "C"), ["glab.chk"]),
+    (("verify-all",), ["glab.chk", "glab.verify"]),
+])
+def test_only_verify_all_loads_the_law_matrix(command, loaded):
+    # each command in a fresh process: the law matrix is compiled only
+    # for verify-all, the checkable engine only where it runs
+    code = ("import sys, glab.cli\n"
+            "glab.cli.main(sys.argv[1:])\n"
+            "print(sorted({'glab.chk', 'glab.verify'} & set(sys.modules)), "
+            "file=sys.stderr)")
+    r = subprocess.run([sys.executable, "-c", code, *command[:2],
+                        str(FIX / "z4c3.glab"), *command[2:]],
+                       capture_output=True, text=True, cwd=ROOT)
+    assert r.stdout.startswith("command ")
+    assert r.stderr == f"{loaded}\n"
+
+
+def test_main_freezes_nothing():
+    import glab.cli
+
+    assert glab.cli.main(["ring-info", str(FIX / "f2c2.glab")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("args, code", [
+    (("ring-info", "fixtures/f2c2.glab"), 0),
+    (("lcp", "verify", "fixtures/f3c2.glab", "--pair", "C", "C"), 1),
+    (("lcp", "verify", "fixtures/f3c2.glab"), 2),
+    (("idempotents", "fixtures/f3c2.glab", "--bound", "2"), 3),
+])
+def test_process_entry_exits_as_main_returns(args, code, capsysbinary,
+                                             monkeypatch):
+    import glab.cli
+
+    monkeypatch.chdir(ROOT)
+    assert glab.cli.main(list(args)) == code
+    in_process = capsysbinary.readouterr().out
+    r = subprocess.run([sys.executable, "-m", "glab", *args],
+                       capture_output=True, cwd=ROOT)
+    assert r.returncode == code, r.stderr
+    assert r.stdout == in_process
 
 
 def test_commands_leave_dataclasses_and_numpy_ma_unloaded():

@@ -378,10 +378,22 @@ def test_frobenius_bound_gives_undecided(m2f2):
 
 def test_z4_residue_field(z4):
     q = radical_quotient(z4)
+    assert q.ring is not z4
     assert q.ring.card == 2
     assert list(q.proj) == [0, 1, 0, 1]
     assert list(q.lift) == [0, 1]
     assert q.ring.one == 1
+
+
+@pytest.mark.parametrize("spec", [Zmod(2), Zmod(3), Zmod(5), Zmod(4093),
+                                  PolyQuot(2, (1, 1, 1)),
+                                  PolyQuot(3, (2, 2, 1))])
+def test_field_is_its_own_residue_field(spec):
+    field = build_ring(spec)
+    q = radical_quotient(field)
+    assert q.ring is field
+    same = np.arange(field.card)
+    assert np.array_equal(q.proj, same) and np.array_equal(q.lift, same)
 
 
 def test_chain_residue_field():

@@ -14,7 +14,7 @@ from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import (CyclicGroup, ProductGroup, SymmetricGroup, build_group)
 from glab.ideals import (CodeSet, additive_basis, ann_left, ann_right,
-                         ann_right_of_element, audit_ideal, dual_code,
+                         ann_right_of_element, dual_code,
                          enumerate_ideals, ideal_sum, principal,
                          principal_ideals, side_closed, span)
 
@@ -23,6 +23,14 @@ from desk import FIXTURE_NAMES, fixture_algebra
 
 def _alg(ring_spec, group_spec):
     return GroupAlgebra(build_ring(ring_spec), build_group(group_spec))
+
+
+def audit_ideal(code: CodeSet) -> None:
+    """Full closure audit: additive subgroup plus the declared side."""
+    code.basis      # raises unless additively closed
+    if code.side is not None and not side_closed(code, code.side):
+        raise ConstructionError(
+            f"{code.alg.label}: set not closed under {code.side} multiplication")
 
 
 @pytest.fixture(scope="module")

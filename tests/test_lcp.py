@@ -11,7 +11,7 @@ from glab.idem import enumerate_idempotents
 from glab.ideals import CodeSet, enumerate_ideals, span
 from glab.lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
                       lcp_scan, project_code, refine_certificate)
-from glab.verify import certificate_splits, hat_transfer
+from glab.workspace import certificate_splits, hat_transfer
 
 from desk import fixture_algebra, fixture_workspace
 

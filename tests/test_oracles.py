@@ -58,7 +58,8 @@ from glab.idem import (_sub_idempotent, enumerate_idempotents,
                        idempotent_census)
 from glab.instance import InstanceDescription, build_instance, load_instance
 from glab.lcp import is_lcp, lcp_certificate, lcp_matrix
-from glab.verify import LAW_TABLE, PASS, Workspace, verify_all
+from glab.verify import LAW_TABLE, verify_all
+from glab.workspace import PASS, Workspace
 
 from desk import (FIXTURE_NAMES, FIXTURES, fixture_algebra, fixture_path,
                   fixture_workspace)

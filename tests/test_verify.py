@@ -14,11 +14,13 @@ import glab.ideals
 import glab.idem
 import glab.lcp
 import glab.verify
+import glab.workspace
 from glab.errors import ScaleError
 from glab.galg import GroupAlgebra
 from glab.ideals import dual_code
 from glab.instance import build_instance, load_instance
-from glab.verify import FAIL, LAW_TABLE, PASS, Workspace, _tally, verify_all
+from glab.verify import LAW_TABLE, verify_all
+from glab.workspace import FAIL, PASS, Workspace, _tally
 
 from desk import fixture_workspace
 
@@ -269,7 +271,7 @@ def _fails(report):
 
 def test_dropped_pair_fails_the_pair_count(monkeypatch):
     scan = glab.lcp.lcp_scan
-    monkeypatch.setattr(glab.verify, "lcp_scan", lambda *args: scan(*args)[:-1])
+    monkeypatch.setattr(glab.workspace, "lcp_scan", lambda *args: scan(*args)[:-1])
     fails = _fails(_report("f3c2"))
     assert list(fails) == ["lcp-split.pair-idempotent-count"]
     assert fails["lcp-split.pair-idempotent-count"] == (
@@ -292,7 +294,7 @@ def test_short_principal_table_fails_its_route(side, check_id, witness,
         got = table(alg, s, bound)
         return dict(list(got.items())[:-1]) if s == side else got
     before = _report("m2f2c2").lines
-    monkeypatch.setattr(glab.verify, "principal_ideals", short)
+    monkeypatch.setattr(glab.workspace, "principal_ideals", short)
     after = _report("m2f2c2").lines
     moved = [(b.check_id, a.status, a.witness) for b, a in zip(before, after)
              if (b.status, b.witness) != (a.status, a.witness)]
@@ -309,7 +311,7 @@ def test_dropped_complementary_pair_fails_the_lcp_split(monkeypatch):
         if len(cs) > 1:
             got[tuple(np.argwhere(got)[-1])] = False
         return got
-    monkeypatch.setattr(glab.verify, "lcp_matrix", flipped)
+    monkeypatch.setattr(glab.workspace, "lcp_matrix", flipped)
     fails = _fails(_report("f3c2"))
     assert list(fails) == ["lcp-split.pair-idempotent-count"]
     assert fails["lcp-split.pair-idempotent-count"] == (
@@ -322,7 +324,7 @@ def test_dropped_refinement_part_fails_the_partition(monkeypatch):
     def broken(c, d, idems):
         pc, pd = refine(c, d, idems)
         return pc, pd[:-1]
-    monkeypatch.setattr(glab.verify, "refine_certificate", broken)
+    monkeypatch.setattr(glab.workspace, "refine_certificate", broken)
     fails = _fails(_report("f2s3"))
     # the dual-of-sum law reads the same parts of 1 - e
     assert sorted(fails) == ["split-refine.dual-of-sum",
