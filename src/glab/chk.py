@@ -60,10 +60,11 @@ def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     of RG is classified first, gated by `bound`.
 
     The classes and masks are `ideals.annihilator_classes`, found with
-    no principal-ideal table: the least element of each orbit T*u of the
-    trivial units (Ann_r(v*u) = Ann_r(u) for a unit v) is reduced to a
-    canonical form of its annihilator, and each class's mask is
-    enumerated from its form, so no map is computed.
+    no principal-ideal table: the least generator of each left principal
+    ideal RG*u, from the keys of the left images (Ann_r(u) depends on
+    RG*u alone), is reduced to a canonical form of its annihilator, and
+    each class's mask is enumerated from its form, so no map is
+    computed.
     """
     check_scale(alg, bound, "check-element scan")
     least, masks, _ = annihilator_classes(alg, "right", bound)

@@ -11,12 +11,12 @@ leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
 modules work on element indices only.
 
-A multiplication map (a*x, or x*a, for every x) and a translation
-map (x - b for every x) are one kernel call each time they are asked
-for. Only the maps of the trivial units T = {r*g : r a unit of R, g in
-G} and of the generators are kept, once per side, because the orbits
-of `canonical_classes` and the closure checks of glab.ideals read them
-again and again.
+A multiplication map (a*x, or x*a, for every x) is one kernel call
+each time it is asked for, and a translation map (x - b for every x)
+one outer sum over the positions (`sub_col`). Only the maps of the
+trivial units T = {r*g : r a unit of R, g in G} and of the generators
+are kept, once per side, because the orbits of `canonical_classes`
+and the closure checks of glab.ideals read them again and again.
 The form is <a, b> = sum over g of a_g * b_g with the left
 argument's coefficient first; it is biadditive, G-invariant under
 simultaneous right translation, and nondegenerate.
@@ -30,9 +30,10 @@ Its image uRG (RGu) and its kernel Ann_r(u) (Ann_l(u)) are keyed by
 Howell forms, one prime at a time: the reduced row echelon form over
 F_p, and over Z/p^a the echelon form that also keeps (p^a / pivot)
 times each pivot row, which makes it unique. One batched reduction
-per side keys the least element of every orbit of the trivial units,
-the masks are enumerated from the forms, and each class keeps its
-least element.
+per table keys the least element of every orbit of the trivial units
+(images) or of every class of the other side's images (kernels), the
+masks are enumerated from the forms, and each class keeps its least
+element.
 """
 
 from __future__ import annotations
@@ -234,8 +235,21 @@ class GroupAlgebra:
         return got
 
     def sub_col(self, b: int) -> np.ndarray:
-        """Indices of x - b for every x."""
-        return self._index(self._sum(self.coeffs, self.ring.neg[self.coeffs[b]]))
+        """Indices of x - b for every x.
+
+        Positions add without carry, so the map is an outer sum over
+        them: the low m = ceil(|G|/2) positions and the high rest are
+        each read through the digits of the first |R|^m indices, and
+        the two small maps meet in one sum; no (|RG|, |G|) array is
+        made.
+        """
+        r, n = self.ring.card, self.group.order
+        m = (n + 1) // 2
+        # the digits of -b, low half then high half, padded with a zero
+        nb = np.zeros((2, 1, m), dtype=np.intp)
+        nb.flat[:n] = self.ring.neg[self.coeffs[b]]
+        half = self.ring.add[self.coeffs[:r ** m, :m], nb] @ self._weights[:m]
+        return (half[1, :r ** (n - m), None] * r ** m + half[0]).ravel()
 
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""
@@ -343,18 +357,25 @@ class GroupAlgebra:
         each class, in the order of the least elements. Computed once per
         (side, kernel), read-only.
 
-        A trivial unit t changes neither the image of u*t (right) and
-        t*u (left) nor the kernel of t*u (right) and u*t (left), so only
-        the least element of each such orbit, found from the units'
-        maps, gets a key from `canonical_keys`; each class of equal keys
-        keeps its least element, which is the least of its orbit.
+        Only the least element of each class of a coarser partition gets
+        a key from `canonical_keys`, and each class of equal keys keeps
+        its least element, which is the least of its parts. For images
+        these are the orbits of the trivial units: a unit t changes
+        neither the image of u*t (right) nor of t*u (left); they are
+        found from the units' maps. For kernels they are the other
+        side's image classes: if v = a*u then u*x = 0 gives v*x = 0, so
+        Ann_r(u) depends on RGu alone, and Ann_l(u) on uRG alone.
         """
         got = self._least.get((side, kernel))
         if got is None:
-            left = (side == "right") == kernel
-            least = np.arange(self.card)
-            for t in self.trivial_units:
-                np.minimum(least, self.fixed_map(t, left), out=least)
+            if kernel:
+                least = self.canonical_classes(
+                    "left" if side == "right" else "right")[0]
+            else:
+                least = np.arange(self.card)
+                for t in self.trivial_units:
+                    np.minimum(least, self.fixed_map(t, side == "left"),
+                               out=least)
             reps = np.flatnonzero(least == np.arange(self.card))
             keys = self.canonical_keys(reps, side, kernel)
             # each key's first row, the least of its class

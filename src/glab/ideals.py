@@ -22,8 +22,9 @@ the checkable routes read principality from it, and a principal ideal
 of a side whose table exists is read from it.
 
 Annihilators come from the kernel classes the same way: one batched
-pass per side keys Ann_r(u) (Ann_l(u)) of every u, and each class's
-mask is enumerated once. Ann_r(C) is the meet of Ann_r(b) over an
+pass per side keys Ann_r(u) (Ann_l(u)) once per left (right)
+principal ideal, on which it depends alone, and each class's mask is
+enumerated once. Ann_r(C) is the meet of Ann_r(b) over an
 additive basis of C, as c*a = 0 for every c in C exactly when b*a = 0
 for every basis element b.
 

@@ -19,9 +19,18 @@ and its SHA-256 digest identifies the instance in reports.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import NamedTuple
+
+# hashlib loads OpenSSL, which costs every process a few MB and ms for
+# one short digest; CPython's built-in SHA-256 gives the same hash
+try:
+    from _sha2 import sha256     # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from .errors import ParseError
@@ -386,7 +395,7 @@ def format_instance(desc: InstanceDescription) -> str:
 
 def instance_digest(desc: InstanceDescription) -> str:
     """SHA-256 of the canonical serialization, hex."""
-    return hashlib.sha256(format_instance(desc).encode("utf-8")).hexdigest()
+    return sha256(format_instance(desc).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -325,3 +325,26 @@ def test_commands_leave_dataclasses_and_numpy_ma_unloaded():
                        text=True, cwd=ROOT)
     assert r.stderr == "[]\n"
     assert r.stdout.count("command ") == len(commands)
+
+
+def test_commands_leave_hashlib_and_openssl_unloaded():
+    # the instance digest comes from CPython's built-in SHA-256, so no
+    # process loads hashlib and, through it, OpenSSL; the two exit-2 runs
+    # fail while building and after it, all in one fresh process
+    f3c2, z4c3 = str(FIX / "f3c2.glab"), str(FIX / "z4c3.glab")
+    commands = [(["ring-info", str(FIX / "f2c2.glab")], 0),
+                (["lcp", "verify", f3c2, "--pair", "C", "D"], 0),
+                (["checkable", "ideal", z4c3, "--ideal", "C"], 0),
+                (["checkable", "census", str(FIX / "m2f2c2.glab")], 1),
+                (["verify-all", z4c3], 1),
+                (["lcp", "verify", f3c2], 2),
+                (["ring-info", str(FIX / "corrupt_cayley.glab")], 2)]
+    code = ("import sys, glab.cli\n"
+            f"codes = [glab.cli.main(args) for args, _ in {commands!r}]\n"
+            "print(codes, sorted({'hashlib', '_hashlib', '_ssl'} "
+            "& set(sys.modules)), file=sys.stderr)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=ROOT)
+    expected = [want for _, want in commands]
+    assert r.stderr.splitlines()[-1] == f"{expected} []"
+    assert r.stderr.count("error: ") == 2

@@ -1,10 +1,16 @@
 """Instance file parsing, canonical serialization, digests, building."""
 
+import hashlib
+import importlib
 import re
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import glab
 from glab.errors import ConstructionError, ParseError, ScaleError
 from glab.finring import MatrixRing, RadicalQuotient, TableRing, Zmod
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup,
@@ -13,7 +19,8 @@ from glab.instance import (ElemDef, IdealDef, InstanceDescription,
                            build_instance, format_instance, instance_digest,
                            load_instance, parse_instance)
 
-from desk import FIXTURE_NAMES, fixture_instance, fixture_path
+from desk import FIXTURE_NAMES, FIXTURES, fixture_instance, fixture_path
+from test_families import group_atoms, product_groups, rings
 
 BASIC = """
 # a comment
@@ -160,6 +167,70 @@ def test_digest_frozen_and_canonical():
     assert instance_digest(stripped) == instance_digest(d)
     other = InstanceDescription(ring=d.ring, group=d.group, bound=7)
     assert instance_digest(other) != instance_digest(d)
+
+
+# ---------------------------------------------------------------------------
+# the digest against hashlib's SHA-256, which glab does not load
+
+INSTANCE_FILES = [fixture_path(name) for name in FIXTURE_NAMES] + sorted(
+    str(p) for p in (FIXTURES.parent / "perfbench" / "instances").glob("*.glab"))
+
+
+def _hashlib_digest(desc):
+    return hashlib.sha256(format_instance(desc).encode()).hexdigest()
+
+
+def test_digest_matches_hashlib_on_every_instance_file():
+    assert len(INSTANCE_FILES) == 15
+    for path in INSTANCE_FILES:
+        d = load_instance(path)
+        assert instance_digest(d) == _hashlib_digest(d)
+
+
+# a description need not build: the digest reads only its text
+_labels = st.text(max_size=12)
+_rows = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                 max_size=4).map(tuple)
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_coeffs = st.one_of(st.integers(0, 999),
+                    st.tuples(st.integers(0, 9), st.integers(0, 9)))
+descriptions = st.builds(
+    InstanceDescription,
+    ring=st.one_of(rings, st.builds(TableRing, st.lists(
+        st.integers(2, 9), min_size=1, max_size=3).map(tuple), _rows, _labels)),
+    group=st.one_of(group_atoms, product_groups,
+                    st.builds(CayleyGroup, _rows, _labels)),
+    elems=st.lists(st.builds(ElemDef, _names, st.lists(_coeffs, max_size=4).map(
+        tuple)), max_size=3).map(tuple),
+    ideals=st.lists(st.builds(IdealDef, _names, st.sampled_from(["right", "left"]),
+                              st.lists(_names, max_size=3).map(tuple)),
+                    max_size=2).map(tuple),
+    bound=st.none() | st.integers(0, 10 ** 9),
+    census_bound=st.none() | st.integers(0, 10 ** 9))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(desc=descriptions)
+def test_digest_matches_hashlib_on_drawn_descriptions(desc):
+    assert instance_digest(desc) == _hashlib_digest(desc)
+
+
+def test_digest_falls_back_to_hashlib(monkeypatch):
+    # with CPython's built-in SHA-256 modules made unimportable, a fresh
+    # import of glab.instance takes hashlib's, and the digests stay the
+    # same; monkeypatch puts the module imported before back afterwards
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    before = glab.instance
+    monkeypatch.delitem(sys.modules, "glab.instance")
+    monkeypatch.setattr(glab, "instance", before)
+    fresh = importlib.import_module("glab.instance")
+    assert fresh is not before and fresh.sha256 is hashlib.sha256
+    table = parse_instance(
+        'ring = table([2, 2], [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], '
+        '[0, 3, 2, 1]], "Z2[t]/(t^2)")\ngroup = cayley([[0, 1], [1, 0]], "C2")\n')
+    for d in [table] + [load_instance(path) for path in INSTANCE_FILES]:
+        assert fresh.instance_digest(d) == instance_digest(d) == _hashlib_digest(d)
 
 
 def test_every_fixture_file_round_trips():

@@ -11,11 +11,14 @@ check-element, split-of-1 and sub-idempotent scans and the idempotent
 census are compared against brute force over the product table. The
 canonical keys of images and kernels of multiplication maps must split
 RG exactly as the subgroups do, on the desk and lattice instances and
-on drawn algebras, and the principal-ideal and check-element tables
-must equal the ordered per-element passes over the product table. The
-annihilators of elements and of sets are compared with the zeros of
-the product table on the same instances, and dropping one class from
-their meet must fail the annihilator laws. Every sum of two members of
+on drawn algebras, each kernel table must reduce one row per class of
+the other side's images, and the principal-ideal and check-element
+tables must equal the ordered per-element passes over the product
+table. Every translation map x -> x - b must equal the difference taken
+coefficient by coefficient with the ring's addition, and be a
+permutation. The annihilators of elements and of sets are compared
+with the zeros of the product table on the same instances, and
+dropping one class from their meet must fail the annihilator laws. Every sum of two members of
 the ideal census, formed with the ring's addition, must be a member
 again, and the stacked sum kernel must give those sums for the census
 and for its duals. The principal-ideal tables are compared with a
@@ -46,8 +49,9 @@ import glab.galg
 import glab.ideals
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
-from glab.finring import (MatrixRing, ProductRing, TableRing, Zmod, _table,
-                          build_ring, frobenius, radical_quotient, structure)
+from glab.finring import (MatrixRing, ProductRing, RadicalQuotient, TableRing,
+                          Zmod, _table, build_ring, frobenius,
+                          radical_quotient, structure)
 from glab.galg import GroupAlgebra
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
@@ -415,6 +419,95 @@ def test_dropping_the_killed_multiple_breaks_the_keys(monkeypatch):
         alg = GroupAlgebra(build_ring(ring), build_group(CyclicGroup(2)))
         with pytest.raises(AssertionError):
             assert_keys_partition_like_masks(alg, product_table(alg))
+
+
+def test_kernel_keys_reduce_one_row_per_class_of_the_other_sides_images(
+        monkeypatch):
+    # Ann_r(u) depends on RGu alone and Ann_l(u) on uRG alone, so each
+    # kernel table reduces the least element of each of the other side's
+    # 35 principal classes on M2(Z2)C3, not each of its 245 orbits of the
+    # trivial units
+    reduced = []
+    howell = glab.galg._howell
+
+    def counting(w, p, a):
+        reduced.append(w.shape)
+        return howell(w, p, a)
+    monkeypatch.setattr(glab.galg, "_howell", counting)
+    built = fixture_algebra("m2f2c3")
+    alg = GroupAlgebra(built.ring, built.group)
+    c = len(alg.ring.moduli) * alg.group.order
+    for side in ("right", "left"):
+        reduced.clear()
+        alg.canonical_classes(side, kernel=True)
+        assert reduced[-1] == (35, c, 2 * c)
+        assert sum(n for n, _, width in reduced if width == 2 * c) == 35
+
+
+# ---------------------------------------------------------------------------
+# translation maps against the coefficientwise difference
+
+def difference_rows(alg, bs):
+    """x - b for every x, one row per b of `bs`: the coefficient at each
+    group position is the s with s + b_g = x_g under the ring's own
+    addition, read from decoded coefficients."""
+    ring, n = alg.ring, alg.group.order
+    minus = np.zeros((ring.card, ring.card), dtype=np.int64)
+    for s in ring.elements:
+        for d in ring.elements:
+            minus[ring.a(s, d), d] = s
+    coeffs = np.array([alg.decode(x) for x in alg.elements])
+    weights = np.array([alg.encode([int(i == g) for i in range(n)])
+                        for g in range(n)])
+    return minus[coeffs[None], coeffs[list(bs)][:, None]] @ weights
+
+
+def assert_translations_match_the_definition(alg, bs):
+    for b, want in zip(bs, difference_rows(alg, bs)):
+        got = alg.sub_col(b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.sort(got), np.arange(alg.card))
+
+
+@pytest.mark.parametrize("name", _DESK + _LATTICE + ["m2f2c3"])
+def test_translations_match_the_definition(name):
+    alg = (_lattice_workspace(name) if name in _LATTICE
+           else fixture_workspace(name)).alg
+    every = alg.elements if alg.card <= 256 else range(7, alg.card, 97)
+    assert_translations_match_the_definition(alg, list(every))
+
+
+@pytest.mark.parametrize("spec, group", [
+    (ProductRing((Zmod(2), Zmod(4))), CyclicGroup(4)),
+    (ProductRing((Zmod(2), Zmod(4))), DihedralGroup(2)),
+    (MatrixRing(2, Zmod(4)), CyclicGroup(1)),
+    (Zmod(4), SymmetricGroup(3))], ids=repr)
+def test_translations_over_composite_and_matrix_coefficients(spec, group):
+    alg = GroupAlgebra(build_ring(spec), build_group(group))
+    assert_translations_match_the_definition(
+        alg, list(range(0, alg.card, max(1, alg.card // 256))))
+
+
+@st.composite
+def _nonabelian_translations(draw):
+    """An algebra of at most 4096 elements over a non-abelian group, and
+    elements b of it."""
+    group = build_group(draw(st.sampled_from(
+        [SymmetricGroup(3), DihedralGroup(4), DihedralGroup(5),
+         DihedralGroup(6)])))
+    ring = build_ring(draw(st.sampled_from(
+        [s for s in [Zmod(2), Zmod(3), Zmod(4), ProductRing((Zmod(2), Zmod(2))),
+                     MatrixRing(1, Zmod(4)), RadicalQuotient(Zmod(9))]
+         if build_ring(s).card ** group.order <= 4096])))
+    alg = GroupAlgebra(ring, group)
+    return alg, draw(st.lists(st.integers(0, alg.card - 1), min_size=1,
+                              max_size=8))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(drawn=_nonabelian_translations())
+def test_translations_of_drawn_nonabelian_algebras(drawn):
+    assert_translations_match_the_definition(*drawn)
 
 
 @pytest.mark.parametrize("name", _DESK)
