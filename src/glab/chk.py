@@ -71,12 +71,12 @@ def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     return {key.tobytes(): u for u, key in zip(least.tolist(), packed(masks))}
 
 
-Principals = dict[str, dict[bytes, CodeSet]]
+# each side's `principal_ideals`: least generators by mask key
+Principals = dict[str, dict[bytes, int]]
 
 
 def _least_generator(principals: Principals, code: CodeSet) -> int | None:
-    got = principals[code.side].get(code.key())
-    return got.generators[0] if got is not None else None
+    return principals[code.side].get(code.key())
 
 
 def is_checkable(c: CodeSet, dual: CodeSet, ann: CodeSet,

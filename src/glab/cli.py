@@ -17,6 +17,7 @@ import gc
 import sys
 import time
 
+from .config import max_elements
 from .errors import (ConstructionError, FalsificationError, ParseError,
                      ScaleError)
 from .idem import idempotent_census
@@ -251,6 +252,18 @@ def render_text(report: Report) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+def _positive(text: str) -> int:
+    """A bound given on the command line: at least 1, as in a file."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glab",
@@ -259,9 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="instance file path")
-        p.add_argument("--bound", type=int, default=None,
+        p.add_argument("--bound", type=_positive, default=None,
                        help="override the elementwise scan bound")
-        p.add_argument("--census-bound", type=int, default=None,
+        p.add_argument("--census-bound", type=_positive, default=None,
                        help="override the ideal-census bound")
         p.add_argument("--format", choices=("tsv", "text"), default="text")
         p.add_argument("--timing", action="store_true",
@@ -287,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> Report:
+    max_elements()      # a malformed cap is refused before any table is built
     ws = Workspace(build_instance(load_instance(args.file), bound=args.bound,
                                   census_bound=args.census_bound))
     if args.command == "ring-info":

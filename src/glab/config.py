@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ParseError
+
 DEFAULT_OP_BOUND = 4096         # elementwise scans over a whole group algebra
 DEFAULT_CENSUS_BOUND = 256      # full one-sided ideal enumeration
 DEFAULT_FROBENIUS_BOUND = 1024  # generating-character search, O(|R|^3)
@@ -22,14 +24,16 @@ ENV_MAX_ELEMS = "GLAB_MAX_ELEMS"
 
 
 def max_elements() -> int:
-    """Hard cap on constructed algebra size, overridable via GLAB_MAX_ELEMS."""
+    """Hard cap on constructed algebra size, overridable via GLAB_MAX_ELEMS;
+    a value that is not a positive integer raises ParseError."""
     raw = os.environ.get(ENV_MAX_ELEMS)
     if raw is None:
         return DEFAULT_MAX_ELEMS
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_MAX_ELEMS} must be an integer, got {raw!r}") from exc
+    except ValueError:
+        value = 0
     if value < 1:
-        raise ValueError(f"{ENV_MAX_ELEMS} must be positive")
+        raise ParseError(
+            f"{ENV_MAX_ELEMS} must be a positive integer, got {raw!r}")
     return value

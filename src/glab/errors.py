@@ -14,7 +14,8 @@ class ScaleError(GlabError):
 
 
 class ParseError(GlabError):
-    """An instance file is malformed; the message carries the line."""
+    """An instance file or a setting is malformed; the message carries
+    the line or the setting."""
 
 
 class FalsificationError(GlabError):

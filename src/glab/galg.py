@@ -1,4 +1,5 @@
-"""Group algebras RG with exact convolution arithmetic.
+"""Group algebras RG with exact convolution arithmetic, and canonical
+forms of their additive subgroups.
 
 An element of RG is a coefficient vector over the ring R indexed by
 the group's canonical element order, encoded as a single integer in
@@ -12,32 +13,33 @@ element of RG) and a batch of pairs share the same arithmetic; other
 modules work on element indices only.
 
 A multiplication map (a*x, or x*a, for every x) is one kernel call
-each time it is asked for, and a translation map (x - b for every x)
-one outer sum over the positions (`sub_col`). Only the maps of the
-trivial units T = {r*g : r a unit of R, g in G} and of the generators
-are kept, once per side, because the orbits of `canonical_classes`
-and the closure checks of glab.ideals read them again and again.
-The form is <a, b> = sum over g of a_g * b_g with the left
-argument's coefficient first; it is biadditive, G-invariant under
-simultaneous right translation, and nondegenerate.
+each time it is asked for. Only the maps of the trivial units
+T = {r*g : r a unit of R, g in G} and of the generators are kept, once
+per side, because the orbits of `canonical_classes` and the closure
+checks of glab.ideals read them again and again. The form is
+<a, b> = sum over g of a_g * b_g with the left argument's coefficient
+first; it is biadditive, G-invariant under simultaneous right
+translation, and nondegenerate.
 
-Principal ideals and annihilators of elements come from canonical
-forms, not from maps. As an additive group RG is a product of cyclic
-groups, one per coordinate (group position, ring coordinate), and the
-map x -> u*x (or x -> x*u) is the integer matrix whose rows are the
-coordinates of u*b_j (b_j*u) for the coordinate basis elements b_j.
-Its image uRG (RGu) and its kernel Ann_r(u) (Ann_l(u)) are keyed by
-Howell forms, one prime at a time: the reduced row echelon form over
-F_p, and over Z/p^a the echelon form that also keeps (p^a / pivot)
-times each pivot row, which makes it unique. One batched reduction
-per table keys the least element of every orbit of the trivial units
-(images) or of every class of the other side's images (kernels), the
-masks are enumerated from the forms, and each class keeps its least
-element.
+As an additive group RG is a product of cyclic groups, one per
+coordinate (group position, ring coordinate), and each subgroup has one
+key: per prime p, the Howell form of its p-part, the reduced row
+echelon form over F_p and over Z/p^a the echelon form that also keeps
+(p^a / pivot) times each pivot row (Howell 1986; Storjohann & Mulders
+1998). A key comes from any generating set (`subgroup_form`), a sum
+is the key of two forms stacked (`sum_forms`), and the rows of a form
+generate the subgroup (`form_rows`), whose elements are enumerated
+from it (`subgroup_mask`). The map x -> u*x (or x -> x*u) is the
+integer matrix of the coordinates of u*b_j (b_j*u) over the coordinate
+basis; one batched reduction per table keys the image uRG (RGu) or the
+kernel Ann_r(u) (Ann_l(u)) of the least element of every orbit of the
+trivial units (images) or of every class of the other side's images
+(kernels), and each class keeps its least element.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -65,6 +67,8 @@ class GroupAlgebra:
                 f"exceeds the cap {cap}")
         self.card = card
         self._weights, self.coeffs = _mixed_radix((ring.card,) * group.order)
+        # the modulus of each coordinate, in the order of _coordinate_basis
+        self._moduli = ring.moduli * group.order
         self.zero = 0
         # flat ring tables, read by take(): a pair (s, t) sits at s*|R| + t,
         # which stays in int32 below TABLE_LIMIT**2
@@ -234,23 +238,6 @@ class GroupAlgebra:
             got.setflags(write=False)
         return got
 
-    def sub_col(self, b: int) -> np.ndarray:
-        """Indices of x - b for every x.
-
-        Positions add without carry, so the map is an outer sum over
-        them: the low m = ceil(|G|/2) positions and the high rest are
-        each read through the digits of the first |R|^m indices, and
-        the two small maps meet in one sum; no (|RG|, |G|) array is
-        made.
-        """
-        r, n = self.ring.card, self.group.order
-        m = (n + 1) // 2
-        # the digits of -b, low half then high half, padded with a zero
-        nb = np.zeros((2, 1, m), dtype=np.intp)
-        nb.flat[:n] = self.ring.neg[self.coeffs[b]]
-        half = self.ring.add[self.coeffs[:r ** m, :m], nb] @ self._weights[:m]
-        return (half[1, :r ** (n - m), None] * r ** m + half[0]).ravel()
-
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""
         return self._index(self._product(self.coeffs, self.coeffs))
@@ -322,30 +309,60 @@ class GroupAlgebra:
         elements share a key exactly when the two subgroups are equal.
         Batched over `us` in chunks; see `_subgroup_keys`."""
         us = np.asarray(us, dtype=np.int64)
-        moduli = self.ring.moduli * self.group.order
-        width = len(moduli) * (2 if kernel else 1)
-        step = max(1, KEY_CHUNK_ENTRIES // (3 * len(moduli) * width))
+        c = len(self._moduli)
+        step = max(1, KEY_CHUNK_ENTRIES // (3 * c * c * (2 if kernel else 1)))
         return np.concatenate([
-            _subgroup_keys(self._basis_images(us[i:i + step], side), moduli,
-                           kernel) for i in range(0, len(us), step)])
+            _subgroup_keys(self._basis_images(us[i:i + step], side),
+                           self._moduli, kernel)
+            for i in range(0, len(us), step)])
+
+    def subgroup_form(self, elems) -> np.ndarray:
+        """The key of the subgroup the elements generate: one reduction
+        of the matrix of their coordinates."""
+        coords = self.ring.coords[self.coeffs[elems]].reshape(len(elems), -1)
+        return _subgroup_keys(coords[None], self._moduli, False)[0]
+
+    def sum_forms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The key of A + B for each pair of rows of two stacks of keys
+        (or of a stack and one key): per p-part, the Howell form of the
+        two forms stacked, in chunks as in `canonical_keys`."""
+        a, b = np.broadcast_arrays(a, b)
+        n, c = len(a), len(self._moduli)
+        w = np.concatenate([a.reshape(n, -1, c, c), b.reshape(n, -1, c, c)],
+                           axis=2)
+        step = max(1, KEY_CHUNK_ENTRIES // (3 * c * c))
+        return np.stack([np.concatenate([
+            _howell(w[i:i + step, k], p, e) for i in range(0, n, step)])
+            for k, (p, e, _, _) in enumerate(_prime_parts(self._moduli))],
+            axis=1).reshape(n, -1).astype(np.uint16)
+
+    def form_rows(self, key: np.ndarray) -> tuple[np.ndarray, int]:
+        """The elements whose coordinates are the nonzero rows of the
+        form with this key, lifted back to RG, which generate the
+        subgroup, and the number of elements of the subgroup."""
+        rows, counts = _form_rows(key, self._moduli)
+        return rows @ self._coordinate_basis, math.prod(counts.tolist())
+
+    def subgroup_mask(self, key: np.ndarray) -> np.ndarray:
+        """The subgroup with this key as a mask, enumerated from it; the
+        indices are summed one coordinate at a time: no (n, c) int64
+        copy."""
+        coords = _subgroup_elements(key, self._moduli)
+        at = np.zeros(len(coords), dtype=np.intp)
+        for column, weight in zip(coords.T, self._coordinate_basis):
+            at += column.astype(np.intp) * weight
+        mask = np.zeros(self.card, dtype=bool)
+        mask[at] = True
+        return mask
 
     def classes(self, side: str, kernel: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The least element of each class of `canonical_classes`,
-        ascending, and the image (or kernel) the class shares as a mask,
-        one row each: enumerated from the class's canonical form, so no
-        member's map is computed."""
-        moduli = self.ring.moduli * self.group.order
+        ascending, and the key and the mask of the image (or kernel) the
+        class shares, one row each; no member's map is computed."""
         least, keys = self.canonical_classes(side, kernel)
-        masks = np.zeros((len(keys), self.card), dtype=bool)
-        for mask, key in zip(masks, keys):
-            coords = _subgroup_elements(key, moduli)
-            # the indices one coordinate at a time: no (n, c) int64 copy
-            at = np.zeros(len(coords), dtype=np.intp)
-            for column, weight in zip(coords.T, self._coordinate_basis):
-                at += column.astype(np.intp) * weight
-            mask[at] = True
-        return np.flatnonzero(least == np.arange(self.card)), masks
+        return (np.flatnonzero(least == np.arange(self.card)), keys,
+                np.array([self.subgroup_mask(key) for key in keys]))
 
     def canonical_classes(self, side: str, kernel: bool = False
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -460,9 +477,10 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     n, r, c = w.shape
     # entries and products below q^2 fit the type
     dtype = np.int16 if q * q < 1 << 15 else np.int32
-    # each pivot other than a unit adds one row to the pool
-    w = np.concatenate([w.astype(dtype),
-                        np.zeros((n, c if a > 1 else 0, c), dtype)], axis=1)
+    # each pivot other than a unit adds one row to the pool, and the
+    # form has c rows
+    w = np.concatenate([w.astype(dtype), np.zeros(
+        (n, c if a > 1 else max(c - r, 0), c), dtype)], axis=1)
     at, rows = np.arange(n), np.arange(w.shape[1])
     done = np.zeros(n, dtype=np.intp)       # the pool is rows done..end - 1
     end = np.full(n, r, dtype=np.intp)
@@ -498,46 +516,54 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     return w[:, :c]
 
 
+def _form_rows(key: np.ndarray, moduli: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of each p-part of the form with this key from
+    `_subgroup_keys`, lifted back to coordinates modulo `moduli` through
+    the lifts of `_prime_parts`, and the count q / pivot of each. By
+    Howell's property each element of the subgroup is the sum of c_i
+    times row i, with 0 <= c_i < count_i, in exactly one way."""
+    c = len(moduli)
+    rows, counts = [], []
+    for form, (p, a, scale, lift) in zip(key.reshape(-1, c, c).astype(np.int64),
+                                         _prime_parts(moduli)):
+        form = form[form.any(axis=1)]
+        pivots = form[np.arange(len(form)), (form != 0).argmax(axis=1)]
+        rows.append(form // np.maximum(scale, 1) * lift % np.array(moduli))
+        counts.append(p ** a // pivots)
+    return np.concatenate(rows), np.concatenate(counts)
+
+
 def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """The coordinates of every element of the subgroup with this key
-    from `_subgroup_keys`, one row each. By Howell's property each
-    element of a p-part is the sum of c_i times row i of its form, with
-    0 <= c_i < q / pivot_i, in exactly one way. The p-parts go back to
-    Z/m through their lifts (see `_prime_parts`) and add up."""
+    """The coordinates of every element of the subgroup with this key,
+    one row each: the sums of the rows of `_form_rows`."""
     c = len(moduli)
     # entries and products stay below max(moduli)^2
     dtype = np.int16 if max(moduli) ** 2 < 1 << 15 else np.int32
+    rows, counts = _form_rows(key, moduli)
     out = np.zeros((1, c), dtype=dtype)
-    for form, (p, a, scale, lift) in zip(key.reshape(-1, c, c).astype(dtype),
-                                         _prime_parts(moduli)):
-        q = p ** a
-        part = np.zeros((1, c), dtype=dtype)
-        for row in form[form.any(axis=1)]:
-            steps = np.arange(q // int(row[row != 0][0]), dtype=dtype)
-            part = (part[None] + steps[:, None, None] * row).reshape(-1, c)
-            part %= q
-        part //= np.maximum(scale, 1).astype(dtype)
-        part *= lift.astype(dtype)
-        out = (out[:, None] + part).reshape(-1, c)
+    for row, n in zip(rows.astype(dtype), counts.tolist()):
+        out = (out[None] + np.arange(n, dtype=dtype)[:, None, None] * row
+               ).reshape(-1, c)
         out %= np.array(moduli, dtype=dtype)
     return out
 
 
 def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],
                    kernel: bool) -> np.ndarray:
-    """Keys of the subgroups spanned by the rows of each (N, c, c)
+    """Keys of the subgroups spanned by the rows of each (N, r, c)
     matrix of coordinates, coordinate j taken modulo moduli[j]; or, with
-    `kernel`, of the kernel of the map sending the j-th coordinate unit
-    vector to row j.
+    `kernel` (r = c), of the kernel of the map sending the j-th
+    coordinate unit vector to row j.
 
     A subgroup is the direct sum of its p-parts. A coordinate x of
     modulus m, with p^b exactly dividing m, enters the p-part as
     x * p^(a - b) mod p^a, a the largest such b, so each p-part is a
-    Z/p^a-module in (Z/p^a)^c, keyed by its Howell form. The kernel's p-part is read off
-    the Howell form of the graph, the rows [image | domain]: its rows
-    with a zero image part.
+    Z/p^a-module in (Z/p^a)^c, keyed by its Howell form, c rows of c
+    entries. The kernel's p-part is read off the Howell form of the
+    graph, the rows [image | domain]: its rows with a zero image part.
     """
-    n, c, _ = images.shape
+    n, _, c = images.shape
     keys = []
     for p, a, scale, _ in _prime_parts(moduli):
         w = images * scale % p ** a

@@ -76,12 +76,9 @@ class LcpPair(NamedTuple):
 
 
 def lcp_scan(census: list[CodeSet],
-             complementary: np.ndarray | None = None) -> list[LcpPair]:
+             complementary: np.ndarray) -> list[LcpPair]:
     """All ordered complementary pairs of a full one-sided ideal census,
-    read row-major from its `lcp_matrix` (computed unless given)."""
-    if complementary is None:
-        masks = np.array([c.mask for c in census])
-        complementary = lcp_matrix(masks, masks)
+    read row-major from its `lcp_matrix` against itself."""
     return [LcpPair(census[i], census[j],
                     lcp_certificate(census[i], census[j]))
             for i, j in np.argwhere(complementary).tolist()]

@@ -29,8 +29,8 @@ import numpy as np
 from .chk import ann_intersection_check
 from .errors import ConstructionError, FalsificationError
 from .galg import ResidueMap
-from .ideals import (CodeSet, _sumset, annihilator_classes, ideal_sum,
-                     principal, principal_ideals, span)
+from .ideals import (CodeSet, annihilator_classes, pair_sums, principal,
+                     principal_ideals, span)
 from .idem import enumerate_idempotents, is_idempotent, lift_idempotent
 from .lcp import ResidueTransfer, lcp_certificate
 from .workspace import (FAIL, SKIP, CheckLine, Report, Workspace, _tally,
@@ -76,13 +76,6 @@ def _each_ideal(side: str, unit: str, ok: Callable[[Workspace, CodeSet], bool]):
                                            for c in ws.ideals(side)))
 
 
-def _pair_columns(columns: Iterable[Iterable[bool]]):
-    """Tally a law over all ordered right-ideal pairs (i, j) from its
-    columns: column j holds the results of the pairs (i, j) for every i.
-    Pairs are tallied row-major."""
-    return _tally("ideal pairs", (), results=np.column_stack(list(columns)))
-
-
 def _pair_matrix(ws: Workspace,
                  checks: Iterable[tuple[tuple[int, int], bool]]) -> np.ndarray:
     """The results of a law over the ordered right-ideal pairs as a
@@ -98,22 +91,29 @@ def _pair_matrix(ws: Workspace,
 # the laws
 
 def _dual_sum_meet(ws: Workspace):
-    """dual(A + B) = dual(A) & dual(B); each column's sums A + b come
-    from one kernel call."""
+    """dual(A + B) = dual(A) & dual(B). The sums of all pairs are one
+    batched reduction of forms, each read from the census by its form."""
     R = ws.right_ideals
-    duals = ws.dual_rows(ws.right_masks, "right")
-    return _pair_columns((ws.dual_rows(_sumset(R, b)[0], "right")
-                          == duals & ws.dual(b).mask).all(axis=1) for b in R)
+    k = len(R)
+    codes, sums = ws.by_form(pair_sums(R).reshape(k * k, -1), "right")
+    duals = np.array([ws.dual(c).mask for c in codes])
+    return _tally("ideal pairs", (), results=np.array([
+        (duals[row] == duals[i] & duals[:k]).all(axis=1)
+        for i, row in enumerate(sums.reshape(k, k))]))
 
 
 @_needs_frobenius
 def _dual_meet_join(ws: Workspace):
-    """dual(A & B) = dual(A) + dual(B); each column's meets A & b are
-    one `&` and its sums of duals one kernel call."""
+    """dual(A & B) = dual(A) + dual(B), compared by forms. Each column's
+    meets A & b are one `&`, read from the census by mask key, and the
+    sums of duals of all pairs are one batched reduction."""
     R = ws.right_ideals
     duals = [ws.dual(a) for a in R]
-    return _pair_columns((_sumset(duals, ws.dual(b))[0] == ws.dual_rows(
-        ws.right_masks & b.mask, "right")).all(axis=1) for b in R)
+    meets = np.column_stack([ws.census_rows(ws.right_masks & b.mask, "right")
+                             for b in R])
+    forms = np.array([d.form for d in duals])
+    return _tally("ideal pairs", (),
+                  results=(pair_sums(duals) == forms[meets]).all(axis=-1))
 
 
 _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (
@@ -130,10 +130,12 @@ def _lcp_biconditional(ws: Workspace):
 
 
 def _direct_sum(code: CodeSet, pieces: list[CodeSet]) -> bool:
-    """The spans of the parts regenerate the member, as a direct sum."""
+    """The spans of the parts regenerate the member, as a direct sum:
+    the sum of their forms is the member's."""
     if not pieces:
         return code.cardinality == 1
-    return (reduce(ideal_sum, pieces).same_set(code)
+    total = reduce(code.alg.sum_forms, (p.form[None] for p in pieces))
+    return (np.array_equal(total[0], code.form)
             and math.prod(p.cardinality for p in pieces) == code.cardinality)
 
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
+from .errors import ConstructionError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, ann_left, ann_right, dual_code,
@@ -60,13 +61,14 @@ class Workspace:
     on first use and then held for the rest of the run.
 
     Duals and annihilators that are members of a census computed so far
-    resolve to the member, so each member's basis is found once."""
+    resolve to the member, so each set's form is found once."""
 
     def __init__(self, built: BuiltInstance):
         self.built = built
         self.alg: GroupAlgebra = built.algebra
-        # each side's census members by mask key
-        self._members: dict[str, dict[bytes, CodeSet]] = {}
+        # each side's census positions by mask key and by form
+        self._rows: dict[str, dict[bytes, int]] = {}
+        self._forms: dict[str, dict[bytes, int]] = {}
         # by (side, mask key): the dual's orientation and the
         # projection's side claim follow the side
         self._duals: dict[tuple[str | None, bytes], CodeSet] = {}
@@ -85,7 +87,8 @@ class Workspace:
     def _census(self, side: str) -> list[CodeSet]:
         bound = self.built.census_bound
         census = enumerate_ideals(self.alg, side, bound)
-        self._members[side] = {c.key(): c for c in census}
+        self._rows[side] = {c.key(): i for i, c in enumerate(census)}
+        self._forms[side] = {c.form.tobytes(): i for i, c in enumerate(census)}
         return census
 
     @cached_property
@@ -102,7 +105,34 @@ class Workspace:
     def _member(self, code: CodeSet) -> CodeSet:
         """The census member with the code's side and mask, if that
         side's census is computed; else the code."""
-        return self._members.get(code.side, {}).get(code.key(), code)
+        i = self._rows.get(code.side, {}).get(code.key())
+        return code if i is None else self.ideals(code.side)[i]
+
+    def census_rows(self, masks: np.ndarray, side: str) -> np.ndarray:
+        """The census position of each row of a (k, |RG|) stack of one
+        side's masks, by its packed key; raises unless every row is a
+        member."""
+        self.ideals(side)           # the census, on first use
+        try:
+            return np.array([self._rows[side][key.tobytes()]
+                             for key in packed(masks)])
+        except KeyError:
+            raise ConstructionError(f"{self.alg.label}: a {side} set is not "
+                                    f"in the census") from None
+
+    def by_form(self, forms: np.ndarray, side: str
+                ) -> tuple[list[CodeSet], np.ndarray]:
+        """One side's census, then the set of each other form of `forms`
+        enumerated from it, and the position of each form's set there."""
+        codes = list(self.ideals(side))
+        at = dict(self._forms[side])
+        rows = np.empty(len(forms), dtype=np.intp)
+        for i, form in enumerate(forms):
+            rows[i] = at.setdefault(form.tobytes(), len(codes))
+            if rows[i] == len(codes):
+                codes.append(CodeSet(self.alg, self.alg.subgroup_mask(form),
+                                     side=side, form=form))
+        return codes, rows
 
     @cached_property
     def right_masks(self) -> np.ndarray:
@@ -192,19 +222,6 @@ class Workspace:
             ann = ann_right if side == "right" else ann_left
             got = self._anns[key] = self._member(ann(code, self.built.bound))
         return got
-
-    def dual_rows(self, masks: np.ndarray, side: str | None) -> np.ndarray:
-        """The dual of each row of a (k, |RG|) stack of one side's masks,
-        looked up by the row's packed key (one packbits call for the
-        stack) and computed through `dual` on a miss."""
-        out = np.empty_like(masks)
-        for i, key in enumerate(packed(masks)):
-            got = self._duals.get((side, key.tobytes()))
-            if got is None:
-                got = self.dual(self._member(CodeSet(self.alg, masks[i],
-                                                     side=side)))
-            out[i] = got.mask
-        return out
 
     def projection(self, code: CodeSet) -> CodeSet:
         """The code's image in the residue algebra."""

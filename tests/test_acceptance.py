@@ -19,8 +19,8 @@ from glab.errors import ConstructionError
 from glab.finring import frobenius
 from glab.grp import CayleyGroup, build_group
 from glab.idem import is_idempotent
-from glab.ideals import dual_code, enumerate_ideals, span
-from glab.lcp import is_lcp, lcp_certificate, lcp_scan
+from glab.ideals import dual_code, span
+from glab.lcp import is_lcp, lcp_certificate
 from glab.verify import verify_all
 from glab.workspace import FAIL, PASS
 
@@ -273,8 +273,7 @@ def test_10_negative_controls():
         verdict = frobenius(ut)
         assert verdict.status == "not-frobenius" and verdict.character is None
 
-        alg = fixture_algebra("f2c2")
-        pairs = lcp_scan(enumerate_ideals(alg, "right"))
+        pairs = fixture_workspace("f2c2").pairs
         assert len(pairs) == 2
         sizes = sorted((p.c.cardinality, p.d.cardinality) for p in pairs)
         assert sizes == [(1, 4), (4, 1)]

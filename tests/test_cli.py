@@ -209,6 +209,34 @@ def test_bound_flag_reaches_every_scan(command, options, code):
         assert "exceeds the bound 2" in r.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--bound", "-1"), ("--bound", "0"),
+    ("--census-bound", "-1"), ("--census-bound", "0")])
+def test_nonpositive_bound_flags_exit_two(flag, value):
+    # as `bound = 0` in an instance file is, before any command runs
+    r = glab("ring-info", "fixtures/f2c2.glab", flag, value)
+    assert r.returncode == 2
+    assert (f"argument {flag}: must be a positive integer, got '{value}'"
+            in r.stderr)
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
+def test_malformed_env_cap_exits_two(value, monkeypatch, capsys):
+    message = f"GLAB_MAX_ELEMS must be a positive integer, got '{value}'"
+    r = glab("ring-info", "fixtures/f2c2.glab", env={"GLAB_MAX_ELEMS": value})
+    assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")
+    # refused before the instance is built
+    from glab import cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("an instance was built")
+    monkeypatch.setattr(cli, "build_instance", build)
+    monkeypatch.setenv("GLAB_MAX_ELEMS", value)
+    assert cli.main(["ring-info", "fixtures/f2c2.glab"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_memory_error_exits_three(monkeypatch, capsys):
     import glab.cli
 

@@ -147,7 +147,7 @@ def test_rows_match_scalar_ops(z4c3, f2s3):
         for a in rng.integers(0, alg.card, 4):
             a = int(a)
             mr, mc = alg.mul_row(a), alg.mul_col(a)
-            ar, sc = alg.add(a, np.arange(alg.card)), alg.sub_col(a)
+            ar, sc = alg.add(a, np.arange(alg.card)), alg.sub(np.arange(alg.card), a)
             for x in rng.integers(0, alg.card, 25):
                 x = int(x)
                 assert mr[x] == alg.mul(a, x)

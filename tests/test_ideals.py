@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import glab.ideals
 from glab.config import DEFAULT_CENSUS_BOUND
 from glab.errors import ConstructionError, ScaleError
-from glab.finring import MatrixRing, PolyQuot, Zmod, build_ring
+from glab.finring import MatrixRing, PolyQuot, ProductRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import (CyclicGroup, ProductGroup, SymmetricGroup, build_group)
-from glab.ideals import (CodeSet, additive_basis, ann_left, ann_right,
-                         ann_right_of_element, dual_code,
-                         enumerate_ideals, ideal_sum, principal,
+from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
+                         dual_code, enumerate_ideals, ideal_sum, principal,
                          principal_ideals, side_closed, span)
 
 from desk import FIXTURE_NAMES, fixture_algebra
@@ -26,8 +24,14 @@ def _alg(ring_spec, group_spec):
 
 
 def audit_ideal(code: CodeSet) -> None:
-    """Full closure audit: additive subgroup plus the declared side."""
-    code.basis      # raises unless additively closed
+    """Full closure audit: additive subgroup plus the declared side. The
+    form is found again from the elements, which are closed exactly when
+    it has as many elements as the mask, and it is the form the set
+    carries."""
+    form = code.alg.subgroup_form(code.elements())
+    if code.alg.form_rows(form)[1] != code.cardinality:
+        raise ConstructionError(f"{code.alg.label}: set is not additively closed")
+    assert np.array_equal(form, code.form)
     if code.side is not None and not side_closed(code, code.side):
         raise ConstructionError(
             f"{code.alg.label}: set not closed under {code.side} multiplication")
@@ -66,7 +70,7 @@ def test_span_frozen_f3c2(f3c2):
     c = span(f3c2, [8], "right")
     assert list(c.elements()) == [0, 4, 8]
     assert c.cardinality == 3
-    assert c.contains(4) and not c.contains(1)
+    assert c.mask[4] and not c.mask[1]
     audit_ideal(c)
 
 
@@ -116,20 +120,22 @@ def test_audit_rejects_wrong_side_claim():
 
 
 def test_additive_basis_spans_and_is_small(f2s3):
+    # the rows of the form, lifted back to RG, are an additive basis
     c = span(f2s3, [f2s3.encode([1, 1, 0, 0, 0, 0])], "right")
-    basis = additive_basis(f2s3, c.mask)
+    basis = f2s3.form_rows(c.form)[0]
     assert 2 ** len(basis) == c.cardinality  # char 2: basis is F2-linear
     rebuilt = span(f2s3, basis, "right")
     assert rebuilt.same_set(c)
+    assert np.array_equal(_naive_subgroup(f2s3, basis.tolist()), c.mask)
 
 
 def test_additive_basis_rejects_unclosed_set(f2c2):
     mask = np.zeros(f2c2.card, dtype=bool)
     mask[0] = True
-    mask[1] = True  # {0, 1} is not additively closed over F2C2? 1+1=0, closed.
+    mask[1] = True  # {0, 1} is additively closed over F2C2: 1 + 1 = 0
     mask[2] = True  # adding a lone extra element breaks closure
-    with pytest.raises(ConstructionError):
-        additive_basis(f2c2, mask)
+    with pytest.raises(ConstructionError, match="not additively closed"):
+        CodeSet(f2c2, mask).form
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +338,7 @@ def test_annihilator_tables_are_gated_before_they_are_built(f3c2):
 # principality
 
 def _least_generator(code):
-    got = principal_ideals(code.alg, code.side).get(code.key())
-    return got.generators[0] if got is not None else None
+    return principal_ideals(code.alg, code.side).get(code.key())
 
 
 def test_is_principal_frozen(f3c2):
@@ -366,8 +371,8 @@ def test_principal_reads_the_side_table_once_built(monkeypatch):
         for u, code in zip(alg.elements, before[side]):
             got = principal(alg, u, side)
             assert got.same_set(code)
-            assert (got.side, got.generators) == (side, (u,))
-            assert table[got.key()].generators == (least[u],)
+            assert got.side == side
+            assert table[got.key()] == least[u]
         monkeypatch.undo()
 
 
@@ -448,22 +453,22 @@ def test_census_matches_brute_force(name):
         census = enumerate_ideals(alg, side)
         assert {c.mask.tobytes() for c in census} == found
         assert len(census) == len(found)
+        table = principal_ideals(alg, side)
         for c in census:
             audit_ideal(c)
             assert c.side == side
-            if c.mask.tobytes() in least:
-                assert c.generators == (least[c.mask.tobytes()],)
+            assert table.get(c.key()) == least.get(c.mask.tobytes())
 
 
 def test_census_of_m2f2c3_forms_no_sum(monkeypatch):
     # every sum of a member and a principal ideal is a member already
     # known by its size, or the generator lies in the member, so the
-    # census never calls the sum kernel
+    # census never sums two forms
     alg = fixture_algebra("m2f2c3")
     sums = []
-    sumset = glab.ideals._sumset
-    monkeypatch.setattr(glab.ideals, "_sumset",
-                        lambda ops, b: sums.append((ops, b)) or sumset(ops, b))
+    sum_forms = GroupAlgebra.sum_forms
+    monkeypatch.setattr(GroupAlgebra, "sum_forms", lambda self, a, b: (
+        sums.append((a, b)) or sum_forms(self, a, b)))
     assert len(enumerate_ideals(alg, "right", bound=alg.card)) == 35
     assert sums == []
 
@@ -499,9 +504,9 @@ def test_sumset_of_random_subgroups(request, name):
         naive = np.zeros(alg.card, dtype=bool)
         naive[[_naive_add(alg, a, b) for a in np.flatnonzero(amask)
                for b in np.flatnonzero(bmask)]] = True
-        (got,), _ = glab.ideals._sumset([CodeSet(alg, amask)],
-                                        CodeSet(alg, bmask))
-        assert np.array_equal(got, naive)
+        got = ideal_sum(CodeSet(alg, amask), CodeSet(alg, bmask))
+        assert np.array_equal(got.mask, naive)
+        assert np.array_equal(got.form, alg.subgroup_form(np.flatnonzero(naive)))
         # some b of order 4 modulo A: A + b and A + 2b are both new cosets
         deep += any(not amask[b] and not amask[_naive_add(alg, b, b)]
                     for b in np.flatnonzero(bmask))
@@ -514,17 +519,21 @@ def test_sumset_rejects_an_unclosed_operand(z4c3):
     bad[[0, x]] = True
     good = span(z4c3, [x], "right")
     for a, b in ((bad, good.mask), (good.mask, bad)):
-        with pytest.raises(ConstructionError):
-            glab.ideals._sumset([CodeSet(z4c3, a)], CodeSet(z4c3, b))
+        with pytest.raises(ConstructionError, match="not additively closed"):
+            ideal_sum(CodeSet(z4c3, a), CodeSet(z4c3, b))
 
 
-# small group algebras over Zmod and PolyQuot rings; Z8 has elements of
-# additive order 8, so a coset chain S + x, S + 2x, ... runs long
+# small group algebras over Zmod, PolyQuot and product rings; Z8 has
+# elements of additive order 8, so a coset chain S + x, S + 2x, ... runs
+# long, and Z6, Z12 and Z2 x Z4 have coordinates of mixed moduli
 _SMALL = {
     "Z2C3": (Zmod(2), CyclicGroup(3)),
     "Z3C3": (Zmod(3), CyclicGroup(3)),
     "Z4C2": (Zmod(4), CyclicGroup(2)),
     "Z8C2": (Zmod(8), CyclicGroup(2)),
+    "Z6C2": (Zmod(6), CyclicGroup(2)),
+    "Z12C2": (Zmod(12), CyclicGroup(2)),
+    "(Z2xZ4)C2": (ProductRing((Zmod(2), Zmod(4))), CyclicGroup(2)),
     "Z2C2xC2": (Zmod(2), ProductGroup((CyclicGroup(2), CyclicGroup(2)))),
     "GF(4)C2": (PolyQuot(2, (1, 1, 1)), CyclicGroup(2)),
 }
@@ -542,17 +551,19 @@ def _small(name):
 @settings(max_examples=80, deadline=None, database=None)
 @given(data=st.data())
 def test_stacked_sumset_of_random_subgroups(data):
+    # a stack of forms A_i against one form B, in one batched sum
     alg, add = _small(data.draw(st.sampled_from(sorted(_SMALL))))
     gens = st.lists(st.integers(0, alg.card - 1), max_size=3)
     ops = [CodeSet(alg, _naive_subgroup(alg, g))
            for g in data.draw(st.lists(gens, min_size=1, max_size=4))]
     b = CodeSet(alg, _naive_subgroup(alg, data.draw(gens)))
-    got, grew = glab.ideals._sumset(ops, b)
-    assert got.shape == (len(ops), alg.card)
-    for row, took, a in zip(got, grew, ops):
+    got = alg.sum_forms(np.array([a.form for a in ops]), b.form)
+    assert got.shape == (len(ops), len(b.form))
+    for form, a in zip(got, ops):
         naive = np.zeros(alg.card, dtype=bool)
         naive[add[np.ix_(a.elements(), b.elements())]] = True
-        assert np.array_equal(row, naive)
-        # the basis the kernel grew for the row generates it
-        basis = glab.ideals._grown_basis(a, b, took)
-        assert np.array_equal(_naive_subgroup(alg, list(basis)), row)
+        assert np.array_equal(alg.subgroup_mask(form), naive)
+        assert alg.form_rows(form)[1] == naive.sum()
+        # the rows of the form, lifted back to RG, generate the sum
+        assert np.array_equal(
+            _naive_subgroup(alg, alg.form_rows(form)[0].tolist()), naive)

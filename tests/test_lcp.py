@@ -9,8 +9,9 @@ from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import enumerate_idempotents
 from glab.ideals import CodeSet, enumerate_ideals, span
-from glab.lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
-                      lcp_scan, project_code, refine_certificate)
+from glab.lcp import (is_lcp, lcp_certificate, lcp_matrix,
+                      lcp_residue_correspondence, lcp_scan, project_code,
+                      refine_certificate)
 from glab.workspace import certificate_splits, hat_transfer
 
 from desk import fixture_algebra, fixture_workspace
@@ -21,7 +22,9 @@ def _alg(ring_spec, group_spec):
 
 
 def _scan(alg, side="right"):
-    return lcp_scan(enumerate_ideals(alg, side))
+    census = enumerate_ideals(alg, side)
+    masks = np.array([c.mask for c in census])
+    return lcp_scan(census, lcp_matrix(masks, masks))
 
 
 def _refine(c, d):

@@ -14,14 +14,18 @@ RG exactly as the subgroups do, on the desk and lattice instances and
 on drawn algebras, each kernel table must reduce one row per class of
 the other side's images, and the principal-ideal and check-element
 tables must equal the ordered per-element passes over the product
-table. Every translation map x -> x - b must equal the difference taken
+table, and each class's key must be the canonical form of its mask's
+elements. Every translation x -> x - b must equal the difference taken
 coefficient by coefficient with the ring's addition, and be a
-permutation. The annihilators of elements and of sets are compared
+permutation; the subgroup that elements generate, enumerated from its
+form, must be their closure under those differences, and adding the
+forms of two halves of them must give the form of the whole. The
+annihilators of elements and of sets are compared
 with the zeros of the product table on the same instances, and
 dropping one class from their meet must fail the annihilator laws. Every sum of two members of
 the ideal census, formed with the ring's addition, must be a member
-again, and the stacked sum kernel must give those sums for the census
-and for its duals. The principal-ideal tables are compared with a
+again, and the batched sum of forms must give those sums for the
+census and for its duals. The principal-ideal tables are compared with a
 brute-force principality test, the complementarity matrix with the
 definition on element sets, and the element-annihilator law with a
 per-element count. Ideal and idempotent counts of semisimple and
@@ -55,8 +59,8 @@ from glab.finring import (MatrixRing, ProductRing, RadicalQuotient, TableRing,
 from glab.galg import GroupAlgebra
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
-from glab.ideals import (CodeSet, _grown_basis, _sumset, ann_left, ann_right,
-                         ann_right_of_element, dual_code, enumerate_ideals,
+from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
+                         dual_code, enumerate_ideals, pair_sums, principal,
                          principal_ideals)
 from glab.idem import (_sub_idempotent, enumerate_idempotents,
                        idempotent_census)
@@ -254,8 +258,8 @@ def test_scans_match_brute_force(name):
             if int((c.mask & d.mask).sum()) != 1 or (
                     c.cardinality * d.cardinality != alg.card):
                 continue
-            hits = [int(x) for x in c.elements() if d.contains(alg.encode(
-                ring.add[list(one), ring.neg[list(alg.decode(int(x)))]]))]
+            hits = [int(x) for x in c.elements() if d.mask[alg.encode(
+                ring.add[list(one), ring.neg[list(alg.decode(int(x)))]])]]
             assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
                                              else None)
     # the first other nonzero idempotent f with ef = fe = f; e is
@@ -354,7 +358,7 @@ def assert_keys_partition_like_masks(alg, table):
             classes = _partition(np.packbits(masks, axis=1))
             assert _partition(alg.canonical_keys(every, side, kernel)) == classes
             assert alg.canonical_classes(side, kernel)[0].tolist() == classes
-            leasts, got = alg.classes(side, kernel)
+            leasts, _, got = alg.classes(side, kernel)
             assert leasts.tolist() == sorted(set(classes))
             assert np.array_equal(got, masks[leasts])
 
@@ -377,6 +381,22 @@ def test_canonical_keys_partition_like_masks(name):
         table, _ = _tables(name)
         assert np.array_equal(product_table(alg), table)
     assert_keys_partition_like_masks(alg, table)
+
+
+@pytest.mark.parametrize("name", _DESK + _LATTICE + ["m2f2c3"])
+def test_class_keys_are_the_forms_of_their_masks(name):
+    # one key per subgroup: the key of each image and kernel class, from
+    # the matrix of one map, is the form reduced from all the elements
+    # of the class's mask
+    alg = (_lattice_workspace(name).alg if name in _LATTICE
+           else fixture_algebra(name))
+    for side in ("right", "left"):
+        for kernel in (False, True):
+            _, keys, masks = alg.classes(side, kernel)
+            for key, mask in zip(keys, masks):
+                form = alg.subgroup_form(np.flatnonzero(mask))
+                assert np.array_equal(form, key)
+                assert alg.form_rows(form)[1] == mask.sum()
 
 
 _KEY_RINGS = [Zmod(4), Zmod(8), Zmod(9), Zmod(6), Zmod(12),
@@ -463,10 +483,30 @@ def difference_rows(alg, bs):
 
 
 def assert_translations_match_the_definition(alg, bs):
-    for b, want in zip(bs, difference_rows(alg, bs)):
-        got = alg.sub_col(b)
+    """x - b from the sum kernel for every x and each b, the subgroup
+    the bs generate, enumerated from its form, and the sum of the forms
+    of two halves of the bs, each against the closure of {0} under the
+    coefficientwise differences."""
+    wants = difference_rows(alg, bs)
+    for b, want in zip(bs, wants):
+        got = alg.sub(np.arange(alg.card), b)
         assert np.array_equal(got, want)
         assert np.array_equal(np.sort(got), np.arange(alg.card))
+    closure = np.arange(alg.card) == 0
+    while True:
+        grown = closure.copy()
+        for want in wants:
+            grown[want[grown]] = True
+        if np.array_equal(grown, closure):
+            break
+        closure = grown
+    form = alg.subgroup_form(bs)
+    assert np.array_equal(alg.subgroup_mask(form), closure)
+    assert alg.form_rows(form)[1] == closure.sum()
+    half = len(bs) // 2
+    halves = [alg.subgroup_form(bs[:half] or [0]), alg.subgroup_form(bs[half:])]
+    assert np.array_equal(alg.sum_forms(halves[0][None], halves[1][None])[0],
+                          form)
 
 
 @pytest.mark.parametrize("name", _DESK + _LATTICE + ["m2f2c3"])
@@ -518,7 +558,7 @@ def test_principal_and_check_tables_match_the_ordered_passes(name):
     table, _ = _tables(name)
     for side in ("right", "left"):
         got = principal_ideals(alg, side, DEFAULT_OP_BOUND)
-        assert [(key, c.generators[0]) for key, c in got.items()] == list(
+        assert list(got.items()) == list(
             ordered_principal_pass(table, side).items())
     assert list(check_elements(alg, DEFAULT_OP_BOUND).items()) == list(
         ordered_check_pass(table).items())
@@ -543,12 +583,10 @@ def test_principal_tables_match_brute_force(name):
                  + [d for d in map(ws.dual, ws.ideals(side)) if d.side == side])
         assert {c.side for c in codes} == {side}
         for code in codes:
-            got = principals.get(code.key())
-            assert (got.generators[0] if got is not None else None) == (
-                is_principal(code, table))
+            assert principals.get(code.key()) == is_principal(code, table)
         # and the table holds nothing else
-        assert all(is_principal(p, table) == p.generators[0]
-                   for p in principals.values())
+        assert all(is_principal(principal(ws.alg, u, side), table) == u
+                   for u in principals.values())
 
 
 def _complementary(card, codes):
@@ -661,8 +699,8 @@ def test_annihilators_match_the_definition(name):
 
 
 def _principal_codes(alg):
-    return [c for side in ("right", "left")
-            for c in principal_ideals(alg, side).values()]
+    return [principal(alg, u, side) for side in ("right", "left")
+            for u in principal_ideals(alg, side).values()]
 
 
 @pytest.mark.parametrize("spec", _KEY_RINGS, ids=repr)
@@ -685,8 +723,9 @@ def test_annihilators_of_drawn_algebras(alg):
 def test_dropping_a_class_from_the_meet_fails_the_annihilator_laws(
         monkeypatch):
     # Z4C3 is local and Frobenius, so every law runs; unbroken, only the
-    # residue biconditional, false as stated, fails. With the last basis
-    # element's class left out of every meet of two or more, each law
+    # residue biconditional, false as stated, fails. With the class of
+    # the first row of the form left out of every meet of two or more
+    # (no other row spans it: it alone has its pivot column), each law
     # that reads an annihilator of an ideal fails
     def failing():
         return {l.check_id for l in verify_all(fixture_workspace("z4c3")).lines
@@ -696,7 +735,7 @@ def test_dropping_a_class_from_the_meet_fails_the_annihilator_laws(
 
     def dropped(alg, elems, side, bound):
         elems = list(elems)
-        return meet(alg, elems[:-1] if len(elems) > 1 else elems, side, bound)
+        return meet(alg, elems[1:] if len(elems) > 1 else elems, side, bound)
     monkeypatch.setattr(glab.ideals, "_annihilator", dropped)
     assert failing() == {
         "residue-lcp.biconditional", "checkable-routes.dual-hat-ann",
@@ -741,36 +780,34 @@ def test_census_is_closed_under_naive_sums(name):
                         == a.cardinality * b.cardinality)
 
 
-def _naive_span(add, basis):
-    """The additive span of a basis, each element outside the span of
-    those before it."""
-    span = {0}
-    for x in basis:
-        assert x not in span
-        frontier = span
-        while frontier := {int(add[z, x]) for z in frontier} - span:
-            span = span | frontier
-    return span
-
-
 @pytest.mark.parametrize("name", _DESK)
 def test_stacked_sumset_matches_naive_sums(name):
     # every ordered pair of right-ideal census members, and of their
-    # duals as bare sets (over M2(Z2) a dual need not be an ideal); each
-    # column b is one kernel call over the whole stack, and the basis it
-    # grows for each row spans the row
+    # duals as bare sets (over M2(Z2) a dual need not be an ideal), in
+    # one batched sum of forms each; each sum enumerated from its form,
+    # and the rows of its form, lifted back to RG, generate it
     alg = fixture_algebra(name)
     add = _naive_addition(name)
     census = enumerate_ideals(alg, "right")
     duals = [CodeSet(alg, dual_code(c).mask) for c in census]
     for stack in (census, duals):
-        for b in stack:
-            masks, grew = _sumset(stack, b)
-            assert np.array_equal(masks, [
-                _naive_sumset(add, a, b) for a in stack])
-            for a, mask, took in zip(stack, masks, grew):
-                assert _naive_span(add, _grown_basis(a, b, took)) == set(
-                    np.flatnonzero(mask))
+        for a, row in zip(stack, pair_sums(stack)):
+            for b, form in zip(stack, row):
+                naive = _naive_sumset(add, a, b)
+                assert np.array_equal(alg.subgroup_mask(form), naive)
+                assert np.array_equal(_naive_closure(
+                    add, alg.form_rows(form)[0]), naive)
+
+
+def _naive_closure(add, gens):
+    """The additive closure of gens, as a mask, by the addition table."""
+    mask = np.arange(len(add)) == 0
+    while True:
+        grown = mask.copy()
+        grown[add[np.flatnonzero(mask)][:, gens].ravel()] = True
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
 
 
 # ---------------------------------------------------------------------------

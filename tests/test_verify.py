@@ -3,7 +3,6 @@
 import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,11 +341,20 @@ def test_wrong_slot_dual_fails_the_dual_audit(monkeypatch):
 
 
 def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
-    # a kernel that skips B's last basis element leaves some A + B short;
-    # over F3 the dual of a short sum is larger than dual(A) & dual(B)
-    sumset = glab.ideals._sumset
-    monkeypatch.setattr(glab.verify, "_sumset", lambda ops, b: sumset(
-        ops, SimpleNamespace(alg=b.alg, basis=b.basis[:-1])))
+    # a sum that drops the last row of B's form leaves some A + B short;
+    # over F3 the dual of a short sum is larger than dual(A) & dual(B),
+    # and a short sum of duals is smaller than the dual of the meet
+    def short(codes):
+        alg, k = codes[0].alg, len(codes)
+        forms = np.array([c.form for c in codes])
+        rows = forms.copy().reshape(k, -1, len(alg.ring.moduli) * alg.group.order)
+        for form in rows:
+            nonzero = np.flatnonzero(form.any(axis=1))
+            form[nonzero[-1:]] = 0
+        return alg.sum_forms(np.repeat(forms, k, axis=0),
+                             np.tile(rows.reshape(k, -1), (k, 1))
+                             ).reshape(k, k, -1)
+    monkeypatch.setattr(glab.verify, "pair_sums", short)
     fails = _fails(_report("f3c2"))
     assert fails == {
         "dual-lattice.sum-meet": "5/16 ideal pairs fail; first at pair (0, 1)",
