@@ -23,8 +23,7 @@ import numpy as np
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError
 from .galg import GroupAlgebra
-from .ideals import (CodeSet, annihilator_classes, ann_right_of_element,
-                     check_scale, packed, span)
+from .ideals import CodeSet, ann_right_of_element, check_scale, span
 from .records import record
 
 
@@ -56,22 +55,21 @@ class CheckabilityVerdict(NamedTuple):
 
 def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     """The least u with Ann_r(u) = C for every right annihilator C of an
-    element, keyed by C's mask key, in the order of those u; the whole
-    of RG is classified first, gated by `bound`.
+    element, keyed by C's key, in the order of those u; the whole of RG
+    is classified first, gated by `bound`.
 
-    The classes and masks are `ideals.annihilator_classes`, found with
-    no principal-ideal table: the least generator of each left principal
-    ideal RG*u, from the keys of the left images (Ann_r(u) depends on
-    RG*u alone), is reduced to a canonical form of its annihilator, and
-    each class's mask is enumerated from its form, so no map is
-    computed.
+    These are the classes of `GroupAlgebra.classes` of the right
+    kernels, found with no principal-ideal table: the least generator
+    of each left principal ideal RG*u, from the keys of the left images
+    (Ann_r(u) depends on RG*u alone), is reduced to the key of its
+    annihilator, so no map is computed.
     """
     check_scale(alg, bound, "check-element scan")
-    least, masks, _ = annihilator_classes(alg, "right", bound)
-    return {key.tobytes(): u for u, key in zip(least.tolist(), packed(masks))}
+    leasts, keys, _ = alg.classes("right", kernel=True)
+    return {key.tobytes(): u for u, key in zip(leasts.tolist(), keys)}
 
 
-# each side's `principal_ideals`: least generators by mask key
+# each side's `principal_ideals`: least generators by key
 Principals = dict[str, dict[bytes, int]]
 
 

@@ -246,13 +246,6 @@ class Ring:
             total += c * int(w)
         return total
 
-    # -- scalar arithmetic -------------------------------------------------
-    def a(self, x: int, y: int) -> int:
-        return int(self.add[x, y])
-
-    def m(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
-
     @property
     def elements(self) -> range:
         return range(self.card)

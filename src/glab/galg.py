@@ -83,11 +83,9 @@ class GroupAlgebra:
         self._fixed: dict[tuple[bool, int], np.ndarray] = {}
         # `canonical_classes` by (side, kernel)
         self._least: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # each side's principal ideals by least generator, and its
-        # kernel classes (`classes` with `kernel`), kept by
-        # glab.ideals.principal_ideals and glab.ideals.annihilator_classes
+        # each side's principal ideals by least generator, kept by
+        # glab.ideals.principal_ideals
         self.principal_sets: dict[str, dict] = {}
-        self.annihilator_sets: dict[str, tuple[np.ndarray, ...]] = {}
 
     # -- codec ---------------------------------------------------------------
     def decode(self, x: int) -> tuple[int, ...]:
@@ -248,14 +246,6 @@ class GroupAlgebra:
             self._hat_all = self._index(self.coeffs[:, self.group.inv])
         return self._hat_all
 
-    def form_row(self, a: int) -> np.ndarray:
-        """Ring indices of <a, x> for every x."""
-        return self._form(self.coeffs[a], self.coeffs)
-
-    def form_col(self, b: int) -> np.ndarray:
-        """Ring indices of <x, b> for every x."""
-        return self._form(self.coeffs, self.coeffs[b])
-
     # -- centrality -------------------------------------------------------------
     def central(self, elems) -> np.ndarray:
         """Whether each element commutes with all of RG.
@@ -307,34 +297,45 @@ class GroupAlgebra:
         x -> u*x (side "right", the ideal uRG) or x -> x*u ("left", RGu),
         or with `kernel` for its kernel (Ann_r(u), Ann_l(u)): two
         elements share a key exactly when the two subgroups are equal.
-        Batched over `us` in chunks; see `_subgroup_keys`."""
-        us = np.asarray(us, dtype=np.int64)
-        c = len(self._moduli)
-        step = max(1, KEY_CHUNK_ENTRIES // (3 * c * c * (2 if kernel else 1)))
-        return np.concatenate([
-            _subgroup_keys(self._basis_images(us[i:i + step], side),
-                           self._moduli, kernel)
-            for i in range(0, len(us), step)])
+        For a stack of rows of elements, one key per row: the sum of
+        their images (the ideal they generate) or the meet of their
+        kernels (their annihilator), the kernel of their maps side by
+        side. Batched in chunks; see `_subgroup_keys`."""
+        us = np.asarray(us, dtype=np.int64).reshape(len(us), -1)
+        r, c = us.shape[1], len(self._moduli)
+
+        def keys(u: np.ndarray) -> np.ndarray:
+            maps = self._basis_images(u.ravel(), side).reshape(-1, r, c, c)
+            if not kernel:
+                return _subgroup_keys(maps.reshape(-1, r * c, c), self._moduli)
+            return _subgroup_keys(maps.transpose(0, 2, 1, 3).reshape(-1, c, r * c),
+                                  self._moduli, self._moduli * r)
+        return _chunks(keys, 3 * r * c * c * (2 if kernel else 1), us)
 
     def subgroup_form(self, elems) -> np.ndarray:
-        """The key of the subgroup the elements generate: one reduction
-        of the matrix of their coordinates."""
-        coords = self.ring.coords[self.coeffs[elems]].reshape(len(elems), -1)
-        return _subgroup_keys(coords[None], self._moduli, False)[0]
+        """The key of the subgroup the elements generate, one reduction
+        of the matrix of their coordinates; for a stack of rows of
+        elements, the key of each row's, in one batched reduction."""
+        elems = np.asarray(elems, dtype=np.int64)
+        rows = np.atleast_2d(elems)
+        coords = self.ring.coords[self.coeffs[rows]].reshape(
+            len(rows), rows.shape[1], len(self._moduli))
+        keys = _subgroup_keys(coords, self._moduli)
+        return keys if elems.ndim > 1 else keys[0]
 
     def sum_forms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The key of A + B for each pair of rows of two stacks of keys
         (or of a stack and one key): per p-part, the Howell form of the
         two forms stacked, in chunks as in `canonical_keys`."""
-        a, b = np.broadcast_arrays(a, b)
-        n, c = len(a), len(self._moduli)
-        w = np.concatenate([a.reshape(n, -1, c, c), b.reshape(n, -1, c, c)],
-                           axis=2)
-        step = max(1, KEY_CHUNK_ENTRIES // (3 * c * c))
-        return np.stack([np.concatenate([
-            _howell(w[i:i + step, k], p, e) for i in range(0, n, step)])
-            for k, (p, e, _, _) in enumerate(_prime_parts(self._moduli))],
-            axis=1).reshape(n, -1).astype(np.uint16)
+        c = len(self._moduli)
+
+        def keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            w = np.concatenate([a.reshape(len(a), -1, c, c),
+                                b.reshape(len(b), -1, c, c)], axis=2)
+            return np.stack([_howell(w[:, k], p, e) for k, (p, e, _, _)
+                             in enumerate(_prime_parts(self._moduli))],
+                            axis=1).reshape(len(a), -1).astype(np.uint16)
+        return _chunks(keys, 3 * c * c, *np.broadcast_arrays(a, b))
 
     def form_rows(self, key: np.ndarray) -> tuple[np.ndarray, int]:
         """The elements whose coordinates are the nonzero rows of the
@@ -342,6 +343,35 @@ class GroupAlgebra:
         subgroup, and the number of elements of the subgroup."""
         rows, counts = _form_rows(key, self._moduli)
         return rows @ self._coordinate_basis, math.prod(counts.tolist())
+
+    def stacked_rows(self, keys: np.ndarray) -> np.ndarray:
+        """The `form_rows` elements of each key of a stack, one row per
+        key, padded with 0 to a common length of at least 1."""
+        rows = [self.form_rows(key)[0] for key in keys]
+        out = np.zeros((len(rows), max(1, *map(len, rows))), dtype=np.int64)
+        for i, r in enumerate(rows):
+            out[i, :len(r)] = r
+        return out
+
+    def dual_keys(self, keys: np.ndarray, left) -> np.ndarray:
+        """The key of the dual {a : <a, b> = 0 for every b} of each
+        subgroup of a stack of keys, or where `left` is set of
+        {a : <b, a> = 0}: the kernel of a -> (<a, b_1>, ..., <a, b_r>)
+        over the rows b_t of the form, which by biadditivity stand for
+        the whole set. Coordinate unit e_j goes to the coordinates of
+        <e_j, b_t> (<b_t, e_j>), from one batched `_form` per slot; in
+        chunks as in `canonical_keys`."""
+        rows = self.stacked_rows(keys)
+        r, c = rows.shape[1], len(self._moduli)
+        basis = self.coeffs[self._coordinate_basis][None, :, None]
+
+        def kernel(rows: np.ndarray, left: np.ndarray) -> np.ndarray:
+            gens = self.coeffs[rows][:, None]
+            pairs = np.where(left[:, None, None], self._form(gens, basis),
+                             self._form(basis, gens))
+            return _subgroup_keys(self.ring.coords[pairs].reshape(len(rows), c, -1),
+                                  self._moduli, self.ring.moduli * r)
+        return _chunks(kernel, 3 * r * c * c, rows, np.asarray(left))
 
     def subgroup_mask(self, key: np.ndarray) -> np.ndarray:
         """The subgroup with this key as a mask, enumerated from it; the
@@ -358,11 +388,11 @@ class GroupAlgebra:
     def classes(self, side: str, kernel: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The least element of each class of `canonical_classes`,
-        ascending, and the key and the mask of the image (or kernel) the
-        class shares, one row each; no member's map is computed."""
+        ascending, and the key of the image (or kernel) the class shares,
+        one row each; and the row of every element's class."""
         least, keys = self.canonical_classes(side, kernel)
-        return (np.flatnonzero(least == np.arange(self.card)), keys,
-                np.array([self.subgroup_mask(key) for key in keys]))
+        leasts = np.flatnonzero(least == np.arange(self.card))
+        return leasts, keys, np.searchsorted(leasts, least)
 
     def canonical_classes(self, side: str, kernel: bool = False
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -411,6 +441,14 @@ class GroupAlgebra:
 
 # entries of the working matrices per chunk of `canonical_keys`
 KEY_CHUNK_ENTRIES = 1 << 18
+
+
+def _chunks(keys, entries: int, *stacks: np.ndarray) -> np.ndarray:
+    """keys() of the stacks, sliced alike along their first axis into
+    chunks of KEY_CHUNK_ENTRIES / `entries` rows, concatenated."""
+    step = max(1, KEY_CHUNK_ENTRIES // entries)
+    return np.concatenate([keys(*(s[i:i + step] for s in stacks))
+                           for i in range(0, len(stacks[0]), step)])
 
 
 @cache
@@ -550,11 +588,13 @@ def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
 
 
 def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],
-                   kernel: bool) -> np.ndarray:
+                   image_moduli: tuple[int, ...] | None = None) -> np.ndarray:
     """Keys of the subgroups spanned by the rows of each (N, r, c)
-    matrix of coordinates, coordinate j taken modulo moduli[j]; or, with
-    `kernel` (r = c), of the kernel of the map sending the j-th
-    coordinate unit vector to row j.
+    matrix of coordinates, coordinate j taken modulo moduli[j]; or,
+    given `image_moduli` (with the prime powers of `moduli`), of the
+    kernel of the map sending the j-th coordinate unit vector to row j
+    of each (N, c, w) matrix, whose column i is taken modulo
+    image_moduli[i].
 
     A subgroup is the direct sum of its p-parts. A coordinate x of
     modulus m, with p^b exactly dividing m, enters the p-part as
@@ -562,18 +602,25 @@ def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],
     Z/p^a-module in (Z/p^a)^c, keyed by its Howell form, c rows of c
     entries. The kernel's p-part is read off the Howell form of the
     graph, the rows [image | domain]: its rows with a zero image part.
+    The columns of the image are linear forms on the domain, so any
+    generating set of the module they span has the same kernel; an
+    image wider than c is first cut to the c rows of the Howell form
+    of its transpose.
     """
-    n, _, c = images.shape
+    n, c = len(images), len(moduli)
     keys = []
-    for p, a, scale, _ in _prime_parts(moduli):
-        w = images * scale % p ** a
-        if kernel:
-            domain = np.broadcast_to(np.diag(scale), w.shape)
-            w = np.concatenate([w, domain], axis=2)
-        h = _howell(w, p, a)
-        if kernel:
-            image = h[:, :, :c].any(axis=2)
-            h = h[:, :, c:] * ~image[:, :, None]
+    for (p, a, scale, _), (_, _, image_scale, _) in zip(
+            _prime_parts(moduli), _prime_parts(image_moduli or moduli)):
+        if image_moduli is None:
+            h = _howell(images * scale % p ** a, p, a)
+        else:
+            w = images * image_scale % p ** a
+            if w.shape[2] > c:
+                w = _howell(w.transpose(0, 2, 1), p, a).transpose(0, 2, 1)
+            domain = np.broadcast_to(np.diag(scale), (n, c, c))
+            h = _howell(np.concatenate([w, domain], axis=2), p, a)
+            image = h[:, :, :w.shape[2]].any(axis=2)
+            h = h[:, :, w.shape[2]:] * ~image[:, :, None]
             h = np.take_along_axis(
                 h, np.argsort(image, axis=1, kind="stable")[:, :c, None], axis=1)
         keys.append(h.reshape(n, -1))

@@ -95,12 +95,6 @@ class Group:
             raise ConstructionError(f"{label}: table has an element with no inverse")
         self.inv = inv
 
-    def m(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
-
-    def i(self, x: int) -> int:
-        return int(self.inv[x])
-
     @property
     def elements(self) -> range:
         return range(self.order)

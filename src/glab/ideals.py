@@ -44,67 +44,68 @@ from .galg import GroupAlgebra
 
 
 class CodeSet:
-    """An additive subgroup of RG as a frozen boolean mask."""
+    """An additive subgroup of RG, identified by its canonical form."""
 
-    __slots__ = ("alg", "mask", "side", "_card", "_form", "_key")
+    __slots__ = ("alg", "form", "side", "_card", "_mask")
 
-    def __init__(self, alg: GroupAlgebra, mask: np.ndarray,
+    def __init__(self, alg: GroupAlgebra, mask: Optional[np.ndarray] = None,
                  side: Optional[str] = None, form: Optional[np.ndarray] = None):
         if side not in (None, "right", "left"):
             raise ConstructionError(f"unknown ideal side {side!r}")
         self.alg = alg
-        mask = np.asarray(mask, dtype=bool).copy()
-        if mask.shape != (alg.card,):
-            raise ConstructionError(
-                f"{alg.label}: mask has shape {mask.shape}, need ({alg.card},)")
-        if not mask[0]:
-            raise ConstructionError(f"{alg.label}: code set must contain 0")
-        mask.setflags(write=False)
-        self.mask = mask
         self.side = side
-        self._card = int(mask.sum())
-        self._form = form
-        self._key: Optional[bytes] = None
+        self._card: Optional[int] = None
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool).copy()
+            if mask.shape != (alg.card,):
+                raise ConstructionError(
+                    f"{alg.label}: mask has shape {mask.shape}, need ({alg.card},)")
+            if not mask[0]:
+                raise ConstructionError(f"{alg.label}: code set must contain 0")
+            mask.setflags(write=False)
+            self._card = int(np.count_nonzero(mask))
+            if form is None:
+                form = alg.subgroup_form(np.flatnonzero(mask))
+                if alg.form_rows(form)[1] != self._card:
+                    raise ConstructionError(
+                        f"{alg.label}: set is not additively closed")
+        self._mask = mask
+        self.form = form
 
     @property
     def cardinality(self) -> int:
+        if self._card is None:
+            self._card = self.alg.form_rows(self.form)[1]
         return self._card
 
     @property
-    def form(self) -> np.ndarray:
-        """The canonical form of the set (`GroupAlgebra.subgroup_form`):
-        the producer's, or else found from the elements on first use,
-        which raises if the set is not additively closed."""
-        if self._form is None:
-            form = self.alg.subgroup_form(self.elements())
-            if self.alg.form_rows(form)[1] != self._card:
-                raise ConstructionError(
-                    f"{self.alg.label}: set is not additively closed")
-            self._form = form
-        return self._form
+    def mask(self) -> np.ndarray:
+        """The set as a read-only boolean mask over RG: the producer's,
+        or else enumerated from the form on first use."""
+        if self._mask is None:
+            self._mask = self.alg.subgroup_mask(self.form)
+            self._mask.setflags(write=False)
+        return self._mask
 
     def elements(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
     def same_set(self, other: "CodeSet") -> bool:
-        return self.alg is other.alg and np.array_equal(self.mask, other.mask)
+        return self.alg is other.alg and np.array_equal(self.form, other.form)
 
     def key(self) -> bytes:
-        if self._key is None:
-            self._key = packed(self.mask).tobytes()
-        return self._key
+        return self.form.tobytes()
 
     def __repr__(self) -> str:
         side = self.side or "set"
-        return f"CodeSet({self.alg.label}, {side}, card={self._card})"
+        return f"CodeSet({self.alg.label}, {side}, card={self.cardinality})"
 
 
 # ---------------------------------------------------------------------------
 # masks and forms
 
 def packed(masks: np.ndarray) -> np.ndarray:
-    """Each row of a stack of masks packed eight columns to a byte, in
-    the bit order of `CodeSet.key`."""
+    """Each row of a stack of masks packed eight columns to a byte."""
     return np.packbits(masks, axis=-1, bitorder="little")
 
 
@@ -119,19 +120,41 @@ def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def containment(codes: list[CodeSet]) -> np.ndarray:
+    """Whether C_i lies within C_j, for every (i, j) of the codes: one
+    `overlaps` of the packed masks with their complements."""
+    masks = packed(np.array([c.mask for c in codes]))
+    return ~overlaps(masks, ~masks)
+
+
 def pair_sums(codes: list[CodeSet]) -> np.ndarray:
     """The form of C_i + C_j for every ordered pair of the codes, a
-    (k, k, key length) array. Where one code holds the other, which one
-    `overlaps` of the packed masks tells, the sum is the larger; the
-    other pairs i < j are one batched reduction, mirrored."""
+    (k, k, key length) array. Where one code holds the other, which
+    `containment` tells, the sum is the larger; the other pairs i < j
+    are one batched reduction, mirrored."""
     forms = np.array([c.form for c in codes])
-    masks = packed(np.array([c.mask for c in codes]))
-    inside = ~overlaps(masks, ~masks)           # C_i within C_j
+    inside = containment(codes)
     out = np.where(inside[:, :, None], forms[None], forms[:, None])
     i, j = np.nonzero(np.triu(~(inside | inside.T)))
     if len(i):
         out[i, j] = out[j, i] = codes[0].alg.sum_forms(forms[i], forms[j])
     return out
+
+
+def meets(codes: list[CodeSet]) -> np.ndarray:
+    """The position of C_i & C_j among the codes, for every (i, j), when
+    the codes are sorted by cardinality and hold every meet, as a full
+    census does: the largest code within both, from `containment`.
+    Raises unless that code holds every common element."""
+    inside = containment(codes)
+    k = len(codes)
+    at = k - 1 - (inside[::-1, :, None] & inside[::-1, None, :]).argmax(axis=0)
+    masks = packed(np.array([c.mask for c in codes]))
+    for i in range(k):
+        if (masks[i] & masks & ~masks[at[i]]).any():
+            raise ConstructionError(
+                f"{codes[0].alg.label}: a meet is not among the sets")
+    return at
 
 
 def side_closed(code: CodeSet, side: str) -> bool:
@@ -154,15 +177,12 @@ def side_closed(code: CodeSet, side: str) -> bool:
 
 def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
     """The one-sided principal ideal generated by u: read from the
-    side's table once `principal_ideals` has built it, else the image
-    of u's map, x -> u*x (right) or x -> x*u (left). The set is the same
-    either way; only whether a map is computed depends on the table."""
-    u = int(u)
+    side's table once `principal_ideals` has built it, else keyed as
+    the image of u's map, x -> u*x (right) or x -> x*u (left), by
+    `GroupAlgebra.canonical_keys`. The set is the same either way."""
     table = alg.principal_sets.get(side)
     if table is None:
-        mask = np.zeros(alg.card, dtype=bool)
-        mask[alg.mul_row(u) if side == "right" else alg.mul_col(u)] = True
-        return CodeSet(alg, mask, side=side)
+        return CodeSet(alg, side=side, form=alg.canonical_keys([u], side)[0])
     return table[int(alg.canonical_classes(side)[0][u])]
 
 
@@ -175,87 +195,85 @@ def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
     """
     if side not in ("right", "left"):
         raise ConstructionError(f"unknown ideal side {side!r}")
-    gens = [int(u) for u in generators]
-    if not gens:
-        return CodeSet(alg, np.arange(alg.card) == 0, side=side)
+    gens = [int(u) for u in generators] or [0]
     return reduce(ideal_sum, (principal(alg, u, side) for u in gens))
 
 
 def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
-    """A + B from the sum of the forms, its mask enumerated from it."""
+    """A + B, keyed by the sum of the forms."""
     if a.alg is not b.alg:
         raise ConstructionError("code sets live in different algebras")
     if a.side != b.side:
         raise ConstructionError(f"mixed sides: {a.side} vs {b.side}")
-    form = a.alg.sum_forms(a.form[None], b.form[None])[0]
-    return CodeSet(a.alg, a.alg.subgroup_mask(form), side=a.side, form=form)
+    return CodeSet(a.alg, side=a.side,
+                   form=a.alg.sum_forms(a.form[None], b.form[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # duals and annihilators
 
-def dual_code(code: CodeSet) -> CodeSet:
-    """The orthogonal set of the code under the coefficientwise form.
+def dual_code(codes: list[CodeSet]) -> list[CodeSet]:
+    """The orthogonal set of each code under the coefficientwise form.
 
     Right ideals and bare sets sit in the second slot ({a : <a,c> = 0});
-    left ideals sit in the first ({a : <c,a> = 0}). Biadditivity
-    reduces the filter to the rows of the set's form. The result keeps
-    the input's side when it is closed under that side.
+    left ideals sit in the first ({a : <c,a> = 0}). The forms are the
+    kernels of the pairings with the rows of the codes' forms, one
+    batched `GroupAlgebra.dual_keys`. Each result keeps its input's side
+    when it is closed under that side.
     """
-    alg = code.alg
-    mask = np.ones(alg.card, dtype=bool)
-    for b in alg.form_rows(code.form)[0].tolist():
-        row = alg.form_row(b) if code.side == "left" else alg.form_col(b)
-        mask &= row == 0
-    out = CodeSet(alg, mask)
-    if code.side is not None and side_closed(out, code.side):
-        out = CodeSet(alg, mask, side=code.side)
+    alg = codes[0].alg
+    keys = alg.dual_keys(np.array([c.form for c in codes]),
+                         [c.side == "left" for c in codes])
+    out = [CodeSet(alg, form=key) for key in keys]
+    for c, d in zip(codes, out):
+        if c.side is not None and side_closed(d, c.side):
+            d.side = c.side
     return out
 
 
-def annihilator_classes(alg: GroupAlgebra, side: str,
-                        bound: int = DEFAULT_OP_BOUND
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The classes of equal Ann_r(u) (side "right") or Ann_l(u) ("left")
-    over all u: the least element of each, ascending, the annihilator it
-    shares as a mask, one row each, and the row of every element. From
-    `GroupAlgebra.classes` of the kernels, gated by `bound` and built
-    once per algebra and side."""
+def hat_image(codes: list[CodeSet]) -> list[CodeSet]:
+    """The image of each code under the involution, which is additive:
+    the images of the rows of a form generate the image, keyed in one
+    batched reduction."""
+    alg = codes[0].alg
+    keys = alg.subgroup_form(
+        alg.hat_all()[alg.stacked_rows(np.array([c.form for c in codes]))])
+    return [CodeSet(alg, form=key) for key in keys]
+
+
+def ann_left(codes: list[CodeSet],
+             bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
+    """For each code, all a with a*c = 0 for every c in it, a left ideal:
+    the kernel of the maps x -> x*b of the rows b of its form, which
+    generate it, side by side."""
+    return _kernels(codes, "left", bound)
+
+
+def ann_right(codes: list[CodeSet],
+              bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
+    """For each code, all a with c*a = 0 for every c in it, a right
+    ideal: the kernel of the maps x -> b*x of the rows b of its form."""
+    return _kernels(codes, "right", bound)
+
+
+def _kernels(codes: list[CodeSet], side: str, bound: int) -> list[CodeSet]:
+    """The side annihilators of the codes, keyed by one batched
+    `GroupAlgebra.canonical_keys` of their forms' rows; gated by `bound`
+    as the annihilators of elements are."""
+    alg = codes[0].alg
     check_scale(alg, bound, "annihilator table")
-    got = alg.annihilator_sets.get(side)
-    if got is None:
-        least, _, masks = alg.classes(side, kernel=True)
-        rows = np.searchsorted(least, alg.canonical_classes(side, kernel=True)[0])
-        got = alg.annihilator_sets[side] = (least, masks, rows)
-    return got
-
-
-def _annihilator(alg: GroupAlgebra, elems, side: str, bound: int) -> np.ndarray:
-    """The mask of the side annihilator of the elements: the meet of
-    their classes' masks in `annihilator_classes`."""
-    _, masks, rows = annihilator_classes(alg, side, bound)
-    return np.logical_and.reduce(masks[rows[list(elems)]], axis=0)
-
-
-def ann_left(code: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CodeSet:
-    """All a with a*c = 0 for every c in the set; always a left ideal.
-    By biadditivity, the meet of Ann_l(b) over the rows b of the form."""
-    return CodeSet(code.alg, _annihilator(
-        code.alg, code.alg.form_rows(code.form)[0], "left", bound), side="left")
-
-
-def ann_right(code: CodeSet, bound: int = DEFAULT_OP_BOUND) -> CodeSet:
-    """All a with c*a = 0 for every c in the set; always a right ideal.
-    By biadditivity, the meet of Ann_r(b) over the rows b of the form."""
-    return CodeSet(code.alg, _annihilator(
-        code.alg, code.alg.form_rows(code.form)[0], "right", bound),
-        side="right")
+    rows = alg.stacked_rows(np.array([c.form for c in codes]))
+    return [CodeSet(alg, side=side, form=key)
+            for key in alg.canonical_keys(rows, side, kernel=True)]
 
 
 def ann_right_of_element(alg: GroupAlgebra, u: int,
                          bound: int = DEFAULT_OP_BOUND) -> CodeSet:
-    """All a with u*a = 0."""
-    return CodeSet(alg, _annihilator(alg, [u], "right", bound), side="right")
+    """All a with u*a = 0: the key of u's class in the table of right
+    kernels, `GroupAlgebra.classes`, gated by `bound`."""
+    check_scale(alg, bound, "annihilator table")
+    _, keys, rows = alg.classes("right", kernel=True)
+    return CodeSet(alg, side="right", form=keys[rows[u]])
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +301,10 @@ def principal_ideals(alg: GroupAlgebra, side: str,
     check_scale(alg, bound, "principal-ideal census")
     table = alg.principal_sets.get(side)
     if table is None:
+        leasts, keys, _ = alg.classes(side)
         table = alg.principal_sets[side] = {
-            u: CodeSet(alg, mask, side=side, form=form)
-            for u, form, mask in zip(*alg.classes(side))}
+            u: CodeSet(alg, side=side, form=key)
+            for u, key in zip(leasts.tolist(), keys)}
     return {c.key(): u for u, c in table.items()}
 
 
@@ -310,7 +329,7 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     principal_ideals(alg, side, bound)      # the table, gated by `bound`
     table = alg.principal_sets[side]
     gens, ps = np.array(list(table)), list(table.values())
-    found = {p.form.tobytes(): p for p in ps}
+    found = {p.key(): p for p in ps}
     stack = np.array([p.mask for p in ps])
     forms = np.array([p.form for p in ps])
     sizes = np.array([p.cardinality for p in ps])
@@ -341,4 +360,5 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
                 outside = np.vstack([outside, ~packed(s.mask)])
                 member_sizes = np.append(member_sizes, s.cardinality)
                 work.append(s)
-    return sorted(found.values(), key=lambda c: (c.cardinality, c.key()))
+    return sorted(found.values(),
+                  key=lambda c: (c.cardinality, packed(c.mask).tobytes()))

@@ -113,11 +113,14 @@ class ResidueTransfer(NamedTuple):
     lifted_certificate: int | None
 
 
-def project_code(rm: ResidueMap, code: CodeSet) -> CodeSet:
-    """Image of an ideal under the coefficientwise residue projection."""
-    mask = np.zeros(rm.residue.card, dtype=bool)
-    mask[rm.proj[code.elements()]] = True
-    return CodeSet(rm.residue, mask, side=code.side)
+def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
+    """The image of each ideal under the coefficientwise residue
+    projection, which is additive: the images of the rows of a form
+    generate the image, keyed in one batched reduction."""
+    keys = rm.residue.subgroup_form(
+        rm.proj[rm.base.stacked_rows(np.array([c.form for c in codes]))])
+    return [CodeSet(rm.residue, side=c.side, form=key)
+            for c, key in zip(codes, keys)]
 
 
 def lcp_residue_correspondence(c: CodeSet, d: CodeSet, rm: ResidueMap,

@@ -29,8 +29,8 @@ import numpy as np
 from .chk import ann_intersection_check
 from .errors import ConstructionError, FalsificationError
 from .galg import ResidueMap
-from .ideals import (CodeSet, annihilator_classes, pair_sums, principal,
-                     principal_ideals, span)
+from .ideals import (CodeSet, check_scale, hat_image, meets, pair_sums,
+                     principal, principal_ideals, span)
 from .idem import enumerate_idempotents, is_idempotent, lift_idempotent
 from .lcp import ResidueTransfer, lcp_certificate
 from .workspace import (FAIL, SKIP, CheckLine, Report, Workspace, _tally,
@@ -104,16 +104,14 @@ def _dual_sum_meet(ws: Workspace):
 
 @_needs_frobenius
 def _dual_meet_join(ws: Workspace):
-    """dual(A & B) = dual(A) + dual(B), compared by forms. Each column's
-    meets A & b are one `&`, read from the census by mask key, and the
-    sums of duals of all pairs are one batched reduction."""
+    """dual(A & B) = dual(A) + dual(B), compared by forms. The meets are
+    read from the census's containment (`meets`), and the sums of duals
+    of all pairs are one batched reduction."""
     R = ws.right_ideals
     duals = [ws.dual(a) for a in R]
-    meets = np.column_stack([ws.census_rows(ws.right_masks & b.mask, "right")
-                             for b in R])
     forms = np.array([d.form for d in duals])
     return _tally("ideal pairs", (),
-                  results=(pair_sums(duals) == forms[meets]).all(axis=-1))
+                  results=(pair_sums(duals) == forms[meets(R)]).all(axis=-1))
 
 
 _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (
@@ -158,8 +156,8 @@ def _refine_dual_of_sum(ws: Workspace):
     alg = ws.alg
     return _tally("complementary pairs", (
         (f"pair {k} (certificate {pair.certificate})",
-         np.array_equal(ws.dual(pair.c).mask,
-                        span(alg, [alg.hat(p) for p in pd], "right").mask))
+         ws.dual(pair.c).same_set(
+             span(alg, [alg.hat(p) for p in pd], "right")))
         for k, (pair, (_, pd)) in enumerate(zip(ws.pairs, ws.refinements))))
 
 
@@ -250,8 +248,13 @@ _checkable_dual_principal = _needs_frobenius(lambda ws: _tally(
     "right ideals", _ideals((c, v.dual_principal_matches)
                             for c, v in ws.checkable_census.verdicts)))
 
-_dual_hat_ann = _each_ideal("right", "right ideals", lambda ws, c: (
-    np.array_equal(ws.dual(c).mask, ws.hat_image(ws.ann("left", c)))))
+def _dual_hat_ann(ws: Workspace):
+    """dual(C) = hat(Ann_l(C)) for every right ideal C; the involution
+    images are one batch."""
+    R = ws.right_ideals
+    hats = hat_image([ws.ann("left", c) for c in R])
+    return _tally("right ideals", _ideals(
+        (c, ws.dual(c).same_set(h)) for c, h in zip(R, hats)))
 
 
 def _block_intersection(ws: Workspace):
@@ -275,10 +278,11 @@ _OTHER = {"right": "left", "left": "right"}
 def _ann_of_element(side: str):
     """Ann_side(u) is the side annihilator of the other-sided span of u.
 
-    Each element's Ann_side(u) is its class's mask in the side's table of
-    `annihilator_classes`. Its span is read from the other side's
-    principal table: the principal ideal of its least generator, whose
-    annihilator is found once per ideal. Each (annihilator class,
+    Each element's Ann_side(u) is its class's key in the side's table of
+    kernels, `GroupAlgebra.classes`. Its span is read from the other
+    side's principal table: the principal ideal of its least generator,
+    a member of the other side's census, so that the annihilators of
+    the members come in one batch. Each (annihilator class,
     principal class) pair that some element has is compared once, and
     every element is tallied by its pair."""
     other = _OTHER[side]
@@ -286,15 +290,15 @@ def _ann_of_element(side: str):
     def law(ws: Workspace):
         alg, bound = ws.alg, ws.built.bound
         principal_ideals(alg, other, bound)     # the table, gated
-        least, masks, kernel = annihilator_classes(alg, side, bound)
-        gens = alg.canonical_classes(other)[0]
-        reps = np.flatnonzero(gens == np.arange(alg.card))
-        spans = np.searchsorted(reps, gens)
-        equal = np.zeros((len(least), len(reps)), dtype=bool)
+        check_scale(alg, bound, "annihilator table")
+        ws.ideals(other)
+        _, keys, kernel = alg.classes(side, kernel=True)
+        reps, _, spans = alg.classes(other)
+        equal = np.zeros((len(keys), len(reps)), dtype=bool)
         equal[kernel, spans] = True
         for k, p in np.argwhere(equal).tolist():
-            equal[k, p] = np.array_equal(masks[k], ws.ann(
-                side, principal(alg, int(reps[p]), other)).mask)
+            equal[k, p] = np.array_equal(keys[k], ws.ann(
+                side, principal(alg, int(reps[p]), other)).form)
         return _tally("elements", (), results=equal[kernel, spans],
                       where="element {}")
     return law

@@ -18,7 +18,7 @@ from .errors import ConstructionError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, ann_left, ann_right, dual_code,
-                     enumerate_ideals, packed, principal_ideals, span)
+                     enumerate_ideals, hat_image, principal_ideals, span)
 from .idem import decompose_one, enumerate_idempotents, is_idempotent
 from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, lcp_matrix,
@@ -66,14 +66,13 @@ class Workspace:
     def __init__(self, built: BuiltInstance):
         self.built = built
         self.alg: GroupAlgebra = built.algebra
-        # each side's census positions by mask key and by form
+        # each side's census positions by key
         self._rows: dict[str, dict[bytes, int]] = {}
-        self._forms: dict[str, dict[bytes, int]] = {}
-        # by (side, mask key): the dual's orientation and the
-        # projection's side claim follow the side
+        # by (side, key): the dual's orientation and the projection's
+        # side claim follow the side
         self._duals: dict[tuple[str | None, bytes], CodeSet] = {}
         self._projections: dict[tuple[str | None, bytes], CodeSet] = {}
-        # by (side of the annihilator, mask key of the set)
+        # by (side of the annihilator, key of the set)
         self._anns: dict[tuple[str, bytes], CodeSet] = {}
 
     @cached_property
@@ -88,7 +87,6 @@ class Workspace:
         bound = self.built.census_bound
         census = enumerate_ideals(self.alg, side, bound)
         self._rows[side] = {c.key(): i for i, c in enumerate(census)}
-        self._forms[side] = {c.form.tobytes(): i for i, c in enumerate(census)}
         return census
 
     @cached_property
@@ -103,35 +101,22 @@ class Workspace:
         return self.right_ideals if side == "right" else self.left_ideals
 
     def _member(self, code: CodeSet) -> CodeSet:
-        """The census member with the code's side and mask, if that
+        """The census member with the code's side and key, if that
         side's census is computed; else the code."""
         i = self._rows.get(code.side, {}).get(code.key())
         return code if i is None else self.ideals(code.side)[i]
 
-    def census_rows(self, masks: np.ndarray, side: str) -> np.ndarray:
-        """The census position of each row of a (k, |RG|) stack of one
-        side's masks, by its packed key; raises unless every row is a
-        member."""
-        self.ideals(side)           # the census, on first use
-        try:
-            return np.array([self._rows[side][key.tobytes()]
-                             for key in packed(masks)])
-        except KeyError:
-            raise ConstructionError(f"{self.alg.label}: a {side} set is not "
-                                    f"in the census") from None
-
     def by_form(self, forms: np.ndarray, side: str
                 ) -> tuple[list[CodeSet], np.ndarray]:
-        """One side's census, then the set of each other form of `forms`
-        enumerated from it, and the position of each form's set there."""
+        """One side's census, then the set of each other form of `forms`,
+        and the position of each form's set there."""
         codes = list(self.ideals(side))
-        at = dict(self._forms[side])
+        at = dict(self._rows[side])
         rows = np.empty(len(forms), dtype=np.intp)
         for i, form in enumerate(forms):
             rows[i] = at.setdefault(form.tobytes(), len(codes))
             if rows[i] == len(codes):
-                codes.append(CodeSet(self.alg, self.alg.subgroup_mask(form),
-                                     side=side, form=form))
+                codes.append(CodeSet(self.alg, side=side, form=form))
         return codes, rows
 
     @cached_property
@@ -206,36 +191,34 @@ class Workspace:
                                                    self.projection)
                 for i, j in np.argwhere(either).tolist()}
 
-    def dual(self, code: CodeSet) -> CodeSet:
-        key = (code.side, code.key())
-        got = self._duals.get(key)
+    def _once(self, done: dict, key, compute, code: CodeSet):
+        """done[key(code)], computed on a miss by `compute` on a list:
+        the code, or if it is a member of a census computed so far, every
+        member of that side whose key is not in `done`, in one batch."""
+        got = done.get(key(code))
         if got is None:
-            got = self._duals[key] = self._member(dual_code(code))
+            batch = [code]
+            if code.key() in self._rows.get(code.side, {}):
+                batch = [c for c in self.ideals(code.side) if key(c) not in done]
+            for c, value in zip(batch, compute(batch)):
+                done[key(c)] = value
+            got = done[key(code)]
         return got
 
+    def dual(self, code: CodeSet) -> CodeSet:
+        return self._once(self._duals, lambda c: (c.side, c.key()), lambda cs: [
+            self._member(d) for d in dual_code(cs)], code)
+
     def ann(self, side: str, code: CodeSet) -> CodeSet:
-        """The side annihilator of the code, once per mask, gated by the
-        scan bound."""
-        key = (side, code.key())
-        got = self._anns.get(key)
-        if got is None:
-            ann = ann_right if side == "right" else ann_left
-            got = self._anns[key] = self._member(ann(code, self.built.bound))
-        return got
+        """The side annihilator of the code, gated by the scan bound."""
+        ann = ann_right if side == "right" else ann_left
+        return self._once(self._anns, lambda c: (side, c.key()), lambda cs: [
+            self._member(a) for a in ann(cs, self.built.bound)], code)
 
     def projection(self, code: CodeSet) -> CodeSet:
         """The code's image in the residue algebra."""
-        key = (code.side, code.key())
-        got = self._projections.get(key)
-        if got is None:
-            got = self._projections[key] = project_code(self.residue, code)
-        return got
-
-    def hat_image(self, code: CodeSet) -> np.ndarray:
-        mask = np.zeros(self.alg.card, dtype=bool)
-        mask[self.alg.hat_all()[code.elements()]] = True
-        return mask
-
+        return self._once(self._projections, lambda c: (c.side, c.key()),
+                          lambda cs: project_code(self.residue, cs), code)
 
 # ---------------------------------------------------------------------------
 # tallying
@@ -311,4 +294,4 @@ def hat_transfer(ws: Workspace, c: CodeSet, d: CodeSet) -> tuple[bool, bool]:
     dual(D): sizes always match, images when the certificate is central."""
     dual = ws.dual(d)
     return (c.cardinality == dual.cardinality,
-            bool(np.array_equal(ws.hat_image(c), dual.mask)))
+            hat_image([c])[0].same_set(dual))

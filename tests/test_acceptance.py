@@ -236,7 +236,7 @@ def test_09_matrix_ring_idempotent_dual_frozen_violations():
         ws = workspace("m2f2c3")
         alg = ws.built.algebra
         bad = [e for e in ws.idempotents
-               if not dual_code(span(alg, [e], "right")).same_set(
+               if not dual_code([span(alg, [e], "right")])[0].same_set(
                    span(alg, [alg.one_minus(alg.hat(e))], "right"))]
         assert len(ws.idempotents) == 176 and len(bad) == 172
         assert bad[0] == 1

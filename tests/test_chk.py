@@ -19,8 +19,14 @@ def _principals(alg):
             for side in ("left", "right")}
 
 
+def _one(batched):
+    """The one-code form of a batched producer of glab.ideals."""
+    return lambda code: batched([code])[0]
+
+
 def _census(alg):
-    return code_checkable_census(enumerate_ideals(alg), dual_code, ann_left,
+    return code_checkable_census(enumerate_ideals(alg), _one(dual_code),
+                                 _one(ann_left),
                                  check_elements(alg, DEFAULT_OP_BOUND),
                                  _principals(alg))
 
@@ -58,7 +64,7 @@ def test_desk_registry_labels():
 # single verdicts
 
 def _verdict(c):
-    return is_checkable(c, dual_code(c), ann_left(c),
+    return is_checkable(c, dual_code([c])[0], ann_left([c])[0],
                         check_elements(c.alg, DEFAULT_OP_BOUND),
                         _principals(c.alg))
 
@@ -154,7 +160,7 @@ def test_checkable_and_ann_routes_agree_everywhere():
 
 def test_intersection_form_f3c2(f3c2):
     parts = _parts_of_one(f3c2)
-    rows = [ann_intersection_check(c, parts, ann_right)
+    rows = [ann_intersection_check(c, parts, _one(ann_right))
             for c in enumerate_ideals(f3c2)]
     assert [r.status for r in rows] == ["ok"] * 4
     assert [r.support for r in rows] == [(), (8,), (5,), (5, 8)]
@@ -162,7 +168,8 @@ def test_intersection_form_f3c2(f3c2):
 
 
 def test_intersection_form_explicit_parts(f3c2):
-    r = ann_intersection_check(span(f3c2, [8], "right"), [5, 8], ann_right)
+    r = ann_intersection_check(span(f3c2, [8], "right"), [5, 8],
+                               _one(ann_right))
     assert r.status == "ok" and r.support == (8,)
 
 
@@ -182,14 +189,15 @@ def test_block_intersection_skips_noncentral_parts(name, monkeypatch):
 
 def test_intersection_form_z4c2(z4c2):
     parts = _parts_of_one(z4c2)
-    statuses = [ann_intersection_check(c, parts, ann_right).status
+    statuses = [ann_intersection_check(c, parts, _one(ann_right)).status
                 for c in enumerate_ideals(z4c2)]
     assert statuses == ["ok"] + ["not-a-block-sum"] * 5 + ["ok"]
 
 
 def test_intersection_form_needs_right_ideal(f3c2):
     with pytest.raises(ConstructionError, match="right ideal"):
-        ann_intersection_check(span(f3c2, [8], "left"), [5, 8], ann_right)
+        ann_intersection_check(span(f3c2, [8], "left"), [5, 8],
+                               _one(ann_right))
 
 
 def test_primitive_parts_default_is_decompose_one(f3c2):
@@ -203,9 +211,10 @@ def test_primitive_parts_default_is_decompose_one(f3c2):
 
 def test_dual_quotient_note(f2c2):
     c = span(f2c2, [3], "right")
-    assert (c.cardinality, f2c2.card, dual_code(c).cardinality) == (2, 4, 2)
+    d, = dual_code([c])
+    assert (c.cardinality, f2c2.card, d.cardinality) == (2, 4, 2)
 
 
 def test_dual_quotient_note_across_census(z4c2):
     for c in enumerate_ideals(z4c2):
-        assert c.cardinality * dual_code(c).cardinality == z4c2.card
+        assert c.cardinality * dual_code([c])[0].cardinality == z4c2.card

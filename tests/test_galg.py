@@ -189,7 +189,8 @@ def test_each_map_is_computed_once_per_run(monkeypatch):
     # call. On Z4C3 the others are the full-map audits of `central`:
     # 0 and 1 once, and the two central parts of 1, 22 and 63, at each
     # centrality check of the certificates and once for the blocks,
-    # which the block-intersection law decides for all right ideals
+    # which the block-intersection law decides for all right ideals;
+    # `principal` keys a span by its form, so it computes no map
     misses = _count_products(monkeypatch)
     ws = fixture_workspace("z4c3")
     verify_all(ws)
@@ -202,7 +203,7 @@ def test_each_map_is_computed_once_per_run(monkeypatch):
     assert sorted((side, a, n) for (_, side, a), n in misses.items()
                   if a not in fixed or n > 1) == [
         ("col", 0, 1), ("col", 1, 2), ("col", 22, 2), ("col", 63, 2),
-        ("row", 0, 1), ("row", 1, 2), ("row", 22, 3), ("row", 63, 3)]
+        ("row", 0, 1), ("row", 1, 2), ("row", 22, 2), ("row", 63, 2)]
     # one product of 1 is its kept map; every kept map is computed but
     # the row of the scalar 2, the one generator that is no unit, which
     # no left closure check reads on Z4C3
@@ -309,7 +310,7 @@ def test_form_biadditive(z4c3):
     for _ in range(40):
         a, b, c = (int(v) for v in rng.integers(0, z4c3.card, 3))
         lhs = z4c3.form(z4c3.add(a, b), c)
-        rhs = z4c3.ring.a(z4c3.form(a, c), z4c3.form(b, c))
+        rhs = int(z4c3.ring.add[z4c3.form(a, c), z4c3.form(b, c)])
         assert lhs == rhs
 
 
@@ -354,15 +355,18 @@ def test_hat_row_identity_any_ring(m2c2, f2s3):
             a, c = (int(v) for v in rng.integers(0, alg.card, 2))
             prod = alg.mul(alg.hat(a), c)
             for g in range(alg.group.order):
-                cg = alg.mul(c, alg.basis_elem(alg.group.i(g)))
+                cg = alg.mul(c, alg.basis_elem(int(alg.group.inv[g])))
                 assert alg.decode(prod)[g] == alg.form(a, cg)
 
 
 def test_form_rows_match(f2s3):
+    # the form kernel broadcasts one element against the whole index
+    # space in either slot, as the duals' pairing matrices read it
     rng = np.random.default_rng(52)
     for a in rng.integers(0, f2s3.card, 3):
         a = int(a)
-        fr, fc = f2s3.form_row(a), f2s3.form_col(a)
+        fr = f2s3._form(f2s3.coeffs[a], f2s3.coeffs)
+        fc = f2s3._form(f2s3.coeffs, f2s3.coeffs[a])
         for x in rng.integers(0, f2s3.card, 25):
             x = int(x)
             assert fr[x] == f2s3.form(a, x)

@@ -44,3 +44,17 @@ def test_lattice_report_replays(invocation, monkeypatch, capsys):
 def test_calibration_report_replays(invocation, monkeypatch, capsys):
     _replay(REFERENCE["calibration"][invocation], invocation, monkeypatch,
             capsys)
+
+
+# The full law matrix at the calibration point, the paper's own
+# noncommutative setting (M2(Z2)C3), recorded from the code of the
+# previous release: 24 laws, 3 of which fail by design (exit 1).
+CALIBRATION_VERIFY_ALL = "verify-all fixtures/m2f2c3.glab --census-bound 5000"
+
+
+@pytest.mark.parametrize("fmt", ["txt", "tsv"])
+def test_calibration_verify_all_replays(fmt, monkeypatch, capsys):
+    golden = ROOT / "tests" / "golden" / f"verify_all_m2f2c3.{fmt}"
+    invocation = CALIBRATION_VERIFY_ALL + (" --format tsv" if fmt == "tsv" else "")
+    _replay({"exit": 1, "stdout": golden.read_text()}, invocation,
+            monkeypatch, capsys)

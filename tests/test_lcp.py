@@ -210,7 +210,7 @@ def test_hat_equivalence_sizes_always():
 
 def _transfer(c, d, rm):
     return lcp_residue_correspondence(c, d, rm,
-                                      lambda code: project_code(rm, code))
+                                      lambda code: project_code(rm, [code])[0])
 
 
 def test_residue_transfer_frozen_z4c3(z4c3):
@@ -273,6 +273,6 @@ def test_residue_transfer_all_pairs_local(z4c3):
 def test_project_code_is_ideal_image(z4c3):
     rm = residue_map(z4c3)
     c = span(z4c3, [22], "right")
-    cbar = project_code(rm, c)
+    cbar = project_code(rm, [c])[0]
     assert cbar.side == "right"
     assert np.array_equal(cbar.mask, span(rm.residue, [6], "right").mask)
