@@ -247,10 +247,6 @@ class Ring:
         return total
 
     @property
-    def elements(self) -> range:
-        return range(self.card)
-
-    @property
     def constants(self) -> np.ndarray:
         """The (k, k, k) structure constants read off the table: c[i, j]
         is the coordinate vector of e_i*e_j."""

@@ -10,31 +10,26 @@ The encoding stays in this module. Every product, sum and form comes
 from one of three kernels on coefficient arrays that broadcast over
 leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
-modules work on element indices only.
-
-A multiplication map (a*x, or x*a, for every x) is one kernel call
-each time it is asked for. Only the maps of the trivial units
-T = {r*g : r a unit of R, g in G} and of the generators are kept, once
-per side, because the orbits of `canonical_classes` and the closure
-checks of glab.ideals read them again and again. The form is
-<a, b> = sum over g of a_g * b_g with the left argument's coefficient
-first; it is biadditive, G-invariant under simultaneous right
-translation, and nondegenerate.
+modules work on element indices only. Only the multiplication maps of
+the trivial units T = {r*g : r a unit of R, g in G} and of the
+generators are kept, once per side. The form is <a, b> = sum over g
+of a_g * b_g, left coefficient first: biadditive and nondegenerate.
 
 As an additive group RG is a product of cyclic groups, one per
 coordinate (group position, ring coordinate), and each subgroup has one
-key: per prime p, the Howell form of its p-part, the reduced row
-echelon form over F_p and over Z/p^a the echelon form that also keeps
-(p^a / pivot) times each pivot row (Howell 1986; Storjohann & Mulders
-1998). A key comes from any generating set (`subgroup_form`), a sum
-is the key of two forms stacked (`sum_forms`), and the rows of a form
-generate the subgroup (`form_rows`), whose elements are enumerated
-from it (`subgroup_mask`). The map x -> u*x (or x -> x*u) is the
-integer matrix of the coordinates of u*b_j (b_j*u) over the coordinate
-basis; one batched reduction per table keys the image uRG (RGu) or the
-kernel Ann_r(u) (Ann_l(u)) of the least element of every orbit of the
-trivial units (images) or of every class of the other side's images
-(kernels), and each class keeps its least element.
+key: per prime p, the Howell form of its p-part (Howell 1986;
+Storjohann & Mulders 1998). Every key comes from a matrix, never from
+a pass over a subgroup's elements: a span from the coordinates of its
+generators (`subgroup_form`), a sum from two forms stacked
+(`sum_forms`), the image and the kernel of x -> u*x (or x -> x*u) from
+its matrix over the coordinate basis, and the ideal generated by some
+elements or their annihilator from their matrices side by side
+(`canonical_keys`), a dual from the pairing with the rows of a form
+(`dual_keys`). The rows of a form generate the subgroup (`form_rows`);
+its elements are enumerated from them on demand (`subgroup_mask`). The
+class tables (`canonical_classes`) key one least element per orbit of
+the trivial units (images) or per class of the other side's images
+(kernels).
 """
 
 from __future__ import annotations
@@ -201,10 +196,6 @@ class GroupAlgebra:
     def form(self, x: int, y: int) -> int:
         """<x, y> = sum over g of x_g * y_g, an element of R."""
         return int(self._form(self.coeffs[x], self.coeffs[y]))
-
-    @property
-    def elements(self) -> range:
-        return range(self.card)
 
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.label}, card={self.card})"
@@ -642,12 +633,6 @@ class ResidueMap(NamedTuple):
     residue: GroupAlgebra
     proj: np.ndarray
     lift: np.ndarray
-
-    def reduce(self, x: int) -> int:
-        return int(self.proj[x])
-
-    def raise_least(self, y: int) -> int:
-        return int(self.lift[y])
 
 
 def residue_map(alg: GroupAlgebra) -> ResidueMap:

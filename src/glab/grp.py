@@ -95,10 +95,6 @@ class Group:
             raise ConstructionError(f"{label}: table has an element with no inverse")
         self.inv = inv
 
-    @property
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"Group({self.label}, order={self.order})"
 

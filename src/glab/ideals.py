@@ -1,24 +1,17 @@
-"""One-sided ideals of a group algebra as materialized element sets.
+"""One-sided ideals of a group algebra as additive subgroups of RG.
 
-A CodeSet is an additive subgroup of RG held as a boolean mask over
-the element index space, optionally carrying a one-sided ideal claim
-("right" or "left"), with its canonical form from glab.galg. The mask
-is the set's identity: tables and caches find a set by its packed
-bytes, and the census sorts by them. The form is its arithmetic: two
-sets are equal exactly when their forms are, a sum is the form of the
-two forms stacked, and the rows of a form generate the set. A producer
-that has the form hands it over; otherwise it is found once from the
-elements, which raises if the set is not additively closed.
-
-Spans, sums and the census add forms, many at once in one batched
-reduction; a sum's mask is enumerated from its form only when no set
-with that form is known. Meets are masks. The principal ideals of one
-side, and the annihilators of elements, come from the class tables of
-glab.galg, each class keeping its least element: the census builds on
-the principal table, the checkable routes read principality from it,
-and `principal` reads a side's ideal from it once it exists. Ann_r(C)
-is the meet of Ann_r(b) over the rows b of C's form, as c*a = 0 for
-every c in C exactly when b*a = 0 for every b in a generating set.
+A CodeSet is an additive subgroup of RG, optionally carrying a
+one-sided ideal claim ("right" or "left"), identified by its canonical
+form from glab.galg: two sets are equal exactly when their forms are,
+`key` is the form's bytes, and tables and caches find a set by it.
+Every producer hands over a form: principal ideals from the class
+tables of glab.galg, sums of two forms stacked, duals and annihilators
+as kernels of matrices built from the rows of the set's form, which
+generate it. A set built from a mask alone finds its form once from
+its elements and refuses one that is not additively closed. The mask
+is enumerated from the form when it is first read; the census keeps
+the masks it builds, sorts by cardinality then packed mask, and tests
+containment on packed masks, from which the meets come.
 
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
@@ -29,6 +22,8 @@ annihilator. Both identities hold with no commutativity assumption;
 the mirrored orientation is what makes the size product law hold on
 both sides. Over a noncommutative base ring the dual of a one-sided
 ideal need not be one-sided; the result then carries no side claim.
+Duals, annihilators and images take a list of sets and key them in
+one batched reduction.
 """
 
 from __future__ import annotations
@@ -145,13 +140,13 @@ def meets(codes: list[CodeSet]) -> np.ndarray:
     """The position of C_i & C_j among the codes, for every (i, j), when
     the codes are sorted by cardinality and hold every meet, as a full
     census does: the largest code within both, from `containment`.
-    Raises unless that code holds every common element."""
+    Raises unless that code is C_i & C_j."""
     inside = containment(codes)
     k = len(codes)
     at = k - 1 - (inside[::-1, :, None] & inside[::-1, None, :]).argmax(axis=0)
     masks = packed(np.array([c.mask for c in codes]))
     for i in range(k):
-        if (masks[i] & masks & ~masks[at[i]]).any():
+        if (masks[at[i]] != masks[i] & masks).any():
             raise ConstructionError(
                 f"{codes[0].alg.label}: a meet is not among the sets")
     return at

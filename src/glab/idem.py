@@ -137,7 +137,7 @@ def lift_idempotent(alg: GroupAlgebra, rm: ResidueMap, ebar: int) -> int:
     if res.mul(ebar, ebar) != ebar:
         raise ConstructionError(
             f"{res.label}: residue element {res.text(ebar)} is not idempotent")
-    h = rm.raise_least(ebar)
+    h = int(rm.lift[ebar])
     f = structure(alg.ring).nilpotency_index
     for _ in range(max(f - 1, 1)):
         sq = alg.mul(h, h)

@@ -347,7 +347,7 @@ def _ring_text(spec: RingSpec) -> str:
         return f"radical_quotient({_ring_text(spec.base)})"
     if isinstance(spec, TableRing):
         rows = "[" + ", ".join(_ints(r) for r in spec.mul) + "]"
-        return f'table({_ints(spec.moduli)}, {rows}, "{spec.label}")'
+        return f"table({_ints(spec.moduli)}, {rows}, {_quoted(spec.label)})"
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
@@ -362,8 +362,17 @@ def _group_text(spec: GroupSpec) -> str:
         return "product(" + ", ".join(_group_text(f) for f in spec.factors) + ")"
     if isinstance(spec, CayleyGroup):
         rows = "[" + ", ".join(_ints(r) for r in spec.table) + "]"
-        return f'cayley({rows}, "{spec.label}")'
+        return f"cayley({rows}, {_quoted(spec.label)})"
     raise TypeError(f"not a group spec: {spec!r}")
+
+
+def _quoted(label: str) -> str:
+    """The label as a string token. A label the syntax cannot read back
+    is refused: a string token holds no '"' or backslash, '#' starts a
+    comment, and a line break ends the line."""
+    if set(label) & set('"\\#') or label.splitlines() not in ([], [label]):
+        raise ParseError(f"label {label!r} cannot be written as instance text")
+    return f'"{label}"'
 
 
 def _ints(values) -> str:
@@ -377,7 +386,8 @@ def _coeff_text(c) -> str:
 
 
 def format_instance(desc: InstanceDescription) -> str:
-    """Canonical text; parse(format(d)) == d."""
+    """Canonical text; parse(format(d)) == d. A label that the syntax
+    cannot carry raises ParseError (`_quoted`)."""
     lines = [f"ring = {_ring_text(desc.ring)}",
              f"group = {_group_text(desc.group)}"]
     if desc.bound is not None:

@@ -186,7 +186,7 @@ def _forward(rm: ResidueMap, rt: ResidueTransfer) -> bool:
     return not rt.lcp_base or bool(
         rt.lcp_residue and rt.members_idempotent_generated
         and rt.certificate is not None
-        and rm.reduce(rt.certificate) == rt.residue_certificate)
+        and rm.proj[rt.certificate] == rt.residue_certificate)
 
 
 def _residue_pairs(ws: Workspace,
@@ -228,7 +228,7 @@ def _radical_lift(ws: Workspace):
     f = ws.ring_structure.nilpotency_index
     return _tally("lifts", (
         (f"residue idempotent {ebar}",
-         is_idempotent(alg, h) and rm.reduce(h) == ebar)
+         is_idempotent(alg, h) and rm.proj[h] == ebar)
         for ebar, h in zip(residue_idems, lifts)),
         results=_residue_pairs(ws, lambda rt: rt.lift_splits is not False),
         passed=f"lifted {len(residue_idems)} residue idempotents in "

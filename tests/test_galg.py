@@ -159,8 +159,8 @@ def test_rows_match_scalar_ops(z4c3, f2s3):
 def test_rows_are_the_transposed_columns(f2s3, m2c2):
     rng = np.random.default_rng(46)
     for alg in (f2s3, m2c2):
-        rows = np.stack([alg.mul_row(a) for a in alg.elements])
-        cols = np.stack([alg.mul_col(b) for b in alg.elements])
+        rows = np.stack([alg.mul_row(a) for a in range(alg.card)])
+        cols = np.stack([alg.mul_col(b) for b in range(alg.card)])
         assert np.array_equal(rows, cols.T)
         for a, x in rng.integers(0, alg.card, (40, 2)):
             assert rows[a, x] == cols[x, a] == alg.mul(int(a), int(x))
@@ -244,7 +244,7 @@ def test_maps_hold_indices_past_uint16(monkeypatch):
 
 def test_square_all(f3c2):
     sq = f3c2.square_all()
-    for x in f3c2.elements:
+    for x in range(f3c2.card):
         assert sq[x] == f3c2.mul(x, x)
 
 
@@ -263,7 +263,7 @@ def test_translate_right(f2s3):
 # involution
 
 def test_hat_on_self_inverse_group(f3c2):
-    for x in f3c2.elements:
+    for x in range(f3c2.card):
         assert f3c2.hat(x) == x
 
 
@@ -327,7 +327,7 @@ def test_form_g_invariant(f2s3, m2c2):
 
 def test_form_nondegenerate(f3c2, f2s3):
     for alg in (f3c2, f2s3):
-        for a in alg.elements:
+        for a in range(alg.card):
             if a == 0:
                 continue
             hits = [b for g in range(alg.group.order)
@@ -404,9 +404,9 @@ def test_central_sum_of_group_orbit():
 def test_residue_map_z4c3(z4c3):
     rm = residue_map(z4c3)
     assert rm.residue.card == 8
-    assert rm.reduce(z4c3.encode((2, 1, 1))) == rm.residue.encode((0, 1, 1))
-    assert rm.reduce(z4c3.encode((2, 2, 0))) == 0
-    assert rm.raise_least(rm.residue.encode((0, 1, 1))) == z4c3.encode((0, 1, 1))
+    assert int(rm.proj[z4c3.encode((2, 1, 1))]) == rm.residue.encode((0, 1, 1))
+    assert int(rm.proj[z4c3.encode((2, 2, 0))]) == 0
+    assert int(rm.lift[rm.residue.encode((0, 1, 1))]) == z4c3.encode((0, 1, 1))
 
 
 def test_residue_map_is_ring_hom(z4c3):
@@ -414,10 +414,10 @@ def test_residue_map_is_ring_hom(z4c3):
     rng = np.random.default_rng(53)
     for _ in range(100):
         a, b = (int(v) for v in rng.integers(0, z4c3.card, 2))
-        assert rm.reduce(z4c3.mul(a, b)) == rm.residue.mul(rm.reduce(a),
-                                                           rm.reduce(b))
-        assert rm.reduce(z4c3.add(a, b)) == rm.residue.add(rm.reduce(a),
-                                                           rm.reduce(b))
+        assert int(rm.proj[z4c3.mul(a, b)]) == rm.residue.mul(int(rm.proj[a]),
+                                                           int(rm.proj[b]))
+        assert int(rm.proj[z4c3.add(a, b)]) == rm.residue.add(int(rm.proj[a]),
+                                                           int(rm.proj[b]))
 
 
 def test_residue_requires_local(m2c2):

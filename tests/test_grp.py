@@ -19,7 +19,7 @@ from glab.grp import (
 def _orders(group):
     """Multiplicative order of every element, by repeated products."""
     out = []
-    for x in group.elements:
+    for x in range(group.order):
         k, acc = 1, x
         while acc != group.identity:
             acc, k = int(group.mul[acc, x]), k + 1
@@ -125,6 +125,6 @@ def test_inversion_table():
     for spec in (CyclicGroup(5), DihedralGroup(4), SymmetricGroup(4)):
         g = build_group(spec)
         e = g.identity
-        for x in g.elements:
+        for x in range(g.order):
             assert int(g.mul[x, g.inv[x]]) == e
             assert int(g.mul[g.inv[x], x]) == e

@@ -366,14 +366,14 @@ def test_principal_reads_the_side_table_once_built(monkeypatch):
     # of u's least generator, named by u, with no map computed. A fresh
     # algebra, so no other test has built its tables
     alg = _alg(MatrixRing(2, Zmod(2)), CyclicGroup(2))
-    before = {side: [principal(alg, u, side) for u in alg.elements]
+    before = {side: [principal(alg, u, side) for u in range(alg.card)]
               for side in ("right", "left")}
     for side in ("right", "left"):
         assert side not in alg.principal_sets
         table = principal_ideals(alg, side)
         least = alg.canonical_classes(side)[0]
         monkeypatch.setattr(GroupAlgebra, "_product", None)
-        for u, code in zip(alg.elements, before[side]):
+        for u, code in zip(range(alg.card), before[side]):
             got = principal(alg, u, side)
             assert got.same_set(code)
             assert got.side == side
@@ -424,7 +424,7 @@ def _brute_census(alg, side):
     every = np.arange(alg.card)
     add = alg.add(every[:, None], every[None, :])
     least = {}
-    for u in alg.elements:
+    for u in range(alg.card):
         m = np.zeros(alg.card, dtype=bool)
         m[alg.mul_row(u) if side == "right" else alg.mul_col(u)] = True
         least.setdefault(m.tobytes(), u)
@@ -548,8 +548,8 @@ _SMALL = {
 def _small(name):
     """The algebra and its addition table from decoded coefficients."""
     alg = _alg(*_SMALL[name])
-    add = np.array([[_naive_add(alg, x, y) for y in alg.elements]
-                    for x in alg.elements])
+    add = np.array([[_naive_add(alg, x, y) for y in range(alg.card)]
+                    for x in range(alg.card)])
     return alg, add
 
 

@@ -77,7 +77,7 @@ def test_census_flags_matrix_base(m2c2):
 
 def test_scan_is_exhaustive(f2c3):
     found = set(enumerate_idempotents(f2c3))
-    for x in f2c3.elements:
+    for x in range(f2c3.card):
         assert (f2c3.mul(x, x) == x) == (x in found)
 
 
@@ -209,7 +209,7 @@ def test_lift_over_chain_ring_base():
     rm = residue_map(alg)
     for eb in enumerate_idempotents(rm.residue):
         e = lift_idempotent(alg, rm, eb)
-        assert is_idempotent(alg, e) and rm.reduce(e) == eb
+        assert is_idempotent(alg, e) and int(rm.proj[e]) == eb
 
 
 def test_lift_is_identity_when_radical_trivial(f3c2):
@@ -217,7 +217,7 @@ def test_lift_is_identity_when_radical_trivial(f3c2):
     assert rm.residue.card == f3c2.card
     for eb in enumerate_idempotents(rm.residue):
         e = lift_idempotent(f3c2, rm, eb)
-        assert rm.reduce(e) == eb
+        assert int(rm.proj[e]) == eb
 
 
 def test_lift_rejects_non_idempotent_residue(z4c3):

@@ -209,10 +209,73 @@ descriptions = st.builds(
     census_bound=st.none() | st.integers(0, 10 ** 9))
 
 
+# what a string token of the syntax cannot hold, from the grammar:
+# quotes and backslashes, '#' (a comment) and the line breaks of
+# str.splitlines
+_UNCARRIED = set('"\\#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029')
+
+
+def _labels_of(desc):
+    return [spec.label for spec in (desc.ring, desc.group)
+            if isinstance(spec, (TableRing, CayleyGroup))]
+
+
+def _carried(desc):
+    return not any(set(label) & _UNCARRIED for label in _labels_of(desc))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(desc=descriptions)
 def test_digest_matches_hashlib_on_drawn_descriptions(desc):
+    # a label the instance syntax cannot carry is refused, by name
+    if not _carried(desc):
+        with pytest.raises(ParseError, match="label .* cannot be written"):
+            instance_digest(desc)
+        return
     assert instance_digest(desc) == _hashlib_digest(desc)
+
+
+_round_trips = st.builds(
+    InstanceDescription,
+    ring=st.builds(TableRing, st.lists(st.integers(2, 9), min_size=1,
+                                       max_size=3).map(tuple), _rows, _labels),
+    group=st.builds(CayleyGroup, _rows, _labels),
+    elems=st.just(()), ideals=st.just(()),
+    bound=st.none() | st.integers(1, 10 ** 9),
+    census_bound=st.none() | st.integers(1, 10 ** 9))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(desc=_round_trips, bad=st.sampled_from(sorted(_UNCARRIED)))
+def test_labels_round_trip_or_are_refused(desc, bad):
+    # parse(format(d)) == d, or the text is refused naming a label; one
+    # label is spliced with a character the syntax cannot carry
+    for d in (desc, desc._replace(group=desc.group._replace(
+            label=desc.group.label + bad))):
+        try:
+            text = format_instance(d)
+        except ParseError as exc:
+            assert not _carried(d)
+            assert any(repr(label) in str(exc) for label in _labels_of(d))
+            continue
+        assert _carried(d) and parse_instance(text) == d
+
+
+def test_labels_that_would_collide_are_refused():
+    # two different descriptions whose labels, written verbatim, gave
+    # one text and so one digest: a quote and a line break in a label
+    # moved text from the group's label into the ring's
+    table, cayley = ((2,), ((0, 0), (0, 1))), ((0,),)
+    first = InstanceDescription(
+        ring=TableRing(*table, label="a"),
+        group=CayleyGroup(cayley, label='x")\ngroup = cayley([[0]], "y'))
+    second = InstanceDescription(
+        ring=TableRing(*table, label='a")\ngroup = cayley([[0]], "x'),
+        group=CayleyGroup(cayley, label="y"))
+    assert first != second
+    for desc in (first, second):
+        with pytest.raises(ParseError, match="label .* cannot be written"):
+            instance_digest(desc)
 
 
 def test_digest_falls_back_to_hashlib(monkeypatch):

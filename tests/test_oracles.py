@@ -53,19 +53,21 @@ import glab.galg
 import glab.ideals
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
+from glab.errors import ConstructionError
 from glab.finring import (MatrixRing, ProductRing, RadicalQuotient, TableRing,
                           Zmod, _table, build_ring, frobenius,
                           radical_quotient, structure)
 from glab.galg import GroupAlgebra
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
+from glab.galg import residue_map
 from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
-                         dual_code, enumerate_ideals, pair_sums, principal,
-                         principal_ideals)
+                         dual_code, enumerate_ideals, hat_image, meets,
+                         pair_sums, principal, principal_ideals)
 from glab.idem import (_sub_idempotent, enumerate_idempotents,
                        idempotent_census)
 from glab.instance import InstanceDescription, build_instance, load_instance
-from glab.lcp import is_lcp, lcp_certificate, lcp_matrix
+from glab.lcp import is_lcp, lcp_certificate, lcp_matrix, project_code
 from glab.verify import LAW_TABLE, verify_all
 from glab.workspace import PASS, Workspace
 
@@ -85,7 +87,7 @@ class Oracle:
         n = alg.group.order
         self.pairs = [(h, k, int(alg.group.mul[h, k]))
                       for h in range(n) for k in range(n)]
-        self.coeffs = [alg.decode(x) for x in alg.elements]
+        self.coeffs = [alg.decode(x) for x in range(alg.card)]
 
     def product(self, x, y):
         cx, cy = self.coeffs[x], self.coeffs[y]
@@ -111,7 +113,7 @@ def _tables(name):
     alg = fixture_algebra(name)
     assert alg.card <= 256
     orc = Oracle(alg)
-    every = list(alg.elements)
+    every = list(range(alg.card))
     return (np.array([[orc.product(x, y) for y in every] for x in every]),
             np.array([[orc.form(x, y) for y in every] for x in every]))
 
@@ -119,7 +121,7 @@ def _tables(name):
 @pytest.mark.parametrize("name", _DESK)
 def test_every_map_matches_the_definition(name):
     alg = fixture_algebra(name)
-    every = list(alg.elements)
+    every = list(range(alg.card))
     table, forms = _tables(name)
     assert np.array_equal(alg.square_all(), np.diagonal(table))
     rng = np.random.default_rng(61)
@@ -137,7 +139,7 @@ def test_every_map_matches_the_definition(name):
 def test_strided_maps_of_m2f2c3_match_the_definition():
     alg = fixture_algebra("m2f2c3")
     orc = Oracle(alg)
-    every = list(alg.elements)
+    every = list(range(alg.card))
     square = alg.square_all()
     for a in range(5, alg.card, 409):
         row = [orc.product(a, y) for y in every]
@@ -158,9 +160,9 @@ def test_strided_maps_of_m2f2c3_match_the_definition():
 def _units(alg):
     """r*g for r a unit of R and g in G, from the ring's scalar table."""
     ring, n = alg.ring, alg.group.order
-    units = [r for r in ring.elements
+    units = [r for r in range(ring.card)
              if any(int(ring.mul[r, s]) == ring.one == int(ring.mul[s, r])
-                    for s in ring.elements)]
+                    for s in range(ring.card))]
     return [alg.encode([r if h == g else 0 for h in range(n)])
             for r in units for g in range(n)]
 
@@ -224,13 +226,13 @@ def test_gathered_maps_match_the_definition(name, kept, monkeypatch):
         alg.fixed_map(a, True), alg.fixed_map(a, False)
     products = _count_products(monkeypatch)
     for _ in range(2):
-        for a in alg.elements:
+        for a in range(alg.card):
             row, col = alg.mul_row(a), alg.mul_col(a)
             assert np.array_equal(row, table[a])
             assert np.array_equal(col, table[:, a])
             row[:] = col[:] = 0
     assert products == Counter({(side, a): 2 for side in ("row", "col")
-                                for a in alg.elements})
+                                for a in range(alg.card)})
     for a in first:
         assert np.array_equal(alg.fixed_map(a, True), table[a])
         assert np.array_equal(alg.fixed_map(a, False), table[:, a])
@@ -270,7 +272,7 @@ def test_scans_match_brute_force(name):
     # primitive when it is nonzero and there is none, central when its
     # row of the table is its column
     idems = enumerate_idempotents(alg)
-    assert idems == [e for e in alg.elements if table[e, e] == e]
+    assert idems == [e for e in range(alg.card) if table[e, e] == e]
     flags = []
     for e in idems:
         below = [f for f in idems if f not in (0, e)
@@ -329,7 +331,7 @@ def product_table(alg):
     """x*y for every pair, from the ring's and the group's tables: the
     coefficient at g sums x_h * y_k over hk = g, for all pairs at once."""
     ring, group = alg.ring, alg.group
-    coeffs = np.array([alg.decode(x) for x in alg.elements])
+    coeffs = np.array([alg.decode(x) for x in range(alg.card)])
     acc = np.zeros((alg.card, alg.card, group.order), dtype=np.int64)
     for h in range(group.order):
         for k in range(group.order):
@@ -487,10 +489,10 @@ def difference_rows(alg, bs):
     addition, read from decoded coefficients."""
     ring, n = alg.ring, alg.group.order
     minus = np.zeros((ring.card, ring.card), dtype=np.int64)
-    for s in ring.elements:
-        for d in ring.elements:
+    for s in range(ring.card):
+        for d in range(ring.card):
             minus[ring.add[s, d], d] = s
-    coeffs = np.array([alg.decode(x) for x in alg.elements])
+    coeffs = np.array([alg.decode(x) for x in range(alg.card)])
     weights = np.array([alg.encode([int(i == g) for i in range(n)])
                         for g in range(n)])
     return minus[coeffs[None], coeffs[list(bs)][:, None]] @ weights
@@ -527,7 +529,7 @@ def assert_translations_match_the_definition(alg, bs):
 def test_translations_match_the_definition(name):
     alg = (_lattice_workspace(name) if name in _LATTICE
            else fixture_workspace(name)).alg
-    every = alg.elements if alg.card <= 256 else range(7, alg.card, 97)
+    every = range(alg.card) if alg.card <= 256 else range(7, alg.card, 97)
     assert_translations_match_the_definition(alg, list(every))
 
 
@@ -681,7 +683,7 @@ def assert_annihilators_match_the_definition(alg, table, codes):
     """Ann_r(u) of every element u, and Ann_l(C) and Ann_r(C) of every
     code C, against the zeros of the product table."""
     zero = table == 0
-    for u in alg.elements:
+    for u in range(alg.card):
         got = ann_right_of_element(alg, u)
         assert got.side == "right" and np.array_equal(got.mask, zero[u])
     for c in codes:
@@ -702,7 +704,7 @@ def test_annihilators_match_the_definition(name):
         orc = Oracle(ws.alg)
         for x in range(3, ws.alg.card, 37):
             assert table[x].tolist() == [orc.product(x, y)
-                                         for y in ws.alg.elements]
+                                         for y in range(ws.alg.card)]
     else:
         ws = fixture_workspace(name)
         table, _ = _tables(name)
@@ -791,6 +793,113 @@ def test_dropping_a_row_of_the_pairing_matrix_fails_the_dual_laws(
 
 
 # ---------------------------------------------------------------------------
+# the form-first producers against element sets
+
+def form_table(alg):
+    """<x, y> for every pair, from the ring's tables: the sum over g of
+    x_g * y_g, for all pairs at once."""
+    ring = alg.ring
+    coeffs = np.array([alg.decode(x) for x in range(alg.card)])
+    acc = np.zeros((alg.card, alg.card), dtype=np.int64)
+    for g in range(alg.group.order):
+        acc = ring.add[acc, ring.mul[coeffs[:, g, None], coeffs[None, :, g]]]
+    return acc
+
+
+def _image(card, elems):
+    mask = np.zeros(card, dtype=bool)
+    mask[elems] = True
+    return mask
+
+
+def assert_producers_match_the_definitions(alg, table, stride=1):
+    """Each producer that keys a set by its form, on both censuses of a
+    fresh copy of the algebra, against element sets from the product
+    and form tables: the principal ideal of every `stride`-th element
+    before the side's table exists (the row or column of u); the dual of
+    each member, and of each dual that is no ideal, in its slot, with
+    the side it keeps; both annihilators of each member; the involution
+    image and, over a local ring, the residue image of each member,
+    element by element; and the meets of each census."""
+    alg = GroupAlgebra(alg.ring, alg.group)
+    card, forms, zero = alg.card, form_table(alg), table == 0
+    coeffs = np.array([alg.decode(x) for x in range(card)])
+    hat = np.array([alg.encode(cx[alg.group.inv]) for cx in coeffs])
+    rm = residue_map(alg) if structure(alg.ring).is_local else None
+    for side in ("right", "left"):
+        images = table if side == "right" else table.T
+        for u in range(0, card, stride):
+            got = principal(alg, u, side)
+            assert got.side == side
+            assert np.array_equal(got.mask, _image(card, images[u]))
+        assert side not in alg.principal_sets
+    for side in ("right", "left"):
+        census = enumerate_ideals(alg, side)
+        duals = dual_code(census)
+        bare = [d for d in duals if d.side is None]
+        for c, d in zip(census + bare, duals + (dual_code(bare) if bare else [])):
+            pairing = forms.T if c.side == "left" else forms
+            want = (pairing[:, c.mask] == 0).all(axis=1)
+            assert np.array_equal(d.mask, want)
+            members = np.flatnonzero(want)
+            right = want[table[members]].all()
+            left = want[table[:, members]].all()
+            assert d.side == (c.side if {"right": right, "left": left}.get(
+                c.side) else None)
+        for c, l, r, h in zip(census, ann_left(census), ann_right(census),
+                              hat_image(census)):
+            assert (l.side, r.side) == ("left", "right")
+            assert np.array_equal(l.mask, zero[:, c.mask].all(axis=1))
+            assert np.array_equal(r.mask, zero[c.mask].all(axis=0))
+            assert np.array_equal(h.mask, _image(card, hat[c.mask]))
+        if rm is not None:
+            for c, bar in zip(census, project_code(rm, census)):
+                assert bar.side == side
+                assert np.array_equal(bar.mask, _image(
+                    rm.residue.card, rm.proj[c.mask]))
+        masks = np.array([c.mask for c in census])
+        assert np.array_equal(masks[meets(census)], masks[:, None] & masks[None])
+
+
+@pytest.mark.parametrize("name", _DESK + _LATTICE)
+def test_form_first_producers_match_the_definitions(name):
+    if name in _LATTICE:
+        alg = _lattice_workspace(name).alg
+        table = product_table(alg)
+    else:
+        alg = fixture_algebra(name)
+        table, _ = _tables(name)
+    assert_producers_match_the_definitions(alg, table)
+
+
+@pytest.mark.parametrize("spec", _KEY_RINGS, ids=repr)
+def test_form_first_producers_over_composite_moduli(spec):
+    ring = build_ring(spec)
+    group = max((g for g in map(build_group, _KEY_GROUPS)
+                 if ring.card ** g.order <= 256), key=lambda g: g.order)
+    alg = GroupAlgebra(ring, group)
+    assert_producers_match_the_definitions(alg, product_table(alg))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(alg=_key_algebras())
+def test_form_first_producers_of_drawn_algebras(alg):
+    assert_producers_match_the_definitions(alg, product_table(alg),
+                                           stride=max(1, alg.card // 32))
+
+
+def test_a_meet_outside_the_sets_is_refused():
+    # F3C2's census is {0}, C, D and RG with C & D = {0}: without {0}
+    # no set lies within both C and D, and the meets say so
+    census = enumerate_ideals(fixture_algebra("f3c2"))
+    assert [c.cardinality for c in census] == [1, 3, 3, 9]
+    assert meets(census).tolist() == [[0, 0, 0, 0], [0, 1, 0, 1],
+                                      [0, 0, 2, 2], [0, 1, 2, 3]]
+    with pytest.raises(ConstructionError, match="a meet is not among"):
+        meets(census[1:])
+
+
+# ---------------------------------------------------------------------------
 # the ideal census is a lattice under sums
 
 @functools.cache
@@ -798,7 +907,7 @@ def _naive_addition(name):
     """The full addition table of a desk algebra, coefficientwise with the
     ring's own addition on decoded coefficients."""
     alg = fixture_algebra(name)
-    coeffs = [alg.decode(x) for x in alg.elements]
+    coeffs = [alg.decode(x) for x in range(alg.card)]
     return np.array([[alg.encode(map(lambda s, t: int(alg.ring.add[s, t]), cx, cy)) for cy in coeffs]
                      for cx in coeffs])
 
@@ -986,7 +1095,7 @@ def _reference_quotient(ring, radical):
     moduli, table, identity, projection and lift."""
     rep_of = [-1] * ring.card
     reps = []
-    for x in ring.elements:
+    for x in range(ring.card):
         if rep_of[x] < 0:
             for j in radical:
                 rep_of[ring.add[x, j]] = x
@@ -1019,16 +1128,16 @@ def _reference_quotient(ring, radical):
     lift = sorted(index, key=index.get)
     table = [[index[rep_of[ring.mul[x, y]]] for y in lift] for x in lift]
     return ((p,) * k, table, index[rep_of[ring.one]],
-            [index[rep_of[x]] for x in ring.elements], lift)
+            [index[rep_of[x]] for x in range(ring.card)], lift)
 
 
 def _reference_frobenius(ring):
     """The first character in index order whose kernel holds no nonzero
     one-sided ideal, every element of R tried as a multiplier."""
     lcm = math.lcm(*ring.moduli)
-    coords = np.array([ring.decode(x) for x in ring.elements], dtype=np.int64)
+    coords = np.array([ring.decode(x) for x in range(ring.card)], dtype=np.int64)
     steps = np.array([lcm // m for m in ring.moduli])
-    for knum in map(ring.decode, ring.elements):
+    for knum in map(ring.decode, range(ring.card)):
         hit = ((coords @ (np.array(knum) * steps)) % lcm != 0)[ring.mul]
         if hit.any(axis=0)[1:].all() and hit.any(axis=1)[1:].all():
             return "frobenius", knum
