@@ -55,17 +55,11 @@ class CheckabilityVerdict(NamedTuple):
 
 def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     """The least u with Ann_r(u) = C for every right annihilator C of an
-    element, keyed by C's key, in the order of those u; the whole of RG
-    is classified first, gated by `bound`.
-
-    These are the classes of `GroupAlgebra.classes` of the right
-    kernels, found with no principal-ideal table: the least generator
-    of each left principal ideal RG*u, from the keys of the left images
-    (Ann_r(u) depends on RG*u alone), is reduced to the key of its
-    annihilator, so no map is computed.
-    """
+    element, keyed by C's key, in the order of those u: the classes of
+    right kernels of `GroupAlgebra.canonical_classes`, which read no principal
+    table and compute no map; gated by `bound`."""
     check_scale(alg, bound, "check-element scan")
-    leasts, keys, _ = alg.classes("right", kernel=True)
+    leasts, keys, _ = alg.canonical_classes("right", kernel=True)
     return {key.tobytes(): u for u, key in zip(leasts.tolist(), keys)}
 
 

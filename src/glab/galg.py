@@ -275,13 +275,9 @@ class GroupAlgebra:
         """The coordinates of u*b_j (side "right") or b_j*u ("left") for
         each u and each coordinate basis element b_j, one row per j:
         the map x -> u*x (x -> x*u) as an integer matrix."""
-        cu = self.coeffs[us]
-        rows = []
-        for b in self._coordinate_basis:
-            cb = self.coeffs[b]
-            prod = self._product(cu, cb) if side == "right" else self._product(cb, cu)
-            rows.append(self.ring.coords[prod].reshape(len(us), -1))
-        return np.stack(rows, axis=1)
+        cu, cb = self.coeffs[us][:, None], self.coeffs[self._coordinate_basis]
+        prod = self._product(cu, cb) if side == "right" else self._product(cb, cu)
+        return self.ring.coords[prod].reshape(len(us), len(cb), -1)
 
     def canonical_keys(self, us, side: str, kernel: bool = False) -> np.ndarray:
         """One key row per element u of `us`, canonical for the image of
@@ -344,15 +340,13 @@ class GroupAlgebra:
             out[i, :len(r)] = r
         return out
 
-    def dual_keys(self, keys: np.ndarray, left) -> np.ndarray:
-        """The key of the dual {a : <a, b> = 0 for every b} of each
-        subgroup of a stack of keys, or where `left` is set of
-        {a : <b, a> = 0}: the kernel of a -> (<a, b_1>, ..., <a, b_r>)
-        over the rows b_t of the form, which by biadditivity stand for
-        the whole set. Coordinate unit e_j goes to the coordinates of
-        <e_j, b_t> (<b_t, e_j>), from one batched `_form` per slot; in
-        chunks as in `canonical_keys`."""
-        rows = self.stacked_rows(keys)
+    def dual_keys(self, rows: np.ndarray, left) -> np.ndarray:
+        """For each row of a stack of rows of elements b_t, the key of
+        {a : <a, b_t> = 0 for every t}, or where `left` is set of
+        {a : <b_t, a> = 0}: the kernel of the pairing, which sends the
+        coordinate unit e_j to the coordinates of each <e_j, b_t>
+        (<b_t, e_j>), from one batched `_form` per slot; in chunks as in
+        `canonical_keys`."""
         r, c = rows.shape[1], len(self._moduli)
         basis = self.coeffs[self._coordinate_basis][None, :, None]
 
@@ -376,24 +370,15 @@ class GroupAlgebra:
         mask[at] = True
         return mask
 
-    def classes(self, side: str, kernel: bool = False
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The least element of each class of `canonical_classes`,
-        ascending, and the key of the image (or kernel) the class shares,
-        one row each; and the row of every element's class."""
-        least, keys = self.canonical_classes(side, kernel)
-        leasts = np.flatnonzero(least == np.arange(self.card))
-        return leasts, keys, np.searchsorted(leasts, least)
-
     def canonical_classes(self, side: str, kernel: bool = False
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """For every element x, the least u whose map x -> u*x (side
-        "right") or x -> x*u ("left") has the image of x's, or with
-        `kernel` its kernel: the least generator of xRG or RGx, or the
-        least u with Ann_r(u) = Ann_r(x) or Ann_l(u) = Ann_l(x); so the
-        classes' least elements are the x it maps to x. Also the key of
-        each class, in the order of the least elements. Computed once per
-        (side, kernel), read-only.
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The classes of the elements u whose maps x -> u*x (side
+        "right") or x -> x*u ("left") share their image, or with
+        `kernel` their kernel: the least element of each class,
+        ascending, which for images is the least generator of uRG or
+        RGu; the key of the subgroup the class shares, one row each;
+        and the row of every element's class. Computed once per (side,
+        kernel), read-only.
 
         Only the least element of each class of a coarser partition gets
         a key from `canonical_keys`, and each class of equal keys keeps
@@ -407,23 +392,24 @@ class GroupAlgebra:
         got = self._least.get((side, kernel))
         if got is None:
             if kernel:
-                least = self.canonical_classes(
-                    "left" if side == "right" else "right")[0]
+                reps, _, coarse = self.canonical_classes(
+                    "left" if side == "right" else "right")
             else:
                 least = np.arange(self.card)
                 for t in self.trivial_units:
                     np.minimum(least, self.fixed_map(t, side == "left"),
                                out=least)
-            reps = np.flatnonzero(least == np.arange(self.card))
+                reps = np.flatnonzero(least == np.arange(self.card))
+                coarse = np.searchsorted(reps, least)
             keys = self.canonical_keys(reps, side, kernel)
-            # each key's first row, the least of its class
+            # each rep's first rep with its key, the least of its class
             first: dict[bytes, int] = {}
-            by_rep = np.empty(self.card, dtype=np.int64)
-            by_rep[reps] = reps[[first.setdefault(key.tobytes(), i)
-                                 for i, key in enumerate(keys)]]
-            got = self._least[side, kernel] = (
-                by_rep[least], keys[list(first.values())])
-            got[0].setflags(write=False)
+            firsts = [first.setdefault(key.tobytes(), i)
+                      for i, key in enumerate(keys)]
+            at = np.array(list(first.values()))
+            rows = np.searchsorted(at, firsts)[coarse]
+            rows.setflags(write=False)
+            got = self._least[side, kernel] = (reps[at], keys[at], rows)
         return got
 
 

@@ -159,12 +159,9 @@ def side_closed(code: CodeSet, side: str) -> bool:
     generate every one-sided multiplication, so checking those
     suffices once additive closure is known.
     """
-    alg = code.alg
     elems = code.elements()
-    for g in alg.generators:
-        if not code.mask[alg.fixed_map(g, side == "left")[elems]].all():
-            return False
-    return True
+    return all(code.mask[code.alg.fixed_map(g, side == "left")[elems]].all()
+               for g in code.alg.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,8 @@ def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
     table = alg.principal_sets.get(side)
     if table is None:
         return CodeSet(alg, side=side, form=alg.canonical_keys([u], side)[0])
-    return table[int(alg.canonical_classes(side)[0][u])]
+    leasts, _, rows = alg.canonical_classes(side)
+    return table[int(leasts[rows[u]])]
 
 
 def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
@@ -207,18 +205,23 @@ def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
 # ---------------------------------------------------------------------------
 # duals and annihilators
 
+def _rows(codes: list[CodeSet]) -> np.ndarray:
+    """The rows of each code's form as elements, which generate it, one
+    row per code (`GroupAlgebra.stacked_rows`)."""
+    return codes[0].alg.stacked_rows(np.array([c.form for c in codes]))
+
+
 def dual_code(codes: list[CodeSet]) -> list[CodeSet]:
     """The orthogonal set of each code under the coefficientwise form.
 
     Right ideals and bare sets sit in the second slot ({a : <a,c> = 0});
-    left ideals sit in the first ({a : <c,a> = 0}). The forms are the
-    kernels of the pairings with the rows of the codes' forms, one
-    batched `GroupAlgebra.dual_keys`. Each result keeps its input's side
-    when it is closed under that side.
+    left ideals sit in the first ({a : <c,a> = 0}). By biadditivity the
+    rows of a code's form stand for the code: the dual is the kernel of
+    the pairing with them, one batched `GroupAlgebra.dual_keys`. Each
+    result keeps its input's side when it is closed under that side.
     """
     alg = codes[0].alg
-    keys = alg.dual_keys(np.array([c.form for c in codes]),
-                         [c.side == "left" for c in codes])
+    keys = alg.dual_keys(_rows(codes), [c.side == "left" for c in codes])
     out = [CodeSet(alg, form=key) for key in keys]
     for c, d in zip(codes, out):
         if c.side is not None and side_closed(d, c.side):
@@ -228,46 +231,39 @@ def dual_code(codes: list[CodeSet]) -> list[CodeSet]:
 
 def hat_image(codes: list[CodeSet]) -> list[CodeSet]:
     """The image of each code under the involution, which is additive:
-    the images of the rows of a form generate the image, keyed in one
-    batched reduction."""
+    the images of the rows of a form generate it."""
     alg = codes[0].alg
-    keys = alg.subgroup_form(
-        alg.hat_all()[alg.stacked_rows(np.array([c.form for c in codes]))])
-    return [CodeSet(alg, form=key) for key in keys]
+    return [CodeSet(alg, form=key)
+            for key in alg.subgroup_form(alg.hat_all()[_rows(codes)])]
 
 
 def ann_left(codes: list[CodeSet],
              bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
-    """For each code, all a with a*c = 0 for every c in it, a left ideal:
-    the kernel of the maps x -> x*b of the rows b of its form, which
-    generate it, side by side."""
+    """For each code, all a with a*c = 0 for every c in it: a left ideal,
+    the kernel of the maps x -> x*b of the rows b of its form side by
+    side. One batch, gated by `bound` like the annihilators of elements."""
     return _kernels(codes, "left", bound)
 
 
 def ann_right(codes: list[CodeSet],
               bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
-    """For each code, all a with c*a = 0 for every c in it, a right
-    ideal: the kernel of the maps x -> b*x of the rows b of its form."""
+    """For each code, all a with c*a = 0 for every c in it; as `ann_left`."""
     return _kernels(codes, "right", bound)
 
 
 def _kernels(codes: list[CodeSet], side: str, bound: int) -> list[CodeSet]:
-    """The side annihilators of the codes, keyed by one batched
-    `GroupAlgebra.canonical_keys` of their forms' rows; gated by `bound`
-    as the annihilators of elements are."""
     alg = codes[0].alg
     check_scale(alg, bound, "annihilator table")
-    rows = alg.stacked_rows(np.array([c.form for c in codes]))
-    return [CodeSet(alg, side=side, form=key)
-            for key in alg.canonical_keys(rows, side, kernel=True)]
+    return [CodeSet(alg, side=side, form=key) for key in
+            alg.canonical_keys(_rows(codes), side, kernel=True)]
 
 
 def ann_right_of_element(alg: GroupAlgebra, u: int,
                          bound: int = DEFAULT_OP_BOUND) -> CodeSet:
     """All a with u*a = 0: the key of u's class in the table of right
-    kernels, `GroupAlgebra.classes`, gated by `bound`."""
+    kernels, `GroupAlgebra.canonical_classes`, gated by `bound`."""
     check_scale(alg, bound, "annihilator table")
-    _, keys, rows = alg.classes("right", kernel=True)
+    _, keys, rows = alg.canonical_classes("right", kernel=True)
     return CodeSet(alg, side="right", form=keys[rows[u]])
 
 
@@ -285,10 +281,10 @@ def check_scale(alg: GroupAlgebra, bound: int, what: str) -> None:
 
 def principal_ideals(alg: GroupAlgebra, side: str,
                      bound: int = DEFAULT_CENSUS_BOUND) -> dict[bytes, int]:
-    """Every principal ideal of one side as its mask key and least
+    """Every principal ideal of one side as its key and least
     generator, in the order of those generators; the whole of RG is
     classified first, gated by `bound`. The table of ideals by least
-    generator, from `GroupAlgebra.classes` with no map computed, is
+    generator, from `GroupAlgebra.canonical_classes` with no map computed, is
     built once per algebra and side; `principal` reads it.
     """
     if side not in ("right", "left"):
@@ -296,7 +292,7 @@ def principal_ideals(alg: GroupAlgebra, side: str,
     check_scale(alg, bound, "principal-ideal census")
     table = alg.principal_sets.get(side)
     if table is None:
-        leasts, keys, _ = alg.classes(side)
+        leasts, keys, _ = alg.canonical_classes(side)
         table = alg.principal_sets[side] = {
             u: CodeSet(alg, side=side, form=key)
             for u, key in zip(leasts.tolist(), keys)}

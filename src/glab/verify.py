@@ -249,8 +249,8 @@ _checkable_dual_principal = _needs_frobenius(lambda ws: _tally(
                             for c, v in ws.checkable_census.verdicts)))
 
 def _dual_hat_ann(ws: Workspace):
-    """dual(C) = hat(Ann_l(C)) for every right ideal C; the involution
-    images are one batch."""
+    """dual(C) = hat(Ann_l(C)) for every right ideal C, the involution
+    images in one batch."""
     R = ws.right_ideals
     hats = hat_image([ws.ann("left", c) for c in R])
     return _tally("right ideals", _ideals(
@@ -279,7 +279,7 @@ def _ann_of_element(side: str):
     """Ann_side(u) is the side annihilator of the other-sided span of u.
 
     Each element's Ann_side(u) is its class's key in the side's table of
-    kernels, `GroupAlgebra.classes`. Its span is read from the other
+    kernels, `GroupAlgebra.canonical_classes`. Its span is read from the other
     side's principal table: the principal ideal of its least generator,
     a member of the other side's census, so that the annihilators of
     the members come in one batch. Each (annihilator class,
@@ -292,8 +292,8 @@ def _ann_of_element(side: str):
         principal_ideals(alg, other, bound)     # the table, gated
         check_scale(alg, bound, "annihilator table")
         ws.ideals(other)
-        _, keys, kernel = alg.classes(side, kernel=True)
-        reps, _, spans = alg.classes(other)
+        _, keys, kernel = alg.canonical_classes(side, kernel=True)
+        reps, _, spans = alg.canonical_classes(other)
         equal = np.zeros((len(keys), len(reps)), dtype=bool)
         equal[kernel, spans] = True
         for k, p in np.argwhere(equal).tolist():

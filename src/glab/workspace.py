@@ -60,8 +60,9 @@ class Workspace:
     """The objects that several commands or laws share, each computed
     on first use and then held for the rest of the run.
 
-    Duals and annihilators that are members of a census computed so far
-    resolve to the member, so each set's form is found once."""
+    Duals, annihilators and residue images are found once per key, and
+    a census member's together with those of its whole side, in one
+    batch; a dual or annihilator that is a member resolves to it."""
 
     def __init__(self, built: BuiltInstance):
         self.built = built
@@ -120,14 +121,10 @@ class Workspace:
         return codes, rows
 
     @cached_property
-    def right_masks(self) -> np.ndarray:
-        """The right-ideal census as a (k, |RG|) stack of masks."""
-        return np.array([c.mask for c in self.right_ideals])
-
-    @cached_property
     def complementary(self) -> np.ndarray:
         """`lcp_matrix` of the right-ideal census against itself."""
-        return lcp_matrix(self.right_masks, self.right_masks)
+        masks = np.array([c.mask for c in self.right_ideals])
+        return lcp_matrix(masks, masks)
 
     @cached_property
     def idempotents(self) -> list[int]:
@@ -219,6 +216,7 @@ class Workspace:
         """The code's image in the residue algebra."""
         return self._once(self._projections, lambda c: (c.side, c.key()),
                           lambda cs: project_code(self.residue, cs), code)
+
 
 # ---------------------------------------------------------------------------
 # tallying
