@@ -328,17 +328,18 @@ class GroupAlgebra:
         """The elements whose coordinates are the nonzero rows of the
         form with this key, lifted back to RG, which generate the
         subgroup, and the number of elements of the subgroup."""
-        rows, counts = _form_rows(key, self._moduli)
-        return rows @ self._coordinate_basis, math.prod(counts.tolist())
+        rows, counts = (a[0] for a in _form_rows(key[None], self._moduli))
+        return (rows[counts > 1] @ self._coordinate_basis,
+                math.prod(counts.tolist()))
 
     def stacked_rows(self, keys: np.ndarray) -> np.ndarray:
         """The `form_rows` elements of each key of a stack, one row per
         key, padded with 0 to a common length of at least 1."""
-        rows = [self.form_rows(key)[0] for key in keys]
-        out = np.zeros((len(rows), max(1, *map(len, rows))), dtype=np.int64)
-        for i, r in enumerate(rows):
-            out[i, :len(r)] = r
-        return out
+        rows, counts = _form_rows(keys, self._moduli)
+        order = np.argsort(counts == 1, axis=1, kind="stable")
+        width = max(1, int(np.count_nonzero(counts > 1, axis=1).max()))
+        return np.take_along_axis(rows @ self._coordinate_basis, order,
+                                  axis=1)[:, :width]
 
     def dual_keys(self, rows: np.ndarray, left) -> np.ndarray:
         """For each row of a stack of rows of elements b_t, the key of
@@ -531,22 +532,23 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     return w[:, :c]
 
 
-def _form_rows(key: np.ndarray, moduli: tuple[int, ...]
+def _form_rows(keys: np.ndarray, moduli: tuple[int, ...]
                ) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero rows of each p-part of the form with this key from
+    """The rows of each p-part of the form of each key of a stack from
     `_subgroup_keys`, lifted back to coordinates modulo `moduli` through
-    the lifts of `_prime_parts`, and the count q / pivot of each. By
-    Howell's property each element of the subgroup is the sum of c_i
-    times row i, with 0 <= c_i < count_i, in exactly one way."""
+    the lifts of `_prime_parts`, and the count q / pivot of each, 1 for
+    a zero row. By Howell's property each element of the subgroup is
+    the sum of c_i times row i, with 0 <= c_i < count_i, in exactly one
+    way."""
     c = len(moduli)
+    forms = keys.reshape(len(keys), -1, c, c).astype(np.int64)
     rows, counts = [], []
-    for form, (p, a, scale, lift) in zip(key.reshape(-1, c, c).astype(np.int64),
-                                         _prime_parts(moduli)):
-        form = form[form.any(axis=1)]
-        pivots = form[np.arange(len(form)), (form != 0).argmax(axis=1)]
-        rows.append(form // np.maximum(scale, 1) * lift % np.array(moduli))
-        counts.append(p ** a // pivots)
-    return np.concatenate(rows), np.concatenate(counts)
+    for k, (p, a, scale, lift) in enumerate(_prime_parts(moduli)):
+        pivots = np.take_along_axis(
+            forms[:, k], (forms[:, k] != 0).argmax(axis=2)[..., None], axis=2)
+        rows.append(forms[:, k] // np.maximum(scale, 1) * lift % np.array(moduli))
+        counts.append(p ** a // np.where(pivots, pivots, p ** a)[..., 0])
+    return np.concatenate(rows, axis=1), np.concatenate(counts, axis=1)
 
 
 def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
@@ -555,9 +557,9 @@ def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     c = len(moduli)
     # entries and products stay below max(moduli)^2
     dtype = np.int16 if max(moduli) ** 2 < 1 << 15 else np.int32
-    rows, counts = _form_rows(key, moduli)
+    rows, counts = (a[0] for a in _form_rows(key[None], moduli))
     out = np.zeros((1, c), dtype=dtype)
-    for row, n in zip(rows.astype(dtype), counts.tolist()):
+    for row, n in zip(rows[counts > 1].astype(dtype), counts[counts > 1].tolist()):
         out = (out[None] + np.arange(n, dtype=dtype)[:, None, None] * row
                ).reshape(-1, c)
         out %= np.array(moduli, dtype=dtype)

@@ -323,7 +323,7 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     found = {p.key(): p for p in ps}
     stack = np.array([p.mask for p in ps])
     forms = np.array([p.form for p in ps])
-    sizes = np.array([p.cardinality for p in ps])
+    sizes = np.count_nonzero(stack, axis=1)
     outside = ~packed(stack)            # one row per member found
     member_sizes = sizes
 

@@ -116,11 +116,13 @@ class ResidueTransfer(NamedTuple):
 def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
     """The image of each ideal under the coefficientwise residue
     projection, which is additive: the images of the rows of a form
-    generate the image, keyed in one batched reduction."""
+    generate the image, keyed in one batched reduction. Equal images
+    are one set, whose mask is enumerated once."""
     keys = rm.residue.subgroup_form(
         rm.proj[rm.base.stacked_rows(np.array([c.form for c in codes]))])
-    return [CodeSet(rm.residue, side=c.side, form=key)
-            for c, key in zip(codes, keys)]
+    images: dict = {}
+    return [images.setdefault((c.side, key.tobytes()), CodeSet(
+        rm.residue, side=c.side, form=key)) for c, key in zip(codes, keys)]
 
 
 def lcp_residue_correspondence(c: CodeSet, d: CodeSet, rm: ResidueMap,
