@@ -56,8 +56,8 @@ class CheckabilityVerdict(NamedTuple):
 def check_elements(alg: GroupAlgebra, bound: int) -> dict[bytes, int]:
     """The least u with Ann_r(u) = C for every right annihilator C of an
     element, keyed by C's key, in the order of those u: the classes of
-    right kernels of `GroupAlgebra.canonical_classes`, which read no principal
-    table and compute no map; gated by `bound`."""
+    right kernels of `GroupAlgebra.canonical_classes`, which read no
+    principal table and compute no map; gated by `bound`."""
     check_scale(alg, bound, "check-element scan")
     leasts, keys, _ = alg.canonical_classes("right", kernel=True)
     return {key.tobytes(): u for u, key in zip(leasts.tolist(), keys)}

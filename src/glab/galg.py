@@ -193,10 +193,6 @@ class GroupAlgebra:
         coefficient from g^-1."""
         return int(self.hat_all()[x])
 
-    def form(self, x: int, y: int) -> int:
-        """<x, y> = sum over g of x_g * y_g, an element of R."""
-        return int(self._form(self.coeffs[x], self.coeffs[y]))
-
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.label}, card={self.card})"
 
@@ -295,8 +291,8 @@ class GroupAlgebra:
             maps = self._basis_images(u.ravel(), side).reshape(-1, r, c, c)
             if not kernel:
                 return _subgroup_keys(maps.reshape(-1, r * c, c), self._moduli)
-            return _subgroup_keys(maps.transpose(0, 2, 1, 3).reshape(-1, c, r * c),
-                                  self._moduli, self._moduli * r)
+            side_by_side = maps.transpose(0, 2, 1, 3).reshape(-1, c, r * c)
+            return _subgroup_keys(side_by_side, self._moduli, self._moduli * r)
         return _chunks(keys, 3 * r * c * c * (2 if kernel else 1), us)
 
     def subgroup_form(self, elems) -> np.ndarray:
@@ -355,8 +351,8 @@ class GroupAlgebra:
             gens = self.coeffs[rows][:, None]
             pairs = np.where(left[:, None, None], self._form(gens, basis),
                              self._form(basis, gens))
-            return _subgroup_keys(self.ring.coords[pairs].reshape(len(rows), c, -1),
-                                  self._moduli, self.ring.moduli * r)
+            images = self.ring.coords[pairs].reshape(len(rows), c, -1)
+            return _subgroup_keys(images, self._moduli, self.ring.moduli * r)
         return _chunks(kernel, 3 * r * c * c, rows, np.asarray(left))
 
     def subgroup_mask(self, key: np.ndarray) -> np.ndarray:
@@ -559,7 +555,8 @@ def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     dtype = np.int16 if max(moduli) ** 2 < 1 << 15 else np.int32
     rows, counts = (a[0] for a in _form_rows(key[None], moduli))
     out = np.zeros((1, c), dtype=dtype)
-    for row, n in zip(rows[counts > 1].astype(dtype), counts[counts > 1].tolist()):
+    kept = counts > 1
+    for row, n in zip(rows[kept].astype(dtype), counts[kept].tolist()):
         out = (out[None] + np.arange(n, dtype=dtype)[:, None, None] * row
                ).reshape(-1, c)
         out %= np.array(moduli, dtype=dtype)

@@ -53,10 +53,11 @@ class CodeSet:
         if mask is not None:
             mask = np.asarray(mask, dtype=bool).copy()
             if mask.shape != (alg.card,):
-                raise ConstructionError(
-                    f"{alg.label}: mask has shape {mask.shape}, need ({alg.card},)")
+                raise ConstructionError(f"{alg.label}: mask has shape "
+                                        f"{mask.shape}, need ({alg.card},)")
             if not mask[0]:
-                raise ConstructionError(f"{alg.label}: code set must contain 0")
+                raise ConstructionError(
+                    f"{alg.label}: code set must contain 0")
             mask.setflags(write=False)
             self._card = int(np.count_nonzero(mask))
             if form is None:

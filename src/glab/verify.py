@@ -176,8 +176,8 @@ def _hat_central_image(ws: Workspace):
 
 
 _hat_size = _needs_frobenius(lambda ws: _tally("complementary pairs", (
-    (f"certificate {p.certificate}", hat_transfer(ws, p.c, p.d)[0])
-    for p in ws.pairs)))
+    (f"certificate {p.certificate}",
+     p.c.cardinality == ws.dual(p.d).cardinality) for p in ws.pairs)))
 
 
 def _forward(rm: ResidueMap, rt: ResidueTransfer) -> bool:
@@ -279,12 +279,12 @@ def _ann_of_element(side: str):
     """Ann_side(u) is the side annihilator of the other-sided span of u.
 
     Each element's Ann_side(u) is its class's key in the side's table of
-    kernels, `GroupAlgebra.canonical_classes`. Its span is read from the other
-    side's principal table: the principal ideal of its least generator,
-    a member of the other side's census, so that the annihilators of
-    the members come in one batch. Each (annihilator class,
-    principal class) pair that some element has is compared once, and
-    every element is tallied by its pair."""
+    kernels, `GroupAlgebra.canonical_classes`. Its span is read from the
+    other side's principal table: the principal ideal of its least
+    generator, a member of the other side's census, so that the
+    annihilators of the members come in one batch. Each principal
+    class's annihilator is found once, as the row of its key in the
+    table, and every element is tallied by its two rows."""
     other = _OTHER[side]
 
     def law(ws: Workspace):
@@ -294,12 +294,10 @@ def _ann_of_element(side: str):
         ws.ideals(other)
         _, keys, kernel = alg.canonical_classes(side, kernel=True)
         reps, _, spans = alg.canonical_classes(other)
-        equal = np.zeros((len(keys), len(reps)), dtype=bool)
-        equal[kernel, spans] = True
-        for k, p in np.argwhere(equal).tolist():
-            equal[k, p] = np.array_equal(keys[k], ws.ann(
-                side, principal(alg, int(reps[p]), other)).form)
-        return _tally("elements", (), results=equal[kernel, spans],
+        row = {key.tobytes(): i for i, key in enumerate(keys)}
+        anns = np.array([row.get(ws.ann(side, principal(alg, int(u), other))
+                                 .key(), -1) for u in reps])
+        return _tally("elements", (), results=anns[spans] == kernel,
                       where="element {}")
     return law
 

@@ -203,14 +203,15 @@ class Workspace:
         return got
 
     def dual(self, code: CodeSet) -> CodeSet:
-        return self._once(self._duals, lambda c: (c.side, c.key()), lambda cs: [
-            self._member(d) for d in dual_code(cs)], code)
+        return self._once(self._duals, lambda c: (c.side, c.key()),
+                          lambda cs: list(map(self._member, dual_code(cs))),
+                          code)
 
     def ann(self, side: str, code: CodeSet) -> CodeSet:
         """The side annihilator of the code, gated by the scan bound."""
         ann = ann_right if side == "right" else ann_left
-        return self._once(self._anns, lambda c: (side, c.key()), lambda cs: [
-            self._member(a) for a in ann(cs, self.built.bound)], code)
+        return self._once(self._anns, lambda c: (side, c.key()), lambda cs: list(
+            map(self._member, ann(cs, self.built.bound))), code)
 
     def projection(self, code: CodeSet) -> CodeSet:
         """The code's image in the residue algebra."""

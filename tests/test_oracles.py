@@ -133,7 +133,7 @@ def test_every_map_matches_the_definition(name):
         assert alg.is_central(x) == bool(np.array_equal(table[x], table[:, x]))
         for y in rng.integers(0, alg.card, 4):
             assert alg.mul(x, int(y)) == table[x, y]
-            assert alg.form(x, int(y)) == forms[x, y]
+            assert alg._form(alg.coeffs[x], alg.coeffs[int(y)]) == forms[x, y]
 
 
 def test_strided_maps_of_m2f2c3_match_the_definition():
