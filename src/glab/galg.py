@@ -494,11 +494,13 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     w = np.concatenate([w.astype(dtype), np.zeros(
         (n, c if a > 1 else max(c - r, 0), c), dtype)], axis=1)
     at, rows = np.arange(n), np.arange(w.shape[1])
+    powers = (p ** np.arange(a + 1)).astype(dtype)
     done = np.zeros(n, dtype=np.intp)       # the pool is rows done..end - 1
     end = np.full(n, r, dtype=np.intp)
     for j in range(c):
-        pool = (rows >= done[:, None]) & (rows < end[:, None])
-        v = np.where(pool, val[w[:, :, j]], a)
+        # the rows from `end` on are zero, of valuation a: never a pivot
+        v = val[w[:, :, j]]
+        v[rows < done[:, None]] = a
         piv = v.argmin(axis=1)
         vp = v[at, piv]
         has = vp < a
@@ -509,9 +511,9 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
         d = np.where(has, done, piv)
         top = w[at, piv]
         w[at, piv] = w[at, d]
-        pw = (p ** vp).astype(dtype)
-        unit = inv[top[:, j] // pw].astype(dtype)
-        top = np.where(has[:, None], top * unit[:, None] % q, top)
+        pw = powers[vp]
+        unit = np.where(has, inv[top[:, j] // pw], 1).astype(dtype)
+        top = top * unit[:, None] % q
         f = w[:, :, j] // pw[:, None]
         f[at, d] = 0
         block = w[:, :, j:]
@@ -521,9 +523,10 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
         else:
             block %= q
         w[at, d] = top
-        grow = has & (vp > 0)
-        w[at[grow], end[grow]] = _killed_multiple(top[grow], pw[grow], q)
-        end += grow
+        if a > 1:       # over a field every pivot is a unit
+            grow = has & (vp > 0)
+            w[at[grow], end[grow]] = _killed_multiple(top[grow], pw[grow], q)
+            end += grow
         done += has
     return w[:, :c]
 
