@@ -329,8 +329,8 @@ class GroupAlgebra:
                 math.prod(counts.tolist()))
 
     def stacked_rows(self, keys: np.ndarray) -> np.ndarray:
-        """The `form_rows` elements of each key of a stack, one row per
-        key, padded with 0 to a common length of at least 1."""
+        """The `form_rows` elements of each key of a stack, padded with 0
+        to a common length of at least 1."""
         rows, counts = _form_rows(keys, self._moduli)
         order = np.argsort(counts == 1, axis=1, kind="stable")
         width = max(1, int(np.count_nonzero(counts > 1, axis=1).max()))
@@ -342,8 +342,7 @@ class GroupAlgebra:
         {a : <a, b_t> = 0 for every t}, or where `left` is set of
         {a : <b_t, a> = 0}: the kernel of the pairing, which sends the
         coordinate unit e_j to the coordinates of each <e_j, b_t>
-        (<b_t, e_j>), from one batched `_form` per slot; in chunks as in
-        `canonical_keys`."""
+        (<b_t, e_j>). In chunks as in `canonical_keys`."""
         r, c = rows.shape[1], len(self._moduli)
         basis = self.coeffs[self._coordinate_basis][None, :, None]
 

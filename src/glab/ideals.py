@@ -22,8 +22,7 @@ annihilator. Both identities hold with no commutativity assumption;
 the mirrored orientation is what makes the size product law hold on
 both sides. Over a noncommutative base ring the dual of a one-sided
 ideal need not be one-sided; the result then carries no side claim.
-Duals, annihilators and images take a list of sets and key them in
-one batched reduction.
+Duals, annihilators and images take a list of sets, keyed in one batch.
 """
 
 from __future__ import annotations
@@ -207,8 +206,7 @@ def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
 # duals and annihilators
 
 def _rows(codes: list[CodeSet]) -> np.ndarray:
-    """The rows of each code's form as elements, which generate it, one
-    row per code (`GroupAlgebra.stacked_rows`)."""
+    """The rows of each code's form, which generate it, as elements."""
     return codes[0].alg.stacked_rows(np.array([c.form for c in codes]))
 
 
