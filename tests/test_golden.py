@@ -6,6 +6,8 @@ The reference reports in perfbench/reference/ are the oracle: desk.json
 calibration.json (the M2(Z2)C3 commands). Each invocation is replayed
 through glab.cli.main from the repository root and must match byte for
 byte. The files are only read here; perfbench/record.py rewrites them.
+The full law matrix at the calibration point, in text and TSV, is
+frozen in tests/golden/, which nothing rewrites.
 """
 
 import json
@@ -47,14 +49,14 @@ def test_calibration_report_replays(invocation, monkeypatch, capsys):
 
 
 # The full law matrix at the calibration point, the paper's own
-# noncommutative setting (M2(Z2)C3), recorded from the code of the
-# previous release: 24 laws, 3 of which fail by design (exit 1).
+# noncommutative setting (M2(Z2)C3), recorded while sets were still
+# keyed by their masks: 24 laws, 3 of which fail by design (exit 1).
 CALIBRATION_VERIFY_ALL = "verify-all fixtures/m2f2c3.glab --census-bound 5000"
 
 
 @pytest.mark.parametrize("fmt", ["txt", "tsv"])
 def test_calibration_verify_all_replays(fmt, monkeypatch, capsys):
     golden = ROOT / "tests" / "golden" / f"verify_all_m2f2c3.{fmt}"
-    invocation = CALIBRATION_VERIFY_ALL + (" --format tsv" if fmt == "tsv" else "")
+    invocation = CALIBRATION_VERIFY_ALL + (" --format tsv" * (fmt == "tsv"))
     _replay({"exit": 1, "stdout": golden.read_text()}, invocation,
             monkeypatch, capsys)
