@@ -463,10 +463,11 @@ def _local_tables(p: int, a: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _killed_multiple(rows: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
-    """(q / pivot) times each pivot row over Z/q: the multiple that is
-    zero in the pivot's column, which the rows below the pivot must
-    still span for the echelon form to have Howell's property."""
-    return (q // pivots)[:, None] * rows % q
+    """(q / pivot) times each pivot row over Z/q, the rows stacked along
+    the last axis: the multiple that is zero in the pivot's column,
+    which the rows below the pivot must still span for the echelon
+    form to have Howell's property."""
+    return (q // pivots) * rows % q
 
 
 def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
@@ -479,55 +480,67 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     Storjohann & Mulders 1998); over a field (a = 1) it is the reduced
     row echelon form.
 
-    Column by column, the pivot is the entry of least valuation among
-    the rows not yet used (the pool); every other row is reduced by it,
-    and `_killed_multiple` of the pivot row joins the pool.
+    The stack is held as one (c, rows, N) array, so that column j is a
+    contiguous (rows, N) slab and each elimination runs numpy's inner
+    loop over the N matrices. Its rows are the pool, which may hold a
+    pivot: a zero sentinel, the r rows of the matrix and, when a > 1,
+    one slot per column for `_killed_multiple` of that column's pivot
+    row; then one slot per column for the form row with its pivot
+    there. Column by column, each matrix's pivot is its pool row of
+    least valuation, the first one of them; with no pool entry nonzero
+    it is the sentinel, which changes nothing. The pivot row, scaled to
+    a power of p, goes to the column's form slot, and every row is
+    reduced by it, the form slots too, which leaves the pivot row zero
+    in the pool: no row is swapped or marked used. Over a field the
+    pivot is the first nonzero pool entry, and over F2 the reduction is
+    one xor. At the end each matrix's form rows are gathered in the
+    order of their columns, zero rows last.
     """
     q = p ** a
-    val, inv = _local_tables(p, a)
     n, r, c = w.shape
     # entries and products below q^2 fit the type
-    dtype = np.int16 if q * q < 1 << 15 else np.int32
-    # each pivot other than a unit adds one row to the pool, and the
-    # form has c rows
-    w = np.concatenate([w.astype(dtype), np.zeros(
-        (n, c if a > 1 else max(c - r, 0), c), dtype)], axis=1)
-    at, rows = np.arange(n), np.arange(w.shape[1])
-    powers = (p ** np.arange(a + 1)).astype(dtype)
-    done = np.zeros(n, dtype=np.intp)       # the pool is rows done..end - 1
-    end = np.full(n, r, dtype=np.intp)
+    dtype = np.int8 if q * q < 1 << 7 else np.int16 if q * q < 1 << 15 else np.int32
+    pool = 1 + r + (c if a > 1 else 0)
+    work = np.zeros((c, pool + c, n), dtype)
+    work[:, 1:r + 1] = w.transpose(2, 1, 0)
+    at = np.arange(n)
+    val, inv = _local_tables(p, a)
+    inv = inv.astype(dtype)
+    if a > 1:
+        # the least valuation, then the first row, from one minimum
+        keyed = val * pool
+        rows = np.arange(pool)[:, None]
+        powers = (p ** np.arange(a + 1)).astype(dtype)
     for j in range(c):
-        # the rows from `end` on are zero, of valuation a: never a pivot
-        v = val[w[:, :, j]]
-        v[rows < done[:, None]] = a
-        piv = v.argmin(axis=1)
-        vp = v[at, piv]
-        has = vp < a
-        if not has.any():
-            continue
-        # a matrix with no pivot here swaps a row with itself, and its
-        # entries divided by q are 0: nothing changes
-        d = np.where(has, done, piv)
-        top = w[at, piv]
-        w[at, piv] = w[at, d]
-        pw = powers[vp]
-        unit = np.where(has, inv[top[:, j] // pw], 1).astype(dtype)
-        top = top * unit[:, None] % q
-        f = w[:, :, j] // pw[:, None]
-        f[at, d] = 0
-        block = w[:, :, j:]
-        block -= f[:, :, None] * top[:, None, j:]
-        if p == 2:     # the remainder by a power of 2, and faster
-            block &= q - 1
+        col = work[j]
+        if a == 1:
+            piv = (col[:pool] != 0).argmax(axis=0)
+            top = work[j:, piv, at]
+            if p == 2:
+                work[j:] ^= col & top[:, None]
+            else:
+                top *= inv.take(top[0])
+                top %= q
+                work[j:] -= col * top[:, None]
+                work[j:] %= q
         else:
-            block %= q
-        w[at, d] = top
-        if a > 1:       # over a field every pivot is a unit
-            grow = has & (vp > 0)
-            w[at[grow], end[grow]] = _killed_multiple(top[grow], pw[grow], q)
-            end += grow
-        done += has
-    return w[:, :c]
+            key = keyed.take(col[:pool])
+            key += rows
+            vp, piv = np.divmod(key.min(axis=0), pool)
+            top = work[j:, piv, at]
+            pw = powers.take(vp)
+            top *= inv.take(top[0] // pw)
+            top %= q
+            work[j:] -= col // pw * top[:, None]
+            if p == 2:     # the remainder by a power of 2, and faster
+                work[j:] &= q - 1
+            else:
+                work[j:] %= q
+            work[j + 1:, 1 + r + j] = _killed_multiple(top[1:], pw, q)
+        work[j:, pool + j] = top
+    form = work[:, pool:]
+    order = np.argsort(~form.any(axis=0), axis=0, kind="stable")
+    return np.take_along_axis(form, order[None], axis=1).transpose(2, 1, 0)
 
 
 def _form_rows(keys: np.ndarray, moduli: tuple[int, ...]
