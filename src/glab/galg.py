@@ -354,17 +354,24 @@ class GroupAlgebra:
             return _subgroup_keys(images, self._moduli, self.ring.moduli * r)
         return _chunks(kernel, 3 * r * c * c, rows, np.asarray(left))
 
-    def subgroup_mask(self, key: np.ndarray) -> np.ndarray:
-        """The subgroup with this key as a mask, enumerated from it; the
+    def subgroup_mask(self, keys: np.ndarray) -> np.ndarray:
+        """The subgroup with this key as a mask, enumerated from it; for
+        a stack of keys, one mask each, in chunks of keys whose
+        enumeration holds at most KEY_CHUNK_ENTRIES coordinates. The
         indices are summed one coordinate at a time: no (n, c) int64
         copy."""
-        coords = _subgroup_elements(key, self._moduli)
-        at = np.zeros(len(coords), dtype=np.intp)
-        for column, weight in zip(coords.T, self._coordinate_basis):
-            at += column.astype(np.intp) * weight
-        mask = np.zeros(self.card, dtype=bool)
-        mask[at] = True
-        return mask
+        stack = np.atleast_2d(keys)
+
+        def masks(keys: np.ndarray) -> np.ndarray:
+            coords, owner = _subgroup_elements(keys, self._moduli)
+            at = owner * self.card
+            for column, weight in zip(coords.T, self._coordinate_basis):
+                at += column.astype(np.intp) * weight
+            out = np.zeros((len(keys), self.card), dtype=bool)
+            out.reshape(-1)[at] = True
+            return out
+        got = _chunks(masks, self.card * len(self._moduli), stack)
+        return got if keys.ndim > 1 else got[0]
 
     def canonical_classes(self, side: str, kernel: bool = False
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -562,20 +569,26 @@ def _form_rows(keys: np.ndarray, moduli: tuple[int, ...]
     return np.concatenate(rows, axis=1), np.concatenate(counts, axis=1)
 
 
-def _subgroup_elements(key: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """The coordinates of every element of the subgroup with this key,
-    one row each: the sums of the rows of `_form_rows`."""
-    c = len(moduli)
+def _subgroup_elements(keys: np.ndarray, moduli: tuple[int, ...]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of every element of the subgroup of each key of
+    a stack, one row each, and the position of its key: the sums of the
+    rows of `_form_rows`, built one row position at a time for all the
+    keys, each element repeated once per multiple of the row."""
     # entries and products stay below max(moduli)^2
     dtype = np.int16 if max(moduli) ** 2 < 1 << 15 else np.int32
-    rows, counts = (a[0] for a in _form_rows(key[None], moduli))
-    out = np.zeros((1, c), dtype=dtype)
-    kept = counts > 1
-    for row, n in zip(rows[kept].astype(dtype), counts[kept].tolist()):
-        out = (out[None] + np.arange(n, dtype=dtype)[:, None, None] * row
-               ).reshape(-1, c)
+    rows, counts = _form_rows(keys, moduli)
+    rows = rows.astype(dtype)
+    out = np.zeros((len(keys), len(moduli)), dtype=dtype)
+    owner = np.arange(len(keys))
+    for i in np.flatnonzero((counts > 1).any(axis=0)):
+        n = counts[owner, i]
+        out, owner = np.repeat(out, n, axis=0), np.repeat(owner, n)
+        # 0, ..., n - 1 along each element's copies
+        k = np.arange(len(out)) - np.repeat(np.cumsum(n) - n, n)
+        out += k.astype(dtype)[:, None] * rows[owner, i]
         out %= np.array(moduli, dtype=dtype)
-    return out
+    return out, owner
 
 
 def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],

@@ -76,10 +76,9 @@ class CodeSet:
     @property
     def mask(self) -> np.ndarray:
         """The set as a read-only boolean mask over RG: the producer's,
-        or else enumerated from the form on first use."""
+        or else enumerated from the form on first use (`masks`)."""
         if self._mask is None:
-            self._mask = self.alg.subgroup_mask(self.form)
-            self._mask.setflags(write=False)
+            masks([self])
         return self._mask
 
     def elements(self) -> np.ndarray:
@@ -99,9 +98,22 @@ class CodeSet:
 # ---------------------------------------------------------------------------
 # masks and forms
 
-def packed(masks: np.ndarray) -> np.ndarray:
+def masks(codes: list[CodeSet]) -> np.ndarray:
+    """The masks of the codes as one stack. Those not yet enumerated come
+    from one batched `GroupAlgebra.subgroup_mask` of their forms and are
+    kept on their sets, read-only, with their sizes."""
+    todo = [c for c in codes if c._mask is None]
+    if todo:
+        got = todo[0].alg.subgroup_mask(np.array([c.form for c in todo]))
+        got.setflags(write=False)
+        for c, mask, card in zip(todo, got, np.count_nonzero(got, axis=1)):
+            c._mask, c._card = mask, int(card)
+    return np.array([c._mask for c in codes])
+
+
+def packed(stack: np.ndarray) -> np.ndarray:
     """Each row of a stack of masks packed eight columns to a byte."""
-    return np.packbits(masks, axis=-1, bitorder="little")
+    return np.packbits(stack, axis=-1, bitorder="little")
 
 
 def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,8 +130,8 @@ def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def containment(codes: list[CodeSet]) -> np.ndarray:
     """Whether C_i lies within C_j, for every (i, j) of the codes: one
     `overlaps` of the packed masks with their complements."""
-    masks = packed(np.array([c.mask for c in codes]))
-    return ~overlaps(masks, ~masks)
+    stack = packed(masks(codes))
+    return ~overlaps(stack, ~stack)
 
 
 def pair_sums(codes: list[CodeSet]) -> np.ndarray:
@@ -144,24 +156,34 @@ def meets(codes: list[CodeSet]) -> np.ndarray:
     inside = containment(codes)
     k = len(codes)
     at = k - 1 - (inside[::-1, :, None] & inside[::-1, None, :]).argmax(axis=0)
-    masks = packed(np.array([c.mask for c in codes]))
+    stack = packed(masks(codes))
     for i in range(k):
-        if (masks[at[i]] != masks[i] & masks).any():
+        if (stack[at[i]] != stack[i] & stack).any():
             raise ConstructionError(
                 f"{codes[0].alg.label}: a meet is not among the sets")
     return at
 
 
-def side_closed(code: CodeSet, side: str) -> bool:
-    """Whether the set is closed under all one-sided multiplications.
+def side_closed(codes: list[CodeSet], sides: list[str]) -> np.ndarray:
+    """Whether each set is closed under all multiplications of its side.
 
     The algebra's generators (group elements and scalars) and addition
-    generate every one-sided multiplication, so checking those
-    suffices once additive closure is known.
+    generate every one-sided multiplication, and the rows of a form
+    generate its set additively, so a set is closed exactly when the
+    form of its rows and their images under the generators is its own:
+    one batched reduction, the images read from the generators' maps.
     """
-    elems = code.elements()
-    return all(code.mask[code.alg.fixed_map(g, side == "left")[elems]].all()
-               for g in code.alg.generators)
+    alg = codes[0].alg
+    rows, sides = _rows(codes), np.array(sides)
+    images = np.empty((len(codes), len(alg.generators), rows.shape[1]),
+                      dtype=rows.dtype)
+    for side in set(sides.tolist()):
+        at = np.flatnonzero(sides == side)
+        for k, g in enumerate(alg.generators):
+            images[at, k] = alg.fixed_map(g, side == "left")[rows[at]]
+    forms = alg.subgroup_form(np.concatenate(
+        [rows, images.reshape(len(codes), -1)], axis=1))
+    return (forms == np.array([c.form for c in codes])).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +239,17 @@ def dual_code(codes: list[CodeSet]) -> list[CodeSet]:
     left ideals sit in the first ({a : <c,a> = 0}). By biadditivity the
     rows of a code's form stand for the code: the dual is the kernel of
     the pairing with them, one batched `GroupAlgebra.dual_keys`. Each
-    result keeps its input's side when it is closed under that side.
+    result keeps its input's side when it is closed under that side,
+    which `side_closed` decides by forms for the batch at once.
     """
     alg = codes[0].alg
     keys = alg.dual_keys(_rows(codes), [c.side == "left" for c in codes])
     out = [CodeSet(alg, form=key) for key in keys]
-    for c, d in zip(codes, out):
-        if c.side is not None and side_closed(d, c.side):
-            d.side = c.side
+    sided = [(c.side, d) for c, d in zip(codes, out) if c.side is not None]
+    if sided:
+        sides, duals = zip(*sided)
+        for side, d, closed in zip(sides, duals, side_closed(duals, sides)):
+            d.side = side if closed else None
     return out
 
 
@@ -320,7 +345,7 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     table = alg.principal_sets[side]
     gens, ps = np.array(list(table)), list(table.values())
     found = {p.key(): p for p in ps}
-    stack = np.array([p.mask for p in ps])
+    stack = masks(ps)
     forms = np.array([p.form for p in ps])
     sizes = np.count_nonzero(stack, axis=1)
     outside = ~packed(stack)            # one row per member found
@@ -345,10 +370,11 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
         pairs = map(np.array, zip(*todo.values()))
         for form in alg.sum_forms(*pairs) if todo else ():
             if form.tobytes() not in found:
-                s = found[form.tobytes()] = CodeSet(
-                    alg, alg.subgroup_mask(form), side=side, form=form)
-                outside = np.vstack([outside, ~packed(s.mask)])
-                member_sizes = np.append(member_sizes, s.cardinality)
+                s = found[form.tobytes()] = CodeSet(alg, side=side, form=form)
                 work.append(s)
+        if work:
+            outside = np.vstack([outside, ~packed(masks(work))])
+            member_sizes = np.append(member_sizes,
+                                     [s.cardinality for s in work])
     return sorted(found.values(),
                   key=lambda c: (c.cardinality, packed(c.mask).tobytes()))

@@ -29,7 +29,7 @@ import numpy as np
 from .chk import ann_intersection_check
 from .errors import ConstructionError, FalsificationError
 from .galg import ResidueMap
-from .ideals import (CodeSet, check_scale, hat_image, meets, pair_sums,
+from .ideals import (CodeSet, check_scale, hat_image, masks, meets, packed,
                      principal, principal_ideals, span)
 from .idem import enumerate_idempotents, is_idempotent, lift_idempotent
 from .lcp import ResidueTransfer, lcp_certificate
@@ -91,12 +91,13 @@ def _pair_matrix(ws: Workspace,
 # the laws
 
 def _dual_sum_meet(ws: Workspace):
-    """dual(A + B) = dual(A) & dual(B). The sums of all pairs are one
-    batched reduction of forms, each read from the census by its form."""
+    """dual(A + B) = dual(A) & dual(B), on packed masks. The sums of all
+    pairs are the census's `pair_sums`, each read from the census by
+    its form."""
     R = ws.right_ideals
     k = len(R)
-    codes, sums = ws.by_form(pair_sums(R).reshape(k * k, -1), "right")
-    duals = np.array([ws.dual(c).mask for c in codes])
+    codes, sums = ws.by_form(ws.right_sums.reshape(k * k, -1), "right")
+    duals = packed(masks([ws.dual(c) for c in codes]))
     return _tally("ideal pairs", (), results=np.array([
         (duals[row] == duals[i] & duals[:k]).all(axis=1)
         for i, row in enumerate(sums.reshape(k, k))]))
@@ -105,13 +106,19 @@ def _dual_sum_meet(ws: Workspace):
 @_needs_frobenius
 def _dual_meet_join(ws: Workspace):
     """dual(A & B) = dual(A) + dual(B), compared by forms. The meets are
-    read from the census's containment (`meets`), and the sums of duals
-    of all pairs are one batched reduction."""
+    read from the census's containment (`meets`). The sum of two duals
+    that are census members is read from the census's pair sums; the
+    pairs with a dual outside the census are one batched reduction."""
     R = ws.right_ideals
     duals = [ws.dual(a) for a in R]
     forms = np.array([d.form for d in duals])
+    at = np.array([ws.position("right", d) for d in duals])
+    sums = ws.right_sums[at[:, None], at]
+    i, j = np.nonzero(np.triu((at[:, None] < 0) | (at < 0)))
+    if len(i):
+        sums[i, j] = sums[j, i] = ws.alg.sum_forms(forms[i], forms[j])
     return _tally("ideal pairs", (),
-                  results=(pair_sums(duals) == forms[meets(R)]).all(axis=-1))
+                  results=(sums == forms[meets(R)]).all(axis=-1))
 
 
 _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (

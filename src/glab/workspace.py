@@ -18,7 +18,8 @@ from .errors import ConstructionError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, ann_left, ann_right, dual_code,
-                     enumerate_ideals, hat_image, principal_ideals, span)
+                     enumerate_ideals, hat_image, masks, pair_sums,
+                     principal_ideals, span)
 from .idem import decompose_one, enumerate_idempotents, is_idempotent
 from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, lcp_matrix,
@@ -120,11 +121,22 @@ class Workspace:
                 codes.append(CodeSet(self.alg, side=side, form=form))
         return codes, rows
 
+    def position(self, side: str, code: CodeSet) -> int:
+        """The position in one side's census of the member with the
+        code's key, whatever the code's side claim; -1 if there is none."""
+        self.ideals(side)
+        return self._rows[side].get(code.key(), -1)
+
+    @cached_property
+    def right_sums(self) -> np.ndarray:
+        """`pair_sums` of the right-ideal census."""
+        return pair_sums(self.right_ideals)
+
     @cached_property
     def complementary(self) -> np.ndarray:
         """`lcp_matrix` of the right-ideal census against itself."""
-        masks = np.array([c.mask for c in self.right_ideals])
-        return lcp_matrix(masks, masks)
+        stack = masks(self.right_ideals)
+        return lcp_matrix(stack, stack)
 
     @cached_property
     def idempotents(self) -> list[int]:
@@ -173,8 +185,8 @@ class Workspace:
     @cached_property
     def residue_complementary(self) -> np.ndarray:
         """`lcp_matrix` of the residue images of the right-ideal census."""
-        masks = np.array([self.projection(c).mask for c in self.right_ideals])
-        return lcp_matrix(masks, masks)
+        stack = masks([self.projection(c) for c in self.right_ideals])
+        return lcp_matrix(stack, stack)
 
     @cached_property
     def residue_rows(self) -> dict[tuple[int, int], ResidueTransfer]:

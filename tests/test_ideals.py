@@ -37,9 +37,15 @@ def audit_ideal(code: CodeSet) -> None:
     if code.alg.form_rows(form)[1] != code.cardinality:
         raise ConstructionError(f"{code.alg.label}: set is not additively closed")
     assert np.array_equal(form, code.form)
-    if code.side is not None and not side_closed(code, code.side):
-        raise ConstructionError(
-            f"{code.alg.label}: set not closed under {code.side} multiplication")
+    if code.side is not None:
+        # element by element under the generators' maps, and by forms
+        elems, left = code.elements(), code.side == "left"
+        closed = all(code.mask[code.alg.fixed_map(g, left)[elems]].all()
+                     for g in code.alg.generators)
+        assert side_closed([code], [code.side])[0] == closed
+        if not closed:
+            raise ConstructionError(f"{code.alg.label}: set not closed "
+                                    f"under {code.side} multiplication")
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +124,7 @@ def test_audit_rejects_wrong_side_claim():
     alg = _alg(MatrixRing(2, Zmod(2)), CyclicGroup(1))
     col = span(alg, [1], "left")
     audit_ideal(col)
-    assert not side_closed(col, "right")
+    assert not side_closed([col], ["right"])[0]
     fake = CodeSet(alg, col.mask, side="right")
     with pytest.raises(ConstructionError):
         audit_ideal(fake)
@@ -266,8 +272,7 @@ def test_noncommutative_dual_loses_right_closure(m2c2):
     c = span(m2c2, [1], "right")
     d = dual_code([c])[0]
     assert d.side is None
-    assert side_closed(d, "left")
-    assert not side_closed(d, "right")
+    assert side_closed([d, d], ["left", "right"]).tolist() == [True, False]
     # and it is exactly the left span of E22 at the identity
     e22 = m2c2.scalar_elem(8)
     assert np.array_equal(d.mask, span(m2c2, [e22], "left").mask)

@@ -359,7 +359,7 @@ def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
         return alg.sum_forms(np.repeat(forms, k, axis=0),
                              np.tile(rows.reshape(k, -1), (k, 1))
                              ).reshape(k, k, -1)
-    monkeypatch.setattr(glab.verify, "pair_sums", short)
+    monkeypatch.setattr(glab.workspace, "pair_sums", short)
     fails = _fails(_report("f3c2"))
     assert fails == {
         "dual-lattice.sum-meet": "5/16 ideal pairs fail; first at pair (0, 1)",
