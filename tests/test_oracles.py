@@ -46,7 +46,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glab.galg
@@ -443,6 +443,104 @@ def test_canonical_keys_over_prime_power_and_composite_moduli(spec):
 @given(alg=_key_algebras())
 def test_canonical_keys_of_drawn_algebras(alg):
     assert_keys_partition_like_masks(alg, product_table(alg))
+
+
+def _naive_span(rows, q: int) -> set:
+    """Every vector the rows generate over Z/q, as tuples: the closure
+    of {0} under adding a row."""
+    span = {(0,) * rows.shape[1]}
+    frontier = list(span)
+    while frontier:
+        frontier = [w for v in frontier for row in rows.tolist()
+                    if (w := tuple((x + y) % q for x, y in zip(v, row)))
+                    not in span and not span.add(w)]
+    return span
+
+
+@st.composite
+def _howell_cases(draw):
+    """A prime power q = p^a, p <= 7 and a <= 4, and a stack (N, r, c)
+    over Z/q with q^c <= 1000, each entry a drawn multiple of a drawn
+    power of p, so that pivots of every valuation occur; and the row
+    operations of `_transformed`."""
+    p, a = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4))
+    q = p ** a
+    c = draw(st.integers(1, max([k for k in range(1, 10) if q ** k <= 1000],
+                                default=1)))
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    size = n * r * c
+    units = st.lists(st.integers(0, q - 1), min_size=size, max_size=size)
+    powers = st.lists(st.integers(0, a), min_size=size, max_size=size)
+    w = (np.array(draw(units)) * p ** np.array(draw(powers)) % q
+         ).reshape(n, r, c)
+    ops = draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1),
+                                  st.integers(0, q - 1)), max_size=8))
+    extra = draw(st.lists(st.integers(0, q - 1), min_size=r, max_size=r))
+    return p, a, w, ops, extra
+
+
+def _transformed(w, q: int, p: int, ops, extra):
+    """w after invertible row operations (i, j, k): row j += k * row i;
+    for i == j, row i times a unit; for k = 0, rows i and j swapped;
+    then one more row, the combination `extra` of the rows."""
+    w = w.copy()
+    for i, j, k in ops:
+        if i == j:
+            w[:, i] = w[:, i] * (k if k % p else k + 1) % q
+        elif k == 0:
+            w[:, [i, j]] = w[:, [j, i]]
+        else:
+            w[:, j] = (w[:, j] + k * w[:, i]) % q
+    return np.concatenate([w, (np.array(extra) @ w % q)[:, None]], axis=1)
+
+
+def assert_is_the_howell_form(w, p: int, a: int) -> None:
+    """`_howell` of the stack against its definition: an echelon form,
+    zero rows last, with powers of p as pivots and the entries above
+    each pivot below it, whose rows span the naive span of w's rows and
+    whose rows with their pivot in column k or later span every vector
+    of it that is zero before column k (Howell's property); the same
+    form for each matrix alone."""
+    q, (n, r, c) = p ** a, w.shape
+    forms = glab.galg._howell(w, p, a).astype(np.int64)
+    assert forms.shape == (n, c, c)
+    for matrix, h in zip(w, forms):
+        assert np.array_equal(glab.galg._howell(matrix[None], p, a)[0], h)
+        assert ((0 <= h) & (h < q)).all()
+        nonzero = h.any(axis=1)
+        k = int(nonzero.sum())
+        assert not nonzero[k:].any()
+        lead = (h[:k] != 0).argmax(axis=1)
+        assert (np.diff(lead) > 0).all()
+        for i, j in enumerate(lead.tolist()):
+            assert h[i, j] in {p ** e for e in range(a)}
+            assert (h[:i, j] < h[i, j]).all()
+        span = _naive_span(matrix, q)
+        assert _naive_span(h, q) == span
+        for col in range(c + 1):
+            tail = h[:k][lead >= col]
+            assert _naive_span(tail, q) == {v for v in span
+                                            if not any(v[:col])}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_howell_cases())
+@example(case=(2, 1, np.zeros((1, 1, 1), dtype=int), [], [0]))
+@example(case=(3, 2, np.zeros((2, 4, 3), dtype=int), [], [1, 2, 0, 1]))
+@example(case=(2, 3, np.array([[[4, 2, 6, 1]]]), [], [3]))
+@example(case=(5, 1, np.array([[[1], [2], [0]], [[0], [0], [3]]]), [(0, 2, 0)],
+               [1, 1, 1]))
+@example(case=(2, 2, np.array([[[2, 1], [2, 3], [0, 2], [1, 1], [2, 0]]]),
+               [(1, 1, 3), (0, 3, 2)], [1, 0, 2, 3, 1]))
+@example(case=(7, 4, np.array([[[49], [14], [343]]]), [(2, 0, 5)], [1, 1, 1]))
+def test_howell_forms_against_naive_spans(case):
+    # degenerate shapes among the examples: one entry, zero matrices,
+    # one row (r < c), one column, r > c, and N = 1
+    p, a, w, ops, extra = case
+    assert_is_the_howell_form(w, p, a)
+    moved = _transformed(w, p ** a, p, ops, extra)
+    assert np.array_equal(glab.galg._howell(moved, p, a),
+                          glab.galg._howell(w, p, a))
 
 
 def test_dropping_the_killed_multiple_breaks_the_keys(monkeypatch):
