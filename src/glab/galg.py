@@ -356,10 +356,10 @@ class GroupAlgebra:
 
     def subgroup_mask(self, keys: np.ndarray) -> np.ndarray:
         """The subgroup with this key as a mask, enumerated from it; for
-        a stack of keys, one mask each, in chunks of keys whose
-        enumeration holds at most KEY_CHUNK_ENTRIES coordinates. The
-        indices are summed one coordinate at a time: no (n, c) int64
-        copy."""
+        a stack of keys, one mask each, enumerated together in chunks as
+        in `canonical_keys`, each key counted at |RG| elements of c
+        coordinates. The indices are summed one coordinate at a time: no
+        (n, c) int64 copy."""
         stack = np.atleast_2d(keys)
 
         def masks(keys: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ tables of glab.galg, sums of two forms stacked, duals and annihilators
 as kernels of matrices built from the rows of the set's form, which
 generate it. A set built from a mask alone finds its form once from
 its elements and refuses one that is not additively closed. The mask
-is enumerated from the form when it is first read; the census keeps
-the masks it builds, sorts by cardinality then packed mask, and tests
-containment on packed masks, from which the meets come.
+is enumerated from the form when it is first read, the masks of a list
+of sets in one batch (`masks`); the census keeps the masks it builds,
+sorts by cardinality then packed mask, and tests containment on packed
+masks, from which the meets come. Whether a set is closed under one
+side's multiplications is decided by forms (`side_closed`).
 
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
@@ -170,19 +172,16 @@ def side_closed(codes: list[CodeSet], sides: list[str]) -> np.ndarray:
     The algebra's generators (group elements and scalars) and addition
     generate every one-sided multiplication, and the rows of a form
     generate its set additively, so a set is closed exactly when the
-    form of its rows and their images under the generators is its own:
-    one batched reduction, the images read from the generators' maps.
+    form of its rows and their products with the generators, x*g for
+    a right ideal and g*x for a left one, is its own: one batched
+    product and one batched reduction.
     """
     alg = codes[0].alg
-    rows, sides = _rows(codes), np.array(sides)
-    images = np.empty((len(codes), len(alg.generators), rows.shape[1]),
-                      dtype=rows.dtype)
-    for side in set(sides.tolist()):
-        at = np.flatnonzero(sides == side)
-        for k, g in enumerate(alg.generators):
-            images[at, k] = alg.fixed_map(g, side == "left")[rows[at]]
+    rows, gens = _rows(codes)[:, :, None], np.array(alg.generators)
+    left = np.array([side == "left" for side in sides])[:, None, None]
+    images = np.where(left, alg.mul(gens, rows), alg.mul(rows, gens))
     forms = alg.subgroup_form(np.concatenate(
-        [rows, images.reshape(len(codes), -1)], axis=1))
+        [rows[:, :, 0], images.reshape(len(codes), -1)], axis=1))
     return (forms == np.array([c.form for c in codes])).all(axis=1)
 
 
@@ -249,7 +248,8 @@ def dual_code(codes: list[CodeSet]) -> list[CodeSet]:
     if sided:
         sides, duals = zip(*sided)
         for side, d, closed in zip(sides, duals, side_closed(duals, sides)):
-            d.side = side if closed else None
+            if closed:
+                d.side = side
     return out
 
 
@@ -339,7 +339,8 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     operation, and containment in the members from one `overlaps` of
     the packed masks. Pairs with the same union span the same sum, so
     the new sums of a round are one batched sum of forms with one pair
-    per union, and a sum whose form no member has is enumerated from it.
+    per union, and the sums whose forms no member has are enumerated
+    from them in one batch (`masks`), as are the principal ideals.
     """
     principal_ideals(alg, side, bound)      # the table, gated by `bound`
     table = alg.principal_sets[side]

@@ -189,13 +189,14 @@ def _count_products(monkeypatch):
 
 
 def test_each_map_is_computed_once_per_run(monkeypatch):
-    # the units' and the generators' maps are kept, so each is one
-    # product per side and run; every other map is one product per
-    # call. On Z4C3 the others are the full-map audits of `central`:
-    # 0 and 1 once, and the two central parts of 1, 22 and 63, at each
-    # centrality check of the certificates and once for the blocks,
-    # which the block-intersection law decides for all right ideals;
-    # `principal` keys a span by its form, so it computes no map
+    # the units' maps are kept, so each is one product per side and
+    # run; every other map is one product per call. On Z4C3 the others
+    # are the full-map audits of `central`: 0 and 1 once, and the two
+    # central parts of 1, 22 and 63, at each centrality check of the
+    # certificates and once for the blocks, which the block-intersection
+    # law decides for all right ideals; `principal` keys a span by its
+    # form, and a side check multiplies the rows of a form by the
+    # generators, so neither computes a map
     misses = _count_products(monkeypatch)
     ws = fixture_workspace("z4c3")
     verify_all(ws)
@@ -204,16 +205,16 @@ def test_each_map_is_computed_once_per_run(monkeypatch):
     # residue algebra, so none of its maps is computed
     assert {(label, side) for label, side, _ in misses} == {
         ("Z4C3", "row"), ("Z4C3", "col")}
-    fixed = set(alg.trivial_units) | set(alg.generators)
+    fixed = set(alg.trivial_units)
     assert sorted((side, a, n) for (_, side, a), n in misses.items()
                   if a not in fixed or n > 1) == [
         ("col", 0, 1), ("col", 1, 2), ("col", 22, 2), ("col", 63, 2),
         ("row", 0, 1), ("row", 1, 2), ("row", 22, 2), ("row", 63, 2)]
-    # one product of 1 is its kept map; every kept map is computed but
-    # the row of the scalar 2, the one generator that is no unit, which
-    # no left closure check reads on Z4C3
+    # one product of 1 is its kept map; every kept map is computed, and
+    # the map of the scalar 2, the one generator that is no unit, is not
     assert {(side, a) for (_, side, a) in misses if a in fixed} == {
-        (side, a) for side in ("row", "col") for a in fixed} - {("row", 2)}
+        (side, a) for side in ("row", "col") for a in fixed}
+    assert not {a for _, _, a in misses} & (set(alg.generators) - fixed)
 
 
 def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
@@ -221,16 +222,16 @@ def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
     # units; without gathered maps the command computed 1,789 maps, and
     # with one ordered principal pass per side 18 + 53 per side. The
     # principal ideals, the check elements and the annihilators now come
-    # from canonical forms, with no map of their own: what is left are
-    # the kept maps, once each. The units' rows and columns find the
-    # orbits' least elements; the generators' columns (17, 8 of them
-    # units) check that the duals are right ideals
+    # from canonical forms, with no map of their own, and the side check
+    # of the duals multiplies the rows of their forms by the generators:
+    # what is left are the kept maps, once each, the units' rows and
+    # columns, which find the orbits' least elements
     products = _count_products(monkeypatch)
     assert main(["checkable", "census", fixture_path("m2f2c3"),
                  "--census-bound", "5000"]) == 1
     assert "checkable-census.code-checkable  true" in capsys.readouterr().out
     rows = sum(side == "row" for _, side, _ in products)
-    assert (rows, len(products) - rows) == (18, 18 + 17 - 8)
+    assert (rows, len(products) - rows) == (18, 18)
     assert set(products.values()) == {1}
 
 
