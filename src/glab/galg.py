@@ -11,8 +11,8 @@ from one of three kernels on coefficient arrays that broadcast over
 leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
 modules work on element indices only. Only the multiplication maps of
-the trivial units T = {r*g : r a unit of R, g in G} and of the
-generators are kept, once per side. The form is <a, b> = sum over g
+the trivial units T = {r*g : r a unit of R, g in G} are kept, once per
+side. The form is <a, b> = sum over g
 of a_g * b_g, left coefficient first: biadditive and nondegenerate.
 
 As an additive group RG is a product of cyclic groups, one per
@@ -212,9 +212,9 @@ class GroupAlgebra:
         return self._index(self._product(self.coeffs, self.coeffs[b]))
 
     def fixed_map(self, a: int, left: bool) -> np.ndarray:
-        """`mul_row(a)` (left) or `mul_col(a)` of a trivial unit or a
-        generator, computed once per side and kept read-only, in the
-        smallest unsigned type that holds every index."""
+        """`mul_row(a)` (left) or `mul_col(a)`, computed once per side
+        and kept read-only, in the smallest unsigned type that holds
+        every index: `canonical_classes` reads the trivial units'."""
         got = self._fixed.get((left, a))
         if got is None:
             got = (self.mul_row if left else self.mul_col)(a)
@@ -356,22 +356,20 @@ class GroupAlgebra:
 
     def subgroup_mask(self, keys: np.ndarray) -> np.ndarray:
         """The subgroup with this key as a mask, enumerated from it; for
-        a stack of keys, one mask each, enumerated together in chunks as
-        in `canonical_keys`, each key counted at |RG| elements of c
-        coordinates. The indices are summed one coordinate at a time: no
-        (n, c) int64 copy."""
+        a stack of keys, one mask each, enumerated together in chunks of
+        KEY_CHUNK_ENTRIES coordinates, each key counted at |RG| elements.
+        The indices are summed one coordinate at a time: no (n, c) int64
+        copy."""
         stack = np.atleast_2d(keys)
-
-        def masks(keys: np.ndarray) -> np.ndarray:
-            coords, owner = _subgroup_elements(keys, self._moduli)
-            at = owner * self.card
+        out = np.zeros((len(stack), self.card), dtype=bool)
+        step = max(1, KEY_CHUNK_ENTRIES // (self.card * len(self._moduli)))
+        for i in range(0, len(stack), step):
+            coords, owner = _subgroup_elements(stack[i:i + step], self._moduli)
+            at = (owner + i) * self.card
             for column, weight in zip(coords.T, self._coordinate_basis):
                 at += column.astype(np.intp) * weight
-            out = np.zeros((len(keys), self.card), dtype=bool)
             out.reshape(-1)[at] = True
-            return out
-        got = _chunks(masks, self.card * len(self._moduli), stack)
-        return got if keys.ndim > 1 else got[0]
+        return out if keys.ndim > 1 else out[0]
 
     def canonical_classes(self, side: str, kernel: bool = False
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -101,15 +101,17 @@ class CodeSet:
 # masks and forms
 
 def masks(codes: list[CodeSet]) -> np.ndarray:
-    """The masks of the codes as one stack. Those not yet enumerated come
-    from one batched `GroupAlgebra.subgroup_mask` of their forms and are
-    kept on their sets, read-only, with their sizes."""
+    """The masks of the codes as one stack, not to be written. Those not
+    yet enumerated come from one batched `GroupAlgebra.subgroup_mask` of
+    their forms and are kept on their sets, with their sizes."""
     todo = [c for c in codes if c._mask is None]
     if todo:
         got = todo[0].alg.subgroup_mask(np.array([c.form for c in todo]))
         got.setflags(write=False)
         for c, mask, card in zip(todo, got, np.count_nonzero(got, axis=1)):
             c._mask, c._card = mask, int(card)
+        if len(todo) == len(codes):
+            return got
     return np.array([c._mask for c in codes])
 
 
@@ -169,20 +171,21 @@ def meets(codes: list[CodeSet]) -> np.ndarray:
 def side_closed(codes: list[CodeSet], sides: list[str]) -> np.ndarray:
     """Whether each set is closed under all multiplications of its side.
 
-    The algebra's generators (group elements and scalars) and addition
-    generate every one-sided multiplication, and the rows of a form
-    generate its set additively, so a set is closed exactly when the
-    form of its rows and their products with the generators, x*g for
-    a right ideal and g*x for a left one, is its own: one batched
-    product and one batched reduction.
+    The rows of a set's form generate it additively, so the ideal of
+    that side they generate, `GroupAlgebra.canonical_keys` of the rows
+    (the sum of their principal ideals, spanned by their products with
+    the coordinate basis), is the smallest one holding the set, and it
+    is the set itself exactly when the set is closed: one batched
+    reduction per side.
     """
-    alg = codes[0].alg
-    rows, gens = _rows(codes)[:, :, None], np.array(alg.generators)
-    left = np.array([side == "left" for side in sides])[:, None, None]
-    images = np.where(left, alg.mul(gens, rows), alg.mul(rows, gens))
-    forms = alg.subgroup_form(np.concatenate(
-        [rows[:, :, 0], images.reshape(len(codes), -1)], axis=1))
-    return (forms == np.array([c.form for c in codes])).all(axis=1)
+    rows, sides = _rows(codes), np.array(sides)
+    forms = np.array([c.form for c in codes])
+    out = np.empty(len(codes), dtype=bool)
+    for side in set(sides.tolist()):
+        at = sides == side
+        out[at] = (codes[0].alg.canonical_keys(rows[at], side)
+                   == forms[at]).all(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ def test_each_map_is_computed_once_per_run(monkeypatch):
     # central parts of 1, 22 and 63, at each centrality check of the
     # certificates and once for the blocks, which the block-intersection
     # law decides for all right ideals; `principal` keys a span by its
-    # form, and a side check multiplies the rows of a form by the
-    # generators, so neither computes a map
+    # form, and a side check keys the ideal the rows of a form
+    # generate, so neither computes a map
     misses = _count_products(monkeypatch)
     ws = fixture_workspace("z4c3")
     verify_all(ws)
@@ -222,8 +222,8 @@ def test_checkable_census_computes_one_map_per_orbit(monkeypatch, capsys):
     # units; without gathered maps the command computed 1,789 maps, and
     # with one ordered principal pass per side 18 + 53 per side. The
     # principal ideals, the check elements and the annihilators now come
-    # from canonical forms, with no map of their own, and the side check
-    # of the duals multiplies the rows of their forms by the generators:
+    # from canonical forms, with no map of their own, and so does the
+    # side check of the duals (the ideal the rows of a form generate):
     # what is left are the kept maps, once each, the units' rows and
     # columns, which find the orbits' least elements
     products = _count_products(monkeypatch)
