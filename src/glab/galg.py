@@ -485,26 +485,24 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     Storjohann & Mulders 1998); over a field (a = 1) it is the reduced
     row echelon form.
 
-    The stack is held as one (c, rows, N) array, so that column j is a
-    contiguous (rows, N) slab and each elimination runs numpy's inner
-    loop over the N matrices. Its rows are the pool, which may hold a
-    pivot: a zero sentinel, the r rows of the matrix and, when a > 1,
-    one slot per column for `_killed_multiple` of that column's pivot
-    row; then one slot per column for the form row with its pivot
-    there. Column by column, each matrix's pivot is its pool row of
-    least valuation, the first one of them; with no pool entry nonzero
-    it is the sentinel, which changes nothing. The pivot row, scaled to
-    a power of p, goes to the column's form slot, and every row is
-    reduced by it, the form slots too, which leaves the pivot row zero
-    in the pool: no row is swapped or marked used. Over a field the
-    pivot is the first nonzero pool entry, and over F2 the reduction is
-    one xor. At the end each matrix's form rows are gathered in the
-    order of their columns, zero rows last.
+    The stack is held as one (c, rows, N) array: column j is a
+    contiguous (rows, N) slab, and each elimination runs numpy's inner
+    loop over the N matrices. Its rows are the pool, which may hold
+    pivots (a zero sentinel, the r rows and, when a > 1, one slot per
+    column for `_killed_multiple` of its pivot row), then one form slot
+    per column. In column j each matrix's pivot is its first pool row
+    of least valuation, or the sentinel, which changes nothing; scaled
+    to a power of p it goes to form slot j, and reducing every row by
+    it, the form slots too, leaves it zero in the pool, so no row is
+    swapped or marked used. Over a field the pivot is the first nonzero
+    pool entry, and over F2 a step is one xor. The form slots that hold
+    a pivot are gathered at the end, in column order.
     """
     q = p ** a
     n, r, c = w.shape
     # entries and products below q^2 fit the type
-    dtype = np.int8 if q * q < 1 << 7 else np.int16 if q * q < 1 << 15 else np.int32
+    dtype = (np.int8 if q * q < 1 << 7 else np.int16 if q * q < 1 << 15
+             else np.int32)
     pool = 1 + r + (c if a > 1 else 0)
     work = np.zeros((c, pool + c, n), dtype)
     work[:, 1:r + 1] = w.transpose(2, 1, 0)

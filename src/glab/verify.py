@@ -110,11 +110,12 @@ def _dual_meet_join(ws: Workspace):
     that are census members is read from the census's pair sums; the
     pairs with a dual outside the census are one batched reduction."""
     R = ws.right_ideals
-    duals = [ws.dual(a) for a in R]
-    forms = np.array([d.form for d in duals])
-    at = np.array([ws.position("right", d) for d in duals])
-    sums = ws.right_sums[at[:, None], at]
-    i, j = np.nonzero(np.triu((at[:, None] < 0) | (at < 0)))
+    forms = np.array([ws.dual(a).form for a in R])
+    at = ws.by_form(forms, "right")[1]
+    outside = at >= len(R)
+    # the pairs with a dual outside are read from anywhere, then summed
+    sums = ws.right_sums[at[:, None] % len(R), at % len(R)]
+    i, j = np.nonzero(np.triu(outside[:, None] | outside))
     if len(i):
         sums[i, j] = sums[j, i] = ws.alg.sum_forms(forms[i], forms[j])
     return _tally("ideal pairs", (),

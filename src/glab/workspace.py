@@ -121,12 +121,6 @@ class Workspace:
                 codes.append(CodeSet(self.alg, side=side, form=form))
         return codes, rows
 
-    def position(self, side: str, code: CodeSet) -> int:
-        """The position in one side's census of the member with the
-        code's key, whatever the code's side claim; -1 if there is none."""
-        self.ideals(side)
-        return self._rows[side].get(code.key(), -1)
-
     @cached_property
     def right_sums(self) -> np.ndarray:
         """`pair_sums` of the right-ideal census."""
