@@ -12,8 +12,8 @@ leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
 modules work on element indices only. Only the multiplication maps of
 the trivial units T = {r*g : r a unit of R, g in G} are kept, once per
-side. The form is <a, b> = sum over g
-of a_g * b_g, left coefficient first: biadditive and nondegenerate.
+side. The form is <a, b> = sum over g of a_g * b_g, left coefficient
+first: biadditive and nondegenerate.
 
 As an additive group RG is a product of cyclic groups, one per
 coordinate (group position, ring coordinate), and each subgroup has one
