@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError
 from .galg import GroupAlgebra
@@ -137,12 +135,13 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
     1 (the canonical ones come from idem.decompose_one); the caller
     decides centrality once, not per ideal. When C is the span of a
     subset of them, C must equal both the intersection of the right
-    annihilators of the complementary blocks, each taken from `ann`
-    (the run's shared annihilators, so a block's is found once for all
-    ideals), and the right annihilator of the complementary blocks'
-    sum, gated by `bound`. Both equalities are computed exhaustively;
-    "form-fails" reports a block sum where either does not hold. A C
-    that is not a block sum reports "not-a-block-sum".
+    annihilators of the complementary blocks, which is the right
+    annihilator of the left ideal they span, taken from `ann` (the
+    run's shared annihilators), and the right annihilator of the
+    complementary blocks' sum as an element, gated by `bound`. Both
+    equalities are computed exhaustively; "form-fails" reports a block
+    sum where either does not hold. A C that is not a block sum reports
+    "not-a-block-sum".
     """
     alg = c.alg
     if c.side != "right":
@@ -154,10 +153,7 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
         return CentralIntersection("not-a-block-sum", None, None, ())
 
     complement = [p for p in parts if p not in inside]
-    inter_mask = np.ones(alg.card, dtype=bool)
-    for p in complement:
-        inter_mask &= ann(span(alg, [p], "left")).mask
-    inter_ok = bool(np.array_equal(inter_mask, c.mask))
+    inter_ok = ann(span(alg, complement, "left")).same_set(c)
 
     total = 0
     for p in complement:

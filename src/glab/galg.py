@@ -328,6 +328,11 @@ class GroupAlgebra:
         return (rows[counts > 1] @ self._coordinate_basis,
                 math.prod(counts.tolist()))
 
+    def subgroup_sizes(self, keys: np.ndarray) -> np.ndarray:
+        """The number of elements of the subgroup of each key of a stack:
+        the product of the counts of its form's rows."""
+        return _row_counts(keys, self._moduli).prod(axis=1)
+
     def stacked_rows(self, keys: np.ndarray) -> np.ndarray:
         """The `form_rows` elements of each key of a stack, padded with 0
         to a common length of at least 1."""
@@ -546,23 +551,33 @@ def _howell(w: np.ndarray, p: int, a: int) -> np.ndarray:
     return np.take_along_axis(form, order[None], axis=1).transpose(2, 1, 0)
 
 
+def _row_counts(keys: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """The count q / pivot of each row of each p-part of the form of each
+    key of a stack from `_subgroup_keys`, 1 for a zero row: the number
+    of multiples of the row that the subgroup holds."""
+    c = len(moduli)
+    forms = keys.reshape(len(keys), -1, c, c)
+    counts = []
+    for k, (p, a, _, _) in enumerate(_prime_parts(moduli)):
+        pivots = np.take_along_axis(
+            forms[:, k], (forms[:, k] != 0).argmax(axis=2)[..., None],
+            axis=2)[..., 0].astype(np.int64)
+        counts.append(p ** a // np.where(pivots, pivots, p ** a))
+    return np.concatenate(counts, axis=1)
+
+
 def _form_rows(keys: np.ndarray, moduli: tuple[int, ...]
                ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of each p-part of the form of each key of a stack from
     `_subgroup_keys`, lifted back to coordinates modulo `moduli` through
-    the lifts of `_prime_parts`, and the count q / pivot of each, 1 for
-    a zero row. By Howell's property each element of the subgroup is
-    the sum of c_i times row i, with 0 <= c_i < count_i, in exactly one
-    way."""
+    the lifts of `_prime_parts`, and the count of each, `_row_counts`.
+    By Howell's property each element of the subgroup is the sum of c_i
+    times row i, with 0 <= c_i < count_i, in exactly one way."""
     c = len(moduli)
     forms = keys.reshape(len(keys), -1, c, c).astype(np.int64)
-    rows, counts = [], []
-    for k, (p, a, scale, lift) in enumerate(_prime_parts(moduli)):
-        pivots = np.take_along_axis(
-            forms[:, k], (forms[:, k] != 0).argmax(axis=2)[..., None], axis=2)
-        rows.append(forms[:, k] // np.maximum(scale, 1) * lift % np.array(moduli))
-        counts.append(p ** a // np.where(pivots, pivots, p ** a)[..., 0])
-    return np.concatenate(rows, axis=1), np.concatenate(counts, axis=1)
+    rows = [forms[:, k] // np.maximum(scale, 1) * lift % np.array(moduli)
+            for k, (_, _, scale, lift) in enumerate(_prime_parts(moduli))]
+    return np.concatenate(rows, axis=1), _row_counts(keys, moduli)
 
 
 def _subgroup_elements(keys: np.ndarray, moduli: tuple[int, ...]

@@ -8,12 +8,14 @@ Every producer hands over a form: principal ideals from the class
 tables of glab.galg, sums of two forms stacked, duals and annihilators
 as kernels of matrices built from the rows of the set's form, which
 generate it. A set built from a mask alone finds its form once from
-its elements and refuses one that is not additively closed. The mask
-is enumerated from the form when it is first read, the masks of a list
-of sets in one batch (`masks`); the census keeps the masks it builds,
-sorts by cardinality then packed mask, and tests containment on packed
-masks, from which the meets come. Whether a set is closed under one
-side's multiplications is decided by forms (`side_closed`).
+its elements and refuses one that is not additively closed. The
+lattice is read from sums of forms (`pair_sums`): A lies within B
+exactly when A + B is B, and |A & B| = |A| |B| / |A + B| finds the
+meets. A mask is enumerated from the form only where elements are
+read, the masks of a list of sets in one batch (`masks`), as for the
+census's order by cardinality, then packed mask. Whether a set is
+closed under one side's multiplications is decided by forms too
+(`side_closed`).
 
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
@@ -98,7 +100,7 @@ class CodeSet:
 
 
 # ---------------------------------------------------------------------------
-# masks and forms
+# masks, and the lattice from sums of forms
 
 def masks(codes: list[CodeSet]) -> np.ndarray:
     """The masks of the codes as one stack, not to be written. Those not
@@ -115,56 +117,41 @@ def masks(codes: list[CodeSet]) -> np.ndarray:
     return np.array([c._mask for c in codes])
 
 
-def packed(stack: np.ndarray) -> np.ndarray:
-    """Each row of a stack of masks packed eight columns to a byte."""
-    return np.packbits(stack, axis=-1, bitorder="little")
-
-
-def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether rows a_i and b_j of two packed stacks share a set bit,
-    for every (i, j): one stacked `&`, in chunks of rows of a that keep
-    the (rows, len(b), bytes) intermediate near 256 KiB."""
-    out = np.empty((len(a), len(b)), dtype=bool)
-    step = max(1, (1 << 18) // max(1, b.size))
-    for i in range(0, len(a), step):
-        out[i:i + step] = (a[i:i + step, None] & b[None]).any(axis=-1)
-    return out
-
-
-def containment(codes: list[CodeSet]) -> np.ndarray:
-    """Whether C_i lies within C_j, for every (i, j) of the codes: one
-    `overlaps` of the packed masks with their complements."""
-    stack = packed(masks(codes))
-    return ~overlaps(stack, ~stack)
-
-
 def pair_sums(codes: list[CodeSet]) -> np.ndarray:
     """The form of C_i + C_j for every ordered pair of the codes, a
-    (k, k, key length) array. Where one code holds the other, which
-    `containment` tells, the sum is the larger; the other pairs i < j
-    are one batched reduction, mirrored."""
+    (k, k, key length) array: each code's own form on the diagonal, and
+    every pair i < j in one batched reduction, mirrored. Containment,
+    meets and complementarity are read from it."""
     forms = np.array([c.form for c in codes])
-    inside = containment(codes)
-    out = np.where(inside[:, :, None], forms[None], forms[:, None])
-    i, j = np.nonzero(np.triu(~(inside | inside.T)))
+    k = len(codes)
+    out = np.empty((k, k, forms.shape[1]), dtype=forms.dtype)
+    out[np.arange(k), np.arange(k)] = forms
+    i, j = np.triu_indices(k, 1)
     if len(i):
         out[i, j] = out[j, i] = codes[0].alg.sum_forms(forms[i], forms[j])
     return out
 
 
-def meets(codes: list[CodeSet]) -> np.ndarray:
+def containment(sums: np.ndarray) -> np.ndarray:
+    """Whether C_i lies within C_j, for every (i, j), from the codes'
+    `pair_sums`: exactly when C_i + C_j is C_j."""
+    return (sums == np.diagonal(sums).T[None]).all(axis=-1)
+
+
+def meets(codes: list[CodeSet], sums: np.ndarray) -> np.ndarray:
     """The position of C_i & C_j among the codes, for every (i, j), when
     the codes are sorted by cardinality and hold every meet, as a full
-    census does: the largest code within both, from `containment`.
-    Raises unless that code is C_i & C_j."""
-    inside = containment(codes)
+    census does, from their `pair_sums`: the largest code M within both,
+    which is the meet exactly when |M| |C_i + C_j| = |C_i| |C_j|, the
+    size of the meet of two subgroups. Raises unless each is."""
+    inside = containment(sums)
     k = len(codes)
     at = k - 1 - (inside[::-1, :, None] & inside[::-1, None, :]).argmax(axis=0)
-    stack = packed(masks(codes))
-    for i in range(k):
-        if (stack[at[i]] != stack[i] & stack).any():
-            raise ConstructionError(
-                f"{codes[0].alg.label}: a meet is not among the sets")
+    sizes = np.array([c.cardinality for c in codes])
+    joins = codes[0].alg.subgroup_sizes(sums.reshape(k * k, -1)).reshape(k, k)
+    if (sizes[at] * joins != np.outer(sizes, sizes)).any():
+        raise ConstructionError(
+            f"{codes[0].alg.label}: a meet is not among the sets")
     return at
 
 
@@ -331,54 +318,31 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     """The complete lattice of one-sided ideals, built on the table of
     principal ideals, `principal_ideals` of the side.
 
-    Every ideal is a finite sum of principal ideals, so adding each
-    principal ideal to each member found, round by round, gives the
-    full lattice. Sorted by cardinality, then by mask bytes.
-
-    A member I and a principal P = uRG are summed only when the sum is
-    new: I + P = I when u is in I, and otherwise a member K of size
-    |I||P|/|I & P| holding I and P is I + P, as K contains I + P. The
-    meets and unions of I with every principal come from one stacked
-    operation, and containment in the members from one `overlaps` of
-    the packed masks. Pairs with the same union span the same sum, so
-    the new sums of a round are one batched sum of forms with one pair
-    per union, and the sums whose forms no member has are enumerated
-    from them in one batch (`masks`), as are the principal ideals.
+    Every ideal is a finite sum of principal ideals, so the sets closed
+    under adding each principal ideal that hold them all are the full
+    lattice. The census works in rounds of one batched sum of forms
+    each, deduplicated by form: the first sums every pair of principal
+    ideals, each later one every member new in the round before with
+    every principal ideal, until a round finds no new member. Sorted by
+    cardinality, then by the packed mask, the masks enumerated in one
+    batch (`masks`).
     """
     principal_ideals(alg, side, bound)      # the table, gated by `bound`
-    table = alg.principal_sets[side]
-    gens, ps = np.array(list(table)), list(table.values())
+    ps = list(alg.principal_sets[side].values())
     found = {p.key(): p for p in ps}
-    stack = masks(ps)
     forms = np.array([p.form for p in ps])
-    sizes = np.count_nonzero(stack, axis=1)
-    outside = ~packed(stack)            # one row per member found
-    member_sizes = sizes
-
-    def unknown(c: CodeSet) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
-        """The forms of c and of each principal whose sum with c is not
-        known by size, by the packed union of the two masks."""
-        todo = np.flatnonzero(~c.mask[gens])
-        card = c.cardinality * sizes[todo] // np.count_nonzero(
-            stack[todo] & c.mask, axis=1)
-        unions = packed(stack[todo] | c.mask)
-        inside = ~overlaps(unions, outside)
-        new = ~(inside & (member_sizes == card[:, None])).any(axis=1)
-        return {u.tobytes(): (forms[k], c.form)
-                for u, k in zip(unions[new], todo[new])}
-
-    work = list(ps)
-    while work:
-        todo = {u: pair for c in work for u, pair in unknown(c).items()}
-        work = []
-        pairs = map(np.array, zip(*todo.values()))
-        for form in alg.sum_forms(*pairs) if todo else ():
+    i, j = np.triu_indices(len(ps), 1)
+    pairs = forms[i], forms[j]
+    while len(pairs[0]):
+        new = []
+        for form in alg.sum_forms(*pairs):
             if form.tobytes() not in found:
-                s = found[form.tobytes()] = CodeSet(alg, side=side, form=form)
-                work.append(s)
-        if work:
-            outside = np.vstack([outside, ~packed(masks(work))])
-            member_sizes = np.append(member_sizes,
-                                     [s.cardinality for s in work])
-    return sorted(found.values(),
-                  key=lambda c: (c.cardinality, packed(c.mask).tobytes()))
+                found[form.tobytes()] = CodeSet(alg, side=side, form=form)
+                new.append(form)
+        new = np.array(new, dtype=forms.dtype).reshape(-1, forms.shape[1])
+        pairs = np.repeat(new, len(ps), axis=0), np.tile(forms, (len(new), 1))
+    codes = list(found.values())
+    packed = np.packbits(masks(codes), axis=1, bitorder="little")
+    order = sorted(range(len(codes)),
+                   key=lambda i: (codes[i].cardinality, packed[i].tobytes()))
+    return [codes[i] for i in order]

@@ -1,13 +1,14 @@
 """Complementary pairs of one-sided ideals.
 
 A pair (C, D) is complementary when C meets D only in 0 and together
-they span the whole algebra. Every such pair of right ideals is split
-by a unique idempotent certificate e with C = e*RG and D = (1-e)*RG;
-this module finds certificates, refines them into primitive
-orthogonal families, and transfers pairs across the coefficient-radical
-projection over local base rings. The functions compute and return;
-the laws these results must satisfy are counted by the law matrix in
-glab.verify.
+they span the whole algebra, that is when |C + D| = |C| |D| = |RG|,
+decided by sizes and sums of forms. Every such pair of right ideals is
+split by a unique idempotent certificate e with C = e*RG and
+D = (1-e)*RG, found by a scan of C's elements; this module finds
+certificates, refines them into primitive orthogonal families, and
+transfers pairs across the coefficient-radical projection over local
+base rings. The functions compute and return; the laws these results
+must satisfy are counted by the law matrix in glab.verify.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConstructionError
 from .galg import ResidueMap
 from .idem import decompose_idempotent, lift_idempotent
-from .ideals import CodeSet, overlaps, packed, span
+from .ideals import CodeSet, span
 from .records import record
 
 
@@ -31,28 +32,34 @@ def _require_pair(c: CodeSet, d: CodeSet) -> None:
             f"pair members need one matching side, got {c.side} and {d.side}")
 
 
-def lcp_matrix(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """Whether (C_i, D_j) is complementary, for every row C_i of the
-    (k, |RG|) mask stack `cs` and D_j of `ds`: trivial intersection,
-    C_i & D_j = {0}, for all pairs from one `overlaps` of the packed
-    masks with 0 dropped from the C_i, and full joint span,
-    |C_i||D_j| = |RG|."""
-    pc = packed(cs)
-    pc[:, 0] &= 0xFE                    # element 0 is bit 0 of byte 0
-    sizes = np.outer(np.count_nonzero(cs, axis=1),
-                     np.count_nonzero(ds, axis=1))
-    return ~overlaps(pc, packed(ds)) & (sizes == cs.shape[1])
+def complementarity(cs: list[CodeSet], ds: list[CodeSet],
+                    sums: np.ndarray | None = None) -> np.ndarray:
+    """Whether (C_i, D_j) is complementary, for every i and j: exactly
+    when |C_i + D_j| = |C_i| |D_j| = |RG|, as |C + D| |C & D| = |C| |D|.
+    Only the pairs whose sizes multiply to |RG| are summed, in one
+    batched reduction, or read from `sums`, the `pair_sums` of the
+    codes when cs and ds are one list."""
+    alg = cs[0].alg
+    sizes = np.outer([c.cardinality for c in cs], [d.cardinality for d in ds])
+    i, j = np.nonzero(sizes == alg.card)
+    out = np.zeros(sizes.shape, dtype=bool)
+    if len(i):
+        joins = sums[i, j] if sums is not None else alg.sum_forms(
+            np.array([cs[k].form for k in i]), np.array([ds[k].form for k in j]))
+        out[i, j] = alg.subgroup_sizes(joins) == alg.card
+    return out
 
 
 def is_lcp(c: CodeSet, d: CodeSet) -> bool:
-    """One pair's entry of `lcp_matrix`."""
+    """One pair's entry of `complementarity`."""
     _require_pair(c, d)
-    return bool(lcp_matrix(c.mask[None], d.mask[None])[0, 0])
+    return bool(complementarity([c], [d])[0, 0])
 
 
 def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
     """The split of 1 across a complementary pair: the element e of C
-    with 1 - e in D, or None unless exactly one such e exists.
+    with 1 - e in D, or None unless exactly one such e exists. Raises
+    unless the pair is complementary (`is_lcp`).
 
     The split is not judged here; lcp-split.biconditional checks that
     it is an idempotent whose split regenerates both members.
@@ -62,6 +69,12 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
         raise ConstructionError(
             f"{c.alg.label}: ideals of sizes {c.cardinality} and "
             f"{d.cardinality} are not a complementary pair")
+    return _split(c, d)
+
+
+def _split(c: CodeSet, d: CodeSet) -> int | None:
+    """`lcp_certificate` of a pair known to be complementary: a scan of
+    C's elements."""
     alg = c.alg
     members = c.elements()
     hits = members[d.mask[alg.sub(alg.one, members)]]
@@ -78,9 +91,9 @@ class LcpPair(NamedTuple):
 def lcp_scan(census: list[CodeSet],
              complementary: np.ndarray) -> list[LcpPair]:
     """All ordered complementary pairs of a full one-sided ideal census,
-    read row-major from its `lcp_matrix` against itself."""
-    return [LcpPair(census[i], census[j],
-                    lcp_certificate(census[i], census[j]))
+    read row-major from its `complementarity` with itself, each with its
+    `lcp_certificate`."""
+    return [LcpPair(census[i], census[j], _split(census[i], census[j]))
             for i, j in np.argwhere(complementary).tolist()]
 
 

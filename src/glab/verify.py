@@ -29,7 +29,7 @@ import numpy as np
 from .chk import ann_intersection_check
 from .errors import ConstructionError, FalsificationError
 from .galg import ResidueMap
-from .ideals import (CodeSet, check_scale, hat_image, masks, meets, packed,
+from .ideals import (CodeSet, check_scale, containment, hat_image, meets,
                      principal, principal_ideals, span)
 from .idem import enumerate_idempotents, is_idempotent, lift_idempotent
 from .lcp import ResidueTransfer, lcp_certificate
@@ -91,35 +91,31 @@ def _pair_matrix(ws: Workspace,
 # the laws
 
 def _dual_sum_meet(ws: Workspace):
-    """dual(A + B) = dual(A) & dual(B), on packed masks. The sums of all
-    pairs are the census's `pair_sums`, each read from the census by
-    its form."""
-    R = ws.right_ideals
-    k = len(R)
-    codes, sums = ws.by_form(ws.right_sums.reshape(k * k, -1), "right")
-    duals = packed(masks([ws.dual(c) for c in codes]))
-    return _tally("ideal pairs", (), results=np.array([
-        (duals[row] == duals[i] & duals[:k]).all(axis=1)
-        for i, row in enumerate(sums.reshape(k, k))]))
+    """dual(A + B) = dual(A) & dual(B), by forms: X = Y & Z exactly when
+    X lies within Y and within Z and |X| |Y + Z| = |Y| |Z|. A + B is
+    read from the census's `pair_sums`, X as the dual of its member (a
+    sum outside the census fails its pair), and containment and the
+    sums of duals from `Workspace.dual_sums`."""
+    sums = ws.dual_sums
+    k = len(sums)
+    inside = containment(sums)
+    sizes = ws.alg.subgroup_sizes(sums.reshape(k * k, -1)).reshape(k, k)
+    duals = np.diag(sizes)
+    x = ws.positions(ws.right_sums)
+    i, j = np.indices((k, k))
+    return _tally("ideal pairs", (), results=(x >= 0) & inside[x, i]
+                  & inside[x, j] & (duals[x] * sizes == np.outer(duals, duals)))
 
 
 @_needs_frobenius
 def _dual_meet_join(ws: Workspace):
-    """dual(A & B) = dual(A) + dual(B), compared by forms. The meets are
-    read from the census's containment (`meets`). The sum of two duals
-    that are census members is read from the census's pair sums; the
-    pairs with a dual outside the census are one batched reduction."""
+    """dual(A & B) = dual(A) + dual(B), compared by forms: the meets read
+    from the census's pair sums (`meets`), the sums of duals from
+    `Workspace.dual_sums`."""
     R = ws.right_ideals
-    forms = np.array([ws.dual(a).form for a in R])
-    at = ws.by_form(forms, "right")[1]
-    outside = at >= len(R)
-    # the pairs with a dual outside are read from anywhere, then summed
-    sums = ws.right_sums[at[:, None] % len(R), at % len(R)]
-    i, j = np.nonzero(np.triu(outside[:, None] | outside))
-    if len(i):
-        sums[i, j] = sums[j, i] = ws.alg.sum_forms(forms[i], forms[j])
-    return _tally("ideal pairs", (),
-                  results=(sums == forms[meets(R)]).all(axis=-1))
+    forms = np.diagonal(ws.dual_sums).T
+    return _tally("ideal pairs", (), results=(
+        ws.dual_sums == forms[meets(R, ws.right_sums)]).all(axis=-1))
 
 
 _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, c: (
@@ -269,6 +265,9 @@ def _block_intersection(ws: Workspace):
     parts = ws.parts_of_one
     if not all(ws.alg.is_central(p) for p in parts):
         return (SKIP, "the canonical refinement of 1 is not central")
+    # the spans of blocks are left census members, whose right
+    # annihilators then come in one batch
+    ws.ideals("left")
     rows = [(c, ann_intersection_check(
         c, parts, lambda block: ws.ann("right", block), ws.built.bound).status)
             for c in ws.right_ideals]

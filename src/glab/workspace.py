@@ -14,15 +14,14 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConstructionError
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, ann_left, ann_right, dual_code,
-                     enumerate_ideals, hat_image, masks, pair_sums,
+                     enumerate_ideals, hat_image, pair_sums,
                      principal_ideals, span)
 from .idem import decompose_one, enumerate_idempotents, is_idempotent
 from .instance import BuiltInstance
-from .lcp import (LcpPair, ResidueTransfer, lcp_matrix,
+from .lcp import (LcpPair, ResidueTransfer, complementarity,
                   lcp_residue_correspondence, lcp_scan, project_code,
                   refine_certificate)
 from .records import record
@@ -108,18 +107,14 @@ class Workspace:
         i = self._rows.get(code.side, {}).get(code.key())
         return code if i is None else self.ideals(code.side)[i]
 
-    def by_form(self, forms: np.ndarray, side: str
-                ) -> tuple[list[CodeSet], np.ndarray]:
-        """One side's census, then the set of each other form of `forms`,
-        and the position of each form's set there."""
-        codes = list(self.ideals(side))
-        at = dict(self._rows[side])
-        rows = np.empty(len(forms), dtype=np.intp)
-        for i, form in enumerate(forms):
-            rows[i] = at.setdefault(form.tobytes(), len(codes))
-            if rows[i] == len(codes):
-                codes.append(CodeSet(self.alg, side=side, form=form))
-        return codes, rows
+    def positions(self, forms: np.ndarray) -> np.ndarray:
+        """The position in the right census of the set of each form of a
+        stack, or -1 where it is no member."""
+        self.right_ideals       # the census records its positions
+        rows = self._rows["right"]
+        return np.array([rows.get(form.tobytes(), -1)
+                         for form in forms.reshape(-1, forms.shape[-1])],
+                        dtype=np.intp).reshape(forms.shape[:-1])
 
     @cached_property
     def right_sums(self) -> np.ndarray:
@@ -127,10 +122,25 @@ class Workspace:
         return pair_sums(self.right_ideals)
 
     @cached_property
+    def dual_sums(self) -> np.ndarray:
+        """The form of dual(A) + dual(B) for every pair of right-ideal
+        census members: read from `right_sums` where both duals are
+        members, the pairs i <= j with a dual outside the census in one
+        batched reduction, mirrored."""
+        forms = np.array([self.dual(c).form for c in self.right_ideals])
+        at = self.positions(forms)
+        out = self.right_sums[at[:, None], at]
+        i, j = np.nonzero(np.triu((at[:, None] < 0) | (at < 0)))
+        if len(i):
+            out[i, j] = out[j, i] = self.alg.sum_forms(forms[i], forms[j])
+        return out
+
+    @cached_property
     def complementary(self) -> np.ndarray:
-        """`lcp_matrix` of the right-ideal census against itself."""
-        stack = masks(self.right_ideals)
-        return lcp_matrix(stack, stack)
+        """`complementarity` of the right-ideal census with itself, the
+        sums read from `right_sums` where a law has computed it."""
+        R = self.right_ideals
+        return complementarity(R, R, self.__dict__.get("right_sums"))
 
     @cached_property
     def idempotents(self) -> list[int]:
@@ -178,9 +188,11 @@ class Workspace:
 
     @cached_property
     def residue_complementary(self) -> np.ndarray:
-        """`lcp_matrix` of the residue images of the right-ideal census."""
-        stack = masks([self.projection(c) for c in self.right_ideals])
-        return lcp_matrix(stack, stack)
+        """`complementarity` of the residue images of the right-ideal
+        census with themselves, the pairs of fitting sizes summed in one
+        batch."""
+        images = [self.projection(c) for c in self.right_ideals]
+        return complementarity(images, images)
 
     @cached_property
     def residue_rows(self) -> dict[tuple[int, int], ResidueTransfer]:

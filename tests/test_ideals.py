@@ -476,17 +476,18 @@ def test_census_matches_brute_force(name):
             assert table.get(c.key()) == least.get(c.mask.tobytes())
 
 
-def test_census_of_m2f2c3_forms_no_sum(monkeypatch):
-    # every sum of a member and a principal ideal is a member already
-    # known by its size, or the generator lies in the member, so the
-    # census never sums two forms
+def test_census_of_m2f2c3_ends_after_one_round(monkeypatch):
+    # every right ideal of M2(Z2)C3 is principal, so the first round, one
+    # batched sum of all 35 * 34 / 2 pairs of principal ideals, finds no
+    # new member and the census stops
     alg = fixture_algebra("m2f2c3")
     sums = []
     sum_forms = GroupAlgebra.sum_forms
     monkeypatch.setattr(GroupAlgebra, "sum_forms", lambda self, a, b: (
         sums.append((a, b)) or sum_forms(self, a, b)))
     assert len(enumerate_ideals(alg, "right", bound=alg.card)) == 35
-    assert sums == []
+    assert len(principal_ideals(alg, "right", bound=alg.card)) == 35
+    assert [(len(a), len(b)) for a, b in sums] == [(595, 595)]
 
 
 def _naive_add(alg, x, y):

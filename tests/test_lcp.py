@@ -9,7 +9,7 @@ from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import enumerate_idempotents
 from glab.ideals import CodeSet, enumerate_ideals, span
-from glab.lcp import (is_lcp, lcp_certificate, lcp_matrix,
+from glab.lcp import (complementarity, is_lcp, lcp_certificate,
                       lcp_residue_correspondence, lcp_scan, project_code,
                       refine_certificate)
 from glab.workspace import certificate_splits, hat_transfer
@@ -23,8 +23,7 @@ def _alg(ring_spec, group_spec):
 
 def _scan(alg, side="right"):
     census = enumerate_ideals(alg, side)
-    masks = np.array([c.mask for c in census])
-    return lcp_scan(census, lcp_matrix(masks, masks))
+    return lcp_scan(census, complementarity(census, census))
 
 
 def _refine(c, d):

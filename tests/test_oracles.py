@@ -62,12 +62,12 @@ from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
 from glab.galg import residue_map
 from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
-                         dual_code, enumerate_ideals, hat_image, meets,
-                         pair_sums, principal, principal_ideals)
+                         containment, dual_code, enumerate_ideals, hat_image,
+                         meets, pair_sums, principal, principal_ideals)
 from glab.idem import (_sub_idempotent, enumerate_idempotents,
                        idempotent_census)
 from glab.instance import InstanceDescription, build_instance, load_instance
-from glab.lcp import is_lcp, lcp_certificate, lcp_matrix, project_code
+from glab.lcp import complementarity, is_lcp, lcp_certificate, project_code
 from glab.verify import LAW_TABLE, verify_all
 from glab.workspace import PASS, Workspace
 
@@ -710,15 +710,18 @@ def _complementary(card, codes):
 
 @pytest.mark.parametrize("name", _DESK)
 def test_complementarity_matrix_matches_the_definition(name):
+    # from sizes and sums of forms: summed in one batch, read from the
+    # census's pair sums, and one pair at a time
     ws = fixture_workspace(name)
     for side in ("right", "left"):
         census = ws.ideals(side)
-        masks = np.array([c.mask for c in census])
-        got = lcp_matrix(masks, masks).tolist()
+        got = complementarity(census, census).tolist()
         assert got == _complementary(ws.alg.card, census)
+        assert got == complementarity(census, census,
+                                      pair_sums(census)).tolist()
         assert got == [[is_lcp(c, d) for d in census] for c in census]
-    masks = np.array([c.mask for c in ws.right_ideals])
-    assert np.array_equal(ws.complementary, lcp_matrix(masks, masks))
+    assert ws.complementary.tolist() == _complementary(ws.alg.card,
+                                                       ws.right_ideals)
     if _local(ws):
         images = [ws.projection(c) for c in ws.right_ideals]
         got = ws.residue_complementary.tolist()
@@ -956,7 +959,8 @@ def assert_producers_match_the_definitions(alg, table, stride=1):
                 assert np.array_equal(bar.mask, _image(
                     rm.residue.card, rm.proj[c.mask]))
         masks = np.array([c.mask for c in census])
-        assert np.array_equal(masks[meets(census)], masks[:, None] & masks[None])
+        assert np.array_equal(masks[meets(census, pair_sums(census))],
+                              masks[:, None] & masks[None])
 
 
 @pytest.mark.parametrize("name", _DESK + _LATTICE)
@@ -986,25 +990,116 @@ def test_form_first_producers_of_drawn_algebras(alg):
                                            stride=max(1, alg.card // 32))
 
 
+def _meets(codes):
+    return meets(codes, pair_sums(codes))
+
+
 def test_a_meet_outside_the_sets_is_refused():
     # F3C2's census is {0}, C, D and RG with C & D = {0}: without {0}
     # no set lies within both C and D, and the meets say so
     census = enumerate_ideals(fixture_algebra("f3c2"))
     assert [c.cardinality for c in census] == [1, 3, 3, 9]
-    assert meets(census).tolist() == [[0, 0, 0, 0], [0, 1, 0, 1],
-                                      [0, 0, 2, 2], [0, 1, 2, 3]]
+    assert _meets(census).tolist() == [[0, 0, 0, 0], [0, 1, 0, 1],
+                                       [0, 0, 2, 2], [0, 1, 2, 3]]
     with pytest.raises(ConstructionError, match="a meet is not among"):
-        meets(census[1:])
+        _meets(census[1:])
+    # drop from Z4C2's census the meet M of some A and B, neither of them
+    # and not {0}: {0} still lies within both, and the meets refuse it
+    # by its size
+    census = enumerate_ideals(fixture_algebra("z4c2"))
+    at = _meets(census)
+    k = len(census)
+    m = next(at[i, j] for i in range(k) for j in range(k)
+             if 0 < at[i, j] and at[i, j] not in (i, j))
+    with pytest.raises(ConstructionError, match="a meet is not among"):
+        _meets(census[:m] + census[m + 1:])
+
+
+def _subsets(masks):
+    """Whether row i of a mask stack lies within row j, for every (i, j)."""
+    return ~(masks[:, None] & ~masks[None]).any(axis=-1)
+
+
+def assert_lattice_reads_match_element_sets(ws):
+    """Containment, meets and complementarity of the right census, read
+    from its pair sums, and containment and sizes of sums of the duals,
+    read from `Workspace.dual_sums`, against element sets; and
+    `sum-meet`, which reads both tables, holds. Returns the number of
+    duals outside the census, whose sums are reduced."""
+    R = ws.right_ideals
+    masks = np.array([c.mask for c in R])
+    assert np.array_equal(containment(ws.right_sums), _subsets(masks))
+    assert np.array_equal(masks[meets(R, ws.right_sums)],
+                          masks[:, None] & masks[None])
+    assert ws.complementary.tolist() == _complementary(ws.alg.card, R)
+    duals = [ws.dual(c) for c in R]
+    masks = np.array([d.mask for d in duals])
+    sums, k = ws.dual_sums, len(R)
+    assert np.array_equal(containment(sums), _subsets(masks))
+    sizes = masks.sum(axis=1)
+    # |Y + Z| = |Y| |Z| / |Y & Z|
+    assert np.array_equal(
+        ws.alg.subgroup_sizes(sums.reshape(k * k, -1)).reshape(k, k),
+        np.outer(sizes, sizes) // (masks[:, None] & masks[None]).sum(axis=-1))
+    law = dict((cid, fn) for cid, _, fn in LAW_TABLE)["dual-lattice.sum-meet"]
+    assert law(ws)[0] == PASS
+    return int((ws.positions(np.array([d.form for d in duals])) < 0).sum())
+
+
+@st.composite
+def _key_workspaces(draw):
+    """The workspace of an algebra drawn as `_key_algebras` draws it."""
+    ring = draw(st.one_of(st.sampled_from(_KEY_RINGS), rings))
+    card = build_ring(ring).card
+    group = draw(st.sampled_from([g for g in _KEY_GROUPS
+                                  if card ** build_group(g).order <= 256]))
+    return Workspace(build_instance(InstanceDescription(ring, group)))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(ws=_key_workspaces())
+@example(ws=Workspace(build_instance(InstanceDescription(
+    MatrixRing(2, Zmod(2)), CyclicGroup(2)))))
+def test_lattice_reads_of_drawn_algebras(ws):
+    # the example has noncommutative coefficients, and 12 of its 15
+    # duals lie outside the census
+    assert_lattice_reads_match_element_sets(ws)
+
+
+@pytest.mark.parametrize("name, outside", [("m2f2c2", 12), ("ut2c1", 2),
+                                           ("f2s3", 0), ("z4c3", 0)])
+def test_sums_of_duals_outside_the_census_are_reduced(name, outside):
+    assert assert_lattice_reads_match_element_sets(
+        fixture_workspace(name)) == outside
 
 
 # ---------------------------------------------------------------------------
 # the ideal census is a lattice under sums
 
+def _square_zero_algebra():
+    """F2[x, y, z]/(x, y, z)^2 on the trivial group: its maximal ideal is
+    the sum of three principal ideals and of no two, so the census
+    needs a second round of sums."""
+    digits = [[k >> i & 1 for i in range(4)] for k in range(16)]
+
+    def mul(a, b):
+        prod = [a[0] & b[0]] + [a[0] & b[i] ^ a[i] & b[0] for i in (1, 2, 3)]
+        return sum(d << i for i, d in enumerate(prod))
+    ring = TableRing((2, 2, 2, 2), tuple(tuple(mul(a, b) for b in digits)
+                                         for a in digits), "F2[x,y,z]/m^2")
+    return GroupAlgebra(build_ring(ring), build_group(CyclicGroup(1)))
+
+
+def _census_algebra(name):
+    return (_square_zero_algebra() if name == "square-zero"
+            else fixture_algebra(name))
+
+
 @functools.cache
 def _naive_addition(name):
     """The full addition table of a desk algebra, coefficientwise with the
     ring's own addition on decoded coefficients."""
-    alg = fixture_algebra(name)
+    alg = _census_algebra(name)
     coeffs = [alg.decode(x) for x in range(alg.card)]
     return np.array([[alg.encode(map(lambda s, t: int(alg.ring.add[s, t]), cx, cy)) for cy in coeffs]
                      for cx in coeffs])
@@ -1016,21 +1111,26 @@ def _naive_sumset(add, a, b):
     return total
 
 
-@pytest.mark.parametrize("name", _DESK)
+@pytest.mark.parametrize("name", _DESK + ["square-zero"])
 def test_census_is_closed_under_naive_sums(name):
-    alg = fixture_algebra(name)
+    # the census found by sums of forms holds each naive sumset of two
+    # members, and containment read from its pair sums is that of the
+    # element sets
+    alg = _census_algebra(name)
     assert alg.card <= DEFAULT_CENSUS_BOUND
     add = _naive_addition(name)
     for side in ("right", "left"):
         census = enumerate_ideals(alg, side)
         keys = {c.mask.tobytes() for c in census}
-        for a in census:
-            for b in census:
+        inside = containment(pair_sums(census))
+        for i, a in enumerate(census):
+            for j, b in enumerate(census):
                 total = _naive_sumset(add, a, b)
                 assert total.tobytes() in keys
                 # |A + B| |A & B| = |A| |B| for additive subgroups
                 assert (int(total.sum()) * int((a.mask & b.mask).sum())
                         == a.cardinality * b.cardinality)
+                assert inside[i, j] == (a.mask <= b.mask).all()
 
 
 @pytest.mark.parametrize("name", _DESK)

@@ -174,7 +174,7 @@ def test_shared_work_runs_once(monkeypatch):
             passes.append((alg.label, side, kernel))
         return classes(alg, side, kernel)
     monkeypatch.setattr(GroupAlgebra, "canonical_classes", counted)
-    matrices = _count_calls(monkeypatch, glab.lcp.lcp_matrix)
+    matrices = _count_calls(monkeypatch, glab.lcp.complementarity)
     checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
     refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
@@ -186,11 +186,12 @@ def test_shared_work_runs_once(monkeypatch):
     # routes and the element annihilators, and one kernel pass per side,
     # serving the check elements and the annihilators of elements (an
     # annihilator of a set is a kernel of its own); one
-    # complementarity matrix per stack of masks, the census and its
+    # complementarity matrix per list of sets, the census and its
     # residue images (a single pair's is_lcp is a 1 x 1 matrix)
     assert passes == [("Z4C3", "right", False), ("Z4C3", "right", True),
                       ("Z4C3", "left", False), ("Z4C3", "left", True)]
-    stacks = [args[0].shape for args in matrices if len(args[0]) > 1]
+    stacks = [(len(args[0]), args[0][0].alg.card)
+              for args in matrices if len(args[0]) > 1]
     assert stacks == [(9, ws.alg.card), (9, ws.residue.residue.card)]
     assert len(checkable) == 1
     # the algebra and its residue algebra
@@ -306,14 +307,14 @@ def test_short_principal_table_fails_its_route(side, check_id, witness,
 def test_dropped_complementary_pair_fails_the_lcp_split(monkeypatch):
     # the matrix loses its last complementary pair: the pair scan reads
     # the same matrix, so the pairs no longer match the idempotents
-    matrix = glab.lcp.lcp_matrix
+    matrix = glab.lcp.complementarity
 
-    def flipped(cs, ds):
-        got = matrix(cs, ds)
+    def flipped(cs, ds, sums=None):
+        got = matrix(cs, ds, sums)
         if len(cs) > 1:
             got[tuple(np.argwhere(got)[-1])] = False
         return got
-    monkeypatch.setattr(glab.workspace, "lcp_matrix", flipped)
+    monkeypatch.setattr(glab.workspace, "complementarity", flipped)
     fails = _fails(_report("f3c2"))
     assert list(fails) == ["lcp-split.pair-idempotent-count"]
     assert fails["lcp-split.pair-idempotent-count"] == (
@@ -347,8 +348,12 @@ def test_wrong_slot_dual_fails_the_dual_audit(monkeypatch):
 
 def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
     # a sum that drops the last row of B's form leaves some A + B short;
-    # over F3 the dual of a short sum is larger than dual(A) & dual(B),
-    # and a short sum of duals is smaller than the dual of the meet
+    # over F3 the dual of a short sum is larger than dual(A) & dual(B).
+    # Containment, meets and complementarity are read from the same
+    # table: the meets refuse it, as a short A + B gives a size
+    # |A| |B| / |A + B| that no member within both has, and a pair of
+    # sizes 3 and 3 no longer spans RG, so the pairs no longer match
+    # the idempotents
     def short(codes):
         alg, k = codes[0].alg, len(codes)
         forms = np.array([c.form for c in codes])
@@ -360,10 +365,13 @@ def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
                              np.tile(rows.reshape(k, -1), (k, 1))
                              ).reshape(k, k, -1)
     monkeypatch.setattr(glab.workspace, "pair_sums", short)
-    fails = _fails(_report("f3c2"))
+    fails = {l.check_id: l.witness for l in _report("f3c2").lines
+             if l.status == FAIL}
     assert fails == {
-        "dual-lattice.sum-meet": "5/16 ideal pairs fail; first at pair (0, 1)",
-        "dual-lattice.meet-join": "5/16 ideal pairs fail; first at pair (1, 2)",
+        "dual-lattice.sum-meet": "10/16 ideal pairs fail; first at pair (0, 1)",
+        "dual-lattice.meet-join": "Z3C2: a meet is not among the sets",
+        "lcp-split.pair-idempotent-count":
+            "3/5 idempotents and pairs fail; first at idempotent 0",
     }
 
 
