@@ -132,7 +132,7 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
     """Express a right ideal through the central block decomposition.
 
     `parts` must be CENTRAL primitive orthogonal idempotents summing to
-    1 (the canonical ones come from idem.decompose_one); the caller
+    1 (the canonical ones are `Workspace.parts_of_one`); the caller
     decides centrality once, not per ideal. When C is the span of a
     subset of them, C must equal both the intersection of the right
     annihilators of the complementary blocks, which is the right

@@ -73,7 +73,7 @@ def cmd_ring_info(ws: Workspace) -> Report:
 
 def cmd_idempotents(ws: Workspace) -> Report:
     alg = ws.alg
-    census = idempotent_census(alg, ws.idempotents)
+    census = idempotent_census(alg, ws.idempotent_order)
     law = "idempotent-census"
     central = [i.element for i in census if i.central]
     primitive = [i.element for i in census if i.primitive]
@@ -132,7 +132,7 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
         e = lcp_certificate(c, d)
         lines.append(_info("lcp-verify.certificate", law,
                            f"e = {e} = {alg.text(e)}"))
-        pc, pd = refine_certificate(c, d, ws.idempotents)
+        pc, pd = refine_certificate(alg, e, ws.idempotent_order)
         lines.append(_info("lcp-verify.refinement", law,
                            f"C parts {pc}; D parts {pd}"))
         sizes, image = hat_transfer(ws, c, d)

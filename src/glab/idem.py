@@ -2,9 +2,11 @@
 decompositions of 1, and lifting along the coefficient radical.
 
 Everything here is exhaustive: idempotents come from a full scan of
-the squaring map, primitivity from a full scan against all other
-idempotents. Lifts and decompositions are returned as computed; the
-law matrix in glab.verify re-checks them.
+the squaring map, and their order (which idempotents split which) from
+one table of the products of all pairs, `IdempotentOrder`, which
+primitivity and every decomposition read. Lifts and decompositions
+are returned as computed; the law matrix in glab.verify re-checks
+them.
 """
 
 from __future__ import annotations
@@ -35,23 +37,37 @@ def is_idempotent(alg: GroupAlgebra, e: int) -> bool:
     return alg.mul(e, e) == e
 
 
-def _require_idempotent(alg: GroupAlgebra, e: int) -> None:
-    if not is_idempotent(alg, e):
-        raise ConstructionError(
-            f"{alg.label}: element {alg.text(e)} is not idempotent")
+def _not_idempotent(alg: GroupAlgebra, e: int) -> ConstructionError:
+    return ConstructionError(
+        f"{alg.label}: element {alg.text(e)} is not idempotent")
 
 
-def _sub_idempotent(alg: GroupAlgebra, e: int,
-                    idems: list[int]) -> int | None:
-    """First idempotent f with 0 != f != e and ef = fe = f, if any.
+@record
+class IdempotentOrder(NamedTuple):
+    """The idempotent census, ascending, and its order: below[i, j]
+    when f = elements[j] splits e = elements[i] into the orthogonal
+    idempotents f and e - f, that is when ef = fe = f, f not in {0, e}.
+    A nonzero e with nothing below it is primitive."""
+    elements: np.ndarray
+    below: np.ndarray
 
-    Such an f splits e as f + (e - f), an orthogonal idempotent pair;
-    its absence makes e primitive.
-    """
-    fs = np.array(idems, dtype=np.int64)
-    below = ((alg.mul(e, fs) == fs) & (alg.mul(fs, e) == fs)
-             & (fs != 0) & (fs != e))
-    return int(fs[below.argmax()]) if below.any() else None
+
+# rows of the |E| x |E| product table of the idempotents per product call
+CENSUS_CHUNK_ROWS = 32
+
+
+def idempotent_order(alg: GroupAlgebra, idems: list[int]) -> IdempotentOrder:
+    """The order of the idempotent census `idems` (ascending), from the
+    products e*f of all pairs, one product per chunk of rows of the
+    table; the diagonal re-checks idempotence."""
+    es = np.array(idems, dtype=np.int64)
+    table = np.concatenate([alg.mul(es[i:i + CENSUS_CHUNK_ROWS, None], es)
+                            for i in range(0, len(es), CENSUS_CHUNK_ROWS)])
+    wrong = es[np.diagonal(table) != es]
+    if len(wrong):
+        raise _not_idempotent(alg, int(wrong[0]))
+    return IdempotentOrder(es, (table == es) & (table.T == es) & (es != 0)
+                           & (es[:, None] != es))
 
 
 @record
@@ -61,57 +77,39 @@ class IdempotentInfo(NamedTuple):
     primitive: bool
 
 
-# rows of the |E| x |E| product table of the idempotents per product call
-CENSUS_CHUNK_ROWS = 32
-
-
 def idempotent_census(alg: GroupAlgebra,
-                      idems: list[int]) -> list[IdempotentInfo]:
-    """Central and primitive flags of every idempotent in the census.
-
-    The products e*f of all pairs come from one product per chunk of
-    rows of the table: the diagonal re-checks idempotence, and a
-    nonzero e is primitive (admits no orthogonal splitting) when no f
-    outside {0, e} has ef = fe = f (see `_sub_idempotent`). Centrality
-    is `central` on the whole list at once."""
-    es = np.array(idems, dtype=np.int64)
-    table = np.concatenate([alg.mul(es[i:i + CENSUS_CHUNK_ROWS, None], es)
-                            for i in range(0, len(es), CENSUS_CHUNK_ROWS)])
-    wrong = es[np.diagonal(table) != es]
-    if len(wrong):
-        _require_idempotent(alg, int(wrong[0]))     # raises
-    below = ((table == es) & (table.T == es) & (es != 0)
-             & (es[:, None] != es))
-    primitive = (es != 0) & ~below.any(axis=1)
+                      order: IdempotentOrder) -> list[IdempotentInfo]:
+    """Central and primitive flags of every idempotent in the census:
+    a nonzero e is primitive when nothing lies below it in `order`.
+    Centrality is `central` on the whole list at once."""
+    es = order.elements
+    primitive = (es != 0) & ~order.below.any(axis=1)
     return [IdempotentInfo(e, central, prim) for e, central, prim in zip(
-        idems, alg.central(es).tolist(), primitive.tolist())]
+        es.tolist(), alg.central(es).tolist(), primitive.tolist())]
 
 
 def decompose_idempotent(alg: GroupAlgebra, e: int,
-                         idems: list[int]) -> list[int]:
+                         order: IdempotentOrder) -> list[int]:
     """Orthogonal primitive idempotents summing to e (empty for e = 0).
 
-    Greedy refinement, deterministic: each non-primitive part is split
-    by the least idempotent below it, taken from the census `idems`.
+    Greedy refinement, deterministic: each part is split by the first
+    idempotent below it in census order, read from `order`, so no
+    product is computed; a part with none below is primitive.
     split-refine.partition checks the parts of every certificate.
     """
-    _require_idempotent(alg, e)
-    parts: list[int] = [] if e == 0 else [e]
-    done: list[int] = []
-    while parts:
+    es = order.elements
+    if e not in es:
+        raise _not_idempotent(alg, e)
+    parts, done = [e], []
+    while parts:     # each part is an idempotent of the census
         cur = parts.pop()
-        f = _sub_idempotent(alg, cur, idems)
-        if f is None:
+        below = order.below[np.searchsorted(es, cur)]
+        if below.any():
+            f = int(es[below.argmax()])
+            parts += [f, alg.sub(cur, f)]
+        elif cur != 0:
             done.append(cur)
-        else:
-            parts.append(f)
-            parts.append(alg.sub(cur, f))
     return sorted(done)
-
-
-def decompose_one(alg: GroupAlgebra, idems: list[int]) -> list[int]:
-    """Orthogonal primitive idempotents summing to 1."""
-    return decompose_idempotent(alg, alg.one, idems)
 
 
 # ---------------------------------------------------------------------------

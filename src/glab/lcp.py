@@ -2,13 +2,14 @@
 
 A pair (C, D) is complementary when C meets D only in 0 and together
 they span the whole algebra, that is when |C + D| = |C| |D| = |RG|,
-decided by sizes and sums of forms. Every such pair of right ideals is
-split by a unique idempotent certificate e with C = e*RG and
-D = (1-e)*RG, found by a scan of C's elements; this module finds
-certificates, refines them into primitive orthogonal families, and
-transfers pairs across the coefficient-radical projection over local
-base rings. The functions compute and return; the laws these results
-must satisfy are counted by the law matrix in glab.verify.
+decided for lists of sets by sizes and sums of forms. Every such pair
+of right ideals is split by a unique idempotent certificate e with
+C = e*RG and D = (1-e)*RG, found by a scan of C's elements that also
+decides a single pair (`lcp_certificate`). This module finds
+certificates, refines them by the idempotent order, and transfers
+pairs across the coefficient-radical projection over local base rings.
+The functions compute and return; the laws these results must satisfy
+are counted by the law matrix in glab.verify.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConstructionError
-from .galg import ResidueMap
-from .idem import decompose_idempotent, lift_idempotent
+from .galg import GroupAlgebra, ResidueMap
+from .idem import IdempotentOrder, decompose_idempotent, lift_idempotent
 from .ideals import CodeSet, span
 from .records import record
 
@@ -56,36 +57,42 @@ def is_lcp(c: CodeSet, d: CodeSet) -> bool:
     return bool(complementarity([c], [d])[0, 0])
 
 
-def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
-    """The split of 1 across a complementary pair: the element e of C
-    with 1 - e in D, or None unless exactly one such e exists. Raises
-    unless the pair is complementary (`is_lcp`).
-
-    The split is not judged here; lcp-split.biconditional checks that
-    it is an idempotent whose split regenerates both members.
-    """
-    _require_pair(c, d)
-    if not is_lcp(c, d):
-        raise ConstructionError(
-            f"{c.alg.label}: ideals of sizes {c.cardinality} and "
-            f"{d.cardinality} are not a complementary pair")
-    return _split(c, d)
-
-
 def _split(c: CodeSet, d: CodeSet) -> int | None:
-    """`lcp_certificate` of a pair known to be complementary: a scan of
-    C's elements."""
+    """The e in C with 1 - e in D if it is unique, by a scan of C."""
     alg = c.alg
     members = c.elements()
     hits = members[d.mask[alg.sub(alg.one, members)]]
     return int(hits[0]) if len(hits) == 1 else None
 
 
+def lcp_certificate(c: CodeSet, d: CodeSet) -> int:
+    """The split of 1 across a complementary pair: the element e of C
+    with 1 - e in D. Raises unless exactly one such e exists, which is
+    exactly when the pair is complementary.
+
+    For one-sided ideals of one side the splits form a coset of C & D
+    or none: two splits differ by an element of C whose negative lies
+    in D, and a split plus an element of C & D is one. A split exists
+    exactly when 1 lies in the ideal C + D, that is when C + D = RG. So
+    a unique split is complementarity, and the scan decides both.
+
+    The split is not judged here; lcp-split.biconditional checks that
+    it is an idempotent whose split regenerates both members.
+    """
+    _require_pair(c, d)
+    e = _split(c, d)
+    if e is None:
+        raise ConstructionError(
+            f"{c.alg.label}: ideals of sizes {c.cardinality} and "
+            f"{d.cardinality} are not a complementary pair")
+    return e
+
+
 @record
 class LcpPair(NamedTuple):
     c: CodeSet
     d: CodeSet
-    certificate: int | None
+    certificate: int
 
 
 def lcp_scan(census: list[CodeSet],
@@ -93,19 +100,16 @@ def lcp_scan(census: list[CodeSet],
     """All ordered complementary pairs of a full one-sided ideal census,
     read row-major from its `complementarity` with itself, each with its
     `lcp_certificate`."""
-    return [LcpPair(census[i], census[j], _split(census[i], census[j]))
-            for i, j in np.argwhere(complementary).tolist()]
+    return [LcpPair(c, d, lcp_certificate(c, d)) for c, d in (
+        (census[i], census[j]) for i, j in np.argwhere(complementary))]
 
 
-def refine_certificate(c: CodeSet, d: CodeSet,
-                       idems: list[int]) -> tuple[list[int], list[int]]:
-    """Primitive orthogonal idempotents refining a pair's certificate,
-    split by members of the idempotent census `idems`: the parts of e
-    and the parts of 1-e."""
-    alg = c.alg
-    e = lcp_certificate(c, d)
-    return (decompose_idempotent(alg, e, idems),
-            decompose_idempotent(alg, alg.one_minus(e), idems))
+def refine_certificate(alg: GroupAlgebra, e: int, order: IdempotentOrder
+                       ) -> tuple[list[int], list[int]]:
+    """The primitive orthogonal parts of a pair's certificate e and of
+    1 - e, read from the idempotent order."""
+    return (decompose_idempotent(alg, e, order),
+            decompose_idempotent(alg, alg.one_minus(e), order))
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +122,13 @@ class ResidueTransfer(NamedTuple):
     biconditional: bool
     # whether the lifted certificate splits off exactly (C, D), and
     # whether its split is a complementary pair over the residue pair;
-    # None when the residue pair is not complementary
-    members_idempotent_generated: bool | None
-    lift_splits: bool | None
-    certificate: int | None
-    residue_certificate: int | None
-    lifted_certificate: int | None
+    # None, as the residue certificate and its lift, when the residue
+    # pair is not complementary
+    members_idempotent_generated: bool | None = None
+    lift_splits: bool | None = None
+    certificate: int | None = None
+    residue_certificate: int | None = None
+    lifted_certificate: int | None = None
 
 
 def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
@@ -154,22 +159,18 @@ def lcp_residue_correspondence(c: CodeSet, d: CodeSet, rm: ResidueMap,
     whole algebra against a radical multiple projects onto the trivial
     complementary pair). The residue laws count each of these. Each
     member's image comes from `project`, the residue projection of rm.
+    Base and residue complementarity are read from the two certificate
+    scans; only the lifted pair is checked with `is_lcp`.
     """
     alg = c.alg
-    cbar = project(c)
-    dbar = project(d)
-    base = is_lcp(c, d)
-    res = is_lcp(cbar, dbar)
-    e = lcp_certificate(c, d) if base else None
-    if not res:
+    _require_pair(c, d)
+    cbar, dbar = project(c), project(d)
+    e, ebar = _split(c, d), _split(cbar, dbar)
+    base = e is not None
+    if ebar is None:
         return ResidueTransfer(lcp_base=base, lcp_residue=False,
-                               biconditional=not base,
-                               members_idempotent_generated=None,
-                               lift_splits=None, certificate=e,
-                               residue_certificate=None,
-                               lifted_certificate=None)
+                               biconditional=not base, certificate=e)
 
-    ebar = lcp_certificate(cbar, dbar)
     lifted = lift_idempotent(alg, rm, ebar)
     lifted_c = span(alg, [lifted], c.side)
     lifted_d = span(alg, [alg.one_minus(lifted)], d.side)

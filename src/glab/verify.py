@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -32,7 +31,7 @@ from .galg import ResidueMap
 from .ideals import (CodeSet, check_scale, containment, hat_image, meets,
                      principal, principal_ideals, span)
 from .idem import enumerate_idempotents, is_idempotent, lift_idempotent
-from .lcp import ResidueTransfer, lcp_certificate
+from .lcp import ResidueTransfer
 from .workspace import (FAIL, SKIP, CheckLine, Report, Workspace, _tally,
                         certificate_splits, hat_transfer, is_partition_of_one,
                         pairs_match_idempotents)
@@ -76,17 +75,6 @@ def _each_ideal(side: str, unit: str, ok: Callable[[Workspace, CodeSet], bool]):
                                            for c in ws.ideals(side)))
 
 
-def _pair_matrix(ws: Workspace,
-                 checks: Iterable[tuple[tuple[int, int], bool]]) -> np.ndarray:
-    """The results of a law over the ordered right-ideal pairs as a
-    matrix: each checked pair (i, j) holds its result, and every other
-    pair holds trivially."""
-    out = np.ones_like(ws.complementary)
-    for (i, j), ok in checks:
-        out[i, j] = ok
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the laws
 
@@ -123,33 +111,31 @@ _dual_size_product = _needs_frobenius(_each_ideal("right", "ideals", lambda ws, 
 
 
 def _lcp_biconditional(ws: Workspace):
-    """Each complementary pair is the split of its certificate."""
-    R = ws.right_ideals
-    return _tally("ideal pairs", (), results=_pair_matrix(ws, (
-        ((i, j), certificate_splits(ws.alg, R[i], R[j],
-                                    lcp_certificate(R[i], R[j])))
-        for i, j in np.argwhere(ws.complementary).tolist())))
+    """Each complementary pair is the split of its certificate, read
+    from `Workspace.pairs`, which lists the matrix's pairs row-major."""
+    ok = np.ones_like(ws.complementary)
+    for (i, j), p in zip(np.argwhere(ws.complementary).tolist(), ws.pairs):
+        ok[i, j] = certificate_splits(ws.alg, *p)
+    return _tally("ideal pairs", (), results=ok)
 
 
-def _direct_sum(code: CodeSet, pieces: list[CodeSet]) -> bool:
+def _direct_sum(code: CodeSet, parts: list[int]) -> bool:
     """The spans of the parts regenerate the member, as a direct sum:
-    the sum of their forms is the member's."""
-    if not pieces:
-        return code.cardinality == 1
-    total = reduce(code.alg.sum_forms, (p.form[None] for p in pieces))
-    return (np.array_equal(total[0], code.form)
-            and math.prod(p.cardinality for p in pieces) == code.cardinality)
+    the span of all parts is the member, and the sizes of the parts'
+    spans multiply to its size (no parts: the member is {0})."""
+    alg, side = code.alg, code.side
+    return (span(alg, parts, side).same_set(code)
+            and math.prod(principal(alg, p, side).cardinality
+                          for p in parts) == code.cardinality)
 
 
 def _refine_partition(ws: Workspace):
     alg = ws.alg
     parts = sum(len(pc) + len(pd) for pc, pd in ws.refinements)
-    piece = cache(lambda side, p: span(alg, [p], side))  # once per part
     return _tally("complementary pairs", (
         (f"pair {k} (certificate {pair.certificate})",
          is_partition_of_one(alg, pc + pd)
-         and _direct_sum(pair.c, [piece(pair.c.side, p) for p in pc])
-         and _direct_sum(pair.d, [piece(pair.d.side, p) for p in pd]))
+         and _direct_sum(pair.c, pc) and _direct_sum(pair.d, pd))
         for k, (pair, (pc, pd)) in enumerate(zip(ws.pairs, ws.refinements))),
         passed=f"refined {len(ws.pairs)} certificates into {parts} "
                f"primitive parts")
@@ -173,7 +159,8 @@ _idem_dual_formula = _needs_frobenius(lambda ws: _tally("idempotents", (
 
 @_needs_frobenius
 def _hat_central_image(ws: Workspace):
-    central = [p for p in ws.pairs if ws.alg.is_central(p.certificate)]
+    flags = ws.alg.central([p.certificate for p in ws.pairs])
+    central = [p for p, ok in zip(ws.pairs, flags) if ok]
     return _tally("central certificates", (
         (f"certificate {p.certificate}", hat_transfer(ws, p.c, p.d)[1])
         for p in central), note=f" of {len(ws.pairs)} pairs")
@@ -195,10 +182,13 @@ def _forward(rm: ResidueMap, rt: ResidueTransfer) -> bool:
 
 def _residue_pairs(ws: Workspace,
                    ok: Callable[[ResidueTransfer], bool]) -> np.ndarray:
-    """ok of each pair's transfer as a pair matrix; the pairs with no
-    transfer row, complementary on neither side, hold trivially."""
-    return _pair_matrix(ws, ((ij, ok(rt))
-                             for ij, rt in ws.residue_rows.items()))
+    """ok of each pair's transfer as a matrix over the ordered
+    right-ideal pairs; the pairs with no transfer row, complementary on
+    neither side, hold trivially."""
+    out = np.ones_like(ws.complementary)
+    for (i, j), rt in ws.residue_rows.items():
+        out[i, j] = ok(rt)
+    return out
 
 
 _residue_forward = _needs_local_radical(lambda ws: _tally(

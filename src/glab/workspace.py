@@ -19,7 +19,8 @@ from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, ann_left, ann_right, dual_code,
                      enumerate_ideals, hat_image, pair_sums,
                      principal_ideals, span)
-from .idem import decompose_one, enumerate_idempotents, is_idempotent
+from .idem import (IdempotentOrder, decompose_idempotent,
+                   enumerate_idempotents, idempotent_order, is_idempotent)
 from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, complementarity,
                   lcp_residue_correspondence, lcp_scan, project_code,
@@ -147,9 +148,15 @@ class Workspace:
         return enumerate_idempotents(self.alg, bound=self.built.bound)
 
     @cached_property
+    def idempotent_order(self) -> IdempotentOrder:
+        """Which idempotents split which, one table for the algebra."""
+        return idempotent_order(self.alg, self.idempotents)
+
+    @cached_property
     def parts_of_one(self) -> list[int]:
         """The canonical primitive orthogonal idempotents summing to 1."""
-        return decompose_one(self.alg, self.idempotents)
+        return decompose_idempotent(self.alg, self.alg.one,
+                                    self.idempotent_order)
 
     @cached_property
     def pairs(self) -> list[LcpPair]:
@@ -157,8 +164,9 @@ class Workspace:
 
     @cached_property
     def refinements(self) -> list[tuple[list[int], list[int]]]:
-        """The primitive refinement of each pair, in the order of pairs."""
-        return [refine_certificate(p.c, p.d, self.idempotents)
+        """The primitive refinement of each certificate, in pair order."""
+        return [refine_certificate(self.alg, p.certificate,
+                                   self.idempotent_order)
                 for p in self.pairs]
 
     @cached_property

@@ -7,7 +7,8 @@ from glab.chk import (ann_intersection_check, check_elements,
                       code_checkable_census, is_checkable)
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
-from glab.idem import decompose_one, enumerate_idempotents
+from glab.idem import (decompose_idempotent, enumerate_idempotents,
+                       idempotent_order)
 from glab.ideals import (ann_left, ann_right, dual_code, enumerate_ideals,
                          principal_ideals, span)
 
@@ -32,7 +33,8 @@ def _census(alg):
 
 
 def _parts_of_one(alg):
-    return decompose_one(alg, enumerate_idempotents(alg))
+    return decompose_idempotent(alg, alg.one, idempotent_order(
+        alg, enumerate_idempotents(alg)))
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,9 @@ from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
-from glab.idem import (decompose_idempotent, decompose_one,
-                       enumerate_idempotents, idempotent_census,
-                       is_idempotent, lift_idempotent)
+from glab.idem import (decompose_idempotent, enumerate_idempotents,
+                       idempotent_census, idempotent_order, is_idempotent,
+                       lift_idempotent)
 from glab.ideals import dual_code, ideal_sum, span
 
 from desk import fixture_algebra
@@ -16,6 +16,10 @@ from desk import fixture_algebra
 
 def _alg(ring_spec, group_spec):
     return GroupAlgebra(build_ring(ring_spec), build_group(group_spec))
+
+
+def _order(alg):
+    return idempotent_order(alg, enumerate_idempotents(alg))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ def test_idempotent_counts_frozen(f2s3, m2c2):
 
 
 def test_census_flags_frozen(f2s3):
-    census = idempotent_census(f2s3, enumerate_idempotents(f2s3))
+    census = idempotent_census(f2s3, _order(f2s3))
     assert [c.element for c in census if c.central] == [0, 1, 24, 25]
     prims = [c.element for c in census if c.primitive]
     assert prims == [15, 23, 25, 43, 45, 51, 53]
@@ -69,7 +73,7 @@ def test_census_flags_frozen(f2s3):
 
 
 def test_census_flags_matrix_base(m2c2):
-    census = idempotent_census(m2c2, enumerate_idempotents(m2c2))
+    census = idempotent_census(m2c2, _order(m2c2))
     # only 0 and 1 are central; every other idempotent is primitive
     assert [c.element for c in census if c.central] == [0, m2c2.one]
     assert sum(c.primitive for c in census) == 24
@@ -89,30 +93,30 @@ def test_scan_scale_gate(f3c2):
 # ---------------------------------------------------------------------------
 # primitivity and decomposition
 
-def _primitive(alg, idems):
-    return {i.element: i.primitive for i in idempotent_census(alg, idems)}
+def _primitive(alg):
+    census = idempotent_census(alg, _order(alg))
+    return {i.element: i.primitive for i in census}
 
 
 def test_primitivity_frozen(f3c2):
-    assert _primitive(f3c2, enumerate_idempotents(f3c2)) == {
+    assert _primitive(f3c2) == {
         0: False, 1: False, 5: True, 8: True}
 
 
 def test_primitivity_rejects_non_idempotent(f3c2):
     with pytest.raises(ConstructionError):
-        idempotent_census(f3c2, enumerate_idempotents(f3c2) + [2])
+        idempotent_order(f3c2, enumerate_idempotents(f3c2) + [2])
 
 
 def test_decompose_one_frozen(f3c2, f2c3):
-    assert decompose_one(f3c2, enumerate_idempotents(f3c2)) == [5, 8]
-    assert decompose_one(f2c3, enumerate_idempotents(f2c3)) == [6, 7]
+    assert decompose_idempotent(f3c2, f3c2.one, _order(f3c2)) == [5, 8]
+    assert decompose_idempotent(f2c3, f2c3.one, _order(f2c3)) == [6, 7]
 
 
 def test_decompose_one_invariants(f2s3, m2c2):
     for alg in (f2s3, m2c2):
-        idems = enumerate_idempotents(alg)
-        parts = decompose_one(alg, idems)
-        primitive = _primitive(alg, idems)
+        parts = decompose_idempotent(alg, alg.one, _order(alg))
+        primitive = _primitive(alg)
         total = 0
         for p in parts:
             assert is_idempotent(alg, p) and primitive[p]
@@ -122,18 +126,18 @@ def test_decompose_one_invariants(f2s3, m2c2):
             for q in parts[i + 1:]:
                 assert alg.mul(p, q) == 0 and alg.mul(q, p) == 0
     # E11 and E22 at the identity
-    assert decompose_one(m2c2, enumerate_idempotents(m2c2)) == [1, 8]
+    assert decompose_idempotent(m2c2, m2c2.one, _order(m2c2)) == [1, 8]
 
 
 def test_decompose_primitive_is_itself(f3c2):
-    idems = enumerate_idempotents(f3c2)
-    assert decompose_idempotent(f3c2, 5, idems) == [5]
-    assert decompose_idempotent(f3c2, 0, idems) == []
+    order = _order(f3c2)
+    assert decompose_idempotent(f3c2, 5, order) == [5]
+    assert decompose_idempotent(f3c2, 0, order) == []
 
 
 def test_decompose_rejects_non_idempotent(f2c3):
     with pytest.raises(ConstructionError):
-        decompose_idempotent(f2c3, 2, enumerate_idempotents(f2c3))
+        decompose_idempotent(f2c3, 2, _order(f2c3))
 
 
 # ---------------------------------------------------------------------------

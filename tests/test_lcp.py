@@ -7,7 +7,7 @@ from glab.errors import ConstructionError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
-from glab.idem import enumerate_idempotents
+from glab.idem import enumerate_idempotents, idempotent_order
 from glab.ideals import CodeSet, enumerate_ideals, span
 from glab.lcp import (complementarity, is_lcp, lcp_certificate,
                       lcp_residue_correspondence, lcp_scan, project_code,
@@ -27,7 +27,9 @@ def _scan(alg, side="right"):
 
 
 def _refine(c, d):
-    return refine_certificate(c, d, enumerate_idempotents(c.alg))
+    alg = c.alg
+    return refine_certificate(alg, lcp_certificate(c, d), idempotent_order(
+        alg, enumerate_idempotents(alg)))
 
 
 @pytest.fixture(scope="module")

@@ -64,8 +64,8 @@ from glab.galg import residue_map
 from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
                          containment, dual_code, enumerate_ideals, hat_image,
                          meets, pair_sums, principal, principal_ideals)
-from glab.idem import (_sub_idempotent, enumerate_idempotents,
-                       idempotent_census)
+from glab.idem import (enumerate_idempotents, idempotent_census,
+                       idempotent_order)
 from glab.instance import InstanceDescription, build_instance, load_instance
 from glab.lcp import complementarity, is_lcp, lcp_certificate, project_code
 from glab.verify import LAW_TABLE, verify_all
@@ -268,19 +268,21 @@ def test_scans_match_brute_force(name):
                 ring.add[list(one), ring.neg[list(alg.decode(int(x)))]])]]
             assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
                                              else None)
-    # the first other nonzero idempotent f with ef = fe = f; e is
-    # primitive when it is nonzero and there is none, central when its
-    # row of the table is its column
+    # each row of the order table: the other nonzero idempotents f with
+    # ef = fe = f, in census order; e is primitive when it is nonzero
+    # and there is none, central when its row of the table is its column
     idems = enumerate_idempotents(alg)
     assert idems == [e for e in range(alg.card) if table[e, e] == e]
+    order = idempotent_order(alg, idems)
+    assert order.elements.tolist() == idems
     flags = []
-    for e in idems:
+    for e, row in zip(idems, order.below):
         below = [f for f in idems if f not in (0, e)
                  and table[e, f] == f and table[f, e] == f]
-        assert _sub_idempotent(alg, e, idems) == (below[0] if below else None)
+        assert order.elements[row].tolist() == below
         flags.append((e, bool((table[e] == table[:, e]).all()),
                       e != 0 and not below))
-    assert [tuple(i) for i in idempotent_census(alg, idems)] == flags
+    assert [tuple(i) for i in idempotent_census(alg, order)] == flags
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +729,32 @@ def test_complementarity_matrix_matches_the_definition(name):
         got = ws.residue_complementary.tolist()
         assert got == _complementary(ws.residue.residue.card, images)
         assert got == [[is_lcp(c, d) for d in images] for c in images]
+
+
+def test_a_unique_split_is_complementarity():
+    # the splits of 1 across two one-sided ideals of one side (e in C
+    # with 1 - e in D) are a coset of C & D or none, and exist exactly
+    # when C + D = RG: lcp_certificate's scan finds one exactly when the
+    # pair is complementary, and raises on every other pair, also where
+    # the sizes multiply to |RG| but the members meet beyond 0
+    fitting_overlaps = 0
+    for name in _DESK:
+        ws = fixture_workspace(name)
+        alg = ws.alg
+        for side in ("right", "left"):
+            census = ws.ideals(side)
+            matrix = complementarity(census, census)
+            for i, c in enumerate(census):
+                for j, d in enumerate(census):
+                    if matrix[i, j]:
+                        e = lcp_certificate(c, d)
+                        assert c.mask[e] and d.mask[alg.one_minus(e)]
+                        continue
+                    with pytest.raises(ConstructionError):
+                        lcp_certificate(c, d)
+                    fitting_overlaps += (
+                        c.cardinality * d.cardinality == alg.card)
+    assert fitting_overlaps > 0
 
 
 def test_local_desk_fixtures_have_residue_matrices():

@@ -178,6 +178,7 @@ def test_shared_work_runs_once(monkeypatch):
     checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
     refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
+    orders = _count_calls(monkeypatch, glab.idem.idempotent_order)
     ws = fixture_workspace("z4c3")
     rep = verify_all(ws)
     assert not any(l.status == "skip" for l in rep.lines)
@@ -187,7 +188,8 @@ def test_shared_work_runs_once(monkeypatch):
     # serving the check elements and the annihilators of elements (an
     # annihilator of a set is a kernel of its own); one
     # complementarity matrix per list of sets, the census and its
-    # residue images (a single pair's is_lcp is a 1 x 1 matrix)
+    # residue images (a single pair's is_lcp, left only for the lifted
+    # residue pairs, is a 1 x 1 matrix)
     assert passes == [("Z4C3", "right", False), ("Z4C3", "right", True),
                       ("Z4C3", "left", False), ("Z4C3", "left", True)]
     stacks = [(len(args[0]), args[0][0].alg.card)
@@ -197,6 +199,9 @@ def test_shared_work_runs_once(monkeypatch):
     # the algebra and its residue algebra
     assert [args[0] for args in idems] == [ws.alg, ws.residue.residue]
     assert len(ws.pairs) == 4 and len(refine) == 4
+    # one idempotent order table, for the algebra: the refinements and
+    # the parts of 1 read it, and the residue algebra needs none
+    assert [args[0] for args in orders] == [ws.alg]
 
 
 def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
@@ -324,8 +329,8 @@ def test_dropped_complementary_pair_fails_the_lcp_split(monkeypatch):
 def test_dropped_refinement_part_fails_the_partition(monkeypatch):
     refine = glab.lcp.refine_certificate
 
-    def broken(c, d, idems):
-        pc, pd = refine(c, d, idems)
+    def broken(alg, e, order):
+        pc, pd = refine(alg, e, order)
         return pc, pd[:-1]
     monkeypatch.setattr(glab.workspace, "refine_certificate", broken)
     fails = _fails(_report("f2s3"))
