@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError
 from .galg import GroupAlgebra
@@ -126,10 +128,12 @@ class CentralIntersection(NamedTuple):
     support: tuple[int, ...]
 
 
-def ann_intersection_check(c: CodeSet, parts: list[int],
+def ann_intersection_check(codes: list[CodeSet], parts: list[int],
                            ann: Callable[[CodeSet], CodeSet],
-                           bound: int = DEFAULT_OP_BOUND) -> CentralIntersection:
-    """Express a right ideal through the central block decomposition.
+                           bound: int = DEFAULT_OP_BOUND
+                           ) -> list[CentralIntersection]:
+    """Express each right ideal of a list through the central block
+    decomposition.
 
     `parts` must be CENTRAL primitive orthogonal idempotents summing to
     1 (the canonical ones are `Workspace.parts_of_one`); the caller
@@ -143,21 +147,28 @@ def ann_intersection_check(c: CodeSet, parts: list[int],
     sum where either does not hold. A C that is not a block sum reports
     "not-a-block-sum".
     """
-    alg = c.alg
-    if c.side != "right":
+    if any(c.side != "right" for c in codes):
         raise ConstructionError("the intersection form needs a right ideal")
-
-    # a right ideal holds pRG exactly when it holds p
-    inside = tuple(p for p in parts if c.mask[p])
-    if not span(alg, list(inside), "right").same_set(c):
-        return CentralIntersection("not-a-block-sum", None, None, ())
-
-    complement = [p for p in parts if p not in inside]
-    inter_ok = ann(span(alg, complement, "left")).same_set(c)
-
-    total = 0
-    for p in complement:
-        total = alg.add(total, p)
-    chain_ok = ann_right_of_element(alg, total, bound).same_set(c)
-    status = "ok" if inter_ok and chain_ok else "form-fails"
-    return CentralIntersection(status, inter_ok, chain_ok, inside)
+    alg = codes[0].alg
+    # a right ideal holds pRG exactly when it holds p, that is when the
+    # sum of C and the subgroup p generates is C: one batched sum for
+    # every code and part
+    forms = np.repeat(np.array([c.form for c in codes]), len(parts), axis=0)
+    cyclic = alg.subgroup_form(np.array(parts)[:, None])
+    held = (alg.sum_forms(forms, np.tile(cyclic, (len(codes), 1))) == forms
+            ).all(axis=1).reshape(len(codes), len(parts))
+    out = []
+    for c, row in zip(codes, held.tolist()):
+        inside = tuple(p for p, h in zip(parts, row) if h)
+        if not span(alg, list(inside), "right").same_set(c):
+            out.append(CentralIntersection("not-a-block-sum", None, None, ()))
+            continue
+        complement = [p for p in parts if p not in inside]
+        inter_ok = ann(span(alg, complement, "left")).same_set(c)
+        total = 0
+        for p in complement:
+            total = alg.add(total, p)
+        chain_ok = ann_right_of_element(alg, total, bound).same_set(c)
+        status = "ok" if inter_ok and chain_ok else "form-fails"
+        out.append(CentralIntersection(status, inter_ok, chain_ok, inside))
+    return out

@@ -152,7 +152,7 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
 def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
     alg = ws.alg
     c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
-    rt = lcp_residue_correspondence(c, d, ws.residue, ws.projection)
+    rt, = lcp_residue_correspondence([(c, d)], ws.residue, ws.projection)
     law = "residue-lcp"
     lines = [
         _info("lcp-residue.base", law, str(rt.lcp_base).lower()),

@@ -10,10 +10,9 @@ The encoding stays in this module. Every product, sum and form comes
 from one of three kernels on coefficient arrays that broadcast over
 leading axes, so a single element, a whole row (one result per
 element of RG) and a batch of pairs share the same arithmetic; other
-modules work on element indices only. Only the multiplication maps of
-the trivial units T = {r*g : r a unit of R, g in G} are kept, once per
-side. The form is <a, b> = sum over g of a_g * b_g, left coefficient
-first: biadditive and nondegenerate.
+modules work on element indices only; no multiplication map is kept.
+The form is <a, b> = sum over g of a_g * b_g, left coefficient first:
+biadditive and nondegenerate.
 
 As an additive group RG is a product of cyclic groups, one per
 coordinate (group position, ring coordinate), and each subgroup has one
@@ -25,8 +24,10 @@ generators (`subgroup_form`), a sum from two forms stacked
 its matrix over the coordinate basis, and the ideal generated by some
 elements or their annihilator from their matrices side by side
 (`canonical_keys`), a dual from the pairing with the rows of a form
-(`dual_keys`). The rows of a form generate the subgroup (`form_rows`);
-its elements are enumerated from them on demand (`subgroup_mask`). The
+(`dual_keys`), the split of 1 across two subgroups C and D from the
+form of {(x + y, x) : x in C, y in D} (`certificates`). The rows of a
+form generate the subgroup (`form_rows`); its elements are enumerated
+from them on demand (`subgroup_mask`). The
 class tables (`canonical_classes`) key one least element per orbit of
 the trivial units (images) or per class of the other side's images
 (kernels).
@@ -74,8 +75,6 @@ class GroupAlgebra:
             [self.basis_elem(g) for g in range(group.order)]
             + [self.scalar_elem(r) for r in range(1, ring.card)]))
         self._hat_all: np.ndarray | None = None
-        # `fixed_map` by (left, element)
-        self._fixed: dict[tuple[bool, int], np.ndarray] = {}
         # `canonical_classes` by (side, kernel)
         self._least: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
         # each side's principal ideals by least generator, kept by
@@ -210,18 +209,6 @@ class GroupAlgebra:
     def mul_col(self, b: int) -> np.ndarray:
         """Indices of x * b for every x."""
         return self._index(self._product(self.coeffs, self.coeffs[b]))
-
-    def fixed_map(self, a: int, left: bool) -> np.ndarray:
-        """`mul_row(a)` (left) or `mul_col(a)`, computed once per side
-        and kept read-only, in the smallest unsigned type that holds
-        every index: `canonical_classes` reads the trivial units'."""
-        got = self._fixed.get((left, a))
-        if got is None:
-            got = (self.mul_row if left else self.mul_col)(a)
-            got = self._fixed[left, a] = got.astype(
-                np.min_scalar_type(self.card - 1))
-            got.setflags(write=False)
-        return got
 
     def square_all(self) -> np.ndarray:
         """Indices of x * x for every x."""
@@ -359,6 +346,40 @@ class GroupAlgebra:
             return _subgroup_keys(images, self._moduli, self.ring.moduli * r)
         return _chunks(kernel, 3 * r * c * c, rows, np.asarray(left))
 
+    def certificates(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """For each pair of rows of two stacks of keys, C and D: the
+        element e of C with 1 - e in D when C and D are complementary,
+        else -1.
+
+        The rows [C | C] and [D | 0], over the coordinates doubled, span
+        S = {(x + y, x) : x in C, y in D}. S maps onto C + D, and what
+        it holds with a zero first half is {(0, x) : x in C, -x in D},
+        a copy of C & D. So the pair is complementary exactly when no
+        nonzero row of the form of S has its pivot in the second half
+        and the counts of its rows multiply to |RG|. The first half of
+        the form is then the form of all of RG, one row per coordinate
+        unit: 1 is the sum of each row times the coordinate of 1 at its
+        pivot, and e is the same sum of the rows' second halves. In
+        chunks as in `canonical_keys`, each pair counted at a dozen
+        copies of its doubled matrix, four entries per key entry."""
+        c = len(self._moduli)
+        one = self.ring.coords[self.coeffs[self.one]].reshape(-1)
+
+        def split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            ra, rb = (_form_rows(k, self._moduli)[0] for k in (a, b))
+            keys = _subgroup_keys(np.concatenate([
+                np.concatenate([ra, ra], axis=2),
+                np.concatenate([rb, np.zeros_like(rb)], axis=2)], axis=1),
+                self._moduli * 2)
+            rows, counts = _form_rows(keys, self._moduli * 2)
+            pivots = (keys.reshape(len(keys), -1, 2 * c) != 0).argmax(axis=2)
+            ok = (((pivots < c) | (counts == 1)).all(axis=1)
+                  & (counts.prod(axis=1) == self.card))
+            times = one[np.minimum(pivots, c - 1)]
+            e = (times[..., None] * rows[..., c:]).sum(axis=1) % self._moduli
+            return np.where(ok, e @ self._coordinate_basis, -1)
+        return _chunks(split, 48 * a.shape[-1], a, b)
+
     def subgroup_mask(self, keys: np.ndarray) -> np.ndarray:
         """The subgroup with this key as a mask, enumerated from it; for
         a stack of keys, one mask each, enumerated together in chunks of
@@ -402,9 +423,9 @@ class GroupAlgebra:
                     "left" if side == "right" else "right")
             else:
                 least = np.arange(self.card)
+                mul = self.mul_row if side == "left" else self.mul_col
                 for t in self.trivial_units:
-                    np.minimum(least, self.fixed_map(t, side == "left"),
-                               out=least)
+                    np.minimum(least, mul(t), out=least)
                 reps = np.flatnonzero(least == np.arange(self.card))
                 coarse = np.searchsorted(reps, least)
             keys = self.canonical_keys(reps, side, kernel)

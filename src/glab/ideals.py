@@ -2,20 +2,17 @@
 
 A CodeSet is an additive subgroup of RG, optionally carrying a
 one-sided ideal claim ("right" or "left"), identified by its canonical
-form from glab.galg: two sets are equal exactly when their forms are,
-`key` is the form's bytes, and tables and caches find a set by it.
-Every producer hands over a form: principal ideals from the class
-tables of glab.galg, sums of two forms stacked, duals and annihilators
-as kernels of matrices built from the rows of the set's form, which
-generate it. A set built from a mask alone finds its form once from
-its elements and refuses one that is not additively closed. The
+form from glab.galg and nothing else: two sets are equal exactly when
+their forms are, `key` is the form's bytes, and tables and caches find
+a set by it. Every producer hands over a form: principal ideals from
+the class tables of glab.galg, spans as the ideal a row of elements
+generates, sums of forms, duals and annihilators as kernels of
+matrices built from the rows of the set's form, which generate it. The
 lattice is read from sums of forms (`pair_sums`): A lies within B
 exactly when A + B is B, and |A & B| = |A| |B| / |A + B| finds the
-meets. A mask is enumerated from the form only where elements are
-read, the masks of a list of sets in one batch (`masks`), as for the
-census's order by cardinality, then packed mask. Whether a set is
-closed under one side's multiplications is decided by forms too
-(`side_closed`).
+meets. Whether a set is closed under one side's multiplications is
+decided by forms too (`side_closed`). Elements are enumerated only for
+the census's order by cardinality, then packed mask.
 
 The dual orientation follows the side. Right ideals (and bare sets)
 put their elements in the second slot: dual(C) = {a : <a, c> = 0 for
@@ -31,7 +28,6 @@ Duals, annihilators and images take a list of sets, keyed in one batch.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -44,49 +40,22 @@ from .galg import GroupAlgebra
 class CodeSet:
     """An additive subgroup of RG, identified by its canonical form."""
 
-    __slots__ = ("alg", "form", "side", "_card", "_mask")
+    __slots__ = ("alg", "form", "side", "_card")
 
-    def __init__(self, alg: GroupAlgebra, mask: Optional[np.ndarray] = None,
-                 side: Optional[str] = None, form: Optional[np.ndarray] = None):
+    def __init__(self, alg: GroupAlgebra, form: np.ndarray,
+                 side: Optional[str] = None):
         if side not in (None, "right", "left"):
             raise ConstructionError(f"unknown ideal side {side!r}")
         self.alg = alg
+        self.form = form
         self.side = side
         self._card: Optional[int] = None
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool).copy()
-            if mask.shape != (alg.card,):
-                raise ConstructionError(f"{alg.label}: mask has shape "
-                                        f"{mask.shape}, need ({alg.card},)")
-            if not mask[0]:
-                raise ConstructionError(
-                    f"{alg.label}: code set must contain 0")
-            mask.setflags(write=False)
-            self._card = int(np.count_nonzero(mask))
-            if form is None:
-                form = alg.subgroup_form(np.flatnonzero(mask))
-                if alg.form_rows(form)[1] != self._card:
-                    raise ConstructionError(
-                        f"{alg.label}: set is not additively closed")
-        self._mask = mask
-        self.form = form
 
     @property
     def cardinality(self) -> int:
         if self._card is None:
-            self._card = self.alg.form_rows(self.form)[1]
+            self._card = int(self.alg.subgroup_sizes(self.form[None])[0])
         return self._card
-
-    @property
-    def mask(self) -> np.ndarray:
-        """The set as a read-only boolean mask over RG: the producer's,
-        or else enumerated from the form on first use (`masks`)."""
-        if self._mask is None:
-            masks([self])
-        return self._mask
-
-    def elements(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
 
     def same_set(self, other: "CodeSet") -> bool:
         return self.alg is other.alg and np.array_equal(self.form, other.form)
@@ -100,22 +69,7 @@ class CodeSet:
 
 
 # ---------------------------------------------------------------------------
-# masks, and the lattice from sums of forms
-
-def masks(codes: list[CodeSet]) -> np.ndarray:
-    """The masks of the codes as one stack, not to be written. Those not
-    yet enumerated come from one batched `GroupAlgebra.subgroup_mask` of
-    their forms and are kept on their sets, with their sizes."""
-    todo = [c for c in codes if c._mask is None]
-    if todo:
-        got = todo[0].alg.subgroup_mask(np.array([c.form for c in todo]))
-        got.setflags(write=False)
-        for c, mask, card in zip(todo, got, np.count_nonzero(got, axis=1)):
-            c._mask, c._card = mask, int(card)
-        if len(todo) == len(codes):
-            return got
-    return np.array([c._mask for c in codes])
-
+# the lattice from sums of forms
 
 def pair_sums(codes: list[CodeSet]) -> np.ndarray:
     """The form of C_i + C_j for every ordered pair of the codes, a
@@ -191,26 +145,15 @@ def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
 
 
 def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
-    """Smallest one-sided ideal containing the generators.
-
-    The span of each generator is already closed under the side
-    multiplications and under addition, so the full span is the
-    iterated sum of the principal pieces; no fixpoint is needed.
-    """
+    """Smallest one-sided ideal containing the generators: `principal`
+    for one (or none, the zero ideal), else the ideal the row of
+    generators generates, one `GroupAlgebra.canonical_keys` row."""
     if side not in ("right", "left"):
         raise ConstructionError(f"unknown ideal side {side!r}")
     gens = [int(u) for u in generators] or [0]
-    return reduce(ideal_sum, (principal(alg, u, side) for u in gens))
-
-
-def ideal_sum(a: CodeSet, b: CodeSet) -> CodeSet:
-    """A + B, keyed by the sum of the forms."""
-    if a.alg is not b.alg:
-        raise ConstructionError("code sets live in different algebras")
-    if a.side != b.side:
-        raise ConstructionError(f"mixed sides: {a.side} vs {b.side}")
-    return CodeSet(a.alg, side=a.side,
-                   form=a.alg.sum_forms(a.form[None], b.form[None])[0])
+    if len(gens) == 1:
+        return principal(alg, gens[0], side)
+    return CodeSet(alg, side=side, form=alg.canonical_keys([gens], side)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +268,7 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
     ideals, each later one every member new in the round before with
     every principal ideal, until a round finds no new member. Sorted by
     cardinality, then by the packed mask, the masks enumerated in one
-    batch (`masks`).
+    batch, `GroupAlgebra.subgroup_mask`, and not kept.
     """
     principal_ideals(alg, side, bound)      # the table, gated by `bound`
     ps = list(alg.principal_sets[side].values())
@@ -342,7 +285,10 @@ def enumerate_ideals(alg: GroupAlgebra, side: str = "right",
         new = np.array(new, dtype=forms.dtype).reshape(-1, forms.shape[1])
         pairs = np.repeat(new, len(ps), axis=0), np.tile(forms, (len(new), 1))
     codes = list(found.values())
-    packed = np.packbits(masks(codes), axis=1, bitorder="little")
+    masks = alg.subgroup_mask(np.array([c.form for c in codes]))
+    for c, card in zip(codes, np.count_nonzero(masks, axis=1).tolist()):
+        c._card = card
+    packed = np.packbits(masks, axis=1, bitorder="little")
     order = sorted(range(len(codes)),
                    key=lambda i: (codes[i].cardinality, packed[i].tobytes()))
     return [codes[i] for i in order]

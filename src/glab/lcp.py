@@ -4,8 +4,9 @@ A pair (C, D) is complementary when C meets D only in 0 and together
 they span the whole algebra, that is when |C + D| = |C| |D| = |RG|,
 decided for lists of sets by sizes and sums of forms. Every such pair
 of right ideals is split by a unique idempotent certificate e with
-C = e*RG and D = (1-e)*RG, found by a scan of C's elements that also
-decides a single pair (`lcp_certificate`). This module finds
+C = e*RG and D = (1-e)*RG, read for a list of pairs from one batched
+reduction, `GroupAlgebra.certificates`, which also decides a single
+pair (`lcp_certificate`). This module finds
 certificates, refines them by the idempotent order, and transfers
 pairs across the coefficient-radical projection over local base rings.
 The functions compute and return; the laws these results must satisfy
@@ -57,12 +58,12 @@ def is_lcp(c: CodeSet, d: CodeSet) -> bool:
     return bool(complementarity([c], [d])[0, 0])
 
 
-def _split(c: CodeSet, d: CodeSet) -> int | None:
-    """The e in C with 1 - e in D if it is unique, by a scan of C."""
-    alg = c.alg
-    members = c.elements()
-    hits = members[d.mask[alg.sub(alg.one, members)]]
-    return int(hits[0]) if len(hits) == 1 else None
+def _certificates(pairs: list[tuple[CodeSet, CodeSet]]) -> list[int | None]:
+    """The split of 1 across each pair, None where there is none: one
+    batched `GroupAlgebra.certificates` of the pairs' forms."""
+    found = pairs[0][0].alg.certificates(np.array([c.form for c, _ in pairs]),
+                                         np.array([d.form for _, d in pairs]))
+    return [None if e < 0 else e for e in found.tolist()]
 
 
 def lcp_certificate(c: CodeSet, d: CodeSet) -> int:
@@ -74,13 +75,13 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int:
     or none: two splits differ by an element of C whose negative lies
     in D, and a split plus an element of C & D is one. A split exists
     exactly when 1 lies in the ideal C + D, that is when C + D = RG. So
-    a unique split is complementarity, and the scan decides both.
+    a unique split is complementarity, and one reduction decides both.
 
     The split is not judged here; lcp-split.biconditional checks that
     it is an idempotent whose split regenerates both members.
     """
     _require_pair(c, d)
-    e = _split(c, d)
+    e, = _certificates([(c, d)])
     if e is None:
         raise ConstructionError(
             f"{c.alg.label}: ideals of sizes {c.cardinality} and "
@@ -99,9 +100,13 @@ def lcp_scan(census: list[CodeSet],
              complementary: np.ndarray) -> list[LcpPair]:
     """All ordered complementary pairs of a full one-sided ideal census,
     read row-major from its `complementarity` with itself, each with its
-    `lcp_certificate`."""
-    return [LcpPair(c, d, lcp_certificate(c, d)) for c, d in (
-        (census[i], census[j]) for i, j in np.argwhere(complementary))]
+    certificate, all from one batched `GroupAlgebra.certificates`."""
+    pairs = [(census[i], census[j]) for i, j in np.argwhere(complementary)]
+    found = _certificates(pairs)
+    if None in found:
+        raise ConstructionError(
+            f"{census[0].alg.label}: a complementary pair has no split of 1")
+    return [LcpPair(c, d, e) for (c, d), e in zip(pairs, found)]
 
 
 def refine_certificate(alg: GroupAlgebra, e: int, order: IdempotentOrder
@@ -135,7 +140,7 @@ def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
     """The image of each ideal under the coefficientwise residue
     projection, which is additive: the images of the rows of a form
     generate the image, keyed in one batched reduction. Equal images
-    are one set, whose mask is enumerated once."""
+    are one set."""
     keys = rm.residue.subgroup_form(
         rm.proj[rm.base.stacked_rows(np.array([c.form for c in codes]))])
     images: dict = {}
@@ -143,10 +148,12 @@ def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
         rm.residue, side=c.side, form=key)) for c, key in zip(codes, keys)]
 
 
-def lcp_residue_correspondence(c: CodeSet, d: CodeSet, rm: ResidueMap,
+def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
+                               rm: ResidueMap,
                                project: Callable[[CodeSet], CodeSet]
-                               ) -> ResidueTransfer:
-    """How complementarity transfers across the residue projection.
+                               ) -> list[ResidueTransfer]:
+    """How complementarity transfers across the residue projection, for
+    each pair (C, D) of the list.
 
     Records whether the base pair and its residue image are
     complementary, and, when the image is, the residue certificate,
@@ -159,26 +166,32 @@ def lcp_residue_correspondence(c: CodeSet, d: CodeSet, rm: ResidueMap,
     whole algebra against a radical multiple projects onto the trivial
     complementary pair). The residue laws count each of these. Each
     member's image comes from `project`, the residue projection of rm.
-    Base and residue complementarity are read from the two certificate
-    scans; only the lifted pair is checked with `is_lcp`.
+    Base and residue complementarity are read from the certificates,
+    one batch for the base pairs and one for their images; only the
+    lifted pairs are checked with `is_lcp`.
     """
-    alg = c.alg
-    _require_pair(c, d)
-    cbar, dbar = project(c), project(d)
-    e, ebar = _split(c, d), _split(cbar, dbar)
-    base = e is not None
-    if ebar is None:
-        return ResidueTransfer(lcp_base=base, lcp_residue=False,
-                               biconditional=not base, certificate=e)
-
-    lifted = lift_idempotent(alg, rm, ebar)
-    lifted_c = span(alg, [lifted], c.side)
-    lifted_d = span(alg, [alg.one_minus(lifted)], d.side)
-    return ResidueTransfer(
-        lcp_base=base, lcp_residue=True, biconditional=base,
-        members_idempotent_generated=(lifted_c.same_set(c)
-                                      and lifted_d.same_set(d)),
-        lift_splits=(is_lcp(lifted_c, lifted_d)
-                     and project(lifted_c).same_set(cbar)
-                     and project(lifted_d).same_set(dbar)),
-        certificate=e, residue_certificate=ebar, lifted_certificate=lifted)
+    alg = rm.base
+    for c, d in pairs:
+        _require_pair(c, d)
+    images = [(project(c), project(d)) for c, d in pairs]
+    out = []
+    for (c, d), (cbar, dbar), e, ebar in zip(
+            pairs, images, _certificates(pairs), _certificates(images)):
+        base = e is not None
+        if ebar is None:
+            out.append(ResidueTransfer(lcp_base=base, lcp_residue=False,
+                                       biconditional=not base, certificate=e))
+            continue
+        lifted = lift_idempotent(alg, rm, ebar)
+        lifted_c = span(alg, [lifted], c.side)
+        lifted_d = span(alg, [alg.one_minus(lifted)], d.side)
+        out.append(ResidueTransfer(
+            lcp_base=base, lcp_residue=True, biconditional=base,
+            members_idempotent_generated=(lifted_c.same_set(c)
+                                          and lifted_d.same_set(d)),
+            lift_splits=(is_lcp(lifted_c, lifted_d)
+                         and project(lifted_c).same_set(cbar)
+                         and project(lifted_d).same_set(dbar)),
+            certificate=e, residue_certificate=ebar,
+            lifted_certificate=lifted))
+    return out

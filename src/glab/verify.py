@@ -258,13 +258,13 @@ def _block_intersection(ws: Workspace):
     # the spans of blocks are left census members, whose right
     # annihilators then come in one batch
     ws.ideals("left")
-    rows = [(c, ann_intersection_check(
-        c, parts, lambda block: ws.ann("right", block), ws.built.bound).status)
-            for c in ws.right_ideals]
-    blocks = sum(status == "ok" for _, status in rows)
+    R = ws.right_ideals
+    statuses = [r.status for r in ann_intersection_check(
+        R, parts, lambda block: ws.ann("right", block), ws.built.bound)]
     return _tally("right ideals", _ideals(
-        (c, status != "form-fails") for c, status in rows),
-        passed=f"{blocks} block sums of {len(rows)} right ideals verified")
+        (c, status != "form-fails") for c, status in zip(R, statuses)),
+        passed=f"{statuses.count('ok')} block sums of {len(R)} right ideals "
+               "verified")
 
 
 # The annihilator identities come in left/right mirror pairs; each

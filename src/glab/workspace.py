@@ -209,10 +209,10 @@ class Workspace:
         Every other pair is complementary on neither side, which each
         residue law counts as holding."""
         R = self.right_ideals
-        either = self.complementary | self.residue_complementary
-        return {(i, j): lcp_residue_correspondence(R[i], R[j], self.residue,
-                                                   self.projection)
-                for i, j in np.argwhere(either).tolist()}
+        at = [tuple(ij) for ij in np.argwhere(
+            self.complementary | self.residue_complementary).tolist()]
+        return dict(zip(at, lcp_residue_correspondence(
+            [(R[i], R[j]) for i, j in at], self.residue, self.projection)))
 
     def _once(self, done: dict, key, compute, code: CodeSet):
         """done[key(code)], computed on a miss by `compute` on a list:

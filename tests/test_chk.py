@@ -13,6 +13,7 @@ from glab.ideals import (ann_left, ann_right, dual_code, enumerate_ideals,
                          principal_ideals, span)
 
 from desk import fixture_algebra, fixture_workspace
+from sets import elements_of
 
 
 def _principals(alg):
@@ -94,7 +95,7 @@ def test_non_checkable_ideal_exists_z4c2(z4c2):
     # the span of 2(1 + g) is the unique right ideal here with no
     # check element; all three routes still agree that it has none
     c = span(z4c2, [10], "right")
-    assert list(c.elements()) == [0, 10]
+    assert list(elements_of(c)) == [0, 10]
     v = _verdict(c)
     assert not v.checkable
     assert v.check_element is None and v.ann_generator is None
@@ -134,7 +135,7 @@ def test_census_z4c2(z4c2):
     # non-checkable one
     assert all(v.consistency for _, v in cen.verdicts)
     missing = [c for c, v in cen.verdicts if not v.checkable]
-    assert len(missing) == 1 and list(missing[0].elements()) == [0, 10]
+    assert len(missing) == 1 and list(elements_of(missing[0])) == [0, 10]
 
 
 def test_census_matrix_ring(m2c2):
@@ -162,16 +163,16 @@ def test_checkable_and_ann_routes_agree_everywhere():
 
 def test_intersection_form_f3c2(f3c2):
     parts = _parts_of_one(f3c2)
-    rows = [ann_intersection_check(c, parts, _one(ann_right))
-            for c in enumerate_ideals(f3c2)]
+    rows = ann_intersection_check(enumerate_ideals(f3c2), parts,
+                                  _one(ann_right))
     assert [r.status for r in rows] == ["ok"] * 4
     assert [r.support for r in rows] == [(), (8,), (5,), (5, 8)]
     assert all(r.intersection_matches and r.chain_matches for r in rows)
 
 
 def test_intersection_form_explicit_parts(f3c2):
-    r = ann_intersection_check(span(f3c2, [8], "right"), [5, 8],
-                               _one(ann_right))
+    r, = ann_intersection_check([span(f3c2, [8], "right")], [5, 8],
+                                _one(ann_right))
     assert r.status == "ok" and r.support == (8,)
 
 
@@ -191,14 +192,14 @@ def test_block_intersection_skips_noncentral_parts(name, monkeypatch):
 
 def test_intersection_form_z4c2(z4c2):
     parts = _parts_of_one(z4c2)
-    statuses = [ann_intersection_check(c, parts, _one(ann_right)).status
-                for c in enumerate_ideals(z4c2)]
+    statuses = [r.status for r in ann_intersection_check(
+        enumerate_ideals(z4c2), parts, _one(ann_right))]
     assert statuses == ["ok"] + ["not-a-block-sum"] * 5 + ["ok"]
 
 
 def test_intersection_form_needs_right_ideal(f3c2):
     with pytest.raises(ConstructionError, match="right ideal"):
-        ann_intersection_check(span(f3c2, [8], "left"), [5, 8],
+        ann_intersection_check([span(f3c2, [8], "left")], [5, 8],
                                _one(ann_right))
 
 

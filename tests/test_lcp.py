@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import glab.cli
 from glab.errors import ConstructionError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
@@ -14,7 +15,8 @@ from glab.lcp import (complementarity, is_lcp, lcp_certificate,
                       refine_certificate)
 from glab.workspace import certificate_splits, hat_transfer
 
-from desk import fixture_algebra, fixture_workspace
+from desk import FIXTURES, fixture_algebra, fixture_path, fixture_workspace
+from sets import elements_of, mask_of
 
 
 def _alg(ring_spec, group_spec):
@@ -87,7 +89,7 @@ def test_pair_needs_matching_sides(f3c2):
     l = span(f3c2, [5], "left")
     with pytest.raises(ConstructionError):
         is_lcp(r, l)
-    bare = CodeSet(f3c2, r.mask)
+    bare = CodeSet(f3c2, r.form)
     with pytest.raises(ConstructionError):
         is_lcp(bare, bare)
 
@@ -209,9 +211,13 @@ def test_hat_equivalence_sizes_always():
 # ---------------------------------------------------------------------------
 # residue transfer
 
+def _transfers(pairs, rm):
+    return lcp_residue_correspondence(
+        pairs, rm, lambda code: project_code(rm, [code])[0])
+
+
 def _transfer(c, d, rm):
-    return lcp_residue_correspondence(c, d, rm,
-                                      lambda code: project_code(rm, [code])[0])
+    return _transfers([(c, d)], rm)[0]
 
 
 def test_residue_transfer_frozen_z4c3(z4c3):
@@ -238,7 +244,7 @@ def test_residue_biconditional_genuinely_fails_raw():
     rm = residue_map(z4c2)
     whole = span(z4c2, [1], "right")
     rad = span(z4c2, [2], "right")
-    assert list(rad.elements()) == [0, 2, 8, 10]
+    assert list(elements_of(rad)) == [0, 2, 8, 10]
     t = _transfer(whole, rad, rm)
     assert not t.lcp_base and t.lcp_residue
     assert not t.biconditional
@@ -260,14 +266,12 @@ def test_residue_transfer_all_pairs_local(z4c3):
         rm = residue_map(alg)
         census = enumerate_ideals(alg)
         violations = 0
-        for c in census:
-            for d in census:
-                t = _transfer(c, d, rm)
-                assert t.lift_splits is not False
-                if not t.biconditional:
-                    violations += 1
-                    assert t.lcp_residue and not t.lcp_base
-                    assert t.members_idempotent_generated is False
+        for t in _transfers([(c, d) for c in census for d in census], rm):
+            assert t.lift_splits is not False
+            if not t.biconditional:
+                violations += 1
+                assert t.lcp_residue and not t.lcp_base
+                assert t.members_idempotent_generated is False
         assert violations == expected[alg.label]
 
 
@@ -276,4 +280,30 @@ def test_project_code_is_ideal_image(z4c3):
     c = span(z4c3, [22], "right")
     cbar = project_code(rm, [c])[0]
     assert cbar.side == "right"
-    assert np.array_equal(cbar.mask, span(rm.residue, [6], "right").mask)
+    assert np.array_equal(mask_of(cbar),
+                          mask_of(span(rm.residue, [6], "right")))
+
+
+# ---------------------------------------------------------------------------
+# elements are enumerated only for a census's order
+
+def test_only_a_census_enumerates_elements(monkeypatch, capsys):
+    # certificates, refinements, duals and residue transfers of a named
+    # pair read forms alone; a scan's census enumerates its members
+    # once, for their order by cardinality, then packed mask
+    calls = []
+    enumerate_ = GroupAlgebra.subgroup_mask
+    monkeypatch.setattr(GroupAlgebra, "subgroup_mask", lambda self, keys: (
+        calls.append((self.label, len(keys))) or enumerate_(self, keys)))
+    pair = str(FIXTURES.parent / "perfbench" / "instances" / "m2f2c3pair.glab")
+    bound = ["--census-bound", "5000"]
+    for path, codes in ((fixture_path("z4c3"), (0, 0)), (pair, (0, 2))):
+        for mode, code in zip(("verify", "residue"), codes):
+            assert glab.cli.main(
+                ["lcp", mode, path, "--pair", "C", "D", *bound]) == code
+    assert calls == []
+    assert glab.cli.main(["lcp", "scan", fixture_path("z4c3")]) == 0
+    assert calls == [("Z4C3", 9)]
+    assert glab.cli.main(["lcp", "scan", fixture_path("m2f2c3"), *bound]) == 0
+    assert calls == [("Z4C3", 9), ("M2(Z2)C3", 35)]
+    capsys.readouterr()

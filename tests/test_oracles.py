@@ -3,12 +3,13 @@
 The product and the form are recomputed here from their definitions,
 out_g = sum over hk = g of x_h * y_k and <x, y> = sum over g of
 x_g * y_g, with the ring's scalar operations on decoded coefficients.
-Every map the algebra exposes is compared against them, and so are the
-maps it keeps, those of the trivial units and of the generators; a
-map asked for again is computed again, with or without the kept maps
-in place, and does not disturb them. The
+Every map the algebra exposes is compared against them, and so are
+the trivial units and the generators; a map asked for again is
+computed again, whether or not the image classes, which read the
+units' maps once per side, were built first. The
 check-element, split-of-1 and sub-idempotent scans and the idempotent
-census are compared against brute force over the product table. The
+census are compared against brute force over the product table, and
+the batched splits of 1 against a scan of masks on drawn algebras. The
 canonical keys of images and kernels of multiplication maps must split
 RG exactly as the subgroups do, on the desk and lattice instances and
 on drawn algebras, each kernel table must reduce one row per class of
@@ -73,7 +74,9 @@ from glab.workspace import PASS, Workspace
 
 from desk import (FIXTURE_NAMES, FIXTURES, fixture_algebra, fixture_path,
                   fixture_workspace)
-from test_families import rings
+from sets import code_of, elements_of, mask_of
+from test_families import _small as _small_ring
+from test_families import locals_, matrices, products, rings
 
 ROOT = FIXTURES.parent
 
@@ -155,7 +158,7 @@ def test_strided_maps_of_m2f2c3_match_the_definition():
 
 
 # ---------------------------------------------------------------------------
-# kept maps: the trivial units' and the generators', once per side
+# the maps of the trivial units and of the generators
 
 def _units(alg):
     """r*g for r a unit of R and g in G, from the ring's scalar table."""
@@ -192,38 +195,43 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("name", _DESK)
 def test_fixed_maps_match_the_definition(name, monkeypatch):
+    """The trivial units and the generators are the elements their
+    definitions give, and the image classes of each side ask for each
+    trivial unit's map once, the first time they are built."""
     built = fixture_algebra(name)
-    # a fresh algebra: building the instance may already keep maps
     alg = GroupAlgebra(built.ring, built.group)
     table, _ = _tables(name)
     assert sorted(_units(alg)) == sorted(alg.trivial_units)
     assert set(alg.generators) == _generators(alg)
-    fixed = set(alg.trivial_units) | set(alg.generators)
-    products = _count_products(monkeypatch)
+    for a in alg.trivial_units:
+        assert np.array_equal(alg.mul_row(a), table[a])
+        assert np.array_equal(alg.mul_col(a), table[:, a])
+    maps = Counter()
+    for side in ("row", "col"):
+        def counting(self, a, side=side, kernel=getattr(GroupAlgebra,
+                                                        f"mul_{side}")):
+            maps[side, a] += 1
+            return kernel(self, a)
+        monkeypatch.setattr(GroupAlgebra, f"mul_{side}", counting)
     for _ in range(2):
-        for a in fixed:
-            row, col = alg.fixed_map(a, True), alg.fixed_map(a, False)
-            assert np.array_equal(row, table[a])
-            assert np.array_equal(col, table[:, a])
-            assert not row.flags.writeable and not col.flags.writeable
-    # each kept map is one product, on the first call
-    assert products == Counter({(side, a): 1 for side in ("row", "col")
-                                for a in fixed})
+        for side in ("right", "left"):
+            alg.canonical_classes(side)
+    assert maps == Counter({(side, a): 1 for side in ("row", "col")
+                            for a in alg.trivial_units})
 
 
 @pytest.mark.parametrize("kept", [None, 0])
 @pytest.mark.parametrize("name", _DESK)
 def test_gathered_maps_match_the_definition(name, kept, monkeypatch):
     """Every row and column is gathered from the coefficients, one product
-    per call, whether all kept maps (kept=None) or none (kept=0) were
-    computed first; the arrays are the caller's, and writing into them
-    leaves the kept maps as they were."""
+    per call, whether the image classes of both sides (kept=None) or of
+    none (kept=0) were built first; the arrays are the caller's, and
+    writing into them leaves the classes as they were."""
     built = fixture_algebra(name)
     alg = GroupAlgebra(built.ring, built.group)
     table, _ = _tables(name)
-    first = sorted(set(alg.trivial_units) | set(alg.generators))[:kept]
-    for a in first:
-        alg.fixed_map(a, True), alg.fixed_map(a, False)
+    sides = ("right", "left")[:kept]
+    first = [alg.canonical_classes(side)[0].copy() for side in sides]
     products = _count_products(monkeypatch)
     for _ in range(2):
         for a in range(alg.card):
@@ -233,9 +241,8 @@ def test_gathered_maps_match_the_definition(name, kept, monkeypatch):
             row[:] = col[:] = 0
     assert products == Counter({(side, a): 2 for side in ("row", "col")
                                 for a in range(alg.card)})
-    for a in first:
-        assert np.array_equal(alg.fixed_map(a, True), table[a])
-        assert np.array_equal(alg.fixed_map(a, False), table[:, a])
+    for side, leasts in zip(sides, first):
+        assert np.array_equal(alg.canonical_classes(side)[0], leasts)
     assert sum(products.values()) == 4 * alg.card
 
 
@@ -251,20 +258,21 @@ def test_scans_match_brute_force(name):
     # the least u over all of RG with Ann_r(u) = C
     annihilators = table == 0
     checks = check_elements(alg, DEFAULT_OP_BOUND)
-    for c in census:
-        hits = np.flatnonzero((annihilators == c.mask).all(axis=1))
+    masks = [mask_of(c) for c in census]
+    for c, mask in zip(census, masks):
+        hits = np.flatnonzero((annihilators == mask).all(axis=1))
         assert checks.get(c.key()) == (int(hits[0]) if len(hits) else None)
     # and the pass finds an annihilator key for every element: the key
     # of each distinct zero set, found from its elements
     distinct = {row.tobytes(): row for row in annihilators}.values()
-    assert set(checks) == {CodeSet(alg, row).key() for row in distinct}
+    assert set(checks) == {code_of(alg, row).key() for row in distinct}
     # the split of 1: the e in C with 1 - e in D, when exactly one exists
-    for c in census:
-        for d in census:
-            if int((c.mask & d.mask).sum()) != 1 or (
+    for c, cmask in zip(census, masks):
+        for d, dmask in zip(census, masks):
+            if int((cmask & dmask).sum()) != 1 or (
                     c.cardinality * d.cardinality != alg.card):
                 continue
-            hits = [int(x) for x in c.elements() if d.mask[alg.encode(
+            hits = [int(x) for x in np.flatnonzero(cmask) if dmask[alg.encode(
                 ring.add[list(one), ring.neg[list(alg.decode(int(x)))]])]]
             assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
                                              else None)
@@ -293,8 +301,8 @@ def is_principal(code, table):
     (the row of u for a right ideal, its column for a left one), is the
     set; None if no element generates it."""
     images = table if code.side == "right" else table.T
-    for u in code.elements():
-        if np.array_equal(np.unique(images[u]), code.elements()):
+    for u in elements_of(code):
+        if np.array_equal(np.unique(images[u]), elements_of(code)):
             return int(u)
     return None
 
@@ -302,7 +310,7 @@ def is_principal(code, table):
 def by_key(alg, found):
     """A table by packed mask as one by key: the form found from each
     mask's elements, in the same order."""
-    return {CodeSet(alg, np.unpackbits(np.frombuffer(mask, dtype=np.uint8),
+    return {code_of(alg, np.unpackbits(np.frombuffer(mask, dtype=np.uint8),
                                        count=alg.card, bitorder="little")
                     ).key(): u for mask, u in found.items()}
 
@@ -705,7 +713,7 @@ def test_principal_tables_match_brute_force(name):
 
 
 def _complementary(card, codes):
-    sets = [set(c.elements().tolist()) for c in codes]
+    sets = [set(elements_of(c).tolist()) for c in codes]
     return [[len(a & b) == 1 and len(a) * len(b) == card for b in sets]
             for a in sets]
 
@@ -748,13 +756,42 @@ def test_a_unique_split_is_complementarity():
                 for j, d in enumerate(census):
                     if matrix[i, j]:
                         e = lcp_certificate(c, d)
-                        assert c.mask[e] and d.mask[alg.one_minus(e)]
+                        assert (mask_of(c)[e]
+                                and mask_of(d)[alg.one_minus(e)])
                         continue
                     with pytest.raises(ConstructionError):
                         lcp_certificate(c, d)
                     fitting_overlaps += (
                         c.cardinality * d.cardinality == alg.card)
     assert fitting_overlaps > 0
+
+
+# Z/p^a and fields, matrix rings and products of them: coordinates of
+# one prime power, of several, and of mixed moduli
+_SPLIT_RINGS = st.one_of(locals_, matrices, products).filter(_small_ring)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_certificates_against_naive_splits(data):
+    # for every ordered pair of the right-ideal census, the batched split
+    # of 1 is the one e in C with 1 - e in D found by a scan of C's
+    # elements, and -1 where the scan finds none or several
+    ring = build_ring(data.draw(_SPLIT_RINGS))
+    n = max(k for k in range(1, 9) if ring.card ** k <= 256)
+    group = build_group(data.draw(st.sampled_from(
+        [CyclicGroup(k) for k in range(1, n + 1)]
+        + [g for g in (DihedralGroup(2), SymmetricGroup(3))
+           if build_group(g).order <= n])))
+    alg = GroupAlgebra(ring, group)
+    census = enumerate_ideals(alg, "right", bound=alg.card)
+    forms = np.array([c.form for c in census])
+    masks = alg.subgroup_mask(forms)
+    minus = alg.sub(alg.one, np.arange(alg.card))     # 1 - x for every x
+    i, j = (ij.ravel() for ij in np.indices((len(census),) * 2))
+    for a, b, e in zip(i, j, alg.certificates(forms[i], forms[j]).tolist()):
+        hits = np.flatnonzero(masks[a] & masks[b][minus])
+        assert e == (hits[0] if len(hits) == 1 else -1)
 
 
 def test_local_desk_fixtures_have_residue_matrices():
@@ -786,7 +823,7 @@ def test_stacked_element_annihilators_match_the_definition(side,
     classes = {}
     alg = fixture_algebra(name)
     for u in range(card):
-        key = CodeSet(alg, np.isin(np.arange(card), spans[u])).key()
+        key = code_of(alg, np.isin(np.arange(card), spans[u])).key()
         classes.setdefault(key, []).append(u)
     key, victims = max(((k, v) for k, v in classes.items() if v[0] > 0),
                        key=lambda kv: len(kv[1]))
@@ -796,7 +833,7 @@ def test_stacked_element_annihilators_match_the_definition(side,
     def broken(self, s, code):
         got = ann(self, s, code)
         if s == side and code.key() == key:
-            return CodeSet(self.alg, np.ones(card, dtype=bool))
+            return code_of(self.alg, np.ones(card, dtype=bool))
         return got
     monkeypatch.setattr(Workspace, "ann", broken)
     assert law(fixture_workspace(name)) == (
@@ -813,12 +850,13 @@ def assert_annihilators_match_the_definition(alg, table, codes):
     zero = table == 0
     for u in range(alg.card):
         got = ann_right_of_element(alg, u)
-        assert got.side == "right" and np.array_equal(got.mask, zero[u])
+        assert got.side == "right" and np.array_equal(mask_of(got), zero[u])
     for c in codes:
         left, right = ann_left([c])[0], ann_right([c])[0]
         assert (left.side, right.side) == ("left", "right")
-        assert np.array_equal(left.mask, zero[:, c.mask].all(axis=1))
-        assert np.array_equal(right.mask, zero[c.mask].all(axis=0))
+        mask = mask_of(c)
+        assert np.array_equal(mask_of(left), zero[:, mask].all(axis=1))
+        assert np.array_equal(mask_of(right), zero[mask].all(axis=0))
 
 
 @pytest.mark.parametrize("name", _DESK + _LATTICE)
@@ -838,7 +876,7 @@ def test_annihilators_match_the_definition(name):
         table, _ = _tables(name)
     codes = ws.right_ideals + ws.left_ideals
     codes += dual_code(codes)
-    codes.append(CodeSet(ws.alg, np.arange(ws.alg.card) == 0))
+    codes.append(code_of(ws.alg, np.arange(ws.alg.card) == 0))
     assert_annihilators_match_the_definition(ws.alg, table, codes)
 
 
@@ -959,7 +997,7 @@ def assert_producers_match_the_definitions(alg, table, stride=1):
         for u in range(0, card, stride):
             got = principal(alg, u, side)
             assert got.side == side
-            assert np.array_equal(got.mask, _image(card, images[u]))
+            assert np.array_equal(mask_of(got), _image(card, images[u]))
         assert side not in alg.principal_sets
     for side in ("right", "left"):
         census = enumerate_ideals(alg, side)
@@ -968,8 +1006,8 @@ def assert_producers_match_the_definitions(alg, table, stride=1):
         for c, d in zip(census + bare,
                         duals + (dual_code(bare) if bare else [])):
             pairing = forms.T if c.side == "left" else forms
-            want = (pairing[:, c.mask] == 0).all(axis=1)
-            assert np.array_equal(d.mask, want)
+            want = (pairing[:, mask_of(c)] == 0).all(axis=1)
+            assert np.array_equal(mask_of(d), want)
             members = np.flatnonzero(want)
             right = want[table[members]].all()
             left = want[table[:, members]].all()
@@ -978,15 +1016,16 @@ def assert_producers_match_the_definitions(alg, table, stride=1):
         for c, l, r, h in zip(census, ann_left(census), ann_right(census),
                               hat_image(census)):
             assert (l.side, r.side) == ("left", "right")
-            assert np.array_equal(l.mask, zero[:, c.mask].all(axis=1))
-            assert np.array_equal(r.mask, zero[c.mask].all(axis=0))
-            assert np.array_equal(h.mask, _image(card, hat[c.mask]))
+            mask = mask_of(c)
+            assert np.array_equal(mask_of(l), zero[:, mask].all(axis=1))
+            assert np.array_equal(mask_of(r), zero[mask].all(axis=0))
+            assert np.array_equal(mask_of(h), _image(card, hat[mask]))
         if rm is not None:
             for c, bar in zip(census, project_code(rm, census)):
                 assert bar.side == side
-                assert np.array_equal(bar.mask, _image(
-                    rm.residue.card, rm.proj[c.mask]))
-        masks = np.array([c.mask for c in census])
+                assert np.array_equal(mask_of(bar), _image(
+                    rm.residue.card, rm.proj[mask_of(c)]))
+        masks = np.array([mask_of(c) for c in census])
         assert np.array_equal(masks[meets(census, pair_sums(census))],
                               masks[:, None] & masks[None])
 
@@ -1055,13 +1094,13 @@ def assert_lattice_reads_match_element_sets(ws):
     `sum-meet`, which reads both tables, holds. Returns the number of
     duals outside the census, whose sums are reduced."""
     R = ws.right_ideals
-    masks = np.array([c.mask for c in R])
+    masks = np.array([mask_of(c) for c in R])
     assert np.array_equal(containment(ws.right_sums), _subsets(masks))
     assert np.array_equal(masks[meets(R, ws.right_sums)],
                           masks[:, None] & masks[None])
     assert ws.complementary.tolist() == _complementary(ws.alg.card, R)
     duals = [ws.dual(c) for c in R]
-    masks = np.array([d.mask for d in duals])
+    masks = np.array([mask_of(d) for d in duals])
     sums, k = ws.dual_sums, len(R)
     assert np.array_equal(containment(sums), _subsets(masks))
     sizes = masks.sum(axis=1)
@@ -1135,7 +1174,7 @@ def _naive_addition(name):
 
 def _naive_sumset(add, a, b):
     total = np.zeros(len(add), dtype=bool)
-    total[add[np.ix_(a.elements(), b.elements())]] = True
+    total[add[np.ix_(elements_of(a), elements_of(b))]] = True
     return total
 
 
@@ -1149,16 +1188,17 @@ def test_census_is_closed_under_naive_sums(name):
     add = _naive_addition(name)
     for side in ("right", "left"):
         census = enumerate_ideals(alg, side)
-        keys = {c.mask.tobytes() for c in census}
+        masks = [mask_of(c) for c in census]
+        keys = {mask.tobytes() for mask in masks}
         inside = containment(pair_sums(census))
         for i, a in enumerate(census):
             for j, b in enumerate(census):
                 total = _naive_sumset(add, a, b)
                 assert total.tobytes() in keys
                 # |A + B| |A & B| = |A| |B| for additive subgroups
-                assert (int(total.sum()) * int((a.mask & b.mask).sum())
+                assert (int(total.sum()) * int((masks[i] & masks[j]).sum())
                         == a.cardinality * b.cardinality)
-                assert inside[i, j] == (a.mask <= b.mask).all()
+                assert inside[i, j] == (masks[i] <= masks[j]).all()
 
 
 @pytest.mark.parametrize("name", _DESK)
@@ -1170,7 +1210,7 @@ def test_stacked_sumset_matches_naive_sums(name):
     alg = fixture_algebra(name)
     add = _naive_addition(name)
     census = enumerate_ideals(alg, "right")
-    duals = [CodeSet(alg, d.mask) for d in dual_code(census)]
+    duals = [CodeSet(alg, d.form) for d in dual_code(census)]
     for stack in (census, duals):
         for a, row in zip(stack, pair_sums(stack)):
             for b, form in zip(stack, row):
