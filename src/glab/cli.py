@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import time
+from typing import NoReturn
 
 from .config import max_elements
 from .errors import (ConstructionError, FalsificationError, ParseError,
@@ -349,12 +351,19 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if report.failed else 0
 
 
-def entry() -> int:
-    """The process entry point of `python -m glab` and the `glab` script:
-    run `main`, then freeze every object still alive, so that the
-    interpreter's collection at exit does not walk them. `main` itself
-    never freezes: tests and library callers run it many times in one
-    process."""
-    code = main()
+def entry() -> NoReturn:
+    """The process entry point of `python -m glab` and the `glab` script.
+
+    It freezes every object the imports made and turns cyclic collection
+    on (`__main__` turns it off while glab loads), so that the command's
+    collections never walk the start-up objects. Once `main` returns it
+    flushes stdout and stderr and ends the process with `main`'s code,
+    skipping the interpreter's teardown. An exception from `main`
+    propagates as usual. `main` itself never freezes: tests and library
+    callers run it many times in one process."""
     gc.freeze()
-    return code
+    gc.enable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -323,11 +323,8 @@ class GroupAlgebra:
     def stacked_rows(self, keys: np.ndarray) -> np.ndarray:
         """The `form_rows` elements of each key of a stack, padded with 0
         to a common length of at least 1."""
-        rows, counts = _form_rows(keys, self._moduli)
-        order = np.argsort(counts == 1, axis=1, kind="stable")
-        width = max(1, int(np.count_nonzero(counts > 1, axis=1).max()))
-        return np.take_along_axis(rows @ self._coordinate_basis, order,
-                                  axis=1)[:, :width]
+        return (_nonzero_rows(*_form_rows(keys, self._moduli))
+                @ self._coordinate_basis)
 
     def dual_keys(self, rows: np.ndarray, left) -> np.ndarray:
         """For each row of a stack of rows of elements b_t, the key of
@@ -351,7 +348,8 @@ class GroupAlgebra:
         element e of C with 1 - e in D when C and D are complementary,
         else -1.
 
-        The rows [C | C] and [D | 0], over the coordinates doubled, span
+        The nonzero rows of the two forms, [C | C] and [D | 0], over the
+        coordinates doubled, span
         S = {(x + y, x) : x in C, y in D}. S maps onto C + D, and what
         it holds with a zero first half is {(0, x) : x in C, -x in D},
         a copy of C & D. So the pair is complementary exactly when no
@@ -366,11 +364,11 @@ class GroupAlgebra:
         one = self.ring.coords[self.coeffs[self.one]].reshape(-1)
 
         def split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            ra, rb = (_form_rows(k, self._moduli)[0] for k in (a, b))
-            keys = _subgroup_keys(np.concatenate([
+            (ra, ca), (rb, cb) = (_form_rows(k, self._moduli) for k in (a, b))
+            keys = _subgroup_keys(_nonzero_rows(np.concatenate([
                 np.concatenate([ra, ra], axis=2),
                 np.concatenate([rb, np.zeros_like(rb)], axis=2)], axis=1),
-                self._moduli * 2)
+                np.concatenate([ca, cb], axis=1)), self._moduli * 2)
             rows, counts = _form_rows(keys, self._moduli * 2)
             pivots = (keys.reshape(len(keys), -1, 2 * c) != 0).argmax(axis=2)
             ok = (((pivots < c) | (counts == 1)).all(axis=1)
@@ -599,6 +597,15 @@ def _form_rows(keys: np.ndarray, moduli: tuple[int, ...]
     rows = [forms[:, k] // np.maximum(scale, 1) * lift % np.array(moduli)
             for k, (_, _, scale, lift) in enumerate(_prime_parts(moduli))]
     return np.concatenate(rows, axis=1), _row_counts(keys, moduli)
+
+
+def _nonzero_rows(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A stack of rows of forms from `_form_rows` with their counts: the
+    nonzero rows (count above 1) of each member first, in order, cut to
+    the most that any member has (at least 1)."""
+    order = np.argsort(counts == 1, axis=1, kind="stable")
+    width = max(1, int(np.count_nonzero(counts > 1, axis=1).max()))
+    return np.take_along_axis(rows, order[..., None], axis=1)[:, :width]
 
 
 def _subgroup_elements(keys: np.ndarray, moduli: tuple[int, ...]

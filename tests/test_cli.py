@@ -321,16 +321,53 @@ def test_main_freezes_nothing():
     (("idempotents", "fixtures/f3c2.glab", "--bound", "2"), 3),
 ])
 def test_process_entry_exits_as_main_returns(args, code, capsysbinary,
-                                             monkeypatch):
+                                             monkeypatch, tmp_path):
     import glab.cli
 
     monkeypatch.chdir(ROOT)
     assert glab.cli.main(list(args)) == code
     in_process = capsysbinary.readouterr().out
-    r = subprocess.run([sys.executable, "-m", "glab", *args],
-                       capture_output=True, cwd=ROOT)
+    # stdout is a block-buffered file, so the report reaches it only if
+    # the entry flushes before ending the process
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(tmp_path / "out", "wb") as out:
+        r = subprocess.run([sys.executable, "-m", "glab", *args], stdout=out,
+                           stderr=subprocess.PIPE, cwd=ROOT, env=env)
     assert r.returncode == code, r.stderr
-    assert r.stdout == in_process
+    assert (tmp_path / "out").read_bytes() == in_process
+
+
+def test_module_entry_imports_without_collecting():
+    # a counter registered before `python -m glab` starts: numpy and
+    # glab load with cyclic collection off, and the command itself
+    # allocates too little to start one
+    code = ("import gc, os, runpy, sys\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' "
+            "and os.write(2, b'collect\\n'))\n"
+            "sys.argv = ['glab', 'ring-info', 'fixtures/f2c2.glab']\n"
+            "runpy.run_module('glab', run_name='__main__')\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=ROOT)
+    assert r.returncode == 0
+    assert r.stdout.startswith("command ")
+    assert "collect" not in r.stderr
+
+
+def test_closed_stdout_exits_one():
+    # the reader is gone before the process starts; the report's write
+    # raises in `main`, and the error propagates out of the entry
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "glab", "verify-all",
+                            "perfbench/instances/z4c2c2.glab", "--format",
+                            "tsv"], stdout=write, stderr=subprocess.PIPE,
+                           text=True, cwd=ROOT,
+                           env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    finally:
+        os.close(write)
+    assert r.returncode == 1
+    assert "BrokenPipeError" in r.stderr
 
 
 def test_commands_leave_dataclasses_and_numpy_ma_unloaded():
