@@ -16,7 +16,7 @@ routes agree; the checkable-routes laws count it.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError
 from .galg import GroupAlgebra
 from .ideals import CodeSet, ann_right_of_element, check_scale, span
-from .records import record
+from .records import Record
 
 
-@record
-class CheckabilityVerdict(NamedTuple):
+class CheckabilityVerdict(Record):
     check_element: int | None
     ann_generator: int | None
     dual_is_right_ideal: bool
@@ -91,8 +90,7 @@ def is_checkable(c: CodeSet, dual: CodeSet, ann: CodeSet,
     )
 
 
-@record
-class CheckableCensus(NamedTuple):
+class CheckableCensus(Record):
     algebra_label: str
     all_checkable: bool
     verdicts: list[tuple[CodeSet, CheckabilityVerdict]]
@@ -119,8 +117,7 @@ def code_checkable_census(census: list[CodeSet],
 # ---------------------------------------------------------------------------
 # the central-decomposition intersection form
 
-@record
-class CentralIntersection(NamedTuple):
+class CentralIntersection(Record):
     # "ok" | "not-a-block-sum" | "form-fails"
     status: str
     intersection_matches: bool | None

@@ -1,22 +1,28 @@
 """Command-line front end: build an instance file, run checks, report.
 
-Commands: ring-info, idempotents, lcp {scan|verify|residue},
-checkable {ideal|census}, verify-all. Reports render as TSV (columns
-check_id, law, status, witness, micros) or aligned text, and are
-byte-identical across runs unless --timing adds measured times.
+    glab COMMAND [MODE] FILE [OPTION ...]
 
-Exit codes: 0 all checks pass, 1 a check failed or a ring failed a
-construction audit, 2 usage or instance-file errors, 3 an operation
-exceeded its scale bound.
+Commands: ring-info, idempotents, lcp {scan|verify|residue},
+checkable {ideal|census}, verify-all. Options come anywhere after
+COMMAND, each as `--opt value` or `--opt=value` (`--pair C D` takes
+two values) and spelled in full, with no abbreviations; -h or --help
+prints the usage. Reports render as TSV (columns check_id, law,
+status, witness, micros) or aligned text, and are byte-identical
+across runs unless --timing adds measured times.
+
+Exit codes: 0 all checks pass or -h printed the usage, 1 a check
+failed, a ring failed a construction audit or the report could not be
+written (a closed stdout, `BrokenPipeError`), 2 usage or instance-file
+errors, 3 an operation exceeded its scale bound.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import NoReturn
 
 from .config import max_elements
@@ -254,6 +260,11 @@ def render_text(report: Report) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+def _invalid(value: str, choices) -> str:
+    return (f"invalid choice: {value!r} "
+            f"(choose from {', '.join(repr(c) for c in choices)})")
+
+
 def _positive(text: str) -> int:
     """A bound given on the command line: at least 1, as in a file."""
     try:
@@ -261,44 +272,100 @@ def _positive(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
+        raise ValueError(f"must be a positive integer, got {text!r}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="glab",
-        description="exact checks for one-sided group codes over finite rings")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format(text: str) -> str:
+    if text not in ("tsv", "text"):
+        raise ValueError(_invalid(text, ("tsv", "text")))
+    return text
 
-    def common(p):
-        p.add_argument("file", help="instance file path")
-        p.add_argument("--bound", type=_positive, default=None,
-                       help="override the elementwise scan bound")
-        p.add_argument("--census-bound", type=_positive, default=None,
-                       help="override the ideal-census bound")
-        p.add_argument("--format", choices=("tsv", "text"), default="text")
-        p.add_argument("--timing", action="store_true",
-                       help="measure and print per-check times")
 
-    common(sub.add_parser("ring-info", help="coefficient ring facts"))
-    common(sub.add_parser("idempotents", help="idempotent census"))
+# command: its modes, help
+_COMMANDS = {
+    "ring-info": ((), "coefficient ring facts"),
+    "idempotents": ((), "idempotent census"),
+    "lcp": (("scan", "verify", "residue"), "complementary-pair checks"),
+    "checkable": (("ideal", "census"), "checkability checks"),
+    "verify-all": ((), "run the whole law matrix"),
+}
 
-    lcp = sub.add_parser("lcp", help="complementary-pair checks")
-    lcp.add_argument("mode", choices=("scan", "verify", "residue"))
-    common(lcp)
-    lcp.add_argument("--pair", nargs=2, metavar=("C", "D"),
-                     help="two ideal names from the instance file")
+# option: its values, the one command that takes it (None: every
+# command), how each value is read, help
+_OPTIONS = {
+    "--bound": ("N", None, _positive, "override the elementwise scan bound"),
+    "--census-bound": ("N", None, _positive, "override the ideal-census bound"),
+    "--format": ("{tsv,text}", None, _format, "report format, default text"),
+    "--timing": ("", None, str, "measure and print per-check times"),
+    "--pair": ("C D", "lcp", str, "two ideal names from the instance file"),
+    "--ideal": ("C", "checkable", str, "ideal name from the instance file"),
+}
 
-    chk = sub.add_parser("checkable", help="checkability checks")
-    chk.add_argument("mode", choices=("ideal", "census"))
-    common(chk)
-    chk.add_argument("--ideal", metavar="C",
-                     help="ideal name from the instance file")
 
-    common(sub.add_parser("verify-all", help="run the whole law matrix"))
-    return parser
+def _usage() -> str:
+    lines = ["usage: glab COMMAND [MODE] FILE [OPTION ...]", "",
+             "exact checks for one-sided group codes over finite rings", "",
+             "commands:"]
+    for command, (modes, text) in _COMMANDS.items():
+        head = f"{command} {{{','.join(modes)}}}" if modes else command
+        lines.append(f"  {head:<26}{text}")
+    lines += ["", "options, anywhere after COMMAND, as --opt value or "
+              "--opt=value:"]
+    for name, (metavar, only, _, text) in _OPTIONS.items():
+        lines.append(f"  {name + ' ' + metavar:<26}{text}"
+                     + (f" ({only} only)" if only else ""))
+    lines.append(f"  {'-h, --help':<26}print this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The fields of `COMMAND [MODE] FILE` with options anywhere after
+    COMMAND, or None when -h or --help asks for the usage. A token is an
+    option when it starts with '-'; an option's values are the tokens
+    after it, or the text after '=' for an option of one value. A usage
+    error raises ParseError."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv:
+        raise ParseError("the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command not in _COMMANDS:
+        raise ParseError(f"argument command: {_invalid(command, _COMMANDS)}")
+    modes = _COMMANDS[command][0]
+    args = dict(command=command, bound=None, census_bound=None,
+                format="text", timing=False, pair=None, ideal=None)
+    positional, tokens = [], iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in _OPTIONS or _OPTIONS[name][1] not in (None, command):
+            raise ParseError(f"unrecognized arguments: {token}")
+        metavar, _, read, _ = _OPTIONS[name]
+        n = len(metavar.split())
+        values = [value] if eq else [t for _, t in zip(range(n), tokens)]
+        if len(values) != n or any(v.startswith("--") for v in values):
+            raise ParseError(f"argument {name}: expected "
+                             + ("one argument" if n == 1 else f"{n} arguments"))
+        try:
+            values = [read(v) for v in values]
+        except ValueError as exc:
+            raise ParseError(f"argument {name}: {exc}") from None
+        args[name[2:].replace("-", "_")] = (
+            True if n == 0 else values[0] if n == 1 else tuple(values))
+    names = ("mode", "file") if modes else ("file",)
+    if modes and positional and positional[0] not in modes:
+        raise ParseError(f"argument mode: {_invalid(positional[0], modes)}")
+    if len(positional) > len(names):
+        raise ParseError("unrecognized arguments: "
+                         + " ".join(positional[len(names):]))
+    if len(positional) < len(names):
+        raise ParseError("the following arguments are required: "
+                         + ", ".join(names[len(positional):]))
+    args["mode"], args["file"] = positional if modes else (None, *positional)
+    return SimpleNamespace(**args)
 
 
 def _run(args) -> Report:
@@ -315,8 +382,8 @@ def _run(args) -> Report:
         if args.pair is None:
             raise ParseError(f"lcp {args.mode} needs --pair C D")
         if args.mode == "verify":
-            return cmd_lcp_verify(ws, tuple(args.pair))
-        return cmd_lcp_residue(ws, tuple(args.pair))
+            return cmd_lcp_verify(ws, args.pair)
+        return cmd_lcp_residue(ws, args.pair)
     if args.command == "checkable":
         if args.mode == "census":
             return cmd_checkable_census(ws)
@@ -328,10 +395,12 @@ def _run(args) -> Report:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter_ns()
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return 0
+        started = time.perf_counter_ns()
         report = _run(args)
     except (ParseError, ConstructionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -359,11 +428,18 @@ def entry() -> NoReturn:
     collections never walk the start-up objects. Once `main` returns it
     flushes stdout and stderr and ends the process with `main`'s code,
     skipping the interpreter's teardown. An exception from `main`
-    propagates as usual. `main` itself never freezes: tests and library
-    callers run it many times in one process."""
+    propagates as usual. A report that stays in stdout's buffer and
+    cannot be flushed (a closed pipe, a full disk) is reported on stderr
+    and the process exits 1, as when `main`'s own write fails. `main`
+    itself never freezes: tests and library callers run it many times
+    in one process."""
     gc.freeze()
     gc.enable()
     code = main()
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 1
     sys.stderr.flush()
     os._exit(code)

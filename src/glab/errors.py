@@ -14,8 +14,8 @@ class ScaleError(GlabError):
 
 
 class ParseError(GlabError):
-    """An instance file or a setting is malformed; the message carries
-    the line or the setting."""
+    """An instance file, a setting or the command line is malformed;
+    the message names the line, the setting or the argument."""
 
 
 class FalsificationError(GlabError):

@@ -11,7 +11,7 @@ fixes addition: it is coordinatewise modulo the m_i. Multiplication is
 biadditive, so it is fixed by the structure constants c[i, j], the
 coordinates of e_i*e_j for the coordinate unit vectors e_i: coordinate
 l of x*y is sum(x_i y_j c[i, j, l]) mod m_l. A builder supplies only the
-moduli, the constants and the identity, and `_table` is the one place
+moduli, the constants and the identity, and `_tables` is the one place
 that turns constants into a multiplication table; `Ring.constants` reads
 them back off any table. An element is the integer index of its
 coordinate tuple in mixed radix (coordinate 0 least significant), so
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .config import DEFAULT_FROBENIUS_BOUND, TABLE_LIMIT
 from .errors import ConstructionError, FalsificationError, ScaleError
-from .records import record
+from .records import Record
 
 AUDIT_LIMIT = 256  # full ring-axiom audit is cubic in |R|
 
@@ -42,14 +42,12 @@ AUDIT_LIMIT = 256  # full ring-axiom audit is cubic in |R|
 # ---------------------------------------------------------------------------
 # specs
 
-@record
-class Zmod(NamedTuple):
+class Zmod(Record):
     """Integers modulo m, m >= 2."""
     m: int
 
 
-@record
-class PolyQuot(NamedTuple):
+class PolyQuot(Record):
     """Z/p extended by a monic irreducible polynomial.
 
     `modulus` lists coefficients constant term first; the leading
@@ -60,21 +58,18 @@ class PolyQuot(NamedTuple):
     modulus: tuple[int, ...]
 
 
-@record
-class MatrixRing(NamedTuple):
+class MatrixRing(Record):
     """n x n matrices over a base ring."""
     n: int
     base: "RingSpec"
 
 
-@record
-class ProductRing(NamedTuple):
+class ProductRing(Record):
     """Direct product of rings with componentwise operations."""
     factors: tuple["RingSpec", ...]
 
 
-@record
-class TableRing(NamedTuple):
+class TableRing(Record):
     """Ring given by an explicit multiplication table.
 
     Addition is coordinatewise in the declared moduli; the
@@ -86,8 +81,7 @@ class TableRing(NamedTuple):
     label: str = "table"
 
 
-@record
-class RadicalQuotient(NamedTuple):
+class RadicalQuotient(Record):
     """Quotient of a local base ring by its Jacobson radical."""
     base: "RingSpec"
 
@@ -150,23 +144,41 @@ def _mixed_radix(radices) -> tuple[np.ndarray, np.ndarray]:
     return weights, digits.astype(np.int32)
 
 
-def _table(moduli, c) -> np.ndarray:
-    """The (card, card) int32 multiplication table on the coordinate
-    shape `moduli` with structure constants `c`, c[i, j] the coordinates
-    of e_i*e_j: coordinate l of x*y is X C_l Y^T mod m_l, one matrix
-    product per coordinate, added into the table in place."""
+def _add_table(moduli) -> np.ndarray:
+    """The (card, card) int32 addition table on the coordinate shape
+    `moduli`. Addition is coordinatewise, so the table is the sum of the
+    tables of the low and the high half of the coordinates, the high
+    one scaled by the low half's card."""
+    if len(moduli) == 1:
+        ar = np.arange(moduli[0], dtype=np.int32)
+        return (ar[:, None] + ar) % moduli[0]
+    lo = _add_table(moduli[:len(moduli) // 2])
+    hi = _add_table(moduli[len(moduli) // 2:])
+    table = hi[:, None, :, None] * len(lo) + lo[:, None, :]
+    return table.reshape(len(lo) * len(hi), -1)
+
+
+def _tables(moduli, c) -> tuple[np.ndarray, np.ndarray]:
+    """The addition and multiplication tables on the coordinate shape
+    `moduli` with structure constants `c`, c[i, j] the coordinates of
+    e_i*e_j: coordinate l of x*y is X C_l Y^T mod m_l. By distributivity
+    x*y = x*y_lo + x*y_hi, where y_lo keeps the low half of y's
+    coordinates and y_hi the high half, so only the products with the
+    elements of each half are computed (for GF(4096), 2 x 64 columns
+    instead of 4096), and the table gathers their sums from `add`."""
+    add = _add_table(moduli)
     weights, coords = _mixed_radix(moduli)
     c = np.asarray(c, dtype=np.int32)
-    mul = np.zeros((len(coords),) * 2, dtype=np.int32)
+    split = math.prod(moduli[:len(moduli) // 2])    # y = y_lo + y_hi
+    ys = np.r_[0:split, 0:len(coords):split]        # the elements of each half
+    # at most k * m_l * max(m) <= card^2 before the remainder: int32, as
+    # card <= TABLE_LIMIT
+    part = np.zeros((len(coords), len(ys)), dtype=np.int32)
     for l, m in enumerate(moduli):
-        # at most k * m_l * max(m) <= card^2 before the remainder: int32,
-        # as card <= TABLE_LIMIT
-        part = (coords @ c[:, :, l] % m) @ coords.T
-        part %= m
-        part *= int(weights[l])
-        mul += part
-    del part    # a (card, card) array, not to be held while Ring adds its own
-    return mul
+        part += (coords @ c[:, :, l] % m) @ coords[ys].T % m * int(weights[l])
+    lo, hi = part[:, :split], part[:, split:]
+    # x*y at y = y_lo + split * b: x*y_lo + hi[x, b]
+    return add, add[lo[:, None, :], hi[:, :, None]].reshape(add.shape)
 
 
 def _identities(mul: np.ndarray) -> list[int]:
@@ -206,25 +218,21 @@ class Ring:
     Elements are integers in [0, card). Index 0 is the additive zero.
     `add` and `mul` are (card, card) int32 tables, `neg` is the
     additive inverse permutation, `coords` decodes indices to
-    coordinate tuples in the declared shape. `add` and `neg` are
-    built here, coordinatewise modulo the moduli.
+    coordinate tuples in the declared shape. `add` is `_add_table` of
+    the moduli, and `neg` is built here, coordinatewise modulo them.
     """
 
     def __init__(self, spec: RingSpec, label: str, moduli: tuple[int, ...],
-                 mul: np.ndarray, one: int):
+                 add: np.ndarray, mul: np.ndarray, one: int):
         self.spec = spec
         self.label = label
         self.moduli = tuple(int(m) for m in moduli)
         self.card = math.prod(self.moduli)
+        self.add = add
         self.mul = mul
         self.one = int(one)
         self.zero = 0
         self._weights, self.coords = _mixed_radix(self.moduli)
-        # one coordinate at a time, so no temporary outgrows (card, card)
-        self.add = np.zeros((self.card, self.card), dtype=np.int32)
-        for k, m in enumerate(self.moduli):
-            c = self.coords[:, k]
-            self.add += (c[:, None] + c[None, :]) % m * int(self._weights[k])
         self.neg = ((-self.coords % np.array(self.moduli, dtype=np.int32))
                     @ self._weights).astype(np.int32)
         self._structure: RingStructure | None = None
@@ -266,20 +274,9 @@ class Ring:
 
 def build_ring(spec: RingSpec) -> Ring:
     """Build a ring from its spec, validating as required by the kind."""
-    if isinstance(spec, Zmod):
-        return _build_zmod(spec)
-    if isinstance(spec, PolyQuot):
-        return _build_polyquot(spec)
-    if isinstance(spec, MatrixRing):
-        return _build_matrix(spec)
-    if isinstance(spec, ProductRing):
-        return _build_product(spec)
-    if isinstance(spec, TableRing):
-        return _build_table(spec)
-    if isinstance(spec, RadicalQuotient):
-        base = build_ring(spec.base)
-        return radical_quotient(base).ring
-    raise TypeError(f"not a ring spec: {spec!r}")
+    if type(spec) not in _BUILDERS:
+        raise TypeError(f"not a ring spec: {spec!r}")
+    return _BUILDERS[type(spec)](spec)
 
 
 def _size(spec: RingSpec) -> tuple[Counter, bool]:
@@ -335,7 +332,7 @@ def _build_zmod(spec: Zmod) -> Ring:
     if m < 2:
         raise ConstructionError(f"zmod modulus must be at least 2, got {m}")
     _check_card(f"Z{m}", *_size(spec))
-    return Ring(spec, spec_label(spec), (m,), _table((m,), [[[1]]]), 1)
+    return Ring(spec, spec_label(spec), (m,), *_tables((m,), [[[1]]]), 1)
 
 
 def _build_polyquot(spec: PolyQuot) -> Ring:
@@ -365,7 +362,7 @@ def _build_polyquot(spec: PolyQuot) -> Ring:
     i = np.arange(deg)
     moduli = (p,) * deg
     return Ring(spec, spec_label(spec), moduli,
-                _table(moduli, power[i[:, None] + i]), 1)
+                *_tables(moduli, power[i[:, None] + i]), 1)
 
 
 def _find_poly_factor(mod: list[int], p: int) -> list[int] | None:
@@ -396,7 +393,7 @@ def _build_matrix(spec: MatrixRing) -> Ring:
     moduli = tuple(base.moduli) * (n * n)
     k = len(moduli)
     one = base.one * sum(base.card ** (i * n + i) for i in range(n))
-    return Ring(spec, label, moduli, _table(moduli, c.reshape(k, k, k)), one)
+    return Ring(spec, label, moduli, *_tables(moduli, c.reshape(k, k, k)), one)
 
 
 def _build_product(spec: ProductRing) -> Ring:
@@ -417,7 +414,7 @@ def _build_product(spec: ProductRing) -> Ring:
         block = slice(at, at + len(r.moduli))
         c[block, block, block] = r.constants
         at = block.stop
-    return Ring(spec, label, moduli, _table(moduli, c), one)
+    return Ring(spec, label, moduli, *_tables(moduli, c), one)
 
 
 def _build_table(spec: TableRing) -> Ring:
@@ -439,9 +436,16 @@ def _build_table(spec: TableRing) -> Ring:
     ones = _identities(mul)
     if not ones:
         raise ConstructionError(f"table ring {spec.label!r} has no identity element")
-    ring = Ring(spec, spec.label, moduli, mul, ones[0])
+    ring = Ring(spec, spec.label, moduli, _add_table(moduli), mul, ones[0])
     audit_ring(ring)
     return ring
+
+
+_BUILDERS = {Zmod: _build_zmod, PolyQuot: _build_polyquot,
+             MatrixRing: _build_matrix, ProductRing: _build_product,
+             TableRing: _build_table,
+             RadicalQuotient: lambda spec: radical_quotient(
+                 build_ring(spec.base)).ring}
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +497,7 @@ def audit_ring(ring: Ring) -> None:
 # ---------------------------------------------------------------------------
 # structure: units, radical, locality
 
-@record
-class RingStructure(NamedTuple):
+class RingStructure(Record):
     """Unit group and Jacobson radical of a ring, fully materialized."""
     units: np.ndarray
     unit_mask: np.ndarray
@@ -553,8 +556,7 @@ def structure(ring: Ring) -> RingStructure:
 # ---------------------------------------------------------------------------
 # generating characters
 
-@record
-class FrobeniusVerdict(NamedTuple):
+class FrobeniusVerdict(Record):
     """Outcome of the generating-character search.
 
     status is one of "frobenius", "not-frobenius", "undecided".
@@ -606,8 +608,7 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
 # ---------------------------------------------------------------------------
 # radical quotient of a local ring
 
-@record
-class QuotientData(NamedTuple):
+class QuotientData(Record):
     """A local ring's residue field together with the projection maps.
 
     proj maps base indices onto quotient indices (a surjective ring
@@ -688,7 +689,8 @@ def radical_quotient(ring: Ring) -> QuotientData:
 
     qspec = RadicalQuotient(ring.spec)
     qone = int(rep_to_new[one_rep])
-    qring = Ring(qspec, spec_label(qspec), (p,) * k, qmul, qone)
+    qring = Ring(qspec, spec_label(qspec), (p,) * k, _add_table((p,) * k),
+                 qmul, qone)
 
     proj = rep_to_new[rep_of].astype(np.int64)
     lift = order  # reps are the least elements of their cosets

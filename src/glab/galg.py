@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .config import DEFAULT_OP_BOUND, max_elements
 from .errors import ConstructionError, ScaleError
 from .finring import Ring, _mixed_radix, radical_quotient, structure
 from .grp import Group
-from .records import record
+from .records import Record
 
 
 class GroupAlgebra:
@@ -673,8 +672,7 @@ def _subgroup_keys(images: np.ndarray, moduli: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # coefficientwise reduction onto the residue field
 
-@record
-class ResidueMap(NamedTuple):
+class ResidueMap(Record):
     """Coefficientwise projection RG -> (R/J)G over a local base ring.
 
     proj maps every base index to its residue index (a surjective ring

@@ -11,43 +11,38 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .config import GROUP_AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
 from .finring import _identities, _mixed_radix, _past_limit, _powers
-from .records import record
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # specs
 
-@record
-class CyclicGroup(NamedTuple):
+class CyclicGroup(Record):
     n: int
 
 
-@record
-class DihedralGroup(NamedTuple):
+class DihedralGroup(Record):
     """Symmetries of a regular n-gon; order 2n."""
     n: int
 
 
-@record
-class SymmetricGroup(NamedTuple):
+class SymmetricGroup(Record):
     """All permutations of n points, n at most 4 (order at most 24)."""
     n: int
 
 
-@record
-class ProductGroup(NamedTuple):
+class ProductGroup(Record):
     factors: tuple["GroupSpec", ...]
 
 
-@record
-class CayleyGroup(NamedTuple):
+class CayleyGroup(Record):
     """Explicit multiplication table, audited at build time."""
     table: tuple[tuple[int, ...], ...]
     label: str = "cayley"
@@ -103,17 +98,9 @@ class Group:
 # builders
 
 def build_group(spec: GroupSpec) -> Group:
-    if isinstance(spec, CyclicGroup):
-        return _build_cyclic(spec)
-    if isinstance(spec, DihedralGroup):
-        return _build_dihedral(spec)
-    if isinstance(spec, SymmetricGroup):
-        return _build_symmetric(spec)
-    if isinstance(spec, ProductGroup):
-        return _build_product(spec)
-    if isinstance(spec, CayleyGroup):
-        return _build_cayley(spec)
-    raise TypeError(f"not a group spec: {spec!r}")
+    if type(spec) not in _BUILDERS:
+        raise TypeError(f"not a group spec: {spec!r}")
+    return _BUILDERS[type(spec)](spec)
 
 
 def _order(spec: GroupSpec) -> Counter:
@@ -158,43 +145,28 @@ def _build_dihedral(spec: DihedralGroup) -> Group:
         raise ConstructionError(f"dihedral parameter must be positive, got {n}")
     order = 2 * n
     _check_order("dihedral group", spec)
-    # index j*n + i encodes r^i s^j; s r = r^(-1) s
-    mul = np.zeros((order, order), dtype=np.int32)
-    for j1 in range(2):
-        for i1 in range(n):
-            for j2 in range(2):
-                for i2 in range(n):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                    j = (j1 + j2) % 2
-                    mul[j1 * n + i1, j2 * n + i2] = j * n + i
-    names = []
-    for j in range(2):
-        for i in range(n):
-            rot = "e" if i == 0 else ("r" if i == 1 else f"r^{i}")
-            if j == 0:
-                names.append(rot)
-            else:
-                names.append("s" if i == 0 else f"{rot} s")
+    # index j*n + i encodes r^i s^j; s r = r^(-1) s, so
+    # (r^i s^j)(r^k s^l) = r^(i + (-1)^j k) s^(j + l)
+    i, j = np.arange(order) % n, np.arange(order) // n
+    mul = ((j[:, None] + j) % 2 * n
+           + (i[:, None] + (1 - 2 * j[:, None]) * i) % n).astype(np.int32)
+    rotations = ["e", "r"][:n] + [f"r^{k}" for k in range(2, n)]
+    names = rotations + ["s"] + [f"{rot} s" for rot in rotations[1:]]
     return Group(spec, group_label(spec), mul, 0, names)
 
 
 def _perm_cycles(p: tuple[int, ...]) -> str:
     """Cycle notation on 1-based points; identity prints as e."""
-    seen = [False] * len(p)
-    out = []
+    seen, out = set(), []
     for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = p[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = p[nxt]
-        out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    return "".join(out) if out else "e"
+        k, cycle = start, []
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = p[k]
+        if len(cycle) > 1:
+            out.append("(" + " ".join(str(k + 1) for k in cycle) + ")")
+    return "".join(out) or "e"
 
 
 def _build_symmetric(spec: SymmetricGroup) -> Group:
@@ -204,12 +176,9 @@ def _build_symmetric(spec: SymmetricGroup) -> Group:
             f"symmetric degree must be between 1 and 4, got {n}")
     perms = list(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
-    order = len(perms)
-    mul = np.zeros((order, order), dtype=np.int32)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            # composition applies the right factor first
-            mul[a, b] = index[tuple(pa[pb[i]] for i in range(n))]
+    # composition applies the right factor first
+    mul = np.array([[index[tuple(pa[k] for k in pb)] for pb in perms]
+                    for pa in perms], dtype=np.int32)
     names = [_perm_cycles(p) for p in perms]
     return Group(spec, group_label(spec), mul, 0, names)
 
@@ -248,6 +217,11 @@ def _build_cayley(spec: CayleyGroup) -> Group:
     group = Group(spec, spec.label, mul, ids[0], names)
     audit_group(group)
     return group
+
+
+_BUILDERS = {CyclicGroup: _build_cyclic, DihedralGroup: _build_dihedral,
+             SymmetricGroup: _build_symmetric, ProductGroup: _build_product,
+             CayleyGroup: _build_cayley}
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .config import DEFAULT_OP_BOUND
 from .errors import ConstructionError, ScaleError
 from .finring import structure
 from .galg import GroupAlgebra, ResidueMap
-from .records import record
+from .records import Record
 
 
 def enumerate_idempotents(alg: GroupAlgebra,
@@ -42,8 +40,7 @@ def _not_idempotent(alg: GroupAlgebra, e: int) -> ConstructionError:
         f"{alg.label}: element {alg.text(e)} is not idempotent")
 
 
-@record
-class IdempotentOrder(NamedTuple):
+class IdempotentOrder(Record):
     """The idempotent census, ascending, and its order: below[i, j]
     when f = elements[j] splits e = elements[i] into the orthogonal
     idempotents f and e - f, that is when ef = fe = f, f not in {0, e}.
@@ -70,8 +67,7 @@ def idempotent_order(alg: GroupAlgebra, idems: list[int]) -> IdempotentOrder:
                            & (es[:, None] != es))
 
 
-@record
-class IdempotentInfo(NamedTuple):
+class IdempotentInfo(Record):
     element: int
     central: bool
     primitive: bool

@@ -20,7 +20,6 @@ and its SHA-256 digest identifies the instance in reports.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 # hashlib loads OpenSSL, which costs every process a few MB and ms for
 # one short digest; CPython's built-in SHA-256 gives the same hash
@@ -40,24 +39,21 @@ from .galg import GroupAlgebra
 from .grp import (CayleyGroup, CyclicGroup, DihedralGroup, GroupSpec,
                   ProductGroup, SymmetricGroup, build_group)
 from .ideals import CodeSet, span
-from .records import record
+from .records import Record
 
 
-@record
-class ElemDef(NamedTuple):
+class ElemDef(Record):
     name: str
     coeffs: tuple
 
 
-@record
-class IdealDef(NamedTuple):
+class IdealDef(Record):
     name: str
     side: str
     generators: tuple[str, ...]
 
 
-@record
-class InstanceDescription(NamedTuple):
+class InstanceDescription(Record):
     ring: RingSpec
     group: GroupSpec
     elems: tuple[ElemDef, ...] = ()
@@ -150,82 +146,47 @@ class _Tokens:
 
 
 # ---------------------------------------------------------------------------
-# structured expressions
+# structured expressions: `kind(argument, ...)`, one argument per field
+# of the kind's record, in the syntax the table names: an integer, a list
+# of integers, a table (a list of integer lists), a nested expression,
+# one or more nested expressions (a product), or an optional label
 
-def _ring_expr(tok: _Tokens) -> RingSpec:
+_RINGS = {"zmod": (Zmod, "int"), "polyquot": (PolyQuot, "int", "ints"),
+          "matrix": (MatrixRing, "int", "expr"),
+          "product": (ProductRing, "exprs"),
+          "radical_quotient": (RadicalQuotient, "expr"),
+          "table": (TableRing, "ints", "table", "label")}
+_GROUPS = {"cyclic": (CyclicGroup, "int"), "dihedral": (DihedralGroup, "int"),
+           "symmetric": (SymmetricGroup, "int"),
+           "product": (ProductGroup, "exprs"),
+           "cayley": (CayleyGroup, "table", "label")}
+
+
+def _expr(tok: _Tokens, kinds: dict, noun: str):
     head = tok.read_name()
     tok.next("(")
-    if head == "zmod":
-        m = tok.read_int()
-        tok.next(")")
-        return Zmod(m)
-    if head == "polyquot":
-        p = tok.read_int()
-        tok.next(",")
-        modulus = tok.read_seq(tok.read_int)
-        tok.next(")")
-        return PolyQuot(p, modulus)
-    if head == "matrix":
-        n = tok.read_int()
-        tok.next(",")
-        base = _ring_expr(tok)
-        tok.next(")")
-        return MatrixRing(n, base)
-    if head == "product":
-        factors = [_ring_expr(tok)]
+    if head not in kinds:
+        raise ParseError(f"{tok.where}: unknown {noun} kind {head!r}")
+    read = {"int": tok.read_int, "ints": lambda: tok.read_seq(tok.read_int),
+            "table": lambda: tok.read_seq(lambda: tok.read_seq(tok.read_int)),
+            "expr": lambda: _expr(tok, kinds, noun), "label": tok.read_string}
+    cls, *syntax = kinds[head]
+    values = []
+    for i, arg in enumerate(syntax):
+        if arg == "label" and tok.peek() != ("punct", ","):
+            break
+        if i or arg == "label":
+            tok.next(",")
+        if arg != "exprs":
+            values.append(read[arg]())
+            continue
+        factors = [read["expr"]()]
         while tok.peek() == ("punct", ","):
             tok.next()
-            factors.append(_ring_expr(tok))
-        tok.next(")")
-        return ProductRing(tuple(factors))
-    if head == "radical_quotient":
-        base = _ring_expr(tok)
-        tok.next(")")
-        return RadicalQuotient(base)
-    if head == "table":
-        moduli = tok.read_seq(tok.read_int)
-        tok.next(",")
-        mul = tok.read_seq(lambda: tok.read_seq(tok.read_int))
-        label = "table"
-        if tok.peek() == ("punct", ","):
-            tok.next()
-            label = tok.read_string()
-        tok.next(")")
-        return TableRing(moduli, mul, label=label)
-    raise ParseError(f"{tok.where}: unknown ring kind {head!r}")
-
-
-def _group_expr(tok: _Tokens) -> GroupSpec:
-    head = tok.read_name()
-    tok.next("(")
-    if head == "cyclic":
-        n = tok.read_int()
-        tok.next(")")
-        return CyclicGroup(n)
-    if head == "dihedral":
-        n = tok.read_int()
-        tok.next(")")
-        return DihedralGroup(n)
-    if head == "symmetric":
-        n = tok.read_int()
-        tok.next(")")
-        return SymmetricGroup(n)
-    if head == "product":
-        factors = [_group_expr(tok)]
-        while tok.peek() == ("punct", ","):
-            tok.next()
-            factors.append(_group_expr(tok))
-        tok.next(")")
-        return ProductGroup(tuple(factors))
-    if head == "cayley":
-        table = tok.read_seq(lambda: tok.read_seq(tok.read_int))
-        label = "cayley"
-        if tok.peek() == ("punct", ","):
-            tok.next()
-            label = tok.read_string()
-        tok.next(")")
-        return CayleyGroup(table, label=label)
-    raise ParseError(f"{tok.where}: unknown group kind {head!r}")
+            factors.append(read["expr"]())
+        values.append(tuple(factors))
+    tok.next(")")
+    return cls(*values)
 
 
 def _coeff(tok: _Tokens):
@@ -243,12 +204,10 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def parse_instance(text: str) -> InstanceDescription:
     """Parse instance text; ParseError messages carry the line number."""
-    ring: RingSpec | None = None
-    group: GroupSpec | None = None
+    # ring, group, bound and census_bound, each on one line at most
+    found: dict[str, object] = {}
     elems: list[ElemDef] = []
     ideals: list[IdealDef] = []
-    bound: int | None = None
-    census_bound: int | None = None
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,32 +221,18 @@ def parse_instance(text: str) -> InstanceDescription:
         key_parts = head.split()
         value = value.strip()
 
-        if key_parts == ["ring"]:
-            if ring is not None:
-                raise ParseError(f"{where}: ring defined twice")
+        if len(key_parts) == 1 and key_parts[0] in (
+                "ring", "group", "bound", "census_bound"):
+            key = key_parts[0]
+            if key in found:
+                raise ParseError(f"{where}: {key} defined twice")
             tok = _Tokens(value, where)
-            ring = _ring_expr(tok)
+            found[key] = (_expr(tok, _RINGS, key) if key == "ring" else
+                          _expr(tok, _GROUPS, key) if key == "group" else
+                          tok.read_int())
             tok.done()
-        elif key_parts == ["group"]:
-            if group is not None:
-                raise ParseError(f"{where}: group defined twice")
-            tok = _Tokens(value, where)
-            group = _group_expr(tok)
-            tok.done()
-        elif key_parts == ["bound"] or key_parts == ["census_bound"]:
-            tok = _Tokens(value, where)
-            n = tok.read_int()
-            tok.done()
-            if n < 1:
-                raise ParseError(f"{where}: {key_parts[0]} must be positive")
-            if key_parts == ["bound"]:
-                if bound is not None:
-                    raise ParseError(f"{where}: bound defined twice")
-                bound = n
-            else:
-                if census_bound is not None:
-                    raise ParseError(f"{where}: census_bound defined twice")
-                census_bound = n
+            if key in ("bound", "census_bound") and found[key] < 1:
+                raise ParseError(f"{where}: {key} must be positive")
         elif len(key_parts) == 2 and key_parts[0] in ("elem", "ideal"):
             kind, name = key_parts
             if not _IDENT.match(name):
@@ -317,13 +262,11 @@ def parse_instance(text: str) -> InstanceDescription:
         else:
             raise ParseError(f"{where}: unknown key {head.strip()!r}")
 
-    if ring is None:
-        raise ParseError("instance has no ring line")
-    if group is None:
-        raise ParseError("instance has no group line")
-    return InstanceDescription(ring=ring, group=group, elems=tuple(elems),
-                               ideals=tuple(ideals), bound=bound,
-                               census_bound=census_bound)
+    for key in ("ring", "group"):
+        if key not in found:
+            raise ParseError(f"instance has no {key} line")
+    return InstanceDescription(elems=tuple(elems), ideals=tuple(ideals),
+                               **found)
 
 
 def load_instance(path: str) -> InstanceDescription:
@@ -334,36 +277,16 @@ def load_instance(path: str) -> InstanceDescription:
 # ---------------------------------------------------------------------------
 # canonical serialization and digest
 
-def _ring_text(spec: RingSpec) -> str:
-    if isinstance(spec, Zmod):
-        return f"zmod({spec.m})"
-    if isinstance(spec, PolyQuot):
-        return f"polyquot({spec.p}, {_ints(spec.modulus)})"
-    if isinstance(spec, MatrixRing):
-        return f"matrix({spec.n}, {_ring_text(spec.base)})"
-    if isinstance(spec, ProductRing):
-        return "product(" + ", ".join(_ring_text(f) for f in spec.factors) + ")"
-    if isinstance(spec, RadicalQuotient):
-        return f"radical_quotient({_ring_text(spec.base)})"
-    if isinstance(spec, TableRing):
-        rows = "[" + ", ".join(_ints(r) for r in spec.mul) + "]"
-        return f"table({_ints(spec.moduli)}, {rows}, {_quoted(spec.label)})"
-    raise TypeError(f"not a ring spec: {spec!r}")
-
-
-def _group_text(spec: GroupSpec) -> str:
-    if isinstance(spec, CyclicGroup):
-        return f"cyclic({spec.n})"
-    if isinstance(spec, DihedralGroup):
-        return f"dihedral({spec.n})"
-    if isinstance(spec, SymmetricGroup):
-        return f"symmetric({spec.n})"
-    if isinstance(spec, ProductGroup):
-        return "product(" + ", ".join(_group_text(f) for f in spec.factors) + ")"
-    if isinstance(spec, CayleyGroup):
-        rows = "[" + ", ".join(_ints(r) for r in spec.table) + "]"
-        return f"cayley({rows}, {_quoted(spec.label)})"
-    raise TypeError(f"not a group spec: {spec!r}")
+def _expr_text(spec, kinds: dict) -> str:
+    write = {"int": str, "ints": _ints, "label": _quoted,
+             "table": lambda rows: "[" + ", ".join(map(_ints, rows)) + "]",
+             "expr": lambda s: _expr_text(s, kinds),
+             "exprs": lambda fs: ", ".join(_expr_text(f, kinds) for f in fs)}
+    for head, (cls, *syntax) in kinds.items():
+        if isinstance(spec, cls):
+            args = ", ".join(write[a](v) for a, v in zip(syntax, spec))
+            return f"{head}({args})"
+    raise TypeError(f"not a spec of {', '.join(kinds)}: {spec!r}")
 
 
 def _quoted(label: str) -> str:
@@ -388,8 +311,8 @@ def _coeff_text(c) -> str:
 def format_instance(desc: InstanceDescription) -> str:
     """Canonical text; parse(format(d)) == d. A label that the syntax
     cannot carry raises ParseError (`_quoted`)."""
-    lines = [f"ring = {_ring_text(desc.ring)}",
-             f"group = {_group_text(desc.group)}"]
+    lines = [f"ring = {_expr_text(desc.ring, _RINGS)}",
+             f"group = {_expr_text(desc.group, _GROUPS)}"]
     if desc.bound is not None:
         lines.append(f"bound = {desc.bound}")
     if desc.census_bound is not None:
@@ -411,8 +334,7 @@ def instance_digest(desc: InstanceDescription) -> str:
 # ---------------------------------------------------------------------------
 # building
 
-@record
-class BuiltInstance(NamedTuple):
+class BuiltInstance(Record):
     description: InstanceDescription
     digest: str
     algebra: GroupAlgebra

@@ -15,7 +15,7 @@ are counted by the law matrix in glab.verify.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import ConstructionError
 from .galg import GroupAlgebra, ResidueMap
 from .idem import IdempotentOrder, decompose_idempotent, lift_idempotent
 from .ideals import CodeSet, span
-from .records import record
+from .records import Record
 
 
 def _require_pair(c: CodeSet, d: CodeSet) -> None:
@@ -89,8 +89,7 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int:
     return e
 
 
-@record
-class LcpPair(NamedTuple):
+class LcpPair(Record):
     c: CodeSet
     d: CodeSet
     certificate: int
@@ -120,8 +119,7 @@ def refine_certificate(alg: GroupAlgebra, e: int, order: IdempotentOrder
 # ---------------------------------------------------------------------------
 # residue transfer
 
-@record
-class ResidueTransfer(NamedTuple):
+class ResidueTransfer(Record):
     lcp_base: bool
     lcp_residue: bool
     biconditional: bool

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, complementarity,
                   lcp_residue_correspondence, lcp_scan, project_code,
                   refine_certificate)
-from .records import record
+from .records import Record
 
 if TYPE_CHECKING:
     from .chk import CheckableCensus, Principals
@@ -33,8 +33,7 @@ if TYPE_CHECKING:
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
 
-@record
-class CheckLine(NamedTuple):
+class CheckLine(Record):
     check_id: str
     law: str
     status: str
@@ -42,8 +41,7 @@ class CheckLine(NamedTuple):
     micros: int | None = None
 
 
-@record
-class Report(NamedTuple):
+class Report(Record):
     command: str
     digest: str
     algebra_label: str

@@ -370,11 +370,33 @@ def test_closed_stdout_exits_one():
     assert "BrokenPipeError" in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("ring-info", "fixtures/f2c2.glab"),
+    ("verify-all", "perfbench/instances/z4c2c2.glab", "--format", "tsv"),
+])
+def test_closed_stdout_exits_one_when_buffered(args):
+    # the report fits stdout's buffer, so `main` returns and the entry's
+    # flush is what fails: it prints the error and exits 1, where the
+    # interpreter's second flush at exit used to set 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "glab", *args],
+                           stdout=write, stderr=subprocess.PIPE, text=True,
+                           cwd=ROOT, env=env)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (
+        1, "error: BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
 def test_commands_leave_dataclasses_and_numpy_ma_unloaded():
-    # the record types are NamedTuples, so no process pays for the
-    # methods that dataclasses generate at import; and no command calls
-    # np.unique, which imports numpy.ma (numpy loads neither module
-    # itself). The commands run in one process, each on its own instance
+    # the record types derive from glab.records.Record, so no process
+    # pays for the methods that dataclasses generate at import; and no
+    # command calls np.unique, which imports numpy.ma (numpy loads
+    # neither module itself). The commands run in one process, each on
+    # its own instance
     z4c3, lattice = str(FIX / "z4c3.glab"), str(
         ROOT / "perfbench" / "instances" / "z4c2c2.glab")
     commands = [["checkable", "census", str(FIX / "m2f2c2.glab")],
@@ -413,3 +435,122 @@ def test_commands_leave_hashlib_and_openssl_unloaded():
     expected = [want for _, want in commands]
     assert r.stderr.splitlines()[-1] == f"{expected} []"
     assert r.stderr.count("error: ") == 2
+
+
+# ---------------------------------------------------------------------------
+# the command-line grammar: COMMAND [MODE] FILE, options anywhere after
+# COMMAND
+
+@pytest.mark.parametrize("args, code, fragment", [
+    (("ring-info", "--format=tsv", "fixtures/f2c2.glab"), 0, ""),
+    (("ring-info", "--census-bound=50", "--format", "tsv",
+      "fixtures/f2c2.glab"), 0, ""),
+    (("lcp", "--pair", "C", "D", "verify", "fixtures/f3c2.glab"), 0, ""),
+    (("checkable", "ideal", "--ideal=N", "fixtures/z4c2.glab"), 0, ""),
+    (("lcp", "verify", "fixtures/f3c2.glab", "--pair", "C"), 2,
+     "argument --pair: expected 2 arguments"),
+    (("lcp", "verify", "fixtures/f3c2.glab", "--pair", "C", "--timing"), 2,
+     "argument --pair: expected 2 arguments"),
+    (("lcp", "verify", "fixtures/f3c2.glab", "--pair=C", "D"), 2,
+     "argument --pair: expected 2 arguments"),
+    (("ring-info", "fixtures/f2c2.glab", "--nosuch"), 2,
+     "unrecognized arguments: --nosuch"),
+    (("ring-info", "-x", "fixtures/f2c2.glab"), 2,
+     "unrecognized arguments: -x"),
+    (("ring-info", "fixtures/f2c2.glab", "--census"), 2,
+     "unrecognized arguments: --census"),
+    (("ring-info", "fixtures/f2c2.glab", "--pair", "C", "D"), 2,
+     "unrecognized arguments: --pair"),
+    (("ring-info",), 2, "the following arguments are required: file"),
+    (("lcp", "scan"), 2, "the following arguments are required: file"),
+    ((), 2, "the following arguments are required: command"),
+    (("ring-info", "fixtures/f2c2.glab", "extra"), 2,
+     "unrecognized arguments: extra"),
+    (("ring-info", "fixtures/f2c2.glab", "--format", "bogus"), 2,
+     "argument --format: invalid choice: 'bogus' (choose from 'tsv', 'text')"),
+    (("ring-info", "fixtures/f2c2.glab", "--format=bogus"), 2,
+     "argument --format: invalid choice: 'bogus'"),
+    (("lcp", "bogus", "fixtures/f2c2.glab"), 2,
+     "argument mode: invalid choice: 'bogus'"),
+    (("ring-info", "fixtures/f2c2.glab", "--bound"), 2,
+     "argument --bound: expected one argument"),
+    (("ring-info", "fixtures/f2c2.glab", "--bound=-1"), 2,
+     "argument --bound: must be a positive integer, got '-1'"),
+    (("ring-info", "fixtures/f2c2.glab", "--timing=yes"), 2,
+     "argument --timing: expected 0 arguments"),
+])
+def test_command_line_grammar(args, code, fragment):
+    r = glab(*args)
+    assert r.returncode == code, r.stderr
+    if code == 0:
+        assert "command" in r.stdout.splitlines()[0] and r.stderr == ""
+    else:
+        # one line on stderr, and no report
+        assert r.stderr.startswith(f"error: {fragment}")
+        assert r.stderr.count("\n") == 1 and r.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("-h",), ("--help",), ("lcp", "-h"), ("ring-info", "fixtures/f2c2.glab",
+                                          "--help")])
+def test_help_prints_usage_and_exits_zero(args):
+    r = glab(*args)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.startswith("usage: glab COMMAND [MODE] FILE")
+    for name in ("ring-info", "idempotents", "lcp {scan,verify,residue}",
+                 "checkable {ideal,census}", "verify-all", "--bound N",
+                 "--census-bound N", "--format {tsv,text}", "--timing",
+                 "--pair C D", "--ideal C", "-h, --help"):
+        assert name in r.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["wat", "fixtures/f2c2.glab"], ["ring-info"],
+    ["ring-info", "fixtures/f2c2.glab", "--format", "bogus"],
+    ["ring-info", "fixtures/f2c2.glab", "--bound", "0"]])
+def test_main_returns_two_on_usage_errors(argv, capsys):
+    # a usage error is a return value, not SystemExit
+    import glab.cli
+
+    assert glab.cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_main_returns_zero_on_help(capsys):
+    import glab.cli
+
+    assert glab.cli.main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: glab COMMAND")
+
+
+def test_commands_leave_argparse_gettext_and_locale_unloaded():
+    # the command line is parsed without argparse, which loads gettext
+    # and locale; and the record types are made without
+    # collections.namedtuple, patched to raise once numpy (which calls
+    # it) has loaded and while glab loads
+    code = ("import collections, sys, numpy\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('namedtuple called')\n"
+            "collections.namedtuple = refuse\n"
+            "import glab.cli, glab.verify\n"
+            f"for args in {DESK_COMMANDS!r}:\n"
+            "    glab.cli.main(args)\n"
+            "    print(sorted({'argparse', 'gettext', 'locale'} "
+            "& set(sys.modules)), file=sys.stderr)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=ROOT)
+    assert r.stderr == "[]\n" * len(DESK_COMMANDS)
+    assert r.stdout.count("command ") == len(DESK_COMMANDS)
+
+
+DESK_COMMANDS = [
+    ["ring-info", str(FIX / "f2c2.glab")],
+    ["idempotents", str(FIX / "f3c2.glab")],
+    ["lcp", "scan", str(FIX / "z4c3.glab")],
+    ["lcp", "verify", str(FIX / "f3c2.glab"), "--pair", "C", "D"],
+    ["lcp", "residue", str(FIX / "z4c3.glab"), "--pair", "C", "D"],
+    ["checkable", "ideal", str(FIX / "z4c2.glab"), "--ideal", "N"],
+    ["checkable", "census", str(FIX / "z4c2.glab")],
+    ["verify-all", str(FIX / "f2c3.glab"), "--timing"],
+]

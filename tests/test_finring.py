@@ -18,7 +18,8 @@ from glab.finring import (
     RadicalQuotient,
     TableRing,
     Zmod,
-    _table,
+    _mixed_radix,
+    _tables,
     audit_ring,
     build_ring,
     frobenius,
@@ -27,7 +28,7 @@ from glab.finring import (
     structure,
 )
 
-from desk import fixture_algebra
+from desk import FIXTURE_NAMES, fixture_algebra
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +233,49 @@ def test_given_tables_are_their_constants(name):
     # table rings and radical quotients keep their tables; the constants
     # read off them rebuild the same table
     ring = build_ring(_spec(name))
-    assert np.array_equal(_table(ring.moduli, ring.constants), ring.mul)
+    assert np.array_equal(_tables(ring.moduli, ring.constants)[1], ring.mul)
+
+
+def _per_coordinate_rows(moduli, c, rows):
+    """Rows `rows` of the addition and multiplication tables, one
+    coordinate at a time over every pair: coordinate l of x + y is
+    x_l + y_l mod m_l, and of x*y it is X C_l Y^T mod m_l."""
+    weights, coords = _mixed_radix(moduli)
+    c = np.asarray(c, dtype=np.int64)
+    add = np.zeros((len(rows), len(coords)), dtype=np.int64)
+    mul = np.zeros_like(add)
+    for l, m in enumerate(moduli):
+        add += (coords[rows, l][:, None] + coords[:, l]) % m * int(weights[l])
+        mul += (coords[rows] @ c[:, :, l] % m) @ coords.T % m * int(weights[l])
+    return add, mul
+
+
+# GF(2^k) for k = 1..12: the exponents of the terms of an irreducible
+# modulus below x^k
+_GF2_MODULI = {1: (0,), 2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 2), 6: (0, 1),
+               7: (0, 1), 8: (0, 1, 3, 4), 9: (0, 4), 10: (0, 3), 11: (0, 2),
+               12: (0, 1, 4, 6)}
+
+
+def _gf2(k):
+    return PolyQuot(2, tuple(int(e in _GF2_MODULI[k] or e == k)
+                             for e in range(k + 1)))
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(name, id=name) for name in FIXTURE_NAMES
+      if name != "corrupt_cayley"),
+    *(pytest.param(k, id=f"GF(2^{k})") for k in _GF2_MODULI)])
+def test_tables_match_the_per_coordinate_sums_and_products(spec):
+    # the tables are built from the halves of the coordinates; every row
+    # up to 1,024 elements, 512 evenly spaced rows above
+    ring = build_ring(fixture_algebra(spec).ring.spec if isinstance(spec, str)
+                      else _gf2(spec))
+    rows = np.arange(0, ring.card, max(1, ring.card // 512))
+    add, mul = _per_coordinate_rows(ring.moduli, ring.constants, rows)
+    assert ring.add.dtype == ring.mul.dtype == np.int32
+    assert np.array_equal(ring.add[rows], add)
+    assert np.array_equal(ring.mul[rows], mul)
 
 
 def test_product_ring_componentwise():
