@@ -103,11 +103,11 @@ def cmd_idempotents(ws: Workspace) -> Report:
 def cmd_lcp_scan(ws: Workspace) -> Report:
     alg, pairs = ws.alg, ws.pairs
     law = "lcp-split"
-    lines = [_verdict(f"lcp-scan.pair-{k:03d}", law,
-                      certificate_splits(alg, p.c, p.d, p.certificate),
+    lines = [_verdict(f"lcp-scan.pair-{k:03d}", law, ok,
                       f"certificate {p.certificate}; |C| = {p.c.cardinality}, "
                       f"|D| = {p.d.cardinality}")
-             for k, p in enumerate(pairs)]
+             for k, (p, ok) in enumerate(zip(
+                 pairs, certificate_splits(alg, pairs)))]
     status, witness = pairs_match_idempotents(ws)
     lines.append(_verdict("lcp-scan.count", law, status == PASS,
                           f"{len(pairs)} complementary pairs"
@@ -160,7 +160,8 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
 def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
     alg = ws.alg
     c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
-    rt, = lcp_residue_correspondence([(c, d)], ws.residue, ws.projection)
+    rt, = lcp_residue_correspondence([(c, d)], ws.residue, ws.projection,
+                                     ws.lift)
     law = "residue-lcp"
     lines = [
         _info("lcp-residue.base", law, str(rt.lcp_base).lower()),
@@ -402,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         started = time.perf_counter_ns()
         report = _run(args)
-    except (ParseError, ConstructionError, FileNotFoundError) as exc:
+    except (ParseError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ScaleError, MemoryError) as exc:

@@ -17,7 +17,8 @@ them back off any table. An element is the integer index of its
 coordinate tuple in mixed radix (coordinate 0 least significant), so
 index 0 is the additive zero, element equality is integer equality, and
 subsets of a ring pack into bitmasks. `_mixed_radix` is the one decoder
-of such indices; group algebras and product groups use it too.
+of such indices and `_encode` the one encoder; group algebras use them
+too, and Cayley tables share `_read_table` and `_audit_monoid`.
 
 Structural queries (unit group, Jacobson radical, locality, existence
 of a generating character) are computed exhaustively from the tables
@@ -144,6 +145,18 @@ def _mixed_radix(radices) -> tuple[np.ndarray, np.ndarray]:
     return weights, digits.astype(np.int32)
 
 
+def _encode(digits, radices, weights, noun: str) -> int:
+    """The mixed-radix index of one digit per radix; ValueError names
+    a wrong count or the first `noun` out of range."""
+    digits = [int(d) for d in digits]
+    if len(digits) != len(radices):
+        raise ValueError(f"expected {len(radices)} {noun}s, got {len(digits)}")
+    for d, r in zip(digits, radices):
+        if not 0 <= d < r:
+            raise ValueError(f"{noun} {d} out of range [0, {r})")
+    return sum(d * int(w) for d, w in zip(digits, weights))
+
+
 def _add_table(moduli) -> np.ndarray:
     """The (card, card) int32 addition table on the coordinate shape
     `moduli`. Addition is coordinatewise, so the table is the sum of the
@@ -181,11 +194,44 @@ def _tables(moduli, c) -> tuple[np.ndarray, np.ndarray]:
     return add, add[lo[:, None, :], hi[:, :, None]].reshape(add.shape)
 
 
-def _identities(mul: np.ndarray) -> list[int]:
-    """Every two-sided identity of an operation table, ascending."""
-    ar = np.arange(len(mul), dtype=mul.dtype)
-    both = (mul == ar).all(axis=1) & (mul == ar[:, None]).all(axis=0)
-    return np.flatnonzero(both).tolist()
+def _read_table(rows, n: int, what: str) -> tuple[np.ndarray, int]:
+    """The n x n int32 table of explicit rows and its least identity.
+    The row count, each row's length and each entry's range are checked
+    on the rows as given, before any array exists."""
+    if len(rows) != n:
+        raise ConstructionError(f"{what} must be {n}x{n}, got {len(rows)} rows")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ConstructionError(f"{what} is not square: row {i} has "
+                                    f"{len(row)} entries, not {n}")
+        if min(row) < 0 or max(row) >= n:
+            j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+            raise ConstructionError(f"{what} entry {v} at ({i}, {j}) out of "
+                                    f"range [0, {n})")
+    table = np.array(rows, dtype=np.int32).reshape(n, n)
+    ar = np.arange(n, dtype=np.int32)
+    ones = np.flatnonzero((table == ar).all(axis=1)
+                          & (table == ar[:, None]).all(axis=0))
+    if not len(ones):
+        raise ConstructionError(f"{what} has no identity element")
+    return table, int(ones[0])
+
+
+def _audit_monoid(label: str, mul: np.ndarray, one: int) -> None:
+    """Raise unless `one` acts as 1 on both sides of the table and the
+    operation is associative, naming a failing triple and its products."""
+    ar = np.arange(len(mul), dtype=np.int32)
+    if not (np.array_equal(mul[one], ar) and np.array_equal(mul[:, one], ar)):
+        raise ConstructionError(f"{label}: identity {one} does not act as 1")
+    for b in range(len(mul)):
+        # (a*b)*c against a*(b*c), all a and c at once
+        left = mul[mul[:, b], :]
+        right = mul[:, mul[b, :]]
+        if not np.array_equal(left, right):
+            a, c = map(int, np.argwhere(left != right)[0])
+            raise ConstructionError(
+                f"{label}: not associative at ({a}, {b}, {c}): ({a}*{b})*{c} "
+                f"= {int(left[a, c])}, {a}*({b}*{c}) = {int(right[a, c])}")
 
 
 def spec_label(spec: RingSpec) -> str:
@@ -244,15 +290,7 @@ class Ring:
         return tuple(int(c) for c in self.coords[x])
 
     def encode(self, coords) -> int:
-        if len(coords) != len(self.moduli):
-            raise ValueError(f"{self.label}: expected {len(self.moduli)} coordinates")
-        total = 0
-        for c, m, w in zip(coords, self.moduli, self._weights):
-            c = int(c)
-            if not 0 <= c < m:
-                raise ValueError(f"coordinate {c} out of range for modulus {m}")
-            total += c * int(w)
-        return total
+        return _encode(coords, self.moduli, self._weights, "coordinate")
 
     @property
     def constants(self) -> np.ndarray:
@@ -425,18 +463,8 @@ def _build_table(spec: TableRing) -> Ring:
     if card > AUDIT_LIMIT:
         raise ScaleError(
             f"table ring with {card} elements exceeds the audit limit {AUDIT_LIMIT}")
-    mul = np.array(spec.mul, dtype=np.int32)
-    if mul.shape != (card, card):
-        raise ConstructionError(
-            f"table ring multiplication table must be {card}x{card}, got "
-            f"{'x'.join(str(s) for s in mul.shape)}")
-    if mul.min() < 0 or mul.max() >= card:
-        raise ConstructionError("table ring multiplication entries out of range")
-
-    ones = _identities(mul)
-    if not ones:
-        raise ConstructionError(f"table ring {spec.label!r} has no identity element")
-    ring = Ring(spec, spec.label, moduli, _add_table(moduli), mul, ones[0])
+    mul, one = _read_table(spec.mul, card, f"table ring {spec.label!r}")
+    ring = Ring(spec, spec.label, moduli, _add_table(moduli), mul, one)
     audit_ring(ring)
     return ring
 
@@ -455,8 +483,8 @@ def audit_ring(ring: Ring) -> None:
     """Exhaustively audit the ring axioms; raises on the first violation.
 
     Cubic in |R|, so gated at AUDIT_LIMIT elements. Additive structure
-    is coordinatewise cyclic by construction, so the additive checks
-    are commutativity and inverses only.
+    is coordinatewise cyclic by construction, so the one additive check
+    is commutativity.
     """
     card = ring.card
     if card > AUDIT_LIMIT:
@@ -466,18 +494,7 @@ def audit_ring(ring: Ring) -> None:
     if not np.array_equal(add, add.T):
         a, b = map(int, np.argwhere(add != add.T)[0])
         raise ConstructionError(f"{ring.label}: addition not commutative at ({a}, {b})")
-    ar = np.arange(card, dtype=np.int32)
-    if not (np.array_equal(mul[ring.one], ar) and np.array_equal(mul[:, ring.one], ar)):
-        raise ConstructionError(f"{ring.label}: identity {ring.one} does not act as 1")
     for b in range(card):
-        # associativity: (a*b)*c against a*(b*c), all a and c at once
-        left = mul[mul[:, b], :]
-        right = mul[:, mul[b, :]]
-        if not np.array_equal(left, right):
-            a, c = map(int, np.argwhere(left != right)[0])
-            raise ConstructionError(
-                f"{ring.label}: multiplication not associative at ({a}, {b}, {c}): "
-                f"({a}*{b})*{c} = {int(left[a, c])}, a*(b*c) = {int(right[a, c])}")
         # left distributivity: a*(b+c) against a*b + a*c, rows a, cols c
         ld = mul[:, add[b, :]]
         ls = add[mul[:, b][:, None], mul]
@@ -492,6 +509,7 @@ def audit_ring(ring: Ring) -> None:
             c, a = map(int, np.argwhere(rd != rs)[0])
             raise ConstructionError(
                 f"{ring.label}: right distributivity fails at ({a}, {b}, {c})")
+    _audit_monoid(ring.label, mul, ring.one)
 
 
 # ---------------------------------------------------------------------------

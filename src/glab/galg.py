@@ -26,7 +26,7 @@ elements or their annihilator from their matrices side by side
 (`canonical_keys`), a dual from the pairing with the rows of a form
 (`dual_keys`), the split of 1 across two subgroups C and D from the
 form of {(x + y, x) : x in C, y in D} (`certificates`). The rows of a
-form generate the subgroup (`form_rows`); its elements are enumerated
+form generate the subgroup (`stacked_rows`); its elements are enumerated
 from them on demand (`subgroup_mask`). The
 class tables (`canonical_classes`) key one least element per orbit of
 the trivial units (images) or per class of the other side's images
@@ -35,14 +35,13 @@ the trivial units (images) or per class of the other side's images
 
 from __future__ import annotations
 
-import math
 from functools import cache, cached_property
 
 import numpy as np
 
 from .config import DEFAULT_OP_BOUND, max_elements
 from .errors import ConstructionError, ScaleError
-from .finring import Ring, _mixed_radix, radical_quotient, structure
+from .finring import Ring, _encode, _mixed_radix, radical_quotient, structure
 from .grp import Group
 from .records import Record
 
@@ -86,17 +85,8 @@ class GroupAlgebra:
         return tuple(int(c) for c in self.coeffs[x])
 
     def encode(self, coeff_seq) -> int:
-        coeff_seq = list(coeff_seq)
-        if len(coeff_seq) != self.group.order:
-            raise ValueError(
-                f"{self.label}: expected {self.group.order} coefficients")
-        total = 0
-        for c, w in zip(coeff_seq, self._weights):
-            c = int(c)
-            if not 0 <= c < self.ring.card:
-                raise ValueError(f"coefficient index {c} out of range")
-            total += c * int(w)
-        return total
+        return _encode(coeff_seq, (self.ring.card,) * self.group.order,
+                       self._weights, "coefficient")
 
     def scalar_elem(self, r: int) -> int:
         """The scalar r placed at the group identity."""
@@ -246,12 +236,9 @@ class GroupAlgebra:
     @cached_property
     def _coordinate_basis(self) -> list[int]:
         """The elements b_j of RG with coordinate j equal to 1 and every
-        other 0, where coordinate j is coordinate j % k of the ring
-        element at group position j // k (k ring coordinates)."""
-        k = len(self.ring.moduli)
-        ring_units = [self.ring.encode([int(i == j) for i in range(k)])
-                      for j in range(k)]
-        return [e * int(w) for w in self._weights for e in ring_units]
+        other 0: coordinate j % k (k ring coordinates) of the ring element
+        at group position j // k, whose index is the product of weights."""
+        return [int(e) * int(w) for w in self._weights for e in self.ring._weights]
 
     def _basis_images(self, us: np.ndarray, side: str) -> np.ndarray:
         """The coordinates of u*b_j (side "right") or b_j*u ("left") for
@@ -306,22 +293,15 @@ class GroupAlgebra:
                             axis=1).reshape(len(a), -1).astype(np.uint16)
         return _chunks(keys, 3 * c * c, *np.broadcast_arrays(a, b))
 
-    def form_rows(self, key: np.ndarray) -> tuple[np.ndarray, int]:
-        """The elements whose coordinates are the nonzero rows of the
-        form with this key, lifted back to RG, which generate the
-        subgroup, and the number of elements of the subgroup."""
-        rows, counts = (a[0] for a in _form_rows(key[None], self._moduli))
-        return (rows[counts > 1] @ self._coordinate_basis,
-                math.prod(counts.tolist()))
-
     def subgroup_sizes(self, keys: np.ndarray) -> np.ndarray:
         """The number of elements of the subgroup of each key of a stack:
         the product of the counts of its form's rows."""
         return _row_counts(keys, self._moduli).prod(axis=1)
 
     def stacked_rows(self, keys: np.ndarray) -> np.ndarray:
-        """The `form_rows` elements of each key of a stack, padded with 0
-        to a common length of at least 1."""
+        """For each key of a stack, the elements whose coordinates are the
+        nonzero rows of its form, lifted back to RG, which generate the
+        subgroup; padded with 0 to a common length of at least 1."""
         return (_nonzero_rows(*_form_rows(keys, self._moduli))
                 @ self._coordinate_basis)
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import GROUP_AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
-from .finring import _identities, _mixed_radix, _past_limit, _powers
+from .finring import (_audit_monoid, _mixed_radix, _past_limit, _powers,
+                      _read_table)
 from .records import Record
 
 
@@ -200,21 +201,12 @@ def _build_product(spec: ProductGroup) -> Group:
 
 
 def _build_cayley(spec: CayleyGroup) -> Group:
-    mul = np.array(spec.table, dtype=np.int32)
-    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-        raise ConstructionError(f"cayley table must be square, got shape {mul.shape}")
-    order = mul.shape[0]
-    if order < 1:
-        raise ConstructionError("cayley table must be nonempty")
+    order = len(spec.table)
     _check_order("cayley table", spec)
-    if mul.min() < 0 or mul.max() >= order:
-        raise ConstructionError("cayley table entries out of range")
-    ids = _identities(mul)
-    if not ids:
-        raise ConstructionError(f"cayley table {spec.label!r} has no identity element")
+    mul, identity = _read_table(spec.table, order, f"cayley table {spec.label!r}")
     names = [f"x{k}" for k in range(order)]
-    names[ids[0]] = "e"
-    group = Group(spec, spec.label, mul, ids[0], names)
+    names[identity] = "e"
+    group = Group(spec, spec.label, mul, identity, names)
     audit_group(group)
     return group
 
@@ -233,18 +225,8 @@ def audit_group(group: Group) -> None:
     if order > GROUP_AUDIT_LIMIT:
         raise ScaleError(
             f"{group.label}: exhaustive group audit limited to {GROUP_AUDIT_LIMIT}")
-    mul = group.mul
-    e = group.identity
+    mul, e = group.mul, group.identity
+    _audit_monoid(group.label, mul, e)
     ar = np.arange(order, dtype=np.int32)
-    if not (np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)):
-        raise ConstructionError(f"{group.label}: identity {e} does not act trivially")
-    for b in range(order):
-        left = mul[mul[:, b], :]
-        right = mul[:, mul[b, :]]
-        if not np.array_equal(left, right):
-            a, c = map(int, np.argwhere(left != right)[0])
-            raise ConstructionError(
-                f"{group.label}: not associative at ({a}, {b}, {c}): "
-                f"({a}*{b})*{c} = {int(left[a, c])}, a*(b*c) = {int(right[a, c])}")
     if not (mul[ar, group.inv] == e).all() or not (mul[group.inv, ar] == e).all():
         raise ConstructionError(f"{group.label}: inversion permutation broken")

@@ -111,13 +111,6 @@ def decompose_idempotent(alg: GroupAlgebra, e: int,
 # ---------------------------------------------------------------------------
 # lifting along the coefficient radical
 
-def _int_scale(alg: GroupAlgebra, k: int, x: int) -> int:
-    acc = 0
-    for _ in range(k):
-        acc = alg.add(acc, x)
-    return acc
-
-
 def lift_idempotent(alg: GroupAlgebra, rm: ResidueMap, ebar: int) -> int:
     """Idempotent of the full algebra reducing to a given idempotent
     of the residue algebra.
@@ -127,16 +120,15 @@ def lift_idempotent(alg: GroupAlgebra, rm: ResidueMap, ebar: int) -> int:
     nilpotency degree of the error each step. radical-lift.iteration
     checks that the result is idempotent and reduces to the input.
     """
-    res = rm.residue
-    if res.mul(ebar, ebar) != ebar:
-        raise ConstructionError(
-            f"{res.label}: residue element {res.text(ebar)} is not idempotent")
+    if not is_idempotent(rm.residue, ebar):
+        raise _not_idempotent(rm.residue, ebar)
     h = int(rm.lift[ebar])
     f = structure(alg.ring).nilpotency_index
     for _ in range(max(f - 1, 1)):
         sq = alg.mul(h, h)
         cube = alg.mul(sq, h)
-        nxt = alg.sub(_int_scale(alg, 3, sq), _int_scale(alg, 2, cube))
+        step = alg.sub(sq, cube)                  # 3h^2 - 2h^3
+        nxt = alg.add(sq, alg.add(step, step))
         if nxt == h:
             break
         h = nxt

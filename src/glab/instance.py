@@ -113,7 +113,11 @@ class _Tokens:
         kind, text = self.next()
         if kind != "int":
             raise ParseError(f"{self.where}: expected an integer, got {text!r}")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:      # past the interpreter's limit on digits
+            raise ParseError(f"{self.where}: an integer of {len(text)} digits "
+                             f"is out of range") from None
 
     def read_name(self) -> str:
         kind, text = self.next()
@@ -151,6 +155,10 @@ class _Tokens:
 # of integers, a table (a list of integer lists), a nested expression,
 # one or more nested expressions (a product), or an optional label
 
+# the most expressions nested on one line: reading, writing and building
+# a spec recurse once per level, far inside the interpreter's limit
+MAX_DEPTH = 32
+
 _RINGS = {"zmod": (Zmod, "int"), "polyquot": (PolyQuot, "int", "ints"),
           "matrix": (MatrixRing, "int", "expr"),
           "product": (ProductRing, "exprs"),
@@ -162,14 +170,18 @@ _GROUPS = {"cyclic": (CyclicGroup, "int"), "dihedral": (DihedralGroup, "int"),
            "cayley": (CayleyGroup, "table", "label")}
 
 
-def _expr(tok: _Tokens, kinds: dict, noun: str):
+def _expr(tok: _Tokens, kinds: dict, noun: str, depth: int = 1):
+    if depth > MAX_DEPTH:
+        raise ParseError(
+            f"{tok.where}: {noun} nested more than {MAX_DEPTH} levels deep")
     head = tok.read_name()
     tok.next("(")
     if head not in kinds:
         raise ParseError(f"{tok.where}: unknown {noun} kind {head!r}")
     read = {"int": tok.read_int, "ints": lambda: tok.read_seq(tok.read_int),
             "table": lambda: tok.read_seq(lambda: tok.read_seq(tok.read_int)),
-            "expr": lambda: _expr(tok, kinds, noun), "label": tok.read_string}
+            "expr": lambda: _expr(tok, kinds, noun, depth + 1),
+            "label": tok.read_string}
     cls, *syntax = kinds[head]
     values = []
     for i, arg in enumerate(syntax):
@@ -270,8 +282,15 @@ def parse_instance(text: str) -> InstanceDescription:
 
 
 def load_instance(path: str) -> InstanceDescription:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    """Parse the file at `path`; one that cannot be read as UTF-8 text
+    raises ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(
+            f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    return parse_instance(text)
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +391,15 @@ def build_instance(desc: InstanceDescription,
             raise ParseError(
                 f"elem {e.name}: expected {alg.group.order} coefficients "
                 f"(group order), got {len(e.coeffs)}")
-        scalars: list[int] = []
-        for c in e.coeffs:
-            if isinstance(c, tuple):
-                try:
-                    scalars.append(ring.encode(c))
-                except ValueError as exc:
-                    raise ParseError(f"elem {e.name}: {exc}") from exc
-            else:
-                if len(ring.moduli) != 1:
-                    raise ParseError(
-                        f"elem {e.name}: ring {ring.label} has "
-                        f"{len(ring.moduli)} coordinates; write coefficients "
-                        f"as tuples")
-                if not 0 <= c < ring.card:
-                    raise ParseError(
-                        f"elem {e.name}: coefficient {c} out of range for "
-                        f"{ring.label}")
-                scalars.append(int(c))
-        built.elems[e.name] = alg.encode(scalars)
+        if len(ring.moduli) > 1 and not all(isinstance(c, tuple) for c in e.coeffs):
+            raise ParseError(
+                f"elem {e.name}: ring {ring.label} has {len(ring.moduli)} "
+                f"coordinates; write coefficients as tuples")
+        try:
+            built.elems[e.name] = alg.encode(
+                ring.encode(c) if isinstance(c, tuple) else c for c in e.coeffs)
+        except ValueError as exc:
+            raise ParseError(f"elem {e.name}: {exc}") from exc
     for idef in desc.ideals:
         gens = [built.elems[g] for g in idef.generators]
         built.ideals[idef.name] = span(alg, gens, idef.side)

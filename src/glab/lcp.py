@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .galg import GroupAlgebra, ResidueMap
-from .idem import IdempotentOrder, decompose_idempotent, lift_idempotent
+from .idem import IdempotentOrder, decompose_idempotent
 from .ideals import CodeSet, span
 from .records import Record
 
@@ -148,7 +148,8 @@ def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
 
 def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
                                rm: ResidueMap,
-                               project: Callable[[CodeSet], CodeSet]
+                               project: Callable[[CodeSet], CodeSet],
+                               lift: Callable[[int], int]
                                ) -> list[ResidueTransfer]:
     """How complementarity transfers across the residue projection, for
     each pair (C, D) of the list.
@@ -163,15 +164,18 @@ def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
     fails when a member is not generated by an idempotent (e.g. the
     whole algebra against a radical multiple projects onto the trivial
     complementary pair). The residue laws count each of these. Each
-    member's image comes from `project`, the residue projection of rm.
+    member's image comes from `project`, the residue projection of rm,
+    and each residue certificate's idempotent lift from `lift`.
     Base and residue complementarity are read from the certificates,
-    one batch for the base pairs and one for their images; only the
-    lifted pairs are checked with `is_lcp`.
+    one batch for the base pairs and one for their images. The lift's
+    split, its complementarity (`is_lcp`) and its images depend on the
+    residue certificate alone, and are found once for each.
     """
     alg = rm.base
     for c, d in pairs:
         _require_pair(c, d)
     images = [(project(c), project(d)) for c, d in pairs]
+    splits: dict = {}       # by (residue certificate, side)
     out = []
     for (c, d), (cbar, dbar), e, ebar in zip(
             pairs, images, _certificates(pairs), _certificates(images)):
@@ -180,16 +184,19 @@ def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
             out.append(ResidueTransfer(lcp_base=base, lcp_residue=False,
                                        biconditional=not base, certificate=e))
             continue
-        lifted = lift_idempotent(alg, rm, ebar)
-        lifted_c = span(alg, [lifted], c.side)
-        lifted_d = span(alg, [alg.one_minus(lifted)], d.side)
+        if (ebar, c.side) not in splits:
+            lifted = lift(ebar)
+            lc, ld = (span(alg, [x], c.side)
+                      for x in (lifted, alg.one_minus(lifted)))
+            splits[ebar, c.side] = (lifted, lc, ld, is_lcp(lc, ld)
+                                    and (project(lc), project(ld)))
+        lifted, lifted_c, lifted_d, split_images = splits[ebar, c.side]
         out.append(ResidueTransfer(
             lcp_base=base, lcp_residue=True, biconditional=base,
             members_idempotent_generated=(lifted_c.same_set(c)
                                           and lifted_d.same_set(d)),
-            lift_splits=(is_lcp(lifted_c, lifted_d)
-                         and project(lifted_c).same_set(cbar)
-                         and project(lifted_d).same_set(dbar)),
+            lift_splits=(bool(split_images) and split_images[0].same_set(cbar)
+                         and split_images[1].same_set(dbar)),
             certificate=e, residue_certificate=ebar,
             lifted_certificate=lifted))
     return out

@@ -30,7 +30,7 @@ from .errors import ConstructionError, FalsificationError
 from .galg import ResidueMap
 from .ideals import (CodeSet, check_scale, containment, hat_image, meets,
                      principal, principal_ideals, span)
-from .idem import enumerate_idempotents, is_idempotent, lift_idempotent
+from .idem import enumerate_idempotents, is_idempotent
 from .lcp import ResidueTransfer
 from .workspace import (FAIL, SKIP, CheckLine, Report, Workspace, _tally,
                         certificate_splits, hat_transfer, is_partition_of_one,
@@ -114,8 +114,9 @@ def _lcp_biconditional(ws: Workspace):
     """Each complementary pair is the split of its certificate, read
     from `Workspace.pairs`, which lists the matrix's pairs row-major."""
     ok = np.ones_like(ws.complementary)
-    for (i, j), p in zip(np.argwhere(ws.complementary).tolist(), ws.pairs):
-        ok[i, j] = certificate_splits(ws.alg, *p)
+    for (i, j), split in zip(np.argwhere(ws.complementary).tolist(),
+                             certificate_splits(ws.alg, ws.pairs)):
+        ok[i, j] = split
     return _tally("ideal pairs", (), results=ok)
 
 
@@ -218,7 +219,7 @@ def _radical_lift(ws: Workspace):
     alg = ws.alg
     rm = ws.residue
     residue_idems = enumerate_idempotents(rm.residue, bound=ws.built.bound)
-    lifts = [lift_idempotent(alg, rm, ebar) for ebar in residue_idems]
+    lifts = [ws.lift(ebar) for ebar in residue_idems]
     f = ws.ring_structure.nilpotency_index
     return _tally("lifts", (
         (f"residue idempotent {ebar}",

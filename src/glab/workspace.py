@@ -8,7 +8,7 @@ run, so a command that reads neither does not compile them.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
@@ -20,7 +20,7 @@ from .ideals import (CodeSet, ann_left, ann_right, dual_code,
                      enumerate_ideals, hat_image, pair_sums,
                      principal_ideals, span)
 from .idem import (IdempotentOrder, decompose_idempotent,
-                   enumerate_idempotents, idempotent_order, is_idempotent)
+                   enumerate_idempotents, idempotent_order, lift_idempotent)
 from .instance import BuiltInstance
 from .lcp import (LcpPair, ResidueTransfer, complementarity,
                   lcp_residue_correspondence, lcp_scan, project_code,
@@ -74,6 +74,9 @@ class Workspace:
         self._projections: dict[tuple[str | None, bytes], CodeSet] = {}
         # by (side of the annihilator, key of the set)
         self._anns: dict[tuple[str, bytes], CodeSet] = {}
+        # the lift of each residue idempotent, computed once per run
+        self.lift = cache(lambda ebar: lift_idempotent(
+            self.alg, self.residue, ebar))
 
     @cached_property
     def frobenius_verdict(self) -> FrobeniusVerdict:
@@ -210,7 +213,8 @@ class Workspace:
         at = [tuple(ij) for ij in np.argwhere(
             self.complementary | self.residue_complementary).tolist()]
         return dict(zip(at, lcp_residue_correspondence(
-            [(R[i], R[j]) for i, j in at], self.residue, self.projection)))
+            [(R[i], R[j]) for i, j in at], self.residue, self.projection,
+            self.lift)))
 
     def _once(self, done: dict, key, compute, code: CodeSet):
         """done[key(code)], computed on a miss by `compute` on a list:
@@ -276,12 +280,15 @@ def _tally(unit: str, checks: Iterable[tuple[str, bool]],
 # ---------------------------------------------------------------------------
 # checks that the commands share with the law matrix
 
-def certificate_splits(alg: GroupAlgebra, c: CodeSet, d: CodeSet,
-                       e: int | None) -> bool:
-    """Whether e is an idempotent whose split (eRG, (1 - e)RG) is (C, D)."""
-    return (e is not None and is_idempotent(alg, e)
+def certificate_splits(alg: GroupAlgebra, pairs) -> list[bool]:
+    """For each (C, D, e), whether e is an idempotent whose split
+    (eRG, (1 - e)RG) is (C, D); None for e is no certificate. The
+    squares of all the certificates come from one broadcast product."""
+    es = np.array([0 if e is None else e for _, _, e in pairs], dtype=np.int64)
+    return [e is not None and square == e
             and span(alg, [e], c.side).same_set(c)
-            and span(alg, [alg.one_minus(e)], d.side).same_set(d))
+            and span(alg, [alg.one_minus(e)], d.side).same_set(d)
+            for (c, d, e), square in zip(pairs, alg.mul(es, es).tolist())]
 
 
 def pairs_match_idempotents(ws: Workspace):

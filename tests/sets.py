@@ -26,5 +26,5 @@ def code_of(alg, mask: np.ndarray, side=None) -> CodeSet:
     the subgroup its elements generate has no more elements."""
     elems = np.flatnonzero(mask)
     form = alg.subgroup_form(elems)
-    assert mask[0] and alg.form_rows(form)[1] == len(elems)
+    assert mask[0] and alg.subgroup_sizes(form[None])[0] == len(elems)
     return CodeSet(alg, form, side)

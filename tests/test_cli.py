@@ -266,6 +266,73 @@ def test_usage_and_parse_errors_exit_two(args, fragment):
     assert fragment in r.stderr
 
 
+@pytest.mark.parametrize("args, stderr", [
+    (("verify-all", "fixtures/corrupt_cayley.glab"),
+     "error: broken: not associative at (1, 1, 2): (1*1)*2 = 2, 1*(1*2) = 1\n"),
+    (("ring-info", "fixtures/"), "error: fixtures/: Is a directory\n"),
+    (("ring-info", "nosuch.glab"),
+     "error: nosuch.glab: No such file or directory\n"),
+])
+def test_input_errors_print_one_line_and_exit_two(args, stderr):
+    r = glab(*args)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr)
+
+
+def test_invalid_utf8_instance_exits_two(tmp_path):
+    path = tmp_path / "latin1.glab"
+    path.write_bytes(b"# caf\xe9\nring = zmod(2)\ngroup = cyclic(1)\n")
+    r = glab("ring-info", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (f"error: {path}: 'utf-8' codec can't decode byte "
+                        f"0xe9 in position 5: invalid continuation byte\n")
+
+
+# each line of a bad explicit table, as a table ring on Z2 and as a
+# Cayley table: ragged, too many or too few rows, and entries out of
+# range, up to one past the interpreter's limit on digits
+_BAD_ROWS = ["[[0, 1], [1]]", "[[0, 1]]", "[[0, 1], [1, 0], [0, 1]]",
+             "[[0, 1], [1, -1]]", "[[0, 1], [1, 2]]",
+             f"[[0, 1], [1, {2 ** 31}]]", f"[[0, 1], [1, {2 ** 64}]]",
+             f"[[0, 1], [1, {'9' * 5000}]]"]
+
+
+@pytest.mark.parametrize("rows", _BAD_ROWS, ids=[
+    "ragged", "one-row", "three-rows", "negative", "n", "2^31", "2^64",
+    "5000-digits"])
+@pytest.mark.parametrize("text", [
+    "ring = table([2], {rows})\ngroup = cyclic(1)\n",
+    "ring = zmod(2)\ngroup = cayley({rows})\n"], ids=["table", "cayley"])
+def test_bad_explicit_tables_exit_two(text, rows, tmp_path, capsys):
+    import glab.cli
+    path = tmp_path / "bad.glab"
+    path.write_text(text.format(rows=rows))
+    assert glab.cli.main(["ring-info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_ragged_cayley_past_the_order_limit_exits_three(tmp_path):
+    # 300 rows of one entry: refused by the order gate, before any row
+    # is read
+    path = tmp_path / "ragged.glab"
+    path.write_text(f"ring = zmod(2)\ngroup = cayley([{', '.join(['[0]'] * 300)}])\n")
+    r = glab("ring-info", str(path))
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == "scale error: cayley table of order 300 exceeds the limit 256\n"
+
+
+def test_over_nested_group_exits_two(tmp_path):
+    group = "cyclic(1)"
+    for _ in range(199):
+        group = f"product({group})"
+    path = tmp_path / "deep.glab"
+    path.write_text(f"ring = zmod(2)\ngroup = {group}\n")
+    r = glab("verify-all", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: line 2: group nested more than 32 levels deep\n"
+
+
 def test_console_script_entry():
     if shutil.which("glab") is None:
         pytest.skip("console script not on PATH")

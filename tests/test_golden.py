@@ -60,3 +60,21 @@ def test_calibration_verify_all_replays(fmt, monkeypatch, capsys):
     invocation = CALIBRATION_VERIFY_ALL + (" --format tsv" * (fmt == "tsv"))
     _replay({"exit": 1, "stdout": golden.read_text()}, invocation,
             monkeypatch, capsys)
+
+
+def test_lcp_scan_squares_all_certificates_in_one_product(monkeypatch,
+                                                           capsys):
+    # the 176 certificates of M2(Z2)C3 are checked for idempotence by one
+    # broadcast product, and the report is the reference's
+    from glab.galg import GroupAlgebra
+    calls = []
+    mul = GroupAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append(x)
+        return mul(self, x, y)
+    monkeypatch.setattr(GroupAlgebra, "mul", counted)
+    invocation = "lcp scan fixtures/m2f2c3.glab --census-bound 5000"
+    _replay(REFERENCE["calibration"][invocation], invocation, monkeypatch,
+            capsys)
+    assert [len(x) for x in calls] == [176]

@@ -41,7 +41,7 @@ def audit_ideal(code: CodeSet) -> None:
     carries."""
     elems = elements_of(code)
     form = code.alg.subgroup_form(elems)
-    if code.alg.form_rows(form)[1] != code.cardinality:
+    if code.alg.subgroup_sizes(form[None])[0] != code.cardinality:
         raise ConstructionError(f"{code.alg.label}: set is not additively closed")
     assert np.array_equal(form, code.form)
     if code.side is not None:
@@ -133,7 +133,7 @@ def test_audit_rejects_wrong_side_claim():
 def test_additive_basis_spans_and_is_small(f2s3):
     # the rows of the form, lifted back to RG, are an additive basis
     c = span(f2s3, [f2s3.encode([1, 1, 0, 0, 0, 0])], "right")
-    basis = f2s3.form_rows(c.form)[0]
+    basis = f2s3.stacked_rows(c.form[None])[0]
     assert 2 ** len(basis) == c.cardinality  # char 2: basis is F2-linear
     rebuilt = span(f2s3, basis, "right")
     assert rebuilt.same_set(c)
@@ -146,7 +146,7 @@ def test_additive_basis_rejects_unclosed_set(f2c2):
     # the four elements they generate, more than the set holds, which is
     # how `audit_ideal` refuses a set
     form = f2c2.subgroup_form([0, 1, 2])
-    assert f2c2.form_rows(form)[1] == 4
+    assert f2c2.subgroup_sizes(form[None])[0] == 4
     assert mask_of(CodeSet(f2c2, form)).all()
 
 
@@ -567,7 +567,7 @@ def test_stacked_sumset_of_random_subgroups(data):
         naive = np.zeros(alg.card, dtype=bool)
         naive[add[np.ix_(elements_of(a), elements_of(b))]] = True
         assert np.array_equal(alg.subgroup_mask(form), naive)
-        assert alg.form_rows(form)[1] == naive.sum()
+        assert alg.subgroup_sizes(form[None])[0] == naive.sum()
         # the rows of the form, lifted back to RG, generate the sum
         assert np.array_equal(
-            _naive_subgroup(alg, alg.form_rows(form)[0].tolist()), naive)
+            _naive_subgroup(alg, alg.stacked_rows(form[None])[0].tolist()), naive)

@@ -15,7 +15,7 @@ from glab.errors import ConstructionError, ParseError, ScaleError
 from glab.finring import MatrixRing, RadicalQuotient, TableRing, Zmod
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup,
                       SymmetricGroup)
-from glab.instance import (ElemDef, IdealDef, InstanceDescription,
+from glab.instance import (MAX_DEPTH, ElemDef, IdealDef, InstanceDescription,
                            build_instance, format_instance, instance_digest,
                            load_instance, parse_instance)
 
@@ -140,6 +140,31 @@ def test_radical_quotient_spec():
 def test_parse_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_instance(text)
+
+
+def _nested(key, depth):
+    """A ring or group line of `depth` nested expressions."""
+    expr = "zmod(2)" if key == "ring" else "cyclic(1)"
+    for _ in range(depth - 1):
+        expr = f"product({expr})"
+    return (f"ring = {expr}\ngroup = cyclic(1)\n" if key == "ring" else
+            f"ring = zmod(2)\ngroup = {expr}\n")
+
+
+@pytest.mark.parametrize("key", ["ring", "group"])
+def test_nesting_at_the_limit_builds(key):
+    desc = parse_instance(_nested(key, MAX_DEPTH))
+    assert parse_instance(format_instance(desc)) == desc
+    assert build_instance(desc).algebra.card == 2
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 200])
+@pytest.mark.parametrize("key", ["ring", "group"])
+def test_deeper_nesting_is_refused(key, depth):
+    line = 1 if key == "ring" else 2
+    with pytest.raises(ParseError, match=f"^line {line}: {key} nested more "
+                                         f"than {MAX_DEPTH} levels deep$"):
+        parse_instance(_nested(key, depth))
 
 
 @pytest.mark.parametrize("text,message", [

@@ -8,7 +8,7 @@ from glab.errors import ConstructionError
 from glab.finring import MatrixRing, Zmod, build_ring
 from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
-from glab.idem import enumerate_idempotents, idempotent_order
+from glab.idem import enumerate_idempotents, idempotent_order, lift_idempotent
 from glab.ideals import CodeSet, enumerate_ideals, span
 from glab.lcp import (complementarity, is_lcp, lcp_certificate,
                       lcp_residue_correspondence, lcp_scan, project_code,
@@ -100,15 +100,14 @@ def test_complement_pair_roundtrip(f3c2, m2c2):
             c = span(alg, [e], "right")
             d = span(alg, [alg.one_minus(e)], "right")
             assert is_lcp(c, d) and lcp_certificate(c, d) == e
-            assert certificate_splits(alg, c, d, e)
+            assert certificate_splits(alg, [(c, d, e)]) == [True]
 
 
 def test_complement_pair_rejects_non_idempotent(f3c2):
     c, d = span(f3c2, [8], "right"), span(f3c2, [5], "right")
-    assert certificate_splits(f3c2, c, d, 8)
-    assert not certificate_splits(f3c2, c, d, None)
-    assert not certificate_splits(f3c2, d, c, 8)
-    assert not certificate_splits(f3c2, c, d, 2)    # not idempotent
+    # one call decides them all; 2 is not idempotent
+    assert certificate_splits(f3c2, [(c, d, 8), (c, d, None), (d, c, 8),
+                                     (c, d, 2)]) == [True, False, False, False]
 
 
 def test_noncommutative_pair(m2c2):
@@ -213,7 +212,8 @@ def test_hat_equivalence_sizes_always():
 
 def _transfers(pairs, rm):
     return lcp_residue_correspondence(
-        pairs, rm, lambda code: project_code(rm, [code])[0])
+        pairs, rm, lambda code: project_code(rm, [code])[0],
+        lambda ebar: lift_idempotent(rm.base, rm, ebar))
 
 
 def _transfer(c, d, rm):

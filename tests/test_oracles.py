@@ -422,7 +422,7 @@ def test_class_keys_are_the_forms_of_their_masks(name):
                 mask = alg.subgroup_mask(key)
                 form = alg.subgroup_form(np.flatnonzero(mask))
                 assert np.array_equal(form, key)
-                assert alg.form_rows(form)[1] == mask.sum()
+                assert alg.subgroup_sizes(form[None])[0] == mask.sum()
 
 
 _KEY_RINGS = [Zmod(4), Zmod(8), Zmod(9), Zmod(6), Zmod(12),
@@ -626,7 +626,7 @@ def assert_translations_match_the_definition(alg, bs):
         closure = grown
     form = alg.subgroup_form(bs)
     assert np.array_equal(alg.subgroup_mask(form), closure)
-    assert alg.form_rows(form)[1] == closure.sum()
+    assert alg.subgroup_sizes(form[None])[0] == closure.sum()
     half = len(bs) // 2
     halves = [alg.subgroup_form(bs[:half] or [0]), alg.subgroup_form(bs[half:])]
     assert np.array_equal(alg.sum_forms(halves[0][None], halves[1][None])[0],
@@ -1218,7 +1218,7 @@ def test_stacked_sumset_matches_naive_sums(name):
                 naive = _naive_sumset(add, a, b)
                 assert np.array_equal(alg.subgroup_mask(form), naive)
                 assert np.array_equal(_naive_closure(
-                    add, alg.form_rows(form)[0]), naive)
+                    add, alg.stacked_rows(form[None])[0]), naive)
 
 
 def _naive_closure(add, gens):

@@ -179,6 +179,7 @@ def test_shared_work_runs_once(monkeypatch):
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
     refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
     orders = _count_calls(monkeypatch, glab.idem.idempotent_order)
+    lifts = _count_calls(monkeypatch, glab.idem.lift_idempotent)
     ws = fixture_workspace("z4c3")
     rep = verify_all(ws)
     assert not any(l.status == "skip" for l in rep.lines)
@@ -202,6 +203,10 @@ def test_shared_work_runs_once(monkeypatch):
     # one idempotent order table, for the algebra: the refinements and
     # the parts of 1 read it, and the residue algebra needs none
     assert [args[0] for args in orders] == [ws.alg]
+    # one lift per residue idempotent (4 of them), shared by the residue
+    # pairs and radical-lift.iteration
+    assert sorted(args[2] for args in lifts) == glab.idem.enumerate_idempotents(
+        ws.residue.residue)
 
 
 def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
@@ -211,6 +216,7 @@ def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
     duals = _count_calls(monkeypatch, glab.ideals.dual_code)
     projections = _count_calls(monkeypatch, glab.lcp.project_code)
     passes = _count_calls(monkeypatch, glab.chk.check_elements)
+    lifts = _count_calls(monkeypatch, glab.idem.lift_idempotent)
     ws = Workspace(build_instance(load_instance(
         str(ROOT / "perfbench" / "instances" / "z4c2c2.glab"))))
     rep = verify_all(ws)
@@ -226,6 +232,16 @@ def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
             for code in codes]
     assert len(keys) == len(set(keys)) and set(keys) <= census
     assert len(passes) == 1
+    # 2,209 residue pairs and 2 residue idempotents: one lift each
+    assert sorted(args[2] for args in lifts) == [0, 1]
+
+
+def test_residue_command_lifts_only_its_certificate(monkeypatch):
+    from glab.cli import cmd_lcp_residue
+    lifts = _count_calls(monkeypatch, glab.idem.lift_idempotent)
+    rep = cmd_lcp_residue(fixture_workspace("z4c3"), ("C", "D"))
+    certificate = _by_id(rep)["lcp-residue.residue-certificate"].witness
+    assert [str(args[2]) for args in lifts] == [certificate]
 
 
 def test_pair_commands_build_no_census(monkeypatch):
