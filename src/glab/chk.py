@@ -16,6 +16,7 @@ routes agree; the checkable-routes laws count it.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -117,20 +118,11 @@ def code_checkable_census(census: list[CodeSet],
 # ---------------------------------------------------------------------------
 # the central-decomposition intersection form
 
-class CentralIntersection(Record):
-    # "ok" | "not-a-block-sum" | "form-fails"
-    status: str
-    intersection_matches: bool | None
-    chain_matches: bool | None
-    support: tuple[int, ...]
-
-
 def ann_intersection_check(codes: list[CodeSet], parts: list[int],
                            ann: Callable[[CodeSet], CodeSet],
-                           bound: int = DEFAULT_OP_BOUND
-                           ) -> list[CentralIntersection]:
+                           bound: int = DEFAULT_OP_BOUND) -> list[str]:
     """Express each right ideal of a list through the central block
-    decomposition.
+    decomposition: "ok", "form-fails" or "not-a-block-sum" for each.
 
     `parts` must be CENTRAL primitive orthogonal idempotents summing to
     1 (the canonical ones are `Workspace.parts_of_one`); the caller
@@ -156,16 +148,13 @@ def ann_intersection_check(codes: list[CodeSet], parts: list[int],
             ).all(axis=1).reshape(len(codes), len(parts))
     out = []
     for c, row in zip(codes, held.tolist()):
-        inside = tuple(p for p, h in zip(parts, row) if h)
-        if not span(alg, list(inside), "right").same_set(c):
-            out.append(CentralIntersection("not-a-block-sum", None, None, ()))
+        inside = [p for p, h in zip(parts, row) if h]
+        if not span(alg, inside, "right").same_set(c):
+            out.append("not-a-block-sum")
             continue
         complement = [p for p in parts if p not in inside]
-        inter_ok = ann(span(alg, complement, "left")).same_set(c)
-        total = 0
-        for p in complement:
-            total = alg.add(total, p)
-        chain_ok = ann_right_of_element(alg, total, bound).same_set(c)
-        status = "ok" if inter_ok and chain_ok else "form-fails"
-        out.append(CentralIntersection(status, inter_ok, chain_ok, inside))
+        total = reduce(alg.add, complement, 0)
+        out.append("ok" if ann(span(alg, complement, "left")).same_set(c)
+                   and ann_right_of_element(alg, total, bound).same_set(c)
+                   else "form-fails")
     return out

@@ -28,9 +28,8 @@ from typing import NoReturn
 from .config import max_elements
 from .errors import (ConstructionError, FalsificationError, ParseError,
                      ScaleError)
-from .idem import idempotent_census
 from .instance import build_instance, load_instance
-from .lcp import (is_lcp, lcp_certificate, lcp_residue_correspondence,
+from .lcp import (lcp_certificate, lcp_residue_correspondence,
                   refine_certificate)
 # bound here although the commands read the pairs from the workspace:
 # perfbench's tracer self-test checks that names imported this way are
@@ -80,18 +79,16 @@ def cmd_ring_info(ws: Workspace) -> Report:
 
 
 def cmd_idempotents(ws: Workspace) -> Report:
-    alg = ws.alg
-    census = idempotent_census(alg, ws.idempotent_order)
+    alg, order = ws.alg, ws.idempotent_order
+    es = order.elements
     law = "idempotent-census"
-    central = [i.element for i in census if i.central]
-    primitive = [i.element for i in census if i.primitive]
     parts = ws.parts_of_one
     partition = is_partition_of_one(alg, parts)
     named = "; ".join(f"{p} = {alg.text(p)}" for p in parts) or "-"
     lines = [
-        _info("idempotents.count", law, len(census)),
-        _info("idempotents.central", law, central),
-        _info("idempotents.primitive", law, primitive),
+        _info("idempotents.count", law, len(es)),
+        _info("idempotents.central", law, es[alg.central(es)].tolist()),
+        _info("idempotents.primitive", law, es[order.primitive].tolist()),
         _info("idempotents.decompose-one", law, named),
         _verdict("idempotents.partition-of-one", law, partition,
                  f"{len(parts)} primitive parts sum to 1" if partition else
@@ -129,7 +126,8 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
     c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
     law = "lcp-split"
     lines: list[CheckLine] = []
-    complementary = is_lcp(c, d)
+    e = lcp_certificate(c, d)
+    complementary = e is not None
     lines.append(_verdict(
         "lcp-verify.complementary", law, complementary,
         f"|C| = {c.cardinality}, |D| = {d.cardinality}, "
@@ -137,7 +135,6 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
         f"not complementary: |C| = {c.cardinality}, |D| = {d.cardinality}, "
         f"|RG| = {alg.card}"))
     if complementary:
-        e = lcp_certificate(c, d)
         lines.append(_info("lcp-verify.certificate", law,
                            f"e = {e} = {alg.text(e)}"))
         pc, pd = refine_certificate(alg, e, ws.idempotent_order)
@@ -146,7 +143,7 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
         sizes, image = hat_transfer(ws, c, d)
         lines.append(_verdict("lcp-verify.hat-sizes", "hat-transfer", sizes,
                               f"|C| = {c.cardinality} vs |dual(D)|"))
-        if alg.is_central(e):
+        if alg.central([e])[0]:
             lines.append(_verdict("lcp-verify.hat-image", "hat-transfer", image,
                                   "central certificate; inversion image of "
                                   f"C {'equals' if image else 'differs from'} "
@@ -160,8 +157,10 @@ def cmd_lcp_verify(ws: Workspace, pair: tuple[str, str]) -> Report:
 def cmd_lcp_residue(ws: Workspace, pair: tuple[str, str]) -> Report:
     alg = ws.alg
     c, d = _named_ideal(ws, pair[0]), _named_ideal(ws, pair[1])
-    rt, = lcp_residue_correspondence([(c, d)], ws.residue, ws.projection,
-                                     ws.lift)
+    rt, = lcp_residue_correspondence(
+        [(c, d)], [lcp_certificate(c, d)],
+        [lcp_certificate(ws.projection(c), ws.projection(d))],
+        ws.residue, ws.projection, ws.lift)
     law = "residue-lcp"
     lines = [
         _info("lcp-residue.base", law, str(rt.lcp_base).lower()),

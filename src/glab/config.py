@@ -18,7 +18,10 @@ DEFAULT_CENSUS_BOUND = 256      # full one-sided ideal enumeration
 DEFAULT_FROBENIUS_BOUND = 1024  # generating-character search, O(|R|^3)
 DEFAULT_MAX_ELEMS = 65536       # hard cap on group-algebra construction
 TABLE_LIMIT = 4096              # largest ring materialized as dense tables
-GROUP_AUDIT_LIMIT = 256         # full associativity audit up to this order
+AUDIT_LIMIT = 256               # full axiom audit of a ring or group, cubic
+# longest instance file read: above the text of the largest literals the
+# builders accept, a 256 x 256 table ring and Cayley group (~330 KB each)
+INSTANCE_BYTE_LIMIT = 1 << 20
 
 ENV_MAX_ELEMS = "GLAB_MAX_ELEMS"
 

@@ -33,11 +33,9 @@ from typing import Union
 
 import numpy as np
 
-from .config import DEFAULT_FROBENIUS_BOUND, TABLE_LIMIT
+from .config import AUDIT_LIMIT, DEFAULT_FROBENIUS_BOUND, TABLE_LIMIT
 from .errors import ConstructionError, FalsificationError, ScaleError
 from .records import Record
-
-AUDIT_LIMIT = 256  # full ring-axiom audit is cubic in |R|
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ class GroupAlgebra:
         self.generators = list(dict.fromkeys(
             [self.basis_elem(g) for g in range(group.order)]
             + [self.scalar_elem(r) for r in range(1, ring.card)]))
-        self._hat_all: np.ndarray | None = None
         # `canonical_classes` by (side, kernel)
         self._least: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
         # each side's principal ideals by least generator, kept by
@@ -176,11 +175,6 @@ class GroupAlgebra:
     def one_minus(self, x: int) -> int:
         return self.sub(self.one, x)
 
-    def hat(self, x: int) -> int:
-        """Coefficient-inversion involution: position g takes the
-        coefficient from g^-1."""
-        return int(self.hat_all()[x])
-
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.label}, card={self.card})"
 
@@ -191,23 +185,12 @@ class GroupAlgebra:
         return [int(r) * int(w) for r in structure(self.ring).units
                 for w in self._weights]
 
-    def mul_row(self, a: int) -> np.ndarray:
-        """Indices of a * x for every x."""
-        return self._index(self._product(self.coeffs[a], self.coeffs))
-
-    def mul_col(self, b: int) -> np.ndarray:
-        """Indices of x * b for every x."""
-        return self._index(self._product(self.coeffs, self.coeffs[b]))
-
-    def square_all(self) -> np.ndarray:
-        """Indices of x * x for every x."""
-        return self._index(self._product(self.coeffs, self.coeffs))
-
+    @cached_property
     def hat_all(self) -> np.ndarray:
-        """The involution as a permutation of the whole index space."""
-        if self._hat_all is None:
-            self._hat_all = self._index(self.coeffs[:, self.group.inv])
-        return self._hat_all
+        """The coefficient-inversion involution, position g taking the
+        coefficient from g^-1, as a permutation of the whole index
+        space: hat_all[x] is the image of x."""
+        return self._index(self.coeffs[:, self.group.inv])
 
     # -- centrality -------------------------------------------------------------
     def central(self, elems) -> np.ndarray:
@@ -222,15 +205,13 @@ class GroupAlgebra:
         ce, cg = self.coeffs[elems][:, None], self.coeffs[self.generators]
         ok = (self._product(ce, cg) == self._product(cg, ce)).all(axis=(1, 2))
         if self.card <= DEFAULT_OP_BOUND:
+            every = np.arange(self.card)
             for a in elems[ok].tolist():
-                if not np.array_equal(self.mul_row(a), self.mul_col(a)):
+                if not np.array_equal(self.mul(a, every), self.mul(every, a)):
                     raise ConstructionError(
                         f"{self.label}: generating-set centrality disagrees "
                         f"with the full scan at element {a} ({self.text(a)})")
         return ok
-
-    def is_central(self, a: int) -> bool:
-        return bool(self.central([a])[0])
 
     # -- images and kernels of multiplication maps, by canonical forms ----------
     @cached_property
@@ -399,11 +380,12 @@ class GroupAlgebra:
                 reps, _, coarse = self.canonical_classes(
                     "left" if side == "right" else "right")
             else:
-                least = np.arange(self.card)
-                mul = self.mul_row if side == "left" else self.mul_col
+                every = np.arange(self.card)
+                least = every.copy()
                 for t in self.trivial_units:
-                    np.minimum(least, mul(t), out=least)
-                reps = np.flatnonzero(least == np.arange(self.card))
+                    np.minimum(least, self.mul(t, every) if side == "left"
+                               else self.mul(every, t), out=least)
+                reps = np.flatnonzero(least == every)
                 coarse = np.searchsorted(reps, least)
             keys = self.canonical_keys(reps, side, kernel)
             # each rep's first rep with its key, the least of its class

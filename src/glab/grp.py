@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .config import GROUP_AUDIT_LIMIT
+from .config import AUDIT_LIMIT
 from .errors import ConstructionError, ScaleError
 from .finring import (_audit_monoid, _mixed_radix, _past_limit, _powers,
                       _read_table)
@@ -124,9 +124,9 @@ def _check_order(kind: str, spec: GroupSpec) -> None:
     """Reject a group larger than the audit limit before any table
     exists; its order is printed as powers b^e, never expanded."""
     order = _order(spec)
-    if _past_limit(order, GROUP_AUDIT_LIMIT):
+    if _past_limit(order, AUDIT_LIMIT):
         raise ScaleError(f"{kind} of order {_powers(order)} exceeds the "
-                         f"limit {GROUP_AUDIT_LIMIT}")
+                         f"limit {AUDIT_LIMIT}")
 
 
 def _build_cyclic(spec: CyclicGroup) -> Group:
@@ -222,9 +222,9 @@ _BUILDERS = {CyclicGroup: _build_cyclic, DihedralGroup: _build_dihedral,
 def audit_group(group: Group) -> None:
     """Exhaustive associativity/identity/inverse audit with witnesses."""
     order = group.order
-    if order > GROUP_AUDIT_LIMIT:
+    if order > AUDIT_LIMIT:
         raise ScaleError(
-            f"{group.label}: exhaustive group audit limited to {GROUP_AUDIT_LIMIT}")
+            f"{group.label}: exhaustive group audit limited to {AUDIT_LIMIT}")
     mul, e = group.mul, group.identity
     _audit_monoid(group.label, mul, e)
     ar = np.arange(order, dtype=np.int32)

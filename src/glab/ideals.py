@@ -191,24 +191,16 @@ def hat_image(codes: list[CodeSet]) -> list[CodeSet]:
     the images of the rows of a form generate it."""
     alg = codes[0].alg
     return [CodeSet(alg, form=key)
-            for key in alg.subgroup_form(alg.hat_all()[_rows(codes)])]
+            for key in alg.subgroup_form(alg.hat_all[_rows(codes)])]
 
 
-def ann_left(codes: list[CodeSet],
-             bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
-    """For each code, all a with a*c = 0 for every c in it: a left ideal,
-    the kernel of the maps x -> x*b of the rows b of its form side by
-    side. One batch, gated by `bound` like the annihilators of elements."""
-    return _kernels(codes, "left", bound)
-
-
-def ann_right(codes: list[CodeSet],
-              bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
-    """For each code, all a with c*a = 0 for every c in it; as `ann_left`."""
-    return _kernels(codes, "right", bound)
-
-
-def _kernels(codes: list[CodeSet], side: str, bound: int) -> list[CodeSet]:
+def annihilators(codes: list[CodeSet], side: str,
+                 bound: int = DEFAULT_OP_BOUND) -> list[CodeSet]:
+    """For each code, its side annihilator: all a with a*c = 0 for every
+    c in it (side "left", a left ideal) or c*a = 0 ("right", a right
+    ideal), the kernel of the maps x -> x*b (x -> b*x) of the rows b of
+    its form side by side. One batch, gated by `bound` like the
+    annihilators of elements."""
     alg = codes[0].alg
     check_scale(alg, bound, "annihilator table")
     return [CodeSet(alg, side=side, form=key) for key in

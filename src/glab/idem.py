@@ -27,8 +27,8 @@ def enumerate_idempotents(alg: GroupAlgebra,
         raise ScaleError(
             f"{alg.label}: idempotent scan over {alg.card} elements exceeds "
             f"the bound {bound}")
-    sq = alg.square_all()
-    return [int(e) for e in np.flatnonzero(sq == np.arange(alg.card))]
+    every = np.arange(alg.card)
+    return np.flatnonzero(alg.mul(every, every) == every).tolist()
 
 
 def is_idempotent(alg: GroupAlgebra, e: int) -> bool:
@@ -43,10 +43,15 @@ def _not_idempotent(alg: GroupAlgebra, e: int) -> ConstructionError:
 class IdempotentOrder(Record):
     """The idempotent census, ascending, and its order: below[i, j]
     when f = elements[j] splits e = elements[i] into the orthogonal
-    idempotents f and e - f, that is when ef = fe = f, f not in {0, e}.
-    A nonzero e with nothing below it is primitive."""
+    idempotents f and e - f, that is when ef = fe = f, f not in {0, e}."""
     elements: np.ndarray
     below: np.ndarray
+
+    @property
+    def primitive(self) -> np.ndarray:
+        """Whether each idempotent is primitive: nonzero, with nothing
+        below it in the order."""
+        return (self.elements != 0) & ~self.below.any(axis=1)
 
 
 # rows of the |E| x |E| product table of the idempotents per product call
@@ -65,23 +70,6 @@ def idempotent_order(alg: GroupAlgebra, idems: list[int]) -> IdempotentOrder:
         raise _not_idempotent(alg, int(wrong[0]))
     return IdempotentOrder(es, (table == es) & (table.T == es) & (es != 0)
                            & (es[:, None] != es))
-
-
-class IdempotentInfo(Record):
-    element: int
-    central: bool
-    primitive: bool
-
-
-def idempotent_census(alg: GroupAlgebra,
-                      order: IdempotentOrder) -> list[IdempotentInfo]:
-    """Central and primitive flags of every idempotent in the census:
-    a nonzero e is primitive when nothing lies below it in `order`.
-    Centrality is `central` on the whole list at once."""
-    es = order.elements
-    primitive = (es != 0) & ~order.below.any(axis=1)
-    return [IdempotentInfo(e, central, prim) for e, central, prim in zip(
-        es.tolist(), alg.central(es).tolist(), primitive.tolist())]
 
 
 def decompose_idempotent(alg: GroupAlgebra, e: int,

@@ -31,7 +31,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
+from .config import (DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND,
+                     INSTANCE_BYTE_LIMIT)
 from .errors import ParseError
 from .finring import (MatrixRing, PolyQuot, ProductRing, RadicalQuotient,
                       RingSpec, TableRing, Zmod, build_ring)
@@ -282,11 +283,17 @@ def parse_instance(text: str) -> InstanceDescription:
 
 
 def load_instance(path: str) -> InstanceDescription:
-    """Parse the file at `path`; one that cannot be read as UTF-8 text
-    raises ParseError naming the path."""
+    """Parse the file at `path`; one that cannot be read as UTF-8 text,
+    or that is longer than INSTANCE_BYTE_LIMIT bytes, raises ParseError
+    naming the path. At most one byte past the limit is read, so that a
+    long file or an endless one is refused in bounded time and memory."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(INSTANCE_BYTE_LIMIT + 1)
+        if len(data) > INSTANCE_BYTE_LIMIT:
+            raise ParseError(f"{path}: longer than the limit of "
+                             f"{INSTANCE_BYTE_LIMIT} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(
             f"{path}: {getattr(exc, 'strerror', None) or exc}") from None

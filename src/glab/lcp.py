@@ -5,10 +5,11 @@ they span the whole algebra, that is when |C + D| = |C| |D| = |RG|,
 decided for lists of sets by sizes and sums of forms. Every such pair
 of right ideals is split by a unique idempotent certificate e with
 C = e*RG and D = (1-e)*RG, read for a list of pairs from one batched
-reduction, `GroupAlgebra.certificates`, which also decides a single
-pair (`lcp_certificate`). This module finds
-certificates, refines them by the idempotent order, and transfers
-pairs across the coefficient-radical projection over local base rings.
+reduction, `GroupAlgebra.certificates`; for a single pair that one
+reduction also decides complementarity (`lcp_certificate`). This
+module finds certificates, refines them by the idempotent order, and
+transfers pairs across the coefficient-radical projection over local
+base rings.
 The functions compute and return; the laws these results must satisfy
 are counted by the law matrix in glab.verify.
 """
@@ -34,28 +35,20 @@ def _require_pair(c: CodeSet, d: CodeSet) -> None:
             f"pair members need one matching side, got {c.side} and {d.side}")
 
 
-def complementarity(cs: list[CodeSet], ds: list[CodeSet],
-                    sums: np.ndarray | None = None) -> np.ndarray:
+def complementarity(cs: list[CodeSet], ds: list[CodeSet]) -> np.ndarray:
     """Whether (C_i, D_j) is complementary, for every i and j: exactly
     when |C_i + D_j| = |C_i| |D_j| = |RG|, as |C + D| |C & D| = |C| |D|.
     Only the pairs whose sizes multiply to |RG| are summed, in one
-    batched reduction, or read from `sums`, the `pair_sums` of the
-    codes when cs and ds are one list."""
+    batched reduction."""
     alg = cs[0].alg
     sizes = np.outer([c.cardinality for c in cs], [d.cardinality for d in ds])
     i, j = np.nonzero(sizes == alg.card)
     out = np.zeros(sizes.shape, dtype=bool)
     if len(i):
-        joins = sums[i, j] if sums is not None else alg.sum_forms(
-            np.array([cs[k].form for k in i]), np.array([ds[k].form for k in j]))
+        joins = alg.sum_forms(np.array([cs[k].form for k in i]),
+                              np.array([ds[k].form for k in j]))
         out[i, j] = alg.subgroup_sizes(joins) == alg.card
     return out
-
-
-def is_lcp(c: CodeSet, d: CodeSet) -> bool:
-    """One pair's entry of `complementarity`."""
-    _require_pair(c, d)
-    return bool(complementarity([c], [d])[0, 0])
 
 
 def _certificates(pairs: list[tuple[CodeSet, CodeSet]]) -> list[int | None]:
@@ -66,9 +59,9 @@ def _certificates(pairs: list[tuple[CodeSet, CodeSet]]) -> list[int | None]:
     return [None if e < 0 else e for e in found.tolist()]
 
 
-def lcp_certificate(c: CodeSet, d: CodeSet) -> int:
+def lcp_certificate(c: CodeSet, d: CodeSet) -> int | None:
     """The split of 1 across a complementary pair: the element e of C
-    with 1 - e in D. Raises unless exactly one such e exists, which is
+    with 1 - e in D, or None unless exactly one such e exists, which is
     exactly when the pair is complementary.
 
     For one-sided ideals of one side the splits form a coset of C & D
@@ -81,12 +74,7 @@ def lcp_certificate(c: CodeSet, d: CodeSet) -> int:
     it is an idempotent whose split regenerates both members.
     """
     _require_pair(c, d)
-    e, = _certificates([(c, d)])
-    if e is None:
-        raise ConstructionError(
-            f"{c.alg.label}: ideals of sizes {c.cardinality} and "
-            f"{d.cardinality} are not a complementary pair")
-    return e
+    return _certificates([(c, d)])[0]
 
 
 class LcpPair(Record):
@@ -147,6 +135,8 @@ def project_code(rm: ResidueMap, codes: list[CodeSet]) -> list[CodeSet]:
 
 
 def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
+                               certificates: list[int | None],
+                               residue_certificates: list[int | None],
                                rm: ResidueMap,
                                project: Callable[[CodeSet], CodeSet],
                                lift: Callable[[int], int]
@@ -163,22 +153,20 @@ def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
     complementary exactly when its image is; the raw biconditional
     fails when a member is not generated by an idempotent (e.g. the
     whole algebra against a radical multiple projects onto the trivial
-    complementary pair). The residue laws count each of these. Each
-    member's image comes from `project`, the residue projection of rm,
-    and each residue certificate's idempotent lift from `lift`.
-    Base and residue complementarity are read from the certificates,
-    one batch for the base pairs and one for their images. The lift's
-    split, its complementarity (`is_lcp`) and its images depend on the
-    residue certificate alone, and are found once for each.
+    complementary pair). The residue laws count each of these.
+
+    Each pair's certificate and its image's residue certificate, None
+    where that pair is not complementary, come from the caller, as
+    `lcp_certificate` or `lcp_scan` found them; each member's image
+    comes from `project`, the residue projection of rm, and each
+    residue certificate's idempotent lift from `lift`. The lift's
+    split, its complementarity and its images depend on the residue
+    certificate alone, and are found once for each.
     """
     alg = rm.base
-    for c, d in pairs:
-        _require_pair(c, d)
-    images = [(project(c), project(d)) for c, d in pairs]
     splits: dict = {}       # by (residue certificate, side)
     out = []
-    for (c, d), (cbar, dbar), e, ebar in zip(
-            pairs, images, _certificates(pairs), _certificates(images)):
+    for (c, d), e, ebar in zip(pairs, certificates, residue_certificates):
         base = e is not None
         if ebar is None:
             out.append(ResidueTransfer(lcp_base=base, lcp_residue=False,
@@ -188,15 +176,16 @@ def lcp_residue_correspondence(pairs: list[tuple[CodeSet, CodeSet]],
             lifted = lift(ebar)
             lc, ld = (span(alg, [x], c.side)
                       for x in (lifted, alg.one_minus(lifted)))
-            splits[ebar, c.side] = (lifted, lc, ld, is_lcp(lc, ld)
-                                    and (project(lc), project(ld)))
+            splits[ebar, c.side] = (lifted, lc, ld, complementarity(
+                [lc], [ld])[0, 0] and (project(lc), project(ld)))
         lifted, lifted_c, lifted_d, split_images = splits[ebar, c.side]
         out.append(ResidueTransfer(
             lcp_base=base, lcp_residue=True, biconditional=base,
             members_idempotent_generated=(lifted_c.same_set(c)
                                           and lifted_d.same_set(d)),
-            lift_splits=(bool(split_images) and split_images[0].same_set(cbar)
-                         and split_images[1].same_set(dbar)),
+            lift_splits=(bool(split_images)
+                         and split_images[0].same_set(project(c))
+                         and split_images[1].same_set(project(d))),
             certificate=e, residue_certificate=ebar,
             lifted_certificate=lifted))
     return out

@@ -147,14 +147,13 @@ def _refine_dual_of_sum(ws: Workspace):
     alg = ws.alg
     return _tally("complementary pairs", (
         (f"pair {k} (certificate {pair.certificate})",
-         ws.dual(pair.c).same_set(
-             span(alg, [alg.hat(p) for p in pd], "right")))
+         ws.dual(pair.c).same_set(span(alg, alg.hat_all[pd], "right")))
         for k, (pair, (_, pd)) in enumerate(zip(ws.pairs, ws.refinements))))
 
 
 _idem_dual_formula = _needs_frobenius(lambda ws: _tally("idempotents", (
     (f"idempotent {e}", ws.dual(span(ws.alg, [e], "right")).same_set(
-        span(ws.alg, [ws.alg.one_minus(ws.alg.hat(e))], "right")))
+        span(ws.alg, [ws.alg.one_minus(ws.alg.hat_all[e])], "right")))
     for e in ws.idempotents)))
 
 
@@ -254,14 +253,14 @@ def _dual_hat_ann(ws: Workspace):
 
 def _block_intersection(ws: Workspace):
     parts = ws.parts_of_one
-    if not all(ws.alg.is_central(p) for p in parts):
+    if not ws.alg.central(parts).all():
         return (SKIP, "the canonical refinement of 1 is not central")
     # the spans of blocks are left census members, whose right
     # annihilators then come in one batch
     ws.ideals("left")
     R = ws.right_ideals
-    statuses = [r.status for r in ann_intersection_check(
-        R, parts, lambda block: ws.ann("right", block), ws.built.bound)]
+    statuses = ann_intersection_check(
+        R, parts, lambda block: ws.ann("right", block), ws.built.bound)
     return _tally("right ideals", _ideals(
         (c, status != "form-fails") for c, status in zip(R, statuses)),
         passed=f"{statuses.count('ok')} block sums of {len(R)} right ideals "

@@ -16,9 +16,8 @@ import numpy as np
 
 from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
-from .ideals import (CodeSet, ann_left, ann_right, dual_code,
-                     enumerate_ideals, hat_image, pair_sums,
-                     principal_ideals, span)
+from .ideals import (CodeSet, annihilators, dual_code, enumerate_ideals,
+                     hat_image, pair_sums, principal_ideals, span)
 from .idem import (IdempotentOrder, decompose_idempotent,
                    enumerate_idempotents, idempotent_order, lift_idempotent)
 from .instance import BuiltInstance
@@ -139,10 +138,8 @@ class Workspace:
 
     @cached_property
     def complementary(self) -> np.ndarray:
-        """`complementarity` of the right-ideal census with itself, the
-        sums read from `right_sums` where a law has computed it."""
-        R = self.right_ideals
-        return complementarity(R, R, self.__dict__.get("right_sums"))
+        """`complementarity` of the right-ideal census with itself."""
+        return complementarity(self.right_ideals, self.right_ideals)
 
     @cached_property
     def idempotents(self) -> list[int]:
@@ -208,12 +205,21 @@ class Workspace:
         """The transfer of each ordered right-ideal pair (i, j) that is
         complementary over RG or over the residue algebra, row-major.
         Every other pair is complementary on neither side, which each
-        residue law counts as holding."""
-        R = self.right_ideals
-        at = [tuple(ij) for ij in np.argwhere(
-            self.complementary | self.residue_complementary).tolist()]
+        residue law counts as holding. The base certificates are read
+        from `pairs`, the residue ones from one `lcp_scan` of the
+        images over `residue_complementary`."""
+        def certified(matrix, pairs):
+            """Each certificate by its place (i, j) in the matrix whose
+            pairs a scan lists row-major."""
+            return dict(zip(map(tuple, np.argwhere(matrix).tolist()),
+                            (p.certificate for p in pairs)))
+        R, rc = self.right_ideals, self.residue_complementary
+        base = certified(self.complementary, self.pairs)
+        residue = certified(rc, lcp_scan([self.projection(c) for c in R], rc))
+        at = list(map(tuple, np.argwhere(self.complementary | rc).tolist()))
         return dict(zip(at, lcp_residue_correspondence(
-            [(R[i], R[j]) for i, j in at], self.residue, self.projection,
+            [(R[i], R[j]) for i, j in at], [base.get(ij) for ij in at],
+            [residue.get(ij) for ij in at], self.residue, self.projection,
             self.lift)))
 
     def _once(self, done: dict, key, compute, code: CodeSet):
@@ -237,9 +243,8 @@ class Workspace:
 
     def ann(self, side: str, code: CodeSet) -> CodeSet:
         """The side annihilator of the code, gated by the scan bound."""
-        ann = ann_right if side == "right" else ann_left
         return self._once(self._anns, lambda c: (side, c.key()), lambda cs: list(
-            map(self._member, ann(cs, self.built.bound))), code)
+            map(self._member, annihilators(cs, side, self.built.bound))), code)
 
     def projection(self, code: CodeSet) -> CodeSet:
         """The code's image in the residue algebra."""

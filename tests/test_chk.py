@@ -9,7 +9,7 @@ from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.idem import (decompose_idempotent, enumerate_idempotents,
                        idempotent_order)
-from glab.ideals import (ann_left, ann_right, dual_code, enumerate_ideals,
+from glab.ideals import (annihilators, dual_code, enumerate_ideals,
                          principal_ideals, span)
 
 from desk import fixture_algebra, fixture_workspace
@@ -26,9 +26,14 @@ def _one(batched):
     return lambda code: batched([code])[0]
 
 
+def _ann(side):
+    """The one-code side annihilator."""
+    return lambda code: annihilators([code], side)[0]
+
+
 def _census(alg):
     return code_checkable_census(enumerate_ideals(alg), _one(dual_code),
-                                 _one(ann_left),
+                                 _ann("left"),
                                  check_elements(alg, DEFAULT_OP_BOUND),
                                  _principals(alg))
 
@@ -67,7 +72,7 @@ def test_desk_registry_labels():
 # single verdicts
 
 def _verdict(c):
-    return is_checkable(c, dual_code([c])[0], ann_left([c])[0],
+    return is_checkable(c, dual_code([c])[0], annihilators([c], "left")[0],
                         check_elements(c.alg, DEFAULT_OP_BOUND),
                         _principals(c.alg))
 
@@ -163,17 +168,16 @@ def test_checkable_and_ann_routes_agree_everywhere():
 
 def test_intersection_form_f3c2(f3c2):
     parts = _parts_of_one(f3c2)
-    rows = ann_intersection_check(enumerate_ideals(f3c2), parts,
-                                  _one(ann_right))
-    assert [r.status for r in rows] == ["ok"] * 4
-    assert [r.support for r in rows] == [(), (8,), (5,), (5, 8)]
-    assert all(r.intersection_matches and r.chain_matches for r in rows)
+    census = enumerate_ideals(f3c2)
+    assert ann_intersection_check(census, parts, _ann("right")) == ["ok"] * 4
+    # each ideal is the span of the blocks it holds
+    assert all(c.same_set(span(f3c2, blocks, "right")) for c, blocks in
+               zip(census, [[], [8], [5], [5, 8]]))
 
 
 def test_intersection_form_explicit_parts(f3c2):
-    r, = ann_intersection_check([span(f3c2, [8], "right")], [5, 8],
-                                _one(ann_right))
-    assert r.status == "ok" and r.support == (8,)
+    assert ann_intersection_check([span(f3c2, [8], "right")], [5, 8],
+                                  _ann("right")) == ["ok"]
 
 
 @pytest.mark.parametrize("name", ["f2s3", "m2f2c2", "ut2c1"])
@@ -185,22 +189,22 @@ def test_block_intersection_skips_noncentral_parts(name, monkeypatch):
         raise AssertionError("the form ran on non-central parts")
     monkeypatch.setattr(glab.verify, "ann_intersection_check", called)
     ws = fixture_workspace(name)
-    assert not all(ws.alg.is_central(p) for p in ws.parts_of_one)
+    assert not ws.alg.central(ws.parts_of_one).all()
     assert glab.verify._block_intersection(ws) == (
         glab.verify.SKIP, "the canonical refinement of 1 is not central")
 
 
 def test_intersection_form_z4c2(z4c2):
     parts = _parts_of_one(z4c2)
-    statuses = [r.status for r in ann_intersection_check(
-        enumerate_ideals(z4c2), parts, _one(ann_right))]
+    statuses = ann_intersection_check(enumerate_ideals(z4c2), parts,
+                                      _ann("right"))
     assert statuses == ["ok"] + ["not-a-block-sum"] * 5 + ["ok"]
 
 
 def test_intersection_form_needs_right_ideal(f3c2):
     with pytest.raises(ConstructionError, match="right ideal"):
         ann_intersection_check([span(f3c2, [8], "left")], [5, 8],
-                               _one(ann_right))
+                               _ann("right"))
 
 
 def test_primitive_parts_default_is_decompose_one(f3c2):

@@ -287,6 +287,48 @@ def test_invalid_utf8_instance_exits_two(tmp_path):
                         f"0xe9 in position 5: invalid continuation byte\n")
 
 
+def test_instance_one_byte_past_the_limit_exits_two(tmp_path, capsys):
+    # a valid instance padded by one long comment line: at the limit it
+    # parses, one byte past it it is refused before it is decoded
+    import glab.cli
+    from glab.config import INSTANCE_BYTE_LIMIT
+    head = "ring = zmod(2)\ngroup = cyclic(1)\n#"
+    path = tmp_path / "long.glab"
+    for size, code in ((INSTANCE_BYTE_LIMIT, 0), (INSTANCE_BYTE_LIMIT + 1, 2)):
+        path.write_text(head + "x" * (size - len(head) - 1) + "\n")
+        assert path.stat().st_size == size
+        assert glab.cli.main(["ring-info", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: longer than the limit of "
+                            f"{INSTANCE_BYTE_LIMIT} bytes\n")
+
+
+def test_endless_instance_file_exits_two():
+    # read up to one byte past the limit, then refused
+    r = subprocess.run(
+        [sys.executable, "-m", "glab", "ring-info", "/dev/zero"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "error: /dev/zero: longer than the limit of 1048576 bytes\n")
+
+
+def test_largest_cayley_table_reaches_the_table_reader(tmp_path, capsys):
+    # a 256 x 256 Cayley table, each entry padded to four columns, lies
+    # under the byte limit; its one bad entry is found by the reader
+    import glab.cli
+    from glab.config import INSTANCE_BYTE_LIMIT
+    rows = [[(i + j) % 256 for j in range(256)] for i in range(256)]
+    rows[255][255] = 256
+    table = ", ".join("[" + ", ".join(f"{v:>3}" for v in row) + "]"
+                      for row in rows)
+    path = tmp_path / "cayley256.glab"
+    path.write_text(f"ring = zmod(2)\ngroup = cayley([{table}])\n")
+    assert 300_000 < path.stat().st_size < INSTANCE_BYTE_LIMIT
+    assert glab.cli.main(["ring-info", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "entry 256 at (255, 255) out of range [0, 256)\n")
+
+
 # each line of a bad explicit table, as a table ring on Z2 and as a
 # Cayley table: ragged, too many or too few rows, and entries out of
 # range, up to one past the interpreter's limit on digits

@@ -13,9 +13,11 @@ frozen in tests/golden/, which nothing rewrites.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import glab.cli
+from glab.galg import GroupAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = {
@@ -62,19 +64,40 @@ def test_calibration_verify_all_replays(fmt, monkeypatch, capsys):
             monkeypatch, capsys)
 
 
+def _count(monkeypatch, cls, name):
+    """The arguments of each call of a method, which still runs."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_lcp_scan_squares_all_certificates_in_one_product(monkeypatch,
                                                            capsys):
     # the 176 certificates of M2(Z2)C3 are checked for idempotence by one
-    # broadcast product, and the report is the reference's
-    from glab.galg import GroupAlgebra
-    calls = []
-    mul = GroupAlgebra.mul
-
-    def counted(self, x, y):
-        calls.append(x)
-        return mul(self, x, y)
-    monkeypatch.setattr(GroupAlgebra, "mul", counted)
+    # broadcast product, and the report is the reference's; the other
+    # products are rows over the whole index range (the orbits of the
+    # class tables and the idempotent scan), one operand a scalar or
+    # all 4,096 elements
+    calls = _count(monkeypatch, GroupAlgebra, "mul")
     invocation = "lcp scan fixtures/m2f2c3.glab --census-bound 5000"
     _replay(REFERENCE["calibration"][invocation], invocation, monkeypatch,
             capsys)
-    assert [len(x) for x in calls] == [176]
+    assert [len(x) for x, _ in calls if np.ndim(x) and len(x) != 4096] == [
+        176]
+
+
+def test_lcp_verify_decides_the_pair_in_one_reduction(monkeypatch, capsys):
+    # the split of 1 decides complementarity too: one certificate
+    # reduction and no sum of forms, and the report is the reference's
+    certificates = _count(monkeypatch, GroupAlgebra, "certificates")
+    sums = _count(monkeypatch, GroupAlgebra, "sum_forms")
+    invocation = ("lcp verify perfbench/instances/m2f2c3pair.glab "
+                  "--pair C D")
+    _replay(REFERENCE["calibration"][invocation], invocation, monkeypatch,
+            capsys)
+    assert (len(certificates), len(sums)) == (1, 0)

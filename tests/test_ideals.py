@@ -12,7 +12,7 @@ from glab.errors import ConstructionError, ScaleError
 from glab.finring import MatrixRing, PolyQuot, ProductRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import (CyclicGroup, ProductGroup, SymmetricGroup, build_group)
-from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
+from glab.ideals import (CodeSet, ann_right_of_element, annihilators,
                          dual_code, enumerate_ideals, pair_sums, principal,
                          principal_ideals, side_closed, span)
 
@@ -47,8 +47,10 @@ def audit_ideal(code: CodeSet) -> None:
     if code.side is not None:
         # element by element under the generators' maps, and by forms
         mask = mask_of(code)
-        mul = code.alg.mul_row if code.side == "left" else code.alg.mul_col
-        closed = all(mask[mul(g)[elems]].all() for g in code.alg.generators)
+        alg = code.alg
+        closed = all(mask[alg.mul(g, elems) if code.side == "left"
+                          else alg.mul(elems, g)].all()
+                     for g in alg.generators)
         assert side_closed([code], [code.side])[0] == closed
         if not closed:
             raise ConstructionError(f"{code.alg.label}: set not closed "
@@ -220,10 +222,11 @@ def test_dual_via_involution_of_left_annihilator(f2s3, m2c2):
     # Ann_r(C) for a left one, and |C| * |dual(C)| = |RG|, on every ideal
     # of a commutative-base and a matrix-base algebra
     for alg in (f2s3, m2c2):
-        hat = alg.hat_all()
-        for side, ann in (("right", ann_left), ("left", ann_right)):
+        hat = alg.hat_all
+        for side, other in (("right", "left"), ("left", "right")):
             census = enumerate_ideals(alg, side)
-            for c, d, a in zip(census, dual_code(census), ann(census)):
+            for c, d, a in zip(census, dual_code(census),
+                               annihilators(census, other)):
                 image = np.zeros(alg.card, dtype=bool)
                 image[hat[elements_of(a)]] = True
                 assert np.array_equal(mask_of(d), image)
@@ -286,7 +289,7 @@ def test_commutative_duals_keep_their_side(f2c2, f3c2, f2c3):
 
 def test_ann_right_frozen_f2c2(f2c2):
     left = span(f2c2, [3], "left")
-    assert list(elements_of(ann_right([left])[0])) == [0, 3]
+    assert list(elements_of(annihilators([left], "right")[0])) == [0, 3]
 
 
 def test_ann_of_element_equals_ann_of_its_span(f2s3, m2c2):
@@ -295,52 +298,57 @@ def test_ann_of_element_equals_ann_of_its_span(f2s3, m2c2):
         for u in rng.integers(1, alg.card, size=6):
             u = int(u)
             assert ann_right_of_element(alg, u).same_set(
-                ann_right([span(alg, [u], "left")])[0])
-            assert np.array_equal(alg.mul_col(u) == 0, mask_of(
-                ann_left([span(alg, [u], "right")])[0]))
+                annihilators([span(alg, [u], "left")], "right")[0])
+            zeros = alg.mul(np.arange(alg.card), u) == 0
+            assert np.array_equal(zeros, mask_of(
+                annihilators([span(alg, [u], "right")], "left")[0]))
 
 
 def test_annihilator_sizes_multiply(f2c2, f3c2, f2c3, f2s3, m2c2):
     for alg in (f2c2, f3c2, f2c3, f2s3, m2c2):
         for c in enumerate_ideals(alg):
-            assert ann_left([c])[0].cardinality * c.cardinality == alg.card
+            ann = annihilators([c], "left")[0]
+            assert ann.cardinality * c.cardinality == alg.card
         for c in enumerate_ideals(alg, "left"):
-            assert ann_right([c])[0].cardinality * c.cardinality == alg.card
+            ann = annihilators([c], "right")[0]
+            assert ann.cardinality * c.cardinality == alg.card
 
 
 def test_double_annihilator_restores_ideal(f3c2, f2s3, m2c2):
     for alg in (f3c2, f2s3, m2c2):
-        for c in enumerate_ideals(alg):
-            assert ann_right([ann_left([c])[0]])[0].same_set(c)
-        for c in enumerate_ideals(alg, "left"):
-            assert ann_left([ann_right([c])[0]])[0].same_set(c)
+        for side, other in (("right", "left"), ("left", "right")):
+            census = enumerate_ideals(alg, side)
+            for c, a in zip(census, annihilators(
+                    annihilators(census, other), side)):
+                assert a.same_set(c)
 
 
 def test_annihilators_are_proper_sided_ideals(m2c2):
     c = span(m2c2, [1], "right")
-    al = ann_left([c])[0]
+    al = annihilators([c], "left")[0]
     assert al.side == "left"
     audit_ideal(al)
-    ar = ann_right([span(m2c2, [1], "left")])[0]
+    ar = annihilators([span(m2c2, [1], "left")], "right")[0]
     assert ar.side == "right"
     audit_ideal(ar)
 
 
 def test_annihilator_tables_are_gated_before_they_are_built(f3c2):
-    # F3C2 has 9 elements: past a bound of 2, ann_left, ann_right and
-    # ann_right_of_element refuse before any kernel class is keyed; the
-    # annihilators of sets are kernels of their own and key no class,
-    # those of elements key the right kernels (from the left images)
+    # F3C2 has 9 elements: past a bound of 2, annihilators of either
+    # side and ann_right_of_element refuse before any kernel class is
+    # keyed; the annihilators of sets are kernels of their own and key
+    # no class, those of elements key the right kernels (from the left
+    # images)
     alg = GroupAlgebra(f3c2.ring, f3c2.group)
     c = code_of(alg, np.arange(alg.card) == 0)
-    for ann in (ann_left, ann_right):
+    for side in ("left", "right"):
         with pytest.raises(ScaleError, match="annihilator table over 9 "
                                              "elements exceeds the bound 2"):
-            ann([c], bound=2)
+            annihilators([c], side, bound=2)
     with pytest.raises(ScaleError, match="exceeds the bound 2"):
         ann_right_of_element(alg, 1, bound=2)
     assert alg._least == {}
-    assert ann_left([c], bound=9)[0].cardinality == 9
+    assert annihilators([c], "left", bound=9)[0].cardinality == 9
     assert alg._least == {}
     assert ann_right_of_element(alg, 1, bound=9).cardinality == 1
     assert list(alg._least) == [("left", False), ("right", True)]
@@ -434,7 +442,7 @@ def _brute_census(alg, side):
     least = {}
     for u in range(alg.card):
         m = np.zeros(alg.card, dtype=bool)
-        m[alg.mul_row(u) if side == "right" else alg.mul_col(u)] = True
+        m[alg.mul(u, every) if side == "right" else alg.mul(every, u)] = True
         least.setdefault(m.tobytes(), u)
     found = set(least)
     frontier = set(found)

@@ -10,7 +10,7 @@ from glab.galg import GroupAlgebra, residue_map
 from glab.grp import CyclicGroup, SymmetricGroup, build_group
 from glab.idem import enumerate_idempotents, idempotent_order, lift_idempotent
 from glab.ideals import CodeSet, enumerate_ideals, span
-from glab.lcp import (complementarity, is_lcp, lcp_certificate,
+from glab.lcp import (complementarity, lcp_certificate,
                       lcp_residue_correspondence, lcp_scan, project_code,
                       refine_certificate)
 from glab.workspace import certificate_splits, hat_transfer
@@ -62,13 +62,13 @@ def m2c2():
 # ---------------------------------------------------------------------------
 # detection and certificates
 
-def test_is_lcp_frozen_f2c3(f2c3):
+def test_complementarity_frozen_f2c3(f2c3):
     a = span(f2c3, [6], "right")
     b = span(f2c3, [7], "right")
     assert a.cardinality == 4 and b.cardinality == 2
-    assert is_lcp(a, b) and is_lcp(b, a)
-    assert not is_lcp(a, a)
-    assert not is_lcp(a, span(f2c3, [1], "right"))
+    whole = span(f2c3, [1], "right")
+    assert complementarity([a, b], [a, b, whole]).tolist() == [
+        [False, True, False], [True, False, False]]
 
 
 def test_certificate_frozen_f2c3(f2c3):
@@ -80,18 +80,18 @@ def test_certificate_frozen_f2c3(f2c3):
 
 def test_certificate_requires_lcp(f2c3):
     a = span(f2c3, [6], "right")
-    with pytest.raises(ConstructionError):
-        lcp_certificate(a, a)
+    assert lcp_certificate(a, a) is None
+    assert lcp_certificate(a, span(f2c3, [1], "right")) is None
 
 
 def test_pair_needs_matching_sides(f3c2):
     r = span(f3c2, [8], "right")
     l = span(f3c2, [5], "left")
     with pytest.raises(ConstructionError):
-        is_lcp(r, l)
+        lcp_certificate(r, l)
     bare = CodeSet(f3c2, r.form)
     with pytest.raises(ConstructionError):
-        is_lcp(bare, bare)
+        lcp_certificate(bare, bare)
 
 
 def test_complement_pair_roundtrip(f3c2, m2c2):
@@ -99,7 +99,8 @@ def test_complement_pair_roundtrip(f3c2, m2c2):
         for e in enumerate_idempotents(alg):
             c = span(alg, [e], "right")
             d = span(alg, [alg.one_minus(e)], "right")
-            assert is_lcp(c, d) and lcp_certificate(c, d) == e
+            assert complementarity([c], [d])[0, 0]
+            assert lcp_certificate(c, d) == e
             assert certificate_splits(alg, [(c, d, e)]) == [True]
 
 
@@ -114,7 +115,7 @@ def test_noncommutative_pair(m2c2):
     # E11*RG against E22*RG: complementary with certificate E11 at 1.
     c = span(m2c2, [1], "right")
     d = span(m2c2, [8], "right")
-    assert is_lcp(c, d)
+    assert complementarity([c], [d])[0, 0]
     assert lcp_certificate(c, d) == 1
 
 
@@ -181,7 +182,7 @@ def test_refine_matrix_pair(m2c2):
 def test_hat_equivalence_frozen_f3c2():
     ws = fixture_workspace("f3c2")
     c, d = span(ws.alg, [8], "right"), span(ws.alg, [5], "right")
-    assert lcp_certificate(c, d) == 8 and ws.alg.is_central(8)
+    assert lcp_certificate(c, d) == 8 and ws.alg.central([8])[0]
     assert hat_transfer(ws, c, d) == (True, True)
 
 
@@ -191,7 +192,7 @@ def test_hat_equivalence_dichotomy_f2s3():
     for p in ws.pairs:
         sizes, image = hat_transfer(ws, p.c, p.d)
         assert sizes
-        if ws.alg.is_central(p.certificate):
+        if ws.alg.central([p.certificate])[0]:
             assert image
             central_ok += 1
         elif not image:
@@ -211,9 +212,12 @@ def test_hat_equivalence_sizes_always():
 # residue transfer
 
 def _transfers(pairs, rm):
+    def project(code):
+        return project_code(rm, [code])[0]
     return lcp_residue_correspondence(
-        pairs, rm, lambda code: project_code(rm, [code])[0],
-        lambda ebar: lift_idempotent(rm.base, rm, ebar))
+        pairs, [lcp_certificate(c, d) for c, d in pairs],
+        [lcp_certificate(project(c), project(d)) for c, d in pairs],
+        rm, project, lambda ebar: lift_idempotent(rm.base, rm, ebar))
 
 
 def _transfer(c, d, rm):

@@ -51,7 +51,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glab.galg
-import glab.ideals
+import glab.workspace
 from glab.chk import check_elements
 from glab.config import DEFAULT_CENSUS_BOUND, DEFAULT_OP_BOUND
 from glab.errors import ConstructionError
@@ -63,13 +63,12 @@ from glab.galg import GroupAlgebra
 from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
                       build_group)
 from glab.galg import residue_map
-from glab.ideals import (CodeSet, ann_left, ann_right, ann_right_of_element,
+from glab.ideals import (CodeSet, ann_right_of_element, annihilators,
                          containment, dual_code, enumerate_ideals, hat_image,
                          meets, pair_sums, principal, principal_ideals)
-from glab.idem import (enumerate_idempotents, idempotent_census,
-                       idempotent_order)
+from glab.idem import enumerate_idempotents, idempotent_order
 from glab.instance import InstanceDescription, build_instance, load_instance
-from glab.lcp import complementarity, is_lcp, lcp_certificate, project_code
+from glab.lcp import complementarity, lcp_certificate, project_code
 from glab.verify import LAW_TABLE, verify_all
 from glab.workspace import PASS, Workspace
 
@@ -125,16 +124,17 @@ def _tables(name):
 @pytest.mark.parametrize("name", _DESK)
 def test_every_map_matches_the_definition(name):
     alg = fixture_algebra(name)
-    every = list(range(alg.card))
+    every = np.arange(alg.card)
     table, forms = _tables(name)
-    assert np.array_equal(alg.square_all(), np.diagonal(table))
+    assert np.array_equal(alg.mul(every, every), np.diagonal(table))
+    assert alg.central(every).tolist() == [
+        bool(np.array_equal(table[x], table[:, x])) for x in every]
     rng = np.random.default_rng(61)
-    for x in every:
-        assert np.array_equal(alg.mul_row(x), table[x])
-        assert np.array_equal(alg.mul_col(x), table[:, x])
+    for x in every.tolist():
+        assert np.array_equal(alg.mul(x, every), table[x])
+        assert np.array_equal(alg.mul(every, x), table[:, x])
         assert np.array_equal(alg._form(alg.coeffs[x], alg.coeffs), forms[x])
         assert np.array_equal(alg._form(alg.coeffs, alg.coeffs[x]), forms[:, x])
-        assert alg.is_central(x) == bool(np.array_equal(table[x], table[:, x]))
         for y in rng.integers(0, alg.card, 4):
             assert alg.mul(x, int(y)) == table[x, y]
             assert alg._form(alg.coeffs[x], alg.coeffs[int(y)]) == forms[x, y]
@@ -144,17 +144,17 @@ def test_strided_maps_of_m2f2c3_match_the_definition():
     alg = fixture_algebra("m2f2c3")
     orc = Oracle(alg)
     every = list(range(alg.card))
-    square = alg.square_all()
+    square = alg.mul(every, every)
     for a in range(5, alg.card, 409):
         row = [orc.product(a, y) for y in every]
         col = [orc.product(x, a) for x in every]
-        assert np.array_equal(alg.mul_row(a), row)
-        assert np.array_equal(alg.mul_col(a), col)
+        assert np.array_equal(alg.mul(a, every), row)
+        assert np.array_equal(alg.mul(every, a), col)
         assert np.array_equal(alg._form(alg.coeffs[a], alg.coeffs),
                               [orc.form(a, y) for y in every])
         assert np.array_equal(alg._form(alg.coeffs, alg.coeffs[a]),
                               [orc.form(x, a) for x in every])
-        assert alg.is_central(a) == (row == col)
+        assert alg.central([a])[0] == (row == col)
         assert square[a] == row[a] == alg.mul(a, a)
 
 
@@ -187,7 +187,7 @@ def _count_products(monkeypatch):
     kernel = GroupAlgebra._product
 
     def counting(self, cx, cy):
-        side = "row" if cy is self.coeffs else "col"
+        side = "row" if cx.ndim == 1 else "col"
         products[side, self.encode(cx if side == "row" else cy)] += 1
         return kernel(self, cx, cy)
     monkeypatch.setattr(GroupAlgebra, "_product", counting)
@@ -204,16 +204,18 @@ def test_fixed_maps_match_the_definition(name, monkeypatch):
     table, _ = _tables(name)
     assert sorted(_units(alg)) == sorted(alg.trivial_units)
     assert set(alg.generators) == _generators(alg)
+    every = np.arange(alg.card)
     for a in alg.trivial_units:
-        assert np.array_equal(alg.mul_row(a), table[a])
-        assert np.array_equal(alg.mul_col(a), table[:, a])
+        assert np.array_equal(alg.mul(a, every), table[a])
+        assert np.array_equal(alg.mul(every, a), table[:, a])
     maps = Counter()
-    for side in ("row", "col"):
-        def counting(self, a, side=side, kernel=getattr(GroupAlgebra,
-                                                        f"mul_{side}")):
-            maps[side, a] += 1
-            return kernel(self, a)
-        monkeypatch.setattr(GroupAlgebra, f"mul_{side}", counting)
+    mul = GroupAlgebra.mul
+
+    def counting(self, x, y):
+        # a map is one element against the whole index range
+        maps[("row", x) if np.ndim(x) == 0 else ("col", y)] += 1
+        return mul(self, x, y)
+    monkeypatch.setattr(GroupAlgebra, "mul", counting)
     for _ in range(2):
         for side in ("right", "left"):
             alg.canonical_classes(side)
@@ -234,9 +236,10 @@ def test_gathered_maps_match_the_definition(name, kept, monkeypatch):
     sides = ("right", "left")[:kept]
     first = [alg.canonical_classes(side)[0].copy() for side in sides]
     products = _count_products(monkeypatch)
+    every = np.arange(alg.card)
     for _ in range(2):
         for a in range(alg.card):
-            row, col = alg.mul_row(a), alg.mul_col(a)
+            row, col = alg.mul(a, every), alg.mul(every, a)
             assert np.array_equal(row, table[a])
             assert np.array_equal(col, table[:, a])
             row[:] = col[:] = 0
@@ -291,7 +294,8 @@ def test_scans_match_brute_force(name):
         assert order.elements[row].tolist() == below
         flags.append((e, bool((table[e] == table[:, e]).all()),
                       e != 0 and not below))
-    assert [tuple(i) for i in idempotent_census(alg, order)] == flags
+    assert list(zip(idems, alg.central(order.elements).tolist(),
+                    order.primitive.tolist())) == flags
 
 
 # ---------------------------------------------------------------------------
@@ -721,31 +725,31 @@ def _complementary(card, codes):
 
 @pytest.mark.parametrize("name", _DESK)
 def test_complementarity_matrix_matches_the_definition(name):
-    # from sizes and sums of forms: summed in one batch, read from the
-    # census's pair sums, and one pair at a time
+    # from sizes and sums of forms, summed in one batch, and from one
+    # certificate reduction per pair
     ws = fixture_workspace(name)
     for side in ("right", "left"):
         census = ws.ideals(side)
         got = complementarity(census, census).tolist()
         assert got == _complementary(ws.alg.card, census)
-        assert got == complementarity(census, census,
-                                      pair_sums(census)).tolist()
-        assert got == [[is_lcp(c, d) for d in census] for c in census]
+        assert got == [[lcp_certificate(c, d) is not None for d in census]
+                       for c in census]
     assert ws.complementary.tolist() == _complementary(ws.alg.card,
                                                        ws.right_ideals)
     if _local(ws):
         images = [ws.projection(c) for c in ws.right_ideals]
         got = ws.residue_complementary.tolist()
         assert got == _complementary(ws.residue.residue.card, images)
-        assert got == [[is_lcp(c, d) for d in images] for c in images]
+        assert got == [[lcp_certificate(c, d) is not None for d in images]
+                       for c in images]
 
 
 def test_a_unique_split_is_complementarity():
     # the splits of 1 across two one-sided ideals of one side (e in C
     # with 1 - e in D) are a coset of C & D or none, and exist exactly
-    # when C + D = RG: lcp_certificate's scan finds one exactly when the
-    # pair is complementary, and raises on every other pair, also where
-    # the sizes multiply to |RG| but the members meet beyond 0
+    # when C + D = RG: lcp_certificate's reduction finds one exactly
+    # when the pair is complementary, and None on every other pair, also
+    # where the sizes multiply to |RG| but the members meet beyond 0
     fitting_overlaps = 0
     for name in _DESK:
         ws = fixture_workspace(name)
@@ -760,8 +764,7 @@ def test_a_unique_split_is_complementarity():
                         assert (mask_of(c)[e]
                                 and mask_of(d)[alg.one_minus(e)])
                         continue
-                    with pytest.raises(ConstructionError):
-                        lcp_certificate(c, d)
+                    assert lcp_certificate(c, d) is None
                     fitting_overlaps += (
                         c.cardinality * d.cardinality == alg.card)
     assert fitting_overlaps > 0
@@ -853,7 +856,8 @@ def assert_annihilators_match_the_definition(alg, table, codes):
         got = ann_right_of_element(alg, u)
         assert got.side == "right" and np.array_equal(mask_of(got), zero[u])
     for c in codes:
-        left, right = ann_left([c])[0], ann_right([c])[0]
+        (left,), (right,) = (annihilators([c], side)
+                             for side in ("left", "right"))
         assert (left.side, right.side) == ("left", "right")
         mask = mask_of(c)
         assert np.array_equal(mask_of(left), zero[:, mask].all(axis=1))
@@ -934,7 +938,8 @@ def test_dropping_a_row_of_the_stacked_map_fails_the_annihilator_laws(
     # rows loses that row, and each law that reads an annihilator of an
     # ideal fails
     assert _failing_laws_of_z4c3() == {"residue-lcp.biconditional"}
-    _drop_first_row(monkeypatch, glab.ideals, "_kernels", "_basis_images")
+    _drop_first_row(monkeypatch, glab.workspace, "annihilators",
+                    "_basis_images")
     assert _failing_laws_of_z4c3() == {
         "residue-lcp.biconditional", "checkable-routes.ann-principal",
         "checkable-routes.dual-hat-ann",
@@ -1014,7 +1019,8 @@ def assert_producers_match_the_definitions(alg, table, stride=1):
             left = want[table[:, members]].all()
             assert d.side == (c.side if {"right": right, "left": left}.get(
                 c.side) else None)
-        for c, l, r, h in zip(census, ann_left(census), ann_right(census),
+        for c, l, r, h in zip(census, annihilators(census, "left"),
+                              annihilators(census, "right"),
                               hat_image(census)):
             assert (l.side, r.side) == ("left", "right")
             mask = mask_of(c)

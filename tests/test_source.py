@@ -50,3 +50,64 @@ def test_every_public_function_is_reached_from_the_package():
     # glab reaches: one that only tests call is dead weight
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced(sources) == []
+
+
+def _module_imports(tree):
+    """(line, name) of each name that an import at module level binds,
+    also inside if and try blocks; imports inside functions and
+    `from __future__` are left out."""
+    out, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack += node.body + node.orelse + getattr(node, "finalbody", [])
+            stack += [s for h in getattr(node, "handlers", []) for s in h.body]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            out += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                    for alias in node.names]
+    return out
+
+
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """Every name a module-level import binds that its module never
+    reads, as "module:line name". A name listed in `__all__` is read,
+    and so is one whose import line says `# noqa: F401`."""
+    out = []
+    for name, text in sources.items():
+        tree, lines = ast.parse(text, name), text.splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        out += [f"{name}:{line} {bound}"
+                for line, bound in _module_imports(tree)
+                if bound not in read and "# noqa: F401" not in lines[line - 1]]
+    return sorted(out)
+
+
+def test_rule_flags_imports_their_module_never_reads():
+    sources = {"a.py": "from __future__ import annotations\n"
+                       "import os.path\n"
+                       "from b import (used, unused)\n"
+                       "from b import kept  # noqa: F401\n"
+                       "from b import listed\n"
+                       "try:\n"
+                       "    from c import fast\n"
+                       "except ImportError:\n"
+                       "    from d import fast\n"
+                       "__all__ = ['listed']\n"
+                       "def f():\n"
+                       "    from e import local\n"
+                       "    return used(fast)\n"}
+    assert unused_imports(sources) == ["a.py:2 os", "a.py:3 unused"]
+
+
+def test_every_module_import_is_read():
+    # a deletion leaves no import behind that only its module's readers
+    # would have to skip
+    sources = {path.name: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert unused_imports(sources) == []

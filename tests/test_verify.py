@@ -189,8 +189,8 @@ def test_shared_work_runs_once(monkeypatch):
     # serving the check elements and the annihilators of elements (an
     # annihilator of a set is a kernel of its own); one
     # complementarity matrix per list of sets, the census and its
-    # residue images (a single pair's is_lcp, left only for the lifted
-    # residue pairs, is a 1 x 1 matrix)
+    # residue images (the complementarity of each lifted split is a
+    # 1 x 1 matrix)
     assert passes == [("Z4C3", "right", False), ("Z4C3", "right", True),
                       ("Z4C3", "left", False), ("Z4C3", "left", True)]
     stacks = [(len(args[0]), args[0][0].alg.card)
@@ -217,8 +217,7 @@ def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
     projections = _count_calls(monkeypatch, glab.lcp.project_code)
     passes = _count_calls(monkeypatch, glab.chk.check_elements)
     lifts = _count_calls(monkeypatch, glab.idem.lift_idempotent)
-    ws = Workspace(build_instance(load_instance(
-        str(ROOT / "perfbench" / "instances" / "z4c2c2.glab"))))
+    ws = _lattice_workspace()
     rep = verify_all(ws)
     assert len(ws.right_ideals) == 47
     assert _by_id(rep)["residue-lcp.forward"].witness == (
@@ -234,6 +233,38 @@ def test_lattice_shares_duals_projections_and_check_elements(monkeypatch):
     assert len(passes) == 1
     # 2,209 residue pairs and 2 residue idempotents: one lift each
     assert sorted(args[2] for args in lifts) == [0, 1]
+
+
+def _lattice_workspace():
+    return Workspace(build_instance(load_instance(
+        str(ROOT / "perfbench" / "instances" / "z4c2c2.glab"))))
+
+
+def test_residue_rows_certify_no_base_pair_again(monkeypatch):
+    # the base certificates come from the pair scan, the residue ones
+    # from one scan of the images: once the pairs exist, the only
+    # certificate reduction left is the residue algebra's
+    ws = _lattice_workspace()
+    assert len(ws.pairs) > 0
+    algebras = []
+    certificates = GroupAlgebra.certificates
+
+    def counted(alg, a, b):
+        algebras.append(alg)
+        return certificates(alg, a, b)
+    monkeypatch.setattr(GroupAlgebra, "certificates", counted)
+    rows = ws.residue_rows
+    assert algebras == [ws.residue.residue]
+    assert sum(rt.lcp_base for rt in rows.values()) == len(ws.pairs)
+    assert [ij for ij, rt in rows.items() if rt.lcp_residue] == [
+        tuple(ij) for ij in np.argwhere(ws.residue_complementary).tolist()]
+
+
+def test_complementary_does_not_depend_on_what_was_built_first():
+    first = _lattice_workspace().complementary
+    ws = _lattice_workspace()
+    ws.right_sums
+    assert np.array_equal(ws.complementary, first)
 
 
 def test_residue_command_lifts_only_its_certificate(monkeypatch):
@@ -330,8 +361,8 @@ def test_dropped_complementary_pair_fails_the_lcp_split(monkeypatch):
     # the same matrix, so the pairs no longer match the idempotents
     matrix = glab.lcp.complementarity
 
-    def flipped(cs, ds, sums=None):
-        got = matrix(cs, ds, sums)
+    def flipped(cs, ds):
+        got = matrix(cs, ds)
         if len(cs) > 1:
             got[tuple(np.argwhere(got)[-1])] = False
         return got
@@ -370,11 +401,10 @@ def test_wrong_slot_dual_fails_the_dual_audit(monkeypatch):
 def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
     # a sum that drops the last row of B's form leaves some A + B short;
     # over F3 the dual of a short sum is larger than dual(A) & dual(B).
-    # Containment, meets and complementarity are read from the same
-    # table: the meets refuse it, as a short A + B gives a size
-    # |A| |B| / |A + B| that no member within both has, and a pair of
-    # sizes 3 and 3 no longer spans RG, so the pairs no longer match
-    # the idempotents
+    # Containment and meets are read from the same table: the meets
+    # refuse it, as a short A + B gives a size |A| |B| / |A + B| that no
+    # member within both has. Complementarity sums its pairs itself, so
+    # the pairs still match the idempotents
     def short(codes):
         alg, k = codes[0].alg, len(codes)
         forms = np.array([c.form for c in codes])
@@ -391,8 +421,6 @@ def test_short_sum_kernel_fails_the_dual_lattice(monkeypatch):
     assert fails == {
         "dual-lattice.sum-meet": "10/16 ideal pairs fail; first at pair (0, 1)",
         "dual-lattice.meet-join": "Z3C2: a meet is not among the sets",
-        "lcp-split.pair-idempotent-count":
-            "3/5 idempotents and pairs fail; first at idempotent 0",
     }
 
 
