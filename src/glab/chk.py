@@ -91,30 +91,6 @@ def is_checkable(c: CodeSet, dual: CodeSet, ann: CodeSet,
     )
 
 
-class CheckableCensus(Record):
-    algebra_label: str
-    all_checkable: bool
-    verdicts: list[tuple[CodeSet, CheckabilityVerdict]]
-
-
-def code_checkable_census(census: list[CodeSet],
-                          dual: Callable[[CodeSet], CodeSet],
-                          ann: Callable[[CodeSet], CodeSet],
-                          checks: dict[bytes, int],
-                          principals: Principals) -> CheckableCensus:
-    """The checkability verdict of every ideal in a full right-ideal
-    census, with each ideal's dual from `dual`, its left annihilator
-    from `ann`, its check element from the table `checks` of
-    `check_elements` and principality from the tables `principals`."""
-    rows = [(c, is_checkable(c, dual(c), ann(c), checks, principals))
-            for c in census]
-    return CheckableCensus(
-        algebra_label=census[0].alg.label,
-        all_checkable=all(v.checkable for _, v in rows),
-        verdicts=rows,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the central-decomposition intersection form
 

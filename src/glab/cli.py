@@ -28,6 +28,7 @@ from typing import NoReturn
 from .config import max_elements
 from .errors import (ConstructionError, FalsificationError, ParseError,
                      ScaleError)
+from .finring import frobenius, structure
 from .instance import build_instance, load_instance
 from .lcp import (lcp_certificate, lcp_residue_correspondence,
                   refine_certificate)
@@ -59,8 +60,8 @@ def _report(ws: Workspace, command: str, lines: list[CheckLine]) -> Report:
 
 def cmd_ring_info(ws: Workspace) -> Report:
     ring = ws.alg.ring
-    st = ws.ring_structure
-    fr = ws.frobenius_verdict
+    st = structure(ring)
+    fr = frobenius(ring)
     law = "ring-info"
     lines = [
         _info("ring.label", law, ring.label),
@@ -185,7 +186,7 @@ def cmd_checkable_ideal(ws: Workspace, name: str) -> Report:
     from .chk import is_checkable
     alg = ws.alg
     c = _named_ideal(ws, name)
-    v = is_checkable(c, ws.dual(c), ws.ann("left", c), *ws.checkable_tables())
+    v = is_checkable(c, ws.dual(c), ws.ann("left", c), *ws.checkable_tables)
     law = "checkable-routes"
     lines = [
         _info("checkable-ideal.checkable", law, str(v.checkable).lower()),
@@ -207,21 +208,20 @@ def cmd_checkable_ideal(ws: Workspace, name: str) -> Report:
 
 
 def cmd_checkable_census(ws: Workspace) -> Report:
-    cen = ws.checkable_census
+    verdicts = ws.checkable_census
     law = "checkable-routes"
     lines = [_info(f"checkable-census.ideal-{i:03d}", law,
                    f"size {c.cardinality}; checkable "
                    f"{str(v.checkable).lower()}; u "
                    f"{v.check_element if v.check_element is not None else '-'}")
-             for i, (c, v) in enumerate(cen.verdicts)]
+             for i, (c, v) in enumerate(verdicts)]
     lines.append(_info("checkable-census.code-checkable", law,
-                       str(cen.all_checkable).lower()))
-    consistent = all(v.consistency for _, v in cen.verdicts)
-    bad = sum(not v.consistency for _, v in cen.verdicts)
-    lines.append(_verdict("checkable-census.consistency", law, consistent,
-                          f"all {len(cen.verdicts)} ideals consistent"
-                          if consistent else
-                          f"{bad}/{len(cen.verdicts)} ideals have "
+                       str(all(v.checkable for _, v in verdicts)).lower()))
+    bad = sum(not v.consistency for _, v in verdicts)
+    lines.append(_verdict("checkable-census.consistency", law, not bad,
+                          f"all {len(verdicts)} ideals consistent"
+                          if not bad else
+                          f"{bad}/{len(verdicts)} ideals have "
                           f"disagreeing routes"))
     return _report(ws, "checkable census", lines)
 
@@ -282,13 +282,25 @@ def _format(text: str) -> str:
     return text
 
 
-# command: its modes, help
+def _verify_all(ws: Workspace, timing: bool) -> Report:
+    from .verify import verify_all
+    return verify_all(ws, timing=timing)
+
+
+# command: help, and each mode (None for a command without modes) with
+# its handler and the option whose value the handler takes after the
+# workspace, if any; an option so taken that is left unset is refused
 _COMMANDS = {
-    "ring-info": ((), "coefficient ring facts"),
-    "idempotents": ((), "idempotent census"),
-    "lcp": (("scan", "verify", "residue"), "complementary-pair checks"),
-    "checkable": (("ideal", "census"), "checkability checks"),
-    "verify-all": ((), "run the whole law matrix"),
+    "ring-info": ("coefficient ring facts", {None: (cmd_ring_info, None)}),
+    "idempotents": ("idempotent census", {None: (cmd_idempotents, None)}),
+    "lcp": ("complementary-pair checks", {
+        "scan": (cmd_lcp_scan, None), "verify": (cmd_lcp_verify, "--pair"),
+        "residue": (cmd_lcp_residue, "--pair")}),
+    "checkable": ("checkability checks", {
+        "ideal": (cmd_checkable_ideal, "--ideal"),
+        "census": (cmd_checkable_census, None)}),
+    "verify-all": ("run the whole law matrix",
+                   {None: (_verify_all, "--timing")}),
 }
 
 # option: its values, the one command that takes it (None: every
@@ -307,8 +319,8 @@ def _usage() -> str:
     lines = ["usage: glab COMMAND [MODE] FILE [OPTION ...]", "",
              "exact checks for one-sided group codes over finite rings", "",
              "commands:"]
-    for command, (modes, text) in _COMMANDS.items():
-        head = f"{command} {{{','.join(modes)}}}" if modes else command
+    for command, (text, modes) in _COMMANDS.items():
+        head = command if None in modes else f"{command} {{{','.join(modes)}}}"
         lines.append(f"  {head:<26}{text}")
     lines += ["", "options, anywhere after COMMAND, as --opt value or "
               "--opt=value:"]
@@ -321,10 +333,12 @@ def _usage() -> str:
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
     """The fields of `COMMAND [MODE] FILE` with options anywhere after
-    COMMAND, or None when -h or --help asks for the usage. A token is an
-    option when it starts with '-'; an option's values are the tokens
+    COMMAND, and `run`: the mode's handler and the values it takes after
+    the workspace. None when -h or --help asks for the usage. A token is
+    an option when it starts with '-'; an option's values are the tokens
     after it, or the text after '=' for an option of one value. A usage
-    error raises ParseError."""
+    error, such as a missing option that the mode needs, raises
+    ParseError before any file is read."""
     if "-h" in argv or "--help" in argv:
         return None
     if not argv:
@@ -332,7 +346,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     command, rest = argv[0], argv[1:]
     if command not in _COMMANDS:
         raise ParseError(f"argument command: {_invalid(command, _COMMANDS)}")
-    modes = _COMMANDS[command][0]
+    handlers = _COMMANDS[command][1]
+    modes = [m for m in handlers if m is not None]
     args = dict(command=command, bound=None, census_bound=None,
                 format="text", timing=False, pair=None, ideal=None)
     positional, tokens = [], iter(rest)
@@ -353,7 +368,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             values = [read(v) for v in values]
         except ValueError as exc:
             raise ParseError(f"argument {name}: {exc}") from None
-        args[name[2:].replace("-", "_")] = (
+        args[_field(name)] = (
             True if n == 0 else values[0] if n == 1 else tuple(values))
     names = ("mode", "file") if modes else ("file",)
     if modes and positional and positional[0] not in modes:
@@ -365,33 +380,25 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         raise ParseError("the following arguments are required: "
                          + ", ".join(names[len(positional):]))
     args["mode"], args["file"] = positional if modes else (None, *positional)
-    return SimpleNamespace(**args)
+    handler, option = handlers[args["mode"]]
+    operands = () if option is None else (args[_field(option)],)
+    if None in operands:
+        raise ParseError(f"{command} {args['mode']} needs {option} "
+                         f"{_OPTIONS[option][0]}")
+    return SimpleNamespace(**args, run=(handler, operands))
+
+
+def _field(option: str) -> str:
+    """The field of `_parse`'s result that holds an option's value."""
+    return option[2:].replace("-", "_")
 
 
 def _run(args) -> Report:
     max_elements()      # a malformed cap is refused before any table is built
-    ws = Workspace(build_instance(load_instance(args.file), bound=args.bound,
-                                  census_bound=args.census_bound))
-    if args.command == "ring-info":
-        return cmd_ring_info(ws)
-    if args.command == "idempotents":
-        return cmd_idempotents(ws)
-    if args.command == "lcp":
-        if args.mode == "scan":
-            return cmd_lcp_scan(ws)
-        if args.pair is None:
-            raise ParseError(f"lcp {args.mode} needs --pair C D")
-        if args.mode == "verify":
-            return cmd_lcp_verify(ws, args.pair)
-        return cmd_lcp_residue(ws, args.pair)
-    if args.command == "checkable":
-        if args.mode == "census":
-            return cmd_checkable_census(ws)
-        if args.ideal is None:
-            raise ParseError("checkable ideal needs --ideal C")
-        return cmd_checkable_ideal(ws, args.ideal)
-    from .verify import verify_all
-    return verify_all(ws, timing=args.timing)
+    handler, operands = args.run
+    return handler(Workspace(build_instance(
+        load_instance(args.file), bound=args.bound,
+        census_bound=args.census_bound)), *operands)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -280,7 +280,7 @@ class Ring:
         self.neg = ((-self.coords % np.array(self.moduli, dtype=np.int32))
                     @ self._weights).astype(np.int32)
         self._structure: RingStructure | None = None
-        self._frobenius: dict[int, FrobeniusVerdict] = {}
+        self._frobenius: FrobeniusVerdict | None = None
         self._quotient: QuotientData | None = None
 
     # -- element codec -----------------------------------------------------
@@ -516,9 +516,7 @@ def audit_ring(ring: Ring) -> None:
 class RingStructure(Record):
     """Unit group and Jacobson radical of a ring, fully materialized."""
     units: np.ndarray
-    unit_mask: np.ndarray
     radical: np.ndarray
-    radical_mask: np.ndarray
     nilpotency_index: int
     is_local: bool
 
@@ -529,31 +527,30 @@ def structure(ring: Ring) -> RingStructure:
         return ring._structure
     card = ring.card
     eq_one = ring.mul == ring.one
-    unit_mask = (eq_one & eq_one.T).any(axis=1)
-    units = np.flatnonzero(unit_mask).astype(np.int64)
+    is_unit = (eq_one & eq_one.T).any(axis=1)
+    units = np.flatnonzero(is_unit).astype(np.int64)
 
     # quasi-regularity: x is radical iff 1 - r*x is a unit for every r
     one_minus = ring.add[ring.one, ring.neg]          # t -> 1 - t
-    rad_left = unit_mask[one_minus[ring.mul]].all(axis=0)
-    rad_right = unit_mask[one_minus[ring.mul]].all(axis=1)
-    if not np.array_equal(rad_left, rad_right):
+    quasi_regular = is_unit[one_minus[ring.mul]]
+    in_radical = quasi_regular.all(axis=0)
+    if not np.array_equal(in_radical, quasi_regular.all(axis=1)):
         raise FalsificationError(
             f"{ring.label}: left and right quasi-regularity disagree")
-    radical_mask = rad_left
-    radical = np.flatnonzero(radical_mask).astype(np.int64)
+    radical = np.flatnonzero(in_radical).astype(np.int64)
 
     # the radical must be a two-sided ideal
-    ji = radical.astype(np.int64)
-    if not radical_mask[ring.add[np.ix_(ji, ji)]].all():
+    if not in_radical[ring.add[np.ix_(radical, radical)]].all():
         raise FalsificationError(f"{ring.label}: radical not closed under addition")
-    if not radical_mask[ring.mul[:, ji]].all() or not radical_mask[ring.mul[ji, :]].all():
+    if (not in_radical[ring.mul[:, radical]].all()
+            or not in_radical[ring.mul[radical, :]].all()):
         raise FalsificationError(f"{ring.label}: radical not a two-sided ideal")
 
     # nilpotency index: smallest f with J^f = 0. J^f is spanned by the
     # f-fold products of radical elements, so it is 0 exactly when they
     # all are; `prods` is the mask of the f-fold products, with no span
     f = 1
-    prods = radical_mask
+    prods = in_radical
     while prods[1:].any():
         grown = np.zeros(card, dtype=bool)
         grown[ring.mul[np.ix_(np.flatnonzero(prods), radical)]] = True
@@ -562,10 +559,9 @@ def structure(ring: Ring) -> RingStructure:
         if f > card:
             raise FalsificationError(f"{ring.label}: radical fails to be nilpotent")
 
-    local = bool(np.array_equal(~unit_mask, radical_mask))
+    local = bool(np.array_equal(~is_unit, in_radical))
     ring._structure = RingStructure(
-        units=units, unit_mask=unit_mask, radical=radical,
-        radical_mask=radical_mask, nilpotency_index=f, is_local=local)
+        units=units, radical=radical, nilpotency_index=f, is_local=local)
     return ring._structure
 
 
@@ -585,7 +581,7 @@ class FrobeniusVerdict(Record):
     character: tuple[int, ...] | None
 
 
-def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerdict:
+def frobenius(ring: Ring) -> FrobeniusVerdict:
     """Search for an additive character whose kernel contains no nonzero
     one-sided ideal; existence is the Frobenius criterion used here.
 
@@ -593,16 +589,14 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
     chi(r*x) = sum_i r_i chi(e_i*x), Rx lies in ker chi exactly when
     every e_i*x does, so the k coordinate unit vectors e_i are the only
     multipliers tried, on each side. It is O(k |R|^2) and returns an
-    explicit "undecided" verdict over the bound rather than a silent
-    false.
+    explicit "undecided" verdict over DEFAULT_FROBENIUS_BOUND elements
+    rather than a silent false. The verdict is kept on the ring.
     """
-    if bound in ring._frobenius:
-        return ring._frobenius[bound]
-    card = ring.card
-    if card > bound:
-        verdict = FrobeniusVerdict("undecided", None)
-        ring._frobenius[bound] = verdict
-        return verdict
+    if ring._frobenius is not None:
+        return ring._frobenius
+    if ring.card > DEFAULT_FROBENIUS_BOUND:
+        ring._frobenius = FrobeniusVerdict("undecided", None)
+        return ring._frobenius
     moduli = ring.moduli
     lcm = math.lcm(*moduli)
     steps = np.array([lcm // m for m in moduli], dtype=np.int64)
@@ -617,7 +611,7 @@ def frobenius(ring: Ring, bound: int = DEFAULT_FROBENIUS_BOUND) -> FrobeniusVerd
         if nz[left].any(axis=0)[1:].all() and nz[right].any(axis=1)[1:].all():
             verdict = FrobeniusVerdict("frobenius", tuple(knum))
             break
-    ring._frobenius[bound] = verdict
+    ring._frobenius = verdict
     return verdict
 
 

@@ -79,10 +79,6 @@ class GroupAlgebra:
         self.principal_sets: dict[str, dict] = {}
 
     # -- codec ---------------------------------------------------------------
-    def decode(self, x: int) -> tuple[int, ...]:
-        """Ring-element index per group position."""
-        return tuple(int(c) for c in self.coeffs[x])
-
     def encode(self, coeff_seq) -> int:
         return _encode(coeff_seq, (self.ring.card,) * self.group.order,
                        self._weights, "coefficient")

@@ -4,9 +4,9 @@ A CodeSet is an additive subgroup of RG, optionally carrying a
 one-sided ideal claim ("right" or "left"), identified by its canonical
 form from glab.galg and nothing else: two sets are equal exactly when
 their forms are, `key` is the form's bytes, and tables and caches find
-a set by it. Every producer hands over a form: principal ideals from
-the class tables of glab.galg, spans as the ideal a row of elements
-generates, sums of forms, duals and annihilators as kernels of
+a set by it. Every producer hands over a form: spans of one element
+from the class tables of glab.galg, of several as the ideal the row of
+them generates, sums of forms, duals and annihilators as kernels of
 matrices built from the rows of the set's form, which generate it. The
 lattice is read from sums of forms (`pair_sums`): A lies within B
 exactly when A + B is B, and |A & B| = |A| |B| / |A + B| finds the
@@ -132,27 +132,20 @@ def side_closed(codes: list[CodeSet], sides: list[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spans and lattice operations
 
-def principal(alg: GroupAlgebra, u: int, side: str) -> CodeSet:
-    """The one-sided principal ideal generated by u: read from the
-    side's table once `principal_ideals` has built it, else keyed as
-    the image of u's map, x -> u*x (right) or x -> x*u (left), by
-    `GroupAlgebra.canonical_keys`. The set is the same either way."""
-    table = alg.principal_sets.get(side)
-    if table is None:
-        return CodeSet(alg, side=side, form=alg.canonical_keys([u], side)[0])
-    leasts, _, rows = alg.canonical_classes(side)
-    return table[int(leasts[rows[u]])]
-
-
 def span(alg: GroupAlgebra, generators: Iterable[int], side: str) -> CodeSet:
-    """Smallest one-sided ideal containing the generators: `principal`
-    for one (or none, the zero ideal), else the ideal the row of
-    generators generates, one `GroupAlgebra.canonical_keys` row."""
+    """Smallest one-sided ideal containing the generators. One generator
+    (or none, the zero ideal) gives its principal ideal: read from the
+    side's table once `principal_ideals` has built it, else keyed as the
+    image of u's map, x -> u*x (right) or x -> x*u (left); the set is
+    the same either way. More give the ideal the row of generators
+    generates. Each key is one `GroupAlgebra.canonical_keys` row."""
     if side not in ("right", "left"):
         raise ConstructionError(f"unknown ideal side {side!r}")
     gens = [int(u) for u in generators] or [0]
-    if len(gens) == 1:
-        return principal(alg, gens[0], side)
+    table = alg.principal_sets.get(side)
+    if len(gens) == 1 and table is not None:
+        leasts, _, rows = alg.canonical_classes(side)
+        return table[int(leasts[rows[gens[0]]])]
     return CodeSet(alg, side=side, form=alg.canonical_keys([gens], side)[0])
 
 
@@ -234,7 +227,7 @@ def principal_ideals(alg: GroupAlgebra, side: str,
     generator, in the order of those generators; the whole of RG is
     classified first, gated by `bound`. The table of ideals by least
     generator, from `GroupAlgebra.canonical_classes` with no map computed, is
-    built once per algebra and side; `principal` reads it.
+    built once per algebra and side; `span` reads it.
     """
     if side not in ("right", "left"):
         raise ConstructionError(f"unknown ideal side {side!r}")

@@ -14,19 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_OP_BOUND
-from .errors import ConstructionError, ScaleError
+from .errors import ConstructionError
 from .finring import structure
 from .galg import GroupAlgebra, ResidueMap
+from .ideals import check_scale
 from .records import Record
 
 
 def enumerate_idempotents(alg: GroupAlgebra,
                           bound: int = DEFAULT_OP_BOUND) -> list[int]:
     """All e with e*e = e, ascending, by exhaustive scan."""
-    if alg.card > bound:
-        raise ScaleError(
-            f"{alg.label}: idempotent scan over {alg.card} elements exceeds "
-            f"the bound {bound}")
+    check_scale(alg, bound, "idempotent scan")
     every = np.arange(alg.card)
     return np.flatnonzero(alg.mul(every, every) == every).tolist()
 

@@ -73,6 +73,9 @@ _TOKEN = re.compile(r"""
   | (?P<string>"[^"\\]*")
   | (?P<punct>[()\[\],=])
 """, re.VERBOSE)
+# the control characters, of which a string holds none: a tab or a line
+# break in a label would split the fields and lines of a report
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 class _Tokens:
@@ -130,6 +133,9 @@ class _Tokens:
         kind, text = self.next()
         if kind != "string":
             raise ParseError(f"{self.where}: expected a quoted string, got {text!r}")
+        if _CONTROL.search(text):
+            raise ParseError(f"{self.where}: a string holds a control "
+                             f"character: {text!r}")
         return text[1:-1]
 
     def read_seq(self, item, close: str = "]", empty: bool = True) -> tuple:
@@ -317,9 +323,10 @@ def _expr_text(spec, kinds: dict) -> str:
 
 def _quoted(label: str) -> str:
     """The label as a string token. A label the syntax cannot read back
-    is refused: a string token holds no '"' or backslash, '#' starts a
-    comment, and a line break ends the line."""
-    if set(label) & set('"\\#') or label.splitlines() not in ([], [label]):
+    is refused: a string token holds no '"', backslash or control
+    character, '#' starts a comment, and a line break ends the line."""
+    if (set(label) & set('"\\#') or _CONTROL.search(label)
+            or label.splitlines() not in ([], [label])):
         raise ParseError(f"label {label!r} cannot be written as instance text")
     return f'"{label}"'
 
@@ -361,7 +368,6 @@ def instance_digest(desc: InstanceDescription) -> str:
 # building
 
 class BuiltInstance(Record):
-    description: InstanceDescription
     digest: str
     algebra: GroupAlgebra
     elems: dict[str, int]
@@ -381,7 +387,6 @@ def build_instance(desc: InstanceDescription,
     """
     alg = GroupAlgebra(build_ring(desc.ring), build_group(desc.group))
     built = BuiltInstance(
-        description=desc,
         digest=instance_digest(desc),
         algebra=alg,
         elems={},

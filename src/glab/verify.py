@@ -27,9 +27,10 @@ import numpy as np
 
 from .chk import ann_intersection_check
 from .errors import ConstructionError, FalsificationError
+from .finring import frobenius, structure
 from .galg import ResidueMap
 from .ideals import (CodeSet, check_scale, containment, hat_image, meets,
-                     principal, principal_ideals, span)
+                     principal_ideals, span)
 from .idem import enumerate_idempotents, is_idempotent
 from .lcp import ResidueTransfer
 from .workspace import (FAIL, SKIP, CheckLine, Report, Workspace, _tally,
@@ -43,7 +44,7 @@ from .workspace import (FAIL, SKIP, CheckLine, Report, Workspace, _tally,
 def _needs_frobenius(law):
     """Skip the law unless the base ring has a generating character."""
     def gated(ws: Workspace):
-        status = ws.frobenius_verdict.status
+        status = frobenius(ws.alg.ring).status
         if status != "frobenius":
             return (SKIP, f"needs a generating character; ring reports "
                           f"{status!r}")
@@ -54,7 +55,7 @@ def _needs_frobenius(law):
 def _needs_local_radical(law):
     """Skip the law unless the base ring is local with a nonzero radical."""
     def gated(ws: Workspace):
-        st = ws.ring_structure
+        st = structure(ws.alg.ring)
         if not st.is_local:
             return (SKIP, "needs a local coefficient ring")
         if len(st.radical) <= 1:
@@ -126,7 +127,7 @@ def _direct_sum(code: CodeSet, parts: list[int]) -> bool:
     spans multiply to its size (no parts: the member is {0})."""
     alg, side = code.alg, code.side
     return (span(alg, parts, side).same_set(code)
-            and math.prod(principal(alg, p, side).cardinality
+            and math.prod(span(alg, [p], side).cardinality
                           for p in parts) == code.cardinality)
 
 
@@ -219,7 +220,7 @@ def _radical_lift(ws: Workspace):
     rm = ws.residue
     residue_idems = enumerate_idempotents(rm.residue, bound=ws.built.bound)
     lifts = [ws.lift(ebar) for ebar in residue_idems]
-    f = ws.ring_structure.nilpotency_index
+    f = structure(alg.ring).nilpotency_index
     return _tally("lifts", (
         (f"residue idempotent {ebar}",
          is_idempotent(alg, h) and rm.proj[h] == ebar)
@@ -231,7 +232,7 @@ def _radical_lift(ws: Workspace):
 
 @_needs_frobenius
 def _checkable_ann_principal(ws: Workspace):
-    verdicts = ws.checkable_census.verdicts
+    verdicts = ws.checkable_census
     checkable = sum(v.checkable for _, v in verdicts)
     return _tally("right ideals", _ideals(
         (c, v.ann_route_agrees) for c, v in verdicts),
@@ -240,7 +241,7 @@ def _checkable_ann_principal(ws: Workspace):
 
 _checkable_dual_principal = _needs_frobenius(lambda ws: _tally(
     "right ideals", _ideals((c, v.dual_principal_matches)
-                            for c, v in ws.checkable_census.verdicts)))
+                            for c, v in ws.checkable_census)))
 
 def _dual_hat_ann(ws: Workspace):
     """dual(C) = hat(Ann_l(C)) for every right ideal C, the involution
@@ -292,7 +293,7 @@ def _ann_of_element(side: str):
         _, keys, kernel = alg.canonical_classes(side, kernel=True)
         reps, _, spans = alg.canonical_classes(other)
         row = {key.tobytes(): i for i, key in enumerate(keys)}
-        anns = np.array([row.get(ws.ann(side, principal(alg, int(u), other))
+        anns = np.array([row.get(ws.ann(side, span(alg, [u], other))
                                  .key(), -1) for u in reps])
         return _tally("elements", (), results=anns[spans] == kernel,
                       where="element {}")

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .finring import FrobeniusVerdict, RingStructure, frobenius, structure
 from .galg import GroupAlgebra, ResidueMap, residue_map
 from .ideals import (CodeSet, annihilators, dual_code, enumerate_ideals,
                      hat_image, pair_sums, principal_ideals, span)
@@ -27,7 +26,7 @@ from .lcp import (LcpPair, ResidueTransfer, complementarity,
 from .records import Record
 
 if TYPE_CHECKING:
-    from .chk import CheckableCensus, Principals
+    from .chk import CheckabilityVerdict, Principals
 
 PASS, FAIL, SKIP, INFO = "pass", "fail", "skip", "info"
 
@@ -76,14 +75,6 @@ class Workspace:
         # the lift of each residue idempotent, computed once per run
         self.lift = cache(lambda ebar: lift_idempotent(
             self.alg, self.residue, ebar))
-
-    @cached_property
-    def frobenius_verdict(self) -> FrobeniusVerdict:
-        return frobenius(self.alg.ring)
-
-    @cached_property
-    def ring_structure(self) -> RingStructure:
-        return structure(self.alg.ring)
 
     def _census(self, side: str) -> list[CodeSet]:
         bound = self.built.census_bound
@@ -168,25 +159,24 @@ class Workspace:
                 for p in self.pairs]
 
     @cached_property
-    def check_elements(self) -> dict[bytes, int]:
-        """The least check element of each right annihilator, by key."""
-        from .chk import check_elements
-        return check_elements(self.alg, self.built.bound)
-
     def checkable_tables(self) -> tuple[dict[bytes, int], Principals]:
-        """What the checkable routes read: the check elements and the
-        principal ideals of both sides, all gated by the scan bound."""
+        """What the checkable routes read: the least check element of
+        each right annihilator by key, and the principal ideals of both
+        sides, all gated by the scan bound."""
+        from .chk import check_elements
         bound = self.built.bound
-        return self.check_elements, {
+        return check_elements(self.alg, bound), {
             side: principal_ideals(self.alg, side, bound)
             for side in ("left", "right")}
 
     @cached_property
-    def checkable_census(self) -> CheckableCensus:
-        from .chk import code_checkable_census
-        return code_checkable_census(
-            self.right_ideals, self.dual, lambda c: self.ann("left", c),
-            *self.checkable_tables())
+    def checkable_census(self) -> list[tuple[CodeSet, CheckabilityVerdict]]:
+        """The checkability verdict of every right-ideal census member,
+        with its dual, its left annihilator and the checkable tables."""
+        from .chk import is_checkable
+        census, tables = self.right_ideals, self.checkable_tables
+        return [(c, is_checkable(c, self.dual(c), self.ann("left", c), *tables))
+                for c in census]
 
     @cached_property
     def residue(self) -> ResidueMap:

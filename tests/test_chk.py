@@ -3,8 +3,7 @@
 import pytest
 
 import glab.verify
-from glab.chk import (ann_intersection_check, check_elements,
-                      code_checkable_census, is_checkable)
+from glab.chk import ann_intersection_check, check_elements, is_checkable
 from glab.config import DEFAULT_OP_BOUND
 from glab.errors import ConstructionError, ScaleError
 from glab.idem import (decompose_idempotent, enumerate_idempotents,
@@ -21,21 +20,14 @@ def _principals(alg):
             for side in ("left", "right")}
 
 
-def _one(batched):
-    """The one-code form of a batched producer of glab.ideals."""
-    return lambda code: batched([code])[0]
-
-
 def _ann(side):
     """The one-code side annihilator."""
     return lambda code: annihilators([code], side)[0]
 
 
-def _census(alg):
-    return code_checkable_census(enumerate_ideals(alg), _one(dual_code),
-                                 _ann("left"),
-                                 check_elements(alg, DEFAULT_OP_BOUND),
-                                 _principals(alg))
+def _census(name):
+    """The (ideal, verdict) rows of a fixture's checkable census."""
+    return fixture_workspace(name).checkable_census
 
 
 def _parts_of_one(alg):
@@ -56,11 +48,6 @@ def f3c2():
 @pytest.fixture(scope="module")
 def z4c2():
     return fixture_algebra("z4c2")
-
-
-@pytest.fixture(scope="module")
-def m2c2():
-    return fixture_algebra("m2f2c2")
 
 
 def test_desk_registry_labels():
@@ -125,41 +112,38 @@ def test_checkability_scale_gate(f2c2):
     ("f2c2", 3), ("f3c2", 4), ("f2c3", 4), ("f2s3", 15),
 ])
 def test_census_fully_checkable(name, total):
-    cen = _census(fixture_algebra(name))
-    assert len(cen.verdicts) == total
-    assert cen.all_checkable
-    assert all(v.consistency for _, v in cen.verdicts)
+    cen = _census(name)
+    assert len(cen) == total
+    assert all(v.checkable and v.consistency for _, v in cen)
 
 
-def test_census_z4c2(z4c2):
-    cen = _census(z4c2)
-    assert len(cen.verdicts) == 7
-    assert not cen.all_checkable
-    assert sum(v.checkable for _, v in cen.verdicts) == 6
+def test_census_z4c2():
+    cen = _census("z4c2")
+    assert len(cen) == 7
+    assert sum(v.checkable for _, v in cen) == 6
     # the three detection routes agree on every ideal, including the
     # non-checkable one
-    assert all(v.consistency for _, v in cen.verdicts)
-    missing = [c for c, v in cen.verdicts if not v.checkable]
+    assert all(v.consistency for _, v in cen)
+    missing = [c for c, v in cen if not v.checkable]
     assert len(missing) == 1 and list(elements_of(missing[0])) == [0, 10]
 
 
-def test_census_matrix_ring(m2c2):
+def test_census_matrix_ring():
     # every right ideal is checkable, but for 12 of the 15 the dual
     # is not even a right ideal, so the dual-principality route
     # cannot see it: consistency holds only on the two-sided trio
-    cen = _census(m2c2)
-    assert len(cen.verdicts) == 15
-    assert cen.all_checkable
-    consistent = [c for c, v in cen.verdicts if v.consistency]
+    cen = _census("m2f2c2")
+    assert len(cen) == 15
+    consistent = [c for c, v in cen if v.consistency]
     assert sorted(c.cardinality for c in consistent) == [1, 16, 256]
-    assert sum(v.dual_is_right_ideal for _, v in cen.verdicts) == 3
+    assert sum(v.dual_is_right_ideal for _, v in cen) == 3
     assert all(v.checkable and v.ann_generator is not None
-               for _, v in cen.verdicts)
+               for _, v in cen)
 
 
 def test_checkable_and_ann_routes_agree_everywhere():
     for name in ("f2c2", "f3c2", "f2c3", "z4c2", "f2s3", "m2f2c2"):
-        for _, v in _census(fixture_algebra(name)).verdicts:
+        for _, v in _census(name):
             assert (v.check_element is None) == (v.ann_generator is None)
 
 

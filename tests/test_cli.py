@@ -278,6 +278,37 @@ def test_input_errors_print_one_line_and_exit_two(args, stderr):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lcp", "verify", "fixtures/f3c2.glab"], "lcp verify needs --pair C D"),
+    (["lcp", "residue", "fixtures/f3c2.glab"], "lcp residue needs --pair C D"),
+    (["checkable", "ideal", "fixtures/z4c2.glab"],
+     "checkable ideal needs --ideal C"),
+    # named before the file, which is never opened
+    (["lcp", "verify", "nosuch.glab"], "lcp verify needs --pair C D"),
+])
+def test_missing_required_option_is_refused_before_loading(argv, message,
+                                                           monkeypatch, capsys):
+    import glab.cli
+
+    def load(path):
+        raise AssertionError("the instance file was loaded")
+    monkeypatch.setattr(glab.cli, "load_instance", load)
+    assert glab.cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_control_character_in_a_label_exits_two(tmp_path, capsys):
+    # a tab in a label would split the label's row of a TSV report
+    import glab.cli
+    path = tmp_path / "tab.glab"
+    path.write_text('ring = table([2], [[0, 0], [0, 1]], "a\tb")\n'
+                    "group = cyclic(2)\n")
+    assert glab.cli.main(["ring-info", str(path), "--format", "tsv"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 1: a string holds a control character: "
+            "'\"a\\tb\"'\n")
+
+
 def test_invalid_utf8_instance_exits_two(tmp_path):
     path = tmp_path / "latin1.glab"
     path.write_bytes(b"# caf\xe9\nring = zmod(2)\ngroup = cyclic(1)\n")

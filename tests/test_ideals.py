@@ -13,7 +13,7 @@ from glab.finring import MatrixRing, PolyQuot, ProductRing, Zmod, build_ring
 from glab.galg import GroupAlgebra
 from glab.grp import (CyclicGroup, ProductGroup, SymmetricGroup, build_group)
 from glab.ideals import (CodeSet, ann_right_of_element, annihilators,
-                         dual_code, enumerate_ideals, pair_sums, principal,
+                         dual_code, enumerate_ideals, pair_sums,
                          principal_ideals, side_closed, span)
 
 from desk import FIXTURE_NAMES, fixture_algebra
@@ -104,12 +104,13 @@ def test_span_of_one_is_everything(f3c2):
 
 
 def test_principal_matches_span(f2s3):
+    # the principal ideal of u, from one generator, is the span of the
+    # row (u, 0), which goes through the route of several generators
     rng = np.random.default_rng(4021)
     for u in rng.integers(0, f2s3.card, size=8):
-        assert principal(f2s3, int(u), "right").same_set(
-            span(f2s3, [int(u)], "right"))
-        assert principal(f2s3, int(u), "left").same_set(
-            span(f2s3, [int(u)], "left"))
+        for side in ("right", "left"):
+            assert span(f2s3, [int(u)], side).same_set(
+                span(f2s3, [int(u), 0], side))
 
 
 def test_left_and_right_spans_differ_noncommutatively(m2c2):
@@ -381,7 +382,7 @@ def test_principal_reads_the_side_table_once_built(monkeypatch):
     # of u's least generator, named by u, with no map computed. A fresh
     # algebra, so no other test has built its tables
     alg = _alg(MatrixRing(2, Zmod(2)), CyclicGroup(2))
-    before = {side: [principal(alg, u, side) for u in range(alg.card)]
+    before = {side: [span(alg, [u], side) for u in range(alg.card)]
               for side in ("right", "left")}
     for side in ("right", "left"):
         assert side not in alg.principal_sets
@@ -390,7 +391,7 @@ def test_principal_reads_the_side_table_once_built(monkeypatch):
         least = leasts[rows]
         monkeypatch.setattr(GroupAlgebra, "_product", None)
         for u, code in zip(range(alg.card), before[side]):
-            got = principal(alg, u, side)
+            got = span(alg, [u], side)
             assert got.same_set(code)
             assert got.side == side
             assert table[got.key()] == least[u]
@@ -496,7 +497,7 @@ def test_census_of_m2f2c3_ends_after_one_round(monkeypatch):
 
 
 def _naive_add(alg, x, y):
-    return alg.encode(map(lambda s, t: int(alg.ring.add[s, t]), alg.decode(x), alg.decode(y)))
+    return alg.encode(map(lambda s, t: int(alg.ring.add[s, t]), alg.coeffs[x], alg.coeffs[y]))
 
 
 def _naive_subgroup(alg, gens):

@@ -235,9 +235,10 @@ descriptions = st.builds(
 
 
 # what a string token of the syntax cannot hold, from the grammar:
-# quotes and backslashes, '#' (a comment) and the line breaks of
-# str.splitlines
-_UNCARRIED = set('"\\#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029')
+# quotes and backslashes, '#' (a comment), the control characters
+# U+0000-U+001F and U+007F, and the other line breaks of str.splitlines
+_UNCARRIED = (set('"\\#\x7f\x85\u2028\u2029')
+              | {chr(c) for c in range(0x20)})
 
 
 def _labels_of(desc):
@@ -284,6 +285,15 @@ def test_labels_round_trip_or_are_refused(desc, bad):
             assert any(repr(label) in str(exc) for label in _labels_of(d))
             continue
         assert _carried(d) and parse_instance(text) == d
+
+
+@pytest.mark.parametrize("char", ["\t", "\x00", "\x1b", "\x7f"])
+def test_control_character_in_a_label_is_refused(char):
+    # a tab in a label split a TSV row of the report into more fields
+    text = f'ring = zmod(2)\ngroup = cayley([[0]], "a{char}b")\n'
+    with pytest.raises(ParseError, match="^line 2: a string holds a control "
+                                         "character"):
+        parse_instance(text)
 
 
 def test_labels_that_would_collide_are_refused():

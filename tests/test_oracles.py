@@ -31,7 +31,9 @@ brute-force principality test, the complementarity matrix with the
 definition on element sets, and the element-annihilator law with a
 per-element count. Ideal and idempotent counts of semisimple and
 Galois-ring group algebras are compared against closed forms from
-cyclic-code theory. The law matrix must report the same statuses and
+cyclic-code theory, and those of M2(Z2)C_n against the Morita, Hall
+and Wedderburn-Artin counts; the weight distribution of the dual of
+every ideal against the MacWilliams transform of the ideal's. The law matrix must report the same statuses and
 counts on an algebra whose group and ring elements are relabelled.
 Every built ring's table must be rebuilt by its own structure
 constants, and the unit, radical, residue-field and generating-character
@@ -65,7 +67,7 @@ from glab.grp import (CayleyGroup, CyclicGroup, DihedralGroup, SymmetricGroup,
 from glab.galg import residue_map
 from glab.ideals import (CodeSet, ann_right_of_element, annihilators,
                          containment, dual_code, enumerate_ideals, hat_image,
-                         meets, pair_sums, principal, principal_ideals)
+                         meets, pair_sums, principal_ideals, span)
 from glab.idem import enumerate_idempotents, idempotent_order
 from glab.instance import InstanceDescription, build_instance, load_instance
 from glab.lcp import complementarity, lcp_certificate, project_code
@@ -90,7 +92,7 @@ class Oracle:
         n = alg.group.order
         self.pairs = [(h, k, int(alg.group.mul[h, k]))
                       for h in range(n) for k in range(n)]
-        self.coeffs = [alg.decode(x) for x in range(alg.card)]
+        self.coeffs = alg.coeffs.tolist()
 
     def product(self, x, y):
         cx, cy = self.coeffs[x], self.coeffs[y]
@@ -257,7 +259,7 @@ def test_gathered_maps_match_the_definition(name, kept, monkeypatch):
 def test_scans_match_brute_force(name):
     alg = fixture_algebra(name)
     table, _ = _tables(name)
-    ring, one = alg.ring, alg.decode(alg.one)
+    ring, one = alg.ring, alg.coeffs[alg.one]
     census = enumerate_ideals(alg, "right")
     # the least u over all of RG with Ann_r(u) = C
     annihilators = table == 0
@@ -277,7 +279,7 @@ def test_scans_match_brute_force(name):
                     c.cardinality * d.cardinality != alg.card):
                 continue
             hits = [int(x) for x in np.flatnonzero(cmask) if dmask[alg.encode(
-                ring.add[list(one), ring.neg[list(alg.decode(int(x)))]])]]
+                ring.add[one, ring.neg[alg.coeffs[x]]])]]
             assert lcp_certificate(c, d) == (hits[0] if len(hits) == 1
                                              else None)
     # each row of the order table: the other nonzero idempotents f with
@@ -346,7 +348,7 @@ def product_table(alg):
     """x*y for every pair, from the ring's and the group's tables: the
     coefficient at g sums x_h * y_k over hk = g, for all pairs at once."""
     ring, group = alg.ring, alg.group
-    coeffs = np.array([alg.decode(x) for x in range(alg.card)])
+    coeffs = alg.coeffs
     acc = np.zeros((alg.card, alg.card, group.order), dtype=np.int64)
     for h in range(group.order):
         for k in range(group.order):
@@ -530,11 +532,11 @@ def assert_is_the_howell_form(w, p: int, a: int) -> None:
         for i, j in enumerate(lead.tolist()):
             assert h[i, j] in {p ** e for e in range(a)}
             assert (h[:i, j] < h[i, j]).all()
-        span = _naive_span(matrix, q)
-        assert _naive_span(h, q) == span
+        spanned = _naive_span(matrix, q)
+        assert _naive_span(h, q) == spanned
         for col in range(c + 1):
             tail = h[:k][lead >= col]
-            assert _naive_span(tail, q) == {v for v in span
+            assert _naive_span(tail, q) == {v for v in spanned
                                             if not any(v[:col])}
 
 
@@ -604,7 +606,7 @@ def difference_rows(alg, bs):
     for s in range(ring.card):
         for d in range(ring.card):
             minus[ring.add[s, d], d] = s
-    coeffs = np.array([alg.decode(x) for x in range(alg.card)])
+    coeffs = alg.coeffs
     weights = np.array([alg.encode([int(i == g) for i in range(n)])
                         for g in range(n)])
     return minus[coeffs[None], coeffs[list(bs)][:, None]] @ weights
@@ -693,7 +695,7 @@ def test_principal_and_check_tables_match_the_ordered_passes(name):
 
 
 def _local(ws):
-    st = ws.ring_structure
+    st = structure(ws.alg.ring)
     return st.is_local and len(st.radical) > 1
 
 
@@ -713,7 +715,7 @@ def test_principal_tables_match_brute_force(name):
         for code in codes:
             assert principals.get(code.key()) == is_principal(code, table)
         # and the table holds nothing else
-        assert all(is_principal(principal(ws.alg, u, side), table) == u
+        assert all(is_principal(span(ws.alg, [u], side), table) == u
                    for u in principals.values())
 
 
@@ -886,7 +888,7 @@ def test_annihilators_match_the_definition(name):
 
 
 def _principal_codes(alg):
-    return [principal(alg, u, side) for side in ("right", "left")
+    return [span(alg, [u], side) for side in ("right", "left")
             for u in principal_ideals(alg, side).values()]
 
 
@@ -971,7 +973,7 @@ def form_table(alg):
     """<x, y> for every pair, from the ring's tables: the sum over g of
     x_g * y_g, for all pairs at once."""
     ring = alg.ring
-    coeffs = np.array([alg.decode(x) for x in range(alg.card)])
+    coeffs = alg.coeffs
     acc = np.zeros((alg.card, alg.card), dtype=np.int64)
     for g in range(alg.group.order):
         acc = ring.add[acc, ring.mul[coeffs[:, g, None], coeffs[None, :, g]]]
@@ -995,13 +997,13 @@ def assert_producers_match_the_definitions(alg, table, stride=1):
     element by element; and the meets of each census."""
     alg = GroupAlgebra(alg.ring, alg.group)
     card, forms, zero = alg.card, form_table(alg), table == 0
-    coeffs = np.array([alg.decode(x) for x in range(card)])
+    coeffs = alg.coeffs
     hat = np.array([alg.encode(cx[alg.group.inv]) for cx in coeffs])
     rm = residue_map(alg) if structure(alg.ring).is_local else None
     for side in ("right", "left"):
         images = table if side == "right" else table.T
         for u in range(0, card, stride):
-            got = principal(alg, u, side)
+            got = span(alg, [u], side)
             assert got.side == side
             assert np.array_equal(mask_of(got), _image(card, images[u]))
         assert side not in alg.principal_sets
@@ -1174,7 +1176,7 @@ def _naive_addition(name):
     """The full addition table of a desk algebra, coefficientwise with the
     ring's own addition on decoded coefficients."""
     alg = _census_algebra(name)
-    coeffs = [alg.decode(x) for x in range(alg.card)]
+    coeffs = alg.coeffs
     return np.array([[alg.encode(map(lambda s, t: int(alg.ring.add[s, t]), cx, cy)) for cy in coeffs]
                      for cx in coeffs])
 
@@ -1242,16 +1244,17 @@ def _naive_closure(add, gens):
 # closed-form counts
 
 def _cyclotomic_cosets(q, n):
-    """Number of orbits of k -> q*k on Z/n."""
-    seen, count = set(), 0
+    """The size of each orbit of k -> q*k on Z/n."""
+    seen, sizes = set(), []
     for k in range(n):
         if k in seen:
             continue
-        count += 1
+        sizes.append(0)
         while k not in seen:
             seen.add(k)
+            sizes[-1] += 1
             k = k * q % n
-    return count
+    return sizes
 
 
 def _cyclicfixture_algebra(m, n):
@@ -1262,7 +1265,7 @@ def _cyclicfixture_algebra(m, n):
 def test_semisimple_cyclic_counts(q, n):
     # gcd(n, q) = 1: F_q C_n is a product of s fields, one per
     # q-cyclotomic coset mod n, so it has 2^s ideals and 2^s idempotents
-    s = _cyclotomic_cosets(q, n)
+    s = len(_cyclotomic_cosets(q, n))
     alg = _cyclicfixture_algebra(q, n)
     assert len(enumerate_ideals(alg, "right")) == 2 ** s
     assert len(enumerate_ideals(alg, "left")) == 2 ** s
@@ -1273,11 +1276,103 @@ def test_semisimple_cyclic_counts(q, n):
 def test_z4_cyclic_counts(n, ideals, idempotents):
     # n odd: Z4 C_n is a product of s Galois rings, each with the three
     # ideals 0, 2R, R, so 3^s ideals; idempotents lift from F2 C_n
-    s = _cyclotomic_cosets(2, n)
+    s = len(_cyclotomic_cosets(2, n))
     assert (3 ** s, 2 ** s) == (ideals, idempotents)
     alg = _cyclicfixture_algebra(4, n)
     assert len(enumerate_ideals(alg, "right", bound=alg.card)) == ideals
     assert len(enumerate_idempotents(alg)) == idempotents
+
+
+def _gaussian(n, r, q):
+    """The q-binomial [n choose r]_q, the number of r-dimensional
+    subspaces of F_q^n."""
+    return (math.prod(q ** n - q ** i for i in range(r))
+            // math.prod(q ** r - q ** i for i in range(r)))
+
+
+def _matrix_idempotents(n, q, radical):
+    """Idempotents of M_n(A), A local with residue field F_q and a radical
+    of `radical` elements: sum over the rank r of the image, a free
+    summand of A^n, of q^(r(n-r)) [n choose r]_q |m|^(2r(n-r))."""
+    return sum(q ** (r * (n - r)) * _gaussian(n, r, q)
+               * radical ** (2 * r * (n - r)) for r in range(n + 1))
+
+
+def _assert_census_counts(alg, ideals, idempotents):
+    for side in ("right", "left"):
+        assert len(enumerate_ideals(alg, side, bound=alg.card)) == ideals
+    assert len(enumerate_idempotents(alg, bound=alg.card)) == idempotents
+
+
+@pytest.mark.parametrize("k, frozen", [(1, (15, 26)), (2, (83, 386))])
+def test_modular_matrix_block_counts(k, frozen):
+    # M2(Z2)C_{2^k} = M2(A), A = F2 C_{2^k} = F2[t]/(t^m), m = 2^k, local
+    # with residue field F2 and a radical of 2^(m-1) elements. By Morita
+    # equivalence its right ideals are the A-submodules of A^2, which the
+    # Hall polynomials count as the subgroups of (Z/2^m)^2: the sum of
+    # gcd(a, b) over the divisors a, b of 2^m (Toth 2014). A is
+    # commutative, so the left ideals are as many
+    m = 2 ** k
+    divisors = [2 ** i for i in range(m + 1)]
+    ideals = sum(math.gcd(a, b) for a in divisors for b in divisors)
+    idempotents = _matrix_idempotents(2, 2, 2 ** (m - 1))
+    assert (ideals, idempotents) == frozen
+    _assert_census_counts(GroupAlgebra(build_ring(MatrixRing(2, Zmod(2))),
+                                       build_group(CyclicGroup(m))),
+                          ideals, idempotents)
+
+
+def test_semisimple_matrix_block_counts():
+    # M2(Z2)C3 = M2(F2 C3) is the product of the blocks M2(F_Q), one per
+    # 2-cyclotomic coset mod 3 of size d, Q = 2^d: M2(F2) x M2(F4). M_n(F_Q)
+    # has sum_r [n choose r]_Q right ideals and sum_r Q^(r(n-r))
+    # [n choose r]_Q idempotents, and the counts multiply over the blocks
+    blocks = [2 ** d for d in _cyclotomic_cosets(2, 3)]
+    ideals = math.prod(sum(_gaussian(2, r, q) for r in range(3))
+                       for q in blocks)
+    idempotents = math.prod(_matrix_idempotents(2, q, 1) for q in blocks)
+    assert (ideals, idempotents) == (5 * 7, 8 * 22)
+    _assert_census_counts(fixture_algebra("m2f2c3"), ideals, idempotents)
+
+
+# ---------------------------------------------------------------------------
+# the MacWilliams identity
+
+def _weights(code):
+    """The Hamming weight distribution of a set: how many of its elements
+    have each number of nonzero group coefficients."""
+    alg = code.alg
+    weight = np.count_nonzero(alg.coeffs[elements_of(code)], axis=1)
+    return np.bincount(weight, minlength=alg.group.order + 1).tolist()
+
+
+def _macwilliams(a, s):
+    """|C| times the weight distribution of dual(C) that the MacWilliams
+    identity gives from the distribution a of C, over an alphabet of s
+    symbols: the Krawtchouk transform of a."""
+    n = len(a) - 1
+    return [sum(a_i * sum((-1) ** l * (s - 1) ** (j - l) * math.comb(i, l)
+                          * math.comb(n - i, j - l) for l in range(j + 1))
+                for i, a_i in enumerate(a)) for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("name", _DESK + ["m2f2c3"] + _LATTICE)
+def test_dual_weights_obey_macwilliams(name):
+    # over a Frobenius ring the weight distribution of the dual of every
+    # right and left ideal is the MacWilliams transform of the ideal's
+    # (Wood 1999); over UT2(Z2), which is not Frobenius, 8 of its 14
+    # ideals fail
+    alg = (_lattice_workspace(name).alg if name in _LATTICE
+           else fixture_algebra(name))
+    codes = [c for side in ("right", "left")
+             for c in enumerate_ideals(alg, side, bound=alg.card)]
+    fails = sum(_macwilliams(_weights(c), alg.ring.card)
+                != [c.cardinality * b for b in _weights(d)]
+                for c, d in zip(codes, dual_code(codes)))
+    if frobenius(alg.ring).status == "frobenius":
+        assert fails == 0
+    else:
+        assert (name, fails, len(codes)) == ("ut2c1", 8, 14)
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,43 @@ def test_every_module_import_is_read():
     sources = {path.name: path.read_text()
                for path in sorted(SRC.glob("*.py"))}
     assert unused_imports(sources) == []
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Every field of a `Record` class that no module reads by name, as
+    an attribute, as "module:line Class.field". Building a record by
+    keyword writes a field and does not count."""
+    read, fields = set(), []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, name)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if isinstance(node, ast.ClassDef) and "Record" in [
+                    n for base in node.bases for n in _names(base)]:
+                fields += [(name, item.lineno, node.name, item.target.id)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)]
+    return [f"{module}:{line} {cls}.{field}"
+            for module, line, cls, field in fields if field not in read]
+
+
+def test_rule_flags_record_fields_no_module_reads():
+    sources = {"a.py": "class R(Record):\n"
+                       "    read: int\n"
+                       "    built: int = 0\n"
+                       "class S(records.Record):\n"
+                       "    unpacked: int\n"
+                       "class Plain:\n"
+                       "    note: int\n",
+               "b.py": "r = R(read=1, built=2)\n"
+                       "print(r.read)\n"
+                       "u, = S(3)\n"}
+    assert unread_fields(sources) == ["a.py:3 R.built", "a.py:5 S.unpacked"]
+
+
+def test_every_record_field_is_read():
+    # a field that only a constructor writes is carried for nobody
+    sources = {path.name: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_fields(sources) == []

@@ -175,7 +175,7 @@ def test_shared_work_runs_once(monkeypatch):
         return classes(alg, side, kernel)
     monkeypatch.setattr(GroupAlgebra, "canonical_classes", counted)
     matrices = _count_calls(monkeypatch, glab.lcp.complementarity)
-    checkable = _count_calls(monkeypatch, glab.chk.code_checkable_census)
+    checkable = _count_calls(monkeypatch, glab.chk.is_checkable)
     idems = _count_calls(monkeypatch, glab.idem.enumerate_idempotents)
     refine = _count_calls(monkeypatch, glab.lcp.refine_certificate)
     orders = _count_calls(monkeypatch, glab.idem.idempotent_order)
@@ -196,7 +196,8 @@ def test_shared_work_runs_once(monkeypatch):
     stacks = [(len(args[0]), args[0][0].alg.card)
               for args in matrices if len(args[0]) > 1]
     assert stacks == [(9, ws.alg.card), (9, ws.residue.residue.card)]
-    assert len(checkable) == 1
+    # one checkable census: one verdict per right ideal
+    assert [args[0] for args in checkable] == ws.right_ideals
     # the algebra and its residue algebra
     assert [args[0] for args in idems] == [ws.alg, ws.residue.residue]
     assert len(ws.pairs) == 4 and len(refine) == 4
